@@ -859,11 +859,6 @@ class CostFunction:
     def conjugate(self):
         return Conjugate(self)
 
-    def with_weight(self, weight):
-        c = CostFunction(self._profile, alpha=self.alpha, beta=self.beta,
-                         t0=self.t0, spatial_weight=weight)
-        return c
-
 
 class Conjugate:
     """Evaluable view of ``c*(x, s)`` with one-sided derivatives."""

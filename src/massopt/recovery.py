@@ -26,12 +26,11 @@ import json
 import math
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded, UnsupportedGrid
-from .grids import DiscreteMeasure, ScalarField, divergence_weighted, _hat_gradients
+from .grids import DiscreteMeasure, ScalarField, divergence_weighted, spd_solve, stiffness
 from .solver import (SolverParams, build_problem, feasible_flux_1d, objective_eval,
                      solve_auxiliary)
 
@@ -160,81 +159,71 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
 # ---------------------------------------------------------------------------
 
 class EnergyResult:
-    def __init__(self, energy, u, residual, iterations):
+    def __init__(self, energy, u, residual):
         self.energy = energy
         self.compliance = -energy
         self.u = u
         self.residual = residual
-        self.iterations = iterations
 
     def __repr__(self):
         return "EnergyResult(energy=%.12g, residual=%.3g)" % (self.energy, self.residual)
 
 
-def _weighted_stiffness(mu):
-    grid = mu.grid
-    G = grid.gradient_sparse()
-    w = np.repeat(grid.cell_volumes * mu.ac_density, 1)
-    if grid.dim == 2:
-        w = np.concatenate([w, w])
-    K = (G.T @ sp.diags(w) @ G).tocsr()
-    if mu.atoms:
-        K = K.tolil()
-        for loc, mass in mu.atoms:
-            for i, cw in grid.cell_weights_at(loc):
-                pairs = _hat_gradients(grid, i)
-                for j1, g1 in pairs:
-                    for j2, g2 in pairs:
-                        K[j1, j2] += mass * cw * float(np.dot(g1, g2))
-        K = K.tocsr()
-    return K
+def _floating_pins(K, F):
+    """One node of each floating component of the stiffness graph.
+
+    A component is floating when none of its rows couples to the boundary,
+    i.e. its row sums vanish: its field is then fixed only up to a
+    constant.  Raises :class:`Unbounded` when the source puts net load on
+    a floating component, which includes a loaded node with no stiffness.
+    """
+    # scipy's sparse products and sums drop exact zeros, so the graph of K
+    # has an edge exactly where two nodes are coupled
+    n_comp, labels = connected_components(K, directed=False)
+    # the sums of a floating row cancel only to rounding
+    grounded = np.abs(K @ np.ones(K.shape[0])) > 1e-12 * K.diagonal()
+    floating = np.ones(n_comp, dtype=bool)
+    floating[labels[grounded]] = False
+    net = np.bincount(labels, weights=F, minlength=n_comp)
+    scale = np.bincount(labels, weights=np.abs(F), minlength=n_comp)
+    if np.any(floating & (np.abs(net) > 1e-10 * scale)):
+        raise Unbounded("source loads a part of the domain that the measure "
+                        "does not connect to the boundary")
+    _, first = np.unique(labels, return_index=True)
+    return first[floating]
 
 
-def energy_eval(mu, source, rtol=1e-12, max_rounds=6):
-    """Infimal weighted Dirichlet energy ``E_f(mu)`` by conjugate gradients.
+def energy_eval(mu, source):
+    """Infimal weighted Dirichlet energy ``E_f(mu)`` by one direct solve.
 
-    Solves the weak form of ``-div(a grad u) = f`` (atoms of ``mu``
-    contribute point stiffness) with a Jacobi-preconditioned CG plus
-    iterative refinement on the true residual.  Raises :class:`Unbounded`
-    when the source loads a direction of vanishing stiffness.
+    Solves the weak form of ``-div(a grad u) = f`` on the interior nodes
+    (atoms of ``mu`` contribute point stiffness) with one sparse SPD
+    factorisation, :func:`massopt.grids.spd_solve`.  Interior nodes that
+    the measure does not connect to the boundary form floating components;
+    one node of each is pinned, which leaves the energy unchanged when the
+    component carries no net load.  Raises :class:`Unbounded` when the
+    energy is unbounded below: the source loads a floating component (for
+    instance a node with no stiffness), or the energy falls below the
+    admissibility floor.
     """
     grid = mu.grid
-    K = _weighted_stiffness(mu)
-    idx = grid.interior_idx
-    Kin = K[idx][:, idx].tocsr()
-    Fin = source.load_vector()[idx]
-
-    diag = Kin.diagonal()
-    dead = diag <= 0.0
-    if np.any(dead & (np.abs(Fin) > 0.0)):
-        raise Unbounded("source is supported where the measure has no stiffness")
-
-    Minv = sp.diags(1.0 / np.where(diag > 0.0, diag, 1.0))
-    u = np.zeros(idx.size)
+    K = stiffness(grid, grid.cell_volumes * mu.ac_density, mu.atoms)
+    Fin = source.load_vector()[grid.interior_idx]
     fnorm = float(np.linalg.norm(Fin))
     if fnorm == 0.0:
-        uf = np.zeros(grid.n_nodes)
-        return EnergyResult(0.0, ScalarField(grid, uf), 0.0, 0)
+        return EnergyResult(0.0, ScalarField.zeros(grid), 0.0)
 
-    floor = -1e13 * (1.0 + fnorm) ** 2
-    iterations = 0
-    resid = fnorm
-    for _ in range(max_rounds):
-        r = Fin - Kin @ u
-        resid = float(np.linalg.norm(r))
-        if resid <= rtol * fnorm:
-            break
-        du, info = spla.cg(Kin, r, M=Minv, rtol=1e-10, atol=0.0,
-                           maxiter=20 * idx.size + 200)
-        iterations += 1
-        u = u + du
-        energy = 0.5 * float(u @ (Kin @ u)) - float(Fin @ u)
-        if energy < floor:
-            raise Unbounded("weighted energy diverges below the admissibility floor")
-    energy = 0.5 * float(u @ (Kin @ u)) - float(Fin @ u)
+    free = np.ones(Fin.size, dtype=bool)
+    free[_floating_pins(K, Fin)] = False
+    u = np.zeros(Fin.size)
+    u[free] = spd_solve(K[free][:, free], Fin[free])
+    energy = 0.5 * float(u @ (K @ u)) - float(Fin @ u)
+    if energy < -1e13 * (1.0 + fnorm) ** 2:
+        raise Unbounded("weighted energy diverges below the admissibility floor")
+    resid = float(np.linalg.norm(Fin - K @ u))
     uf = np.zeros(grid.n_nodes)
-    uf[idx] = u
-    return EnergyResult(energy, ScalarField(grid, uf), resid / fnorm, iterations)
+    uf[grid.interior_idx] = u
+    return EnergyResult(energy, ScalarField(grid, uf), resid / fnorm)
 
 
 def cost_eval(mu, cost, cell_weights=None):

@@ -19,7 +19,10 @@ certified gap is primal objective minus the dual value of that flux.  In one
 dimension the certificate also yields a primal candidate by inverting the
 gradient-to-flux map, which typically lands on the discrete minimizer to
 machine precision; the solver keeps whichever iterate has the best merit, so
-the reported gap is monotone along accepted iterates.
+the reported gap is monotone along accepted iterates.  In two dimensions the
+flux projection and the Picard candidate are each one direct solve of an
+interior stiffness (:func:`massopt.grids.stiffness`,
+:func:`massopt.grids.spd_solve`), exact up to rounding.
 """
 
 import math
@@ -28,7 +31,7 @@ import numpy as np
 
 from .costs import validate_cost
 from .errors import InadmissibleSource, InvalidCost, NotConverged, RegimeMismatch
-from .grids import ScalarField, VectorField
+from .grids import ScalarField, VectorField, spd_solve, stiffness
 
 INF = math.inf
 
@@ -297,6 +300,10 @@ def feasible_flux_1d(problem):
     q0 = 0.5 * (lo + hi)
 
     sigma = (q0 - cum) * h / vol
+    # the bisection leaves the flux of the sign-change cell at rounding
+    # level; a nonzero sign there would pin that cell's gradient to the cap
+    # and the zero-mean selection below could not close
+    sigma[np.abs(sigma) <= 1e-12 * np.max(np.abs(sigma))] = 0.0
     t, _ = problem.invert_flux(np.abs(sigma))
     g = t * np.sign(sigma)
     t_lo, t_hi = _minverse_bounds(problem, np.abs(sigma))
@@ -352,26 +359,20 @@ def _certificate_1d(problem):
 
 
 def _project_flux(problem, y_cells):
-    """Project vol-weighted cell fluxes onto the divergence constraint."""
-    import scipy.sparse.linalg as spla
+    """Project vol-weighted cell fluxes onto the divergence constraint.
 
+    The correction ``G z`` solves ``(G^T G) z = F - G^T y`` on the interior
+    nodes by one direct solve, so the returned residual is rounding level.
+    """
     grid = problem.grid
-    G = grid.gradient_sparse()
     idx = grid.interior_idx
-    Gi = G[:, idx].tocsc()
-    if grid.dim == 2:
-        y_flat = np.concatenate([y_cells[:, 0], y_cells[:, 1]])
-    else:
-        y_flat = y_cells[:, 0]
+    Gi = grid.gradient_sparse()[:, idx]
+    y_flat = y_cells.T.ravel()
     resid = problem.load[idx] - Gi.T @ y_flat
-    A = (Gi.T @ Gi).tocsr()
-    z, info = spla.cg(A, resid, rtol=1e-12, atol=0.0, maxiter=4 * idx.size + 100)
-    y_hat = y_flat + Gi @ z
-    n = grid.n_cells
-    y_out = np.column_stack([y_hat[:n], y_hat[n:]]) if grid.dim == 2 else y_hat[:, None]
-    sigma = y_out / grid.cell_volumes[:, None]
+    y_hat = y_flat + Gi @ spd_solve(stiffness(grid, np.ones(grid.n_cells)), resid)
+    sigma = y_hat.reshape(grid.dim, grid.n_cells).T / grid.cell_volumes[:, None]
     res = float(np.linalg.norm(Gi.T @ y_hat - problem.load[idx]))
-    return sigma, res, info == 0
+    return sigma, res
 
 
 def _picard_candidate(problem, sigma):
@@ -383,27 +384,13 @@ def _picard_candidate(problem, sigma):
     iterate that typically tightens the certificate far faster than the
     splitting alone.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     grid = problem.grid
     absw = np.sqrt(np.sum(sigma * sigma, axis=1))
     _t, a = problem.invert_flux(absw)
     a = np.maximum(a, 1e-12 * max(float(np.max(a)), 1.0))
-    G = grid.gradient_sparse()
-    w = grid.cell_volumes * a
-    if grid.dim == 2:
-        w = np.concatenate([w, w])
-    K = (G.T @ sp.diags(w) @ G).tocsr()
     idx = grid.interior_idx
-    Kin = K[idx][:, idx]
-    Fin = problem.load[idx]
-    diag = Kin.diagonal()
-    M = sp.diags(1.0 / np.where(diag > 0.0, diag, 1.0))
-    u_in, _info = spla.cg(Kin, Fin, M=M, rtol=1e-12, atol=0.0,
-                          maxiter=10 * idx.size + 200)
     u = np.zeros(grid.n_nodes)
-    u[idx] = u_in
+    u[idx] = spd_solve(stiffness(grid, grid.cell_volumes * a), problem.load[idx])
     return u, a
 
 
@@ -422,7 +409,7 @@ def _rescale_feasible(problem, u):
 def _certificate_2d(problem, y, u_iter):
     """Feasible flux, dual value, and a polished primal candidate."""
     grid = problem.grid
-    sigma, res, feasible = _project_flux(problem, y)
+    sigma, res = _project_flux(problem, y)
     dual = _dual_value(problem, sigma)
     u_cand, a = _picard_candidate(problem, sigma)
     u_cand = _rescale_feasible(problem, u_cand)
@@ -431,11 +418,11 @@ def _certificate_2d(problem, y, u_iter):
     s = 0.5 * np.sum(g * g, axis=1)
     d = problem.conj_dplus(s)
     y_cand = g * (grid.cell_volumes * np.where(np.isfinite(d), d, 0.0))[:, None]
-    sigma2, res2, feas2 = _project_flux(problem, y_cand)
+    sigma2, res2 = _project_flux(problem, y_cand)
     dual2 = _dual_value(problem, sigma2)
     if dual2 > dual:
-        sigma, res, feasible, dual = sigma2, res2, feas2, dual2
-    return sigma, dual, res, feasible, u_cand
+        sigma, res, dual = sigma2, res2, dual2
+    return sigma, dual, res, u_cand
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +548,7 @@ def solve_auxiliary(problem, params=None):
                 if obj_cand < best_obj:
                     best_obj, best_u = obj_cand, u_cand
             else:
-                sigma, dual, dual_residual, feasible, u_cand = \
-                    _certificate_2d(problem, y, u)
+                sigma, dual, dual_residual, u_cand = _certificate_2d(problem, y, u)
                 obj_cand = objective_eval(problem, u_cand)
                 if obj_cand < best_obj:
                     best_obj, best_u = obj_cand, u_cand.copy()
@@ -571,9 +557,6 @@ def solve_auxiliary(problem, params=None):
                         u = u_cand.copy()
                         ubar = u.copy()
                         y = sigma * grid.cell_volumes[:, None]
-                if not feasible:
-                    notes.append("dual projection CG hit its iteration budget "
-                                 "at iteration %d" % k)
             if dual > best_dual:
                 best_dual, best_sigma = dual, sigma
             gap = best_obj - best_dual

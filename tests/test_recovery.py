@@ -224,6 +224,59 @@ def test_energy_unbounded_detection():
         mo.energy_eval(mu, mo.SourceTerm.constant(g, 1.0))
 
 
+def island_measure():
+    # zero density on cells 20 and 40 cuts nodes 21..40 off the boundary
+    g = mo.interval_grid(-1.0, 1.0, 64)
+    a = np.ones(g.n_cells)
+    a[[20, 40]] = 0.0
+    island = (np.arange(g.n_nodes) >= 22) & (np.arange(g.n_nodes) <= 39)
+    return mo.DiscreteMeasure(g, a), island
+
+
+def test_energy_loaded_island_is_unbounded():
+    mu, island = island_measure()
+    f = mo.SourceTerm(mu.grid, density=np.where(island, 1.0, 0.0))
+    with pytest.raises(mo.Unbounded):
+        mo.energy_eval(mu, f)
+
+
+def test_energy_island_without_net_load_is_finite():
+    # a full sine period over the island carries no net load, so the energy
+    # does not depend on the island's free constant
+    mu, island = island_measure()
+    x = mu.grid.nodes_1d
+    dens = np.sin(2.0 * np.pi * (x - x[21]) / (x[40] - x[21]))
+    res = mo.energy_eval(mu, mo.SourceTerm(mu.grid, density=np.where(island, dens, 0.0)))
+    assert res.energy == pytest.approx(-0.003940563848416746, rel=1e-10)
+    assert res.residual <= 1e-12
+
+
+def test_energy_rectangle_with_atom_matches_dense_solve():
+    # dense reference: stiffness columns from the matrix-free gradient, the
+    # atom's point stiffness from the gradients on the cell that carries it
+    g = mo.rectangle_grid(0.0, 1.5, 0.0, 1.0, 7, 5)
+    x, y = g.cell_centers[:, 0], g.cell_centers[:, 1]
+    a = 1.0 + x * x + 0.5 * np.sin(3.0 * y)
+    loc, mass = np.array([0.8, 0.45]), 2.5
+    mu = mo.DiscreteMeasure(g, a, atoms=[(loc, mass)])
+    f = mo.SourceTerm.from_function(g, lambda p: 1.0 + p[0] * p[1])
+
+    cols = [g.gradient_apply(e) for e in np.eye(g.n_nodes)]
+    D = np.stack([c.ravel() for c in cols], axis=1)  # (cells * 2, nodes)
+    K = D.T @ np.diag(np.repeat(g.cell_volumes * a, 2)) @ D
+    (cell, _w), = g.cell_weights_at(loc)
+    Dc = np.stack([c[cell] for c in cols], axis=1)  # (2, nodes)
+    K += mass * Dc.T @ Dc
+    idx = g.interior_idx
+    F = f.load_vector()[idx]
+    u = np.linalg.solve(K[np.ix_(idx, idx)], F)
+    expected = -0.5 * float(F @ u)
+
+    res = mo.energy_eval(mu, f)
+    assert res.energy == pytest.approx(expected, rel=1e-10)
+    assert np.allclose(res.u.values[idx], u, rtol=1e-10, atol=1e-12)
+
+
 # -- cost functional -----------------------------------------------------------
 
 def test_cost_eval_values():

@@ -118,6 +118,21 @@ def test_dual_flux_is_divergence_feasible():
     assert np.max(resid) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [2653, 3761])
+def test_linear_certificate_closes_at_odd_resolution(n):
+    # the sign-change cell of the flux sits mid-cell; its rounding-level
+    # flux must not pin that cell's gradient to the cap
+    fix = mo.fixture("mk_interval_uniform")
+    prob = fix.build(n)
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=200))
+    assert sol.converged
+    assert sol.max_gradient <= prob.lip_bound * (1.0 + 1e-12)
+    mu = mo.recover_measure_l_1d(sol, prob)
+    rep = mo.verify_conditions(mu, sol, prob)
+    for field, value in rep.residuals().items():
+        assert value <= 1e-10, (field, value)
+
+
 def test_symmetry_even_source():
     prob = interval_problem(mo.quadratic_cost(), n=200)
     sol = mo.solve_auxiliary(prob)
