@@ -8,7 +8,9 @@ cost's conjugate and subdifferential.  ``massopt fixtures`` runs the
 closed-form comparison for one catalog fixture.
 
 Exit codes: 0 all verification thresholds met; 1 thresholds failed;
-2 configuration error; 3 solver did not converge.
+2 configuration error; 3 solver did not converge; 4 ``run`` failed after
+the problem was built (a :class:`~massopt.errors.MassOptError` from solve,
+recover or verify, reported as ``error: <Class>: <message>`` on stderr).
 """
 
 import argparse
@@ -260,16 +262,18 @@ def run(config_path, log_path=None, json_report_path=None):
         print("config error: %s" % exc, file=sys.stderr)
         return 2
 
-    solution = solve_auxiliary(problem, params)
-
-    if problem.regime == "SL":
-        measure = recover_density_sl(solution, problem)
-    elif problem.grid.dim == 1:
-        measure = recover_measure_l_1d(solution, problem)
-    else:
-        measure, _diag = recover_via_regularization(problem, solver_params=params)
-
-    report = verify_conditions(measure, solution, problem)
+    try:
+        solution = solve_auxiliary(problem, params)
+        if problem.regime == "SL":
+            measure = recover_density_sl(solution, problem)
+        elif problem.grid.dim == 1:
+            measure = recover_measure_l_1d(solution, problem)
+        else:
+            measure, _diag = recover_via_regularization(problem, solver_params=params)
+        report = verify_conditions(measure, solution, problem)
+    except MassOptError as exc:
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
     write_field_csv(os.path.join(out, "u.csv"), solution.u)
     write_measure(os.path.join(out, "measure.csv"), os.path.join(out, "measure.json"),
@@ -309,8 +313,7 @@ def cmd_conjugate_table(cost, s_lo, s_hi, count, stream):
         if s > thr * (1.0 + 1e-12) + 1e-300:
             lo = hi = math.nan
         else:
-            from .costs import subdiff_interval
-            lo, hi = subdiff_interval(conj, None, s)
+            lo, hi = costs_mod.subdiff_interval(conj, None, s)
         stream.write(",".join(_FMT % v for v in (s, value, lo, hi)) + "\n")
 
 

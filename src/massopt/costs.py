@@ -31,8 +31,38 @@ _THRESHOLD_SLACK = 1e-12  # relative rounding slack at the conjugate threshold
 
 
 # ---------------------------------------------------------------------------
-# numeric machinery (shared by expression / piecewise-polynomial profiles)
+# numeric machinery
 # ---------------------------------------------------------------------------
+
+def bisect(below, lo, hi, iters):
+    """Vectorized bisection of a monotone predicate; returns the midpoints.
+
+    ``below(t)`` must hold up to a root and fail past it, elementwise.  Each
+    step halves ``[lo, hi]`` toward where it turns false, so after ``iters``
+    steps the midpoint sits within ``(hi - lo) / 2**(iters + 1)`` of it.
+    """
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        right = below(mid)
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def grow_bracket(below, hi, limit=80, where=True):
+    """Double ``hi`` (only where ``where`` holds) until ``below(hi)`` fails.
+
+    ``below`` is not evaluated at all when ``where`` holds nowhere.
+    """
+    if not np.any(where):
+        return hi
+    for _ in range(limit):
+        grow = where & below(hi)
+        if not np.any(grow):
+            break
+        hi = np.where(grow, hi * 2.0, hi)
+    return hi
+
 
 def _golden_max(fn, a, b, iters=200, tol=1e-13):
     """Golden-section maximization of a quasi-concave fn on [a, b]."""
@@ -180,10 +210,6 @@ class _QuadraticProfile:
     def recession(self):
         return INF
 
-    def subgrad_lo(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0.0, t, -INF)
-
     def subgrad_hi(self, t):
         return np.maximum(np.asarray(t, dtype=float), 0.0)
 
@@ -227,10 +253,6 @@ class _PowerProfile:
 
     def recession(self):
         return INF
-
-    def subgrad_lo(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0.0, np.abs(t) ** (self.p - 1.0), -INF)
 
     def subgrad_hi(self, t):
         t = np.asarray(t, dtype=float)
@@ -276,10 +298,6 @@ class _LinearProfile:
 
     def recession(self):
         return self.slope
-
-    def subgrad_lo(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0.0, self.slope, -INF)
 
     def subgrad_hi(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.slope)
@@ -332,13 +350,11 @@ class _ReciprocalProfile:
     def recession(self):
         return self.a
 
-    def subgrad_lo(self, t):
+    def subgrad_hi(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             d = self.a - self.b / np.where(t > 0.0, t * t, 1.0)
         return np.where(t > 0.0, d, -INF)
-
-    subgrad_hi = subgrad_lo
 
     def invert_flux(self, vabs):
         vabs = np.asarray(vabs, dtype=float)
@@ -526,9 +542,12 @@ class _RegularizedProfile:
 
     The strictly convex quadratic term makes the conjugate differentiable,
     with derivative equal to the unique maximizer of ``t*s - c_eps(t)``.
-    All evaluations reduce to vectorized bisections on the monotone map
-    ``t -> subgrad(c)(t) + 2*eps*t`` when the base exposes closed-form
-    subgradients; otherwise the generic numeric path is used per element.
+    All evaluations reduce to :func:`bisect` on the monotone map
+    ``t -> subgrad(c)(t) + 2*eps*t`` when the base exposes its upper
+    subgradient in closed form (``subgrad_hi``); otherwise the generic
+    numeric path is used per element.  The map is strictly monotone, so
+    ``subgrad_hi(t) + 2*eps*t < s`` holds exactly below the root and the
+    upper subgradient alone locates it.
     """
 
     kind = "regularized"
@@ -541,14 +560,11 @@ class _RegularizedProfile:
         self.eps = float(eps)
         self.domain = (base_profile.domain[0], base_profile.domain[1])
         self.seed_t = float(seed_t)
-        self._fast = hasattr(base_profile, "subgrad_lo") and hasattr(base_profile, "subgrad_hi")
+        self._fast = hasattr(base_profile, "subgrad_hi")
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         return self.base.value(t) + np.where(t < 0.0, INF, self.eps * t * t)
-
-    def _sub_lo(self, t):
-        return self.base.subgrad_lo(t) + 2.0 * self.eps * t
 
     def _sub_hi(self, t):
         return self.base.subgrad_hi(t) + 2.0 * self.eps * t
@@ -558,20 +574,12 @@ class _RegularizedProfile:
         if hasattr(self.base, "regularized_maximizer"):
             return self.base.regularized_maximizer(s, self.eps)
         s = np.asarray(s, dtype=float)
-        lo = np.zeros_like(s)
-        hi = np.full_like(s, max(1.0, self.domain[0] + 1.0))
-        for _ in range(80):
-            grown = self._sub_hi(hi) < s
-            if not np.any(grown):
-                break
-            hi = np.where(grown, hi * 2.0, hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            go_right = self._sub_hi(mid) < s
-            go_left = self._sub_lo(mid) > s
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_left, mid, np.where(go_right, hi, mid))
-        return 0.5 * (lo + hi)
+
+        def below(t):
+            return self._sub_hi(t) < s
+
+        hi = grow_bracket(below, np.full_like(s, max(1.0, self.domain[0] + 1.0)))
+        return bisect(below, np.zeros_like(s), hi, 100)
 
     def conj_value(self, s):
         if not self._fast:
@@ -607,27 +615,12 @@ class _RegularizedProfile:
         vabs = np.asarray(vabs, dtype=float)
         pos = vabs > 0.0
         v = np.where(pos, vabs, 1.0)
-        lo = np.full_like(v, 1e-300)
-        hi = np.ones_like(v)
 
-        def surplus_hi(a):
-            return self._sub_hi(a) - 0.5 * v * v / (a * a)
+        def below(a):
+            return self._sub_hi(a) - 0.5 * v * v / (a * a) < 0.0
 
-        def surplus_lo(a):
-            return self._sub_lo(a) - 0.5 * v * v / (a * a)
-
-        for _ in range(200):
-            grown = surplus_hi(hi) < 0.0
-            if not np.any(grown):
-                break
-            hi = np.where(grown, hi * 2.0, hi)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            go_right = surplus_hi(mid) < 0.0
-            go_left = surplus_lo(mid) > 0.0
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_left, mid, np.where(go_right, hi, mid))
-        a = 0.5 * (lo + hi)
+        hi = grow_bracket(below, np.ones_like(v), limit=200)
+        a = bisect(below, np.full_like(v, 1e-300), hi, 120)
         t = v / a
         a0 = self._maximizer(np.zeros_like(v))  # cost-minimal density at zero flux
         return np.where(pos, t, 0.0), np.where(pos, a, a0)
@@ -789,8 +782,8 @@ class CostFunction:
 
         Returns ``(t, a)`` with ``t >= 0`` the gradient magnitude and
         ``a = v / t`` the matching density (cost-minimal density where the
-        flux vanishes).  Falls back to bisection on the conjugate
-        derivatives when the profile has no closed form.
+        flux vanishes).  Falls back to :func:`bisect` on the upper conjugate
+        derivative when the profile has no closed form.
         """
         vabs = np.asarray(vabs, dtype=float)
         if weight is None and hasattr(self._profile, "invert_flux"):
@@ -804,31 +797,15 @@ class CostFunction:
         thr = self.recession_slope(weight)
         thr = np.broadcast_to(np.asarray(thr, dtype=float), vabs.shape)
         cap = np.where(np.isinf(thr), INF, np.sqrt(2.0 * np.where(np.isinf(thr), 1.0, thr)))
-        lo = np.zeros_like(vabs)
         hi = np.where(np.isinf(cap), np.maximum(vabs, 1.0), cap)
         warr = None if weight is None else np.broadcast_to(np.asarray(weight, float), vabs.shape)
 
-        def m_lo(t):
-            return t * self.conjugate_dminus(0.5 * t * t, warr)
-
-        def m_hi(t):
-            return t * self.conjugate_dplus(0.5 * t * t, warr)
-
-        unbounded = np.isinf(cap)
-        if np.any(unbounded):
-            for _ in range(80):
-                grow = unbounded & (m_hi(hi) < vabs)
-                if not np.any(grow):
-                    break
-                hi = np.where(grow, hi * 2.0, hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
+        def below(t):
             with np.errstate(invalid="ignore"):
-                go_right = m_hi(mid) < vabs
-                go_left = m_lo(mid) > vabs
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_left, mid, np.where(go_right, hi, mid))
-        t = 0.5 * (lo + hi)
+                return t * self.conjugate_dplus(0.5 * t * t, warr) < vabs
+
+        hi = grow_bracket(below, hi, where=np.isinf(cap))
+        t = bisect(below, np.zeros_like(vabs), hi, 100)
         pos = vabs > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             a = np.where(pos & (t > 0.0), vabs / np.where(t > 0.0, t, 1.0), 0.0)

@@ -130,10 +130,7 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
         params_eps = SolverParams(
             max_iterations=params.max_iterations,
             gap_tolerance=max(min(params.gap_tolerance, 0.1 * eps * eps), 1e-10),
-            check_every=params.check_every,
-            power_iterations=params.power_iterations,
-            step_scale=params.step_scale,
-            warm_restart=params.warm_restart)
+            check_every=params.check_every)
         sol = solve_auxiliary(prob_eps, params_eps)
         measure = recover_density_sl(sol, prob_eps)
         a = measure.ac_density

@@ -8,9 +8,15 @@ The discrete problem is
 The integrand is convex in ``g`` (a nondecreasing convex function of
 ``|g|^2/2``), so the problem is a convex composite and is solved by a
 Chambolle-Pock primal-dual splitting whose dual update reduces to a scalar
-monotone root-find per cell (safeguarded bisection on the gradient
-magnitude).  In the linear regime the root-find also enforces the pointwise
-bound ``|g| <= sqrt(2 * cinf(x))`` exactly, never by penalty.
+monotone root-find per cell.  The scalar solves here (the per-cell dual
+prox and flux-inversion bounds, and the constant of the 1-d flux) all run
+through :func:`massopt.costs.bisect`.  The prox tests the upper conjugate
+derivative ``D+c*`` only: its map is strictly increasing and
+``D-c* <= D+c*``, so a test on the lower derivative could never move a
+bracket end.  Only the largest gradient matching a flux
+(:func:`_minverse_bounds`) needs ``D-c*``.  In the linear regime the bracket
+starts at the cap, so the pointwise bound ``|g| <= sqrt(2 * cinf(x))``
+holds exactly, never by penalty.
 
 The convergence certificate is honest: a divergence-feasible flux is
 constructed (exactly, in one dimension, where the feasible set is a point or
@@ -29,27 +35,31 @@ import math
 
 import numpy as np
 
-from .costs import validate_cost
+from .costs import bisect, grow_bracket, validate_cost
 from .errors import InadmissibleSource, InvalidCost, NotConverged, RegimeMismatch
 from .grids import ScalarField, VectorField, spd_solve, stiffness
 
 INF = math.inf
 
+# both splitting steps are this fraction of 1 / ||D||
+STEP_SCALE = 0.95
+
 
 class SolverParams:
-    """Iteration budget and tolerances for :func:`solve_auxiliary`."""
+    """Iteration budget and tolerances for :func:`solve_auxiliary`.
+
+    The solver builds a certificate every ``check_every`` iterations; in
+    two dimensions an improving candidate always restarts the splitting.
+    ``log_path``, when set, receives the iteration log as CSV.
+    """
 
     def __init__(self, max_iterations=20000, gap_tolerance=1e-8, check_every=25,
-                 power_iterations=50, step_scale=0.95, warm_restart=True,
                  log_path=None):
         if not gap_tolerance > 0.0:
             raise ValueError("gap_tolerance must be positive")
         self.max_iterations = int(max_iterations)
         self.gap_tolerance = float(gap_tolerance)
         self.check_every = max(int(check_every), 1)
-        self.power_iterations = int(power_iterations)
-        self.step_scale = float(step_scale)
-        self.warm_restart = bool(warm_restart)
         self.log_path = log_path
 
 
@@ -161,28 +171,21 @@ def objective_gradient(problem, u):
 
 
 # ---------------------------------------------------------------------------
-# per-cell scalar solves (vectorized bisection)
+# per-cell scalar solves
 # ---------------------------------------------------------------------------
 
-def _prox_magnitude(problem, r, lam, iters=70):
+def _prox_magnitude(problem, r, lam):
     """Solve ``r in t + lam * t * dc*(t^2/2)`` per cell; exact cap handling."""
     r = np.asarray(r, dtype=float)
-    lo = np.zeros_like(r)
-    hi = np.minimum(r, problem.cell_caps)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        s = 0.5 * mid * mid
+
+    def below(t):
         with np.errstate(invalid="ignore", over="ignore"):
-            glo = mid + lam * mid * problem.conj_dminus(s)
-            ghi = mid + lam * mid * problem.conj_dplus(s)
-        go_right = ghi < r
-        go_left = glo > r
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_left, mid, np.where(go_right, hi, mid))
-    return 0.5 * (lo + hi)
+            return t + lam * t * problem.conj_dplus(0.5 * t * t) < r
+
+    return bisect(below, np.zeros_like(r), np.minimum(r, problem.cell_caps), 70)
 
 
-def _minverse_bounds(problem, vabs, iters=90):
+def _minverse_bounds(problem, vabs):
     """Smallest/largest gradient magnitude matching each flux magnitude.
 
     Returns ``(t_lo, t_hi)`` with ``m(t) = t * dc*(t^2/2)`` satisfying
@@ -203,31 +206,14 @@ def _minverse_bounds(problem, vabs, iters=90):
             out = t * problem.conj_dplus(s)
         return np.where(t > 0.0, out, 0.0)
 
-    hi0 = np.where(np.isinf(caps), np.maximum(vabs, 1.0), caps)
-    if np.any(np.isinf(caps)):
-        for _ in range(80):
-            grow = np.isinf(caps) & (m_lo(hi0) <= vabs)
-            if not np.any(grow):
-                break
-            hi0 = np.where(grow, hi0 * 2.0, hi0)
+    def lo_below_v(t):
+        return m_lo(t) <= vabs
 
-    # t_lo = inf{t : m+(t) >= v}
-    lo, hi = np.zeros_like(vabs), hi0.copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        right = m_hi(mid) < vabs
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    t_min = 0.5 * (lo + hi)
-
-    # t_hi = sup{t : m-(t) <= v}
-    lo, hi = np.zeros_like(vabs), hi0.copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        right = m_lo(mid) <= vabs
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    t_max = 0.5 * (lo + hi)
+    hi = grow_bracket(lo_below_v, np.where(np.isinf(caps), np.maximum(vabs, 1.0), caps),
+                      where=np.isinf(caps))
+    zero = np.zeros_like(vabs)
+    t_min = bisect(lambda t: m_hi(t) < vabs, zero, hi, 90)  # inf{t : m+(t) >= v}
+    t_max = bisect(lo_below_v, zero, hi, 90)  # sup{t : m-(t) <= v}
     return np.minimum(t_min, t_max), t_max
 
 
@@ -291,13 +277,7 @@ def feasible_flux_1d(problem):
             break
         hi += span
         span *= 2.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mean_grad(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    q0 = 0.5 * (lo + hi)
+    q0 = float(bisect(lambda q: mean_grad(q) < 0.0, lo, hi, 120))
 
     sigma = (q0 - cum) * h / vol
     # the bisection leaves the flux of the sign-change cell at rounding
@@ -500,9 +480,9 @@ def solve_auxiliary(problem, params=None):
     params = params or SolverParams()
     grid = problem.grid
     F = problem.load
-    norm_D = operator_norm(grid, params.power_iterations)
-    tau = params.step_scale / norm_D
-    sig = params.step_scale / norm_D
+    norm_D = operator_norm(grid)
+    tau = STEP_SCALE / norm_D
+    sig = STEP_SCALE / norm_D
 
     u = np.zeros(grid.n_nodes)
     ubar = u.copy()
@@ -552,11 +532,10 @@ def solve_auxiliary(problem, params=None):
                 obj_cand = objective_eval(problem, u_cand)
                 if obj_cand < best_obj:
                     best_obj, best_u = obj_cand, u_cand.copy()
-                    if params.warm_restart:
-                        # restart the splitting from the polished iterate
-                        u = u_cand.copy()
-                        ubar = u.copy()
-                        y = sigma * grid.cell_volumes[:, None]
+                    # restart the splitting from the polished iterate
+                    u = u_cand.copy()
+                    ubar = u.copy()
+                    y = sigma * grid.cell_volumes[:, None]
             if dual > best_dual:
                 best_dual, best_sigma = dual, sigma
             gap = best_obj - best_dual

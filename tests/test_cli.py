@@ -285,6 +285,19 @@ dir = {out}
     assert any("Lavrentiev" in a for a in report["assumptions"])
 
 
+def test_post_build_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a failure after the problem is built gets its own code, not a traceback
+    # whose exit code 1 would read as "thresholds failed"
+    def fail(problem, params):
+        raise mo.ScheduleTooShort("regularization iterates not settled")
+
+    monkeypatch.setattr(cli, "solve_auxiliary", fail)
+    cfg = write(tmp_path / "run.cfg", MK_CONFIG.format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "error: ScheduleTooShort: regularization iterates not settled" in err
+
+
 def test_threshold_failure_exit_code(tmp_path):
     text = MK_CONFIG.format(out=tmp_path / "out") + \
         "\n[verify]\nduality_identity_error = 1e-30\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import massopt as mo
+from massopt import solver
 
 INF = math.inf
 
@@ -179,6 +180,63 @@ def test_objective_gradient_matches_finite_differences():
         fd = (mo.objective_eval(prob, u + eps * d)
               - mo.objective_eval(prob, u - eps * d)) / (2.0 * eps)
         assert float(grad @ d) == pytest.approx(fd, rel=1e-5)
+
+
+# -- per-cell scalar solves -------------------------------------------------
+
+def _prox_three_way(problem, r, lam, iters=70):
+    """Reference prox loop that tests both one-sided conjugate derivatives."""
+    r = np.asarray(r, dtype=float)
+    lo = np.zeros_like(r)
+    hi = np.minimum(r, problem.cell_caps)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        s = 0.5 * mid * mid
+        with np.errstate(invalid="ignore", over="ignore"):
+            glo = mid + lam * mid * problem.conj_dminus(s)
+            ghi = mid + lam * mid * problem.conj_dplus(s)
+        go_right = ghi < r
+        go_left = glo > r
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_left, mid, np.where(go_right, hi, mid))
+    return 0.5 * (lo + hi)
+
+
+def _tabulated_quadratic():
+    ts = np.linspace(0.0, 4.0, 17)
+    return mo.tabulated_cost(ts, 0.5 * ts * ts, alpha=1.0, beta=-0.5)
+
+
+@pytest.mark.parametrize("make_cost, weighted", [
+    (mo.quadratic_cost, False),
+    (lambda: mo.power_cost(1.5), False),
+    (lambda: mo.linear_cost(0.5), False),  # cap 1 < max r: both sides of it
+    (mo.reciprocal_cost, False),
+    (_tabulated_quadratic, False),
+    (lambda: mo.linear_cost(0.5), True),
+], ids=["quadratic", "power-1.5", "linear", "reciprocal", "tabulated", "weighted"])
+def test_prox_matches_three_way_reference(make_cost, weighted):
+    g = mo.interval_grid(-1.0, 1.0, 64)
+    weights = np.linspace(0.5, 2.0, g.n_cells) if weighted else None
+    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0),
+                            cell_weights=weights)
+    r = np.linspace(0.0, 3.0, g.n_cells)
+    lam = np.linspace(0.01, 5.0, g.n_cells)[::-1]
+    got = solver._prox_magnitude(prob, r, lam)
+    assert np.array_equal(got, _prox_three_way(prob, r, lam))
+
+
+def test_prox_quadratic_closed_form():
+    # real root of lam/2 t^3 + t = r: t = -2 sqrt(p/3) sinh(asinh(3q/(2p) sqrt(3/p)) / 3)
+    # for the depressed cubic t^3 + p t + q with p = 2/lam, q = -2r/lam
+    prob = interval_problem(mo.quadratic_cost(), n=64)
+    r = np.geomspace(1e-6, 1e3, prob.grid.n_cells)
+    lam = np.geomspace(1e-3, 1e2, prob.grid.n_cells)
+    p, q = 2.0 / lam, -2.0 * r / lam
+    exact = -2.0 * np.sqrt(p / 3.0) * np.sinh(
+        np.arcsinh(1.5 * q / p * np.sqrt(3.0 / p)) / 3.0)
+    np.testing.assert_allclose(solver._prox_magnitude(prob, r, lam), exact,
+                               rtol=1e-14, atol=0.0)
 
 
 # -- two dimensions ---------------------------------------------------------
