@@ -8,9 +8,10 @@ cost's conjugate and subdifferential.  ``massopt fixtures`` runs the
 closed-form comparison for one catalog fixture.
 
 Exit codes: 0 all verification thresholds met; 1 thresholds failed;
-2 configuration error; 3 solver did not converge; 4 ``run`` failed after
-the problem was built (a :class:`~massopt.errors.MassOptError` from solve,
-recover or verify, reported as ``error: <Class>: <message>`` on stderr).
+2 configuration error; 3 solver did not converge; 4 ``run`` or ``fixtures``
+failed after the problem was built (a :class:`~massopt.errors.MassOptError`
+from solve, recover or verify, reported as ``error: <Class>: <message>`` on
+stderr).
 """
 
 import argparse
@@ -272,8 +273,7 @@ def run(config_path, log_path=None, json_report_path=None):
             measure, _diag = recover_via_regularization(problem, solver_params=params)
         report = verify_conditions(measure, solution, problem)
     except MassOptError as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 4
+        return _post_build_error(exc)
 
     write_field_csv(os.path.join(out, "u.csv"), solution.u)
     write_measure(os.path.join(out, "measure.csv"), os.path.join(out, "measure.json"),
@@ -317,19 +317,32 @@ def cmd_conjugate_table(cost, s_lo, s_hi, count, stream):
         stream.write(",".join(_FMT % v for v in (s, value, lo, hi)) + "\n")
 
 
+def _post_build_error(exc):
+    """Report a failure after the problem was built; exit code 4."""
+    print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+    return 4
+
+
 def cmd_fixtures(name, dimension, resolution, stream=None):
     stream = stream if stream is not None else sys.stdout
-    fix = fixture(name, dimension)
-    problem = fix.build(resolution)
-    solution = solve_auxiliary(problem, SolverParams())
-    if problem.regime == "SL":
-        measure = recover_density_sl(solution, problem)
-    else:
-        measure = recover_measure_l_1d(solution, problem)
-    cell_mask, node_mask = fix.masks(problem.grid)
-    report = verify_conditions(measure, solution, problem,
-                               cell_mask=cell_mask, node_mask=node_mask)
-    u_err, a_err = fixture_errors(fix, problem.grid, solution.u.values, measure)
+    try:
+        fix = fixture(name, dimension)
+        problem = fix.build(resolution)
+    except MassOptError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return 2
+    try:
+        solution = solve_auxiliary(problem, SolverParams())
+        if problem.regime == "SL":
+            measure = recover_density_sl(solution, problem)
+        else:
+            measure = recover_measure_l_1d(solution, problem)
+        cell_mask, node_mask = fix.masks(problem.grid)
+        report = verify_conditions(measure, solution, problem,
+                                   cell_mask=cell_mask, node_mask=node_mask)
+        u_err, a_err = fixture_errors(fix, problem.grid, solution.u.values, measure)
+    except MassOptError as exc:
+        return _post_build_error(exc)
     stream.write("fixture %s (n=%d, resolution=%d)\n" % (fix.name, fix.ball_dim, resolution))
     stream.write("u_rel_sup_error,%s\n" % (_FMT % u_err))
     stream.write("a_rel_l1_error,%s\n" % (_FMT % a_err))
@@ -392,11 +405,7 @@ def main(argv=None):
                                 sys.stdout)
         return 0
 
-    try:
-        return cmd_fixtures(args.name, args.dimension, args.resolution)
-    except MassOptError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
+    return cmd_fixtures(args.name, args.dimension, args.resolution)
 
 
 def _parse_cost_gridless(cfg):

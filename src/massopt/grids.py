@@ -460,8 +460,8 @@ def stiffness(grid, w, atoms=()):
     return K.tocsr()[idx][:, idx].tocsc()
 
 
-def spd_solve(K, b):
-    """Solve ``K x = b`` for a sparse symmetric positive definite ``K``.
+def spd_factor(K):
+    """Factor a sparse symmetric positive definite ``K``; ``.solve(b)`` solves.
 
     One sparse LU factorisation in SuperLU's symmetric mode: a minimum
     degree ordering of ``K + K^T`` and pivots on the diagonal, which keeps
@@ -469,14 +469,24 @@ def spd_solve(K, b):
     columns in place of supernode panels (``relax``, ``panel_size``) lower
     the peak memory of the factorisation (by about 1 MB at 64x64 cells).
     """
-    lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   relax=1, panel_size=1, options={"SymmetricMode": True})
-    return lu.solve(b)
+    return spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     relax=1, panel_size=1, options={"SymmetricMode": True})
 
 
 # ---------------------------------------------------------------------------
 # CSV / JSON export
 # ---------------------------------------------------------------------------
+
+def _write_rows(fh, points, values):
+    """One ``x[,y],value`` line per point, each number as ``%.17g``.
+
+    The whole table is one format operation on a flat tuple of floats, so
+    writing it allocates no per-row objects for the garbage collector.
+    """
+    table = np.column_stack((points, values))
+    row = ",".join([_FMT] * table.shape[1]) + "\n"
+    fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
+
 
 def write_field_csv(path, field):
     grid = field.grid
@@ -484,9 +494,7 @@ def write_field_csv(path, field):
     with open(path, "w") as fh:
         fh.write(grid.header() + "\n")
         fh.write(",".join(cols + ["value"]) + "\n")
-        for coords, v in zip(grid.node_coords, field.values):
-            row = [_FMT % c for c in coords] + [_FMT % v]
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, grid.node_coords, field.values)
 
 
 def read_field_csv(path):
@@ -501,9 +509,7 @@ def write_measure(path_csv, path_json, measure):
     with open(path_csv, "w") as fh:
         fh.write(grid.header() + "\n")
         fh.write(",".join(cols + ["density"]) + "\n")
-        for coords, v in zip(grid.cell_centers, measure.ac_density):
-            row = [_FMT % c for c in coords] + [_FMT % v]
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, grid.cell_centers, measure.ac_density)
     sidecar = {
         "atoms": [{"location": [float(c) for c in loc], "mass": mass}
                   for loc, mass in measure.atoms],

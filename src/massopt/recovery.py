@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded, UnsupportedGrid
-from .grids import DiscreteMeasure, ScalarField, divergence_weighted, spd_solve, stiffness
+from .grids import DiscreteMeasure, ScalarField, divergence_weighted, spd_factor, stiffness
 from .solver import (SolverParams, build_problem, feasible_flux_1d, objective_eval,
                      solve_auxiliary)
 
@@ -195,7 +195,7 @@ def energy_eval(mu, source):
 
     Solves the weak form of ``-div(a grad u) = f`` on the interior nodes
     (atoms of ``mu`` contribute point stiffness) with one sparse SPD
-    factorisation, :func:`massopt.grids.spd_solve`.  Interior nodes that
+    factorisation, :func:`massopt.grids.spd_factor`.  Interior nodes that
     the measure does not connect to the boundary form floating components;
     one node of each is pinned, which leaves the energy unchanged when the
     component carries no net load.  Raises :class:`Unbounded` when the
@@ -213,7 +213,7 @@ def energy_eval(mu, source):
     free = np.ones(Fin.size, dtype=bool)
     free[_floating_pins(K, Fin)] = False
     u = np.zeros(Fin.size)
-    u[free] = spd_solve(K[free][:, free], Fin[free])
+    u[free] = spd_factor(K[free][:, free]).solve(Fin[free])
     energy = 0.5 * float(u @ (K @ u)) - float(Fin @ u)
     if energy < -1e13 * (1.0 + fnorm) ** 2:
         raise Unbounded("weighted energy diverges below the admissibility floor")

@@ -8,15 +8,17 @@ The discrete problem is
 The integrand is convex in ``g`` (a nondecreasing convex function of
 ``|g|^2/2``), so the problem is a convex composite and is solved by a
 Chambolle-Pock primal-dual splitting whose dual update reduces to a scalar
-monotone root-find per cell.  The scalar solves here (the per-cell dual
-prox and flux-inversion bounds, and the constant of the 1-d flux) all run
-through :func:`massopt.costs.bisect`.  The prox tests the upper conjugate
-derivative ``D+c*`` only: its map is strictly increasing and
-``D-c* <= D+c*``, so a test on the lower derivative could never move a
-bracket end.  Only the largest gradient matching a flux
-(:func:`_minverse_bounds`) needs ``D-c*``.  In the linear regime the bracket
-starts at the cap, so the pointwise bound ``|g| <= sqrt(2 * cinf(x))``
-holds exactly, never by penalty.
+monotone root-find per cell.  For power-law conjugates (quadratic and
+power costs) that root-find is Newton's method
+(:meth:`massopt.costs.CostFunction.prox_magnitude`).  Every other scalar
+solve here (the prox of the other profiles, the flux-inversion bounds and
+the constant of the 1-d flux) runs through :func:`massopt.costs.bisect`.
+The bisected prox tests the upper conjugate derivative ``D+c*`` only: its
+map is strictly increasing and ``D-c* <= D+c*``, so a test on the lower
+derivative could never move a bracket end.  Only the largest gradient
+matching a flux (:func:`_minverse_bounds`) needs ``D-c*``.  In the linear
+regime the bracket starts at the cap, so the pointwise bound
+``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by penalty.
 
 The convergence certificate is honest: a divergence-feasible flux is
 constructed (exactly, in one dimension, where the feasible set is a point or
@@ -28,7 +30,9 @@ machine precision; the solver keeps whichever iterate has the best merit, so
 the reported gap is monotone along accepted iterates.  In two dimensions the
 flux projection and the Picard candidate are each one direct solve of an
 interior stiffness (:func:`massopt.grids.stiffness`,
-:func:`massopt.grids.spd_solve`), exact up to rounding.
+:func:`massopt.grids.spd_factor`), exact up to rounding.  The projection's
+unit-weight stiffness depends on the grid only, so each solve factors it
+once and reuses the factor at every check.
 """
 
 import math
@@ -37,7 +41,7 @@ import numpy as np
 
 from .costs import bisect, grow_bracket, validate_cost
 from .errors import InadmissibleSource, InvalidCost, NotConverged, RegimeMismatch
-from .grids import ScalarField, VectorField, spd_solve, stiffness
+from .grids import ScalarField, VectorField, spd_factor, stiffness
 
 INF = math.inf
 
@@ -97,6 +101,9 @@ class AuxiliaryProblem:
 
     def invert_flux(self, vabs):
         return self.cost.invert_flux(vabs, weight=self.cell_weights)
+
+    def prox_magnitude(self, r, lam):
+        return self.cost.prox_magnitude(r, lam, weight=self.cell_weights)
 
     def cost_value(self, a):
         return self.cost.value(a, weight=self.cell_weights)
@@ -175,7 +182,17 @@ def objective_gradient(problem, u):
 # ---------------------------------------------------------------------------
 
 def _prox_magnitude(problem, r, lam):
-    """Solve ``r in t + lam * t * dc*(t^2/2)`` per cell; exact cap handling."""
+    """Solve ``r in t + lam * t * dc*(t^2/2)`` per cell.
+
+    Takes the cost's fast path (:meth:`CostFunction.prox_magnitude`) when it
+    has one and bisects otherwise.
+    """
+    t = problem.prox_magnitude(r, lam)
+    return _prox_bisect(problem, r, lam) if t is None else t
+
+
+def _prox_bisect(problem, r, lam):
+    """Bisection for the prox on ``D+c*``; exact cap handling."""
     r = np.asarray(r, dtype=float)
 
     def below(t):
@@ -338,18 +355,20 @@ def _certificate_1d(problem):
     return sigma, u, dual
 
 
-def _project_flux(problem, y_cells):
+def _project_flux(problem, y_cells, unit_factor):
     """Project vol-weighted cell fluxes onto the divergence constraint.
 
     The correction ``G z`` solves ``(G^T G) z = F - G^T y`` on the interior
-    nodes by one direct solve, so the returned residual is rounding level.
+    nodes by one direct solve with ``unit_factor``, the factor of the
+    unit-weight stiffness ``G^T G``, so the returned residual is rounding
+    level.
     """
     grid = problem.grid
     idx = grid.interior_idx
     Gi = grid.gradient_sparse()[:, idx]
     y_flat = y_cells.T.ravel()
     resid = problem.load[idx] - Gi.T @ y_flat
-    y_hat = y_flat + Gi @ spd_solve(stiffness(grid, np.ones(grid.n_cells)), resid)
+    y_hat = y_flat + Gi @ unit_factor.solve(resid)
     sigma = y_hat.reshape(grid.dim, grid.n_cells).T / grid.cell_volumes[:, None]
     res = float(np.linalg.norm(Gi.T @ y_hat - problem.load[idx]))
     return sigma, res
@@ -370,7 +389,7 @@ def _picard_candidate(problem, sigma):
     a = np.maximum(a, 1e-12 * max(float(np.max(a)), 1.0))
     idx = grid.interior_idx
     u = np.zeros(grid.n_nodes)
-    u[idx] = spd_solve(stiffness(grid, grid.cell_volumes * a), problem.load[idx])
+    u[idx] = spd_factor(stiffness(grid, grid.cell_volumes * a)).solve(problem.load[idx])
     return u, a
 
 
@@ -386,10 +405,10 @@ def _rescale_feasible(problem, u):
     return u * scale
 
 
-def _certificate_2d(problem, y, u_iter):
+def _certificate_2d(problem, y, unit_factor):
     """Feasible flux, dual value, and a polished primal candidate."""
     grid = problem.grid
-    sigma, res = _project_flux(problem, y)
+    sigma, res = _project_flux(problem, y, unit_factor)
     dual = _dual_value(problem, sigma)
     u_cand, a = _picard_candidate(problem, sigma)
     u_cand = _rescale_feasible(problem, u_cand)
@@ -398,7 +417,7 @@ def _certificate_2d(problem, y, u_iter):
     s = 0.5 * np.sum(g * g, axis=1)
     d = problem.conj_dplus(s)
     y_cand = g * (grid.cell_volumes * np.where(np.isfinite(d), d, 0.0))[:, None]
-    sigma2, res2 = _project_flux(problem, y_cand)
+    sigma2, res2 = _project_flux(problem, y_cand, unit_factor)
     dual2 = _dual_value(problem, sigma2)
     if dual2 > dual:
         sigma, res, dual = sigma2, res2, dual2
@@ -500,6 +519,8 @@ def solve_auxiliary(problem, params=None):
     iterations = 0
 
     scale = max(1.0, float(np.linalg.norm(F)))
+    # the 2-d flux projection's stiffness depends on the grid only
+    unit_factor = None if grid.dim == 1 else spd_factor(stiffness(grid, np.ones(grid.n_cells)))
 
     for k in range(1, params.max_iterations + 1):
         iterations = k
@@ -528,7 +549,7 @@ def solve_auxiliary(problem, params=None):
                 if obj_cand < best_obj:
                     best_obj, best_u = obj_cand, u_cand
             else:
-                sigma, dual, dual_residual, u_cand = _certificate_2d(problem, y, u)
+                sigma, dual, dual_residual, u_cand = _certificate_2d(problem, y, unit_factor)
                 obj_cand = objective_eval(problem, u_cand)
                 if obj_cand < best_obj:
                     best_obj, best_u = obj_cand, u_cand.copy()

@@ -298,6 +298,18 @@ def test_post_build_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "error: ScheduleTooShort: regularization iterates not settled" in err
 
 
+def test_fixtures_post_build_failure_exit_code(capsys, monkeypatch):
+    def fail(problem, params):
+        raise mo.ScheduleTooShort("regularization iterates not settled")
+
+    monkeypatch.setattr(cli, "solve_auxiliary", fail)
+    assert cli.main(["fixtures", "--name", "quadratic_ball_uniform",
+                     "--dimension", "2", "--resolution", "64"]) == 4
+    err = capsys.readouterr().err
+    assert "error: ScheduleTooShort: regularization iterates not settled" in err
+    assert "config error" not in err
+
+
 def test_threshold_failure_exit_code(tmp_path):
     text = MK_CONFIG.format(out=tmp_path / "out") + \
         "\n[verify]\nduality_identity_error = 1e-30\n"

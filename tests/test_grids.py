@@ -226,3 +226,29 @@ def test_measure_roundtrip(tmp_path):
     assert np.array_equal(back.ac_density, mu.ac_density)
     assert back.atoms[0][1] == 0.5
     assert back.total_variation == pytest.approx(mu.total_variation, rel=1e-15)
+
+
+def _old_rows(fh, points, values):
+    # the per-cell writer the vectorised one replaced
+    for coords, v in zip(points, values):
+        row = ["%.17g" % c for c in coords] + ["%.17g" % v]
+        fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("grid", [mo.rectangle_grid(-0.3, 1.0, 0.0, 2.5, 7, 5),
+                                  mo.radial_grid(1.7, 23, 3)], ids=["rectangle", "radial"])
+def test_csv_writers_match_per_cell_writer(tmp_path, grid):
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.uniform(-30, 30, grid.n_nodes)
+    values[:3] = [0.0, -0.0, 1.0 / 3.0]
+    density = np.abs(rng.standard_normal(grid.n_cells))
+    mo.write_field_csv(tmp_path / "u.csv", mo.ScalarField(grid, values))
+    mo.write_measure(tmp_path / "m.csv", tmp_path / "m.json", mo.DiscreteMeasure(grid, density))
+    cols = ["x", "y"][: grid.dim]
+    for name, points, vals, last in [("u.csv", grid.node_coords, values, "value"),
+                                     ("m.csv", grid.cell_centers, density, "density")]:
+        with open(tmp_path / ("old_" + name), "w") as fh:
+            fh.write(grid.header() + "\n")
+            fh.write(",".join(cols + [last]) + "\n")
+            _old_rows(fh, points, vals)
+        assert (tmp_path / name).read_bytes() == (tmp_path / ("old_" + name)).read_bytes()

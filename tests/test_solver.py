@@ -222,8 +222,35 @@ def test_prox_matches_three_way_reference(make_cost, weighted):
                             cell_weights=weights)
     r = np.linspace(0.0, 3.0, g.n_cells)
     lam = np.linspace(0.01, 5.0, g.n_cells)[::-1]
-    got = solver._prox_magnitude(prob, r, lam)
+    got = solver._prox_bisect(prob, r, lam)
     assert np.array_equal(got, _prox_three_way(prob, r, lam))
+
+
+@pytest.mark.parametrize("make_cost, weighted", [
+    (mo.quadratic_cost, False),
+    (lambda: mo.power_cost(1.5), False),
+    (lambda: mo.power_cost(1.7), False),
+    (lambda: mo.power_cost(2.5), False),
+    (lambda: mo.power_cost(4.0), False),
+    (mo.quadratic_cost, True),
+    (lambda: mo.power_cost(2.5), True),
+], ids=["quadratic", "power-1.5", "power-1.7", "power-2.5", "power-4",
+        "weighted-quadratic", "weighted-power-2.5"])
+def test_prox_newton_matches_bisection(make_cost, weighted):
+    g = mo.interval_grid(-1.0, 1.0, 256)
+    weights = np.geomspace(0.05, 20.0, g.n_cells) if weighted else None
+    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0),
+                            cell_weights=weights)
+    assert prob.prox_magnitude(np.ones(g.n_cells), np.ones(g.n_cells)) is not None
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        r = 10.0 ** rng.uniform(-8.0, 3.0, g.n_cells)
+        lam = 10.0 ** rng.uniform(-4.0, 3.0, g.n_cells)
+        np.testing.assert_allclose(solver._prox_magnitude(prob, r, lam),
+                                   solver._prox_bisect(prob, r, lam),
+                                   rtol=1e-15, atol=0.0)
+    zero = solver._prox_magnitude(prob, np.zeros(g.n_cells), lam)
+    assert np.all(zero == 0.0)
 
 
 def test_prox_quadratic_closed_form():
@@ -240,6 +267,25 @@ def test_prox_quadratic_closed_form():
 
 
 # -- two dimensions ---------------------------------------------------------
+
+def test_project_flux_reused_factor_is_exact():
+    # one unit-weight factor serves every projection of a solve; reusing it
+    # gives exactly what a fresh factorisation gives
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 2.0, 9, 14)
+    prob = mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0))
+
+    def fresh():
+        return mo.grids.spd_factor(mo.grids.stiffness(g, np.ones(g.n_cells)))
+
+    shared = fresh()
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        y = rng.standard_normal((g.n_cells, 2))
+        sigma, res = solver._project_flux(prob, y, shared)
+        sigma_new, res_new = solver._project_flux(prob, y, fresh())
+        assert np.array_equal(sigma, sigma_new) and res == res_new
+        assert res <= 1e-12
+
 
 def test_rectangle_quadratic_certified():
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 20, 20)
