@@ -283,6 +283,7 @@ def run(config_path, log_path=None, json_report_path=None):
         "converged": solution.converged,
         "relative_gap": solution.rel_gap,
         "iterations": solution.iterations,
+        "checks": len(solution.log),
         "regime": solution.regime,
         "thresholds": config.thresholds,
         "passed": report.passes(config.thresholds),

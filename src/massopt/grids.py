@@ -498,8 +498,7 @@ def write_field_csv(path, field):
 
 
 def read_field_csv(path):
-    grid, rows = _read_grid_csv(path)
-    values = np.asarray([r[-1] for r in rows])
+    grid, values = _read_grid_csv(path)
     return ScalarField(grid, values)
 
 
@@ -522,8 +521,7 @@ def write_measure(path_csv, path_json, measure):
 
 
 def read_measure(path_csv, path_json):
-    grid, rows = _read_grid_csv(path_csv)
-    density = np.asarray([r[-1] for r in rows])
+    grid, density = _read_grid_csv(path_csv)
     with open(path_json) as fh:
         sidecar = json.load(fh)
     atoms = [(np.asarray(a["location"]), a["mass"]) for a in sidecar.get("atoms", [])]
@@ -532,17 +530,22 @@ def read_measure(path_csv, path_json):
 
 
 def _read_grid_csv(path):
+    """The grid of a CSV file's header and its last column, blank lines skipped.
+
+    The body is parsed in one ``np.loadtxt`` call, which reads every number
+    ``%.17g`` writes (``nan``, ``inf``, ``-0``) back to the same float.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
+        if not header.startswith("# grid: "):
+            raise UnsupportedGrid("missing grid header in %s" % path)
         fh.readline()  # column names
-        rows = [tuple(float(tok) for tok in line.split(","))
-                for line in fh if line.strip()]
-    if not header.startswith("# grid: "):
-        raise UnsupportedGrid("missing grid header in %s" % path)
+        lines = [line for line in fh if line.strip()]
+    values = np.loadtxt(lines, delimiter=",", usecols=-1, ndmin=1)
     body = header[len("# grid: "):].split()
     kind = body[0]
     params = {}
     for item in body[1:]:
         k, v = item.split("=")
         params[k] = int(v) if k in ("n", "nx", "ny", "dimension") else float(v)
-    return Grid(kind, params), rows
+    return Grid(kind, params), values

@@ -31,8 +31,7 @@ from scipy.sparse.csgraph import connected_components
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded, UnsupportedGrid
 from .grids import DiscreteMeasure, ScalarField, divergence_weighted, spd_factor, stiffness
-from .solver import (SolverParams, build_problem, feasible_flux_1d, objective_eval,
-                     solve_auxiliary)
+from .solver import SolverParams, build_problem, objective_eval, solve_auxiliary
 
 INF = math.inf
 
@@ -61,13 +60,17 @@ def recover_density_sl(solution, problem):
 
 
 def recover_measure_l_1d(solution, problem):
-    """Linear-regime measure on an interval or radial grid via flux inversion."""
+    """Linear-regime measure on an interval or radial grid via flux inversion.
+
+    Inverts ``solution.flux``: in one dimension :func:`solve_auxiliary`
+    reports the exact divergence-feasible flux of
+    :func:`massopt.solver.feasible_flux_1d`, built once per solve.
+    """
     if problem.regime != "L":
         raise RegimeMismatch("flux construction requires the linear regime")
     if problem.grid.kind == "rectangle":
         raise UnsupportedGrid("use recover_via_regularization on rectangles")
-    sigma, g = feasible_flux_1d(problem)
-    vabs = np.abs(sigma[:, 0])
+    vabs = np.abs(solution.flux.values[:, 0])
     t, a = problem.invert_flux(vabs)
     atoms = []
     # the attainable flux range of the density part is unbounded for any

@@ -24,10 +24,14 @@ The convergence certificate is honest: a divergence-feasible flux is
 constructed (exactly, in one dimension, where the feasible set is a point or
 a one-parameter family; by a projection solve in two dimensions) and the
 certified gap is primal objective minus the dual value of that flux.  In one
-dimension the certificate also yields a primal candidate by inverting the
-gradient-to-flux map, which typically lands on the discrete minimizer to
-machine precision; the solver keeps whichever iterate has the best merit, so
-the reported gap is monotone along accepted iterates.  In two dimensions the
+dimension that flux depends on the problem alone, so the certificate is
+built once, before any iteration.  It also yields a primal candidate by
+inverting the gradient-to-flux map, which typically lands on the discrete
+minimizer to machine precision: the solve then returns with no splitting
+step at all, and the splitting (with its operator-norm estimate) runs only
+when this certificate does not close.  The solver keeps whichever iterate
+has the best merit, so the reported gap is monotone along accepted
+iterates.  In two dimensions the
 flux projection and the Picard candidate are each one direct solve of an
 interior stiffness (:func:`massopt.grids.stiffness`,
 :func:`massopt.grids.spd_factor`), exact up to rounding.  The projection's
@@ -348,13 +352,6 @@ def _primal_from_gradient(grid, g):
     return u
 
 
-def _certificate_1d(problem):
-    sigma, g = feasible_flux_1d(problem)
-    u = _primal_from_gradient(problem.grid, g)
-    dual = _dual_value(problem, sigma)
-    return sigma, u, dual
-
-
 def _project_flux(problem, y_cells, unit_factor):
     """Project vol-weighted cell fluxes onto the divergence constraint.
 
@@ -489,16 +486,55 @@ def require_converged(solution):
     return solution
 
 
+def _relative_gap(obj, dual):
+    gap = obj - dual
+    return gap, gap / max(1.0, abs(obj), abs(dual))
+
+
 def solve_auxiliary(problem, params=None):
     """Minimize the discrete auxiliary objective with a certified gap.
 
     Returns the best primal iterate together with a divergence-feasible dual
     flux; ``gap = objective - dual_value`` is a true optimality certificate.
     On non-convergence the best iterate is returned with ``converged=False``.
+
+    In one dimension the exact certificate depends on the problem alone, so
+    it is built once, before any iteration: its flux fixes the dual value,
+    and its primal candidate competes with ``u = 0``.  When that gap closes
+    the solve returns with ``iterations = 0`` and a single log row at
+    iteration 0; only otherwise does the splitting run, and each of its
+    checks then only scores the iterate against the fixed dual.  In two
+    dimensions every check projects the current flux and builds a Picard
+    candidate.
     """
     params = params or SolverParams()
     grid = problem.grid
     F = problem.load
+
+    best_u = np.zeros(grid.n_nodes)
+    best_obj = objective_eval(problem, best_u)
+    best_dual = -INF
+    best_sigma = np.zeros((grid.n_cells, grid.dim))
+    dual_residual = INF
+    log = []
+    iterations = 0
+
+    if grid.dim == 1:
+        sigma, g = feasible_flux_1d(problem)
+        u_cand = _primal_from_gradient(grid, g)
+        dual = _dual_value(problem, sigma)
+        dual_residual = 0.0
+        obj_cand = objective_eval(problem, u_cand)
+        if obj_cand < best_obj:
+            best_obj, best_u = obj_cand, u_cand
+        if dual > best_dual:
+            best_dual, best_sigma = dual, sigma
+        gap, rel_gap = _relative_gap(best_obj, best_dual)
+        log.append((0, best_obj, best_dual, gap))
+        if rel_gap <= params.gap_tolerance:
+            return _finish(problem, params, best_u, best_sigma, best_obj, best_dual,
+                           iterations, True, dual_residual, log)
+
     norm_D = operator_norm(grid)
     tau = STEP_SCALE / norm_D
     sig = STEP_SCALE / norm_D
@@ -507,18 +543,7 @@ def solve_auxiliary(problem, params=None):
     ubar = u.copy()
     y = np.zeros((grid.n_cells, grid.dim))
     lam = grid.cell_volumes / sig
-
-    best_u = u.copy()
-    best_obj = objective_eval(problem, u)
-    best_dual = -INF
-    best_sigma = np.zeros_like(y)
-    dual_residual = INF
-    log = []
-    notes = []
     converged = False
-    iterations = 0
-
-    scale = max(1.0, float(np.linalg.norm(F)))
     # the 2-d flux projection's stiffness depends on the grid only
     unit_factor = None if grid.dim == 1 else spd_factor(stiffness(grid, np.ones(grid.n_cells)))
 
@@ -542,13 +567,7 @@ def solve_auxiliary(problem, params=None):
             obj_iter = objective_eval(problem, u_eval)
             if obj_iter < best_obj:
                 best_obj, best_u = obj_iter, u_eval.copy()
-            if grid.dim == 1:
-                sigma, u_cand, dual = _certificate_1d(problem)
-                dual_residual = 0.0
-                obj_cand = objective_eval(problem, u_cand)
-                if obj_cand < best_obj:
-                    best_obj, best_u = obj_cand, u_cand
-            else:
+            if grid.dim > 1:
                 sigma, dual, dual_residual, u_cand = _certificate_2d(problem, y, unit_factor)
                 obj_cand = objective_eval(problem, u_cand)
                 if obj_cand < best_obj:
@@ -557,25 +576,29 @@ def solve_auxiliary(problem, params=None):
                     u = u_cand.copy()
                     ubar = u.copy()
                     y = sigma * grid.cell_volumes[:, None]
-            if dual > best_dual:
-                best_dual, best_sigma = dual, sigma
-            gap = best_obj - best_dual
-            rel_gap = gap / max(1.0, abs(best_obj), abs(best_dual))
+                if dual > best_dual:
+                    best_dual, best_sigma = dual, sigma
+            gap, rel_gap = _relative_gap(best_obj, best_dual)
             log.append((k, best_obj, best_dual, gap))
             if rel_gap <= params.gap_tolerance:
                 converged = True
                 break
 
-    gap = best_obj - best_dual
-    rel_gap = gap / max(1.0, abs(best_obj), abs(best_dual))
+    return _finish(problem, params, best_u, best_sigma, best_obj, best_dual,
+                   iterations, converged, dual_residual, log)
+
+
+def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
+            dual_residual, log):
+    """Assemble the solution and write the iteration log."""
+    gap, rel_gap = _relative_gap(obj, dual)
+    notes = []
     if not math.isfinite(dual_residual):
         notes.append("no divergence-feasible flux was constructed")
     else:
-        dual_residual = dual_residual / scale
-
-    solution = AuxiliarySolution(problem, best_u, best_sigma, best_obj, best_dual,
-                                 gap, rel_gap, iterations, converged,
-                                 dual_residual, log, notes)
+        dual_residual = dual_residual / max(1.0, float(np.linalg.norm(problem.load)))
+    solution = AuxiliarySolution(problem, u, sigma, obj, dual, gap, rel_gap,
+                                 iterations, converged, dual_residual, log, notes)
     if params.log_path:
         write_iteration_log(params.log_path, log)
     return solution

@@ -49,6 +49,10 @@ def test_run_pipeline_exit_zero(tmp_path, capsys):
     assert report["passed"] is True
     assert report["regime"] == "L"
     assert report["pde_residual"] <= 1e-3
+    # the exact 1-d certificate closes the gap before any splitting step
+    assert report["iterations"] == 0
+    assert report["checks"] == 1
+    assert (out / "iterations.csv").read_text().splitlines()[1].startswith("0,")
 
 
 def test_run_is_deterministic(tmp_path):

@@ -228,6 +228,34 @@ def test_measure_roundtrip(tmp_path):
     assert back.total_variation == pytest.approx(mu.total_variation, rel=1e-15)
 
 
+@pytest.mark.parametrize("grid", [mo.rectangle_grid(-0.3, 1.0, 0.0, 2.5, 7, 5),
+                                  mo.radial_grid(1.7, 23, 3)], ids=["rectangle", "radial"])
+def test_csv_readers_roundtrip_special_values(tmp_path, grid):
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.uniform(-30, 30, grid.n_nodes)
+    values[:5] = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+    density = np.abs(rng.standard_normal(grid.n_cells))
+    density[:3] = [math.nan, math.inf, -0.0]
+    mo.write_field_csv(tmp_path / "u.csv", mo.ScalarField(grid, values))
+    mo.write_measure(tmp_path / "m.csv", tmp_path / "m.json", mo.DiscreteMeasure(grid, density))
+    back_u = mo.read_field_csv(tmp_path / "u.csv")
+    back_mu = mo.read_measure(tmp_path / "m.csv", tmp_path / "m.json")
+    for got, want in [(back_u.values, values), (back_mu.ac_density, density)]:
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # blank and whitespace-only lines in the body are skipped
+    lines = (tmp_path / "u.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "u.csv").write_text("".join(lines[:4] + ["\n", "  \n"] + lines[4:] + ["\n"]))
+    assert np.array_equal(mo.read_field_csv(tmp_path / "u.csv").values, values,
+                          equal_nan=True)
+
+
+def test_csv_reader_needs_grid_header(tmp_path):
+    (tmp_path / "u.csv").write_text("x,value\n0,1\n")
+    with pytest.raises(mo.UnsupportedGrid):
+        mo.read_field_csv(tmp_path / "u.csv")
+
+
 def _old_rows(fh, points, values):
     # the per-cell writer the vectorised one replaced
     for coords, v in zip(points, values):

@@ -113,6 +113,40 @@ def test_l_recovery_radial_center_atom():
     assert np.max(np.abs(np.abs(sol.grad.values[on, 0]) - 1.0)) <= 1e-9
 
 
+def _recover_from_fresh_flux(problem):
+    # reference: invert a flux built from the problem, not the solver's
+    sigma, _g = mo.feasible_flux_1d(problem)
+    vabs = np.abs(sigma[:, 0])
+    t, a = problem.invert_flux(vabs)
+    excess = vabs - t * a
+    atoms = [(problem.grid.cell_centers[i],
+              float(excess[i] * problem.grid.cell_h[i] / max(problem.cell_caps[i], 1e-300)))
+             for i in np.nonzero(excess > 1e-8 * (1.0 + vabs))[0]]
+    return a, atoms
+
+
+def _radial_center_atom():
+    g = mo.radial_grid(1.0, 512, 2)
+    return mo.build_problem(g, mo.linear_cost(0.5),
+                            mo.SourceTerm(g, atoms=[(np.array([0.0]), 1.0)]))
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: mo.fixture("mk_interval_uniform").build(1024),
+    lambda: mo.fixture("reciprocal_interval").build(1024),
+    _radial_center_atom,
+], ids=["mk-interval-uniform", "reciprocal-interval", "radial-center-atom"])
+def test_l_recovery_inverts_the_solver_flux(make_problem):
+    prob = make_problem()
+    sol = mo.solve_auxiliary(prob)
+    mu = mo.recover_measure_l_1d(sol, prob)
+    a, atoms = _recover_from_fresh_flux(prob)
+    assert np.array_equal(mu.ac_density, a)
+    assert len(mu.atoms) == len(atoms)
+    for (loc, mass), (loc_ref, mass_ref) in zip(mu.atoms, atoms):
+        assert np.array_equal(loc, loc_ref) and mass == mass_ref
+
+
 def test_l_recovery_zero_source_minimal_selection():
     # zero flux: density falls back to the cost-minimal subgradient at 0,
     # which is 1 for the reciprocal cost (its pointwise minimum sits at t=1)

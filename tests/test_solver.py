@@ -109,6 +109,57 @@ def test_merit_monotone_over_accepted_iterates():
         assert g2 <= g1 + 1e-12
 
 
+def _radial_quadratic(n=512):
+    g = mo.radial_grid(1.0, n, 2)
+    return mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0))
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: interval_problem(mo.linear_cost(0.5), n=512),
+    _radial_quadratic,
+    lambda: mo.fixture("reciprocal_interval").build(512),
+], ids=["interval-linear", "radial-quadratic", "reciprocal-interval"])
+def test_certificate_first_skips_splitting(monkeypatch, make_problem):
+    # the exact 1-d certificate closes the gap before any splitting step,
+    # so neither the operator norm nor an iteration is needed
+    def no_splitting(*_args, **_kwargs):
+        raise AssertionError("the splitting ran")
+
+    monkeypatch.setattr(solver, "operator_norm", no_splitting)
+    prob = make_problem()
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged
+    assert sol.iterations == 0
+    assert len(sol.log) == 1 and sol.log[0][0] == 0
+    assert sol.log[0][1:] == (sol.objective, sol.dual_value, sol.gap)
+
+
+def test_certificate_fallback_builds_flux_once(monkeypatch):
+    # a tolerance below the certificate's rounding-level gap keeps it open:
+    # the splitting runs, and its checks reuse the one certificate
+    calls = []
+    build = solver.feasible_flux_1d
+
+    def counted(problem):
+        calls.append(problem)
+        return build(problem)
+
+    monkeypatch.setattr(solver, "feasible_flux_1d", counted)
+    prob = interval_problem(mo.quadratic_cost(), n=256)
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=100, check_every=25,
+                                                   gap_tolerance=1e-300))
+    assert len(calls) == 1
+    assert not sol.converged
+    assert sol.iterations == 100
+    assert [row[0] for row in sol.log] == [0, 25, 50, 75, 100]
+    assert all(row[2] == sol.dual_value for row in sol.log)
+    gaps = [row[3] for row in sol.log]
+    assert gaps[0] > 0.0
+    for g1, g2 in zip(gaps[:-1], gaps[1:]):
+        assert g2 <= g1 + 1e-12
+    assert sol.rel_gap <= 1e-15
+
+
 def test_dual_flux_is_divergence_feasible():
     prob = interval_problem(mo.quadratic_cost(), n=200)
     sol = mo.solve_auxiliary(prob)
