@@ -8,7 +8,8 @@ cost's conjugate and subdifferential.  ``massopt fixtures`` runs the
 closed-form comparison for one catalog fixture.
 
 Exit codes: 0 all verification thresholds met; 1 thresholds failed;
-2 configuration error; 3 solver did not converge; 4 ``run`` or ``fixtures``
+2 configuration error (a linear-regime cost on a rectangle included);
+3 solver did not converge; 4 ``run`` or ``fixtures``
 failed after the problem was built (a :class:`~massopt.errors.MassOptError`
 from solve, recover or verify, reported as ``error: <Class>: <message>`` on
 stderr).
@@ -29,8 +30,7 @@ from .exprlang import Expression
 from .grids import (SourceTerm, interval_grid, radial_grid, rectangle_grid,
                     write_field_csv, write_measure)
 from .oracle import fixture, fixture_errors, fixture_names
-from .recovery import (recover_density_sl, recover_measure_l_1d,
-                       recover_via_regularization, verify_conditions)
+from .recovery import recover_density_sl, recover_measure_l_1d, verify_conditions
 from .solver import SolverParams, build_problem, solve_auxiliary, write_iteration_log
 
 _FMT = "%.17g"
@@ -262,15 +262,19 @@ def run(config_path, log_path=None, json_report_path=None):
     except MassOptError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
+    if problem.regime == "L" and problem.grid.dim == 2:
+        # no exact 2-d linear-regime certificate exists, and the limit of the
+        # regularized continuation fails the verifier on rectangles
+        print("config error: the linear regime (a cost with a finite recession "
+              "slope) is not supported on a 2-d grid", file=sys.stderr)
+        return 2
 
     try:
         solution = solve_auxiliary(problem, params)
         if problem.regime == "SL":
             measure = recover_density_sl(solution, problem)
-        elif problem.grid.dim == 1:
-            measure = recover_measure_l_1d(solution, problem)
         else:
-            measure, _diag = recover_via_regularization(problem, solver_params=params)
+            measure = recover_measure_l_1d(solution, problem)
         report = verify_conditions(measure, solution, problem)
     except MassOptError as exc:
         return _post_build_error(exc)
@@ -284,6 +288,7 @@ def run(config_path, log_path=None, json_report_path=None):
         "relative_gap": solution.rel_gap,
         "iterations": solution.iterations,
         "checks": len(solution.log),
+        "method": solution.method,
         "regime": solution.regime,
         "thresholds": config.thresholds,
         "passed": report.passes(config.thresholds),

@@ -64,32 +64,6 @@ def grow_bracket(below, hi, limit=80, where=True):
     return hi
 
 
-def power_prox(r, lam, q, weight=None):
-    """Solve ``t + lam * t * dc*(x, t^2/2) = r`` for ``c0*(s) = s^q / q``.
-
-    With ``dc*(x, s) = (s / w)^(q-1)`` the equation is
-    ``f(t) = t + c * t^k - r = 0`` with ``k = 2q - 1`` and
-    ``c = lam * (2w)^(1-q)``.  ``f`` is convex and increasing on ``t >= 0``
-    and ``t0 = min(r, (r/c)^(1/k))`` lies above the root, so Newton from
-    ``t0`` descends monotonically; it stops once no element decreases any
-    more (7-8 steps in double precision).  ``r <= 0`` gives exactly 0.
-    """
-    r = np.maximum(np.asarray(r, dtype=float), 0.0)
-    k = 2.0 * q - 1.0
-    two_w = 2.0 if weight is None else 2.0 * np.asarray(weight, dtype=float)
-    c = lam * two_w ** (1.0 - q)
-    with np.errstate(divide="ignore", over="ignore"):
-        t = np.minimum(r, (r / c) ** (1.0 / k))
-    for _ in range(60):
-        ctk1 = c * t ** (k - 1.0)
-        t_new = t - (t + ctk1 * t - r) / (1.0 + k * ctk1)
-        down = t_new < t
-        if not np.any(down):
-            break
-        t = np.where(down, t_new, t)
-    return t
-
-
 def _golden_max(fn, a, b, iters=200, tol=1e-13):
     """Golden-section maximization of a quasi-concave fn on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -219,6 +193,7 @@ class _QuadraticProfile:
     kind = "builtin"
     name = "quadratic"
     domain = (0.0, INF)
+    conj_exponent = 2.0  # c0*(s) = s^2 / 2
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -243,9 +218,6 @@ class _QuadraticProfile:
         t = np.cbrt(2.0 * np.asarray(vabs, dtype=float))
         return t, 0.5 * t * t
 
-    def prox_magnitude(self, r, lam, weight=None):
-        return power_prox(r, lam, 2.0, weight)
-
     def regularized_maximizer(self, s, eps):
         # argmax of a*s - a^2/2 - eps*a^2 over a >= 0
         return np.maximum(np.asarray(s, dtype=float), 0.0) / (1.0 + 2.0 * eps)
@@ -264,6 +236,7 @@ class _PowerProfile:
             raise InvalidCost("power cost needs exponent p > 1")
         self.p = float(p)
         self.q = self.p / (self.p - 1.0)
+        self.conj_exponent = self.q  # c0*(s) = s^q / q
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -294,9 +267,6 @@ class _PowerProfile:
         with np.errstate(divide="ignore", invalid="ignore"):
             a = np.where(t > 0.0, vabs / np.where(t > 0.0, t, 1.0), 0.0)
         return t, a
-
-    def prox_magnitude(self, r, lam, weight=None):
-        return power_prox(r, lam, self.q, weight)
 
     def describe(self):
         return {"p": self.p}
@@ -721,6 +691,15 @@ class CostFunction:
     def effective_domain(self):
         return self._profile.domain
 
+    @property
+    def conj_exponent(self):
+        """``q`` when the conjugate is the power law ``c0*(s) = s^q / q``, else None.
+
+        Then ``2s * c0*''(s) = 2(q - 1) * c0*'(s)``, also with a spatial weight,
+        so the conjugate's second derivative needs no evaluator of its own.
+        """
+        return getattr(self._profile, "conj_exponent", None)
+
     def describe(self):
         d = {"kind": self.kind, "name": self.name}
         d.update(self._profile.describe())
@@ -823,17 +802,6 @@ class CostFunction:
             if out is not None:
                 return out
         return self._invert_flux_bisect(vabs, weight)
-
-    def prox_magnitude(self, r, lam, weight=None):
-        """Closed-form-speed dual prox: ``t`` with ``t + lam*t*dc*(x, t^2/2) = r``.
-
-        Power-law conjugates (quadratic and power costs) solve it by Newton
-        through :func:`power_prox`.  Returns ``None`` when the profile has
-        no fast path; the caller then bisects on the conjugate derivative.
-        """
-        if not hasattr(self._profile, "prox_magnitude"):
-            return None
-        return self._profile.prox_magnitude(r, lam, weight)
 
     def _invert_flux_bisect(self, vabs, weight=None):
         vabs = np.asarray(vabs, dtype=float).ravel()

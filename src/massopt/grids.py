@@ -99,6 +99,7 @@ class Grid:
         self.interior_idx = np.nonzero(~self.boundary_mask)[0]
         self.node_weights = self._nodal_weights()
         self._grad_sparse = None
+        self._grad_interior = None
 
     # -- basic structure -----------------------------------------------------
 
@@ -193,6 +194,16 @@ class Grid:
                     (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                     shape=(2 * n, self.n_nodes))
         return self._grad_sparse
+
+    def interior_gradient(self):
+        """The sparse gradient's interior-node columns, as CSR; built once.
+
+        This is the gradient on fields that vanish on the boundary, the
+        space every stiffness and flux projection works in.
+        """
+        if self._grad_interior is None:
+            self._grad_interior = self.gradient_sparse()[:, self.interior_idx].tocsr()
+        return self._grad_interior
 
     # -- point location ----------------------------------------------------------
 
@@ -442,22 +453,32 @@ def _cell_gradient(grid, cell):
 
 
 def stiffness(grid, w, atoms=()):
-    """Stiffness ``G^T diag(w) G`` on the interior nodes, as a CSC matrix.
+    """Stiffness ``G^T B G`` on the interior nodes, as a CSC matrix.
 
-    ``w`` holds one weight per cell (cell volume times conductivity for a
-    Dirichlet energy); an atom ``(location, mass)`` adds the point stiffness
-    of the hat gradients on the cells carrying it.  The matrix is symmetric
-    positive semidefinite, and definite when every interior node reaches
-    the boundary through cells of positive weight.
+    ``w`` holds either one weight per cell, shape ``(n_cells,)`` (cell
+    volume times conductivity for a Dirichlet energy; ``B`` repeats it on
+    every gradient component), or one symmetric 2x2 tensor per cell of a
+    rectangle, shape ``(n_cells, 2, 2)`` (``B`` couples the x and y rows of
+    the cell, as in a Hessian).  An atom ``(location, mass)`` adds the point
+    stiffness of the hat gradients on the cells carrying it.  The matrix is
+    symmetric positive semidefinite for positive semidefinite weights, and
+    definite when every interior node reaches the boundary through cells of
+    positive definite weight.
     """
-    G = grid.gradient_sparse()
-    K = G.T @ sp.diags(np.tile(w, grid.dim)) @ G
+    G = grid.interior_gradient()
+    w = np.asarray(w, dtype=float)
+    n = grid.n_cells
+    if w.ndim == 1:
+        B = sp.diags(np.tile(w, grid.dim))
+    else:
+        B = sp.diags([w[:, 1, 0], np.concatenate([w[:, 0, 0], w[:, 1, 1]]), w[:, 0, 1]],
+                     [-n, 0, n])
+    K = G.T @ B @ G
     for loc, mass in atoms:
         for i, cw in grid.cell_weights_at(loc):
-            Gc = _cell_gradient(grid, i)
+            Gc = G[i::n]
             K = K + mass * cw * (Gc.T @ Gc)
-    idx = grid.interior_idx
-    return K.tocsr()[idx][:, idx].tocsc()
+    return K.tocsc()
 
 
 def spd_factor(K):

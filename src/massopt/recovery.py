@@ -111,7 +111,10 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
     weak-star settling of the iterates.  Cells concentrating more than
     ``concentration_fraction`` of the total mass are flagged as emergent
     singular parts.  This is an approximation path, not an exact
-    construction; the verifier is the arbiter.
+    construction: the verifier decides whether its measure is optimal.  On
+    rectangles it does not pass (the regularization error stays above the
+    thresholds), which is why ``massopt run`` refuses 2-d linear-regime
+    configurations; the function remains a library call.
     """
     if problem.regime != "L":
         raise RegimeMismatch("regularization continuation applies to the linear regime")

@@ -1,4 +1,4 @@
-"""First-order solver for the discretized auxiliary variational problem.
+"""Certified solver for the discretized auxiliary variational problem.
 
 The discrete problem is
 
@@ -6,37 +6,43 @@ The discrete problem is
     over nodal u vanishing on the boundary,  g = Du the per-cell gradient.
 
 The integrand is convex in ``g`` (a nondecreasing convex function of
-``|g|^2/2``), so the problem is a convex composite and is solved by a
-Chambolle-Pock primal-dual splitting whose dual update reduces to a scalar
-monotone root-find per cell.  For power-law conjugates (quadratic and
-power costs) that root-find is Newton's method
-(:meth:`massopt.costs.CostFunction.prox_magnitude`).  Every other scalar
-solve here (the prox of the other profiles, the flux-inversion bounds and
-the constant of the 1-d flux) runs through :func:`massopt.costs.bisect`.
-The bisected prox tests the upper conjugate derivative ``D+c*`` only: its
-map is strictly increasing and ``D-c* <= D+c*``, so a test on the lower
-derivative could never move a bracket end.  Only the largest gradient
-matching a flux (:func:`_minverse_bounds`) needs ``D-c*``.  In the linear
-regime the bracket starts at the cap, so the pointwise bound
-``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by penalty.
+``|g|^2/2``).  Every solve ends in an honest certificate: a
+divergence-feasible flux whose dual value bounds the optimum from below,
+so ``gap = objective - dual`` is a true optimality gap.  The solution
+names the method that closed it (``AuxiliarySolution.method``):
 
-The convergence certificate is honest: a divergence-feasible flux is
-constructed (exactly, in one dimension, where the feasible set is a point or
-a one-parameter family; by a projection solve in two dimensions) and the
-certified gap is primal objective minus the dual value of that flux.  In one
-dimension that flux depends on the problem alone, so the certificate is
-built once, before any iteration.  It also yields a primal candidate by
-inverting the gradient-to-flux map, which typically lands on the discrete
-minimizer to machine precision: the solve then returns with no splitting
-step at all, and the splitting (with its operator-norm estimate) runs only
-when this certificate does not close.  The solver keeps whichever iterate
-has the best merit, so the reported gap is monotone along accepted
-iterates.  In two dimensions the
-flux projection and the Picard candidate are each one direct solve of an
-interior stiffness (:func:`massopt.grids.stiffness`,
-:func:`massopt.grids.spd_factor`), exact up to rounding.  The projection's
-unit-weight stiffness depends on the grid only, so each solve factors it
-once and reuses the factor at every check.
+* ``"certificate"``: in one dimension the feasible set of fluxes is a point
+  or a one-parameter family, so the exact flux depends on the problem
+  alone and is built once, before any iteration.  Inverting the
+  gradient-to-flux map along it yields a primal candidate that typically
+  lands on the discrete minimizer to machine precision; the solve then
+  returns with no iteration at all.
+* ``"newton"``: in two dimensions, for power-law conjugates
+  ``c0*(s) = s^q / q`` (quadratic and power costs), the objective is C^2
+  and convex.  Damped Newton starts from the unit-weight Poisson solution
+  scaled along its ray, takes one direct solve of the tensor stiffness
+  ``G^T H G`` per step (per-cell 2x2 Hessian blocks, see
+  :func:`_hessian_blocks`), backtracks on the objective, and certifies
+  every step by projecting its flux.
+* ``"splitting"``: every other case runs a Chambolle-Pock primal-dual
+  splitting whose dual update reduces to a scalar monotone root-find per
+  cell, by bisection on the upper conjugate derivative ``D+c*``
+  (:func:`massopt.costs.bisect`): its map is strictly increasing and
+  ``D-c* <= D+c*``, so a test on the lower derivative could never move a
+  bracket end.  Only the largest gradient matching a flux
+  (:func:`_minverse_bounds`) needs ``D-c*``.  In the linear regime the
+  bracket starts at the cap, so the pointwise bound
+  ``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by penalty.  In one
+  dimension its checks score the iterate against the exact flux; in two,
+  each check projects the iterate's flux and builds a Picard candidate.
+  The solver keeps whichever iterate has the best merit, so the reported
+  gap is monotone along accepted iterates.
+
+In two dimensions the flux projection, the Newton step and the Picard
+candidate are each one direct solve of an interior stiffness
+(:func:`massopt.grids.stiffness`, :func:`massopt.grids.spd_factor`), exact
+up to rounding.  The projection's unit-weight stiffness depends on the grid
+only, so each solve factors it once and reuses the factor at every check.
 """
 
 import math
@@ -56,9 +62,12 @@ STEP_SCALE = 0.95
 class SolverParams:
     """Iteration budget and tolerances for :func:`solve_auxiliary`.
 
-    The solver builds a certificate every ``check_every`` iterations; in
-    two dimensions an improving candidate always restarts the splitting.
-    ``log_path``, when set, receives the iteration log as CSV.
+    ``max_iterations`` bounds the splitting iterations, or the Newton steps
+    of a 2-d power-law solve.  The splitting builds a certificate every
+    ``check_every`` iterations, and in two dimensions an improving
+    candidate always restarts it; Newton certifies every step, so
+    ``check_every`` does not apply to it.  ``log_path``, when set, receives
+    the iteration log as CSV.
     """
 
     def __init__(self, max_iterations=20000, gap_tolerance=1e-8, check_every=25,
@@ -105,9 +114,6 @@ class AuxiliaryProblem:
 
     def invert_flux(self, vabs):
         return self.cost.invert_flux(vabs, weight=self.cell_weights)
-
-    def prox_magnitude(self, r, lam):
-        return self.cost.prox_magnitude(r, lam, weight=self.cell_weights)
 
     def cost_value(self, a):
         return self.cost.value(a, weight=self.cell_weights)
@@ -185,18 +191,11 @@ def objective_gradient(problem, u):
 # per-cell scalar solves
 # ---------------------------------------------------------------------------
 
-def _prox_magnitude(problem, r, lam):
-    """Solve ``r in t + lam * t * dc*(t^2/2)`` per cell.
-
-    Takes the cost's fast path (:meth:`CostFunction.prox_magnitude`) when it
-    has one and bisects otherwise.
-    """
-    t = problem.prox_magnitude(r, lam)
-    return _prox_bisect(problem, r, lam) if t is None else t
-
-
 def _prox_bisect(problem, r, lam):
-    """Bisection for the prox on ``D+c*``; exact cap handling."""
+    """Solve ``r in t + lam * t * dc*(t^2/2)`` per cell by bisection on ``D+c*``.
+
+    The bracket starts at the cap, so the linear-regime bound holds exactly.
+    """
     r = np.asarray(r, dtype=float)
 
     def below(t):
@@ -362,7 +361,7 @@ def _project_flux(problem, y_cells, unit_factor):
     """
     grid = problem.grid
     idx = grid.interior_idx
-    Gi = grid.gradient_sparse()[:, idx]
+    Gi = grid.interior_gradient()
     y_flat = y_cells.T.ravel()
     resid = problem.load[idx] - Gi.T @ y_flat
     y_hat = y_flat + Gi @ unit_factor.solve(resid)
@@ -422,6 +421,90 @@ def _certificate_2d(problem, y, unit_factor):
 
 
 # ---------------------------------------------------------------------------
+# two-dimensional Newton for power-law conjugates
+# ---------------------------------------------------------------------------
+
+def _hessian_blocks(problem, g, d, q):
+    """Per-cell 2x2 Hessian blocks of the objective for ``c0*(s) = s^q / q``.
+
+    The Hessian of ``vol * c*(|g|^2/2)`` in ``g`` is
+    ``vol * (c*'(s) I + c*''(s) g g^T)``; with ``2s c*''(s) = 2(q-1) c*'(s)``
+    it is ``vol * c*'(s) * (I + 2(q-1) e e^T)``, ``e = g / |g|``, which needs
+    no second derivative and stays finite at ``g = 0``.  ``d`` holds
+    ``c*'(s)`` per cell.
+    """
+    mag = np.sqrt(np.sum(g * g, axis=1))
+    e = g / np.where(mag > 0.0, mag, 1.0)[:, None]
+    H = 2.0 * (q - 1.0) * e[:, :, None] * e[:, None, :]
+    H[:, 0, 0] += 1.0
+    H[:, 1, 1] += 1.0
+    return H * (problem.grid.cell_volumes * d)[:, None, None]
+
+
+def _newton_2d(problem, params, q, unit_factor):
+    """Damped Newton on a rectangle for a conjugate ``c0*(s) = s^q / q``.
+
+    The start is the unit-weight Poisson solution ``u0`` scaled along its
+    ray: the objective ``lam^(2q) A - lam <F, u0>`` is 2q-homogeneous there,
+    with ``A = sum vol * c*(|grad u0|^2/2)``.  Each step factors the tensor
+    stiffness of the Hessian (``c*'`` floored at ``1e-12`` of its maximum,
+    where it vanishes with the gradient) and backtracks on the objective
+    (Armijo).  Each iterate's flux ``vol * c*'(s) * g`` is projected with
+    ``unit_factor`` and scored as a dual certificate, one log row per
+    iterate.  The steps count against ``max_iterations``; the loop also
+    stops when the gradient falls to ``1e-12 |F|`` or a step gives no
+    decrease.
+    """
+    grid = problem.grid
+    idx = grid.interior_idx
+    vol = grid.cell_volumes
+    F = problem.load
+    u = np.zeros(grid.n_nodes)
+    u[idx] = unit_factor.solve(F[idx])
+    g = grid.gradient_apply(u)
+    A = float(np.dot(vol, problem.conj_value(0.5 * np.sum(g * g, axis=1))))
+    b = float(np.dot(F, u))
+    u *= (b / (2.0 * q * A)) ** (1.0 / (2.0 * q - 1.0)) if A > 0.0 and b > 0.0 else 0.0
+    obj = objective_eval(problem, u)
+    grad_floor = 1e-12 * float(np.linalg.norm(F[idx]))
+
+    best_dual, best_sigma, dual_residual = -INF, np.zeros((grid.n_cells, 2)), INF
+    log = []
+    steps = 0
+    while True:
+        g = grid.gradient_apply(u)
+        d = problem.conj_dplus(0.5 * np.sum(g * g, axis=1))
+        flux = g * (vol * d)[:, None]
+        sigma, res = _project_flux(problem, flux, unit_factor)
+        dual = _dual_value(problem, sigma)
+        if dual > best_dual:
+            best_dual, best_sigma, dual_residual = dual, sigma, res
+        gap, rel_gap = _relative_gap(obj, best_dual)
+        log.append((steps, obj, best_dual, gap))
+        grad = (grid.gradient_adjoint(flux) - F)[idx]
+        if steps == params.max_iterations or np.linalg.norm(grad) <= grad_floor:
+            break
+        d = np.maximum(d, 1e-12 * float(np.max(d)))
+        step = -spd_factor(stiffness(grid, _hessian_blocks(problem, g, d, q))).solve(grad)
+        slope = float(np.dot(grad, step))
+        t = 1.0
+        for _ in range(40):
+            trial = u.copy()
+            trial[idx] += t * step
+            obj_trial = objective_eval(problem, trial)
+            if obj_trial <= obj + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        if not obj_trial < obj:
+            break  # no decrease left: the objective is flat at rounding level
+        u, obj = trial, obj_trial
+        steps += 1
+
+    return _finish(problem, params, u, best_sigma, obj, best_dual, steps,
+                   rel_gap <= params.gap_tolerance, dual_residual, log, "newton")
+
+
+# ---------------------------------------------------------------------------
 # the solver
 # ---------------------------------------------------------------------------
 
@@ -447,10 +530,17 @@ def operator_norm(grid, iterations=50, seed=0):
 
 
 class AuxiliarySolution:
-    """Solver output: minimizer, feasible dual flux, certified gap."""
+    """Solver output: minimizer, feasible dual flux, certified gap.
+
+    ``method`` names how the gap was closed: ``"certificate"`` (the exact
+    1-d flux alone), ``"newton"`` (2-d power-law conjugates) or
+    ``"splitting"`` (Chambolle-Pock); ``None`` for a wrapper that ran no
+    solve.
+    """
 
     def __init__(self, problem, u_values, sigma, objective, dual_value, gap,
-                 rel_gap, iterations, converged, dual_residual, log, notes=()):
+                 rel_gap, iterations, converged, dual_residual, log, method=None,
+                 notes=()):
         grid = problem.grid
         self.problem = problem
         self.u = ScalarField(grid, u_values)
@@ -461,6 +551,7 @@ class AuxiliarySolution:
         self.gap = gap
         self.rel_gap = rel_gap
         self.iterations = iterations
+        self.method = method  # "certificate", "newton" or "splitting"
         self.converged = converged
         self.dual_residual = dual_residual
         self.regime = problem.regime
@@ -504,7 +595,12 @@ def solve_auxiliary(problem, params=None):
     the solve returns with ``iterations = 0`` and a single log row at
     iteration 0; only otherwise does the splitting run, and each of its
     checks then only scores the iterate against the fixed dual.  In two
-    dimensions every check projects the current flux and builds a Picard
+    dimensions quadratic and power costs are solved by damped Newton
+    (:func:`_newton_2d`): ``iterations`` counts its steps, and the log has
+    one row per iterate, the start included.  There is no splitting
+    fallback for them; a solve that runs out of steps returns its best
+    iterate, not converged.  Every other 2-d cost runs the splitting, and
+    each of its checks projects the current flux and builds a Picard
     candidate.
     """
     params = params or SolverParams()
@@ -533,7 +629,13 @@ def solve_auxiliary(problem, params=None):
         log.append((0, best_obj, best_dual, gap))
         if rel_gap <= params.gap_tolerance:
             return _finish(problem, params, best_u, best_sigma, best_obj, best_dual,
-                           iterations, True, dual_residual, log)
+                           iterations, True, dual_residual, log, "certificate")
+
+    # the 2-d flux projection's stiffness depends on the grid only
+    unit_factor = None if grid.dim == 1 else spd_factor(stiffness(grid, np.ones(grid.n_cells)))
+    q = problem.cost.conj_exponent
+    if unit_factor is not None and q is not None:
+        return _newton_2d(problem, params, q, unit_factor)
 
     norm_D = operator_norm(grid)
     tau = STEP_SCALE / norm_D
@@ -544,15 +646,13 @@ def solve_auxiliary(problem, params=None):
     y = np.zeros((grid.n_cells, grid.dim))
     lam = grid.cell_volumes / sig
     converged = False
-    # the 2-d flux projection's stiffness depends on the grid only
-    unit_factor = None if grid.dim == 1 else spd_factor(stiffness(grid, np.ones(grid.n_cells)))
 
     for k in range(1, params.max_iterations + 1):
         iterations = k
         # dual ascent: prox of the conjugate integrand via per-cell root-find
         ytil = y + sig * grid.gradient_apply(ubar)
         r = np.sqrt(np.sum(ytil * ytil, axis=1)) / sig
-        t = _prox_magnitude(problem, r, lam)
+        t = _prox_bisect(problem, r, lam)
         with np.errstate(invalid="ignore", divide="ignore"):
             shrink = np.where(r > 0.0, t / np.where(r > 0.0, r, 1.0), 0.0)
         y = ytil * (1.0 - shrink)[:, None]
@@ -585,11 +685,11 @@ def solve_auxiliary(problem, params=None):
                 break
 
     return _finish(problem, params, best_u, best_sigma, best_obj, best_dual,
-                   iterations, converged, dual_residual, log)
+                   iterations, converged, dual_residual, log, "splitting")
 
 
 def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
-            dual_residual, log):
+            dual_residual, log, method):
     """Assemble the solution and write the iteration log."""
     gap, rel_gap = _relative_gap(obj, dual)
     notes = []
@@ -598,7 +698,8 @@ def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
     else:
         dual_residual = dual_residual / max(1.0, float(np.linalg.norm(problem.load)))
     solution = AuxiliarySolution(problem, u, sigma, obj, dual, gap, rel_gap,
-                                 iterations, converged, dual_residual, log, notes)
+                                 iterations, converged, dual_residual, log, method,
+                                 notes)
     if params.log_path:
         write_iteration_log(params.log_path, log)
     return solution

@@ -52,6 +52,7 @@ def test_run_pipeline_exit_zero(tmp_path, capsys):
     # the exact 1-d certificate closes the gap before any splitting step
     assert report["iterations"] == 0
     assert report["checks"] == 1
+    assert report["method"] == "certificate"
     assert (out / "iterations.csv").read_text().splitlines()[1].startswith("0,")
 
 
@@ -250,6 +251,65 @@ dir = {out}
     assert cli.main(["run", cfg]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["regime"] == "SL"
+    # Newton certifies every step: one log row per step plus the start
+    assert report["method"] == "newton"
+    assert report["checks"] == report["iterations"] + 1
+
+
+RECT_CONFIG = """
+[domain]
+kind = rectangle
+ax = 0.0
+bx = 1.0
+ay = 0.0
+by = 1.0
+nx = {n}
+ny = {n}
+
+[cost]
+{cost}
+
+[source]
+value = 1.0
+
+[solver]
+max_iterations = {budget}
+
+[output]
+dir = {out}
+"""
+
+
+def test_rectangle_power_known_case(tmp_path):
+    # p = 1.5 at 48x48: the splitting stalled at a PDE residual above 1e-3
+    cfg = write(tmp_path / "p15.cfg", RECT_CONFIG.format(
+        n=48, cost="builtin = power\np = 1.5", budget=400, out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["method"] == "newton"
+    assert report["iterations"] <= 12
+    assert report["pde_residual"] <= 1e-8
+
+
+def test_rectangle_tabulated_cost_reports_splitting(tmp_path):
+    ts = np.linspace(0.0, 4.0, 17)
+    table = tmp_path / "cost.csv"
+    np.savetxt(table, np.column_stack([ts, 0.5 * ts * ts]), delimiter=",")
+    cfg = write(tmp_path / "tab.cfg", RECT_CONFIG.format(
+        n=8, cost="table = %s" % table, budget=50, out=tmp_path / "out"))
+    cli.main(["run", cfg])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["method"] == "splitting"
+    assert report["checks"] == 2  # check_every = 25
+
+
+def test_rectangle_linear_regime_refused(tmp_path, capsys):
+    cfg = write(tmp_path / "lin.cfg", RECT_CONFIG.format(
+        n=16, cost="builtin = linear\nslope = 0.5", budget=400, out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "linear regime" in err and "2-d grid" in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_table_cost_config(tmp_path, capsys):

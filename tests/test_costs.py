@@ -321,6 +321,18 @@ def test_validate_never_throws_on_bad_cost():
     assert isinstance(rep.failures, list)
 
 
+def test_conj_exponent_only_for_power_law_conjugates():
+    assert mo.quadratic_cost().conj_exponent == 2.0
+    assert mo.power_cost(1.5).conj_exponent == pytest.approx(3.0)
+    assert mo.power_cost(3.0, spatial_weight=lambda x: 2.0).conj_exponent == pytest.approx(1.5)
+    ts = np.linspace(0.0, 4.0, 17)
+    for cost in (mo.linear_cost(0.5), mo.reciprocal_cost(), mo.expression_cost("t^2/2"),
+                 mo.tabulated_cost(ts, 0.5 * ts * ts, alpha=1.0, beta=-0.5),
+                 mo.regularized_cost(mo.quadratic_cost(), 1e-2),
+                 mo.piecewise_polynomial_cost([0.0, 1.0], [[0.0, 0.0, 0.5]])):
+        assert cost.conj_exponent is None
+
+
 def test_unknown_builtin():
     with pytest.raises(mo.InvalidCost):
         mo.builtin_cost("nope")

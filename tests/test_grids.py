@@ -280,3 +280,14 @@ def test_csv_writers_match_per_cell_writer(tmp_path, grid):
             fh.write(",".join(cols + [last]) + "\n")
             _old_rows(fh, points, vals)
         assert (tmp_path / name).read_bytes() == (tmp_path / ("old_" + name)).read_bytes()
+
+
+@pytest.mark.parametrize("atoms", [(), ((np.array([0.61, 0.33]), 0.8),)],
+                         ids=["plain", "atom"])
+def test_stiffness_tensor_of_scalar_weights(atoms):
+    # the tensor form with w * I assembles the scalar-weight stiffness
+    g = mo.rectangle_grid(0.0, 1.5, 0.0, 1.0, 13, 9)
+    w = np.random.default_rng(2).uniform(0.1, 10.0, g.n_cells)
+    K = mo.grids.stiffness(g, w, atoms)
+    Kt = mo.grids.stiffness(g, w[:, None, None] * np.eye(2), atoms)
+    assert abs(K - Kt).max() <= 1e-14 * abs(K).max()

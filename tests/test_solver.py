@@ -277,33 +277,6 @@ def test_prox_matches_three_way_reference(make_cost, weighted):
     assert np.array_equal(got, _prox_three_way(prob, r, lam))
 
 
-@pytest.mark.parametrize("make_cost, weighted", [
-    (mo.quadratic_cost, False),
-    (lambda: mo.power_cost(1.5), False),
-    (lambda: mo.power_cost(1.7), False),
-    (lambda: mo.power_cost(2.5), False),
-    (lambda: mo.power_cost(4.0), False),
-    (mo.quadratic_cost, True),
-    (lambda: mo.power_cost(2.5), True),
-], ids=["quadratic", "power-1.5", "power-1.7", "power-2.5", "power-4",
-        "weighted-quadratic", "weighted-power-2.5"])
-def test_prox_newton_matches_bisection(make_cost, weighted):
-    g = mo.interval_grid(-1.0, 1.0, 256)
-    weights = np.geomspace(0.05, 20.0, g.n_cells) if weighted else None
-    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0),
-                            cell_weights=weights)
-    assert prob.prox_magnitude(np.ones(g.n_cells), np.ones(g.n_cells)) is not None
-    rng = np.random.default_rng(5)
-    for _ in range(4):
-        r = 10.0 ** rng.uniform(-8.0, 3.0, g.n_cells)
-        lam = 10.0 ** rng.uniform(-4.0, 3.0, g.n_cells)
-        np.testing.assert_allclose(solver._prox_magnitude(prob, r, lam),
-                                   solver._prox_bisect(prob, r, lam),
-                                   rtol=1e-15, atol=0.0)
-    zero = solver._prox_magnitude(prob, np.zeros(g.n_cells), lam)
-    assert np.all(zero == 0.0)
-
-
 def test_prox_quadratic_closed_form():
     # real root of lam/2 t^3 + t = r: t = -2 sqrt(p/3) sinh(asinh(3q/(2p) sqrt(3/p)) / 3)
     # for the depressed cubic t^3 + p t + q with p = 2/lam, q = -2r/lam
@@ -313,7 +286,7 @@ def test_prox_quadratic_closed_form():
     p, q = 2.0 / lam, -2.0 * r / lam
     exact = -2.0 * np.sqrt(p / 3.0) * np.sinh(
         np.arcsinh(1.5 * q / p * np.sqrt(3.0 / p)) / 3.0)
-    np.testing.assert_allclose(solver._prox_magnitude(prob, r, lam), exact,
+    np.testing.assert_allclose(solver._prox_bisect(prob, r, lam), exact,
                                rtol=1e-14, atol=0.0)
 
 
@@ -345,6 +318,79 @@ def test_rectangle_quadratic_certified():
                                                    gap_tolerance=1e-6, check_every=50))
     assert sol.converged
     assert sol.dual_residual <= 1e-10
+
+
+class _SplittingRan(Exception):
+    pass
+
+
+def _no_splitting(*_args, **_kwargs):
+    raise _SplittingRan()
+
+
+def _rectangle_problem(cost, weighted=False, nx=14, ny=11):
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.5, nx, ny)
+    weights = np.geomspace(0.2, 5.0, g.n_cells) if weighted else None
+    return mo.build_problem(g, cost, mo.SourceTerm.constant(g, 1.0), cell_weights=weights)
+
+
+@pytest.mark.parametrize("make_cost, weighted", [
+    (mo.quadratic_cost, False),
+    (lambda: mo.power_cost(1.5), False),
+    (lambda: mo.power_cost(3.0), False),
+    (mo.quadratic_cost, True),
+], ids=["quadratic", "power-1.5", "power-3", "weighted-quadratic"])
+def test_newton_hessian_matches_gradient_differences(make_cost, weighted):
+    # the tensor stiffness of the 2x2 Hessian blocks is the derivative of
+    # the objective's first variation
+    prob = _rectangle_problem(make_cost(), weighted, nx=9, ny=11)
+    g = prob.grid
+    idx = g.interior_idx
+    rng = np.random.default_rng(7)
+    u = np.zeros(g.n_nodes)
+    v = np.zeros(g.n_nodes)
+    u[idx] = rng.standard_normal(idx.size)
+    v[idx] = rng.standard_normal(idx.size)
+    grad = g.gradient_apply(u)
+    d = prob.conj_dplus(0.5 * np.sum(grad * grad, axis=1))
+    H = mo.grids.stiffness(g, solver._hessian_blocks(prob, grad, d, prob.cost.conj_exponent))
+    h = 1e-5
+    fd = (mo.objective_gradient(prob, u + h * v)
+          - mo.objective_gradient(prob, u - h * v))[idx] / (2.0 * h)
+    assert np.linalg.norm(H @ v[idx] - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("make_cost, weighted", [
+    (mo.quadratic_cost, False),
+    (lambda: mo.power_cost(1.5), False),
+    (lambda: mo.power_cost(3.0), True),
+], ids=["quadratic", "power-1.5", "weighted-power-3"])
+def test_rectangle_power_law_costs_solve_by_newton(monkeypatch, make_cost, weighted):
+    monkeypatch.setattr(solver, "operator_norm", _no_splitting)
+    prob = _rectangle_problem(make_cost(), weighted)
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and sol.method == "newton"
+    assert 0 < sol.iterations <= 12
+    # one certificate per iterate, the start included
+    assert [row[0] for row in sol.log] == list(range(sol.iterations + 1))
+    assert sol.log[-1][1:] == (sol.objective, sol.dual_value, sol.gap)
+    assert sol.dual_residual <= 1e-12
+    assert np.linalg.norm(mo.objective_gradient(prob, sol.u)) <= 1e-9 * np.linalg.norm(prob.load)
+
+
+def test_rectangle_tabulated_cost_takes_splitting(monkeypatch):
+    monkeypatch.setattr(solver, "operator_norm", _no_splitting)
+    prob = _rectangle_problem(_tabulated_quadratic())
+    assert prob.cost.conj_exponent is None
+    with pytest.raises(_SplittingRan):
+        mo.solve_auxiliary(prob)
+
+
+def test_newton_budget_counts_steps():
+    prob = _rectangle_problem(mo.power_cost(1.5))
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=2))
+    assert not sol.converged and sol.method == "newton"
+    assert sol.iterations == 2 and len(sol.log) == 3
 
 
 def test_rectangle_linear_regime_feasible():
