@@ -24,9 +24,9 @@ from .grids import (DiscreteMeasure, Grid, ScalarField, SourceTerm, VectorField,
 from .oracle import (ClosedFormFixture, brute_force_min, fixture, fixture_errors,
                      fixture_names)
 from .recovery import (EnergyResult, OptimalityReport, RegularizationDiagnostics,
-                       cost_eval, energy_eval, recover_density_sl,
-                       recover_measure_l_1d, recover_via_regularization,
-                       solution_like, verify_conditions)
+                       cost_eval, energy_eval, recover_measure,
+                       recover_via_regularization, solution_like,
+                       verify_conditions)
 from .solver import (AuxiliaryProblem, AuxiliarySolution, SolverParams,
                      build_problem, feasible_flux_1d, objective_eval,
                      objective_gradient, operator_norm, require_converged,

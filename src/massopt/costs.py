@@ -729,6 +729,8 @@ class CostFunction:
             raise InvalidCost("could not find a positive growth slope")
         alpha = 0.5 * slope
         grid = np.geomspace(max(self._profile.domain[0], 1e-9) + 1e-12, 2.0 * t, 128)
+        # c - alpha*t of a piecewise-linear table is least at one of its nodes
+        grid = np.concatenate([grid, getattr(self._profile, "ts", ())])
         vals = np.asarray(self._profile.value(grid), dtype=float)
         finite = np.isfinite(vals)
         beta = float(np.min(vals[finite] - alpha * grid[finite])) if np.any(finite) else 0.0

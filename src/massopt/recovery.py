@@ -1,17 +1,15 @@
 """Conductivity recovery from the auxiliary solution, and verification.
 
-Superlinear regime: the optimal density is a cellwise selection from the
-subdifferential interval of the conjugate at ``|grad u|^2 / 2``; when the
-interval is nondegenerate the selection minimizing the local divergence
-residual against the source is taken (exact flux matching in one dimension,
-least-squares projection in two).
-
-Linear regime, one dimension: the measure is reconstructed from the flux.
-The scalar flux ``v`` with ``-v' = f`` (atom jumps included) is the
-antiderivative of ``-f``; on interval grids its integration constant is
-fixed by requiring the recovered gradient to integrate to zero across the
-domain.  Inverting the monotone gradient-to-flux map ``m(g) = g *
-dc*(g^2/2)`` then yields the gradient and the density ``a = v / g``.
+One entry point, :func:`recover_measure`, serves every solve.  In one
+dimension the solver's exact certificate holds the flux ``sigma`` and a
+gradient ``g`` with ``sigma = a * g``, ``a`` in the subdifferential of the
+conjugate at ``|g|^2 / 2``.  The density is therefore ``|sigma| / |g|`` in
+both regimes, and ``D-c*`` where the flux or the gradient vanishes; a flux
+that no gradient carries is booked as an atom.  In two dimensions, in the
+superlinear regime, the density is a cellwise selection from the
+subdifferential interval; when the interval is nondegenerate the selection
+closest to the solver's flux is taken.  The linear regime on rectangles has
+no exact recovery; :func:`recover_via_regularization` approximates it.
 
 The verifier scores every optimality condition numerically:  the weak PDE
 residual, the pointwise Fenchel-equality error (equivalent to membership of
@@ -40,13 +38,34 @@ INF = math.inf
 # recovery
 # ---------------------------------------------------------------------------
 
-def recover_density_sl(solution, problem):
-    """Optimal density in the superlinear regime (atom-free measure)."""
-    if problem.regime != "SL":
-        raise RegimeMismatch("superlinear recovery called on a linear-regime problem")
+def recover_measure(solution, problem):
+    """Optimal measure from the solver's flux and gradient.
+
+    On interval and radial grids ``a = |sigma| / |g|`` from
+    ``solution.flux`` and ``solution.grad``, with ``D-c*(|g|^2/2)`` where
+    either vanishes.  Flux left unmatched by ``|g| * a`` (a cell with flux
+    but no gradient) is booked as an atom of mass ``excess * h / cap``.  On
+    rectangles the superlinear subdifferential selection is taken; a
+    linear-regime problem raises :class:`RegimeMismatch`.
+    """
+    grid = problem.grid
     g = solution.grad.values
     s = 0.5 * np.sum(g * g, axis=1)
     lo = problem.conj_dminus(s)
+    if grid.dim == 1:
+        vabs = np.abs(solution.flux.values[:, 0])
+        t = np.abs(g[:, 0])
+        carried = (vabs > 0.0) & (t > 0.0)
+        a = np.where(carried, vabs / np.where(carried, t, 1.0), lo)
+        excess = vabs - t * a
+        bad = np.nonzero(excess > 1e-8 * (1.0 + vabs))[0]
+        atoms = [(grid.cell_centers[i],
+                  float(excess[i] * grid.cell_h[i] / max(problem.cell_caps[i], 1e-300)))
+                 for i in bad]
+        return DiscreteMeasure(grid, a, atoms=atoms)
+    if problem.regime != "SL":
+        raise RegimeMismatch("no exact linear-regime recovery on a 2-d grid; "
+                             "use recover_via_regularization")
     hi = problem.conj_dplus(s)
     a = 0.5 * (lo + np.where(np.isfinite(hi), hi, lo))
     wide = (hi - lo) > 1e-9 * (1.0 + np.abs(lo))
@@ -56,35 +75,7 @@ def recover_density_sl(solution, problem):
         with np.errstate(divide="ignore", invalid="ignore"):
             fit = np.where(g2 > 0.0, np.sum(g * sigma, axis=1) / np.where(g2 > 0.0, g2, 1.0), lo)
         a = np.where(wide, np.clip(fit, lo, hi), a)
-    return DiscreteMeasure(problem.grid, np.maximum(a, 0.0))
-
-
-def recover_measure_l_1d(solution, problem):
-    """Linear-regime measure on an interval or radial grid via flux inversion.
-
-    Inverts ``solution.flux``: in one dimension :func:`solve_auxiliary`
-    reports the exact divergence-feasible flux of
-    :func:`massopt.solver.feasible_flux_1d`, built once per solve.
-    """
-    if problem.regime != "L":
-        raise RegimeMismatch("flux construction requires the linear regime")
-    if problem.grid.kind == "rectangle":
-        raise UnsupportedGrid("use recover_via_regularization on rectangles")
-    vabs = np.abs(solution.flux.values[:, 0])
-    t, a = problem.invert_flux(vabs)
-    atoms = []
-    # the attainable flux range of the density part is unbounded for any
-    # valid linear-regime conjugate; this guard only catches numerical
-    # inversion failures and books the excess as singular mass
-    matched = t * a
-    excess = vabs - matched
-    bad = excess > 1e-8 * (1.0 + vabs)
-    if np.any(bad):
-        caps = problem.cell_caps
-        for i in np.nonzero(bad)[0]:
-            mass = float(excess[i] * problem.grid.cell_h[i] / max(caps[i], 1e-300))
-            atoms.append((problem.grid.cell_centers[i], mass))
-    return DiscreteMeasure(problem.grid, a, atoms=atoms)
+    return DiscreteMeasure(grid, np.maximum(a, 0.0))
 
 
 class RegularizationDiagnostics:
@@ -107,7 +98,7 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
     """Approximate a linear-regime measure through superlinear continuation.
 
     Solves the problem for ``c_eps = c + eps * t^2`` over a decreasing
-    schedule, recovers the superlinear density each time, and reports the
+    schedule, recovers the density each time, and reports the
     weak-star settling of the iterates.  Cells concentrating more than
     ``concentration_fraction`` of the total mass are flagged as emergent
     singular parts.  This is an approximation path, not an exact
@@ -138,7 +129,7 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
             gap_tolerance=max(min(params.gap_tolerance, 0.1 * eps * eps), 1e-10),
             check_every=params.check_every)
         sol = solve_auxiliary(prob_eps, params_eps)
-        measure = recover_density_sl(sol, prob_eps)
+        measure = recover_measure(sol, prob_eps)
         a = measure.ac_density
         total = float(np.dot(vol, a))
         cell_mass = vol * a
@@ -363,11 +354,10 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None,
     saturation = 0.0
     for loc, _mass in mu.atoms:
         s_at = 0.5 * float(np.sum(solution.grad.at_point(loc) ** 2))
-        if problem.cell_weights is not None:
-            w_at = sum(w * problem.cell_weights[i]
-                       for i, w in grid.cell_weights_at(loc))
-        else:
-            w_at = problem.cost.weight_at(loc)
+        # build_problem turns a spatial weight into cell weights, so without
+        # them the cost is homogeneous
+        w_at = 1.0 if problem.cell_weights is None else sum(
+            w * problem.cell_weights[i] for i, w in grid.cell_weights_at(loc))
         rec = problem.cost.recession_slope() * w_at
         saturation = max(saturation, abs(s_at - rec))
 

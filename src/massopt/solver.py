@@ -13,10 +13,10 @@ names the method that closed it (``AuxiliarySolution.method``):
 
 * ``"certificate"``: in one dimension the feasible set of fluxes is a point
   or a one-parameter family, so the exact flux depends on the problem
-  alone and is built once, before any iteration.  Inverting the
-  gradient-to-flux map along it yields a primal candidate that typically
-  lands on the discrete minimizer to machine precision; the solve then
-  returns with no iteration at all.
+  alone.  Inverting the gradient-to-flux map along it yields a primal
+  candidate that typically lands on the discrete minimizer to machine
+  precision.  This certificate is the whole 1-d solve: it takes no
+  iteration, and it is converged exactly when its gap meets the tolerance.
 * ``"newton"``: in two dimensions, for power-law conjugates
   ``c0*(s) = s^q / q`` (quadratic and power costs), the objective is C^2
   and convex.  Damped Newton starts from the unit-weight Poisson solution
@@ -24,7 +24,7 @@ names the method that closed it (``AuxiliarySolution.method``):
   ``G^T H G`` per step (per-cell 2x2 Hessian blocks, see
   :func:`_hessian_blocks`), backtracks on the objective, and certifies
   every step by projecting its flux.
-* ``"splitting"``: every other case runs a Chambolle-Pock primal-dual
+* ``"splitting"``: every other 2-d case runs a Chambolle-Pock primal-dual
   splitting whose dual update reduces to a scalar monotone root-find per
   cell, by bisection on the upper conjugate derivative ``D+c*``
   (:func:`massopt.costs.bisect`): its map is strictly increasing and
@@ -32,11 +32,10 @@ names the method that closed it (``AuxiliarySolution.method``):
   bracket end.  Only the largest gradient matching a flux
   (:func:`_minverse_bounds`) needs ``D-c*``.  In the linear regime the
   bracket starts at the cap, so the pointwise bound
-  ``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by penalty.  In one
-  dimension its checks score the iterate against the exact flux; in two,
-  each check projects the iterate's flux and builds a Picard candidate.
-  The solver keeps whichever iterate has the best merit, so the reported
-  gap is monotone along accepted iterates.
+  ``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by penalty.  Each
+  check projects the iterate's flux and builds a Picard candidate.  The
+  solver keeps whichever iterate has the best merit, so the reported gap
+  is monotone along accepted iterates.
 
 In two dimensions the flux projection, the Newton step and the Picard
 candidate are each one direct solve of an interior stiffness
@@ -62,12 +61,13 @@ STEP_SCALE = 0.95
 class SolverParams:
     """Iteration budget and tolerances for :func:`solve_auxiliary`.
 
+    ``max_iterations`` and ``check_every`` apply in two dimensions only: a
+    1-d solve is its exact certificate and takes no iteration.
     ``max_iterations`` bounds the splitting iterations, or the Newton steps
-    of a 2-d power-law solve.  The splitting builds a certificate every
-    ``check_every`` iterations, and in two dimensions an improving
-    candidate always restarts it; Newton certifies every step, so
-    ``check_every`` does not apply to it.  ``log_path``, when set, receives
-    the iteration log as CSV.
+    of a power-law solve.  The splitting builds a certificate every
+    ``check_every`` iterations, and an improving candidate always restarts
+    it; Newton certifies every step, so ``check_every`` does not apply to
+    it.  ``log_path``, when set, receives the iteration log as CSV.
     """
 
     def __init__(self, max_iterations=20000, gap_tolerance=1e-8, check_every=25,
@@ -205,42 +205,37 @@ def _prox_bisect(problem, r, lam):
     return bisect(below, np.zeros_like(r), np.minimum(r, problem.cell_caps), 70)
 
 
-def _minverse_bounds(problem, vabs):
+def _minverse_bounds(problem, vabs, t_min):
     """Smallest/largest gradient magnitude matching each flux magnitude.
 
-    Returns ``(t_lo, t_hi)`` with ``m(t) = t * dc*(t^2/2)`` satisfying
-    ``m-(t) <= v <= m+(t)`` exactly on the returned interval ends.
+    ``t_min`` is the inverse that :meth:`AuxiliaryProblem.invert_flux`
+    returns, ``inf{t : m+(t) >= v}`` for ``m(t) = t * dc*(t^2/2)``.  The
+    largest match ``sup{t : m-(t) <= v}`` is found by bisection, and
+    ``(t_lo, t_hi)`` satisfy ``m-(t) <= v <= m+(t)`` on both ends.
     """
     vabs = np.asarray(vabs, dtype=float)
     caps = problem.cell_caps
 
-    def m_lo(t):
-        s = 0.5 * t * t
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = t * problem.conj_dminus(s)
-        return np.where(t > 0.0, out, 0.0)
-
-    def m_hi(t):
-        s = 0.5 * t * t
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = t * problem.conj_dplus(s)
-        return np.where(t > 0.0, out, 0.0)
-
     def lo_below_v(t):
-        return m_lo(t) <= vabs
+        with np.errstate(invalid="ignore", over="ignore"):
+            m_lo = t * problem.conj_dminus(0.5 * t * t)
+        return np.where(t > 0.0, m_lo, 0.0) <= vabs
 
     hi = grow_bracket(lo_below_v, np.where(np.isinf(caps), np.maximum(vabs, 1.0), caps),
                       where=np.isinf(caps))
-    zero = np.zeros_like(vabs)
-    t_min = bisect(lambda t: m_hi(t) < vabs, zero, hi, 90)  # inf{t : m+(t) >= v}
-    t_max = bisect(lo_below_v, zero, hi, 90)  # sup{t : m-(t) <= v}
+    t_max = bisect(lo_below_v, np.zeros_like(vabs), hi, 90)
     return np.minimum(t_min, t_max), t_max
 
 
-def _dual_value(problem, sigma):
-    """Dual objective of a divergence-feasible flux density ``sigma``."""
+def _dual_value(problem, sigma, t=None):
+    """Dual objective of a divergence-feasible flux density ``sigma``.
+
+    ``t`` is the inverted gradient magnitude of ``|sigma|`` when the caller
+    already has it.
+    """
     absw = np.sqrt(np.sum(np.asarray(sigma, dtype=float) ** 2, axis=1))
-    t, _ = problem.invert_flux(absw)
+    if t is None:
+        t, _ = problem.invert_flux(absw)
     psi = problem.conj_value(0.5 * t * t)
     phi_star = t * absw - psi
     return -float(np.dot(problem.grid.cell_volumes, phi_star))
@@ -259,8 +254,9 @@ def feasible_flux_1d(problem):
     grids one constant remains and is fixed by the zero-mean condition on
     the recovered gradient (monotone in the constant, solved by bisection).
 
-    Returns ``(sigma, g)``: per-cell flux densities and a matching gradient
-    selection with ``sum(h * g) = 0`` on interval grids.
+    Returns ``(sigma, g, t)``: per-cell flux densities, a matching gradient
+    selection with ``sum(h * g) = 0`` on interval grids, and the inverted
+    magnitude ``t`` of ``|sigma|`` that scores the flux's dual value.
     """
     grid = problem.grid
     if grid.dim != 1:
@@ -274,8 +270,7 @@ def feasible_flux_1d(problem):
         q = -np.cumsum(F[:n])
         sigma = q * h / vol
         t, _ = problem.invert_flux(np.abs(sigma))
-        g = t * np.sign(sigma)
-        return sigma[:, None], g
+        return sigma[:, None], t * np.sign(sigma), t
 
     cum = np.concatenate([[0.0], np.cumsum(F[1:n])])
 
@@ -306,11 +301,11 @@ def feasible_flux_1d(problem):
     sigma[np.abs(sigma) <= 1e-12 * np.max(np.abs(sigma))] = 0.0
     t, _ = problem.invert_flux(np.abs(sigma))
     g = t * np.sign(sigma)
-    t_lo, t_hi = _minverse_bounds(problem, np.abs(sigma))
+    t_lo, t_hi = _minverse_bounds(problem, np.abs(sigma), t)
     g_lo = np.where(sigma > 0.0, t_lo, -t_hi)
     g_hi = np.where(sigma < 0.0, -t_lo, t_hi)
     g = _zero_mean_selection(h, np.clip(g, g_lo, g_hi), g_lo, g_hi)
-    return sigma[:, None], g
+    return sigma[:, None], g, t
 
 
 def _zero_mean_selection(h, g, g_lo, g_hi):
@@ -532,10 +527,10 @@ def operator_norm(grid, iterations=50, seed=0):
 class AuxiliarySolution:
     """Solver output: minimizer, feasible dual flux, certified gap.
 
-    ``method`` names how the gap was closed: ``"certificate"`` (the exact
-    1-d flux alone), ``"newton"`` (2-d power-law conjugates) or
-    ``"splitting"`` (Chambolle-Pock); ``None`` for a wrapper that ran no
-    solve.
+    ``method`` names how the gap was sought: ``"certificate"`` (the exact
+    flux, every interval and radial grid), ``"newton"`` (2-d power-law
+    conjugates) or ``"splitting"`` (2-d Chambolle-Pock); ``None`` for a
+    wrapper that ran no solve.
     """
 
     def __init__(self, problem, u_values, sigma, objective, dual_value, gap,
@@ -589,21 +584,47 @@ def solve_auxiliary(problem, params=None):
     flux; ``gap = objective - dual_value`` is a true optimality certificate.
     On non-convergence the best iterate is returned with ``converged=False``.
 
-    In one dimension the exact certificate depends on the problem alone, so
-    it is built once, before any iteration: its flux fixes the dual value,
-    and its primal candidate competes with ``u = 0``.  When that gap closes
-    the solve returns with ``iterations = 0`` and a single log row at
-    iteration 0; only otherwise does the splitting run, and each of its
-    checks then only scores the iterate against the fixed dual.  In two
-    dimensions quadratic and power costs are solved by damped Newton
-    (:func:`_newton_2d`): ``iterations`` counts its steps, and the log has
-    one row per iterate, the start included.  There is no splitting
-    fallback for them; a solve that runs out of steps returns its best
-    iterate, not converged.  Every other 2-d cost runs the splitting, and
-    each of its checks projects the current flux and builds a Picard
-    candidate.
+    Three methods, by grid and cost: the exact certificate on interval and
+    radial grids (:func:`_certificate_1d`; ``iterations = 0`` and one log
+    row, so a gap above the tolerance returns not converged), damped Newton
+    on rectangles with quadratic and power costs (:func:`_newton_2d`; one
+    log row per iterate, the start included), and the splitting on every
+    other rectangle (:func:`_splitting_2d`).
     """
     params = params or SolverParams()
+    grid = problem.grid
+    if grid.dim == 1:
+        return _certificate_1d(problem, params)
+    # the 2-d flux projection's stiffness depends on the grid only
+    unit_factor = spd_factor(stiffness(grid, np.ones(grid.n_cells)))
+    q = problem.cost.conj_exponent
+    if q is not None:
+        return _newton_2d(problem, params, q, unit_factor)
+    return _splitting_2d(problem, params, unit_factor)
+
+
+def _certificate_1d(problem, params):
+    """Score the exact 1-d flux and the primal field integrated from it.
+
+    The flux fixes the dual value.  Its primal candidate competes with
+    ``u = 0``, and the better of the two is returned.
+    """
+    grid = problem.grid
+    sigma, g, t = feasible_flux_1d(problem)
+    u = np.zeros(grid.n_nodes)
+    obj = objective_eval(problem, u)
+    u_cand = _primal_from_gradient(grid, g)
+    obj_cand = objective_eval(problem, u_cand)
+    if obj_cand < obj:
+        u, obj = u_cand, obj_cand
+    dual = _dual_value(problem, sigma, t)
+    gap, rel_gap = _relative_gap(obj, dual)
+    return _finish(problem, params, u, sigma, obj, dual, 0, rel_gap <= params.gap_tolerance,
+                   0.0, [(0, obj, dual, gap)], "certificate")
+
+
+def _splitting_2d(problem, params, unit_factor):
+    """Chambolle-Pock on a rectangle, certified every ``check_every`` steps."""
     grid = problem.grid
     F = problem.load
 
@@ -614,28 +635,6 @@ def solve_auxiliary(problem, params=None):
     dual_residual = INF
     log = []
     iterations = 0
-
-    if grid.dim == 1:
-        sigma, g = feasible_flux_1d(problem)
-        u_cand = _primal_from_gradient(grid, g)
-        dual = _dual_value(problem, sigma)
-        dual_residual = 0.0
-        obj_cand = objective_eval(problem, u_cand)
-        if obj_cand < best_obj:
-            best_obj, best_u = obj_cand, u_cand
-        if dual > best_dual:
-            best_dual, best_sigma = dual, sigma
-        gap, rel_gap = _relative_gap(best_obj, best_dual)
-        log.append((0, best_obj, best_dual, gap))
-        if rel_gap <= params.gap_tolerance:
-            return _finish(problem, params, best_u, best_sigma, best_obj, best_dual,
-                           iterations, True, dual_residual, log, "certificate")
-
-    # the 2-d flux projection's stiffness depends on the grid only
-    unit_factor = None if grid.dim == 1 else spd_factor(stiffness(grid, np.ones(grid.n_cells)))
-    q = problem.cost.conj_exponent
-    if unit_factor is not None and q is not None:
-        return _newton_2d(problem, params, q, unit_factor)
 
     norm_D = operator_norm(grid)
     tau = STEP_SCALE / norm_D
@@ -663,21 +662,20 @@ def solve_auxiliary(problem, params=None):
         u = u_new
 
         if k % params.check_every == 0 or k == params.max_iterations:
-            u_eval = u if grid.dim == 1 else _rescale_feasible(problem, u)
+            u_eval = _rescale_feasible(problem, u)
             obj_iter = objective_eval(problem, u_eval)
             if obj_iter < best_obj:
                 best_obj, best_u = obj_iter, u_eval.copy()
-            if grid.dim > 1:
-                sigma, dual, dual_residual, u_cand = _certificate_2d(problem, y, unit_factor)
-                obj_cand = objective_eval(problem, u_cand)
-                if obj_cand < best_obj:
-                    best_obj, best_u = obj_cand, u_cand.copy()
-                    # restart the splitting from the polished iterate
-                    u = u_cand.copy()
-                    ubar = u.copy()
-                    y = sigma * grid.cell_volumes[:, None]
-                if dual > best_dual:
-                    best_dual, best_sigma = dual, sigma
+            sigma, dual, dual_residual, u_cand = _certificate_2d(problem, y, unit_factor)
+            obj_cand = objective_eval(problem, u_cand)
+            if obj_cand < best_obj:
+                best_obj, best_u = obj_cand, u_cand.copy()
+                # restart the splitting from the polished iterate
+                u = u_cand.copy()
+                ubar = u.copy()
+                y = sigma * grid.cell_volumes[:, None]
+            if dual > best_dual:
+                best_dual, best_sigma = dual, sigma
             gap, rel_gap = _relative_gap(best_obj, best_dual)
             log.append((k, best_obj, best_dual, gap))
             if rel_gap <= params.gap_tolerance:

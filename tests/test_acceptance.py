@@ -24,10 +24,7 @@ def _pipeline(name, dim, resolution):
     fix = mo.fixture(name, dim)
     prob = fix.build(resolution)
     sol = mo.solve_auxiliary(prob)
-    if prob.regime == "SL":
-        mu = mo.recover_density_sl(sol, prob)
-    else:
-        mu = mo.recover_measure_l_1d(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     return fix, prob, sol, mu
 
 

@@ -56,6 +56,20 @@ def test_run_pipeline_exit_zero(tmp_path, capsys):
     assert (out / "iterations.csv").read_text().splitlines()[1].startswith("0,")
 
 
+def test_open_1d_certificate_exit_code(tmp_path, capsys):
+    # no tolerance below the certificate's rounding-level gap can be met,
+    # and a 1-d solve has nothing to iterate on
+    text = MK_CONFIG.format(out=tmp_path / "out").replace(
+        "builtin = linear\nslope = 0.5", "builtin = quadratic").replace(
+        "gap_tolerance = 1e-8", "gap_tolerance = 1e-300")
+    cfg = write(tmp_path / "open.cfg", text)
+    assert cli.main(["run", cfg]) == 3
+    assert "solver did not converge" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["converged"] is False
+    assert (report["method"], report["iterations"], report["checks"]) == ("certificate", 0, 1)
+
+
 def test_run_is_deterministic(tmp_path):
     cfg1 = write(tmp_path / "a.cfg", MK_CONFIG.format(out=tmp_path / "o1"))
     cfg2 = write(tmp_path / "b.cfg", MK_CONFIG.format(out=tmp_path / "o2"))
@@ -73,7 +87,7 @@ def test_measure_reimport_scores_identically(tmp_path):
     config = cli.parse_config(cfg)
     problem = mo.build_problem(config.grid, config.cost, config.source)
     solution = mo.solve_auxiliary(problem, config.solver_params)
-    mu = mo.recover_measure_l_1d(solution, problem)
+    mu = mo.recover_measure(solution, problem)
     back = mo.read_measure(tmp_path / "out" / "measure.csv",
                            tmp_path / "out" / "measure.json")
     r1 = mo.verify_conditions(mu, solution, problem)
@@ -321,6 +335,43 @@ def test_table_cost_config(tmp_path, capsys):
     rows = capsys.readouterr().out.strip().splitlines()
     value = float(rows[1].split(",")[1])
     assert value == pytest.approx(4.5, abs=1e-5)
+
+
+def test_radial_table_cost_run(tmp_path):
+    # t^2/2 tabulated to t = 8: the growth estimate sees the table nodes, and
+    # the 1-d recovery reads the density off the certificate's flux
+    ts = np.linspace(0.0, 8.0, 257)
+    table = tmp_path / "cost.csv"
+    np.savetxt(table, np.column_stack([ts, 0.5 * ts * ts]), delimiter=",")
+    cfg = write(tmp_path / "tab.cfg", """
+[domain]
+kind = radial
+radius = 1.0
+n = 512
+dimension = 2
+
+[cost]
+table = {t}
+
+[source]
+value = 1.0
+
+[output]
+dir = {out}
+""".format(t=table, out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["method"] == "certificate"
+    assert report["pde_residual"] <= 1e-10
+
+
+def test_conjugate_weight_table_needs_domain(tmp_path, capsys):
+    weights = tmp_path / "w.csv"
+    np.savetxt(weights, np.ones(8), delimiter=",")
+    cfg = write(tmp_path / "w.cfg", "[cost]\nbuiltin = quadratic\nweight_table = %s\n"
+                % weights)
+    assert cli.main(["conjugate", cfg, "--range", "0", "1", "--count", "2"]) == 2
+    assert "cost.weight_table needs a [domain] section" in capsys.readouterr().err
 
 
 def test_weight_table_config(tmp_path):

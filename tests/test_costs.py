@@ -307,6 +307,16 @@ def test_validate_linear_regime():
     assert rep.passed and rep.regime == "L"
 
 
+def test_growth_estimate_takes_table_nodes():
+    # c - alpha*t of t^2/2 tabulated to t = 8 is least at the node t = 3,
+    # which the log-spaced samples miss
+    ts = np.linspace(0.0, 8.0, 257)
+    c = mo.tabulated_cost(ts, 0.5 * ts * ts)
+    assert c.alpha == 3.0
+    assert c.beta == pytest.approx(-4.5, abs=1e-10)
+    assert mo.validate_cost(c).passed
+
+
 def test_validate_sqrt_fails_growth():
     # sqrt(t) < alpha*t + beta at t = (2/alpha)^2 for beta = 0
     c = mo.expression_cost("t^0.5", alpha=1.0, beta=0.0)

@@ -74,7 +74,7 @@ def test_fixture_errors_windowing():
     fix = mo.fixture("quadratic_ball_dirac", 2)
     prob = fix.build(512)
     sol = mo.solve_auxiliary(prob)
-    mu = mo.recover_density_sl(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     u_err, a_err = mo.fixture_errors(fix, prob.grid, sol.u.values, mu)
     assert u_err <= 0.01
     assert a_err <= 0.05

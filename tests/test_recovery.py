@@ -22,7 +22,7 @@ def solve_fixture(name, dim=None, resolution=512):
 
 def test_sl_density_is_half_gradient_squared():
     _fix, prob, sol = solve_fixture("quadratic_ball_uniform", 2)
-    mu = mo.recover_density_sl(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     s = 0.5 * np.sum(sol.grad.values ** 2, axis=1)
     assert np.allclose(mu.ac_density, s, atol=1e-13)
     assert not mu.atoms
@@ -32,13 +32,13 @@ def test_sl_density_zero_gradient_cell():
     g = mo.interval_grid(-1.0, 1.0, 64)
     prob = mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 0.0))
     sol = mo.solve_auxiliary(prob)
-    mu = mo.recover_density_sl(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     assert np.all(mu.ac_density == 0.0)
 
 
 def test_sl_radial_density_matches_closed_form():
     fix, prob, sol = solve_fixture("quadratic_ball_uniform", 3, resolution=1024)
-    mu = mo.recover_density_sl(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     a_ex = fix.a_exact(prob.grid.cell_centers[:, 0])
     vol = prob.grid.cell_volumes
     err = np.dot(vol, np.abs(mu.ac_density - a_ex)) / np.dot(vol, a_ex)
@@ -47,24 +47,34 @@ def test_sl_radial_density_matches_closed_form():
 
 def test_sl_dirac_density_window():
     fix, prob, sol = solve_fixture("quadratic_ball_dirac", 2, resolution=1024)
-    mu = mo.recover_density_sl(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     cm, _ = fix.masks(prob.grid)
     a_ex = fix.a_exact(prob.grid.cell_centers[:, 0])
     rel = np.abs(mu.ac_density - a_ex)[cm] / a_ex[cm]
     assert np.max(rel) <= 0.05
 
 
+def _rectangle_solution(cost):
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8)
+    prob = mo.build_problem(g, cost, mo.SourceTerm.constant(g, 1.0))
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=100,
+                                                   gap_tolerance=1e-2))
+    return prob, sol
+
+
 def test_sl_recovery_rejects_linear_regime():
-    _fix, prob, sol = solve_fixture("mk_interval_uniform")
+    # the subdifferential selection is the 2-d recovery; a 2-d linear-regime
+    # measure has no exact recovery
+    prob, sol = _rectangle_solution(mo.linear_cost(0.5))
     with pytest.raises(mo.RegimeMismatch):
-        mo.recover_density_sl(sol, prob)
+        mo.recover_measure(sol, prob)
 
 
 # -- linear-regime recovery --------------------------------------------------
 
 def test_mk_flux_inversion():
     fix, prob, sol = solve_fixture("mk_interval_uniform", resolution=1024)
-    mu = mo.recover_measure_l_1d(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     assert not mu.atoms
     a_ex = np.abs(prob.grid.cell_centers[:, 0])
     vol = prob.grid.cell_volumes
@@ -78,7 +88,7 @@ def test_mk_flux_inversion():
 
 def test_reciprocal_density_lower_bound():
     fix, prob, sol = solve_fixture("reciprocal_interval", resolution=1024)
-    mu = mo.recover_measure_l_1d(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     floor = 1e-12 * np.max(mu.ac_density)
     assert np.min(mu.ac_density[mu.ac_density > floor]) >= 1.0 - 1e-6
     a_ex = fix.a_exact(prob.grid.cell_centers[:, 0])
@@ -89,7 +99,7 @@ def test_l_recovery_radial_reciprocal():
     g = mo.radial_grid(1.0, 512, 2)
     prob = mo.build_problem(g, mo.reciprocal_cost(), mo.SourceTerm.constant(g, 1.0))
     sol = mo.solve_auxiliary(prob)
-    mu = mo.recover_measure_l_1d(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     rep = mo.verify_conditions(mu, sol, prob)
     assert np.min(mu.ac_density) >= 1.0 - 1e-6
     assert sol.max_gradient <= math.sqrt(2.0) + 1e-9
@@ -104,7 +114,7 @@ def test_l_recovery_radial_center_atom():
     prob = mo.build_problem(g, mo.linear_cost(0.5),
                             mo.SourceTerm(g, atoms=[(np.array([0.0]), 1.0)]))
     sol = mo.solve_auxiliary(prob)
-    mu = mo.recover_measure_l_1d(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     rep = mo.verify_conditions(mu, sol, prob)
     assert sol.max_gradient <= 1.0 + 1e-9
     for field, value in rep.residuals().items():
@@ -113,11 +123,16 @@ def test_l_recovery_radial_center_atom():
     assert np.max(np.abs(np.abs(sol.grad.values[on, 0]) - 1.0)) <= 1e-9
 
 
-def _recover_from_fresh_flux(problem):
-    # reference: invert a flux built from the problem, not the solver's
-    sigma, _g = mo.feasible_flux_1d(problem)
+def _sigma_over_g(problem, sol):
+    # reference: |sigma| / |g| from a flux built afresh from the problem and
+    # the solution's gradient; D-c* where either vanishes, and the flux that
+    # no gradient carries booked as an atom
+    sigma, _g, _t = mo.feasible_flux_1d(problem)
     vabs = np.abs(sigma[:, 0])
-    t, a = problem.invert_flux(vabs)
+    t = np.abs(sol.grad.values[:, 0])
+    a = problem.conj_dminus(0.5 * t * t)
+    carried = (vabs > 0.0) & (t > 0.0)
+    a[carried] = vabs[carried] / t[carried]
     excess = vabs - t * a
     atoms = [(problem.grid.cell_centers[i],
               float(excess[i] * problem.grid.cell_h[i] / max(problem.cell_caps[i], 1e-300)))
@@ -139,8 +154,8 @@ def _radial_center_atom():
 def test_l_recovery_inverts_the_solver_flux(make_problem):
     prob = make_problem()
     sol = mo.solve_auxiliary(prob)
-    mu = mo.recover_measure_l_1d(sol, prob)
-    a, atoms = _recover_from_fresh_flux(prob)
+    mu = mo.recover_measure(sol, prob)
+    a, atoms = _sigma_over_g(prob, sol)
     assert np.array_equal(mu.ac_density, a)
     assert len(mu.atoms) == len(atoms)
     for (loc, mass), (loc_ref, mass_ref) in zip(mu.atoms, atoms):
@@ -153,28 +168,28 @@ def test_l_recovery_zero_source_minimal_selection():
     g = mo.interval_grid(-1.0, 1.0, 64)
     prob = mo.build_problem(g, mo.reciprocal_cost(), mo.SourceTerm.constant(g, 0.0))
     sol = mo.solve_auxiliary(prob)
-    mu = mo.recover_measure_l_1d(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     assert np.allclose(mu.ac_density, 1.0, atol=1e-12)
     assert not mu.atoms
 
 
 def test_l_recovery_regime_and_grid_guards():
+    # the grid picks the recovery, not the regime: the 1-d recovery takes a
+    # superlinear problem, the 2-d one takes a superlinear rectangle
     _fix, prob, sol = solve_fixture("quadratic_ball_uniform", 2)
-    with pytest.raises(mo.RegimeMismatch):
-        mo.recover_measure_l_1d(sol, prob)
-    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8)
-    prob2 = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0))
-    sol2 = mo.solve_auxiliary(prob2, mo.SolverParams(max_iterations=100,
-                                                     gap_tolerance=1e-2))
-    with pytest.raises(mo.UnsupportedGrid):
-        mo.recover_measure_l_1d(sol2, prob2)
+    mu = mo.recover_measure(sol, prob)
+    assert np.array_equal(mu.ac_density, _sigma_over_g(prob, sol)[0])
+    prob2, sol2 = _rectangle_solution(mo.quadratic_cost())
+    mu2 = mo.recover_measure(sol2, prob2)
+    assert np.allclose(mu2.ac_density, 0.5 * np.sum(sol2.grad.values ** 2, axis=1),
+                       rtol=0.0, atol=1e-15)
 
 
 # -- regularization continuation ---------------------------------------------
 
 def test_regularization_converges_to_flux_construction():
     fix, prob, sol = solve_fixture("mk_interval_uniform", resolution=1024)
-    mu_1d = mo.recover_measure_l_1d(sol, prob)
+    mu_1d = mo.recover_measure(sol, prob)
     mu_eps, diag = mo.recover_via_regularization(prob)
     assert diag.settled
     vol = prob.grid.cell_volumes
@@ -349,10 +364,7 @@ def test_verify_pipeline_all_small():
                          ("mk_interval_uniform", None, 512),
                          ("reciprocal_interval", None, 512)]:
         fix, prob, sol = solve_fixture(name, dim, resolution=n)
-        if prob.regime == "SL":
-            mu = mo.recover_density_sl(sol, prob)
-        else:
-            mu = mo.recover_measure_l_1d(sol, prob)
+        mu = mo.recover_measure(sol, prob)
         rep = mo.verify_conditions(mu, sol, prob)
         for field, value in rep.residuals().items():
             assert value <= 1e-3, (name, field, value)
@@ -360,7 +372,7 @@ def test_verify_pipeline_all_small():
 
 def test_verify_detects_perturbed_density():
     _fix, prob, sol = solve_fixture("quadratic_ball_uniform", 2, resolution=256)
-    mu = mo.recover_density_sl(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     bad = mo.DiscreteMeasure(prob.grid, 1.1 * mu.ac_density)
     rep = mo.verify_conditions(bad, sol, prob)
     assert rep.inclusion_violation > 1e-4
@@ -369,7 +381,7 @@ def test_verify_detects_perturbed_density():
 
 def test_verify_inclusion_iff_interval_membership():
     _fix, prob, sol = solve_fixture("quadratic_ball_uniform", 1, resolution=128)
-    mu = mo.recover_density_sl(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     rep = mo.verify_conditions(mu, sol, prob)
     s = 0.5 * np.sum(sol.grad.values ** 2, axis=1)
     lo = prob.conj_dminus(s)
@@ -383,7 +395,7 @@ def test_verify_saturation_at_atoms():
     # a hand-built measure with an atom: saturation compares |grad|^2/2
     # against the recession slope at the atom
     fix, prob, sol = solve_fixture("mk_interval_uniform", resolution=128)
-    base = mo.recover_measure_l_1d(sol, prob)
+    base = mo.recover_measure(sol, prob)
     mu = mo.DiscreteMeasure(prob.grid, base.ac_density,
                             atoms=[(np.array([0.5]), 1e-6)])
     rep = mo.verify_conditions(mu, sol, prob)
@@ -432,7 +444,7 @@ def test_exact_dirac_pairs_pass_with_exclusion():
         prob = fix.build(2048)
         grid = prob.grid
         sol = mo.solve_auxiliary(prob)
-        mu_d = mo.recover_density_sl(sol, prob)
+        mu_d = mo.recover_measure(sol, prob)
         cm, nm = fix.masks(grid)
         u_b = np.where(nm, fix.u_exact(grid.node_coords[:, 0]), sol.u.values)
         a_b = np.where(cm, fix.a_exact(grid.cell_centers[:, 0]), mu_d.ac_density)
@@ -445,7 +457,7 @@ def test_exact_dirac_pairs_pass_with_exclusion():
 
 def test_report_json_fields():
     _fix, prob, sol = solve_fixture("mk_interval_uniform", resolution=128)
-    mu = mo.recover_measure_l_1d(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     rep = mo.verify_conditions(mu, sol, prob)
     data = json.loads(rep.to_json())
     for field in mo.OptimalityReport.FIELDS:

@@ -134,9 +134,13 @@ def test_certificate_first_skips_splitting(monkeypatch, make_problem):
     assert sol.log[0][1:] == (sol.objective, sol.dual_value, sol.gap)
 
 
-def test_certificate_fallback_builds_flux_once(monkeypatch):
-    # a tolerance below the certificate's rounding-level gap keeps it open:
-    # the splitting runs, and its checks reuse the one certificate
+@pytest.mark.parametrize("make_problem", [
+    lambda: interval_problem(mo.quadratic_cost(), n=256),
+    lambda: _radial_quadratic(256),
+], ids=["interval", "radial"])
+def test_open_certificate_takes_no_splitting(monkeypatch, make_problem):
+    # a tolerance below the certificate's rounding-level gap keeps it open;
+    # the 1-d solve still ends after its one certificate
     calls = []
     build = solver.feasible_flux_1d
 
@@ -145,19 +149,15 @@ def test_certificate_fallback_builds_flux_once(monkeypatch):
         return build(problem)
 
     monkeypatch.setattr(solver, "feasible_flux_1d", counted)
-    prob = interval_problem(mo.quadratic_cost(), n=256)
-    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=100, check_every=25,
-                                                   gap_tolerance=1e-300))
+    monkeypatch.setattr(solver, "operator_norm", _no_splitting)
+    sol = mo.solve_auxiliary(make_problem(), mo.SolverParams(
+        max_iterations=100, check_every=25, gap_tolerance=1e-300))
     assert len(calls) == 1
-    assert not sol.converged
-    assert sol.iterations == 100
-    assert [row[0] for row in sol.log] == [0, 25, 50, 75, 100]
-    assert all(row[2] == sol.dual_value for row in sol.log)
-    gaps = [row[3] for row in sol.log]
-    assert gaps[0] > 0.0
-    for g1, g2 in zip(gaps[:-1], gaps[1:]):
-        assert g2 <= g1 + 1e-12
-    assert sol.rel_gap <= 1e-15
+    assert not sol.converged and sol.method == "certificate"
+    assert sol.iterations == 0
+    assert len(sol.log) == 1 and sol.log[0][0] == 0
+    assert sol.log[0][1:] == (sol.objective, sol.dual_value, sol.gap)
+    assert 0.0 < sol.rel_gap <= 1e-15
 
 
 def test_dual_flux_is_divergence_feasible():
@@ -179,7 +179,7 @@ def test_linear_certificate_closes_at_odd_resolution(n):
     sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=200))
     assert sol.converged
     assert sol.max_gradient <= prob.lip_bound * (1.0 + 1e-12)
-    mu = mo.recover_measure_l_1d(sol, prob)
+    mu = mo.recover_measure(sol, prob)
     rep = mo.verify_conditions(mu, sol, prob)
     for field, value in rep.residuals().items():
         assert value <= 1e-10, (field, value)
