@@ -293,6 +293,7 @@ def run(config_path, log_path=None, json_report_path=None):
         "relative_gap": solution.rel_gap,
         "iterations": solution.iterations,
         "checks": len(solution.log),
+        "factorisations": solution.factorisations,
         "method": solution.method,
         "regime": solution.regime,
         "thresholds": config.thresholds,

@@ -197,8 +197,9 @@ def energy_eval(mu, source):
     one node of each is pinned, which leaves the energy unchanged when the
     component carries no net load.  Raises :class:`Unbounded` when the
     energy is unbounded below: the source loads a floating component (for
-    instance a node with no stiffness), or the energy falls below the
-    admissibility floor.
+    instance a node with no stiffness), the factorisation meets a pivot
+    that is not positive (a stiffness singular to working precision), or
+    the energy falls below the admissibility floor.
     """
     grid = mu.grid
     K = stiffness(grid, grid.cell_volumes * mu.ac_density, mu.atoms)

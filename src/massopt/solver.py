@@ -466,6 +466,7 @@ def _newton_2d(problem, params, q, unit_factor):
     best_dual, best_sigma, dual_residual = -INF, np.zeros((grid.n_cells, 2)), INF
     log = []
     steps = 0
+    factorisations = 1  # unit_factor
     while True:
         g = grid.gradient_apply(u)
         d = problem.conj_dplus(0.5 * np.sum(g * g, axis=1))
@@ -480,6 +481,7 @@ def _newton_2d(problem, params, q, unit_factor):
         if steps == params.max_iterations or np.linalg.norm(grad) <= grad_floor:
             break
         d = np.maximum(d, 1e-12 * float(np.max(d)))
+        factorisations += 1
         step = -spd_factor(stiffness(grid, _hessian_blocks(problem, g, d, q))).solve(grad)
         slope = float(np.dot(grad, step))
         t = 1.0
@@ -496,7 +498,8 @@ def _newton_2d(problem, params, q, unit_factor):
         steps += 1
 
     return _finish(problem, params, u, best_sigma, obj, best_dual, steps,
-                   rel_gap <= params.gap_tolerance, dual_residual, log, "newton")
+                   rel_gap <= params.gap_tolerance, dual_residual, log, "newton",
+                   factorisations)
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +533,16 @@ class AuxiliarySolution:
     ``method`` names how the gap was sought: ``"certificate"`` (the exact
     flux, every interval and radial grid), ``"newton"`` (2-d power-law
     conjugates) or ``"splitting"`` (2-d Chambolle-Pock); ``None`` for a
-    wrapper that ran no solve.
+    wrapper that ran no solve.  ``factorisations`` counts the stiffness
+    factorisations (:func:`massopt.grids.spd_factor`) the solve made: none
+    for the 1-d certificate; for Newton the projection's unit-weight factor
+    plus one per step attempted; for the splitting that factor plus one
+    Picard factor per check.
     """
 
     def __init__(self, problem, u_values, sigma, objective, dual_value, gap,
                  rel_gap, iterations, converged, dual_residual, log, method=None,
-                 notes=()):
+                 notes=(), factorisations=0):
         grid = problem.grid
         self.problem = problem
         self.u = ScalarField(grid, u_values)
@@ -547,6 +554,7 @@ class AuxiliarySolution:
         self.rel_gap = rel_gap
         self.iterations = iterations
         self.method = method  # "certificate", "newton" or "splitting"
+        self.factorisations = factorisations
         self.converged = converged
         self.dual_residual = dual_residual
         self.regime = problem.regime
@@ -620,7 +628,7 @@ def _certificate_1d(problem, params):
     dual = _dual_value(problem, sigma, t)
     gap, rel_gap = _relative_gap(obj, dual)
     return _finish(problem, params, u, sigma, obj, dual, 0, rel_gap <= params.gap_tolerance,
-                   0.0, [(0, obj, dual, gap)], "certificate")
+                   0.0, [(0, obj, dual, gap)], "certificate", 0)
 
 
 def _splitting_2d(problem, params, unit_factor):
@@ -682,12 +690,13 @@ def _splitting_2d(problem, params, unit_factor):
                 converged = True
                 break
 
+    # unit_factor, and one Picard factor per check
     return _finish(problem, params, best_u, best_sigma, best_obj, best_dual,
-                   iterations, converged, dual_residual, log, "splitting")
+                   iterations, converged, dual_residual, log, "splitting", 1 + len(log))
 
 
 def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
-            dual_residual, log, method):
+            dual_residual, log, method, factorisations):
     """Assemble the solution and write the iteration log."""
     gap, rel_gap = _relative_gap(obj, dual)
     notes = []
@@ -697,7 +706,7 @@ def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
         dual_residual = dual_residual / max(1.0, float(np.linalg.norm(problem.load)))
     solution = AuxiliarySolution(problem, u, sigma, obj, dual, gap, rel_gap,
                                  iterations, converged, dual_residual, log, method,
-                                 notes)
+                                 notes, factorisations)
     if params.log_path:
         write_iteration_log(params.log_path, log)
     return solution

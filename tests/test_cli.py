@@ -305,6 +305,25 @@ def test_rectangle_power_known_case(tmp_path):
     assert report["pde_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("domain", [
+    "kind = radial\nradius = 1.0\nn = 256\ndimension = 2",
+    "kind = rectangle\nax = 0.0\nbx = 1.0\nay = 0.0\nby = 1.0\nnx = 16\nny = 16",
+], ids=["radial", "rectangle"])
+def test_report_counts_factorisations(tmp_path, domain):
+    cfg = write(tmp_path / "f.cfg", "[domain]\n%s\n\n[cost]\nbuiltin = quadratic\n\n"
+                "[source]\nvalue = 1.0\n\n[output]\ndir = %s\n"
+                % (domain, tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    if report["method"] == "certificate":
+        assert report["factorisations"] == 0
+    else:
+        # the projection's unit factor, one per Newton step taken, and one
+        # for a last step that gave no decrease
+        assert report["method"] == "newton"
+        assert report["factorisations"] - report["iterations"] in (1, 2)
+
+
 def test_rectangle_tabulated_cost_reports_splitting(tmp_path):
     ts = np.linspace(0.0, 4.0, 17)
     table = tmp_path / "cost.csv"
@@ -315,6 +334,7 @@ def test_rectangle_tabulated_cost_reports_splitting(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["method"] == "splitting"
     assert report["checks"] == 2  # check_every = 25
+    assert report["factorisations"] == 3  # the unit factor and one per check
 
 
 def test_rectangle_linear_regime_refused(tmp_path, capsys):

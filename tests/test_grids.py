@@ -291,3 +291,44 @@ def test_stiffness_tensor_of_scalar_weights(atoms):
     K = mo.grids.stiffness(g, w, atoms)
     Kt = mo.grids.stiffness(g, w[:, None, None] * np.eye(2), atoms)
     assert abs(K - Kt).max() <= 1e-14 * abs(K).max()
+
+
+def _hessian_stiffness():
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 12, 10)
+    prob = mo.build_problem(g, mo.power_cost(3.0), mo.SourceTerm.constant(g, 1.0))
+    u = np.random.default_rng(1).standard_normal(g.n_nodes)
+    u[g.boundary_mask] = 0.0
+    grad = g.gradient_apply(u)
+    d = prob.conj_dplus(0.5 * np.sum(grad * grad, axis=1))
+    blocks = mo.solver._hessian_blocks(prob, grad, d, prob.cost.conj_exponent)
+    return mo.grids.stiffness(g, blocks), False
+
+
+def _unit_stiffness(g, atoms=()):
+    return mo.grids.stiffness(g, g.cell_volumes, atoms)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: (_unit_stiffness(mo.interval_grid(-1.0, 2.0, 97)), False),
+    lambda: (_unit_stiffness(mo.radial_grid(1.0, 80, 3)), False),
+    lambda: (_unit_stiffness(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 12, 10),
+                             [(np.array([0.37, 0.51]), 2.0)]), False),
+    _hessian_stiffness,
+    lambda: (_unit_stiffness(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 96, 6)), True),
+    lambda: (_unit_stiffness(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 6, 96)), False),
+], ids=["interval", "radial", "rect-atom", "hessian", "rect-96x6", "rect-6x96"])
+def test_spd_factor_matches_dense_solve(build):
+    # the reverse Cuthill-McKee order is taken exactly where it narrows the band
+    K, reordered = build()
+    b = np.random.default_rng(4).standard_normal(K.shape[0])
+    factor = mo.grids.spd_factor(K)
+    assert (factor.order is not None) == reordered
+    x = factor.solve(b)
+    ref = np.linalg.solve(K.toarray(), b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_spd_factor_band_of_wide_rectangle():
+    # row-by-row numbering gives a band 256 wide; the reordered band is short
+    g = mo.rectangle_grid(0.0, 4.0, 0.0, 1.0, 256, 8)
+    assert mo.grids.spd_factor(_unit_stiffness(g)).band.shape[0] <= 2 * 8

@@ -273,6 +273,21 @@ def test_energy_unbounded_detection():
         mo.energy_eval(mu, mo.SourceTerm.constant(g, 1.0))
 
 
+def test_energy_numerically_singular_stiffness_is_unbounded():
+    # 1e-16 + 1 rounds to 1 on the diagonal, so eliminating a node across a
+    # unit-density cell leaves a zero pivot; no finite energy can be trusted,
+    # and a positive one would be impossible (u = 0 scores 0)
+    g = mo.interval_grid(-1.0, 1.0, 64)
+    mu = mo.DiscreteMeasure(g, np.where(np.arange(g.n_cells) % 2 == 0, 1e-16, 1.0))
+    f = mo.SourceTerm.constant(g, 1.0)
+    with pytest.raises(mo.Unbounded):
+        mo.energy_eval(mu, f)
+    prob = mo.build_problem(g, mo.quadratic_cost(), f)
+    report = mo.verify_conditions(mu, mo.solve_auxiliary(prob), prob)
+    assert report.energy_e_f == -math.inf
+    assert report.duality_identity_error == math.inf
+
+
 def island_measure():
     # zero density on cells 20 and 40 cuts nodes 21..40 off the boundary
     g = mo.interval_grid(-1.0, 1.0, 64)
