@@ -1,10 +1,12 @@
 """Numerical mass optimization with convex costs.
 
 Solves compliance minimization penalized by a convex cost functional on
-measures: the auxiliary variational problem is minimized by a certified
-first-order method, the optimal conductivity is recovered from
-subdifferential optimality conditions, and every optimality condition is
-verified numerically against the recovered measure.
+measures: the auxiliary variational problem is minimized with a certified
+duality gap (the exact flux certificate in 1-d, damped Newton or a
+primal-dual splitting on rectangles), the optimal conductivity is
+recovered from subdifferential optimality conditions, and every
+optimality condition is verified numerically against the recovered
+measure.
 """
 
 from .costs import (Conjugate, CostFunction, CostValidation, RecessionValue,

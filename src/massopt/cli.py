@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import costs as costs_mod
-from .errors import ConfigError, MassOptError
+from .errors import ConfigError, MassOptError, UnsupportedGrid
 from .exprlang import Expression
 from .grids import (SourceTerm, interval_grid, radial_grid, rectangle_grid,
                     write_field_csv, write_measure)
@@ -80,6 +80,13 @@ def _parse_domain(cfg):
         raise ConfigError("missing section [domain]")
     sec = cfg["domain"]
     kind = _get(sec, "kind", str, required=True)
+    try:
+        return _build_grid(sec, kind)
+    except UnsupportedGrid as exc:
+        raise ConfigError("domain: %s" % exc) from None
+
+
+def _build_grid(sec, kind):
     if kind == "interval":
         n = _get(sec, "n", int, required=True)
         if n < 8:

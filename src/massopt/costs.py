@@ -3,9 +3,10 @@
 A cost is a proper convex lower-semicontinuous function ``c : R -> [0, +inf]``
 with ``c(t) = +inf`` for ``t < 0`` and at-least-linear growth
 ``c(t) >= alpha*t + beta`` for some ``alpha > 0``.  Heterogeneous costs are
-separable, ``c(x, t) = w(x) * c0(t)`` with a strictly positive weight ``w``;
+separable, ``c(x, t) = w(x) * c0(t)`` with a finite positive weight ``w``;
 then ``c*(x, s) = w(x) * c0*(s / w(x))`` and the recession slope scales by
-``w(x)``.
+``w(x)``.  Every evaluator takes the weight as an argument (1 when
+homogeneous) and rescales the homogeneous map.
 
 Costs are classified by the recession slope ``cinf = lim c(t0 + s) / s``:
 
@@ -741,20 +742,18 @@ class CostFunction:
     def base_value(self, t):
         return self._profile.value(np.asarray(t, dtype=float))
 
-    def value(self, t, weight=None):
+    def value(self, t, weight=1.0):
         """Cost value ``w * c0(t)`` (``+inf`` allowed)."""
-        if weight is None:
-            return self.base_value(t)
-        w = np.asarray(weight, dtype=float)
-        return w * self.base_value(t)
+        return np.asarray(weight, dtype=float) * self.base_value(t)
 
-    def recession_slope(self, weight=None):
-        """Recession slope ``c_inf(x, 1)``; ``+inf`` in the superlinear case."""
+    def recession_slope(self):
+        """Recession slope ``c0_inf(1)`` of the base; ``+inf`` in the superlinear case.
+
+        A weight ``w`` scales it to ``w * c0_inf(1)``.
+        """
         if self._recession is None:
             self._recession = float(self._profile.recession())
-        if weight is None:
-            return self._recession
-        return np.asarray(weight, dtype=float) * self._recession
+        return self._recession
 
     @property
     def regime(self):
@@ -768,61 +767,50 @@ class CostFunction:
         pad = _THRESHOLD_SLACK * (1.0 + abs(thr))
         return np.where((s > thr) & (s <= thr + pad), thr, s)
 
-    def conjugate_value(self, s, weight=None):
+    def conjugate_value(self, s, weight=1.0):
         """Fenchel conjugate ``c*(x, s) = w * c0*(s / w)``."""
-        s = np.asarray(s, dtype=float)
-        if weight is None:
-            return self._profile.conj_value(self._guard_threshold(s))
         w = np.asarray(weight, dtype=float)
-        return w * self._profile.conj_value(self._guard_threshold(s / w))
+        return w * self._profile.conj_value(self._guard_threshold(np.asarray(s, dtype=float) / w))
 
-    def conjugate_dminus(self, s, weight=None):
-        s = np.asarray(s, dtype=float)
-        if weight is None:
-            return self._profile.conj_dminus(self._guard_threshold(s))
+    def conjugate_dminus(self, s, weight=1.0):
         w = np.asarray(weight, dtype=float)
-        return self._profile.conj_dminus(self._guard_threshold(s / w))
+        return self._profile.conj_dminus(self._guard_threshold(np.asarray(s, dtype=float) / w))
 
-    def conjugate_dplus(self, s, weight=None):
-        s = np.asarray(s, dtype=float)
-        if weight is None:
-            return self._profile.conj_dplus(self._guard_threshold(s))
+    def conjugate_dplus(self, s, weight=1.0):
         w = np.asarray(weight, dtype=float)
-        return self._profile.conj_dplus(self._guard_threshold(s / w))
+        return self._profile.conj_dplus(self._guard_threshold(np.asarray(s, dtype=float) / w))
 
-    def invert_flux(self, vabs, weight=None):
+    def invert_flux(self, vabs, weight=1.0):
         """Invert the gradient-to-flux map ``m(t) = t * dc*(t^2/2)``.
 
         Returns ``(t, a)`` with ``t >= 0`` the gradient magnitude and
         ``a = v / t`` the matching density (cost-minimal density where the
-        flux vanishes).  Falls back to :func:`bisect` on the upper conjugate
-        derivative when the profile has no closed form.
+        flux vanishes).  The homogeneous inverse ``(t0, a0)`` is the
+        profile's closed form, else :func:`bisect` on the upper conjugate
+        derivative.  A weight rescales it: ``m_w(t) = sqrt(w) * m0(t / sqrt(w))``,
+        so ``t = sqrt(w) * t0(v / sqrt(w))`` and ``a = a0(v / sqrt(w))``.
         """
-        vabs = np.asarray(vabs, dtype=float)
-        if weight is None and hasattr(self._profile, "invert_flux"):
-            out = self._profile.invert_flux(vabs)
-            if out is not None:
-                return out
-        return self._invert_flux_bisect(vabs, weight)
+        root = np.sqrt(np.asarray(weight, dtype=float))
+        vabs = np.asarray(vabs, dtype=float) / root
+        out = self._profile.invert_flux(vabs) if hasattr(self._profile, "invert_flux") else None
+        t, a = self._invert_flux_bisect(vabs) if out is None else out
+        return root * t, a
 
-    def _invert_flux_bisect(self, vabs, weight=None):
+    def _invert_flux_bisect(self, vabs):
         vabs = np.asarray(vabs, dtype=float).ravel()
-        thr = self.recession_slope(weight)
-        thr = np.broadcast_to(np.asarray(thr, dtype=float), vabs.shape)
-        cap = np.where(np.isinf(thr), INF, np.sqrt(2.0 * np.where(np.isinf(thr), 1.0, thr)))
-        hi = np.where(np.isinf(cap), np.maximum(vabs, 1.0), cap)
-        warr = None if weight is None else np.broadcast_to(np.asarray(weight, float), vabs.shape)
+        cap = math.sqrt(2.0 * self.recession_slope())  # +inf in the superlinear case
+        hi = np.maximum(vabs, 1.0) if math.isinf(cap) else np.full_like(vabs, cap)
 
         def below(t):
             with np.errstate(invalid="ignore"):
-                return t * self.conjugate_dplus(0.5 * t * t, warr) < vabs
+                return t * self.conjugate_dplus(0.5 * t * t) < vabs
 
-        hi = grow_bracket(below, hi, where=np.isinf(cap))
+        hi = grow_bracket(below, hi, where=math.isinf(cap))
         t = bisect(below, np.zeros_like(vabs), hi, 100)
         pos = vabs > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             a = np.where(pos & (t > 0.0), vabs / np.where(t > 0.0, t, 1.0), 0.0)
-        a0 = self.conjugate_dminus(np.zeros_like(vabs), warr)
+        a0 = self.conjugate_dminus(np.zeros_like(vabs))
         a = np.where(pos, a, a0)
         t = np.where(pos, t, 0.0)
         return t, a
@@ -834,16 +822,8 @@ class CostFunction:
         if self.spatial_weight is None:
             return 1.0
         w = float(self.spatial_weight(np.asarray(x, dtype=float)))
-        if not w > 0.0:
-            raise InvalidCost("spatial weight must be positive, got %g" % w)
-        return w
-
-    def weights_on(self, points):
-        """Vector of weights at an ``(m, d)`` array of points (or ``None``)."""
-        if self.spatial_weight is None:
-            return None
-        pts = np.asarray(points, dtype=float)
-        w = np.asarray([self.weight_at(p) for p in pts], dtype=float)
+        if not 0.0 < w < INF:
+            raise InvalidCost("spatial weight must be finite and positive, got %g" % w)
         return w
 
     def conjugate(self):
@@ -857,7 +837,7 @@ class Conjugate:
         self.cost = cost
 
     def _w(self, x):
-        return None if x is None or self.cost.spatial_weight is None else self.cost.weight_at(x)
+        return 1.0 if x is None else self.cost.weight_at(x)
 
     def value(self, s, x=None):
         return self.cost.conjugate_value(s, weight=self._w(x))
@@ -869,8 +849,7 @@ class Conjugate:
         return self.cost.conjugate_dplus(s, weight=self._w(x))
 
     def finiteness_threshold(self, x=None):
-        w = self._w(x)
-        return self.cost.recession_slope() * (1.0 if w is None else w)
+        return self.cost.recession_slope() * self._w(x)
 
 
 class RecessionValue:
@@ -896,16 +875,13 @@ class RecessionValue:
 
 def conjugate_eval(cost, x, s):
     """Conjugate value ``c*(x, s)`` at a spatial point (extended real)."""
-    w = None if cost.spatial_weight is None else cost.weight_at(x)
-    return float(np.asarray(cost.conjugate_value(float(s), weight=w)))
+    return float(np.asarray(cost.conjugate_value(float(s), weight=cost.weight_at(x))))
 
 
 def recession_eval(cost, x=None):
     """Recession slope ``c_inf(x, 1)`` with its SL/L classification."""
-    w = None if (x is None or cost.spatial_weight is None) else cost.weight_at(x)
-    base = cost.recession_slope()
-    value = base if w is None else w * base
-    return RecessionValue(value, cost.regime)
+    w = 1.0 if x is None else cost.weight_at(x)
+    return RecessionValue(w * cost.recession_slope(), cost.regime)
 
 
 def subdiff_interval(conj, x, s):
@@ -942,14 +918,14 @@ class CostValidation:
         return "CostValidation(%s, regime=%s, failures=%r)" % (status, self.regime, self.failures)
 
 
-def validate_cost(cost, sample_budget=256, x_samples=None):
-    """Sample-based check of the structural hypotheses of a cost.
+def validate_cost(cost, sample_budget=256):
+    """Sample-based check of the structural hypotheses of the base cost ``c0``.
 
     Growth ``c >= alpha*t + beta``, the finiteness witness, convexity by
     three-point secants on a log grid, and ``c = +inf`` on ``t < 0`` are all
-    checked by sampling.  For separable heterogeneous costs the weight is
-    checked for positivity and bounded oscillation on ``x_samples``; for any
-    other heterogeneity upper semicontinuity is recorded as assumed.
+    checked by sampling.  A spatial weight is not sampled here: it is
+    resolved into per-cell weights and checked once, by
+    :func:`massopt.solver.build_problem`.
     """
     checks = {}
     failures = []
@@ -1000,31 +976,6 @@ def validate_cost(cost, sample_budget=256, x_samples=None):
 
     if cost.growth_estimated:
         notes.append("growth constants alpha/beta estimated by sampling")
-
-    # heterogeneity / upper-semicontinuity bookkeeping
-    if cost.spatial_weight is None:
-        checks["weight"] = True
-    elif x_samples is not None:
-        try:
-            w = np.asarray([cost.weight_at(p) for p in np.asarray(x_samples, dtype=float)])
-            pos = bool(np.all(w > 0.0))
-            checks["weight"] = pos
-            if not pos:
-                failures.append("spatial weight is not strictly positive on samples")
-            if w.size > 1:
-                # crude jump detector: one adjacent step carrying more than a
-                # quarter of the total range suggests a discontinuity
-                osc = float(np.max(np.abs(np.diff(w))))
-                span = float(np.max(w) - np.min(w))
-                if osc > 0.25 * span + 1e-9 * (1.0 + float(np.max(w))):
-                    notes.append("spatial weight jumps between adjacent samples")
-            notes.append("separable weight: continuity checked on %d samples" % w.size)
-        except InvalidCost as exc:
-            checks["weight"] = False
-            failures.append(str(exc))
-    else:
-        checks["weight"] = True
-        notes.append("heterogeneous cost: upper semicontinuity assumed (not verifiable)")
 
     try:
         regime = cost.regime

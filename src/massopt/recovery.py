@@ -27,9 +27,10 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .costs import regularized_cost
-from .errors import RegimeMismatch, ScheduleTooShort, Unbounded, UnsupportedGrid
+from .errors import RegimeMismatch, ScheduleTooShort, Unbounded
 from .grids import DiscreteMeasure, ScalarField, divergence_weighted, spd_factor, stiffness
-from .solver import SolverParams, build_problem, objective_eval, solve_auxiliary
+from .solver import (SolverParams, build_problem, objective_eval, resolve_cell_weights,
+                     solve_auxiliary)
 
 INF = math.inf
 
@@ -105,12 +106,12 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
     construction: the verifier decides whether its measure is optimal.  On
     rectangles it does not pass (the regularization error stays above the
     thresholds), which is why ``massopt run`` refuses 2-d linear-regime
-    configurations; the function remains a library call.
+    configurations; the function remains a library call.  Each level
+    reuses the problem's cell weights, so a heterogeneous cost is
+    continued as ``w(x) * c_eps(t)``.
     """
     if problem.regime != "L":
         raise RegimeMismatch("regularization continuation applies to the linear regime")
-    if problem.cell_weights is not None:
-        raise UnsupportedGrid("regularization supports homogeneous costs only")
     if len(epsilon_schedule) < 2:
         raise ScheduleTooShort("need at least two regularization levels")
     params = solver_params or SolverParams()
@@ -121,7 +122,7 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
     measure = None
     for eps in epsilon_schedule:
         ceps = regularized_cost(problem.cost, eps)
-        prob_eps = build_problem(problem.grid, ceps, problem.source)
+        prob_eps = build_problem(problem.grid, ceps, problem.source, problem.cell_weights)
         # the recovered density rescales gradient errors by 1/eps, so the
         # certified gap must shrink with eps^2 for the iterates to settle
         params_eps = SolverParams(
@@ -221,25 +222,30 @@ def energy_eval(mu, source):
     return EnergyResult(energy, ScalarField(grid, uf), resid / fnorm)
 
 
+def _atom_weight(grid, cell_weights, loc):
+    """Weight at an atom: the average of the cell weights around it."""
+    if cell_weights is None:
+        return 1.0
+    return sum(w * cell_weights[i] for i, w in grid.cell_weights_at(loc))
+
+
 def cost_eval(mu, cost, cell_weights=None):
     """Total cost ``C(mu)``: density integral plus recession-weighted atoms.
 
-    ``cell_weights`` carries per-cell heterogeneity tables; separable
-    callable weights are resolved from the cost itself.
+    ``cell_weights`` are the per-cell weights of the problem; when omitted,
+    a callable weight of the cost is resolved at the cell centers as
+    :func:`massopt.solver.build_problem` does.  An atom is weighted by the
+    cells around it.
     """
     grid = mu.grid
-    weights = cell_weights if cell_weights is not None \
-        else cost.weights_on(grid.cell_centers)
-    vals = np.asarray(cost.value(mu.ac_density, weight=weights), dtype=float)
+    weights = resolve_cell_weights(grid, cost, cell_weights)
+    vals = np.asarray(cost.value(mu.ac_density, weight=1.0 if weights is None else weights),
+                      dtype=float)
     if np.any(np.isinf(vals)):
         return INF
     total = float(np.dot(grid.cell_volumes, vals))
     for loc, mass in mu.atoms:
-        if cell_weights is not None:
-            w_at = sum(w * cell_weights[i] for i, w in grid.cell_weights_at(loc))
-        else:
-            w_at = cost.weight_at(loc)
-        rec = cost.recession_slope() * w_at
+        rec = cost.recession_slope() * _atom_weight(grid, weights, loc)
         if math.isinf(rec):
             return INF
         total += rec * mass
@@ -355,11 +361,7 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None,
     saturation = 0.0
     for loc, _mass in mu.atoms:
         s_at = 0.5 * float(np.sum(solution.grad.at_point(loc) ** 2))
-        # build_problem turns a spatial weight into cell weights, so without
-        # them the cost is homogeneous
-        w_at = 1.0 if problem.cell_weights is None else sum(
-            w * problem.cell_weights[i] for i, w in grid.cell_weights_at(loc))
-        rec = problem.cost.recession_slope() * w_at
+        rec = problem.cost.recession_slope() * _atom_weight(grid, problem.cell_weights, loc)
         saturation = max(saturation, abs(s_at - rec))
 
     # 4) boundary mass

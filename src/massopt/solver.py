@@ -63,17 +63,20 @@ class SolverParams:
 
     ``max_iterations`` and ``check_every`` apply in two dimensions only: a
     1-d solve is its exact certificate and takes no iteration.
-    ``max_iterations`` bounds the splitting iterations, or the Newton steps
-    of a power-law solve.  The splitting builds a certificate every
-    ``check_every`` iterations, and an improving candidate always restarts
-    it; Newton certifies every step, so ``check_every`` does not apply to
-    it.  ``log_path``, when set, receives the iteration log as CSV.
+    ``max_iterations`` is at least 1 and bounds the splitting iterations,
+    or the Newton steps of a power-law solve.  The splitting builds a
+    certificate every ``check_every`` iterations, and an improving
+    candidate always restarts it; Newton certifies every step, so
+    ``check_every`` does not apply to it.  ``log_path``, when set, receives
+    the iteration log as CSV.
     """
 
     def __init__(self, max_iterations=20000, gap_tolerance=1e-8, check_every=25,
                  log_path=None):
         if not gap_tolerance > 0.0:
             raise ValueError("gap_tolerance must be positive")
+        if int(max_iterations) < 1:
+            raise ValueError("max_iterations must be >= 1")
         self.max_iterations = int(max_iterations)
         self.gap_tolerance = float(gap_tolerance)
         self.check_every = max(int(check_every), 1)
@@ -81,20 +84,22 @@ class SolverParams:
 
 
 class AuxiliaryProblem:
-    """Assembled instance: grid + cost (with conjugate) + source."""
+    """Assembled instance: grid + cost (with conjugate) + source.
+
+    ``cell_weights`` holds the separable weight of every cell, ``None`` for
+    a homogeneous cost; every weighted map of the problem is the cost's
+    homogeneous map rescaled by it.
+    """
 
     def __init__(self, grid, cost, source, cell_weights=None, assumptions=()):
         self.grid = grid
         self.cost = cost
         self.source = source
-        self.cell_weights = cell_weights  # None for homogeneous costs
+        self.cell_weights = cell_weights
+        self._w = 1.0 if cell_weights is None else cell_weights
         self.load = source.load_vector()
         self.regime = cost.regime
-        base = cost.recession_slope()
-        if cell_weights is None:
-            self.cell_thresholds = np.full(grid.n_cells, base)
-        else:
-            self.cell_thresholds = np.asarray(cell_weights, dtype=float) * base
+        self.cell_thresholds = np.full(grid.n_cells, self._w * cost.recession_slope())
         with np.errstate(over="ignore"):
             self.cell_caps = np.where(np.isinf(self.cell_thresholds), INF,
                                       np.sqrt(2.0 * np.minimum(self.cell_thresholds, 1e300)))
@@ -104,46 +109,60 @@ class AuxiliaryProblem:
     # weighted conjugate shortcuts -------------------------------------------------
 
     def conj_value(self, s):
-        return self.cost.conjugate_value(s, weight=self.cell_weights)
+        return self.cost.conjugate_value(s, weight=self._w)
 
     def conj_dminus(self, s):
-        return self.cost.conjugate_dminus(s, weight=self.cell_weights)
+        return self.cost.conjugate_dminus(s, weight=self._w)
 
     def conj_dplus(self, s):
-        return self.cost.conjugate_dplus(s, weight=self.cell_weights)
+        return self.cost.conjugate_dplus(s, weight=self._w)
 
     def invert_flux(self, vabs):
-        return self.cost.invert_flux(vabs, weight=self.cell_weights)
+        return self.cost.invert_flux(vabs, weight=self._w)
 
     def cost_value(self, a):
-        return self.cost.value(a, weight=self.cell_weights)
+        return self.cost.value(a, weight=self._w)
+
+
+def resolve_cell_weights(grid, cost, cell_weights=None):
+    """Per-cell weights: the table given, else the cost's callable weight.
+
+    The callable ``cost.spatial_weight`` is evaluated once per cell center.
+    Returns ``None`` for a homogeneous cost (no table, no callable).  Raises
+    :class:`InvalidCost` unless there is one weight per cell and every
+    weight is finite and positive.
+    """
+    if cell_weights is None:
+        if cost.spatial_weight is None:
+            return None
+        cell_weights = [float(cost.spatial_weight(x)) for x in grid.cell_centers]
+    cell_weights = np.asarray(cell_weights, dtype=float)
+    if cell_weights.shape != (grid.n_cells,):
+        raise InvalidCost("cell weight table needs %d entries" % grid.n_cells)
+    if not np.all(np.isfinite(cell_weights) & (cell_weights > 0.0)):
+        raise InvalidCost("cell weights must be finite and positive")
+    return cell_weights
 
 
 def build_problem(grid, cost, source, cell_weights=None):
     """Validate and assemble an :class:`AuxiliaryProblem`.
 
-    Dirac parts of the source are admitted in the linear regime always, and
-    in the superlinear regime only for quadratic-type growth (the quadratic
-    catalog cost and its regularized continuations) in dimension <= 3.
+    The weights come from ``cell_weights`` when given, else from the cost's
+    callable (:func:`resolve_cell_weights`).  Dirac parts of the source are
+    admitted in the linear regime always, and in the superlinear regime
+    only for quadratic-type growth (the quadratic catalog cost and its
+    regularized continuations) in dimension <= 3.
     """
     assumptions = []
-    separable = cost.spatial_weight is not None
-    if cell_weights is None and separable:
-        cell_weights = cost.weights_on(grid.cell_centers)
+    cell_weights = resolve_cell_weights(grid, cost, cell_weights)
     if cell_weights is not None:
-        cell_weights = np.asarray(cell_weights, dtype=float)
-        if cell_weights.shape != (grid.n_cells,):
-            raise InvalidCost("cell weight table needs %d entries" % grid.n_cells)
-        if np.any(cell_weights <= 0.0):
-            raise InvalidCost("cell weights must be strictly positive")
         assumptions.append("heterogeneous cost: absence of the Lavrentiev "
                            "phenomenon is assumed, not verified")
-        if not separable:
+        if cost.spatial_weight is None:
             assumptions.append("per-cell weight table: upper semicontinuity "
                                "of the conjugate in x is assumed")
 
-    x_samples = grid.cell_centers if separable else None
-    report = validate_cost(cost, sample_budget=64, x_samples=x_samples)
+    report = validate_cost(cost, sample_budget=64)
     if not report.passed:
         raise InvalidCost("cost failed validation: %s" % "; ".join(report.failures))
 

@@ -420,6 +420,42 @@ dir = {out}
     assert any("Lavrentiev" in a for a in report["assumptions"])
 
 
+def test_non_finite_weight_table_is_config_error(tmp_path, capsys):
+    weights = tmp_path / "w.csv"
+    table = np.ones(256)
+    table[17] = np.nan
+    np.savetxt(weights, table, delimiter=",")
+    text = MK_CONFIG.format(out=tmp_path / "out").replace(
+        "slope = 0.5\n", "slope = 0.5\nweight_table = %s\n" % weights)
+    cfg = write(tmp_path / "nan.cfg", text)
+    assert cli.main(["run", cfg]) == 2
+    assert "config error: cell weights must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain", [
+    "kind = interval\na = 1.0\nb = 1.0\n",
+    "kind = radial\nradius = -1\ndimension = 2\n",
+    "kind = radial\nradius = 1\ndimension = 0\n",
+    "kind = rectangle\nax = 1.0\nbx = 0.0\nay = 0.0\nby = 1.0\nnx = 16\nny = 16\n",
+], ids=["interval-b<=a", "radial-radius<0", "radial-dimension<1", "rectangle-bx<=ax"])
+def test_bad_grid_is_config_error(tmp_path, capsys, domain):
+    text = MK_CONFIG.format(out=tmp_path / "out").replace(
+        "kind = interval\na = -1.0\nb = 1.0\n", domain)
+    cfg = write(tmp_path / "grid.cfg", text)
+    assert cli.main(["run", cfg]) == 2
+    assert "config error: domain: " in capsys.readouterr().err
+    assert cli.main(["conjugate", cfg, "--range", "0", "1", "--count", "2"]) == 2
+    assert "config error: domain: " in capsys.readouterr().err
+
+
+def test_budget_below_one_is_config_error(tmp_path, capsys):
+    text = MK_CONFIG.format(out=tmp_path / "out").replace("max_iterations = 5000",
+                                                          "max_iterations = -3")
+    cfg = write(tmp_path / "budget.cfg", text)
+    assert cli.main(["run", cfg]) == 2
+    assert "max_iterations must be >= 1" in capsys.readouterr().err
+
+
 def test_post_build_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a failure after the problem is built gets its own code, not a traceback
     # whose exit code 1 would read as "thresholds failed"

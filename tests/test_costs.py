@@ -266,9 +266,73 @@ def test_separable_weight_scaling():
 
 
 def test_weight_must_be_positive():
-    c = mo.quadratic_cost(spatial_weight=lambda x: -1.0)
-    with pytest.raises(mo.InvalidCost):
-        c.weight_at(0.0)
+    for bad in (-1.0, INF, math.nan):
+        c = mo.quadratic_cost(spatial_weight=lambda x, bad=bad: bad)
+        with pytest.raises(mo.InvalidCost):
+            c.weight_at(0.0)
+
+
+def _tabulated_square():
+    ts = np.linspace(0.0, 4.0, 17)
+    return mo.tabulated_cost(ts, 0.5 * ts * ts, alpha=1.0, beta=-0.5)
+
+
+FLUX_PROFILES = [
+    ("quadratic", mo.quadratic_cost),
+    ("power1.5", lambda: mo.power_cost(1.5)),
+    ("power3", lambda: mo.power_cost(3.0)),
+    ("linear", lambda: mo.linear_cost(0.5)),
+    ("reciprocal", mo.reciprocal_cost),
+    ("tabulated", _tabulated_square),
+    ("regularized-linear", lambda: mo.regularized_cost(mo.linear_cost(0.5), 1e-3)),
+]
+
+
+def _weighted_bisection_inverse(cost, vabs, w):
+    """Weighted flux inversion by 100-step bisection on ``t * D+c*_w(t^2/2)``."""
+    thr = w * cost.recession_slope()
+    cap = np.where(np.isinf(thr), INF, np.sqrt(2.0 * np.where(np.isinf(thr), 1.0, thr)))
+    hi = np.where(np.isinf(cap), np.maximum(vabs, 1.0), cap)
+
+    def below(t):
+        with np.errstate(invalid="ignore"):
+            return t * cost.conjugate_dplus(0.5 * t * t, w) < vabs
+
+    hi = mo.costs.grow_bracket(below, hi, where=np.isinf(cap))
+    t = mo.costs.bisect(below, np.zeros_like(vabs), hi, 100)
+    pos = vabs > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(pos & (t > 0.0), vabs / np.where(t > 0.0, t, 1.0), 0.0)
+    a0 = cost.conjugate_dminus(np.zeros_like(vabs), w)
+    return np.where(pos, t, 0.0), np.where(pos, a, a0)
+
+
+@pytest.mark.parametrize("factory", [f for _, f in FLUX_PROFILES],
+                         ids=[name for name, _ in FLUX_PROFILES])
+def test_weighted_invert_flux_is_rescaled_homogeneous_inverse(factory):
+    # m_w(t) = sqrt(w) * m0(t / sqrt(w)): rescaling the homogeneous inverse
+    # lands where a bisection on the weighted map does
+    cost = factory()
+    v = np.concatenate([[0.0], np.geomspace(1e-10, 1e3, 4095)])
+    w = np.geomspace(0.2, 5.0, v.size)[::-1]
+    t, a = cost.invert_flux(v, weight=w)
+    t_ref, a_ref = _weighted_bisection_inverse(cost, v, w)
+    np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("factory", [mo.quadratic_cost, lambda: mo.power_cost(1.5),
+                                     lambda: mo.linear_cost(0.5), mo.reciprocal_cost],
+                         ids=["quadratic", "power1.5", "linear", "reciprocal"])
+def test_weighted_closed_form_inverse_takes_no_bisection(monkeypatch, factory):
+    def fail(self, vabs):
+        raise AssertionError("flux inversion fell back to bisection")
+
+    monkeypatch.setattr(mo.CostFunction, "_invert_flux_bisect", fail)
+    v = np.linspace(0.0, 3.0, 64)
+    w = np.linspace(0.5, 2.0, 64)
+    t, a = factory().invert_flux(v, weight=w)
+    np.testing.assert_allclose(t[1:] * a[1:], v[1:], rtol=1e-13)
 
 
 # -- regularization ---------------------------------------------------------

@@ -199,6 +199,20 @@ def test_regularization_converges_to_flux_construction():
     assert all(not flags for flags in diag.concentration_flags)
 
 
+def test_regularization_keeps_cell_weights():
+    # each level is built on the problem's own cell weights
+    g = mo.interval_grid(-1.0, 1.0, 1024)
+    w = lambda x: 1.0 + 0.5 * float(x[0]) ** 2
+    prob = mo.build_problem(g, mo.linear_cost(0.5, spatial_weight=w),
+                            mo.SourceTerm.constant(g, 1.0))
+    mu = mo.recover_measure(mo.solve_auxiliary(prob), prob)
+    mu_eps, diag = mo.recover_via_regularization(prob)
+    assert diag.settled
+    vol = g.cell_volumes
+    err = np.dot(vol, np.abs(mu_eps.ac_density - mu.ac_density)) / np.dot(vol, mu.ac_density)
+    assert err <= 0.03
+
+
 def test_regularization_rectangle_settles():
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 10, 10)
     prob = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0))

@@ -44,6 +44,42 @@ def test_objective_zero_source_reciprocal():
     assert sol.objective == pytest.approx(-4.0, rel=1e-12)
 
 
+# -- problem assembly -------------------------------------------------------
+
+def test_build_problem_evaluates_weight_once_per_cell():
+    calls = []
+
+    def w(x):
+        calls.append(x)
+        return 1.0 + 0.5 * float(x[0]) ** 2
+
+    g = mo.interval_grid(-1.0, 1.0, 64)
+    prob = mo.build_problem(g, mo.linear_cost(0.5, spatial_weight=w),
+                            mo.SourceTerm.constant(g, 1.0))
+    assert len(calls) == g.n_cells
+    np.testing.assert_array_equal(prob.cell_weights,
+                                  1.0 + 0.5 * g.cell_centers[:, 0] ** 2)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_build_problem_refuses_bad_weights(bad):
+    g = mo.interval_grid(-1.0, 1.0, 16)
+    table = np.ones(g.n_cells)
+    table[5] = bad
+    with pytest.raises(mo.InvalidCost, match="finite and positive"):
+        mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0),
+                         cell_weights=table)
+    with pytest.raises(mo.InvalidCost, match="finite and positive"):
+        mo.build_problem(g, mo.quadratic_cost(spatial_weight=lambda x: bad),
+                         mo.SourceTerm.constant(g, 1.0))
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_solver_params_refuse_budget_below_one(budget):
+    with pytest.raises(ValueError, match="max_iterations"):
+        mo.SolverParams(max_iterations=budget)
+
+
 # -- solve: superlinear -----------------------------------------------------
 
 def test_solve_interval_quadratic_peak():
