@@ -677,6 +677,7 @@ class CostFunction:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._recession = None
+        self._dead_zone = None
 
     # -- representation ----------------------------------------------------
 
@@ -814,6 +815,27 @@ class CostFunction:
         a = np.where(pos, a, a0)
         t = np.where(pos, t, 0.0)
         return t, a
+
+    def zero_flux_edge(self):
+        """Largest gradient magnitude of zero flux, ``sup{t : t * D-c0*(t^2/2) = 0}``.
+
+        Where the flux vanishes, every gradient up to this edge carries it.
+        The edge is ``sqrt(2 * D+c0(0))`` when ``c0`` rises from 0 with a
+        positive slope (``sqrt(2 * slope)`` for the linear cost,
+        ``sqrt(2 * slopes[0])`` for a table that starts at 0) and 0
+        otherwise.  A weight ``w`` scales it by ``sqrt(w)``.  It is found once, by
+        :func:`bisect`, as the lower end of the last bracket: there the flux
+        still vanishes, and it is exactly 0 for a cost without a dead zone.
+        """
+        if self._dead_zone is None:
+            def below(t):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    return t * self.conjugate_dminus(0.5 * t * t) <= 0.0
+
+            cap = math.sqrt(2.0 * self.recession_slope())  # +inf in the superlinear case
+            hi = float(grow_bracket(below, 1.0)) if math.isinf(cap) else cap
+            self._dead_zone = max(float(bisect(below, 0.0, hi, 90)) - hi * 2.0 ** -91, 0.0)
+        return self._dead_zone
 
     # -- heterogeneity -------------------------------------------------------
 

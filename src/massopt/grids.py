@@ -32,6 +32,10 @@ def sphere_surface(d):
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def _finite(*xs):
+    return all(math.isfinite(x) for x in xs)
+
+
 class Grid:
     """Structured grid; immutable after construction."""
 
@@ -40,8 +44,8 @@ class Grid:
         self.params = dict(params)
         if kind == "interval":
             a, b, n = params["a"], params["b"], params["n"]
-            if not (b > a and n >= 1):
-                raise UnsupportedGrid("interval needs b > a and n >= 1")
+            if not (_finite(a, b) and b > a and n >= 1):
+                raise UnsupportedGrid("interval needs finite a < b and n >= 1")
             self.dim = 1
             self.ball_dim = 1
             nodes = np.linspace(a, b, n + 1)
@@ -55,8 +59,9 @@ class Grid:
             self.domain_volume = b - a
         elif kind == "radial":
             radius, n, d = params["radius"], params["n"], params["dimension"]
-            if not (radius > 0 and n >= 1 and d >= 1):
-                raise UnsupportedGrid("radial needs radius > 0, n >= 1, dimension >= 1")
+            if not (_finite(radius) and radius > 0 and n >= 1 and d >= 1):
+                raise UnsupportedGrid("radial needs a finite radius > 0, n >= 1, "
+                                      "dimension >= 1")
             self.dim = 1
             self.ball_dim = int(d)
             nodes = np.linspace(0.0, radius, n + 1)
@@ -72,8 +77,9 @@ class Grid:
         elif kind == "rectangle":
             ax, bx, ay, by = params["ax"], params["bx"], params["ay"], params["by"]
             nx, ny = params["nx"], params["ny"]
-            if not (bx > ax and by > ay and nx >= 1 and ny >= 1):
-                raise UnsupportedGrid("rectangle needs positive extents and resolutions")
+            if not (_finite(ax, bx, ay, by) and bx > ax and by > ay and nx >= 1 and ny >= 1):
+                raise UnsupportedGrid("rectangle needs finite positive extents and "
+                                      "resolutions")
             self.dim = 2
             self.ball_dim = 2
             self.xs = np.linspace(ax, bx, nx + 1)

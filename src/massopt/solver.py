@@ -13,10 +13,14 @@ names the method that closed it (``AuxiliarySolution.method``):
 
 * ``"certificate"``: in one dimension the feasible set of fluxes is a point
   or a one-parameter family, so the exact flux depends on the problem
-  alone.  Inverting the gradient-to-flux map along it yields a primal
-  candidate that typically lands on the discrete minimizer to machine
-  precision.  This certificate is the whole 1-d solve: it takes no
-  iteration, and it is converged exactly when its gap meets the tolerance.
+  alone.  Inverting the gradient-to-flux map along it
+  (:meth:`AuxiliaryProblem.invert_flux`) gives the gradient of every cell
+  that carries flux; a cell of zero flux may take any gradient up to the
+  cost's dead-zone edge (:meth:`massopt.costs.CostFunction.zero_flux_edge`).
+  Integrating that gradient yields a primal candidate that typically lands
+  on the discrete minimizer to machine precision.  This certificate is the
+  whole 1-d solve: it takes no iteration, and it is converged exactly when
+  its gap meets the tolerance.
 * ``"newton"``: in two dimensions, for power-law conjugates
   ``c0*(s) = s^q / q`` (quadratic and power costs), the objective is C^2
   and convex.  Damped Newton starts from the unit-weight Poisson solution
@@ -29,13 +33,12 @@ names the method that closed it (``AuxiliarySolution.method``):
   cell, by bisection on the upper conjugate derivative ``D+c*``
   (:func:`massopt.costs.bisect`): its map is strictly increasing and
   ``D-c* <= D+c*``, so a test on the lower derivative could never move a
-  bracket end.  Only the largest gradient matching a flux
-  (:func:`_minverse_bounds`) needs ``D-c*``.  In the linear regime the
-  bracket starts at the cap, so the pointwise bound
-  ``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by penalty.  Each
-  check projects the iterate's flux and builds a Picard candidate.  The
-  solver keeps whichever iterate has the best merit, so the reported gap
-  is monotone along accepted iterates.
+  bracket end.  In the linear regime the bracket starts at the cap, so the
+  pointwise bound ``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by
+  penalty.  Each check projects the iterate's flux once, scores it as the
+  dual certificate, and builds a Picard candidate from it.  The solver
+  keeps whichever iterate has the best merit, so the reported gap is
+  monotone along accepted iterates.
 
 In two dimensions the flux projection, the Newton step and the Picard
 candidate are each one direct solve of an interior stiffness
@@ -48,7 +51,7 @@ import math
 
 import numpy as np
 
-from .costs import bisect, grow_bracket, validate_cost
+from .costs import bisect, validate_cost
 from .errors import InadmissibleSource, InvalidCost, NotConverged, RegimeMismatch
 from .grids import ScalarField, VectorField, spd_factor, stiffness
 
@@ -63,7 +66,7 @@ class SolverParams:
 
     ``max_iterations`` and ``check_every`` apply in two dimensions only: a
     1-d solve is its exact certificate and takes no iteration.
-    ``max_iterations`` is at least 1 and bounds the splitting iterations,
+    Both are at least 1.  ``max_iterations`` bounds the splitting iterations,
     or the Newton steps of a power-law solve.  The splitting builds a
     certificate every ``check_every`` iterations, and an improving
     candidate always restarts it; Newton certifies every step, so
@@ -77,9 +80,11 @@ class SolverParams:
             raise ValueError("gap_tolerance must be positive")
         if int(max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
+        if int(check_every) < 1:
+            raise ValueError("check_every must be >= 1")
         self.max_iterations = int(max_iterations)
         self.gap_tolerance = float(gap_tolerance)
-        self.check_every = max(int(check_every), 1)
+        self.check_every = int(check_every)
         self.log_path = log_path
 
 
@@ -224,28 +229,6 @@ def _prox_bisect(problem, r, lam):
     return bisect(below, np.zeros_like(r), np.minimum(r, problem.cell_caps), 70)
 
 
-def _minverse_bounds(problem, vabs, t_min):
-    """Smallest/largest gradient magnitude matching each flux magnitude.
-
-    ``t_min`` is the inverse that :meth:`AuxiliaryProblem.invert_flux`
-    returns, ``inf{t : m+(t) >= v}`` for ``m(t) = t * dc*(t^2/2)``.  The
-    largest match ``sup{t : m-(t) <= v}`` is found by bisection, and
-    ``(t_lo, t_hi)`` satisfy ``m-(t) <= v <= m+(t)`` on both ends.
-    """
-    vabs = np.asarray(vabs, dtype=float)
-    caps = problem.cell_caps
-
-    def lo_below_v(t):
-        with np.errstate(invalid="ignore", over="ignore"):
-            m_lo = t * problem.conj_dminus(0.5 * t * t)
-        return np.where(t > 0.0, m_lo, 0.0) <= vabs
-
-    hi = grow_bracket(lo_below_v, np.where(np.isinf(caps), np.maximum(vabs, 1.0), caps),
-                      where=np.isinf(caps))
-    t_max = bisect(lo_below_v, np.zeros_like(vabs), hi, 90)
-    return np.minimum(t_min, t_max), t_max
-
-
 def _dual_value(problem, sigma, t=None):
     """Dual objective of a divergence-feasible flux density ``sigma``.
 
@@ -271,11 +254,16 @@ def feasible_flux_1d(problem):
     with ``q_i = y_i / h_i`` they read ``q_{j-1} - q_j = F_j``.  On radial
     grids the center node is free, so ``q`` is fully determined; on interval
     grids one constant remains and is fixed by the zero-mean condition on
-    the recovered gradient (monotone in the constant, solved by bisection).
+    the recovered gradient (monotone in the constant, solved by bisection
+    between ``min(cum) - 1`` and ``max(cum) + 1``, where every flux has one
+    sign).
 
     Returns ``(sigma, g, t)``: per-cell flux densities, a matching gradient
-    selection with ``sum(h * g) = 0`` on interval grids, and the inverted
-    magnitude ``t`` of ``|sigma|`` that scores the flux's dual value.
+    selection, and the inverted magnitude ``t`` of ``|sigma|`` that scores
+    the flux's dual value.  ``g = t * sign(sigma)`` wherever the flux is
+    nonzero; on interval grids the zero-flux cells absorb the mean of ``g``
+    within the dead-zone edge, so ``sum(h * g) = 0`` up to rounding where
+    they can.
     """
     grid = problem.grid
     if grid.dim != 1:
@@ -298,55 +286,35 @@ def feasible_flux_1d(problem):
         t, _ = problem.invert_flux(np.abs(sigma))
         return float(np.dot(h, t * np.sign(sigma)))
 
-    lo, hi = float(np.min(cum)) - 1.0, float(np.max(cum)) + 1.0
-    span = max(hi - lo, 1.0)
-    for _ in range(80):
-        if mean_grad(lo) <= 0.0:
-            break
-        lo -= span
-        span *= 2.0
-    span = max(hi - lo, 1.0)
-    for _ in range(80):
-        if mean_grad(hi) >= 0.0:
-            break
-        hi += span
-        span *= 2.0
-    q0 = float(bisect(lambda q: mean_grad(q) < 0.0, lo, hi, 120))
+    # every flux is negative below min(cum) and positive above max(cum),
+    # so the mean gradient changes sign inside this bracket
+    q0 = float(bisect(lambda q: mean_grad(q) < 0.0, float(np.min(cum)) - 1.0,
+                      float(np.max(cum)) + 1.0, 120))
 
     sigma = (q0 - cum) * h / vol
     # the bisection leaves the flux of the sign-change cell at rounding
-    # level; a nonzero sign there would pin that cell's gradient to the cap
-    # and the zero-mean selection below could not close
+    # level; a nonzero sign there would pin that cell's gradient to the
+    # dead-zone edge and the zero-mean selection below could not close
     sigma[np.abs(sigma) <= 1e-12 * np.max(np.abs(sigma))] = 0.0
     t, _ = problem.invert_flux(np.abs(sigma))
-    g = t * np.sign(sigma)
-    t_lo, t_hi = _minverse_bounds(problem, np.abs(sigma), t)
-    g_lo = np.where(sigma > 0.0, t_lo, -t_hi)
-    g_hi = np.where(sigma < 0.0, -t_lo, t_hi)
-    g = _zero_mean_selection(h, np.clip(g, g_lo, g_hi), g_lo, g_hi)
+    # a nonzero flux fixes its gradient; a zero flux admits any gradient up
+    # to the dead-zone edge
+    slack = np.where(sigma == 0.0, np.sqrt(problem._w) * problem.cost.zero_flux_edge(), 0.0)
+    g = _zero_mean_selection(h, t * np.sign(sigma), slack)
     return sigma[:, None], g, t
 
 
-def _zero_mean_selection(h, g, g_lo, g_hi):
-    """Adjust g within per-cell bounds so that sum(h * g) vanishes."""
-    g = g.copy()
-    deficit = -float(np.dot(h, g))
-    for _ in range(2):
-        if deficit > 0.0:
-            room = h * np.maximum(g_hi - g, 0.0)
-        else:
-            room = h * np.maximum(g - g_lo, 0.0)
-        total = np.cumsum(room)
-        need = abs(deficit)
-        take = np.minimum(room, np.maximum(need - (total - room), 0.0))
-        g = g + np.sign(deficit) * take / np.where(h > 0.0, h, 1.0)
-        deficit = -float(np.dot(h, g))
-        if abs(deficit) <= 1e-13 * (1.0 + float(np.dot(h, np.abs(g)))):
-            break
-    if deficit != 0.0:
-        # rounding residue: spread uniformly (stays within the 1e-9 slack)
-        g = g + deficit / float(np.sum(h)) * np.ones_like(g)
-    return g
+def _zero_mean_selection(h, g, slack):
+    """Move ``g`` by at most ``slack`` per cell so that ``sum(h * g)`` vanishes.
+
+    The cells absorb the deficit in order, each up to its slack.  A residue
+    the slack cannot absorb is left in place; :func:`_primal_from_gradient`
+    spreads it as a uniform ramp.
+    """
+    need = -float(np.dot(h, g))
+    room = h * slack
+    take = np.minimum(room, np.maximum(abs(need) - (np.cumsum(room) - room), 0.0))
+    return g + np.sign(need) * take / h
 
 
 def _primal_from_gradient(grid, g):
@@ -400,7 +368,7 @@ def _picard_candidate(problem, sigma):
     idx = grid.interior_idx
     u = np.zeros(grid.n_nodes)
     u[idx] = spd_factor(stiffness(grid, grid.cell_volumes * a)).solve(problem.load[idx])
-    return u, a
+    return u
 
 
 def _rescale_feasible(problem, u):
@@ -413,25 +381,6 @@ def _rescale_feasible(problem, u):
         ratio = problem.cell_caps / np.where(mags > 0.0, mags, 1.0)
     scale = min(1.0, float(np.min(np.where(mags > 0.0, ratio, INF))))
     return u * scale
-
-
-def _certificate_2d(problem, y, unit_factor):
-    """Feasible flux, dual value, and a polished primal candidate."""
-    grid = problem.grid
-    sigma, res = _project_flux(problem, y, unit_factor)
-    dual = _dual_value(problem, sigma)
-    u_cand, a = _picard_candidate(problem, sigma)
-    u_cand = _rescale_feasible(problem, u_cand)
-    # re-project the candidate's own flux for a second dual bound
-    g = grid.gradient_apply(u_cand)
-    s = 0.5 * np.sum(g * g, axis=1)
-    d = problem.conj_dplus(s)
-    y_cand = g * (grid.cell_volumes * np.where(np.isfinite(d), d, 0.0))[:, None]
-    sigma2, res2 = _project_flux(problem, y_cand, unit_factor)
-    dual2 = _dual_value(problem, sigma2)
-    if dual2 > dual:
-        sigma, res, dual = sigma2, res2, dual2
-    return sigma, dual, res, u_cand
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +600,13 @@ def _certificate_1d(problem, params):
 
 
 def _splitting_2d(problem, params, unit_factor):
-    """Chambolle-Pock on a rectangle, certified every ``check_every`` steps."""
+    """Chambolle-Pock on a rectangle, certified every ``check_every`` steps.
+
+    A check projects the dual iterate's flux (:func:`_project_flux`) and
+    scores it as the certificate.  The Picard candidate of that flux,
+    shrunk onto the gradient bound, competes with the primal iterate, and
+    an improving candidate restarts the splitting from it.
+    """
     grid = problem.grid
     F = problem.load
 
@@ -693,7 +648,9 @@ def _splitting_2d(problem, params, unit_factor):
             obj_iter = objective_eval(problem, u_eval)
             if obj_iter < best_obj:
                 best_obj, best_u = obj_iter, u_eval.copy()
-            sigma, dual, dual_residual, u_cand = _certificate_2d(problem, y, unit_factor)
+            sigma, dual_residual = _project_flux(problem, y, unit_factor)
+            dual = _dual_value(problem, sigma)
+            u_cand = _rescale_feasible(problem, _picard_candidate(problem, sigma))
             obj_cand = objective_eval(problem, u_cand)
             if obj_cand < best_obj:
                 best_obj, best_u = obj_cand, u_cand.copy()

@@ -437,7 +437,11 @@ def test_non_finite_weight_table_is_config_error(tmp_path, capsys):
     "kind = radial\nradius = -1\ndimension = 2\n",
     "kind = radial\nradius = 1\ndimension = 0\n",
     "kind = rectangle\nax = 1.0\nbx = 0.0\nay = 0.0\nby = 1.0\nnx = 16\nny = 16\n",
-], ids=["interval-b<=a", "radial-radius<0", "radial-dimension<1", "rectangle-bx<=ax"])
+    "kind = interval\na = -1.0\nb = inf\n",
+    "kind = radial\nradius = inf\ndimension = 2\n",
+    "kind = rectangle\nax = 0.0\nbx = inf\nay = 0.0\nby = 1.0\nnx = 16\nny = 16\n",
+], ids=["interval-b<=a", "radial-radius<0", "radial-dimension<1", "rectangle-bx<=ax",
+        "interval-b=inf", "radial-radius=inf", "rectangle-bx=inf"])
 def test_bad_grid_is_config_error(tmp_path, capsys, domain):
     text = MK_CONFIG.format(out=tmp_path / "out").replace(
         "kind = interval\na = -1.0\nb = 1.0\n", domain)
@@ -448,12 +452,15 @@ def test_bad_grid_is_config_error(tmp_path, capsys, domain):
     assert "config error: domain: " in capsys.readouterr().err
 
 
-def test_budget_below_one_is_config_error(tmp_path, capsys):
-    text = MK_CONFIG.format(out=tmp_path / "out").replace("max_iterations = 5000",
-                                                          "max_iterations = -3")
+@pytest.mark.parametrize("setting, message", [
+    ("max_iterations = -3", "max_iterations must be >= 1"),
+    ("max_iterations = 5000\ncheck_every = -5", "check_every must be >= 1"),
+], ids=["max_iterations", "check_every"])
+def test_budget_below_one_is_config_error(tmp_path, capsys, setting, message):
+    text = MK_CONFIG.format(out=tmp_path / "out").replace("max_iterations = 5000", setting)
     cfg = write(tmp_path / "budget.cfg", text)
     assert cli.main(["run", cfg]) == 2
-    assert "max_iterations must be >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_post_build_failure_exit_code(tmp_path, capsys, monkeypatch):

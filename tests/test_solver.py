@@ -221,6 +221,40 @@ def test_linear_certificate_closes_at_odd_resolution(n):
         assert value <= 1e-10, (field, value)
 
 
+_TS = np.linspace(0.0, 8.0, 257)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["homogeneous", "weighted"])
+@pytest.mark.parametrize("cost", [
+    mo.quadratic_cost(), mo.linear_cost(0.5), mo.tabulated_cost(_TS, _TS + _TS ** 2 / 2.0),
+], ids=["quadratic", "linear", "dead-zone-table"])
+def test_interval_selection_is_the_flux_inverse(cost, weighted):
+    # a nonzero flux fixes its cell's gradient to the inverse of the flux;
+    # the zero-flux cells alone absorb the mean, within the dead-zone edge
+    grid = mo.interval_grid(-1.0, 1.0, 255)
+    w = 1.0 + 0.5 * (grid.cell_centers[:, 0] + 1.0) if weighted else None
+    prob = mo.build_problem(grid, cost, mo.SourceTerm.constant(grid, 1.0), w)
+    sigma, g, t = solver.feasible_flux_1d(prob)
+    sigma = sigma[:, 0]
+    h = grid.cell_h
+    assert abs(np.dot(h, g)) <= 1e-12 * np.dot(h, np.abs(g))
+    flux = sigma != 0.0
+    assert np.array_equal(g[flux], (t * np.sign(sigma))[flux])
+    edge = np.sqrt(1.0 if w is None else w) * cost.zero_flux_edge() * np.ones(grid.n_cells)
+    assert np.all(np.abs(g[~flux]) <= edge[~flux])
+    assert mo.solve_auxiliary(prob).converged
+
+
+def test_zero_flux_edge_closed_forms():
+    assert mo.quadratic_cost().zero_flux_edge() == 0.0
+    assert mo.power_cost(1.5).zero_flux_edge() == 0.0
+    assert mo.reciprocal_cost().zero_flux_edge() == 0.0
+    assert mo.linear_cost(0.5).zero_flux_edge() == pytest.approx(1.0, rel=1e-15)
+    table = mo.tabulated_cost(_TS, _TS + _TS ** 2 / 2.0)
+    assert table.zero_flux_edge() == pytest.approx(math.sqrt(2.0 * (1.0 + 1.0 / 64.0)),
+                                                   rel=1e-15)
+
+
 def test_symmetry_even_source():
     prob = interval_problem(mo.quadratic_cost(), n=200)
     sol = mo.solve_auxiliary(prob)
