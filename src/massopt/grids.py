@@ -20,7 +20,6 @@ import math
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import AtomOutsideGrid, Unbounded, UnsupportedGrid
 
@@ -107,6 +106,8 @@ class Grid:
         self.node_weights = self._nodal_weights()
         self._grad_sparse = None
         self._grad_interior = None
+        self._grad_interior_t = None
+        self._layout = None
 
     # -- basic structure -----------------------------------------------------
 
@@ -206,11 +207,26 @@ class Grid:
         """The sparse gradient's interior-node columns, as CSR; built once.
 
         This is the gradient on fields that vanish on the boundary, the
-        space every stiffness and flux projection works in.
+        space every flux projection works in.
         """
         if self._grad_interior is None:
             self._grad_interior = self.gradient_sparse()[:, self.interior_idx].tocsr()
         return self._grad_interior
+
+    def interior_gradient_transpose(self):
+        """The transpose of :meth:`interior_gradient`, as CSR; built once.
+
+        It maps cell fluxes to the weak divergence on the interior nodes.
+        """
+        if self._grad_interior_t is None:
+            self._grad_interior_t = self.interior_gradient().T.tocsr()
+        return self._grad_interior_t
+
+    def stiffness_layout(self):
+        """The :class:`StiffnessLayout` every stiffness of this grid uses; built once."""
+        if self._layout is None:
+            self._layout = StiffnessLayout(self)
+        return self._layout
 
     # -- point location ----------------------------------------------------------
 
@@ -459,33 +475,154 @@ def _cell_gradient(grid, cell):
     return grid.gradient_sparse()[cell::grid.n_cells]
 
 
+class StiffnessLayout:
+    """Where each cell's local stiffness block lands in the interior band.
+
+    Every stiffness of a grid has the same sparsity pattern, so its layout
+    is computed once per grid (:meth:`Grid.stiffness_layout`).  The interior
+    nodes are numbered along the shorter side of a rectangle (row by row
+    when ``nx <= ny``, column by column otherwise), so the band is
+    ``min(nx, ny)`` wide; a 1-d stiffness is tridiagonal.  ``pos[k]`` is
+    the band position of interior node ``k``, ``order`` its inverse
+    (``None`` when the two numberings agree), and ``band_rows`` is the
+    half-bandwidth plus one.
+
+    A cell's local block couples its ``k`` nodes (2 on a 1-d grid, 4 on a
+    rectangle) through the hat gradients ``C`` on it (``dim x k``): the
+    block is ``C^T B C`` for the cell's weight ``B``.  For each cell and
+    each local pair ``a <= b`` the layout keeps the slot of that entry in
+    LAPACK's lower band storage, ``band[i - j, j] = K[i, j]``, flattened in
+    column order; a pair that touches the boundary goes to a dump slot
+    past the end.  Assembly is then one ``np.bincount``.
+    """
+
+    def __init__(self, grid):
+        n = grid.interior_idx.size
+        if grid.dim == 1:
+            local = np.arange(grid.n_cells)[:, None] + np.arange(2)
+            grads = (np.array([-1.0, 1.0]) / grid.cell_h[:, None])[:, None, :]
+            pos = np.arange(n)
+        else:
+            nx, ny = grid.params["nx"], grid.params["ny"]
+            jj, ii = np.divmod(np.arange(grid.n_cells), nx)
+            local = (jj * (nx + 1) + ii)[:, None] + np.array([0, 1, nx + 1, nx + 2])
+            grads = (np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
+                     / [[2.0 * grid.hx], [2.0 * grid.hy]])[None]
+            if nx <= ny:
+                pos = np.arange(n)
+            else:
+                iy, ix = np.divmod(np.arange(n), nx - 1)
+                pos = ix * (ny - 1) + iy
+        node_pos = np.full(grid.n_nodes, -1)
+        node_pos[grid.interior_idx] = pos
+        la, lb = np.triu_indices(local.shape[1])
+        pa, pb = node_pos[local[:, la]], node_pos[local[:, lb]]
+        inside = (pa >= 0) & (pb >= 0)
+        rows = np.abs(pa - pb)
+        self.n = n
+        self.band_rows = int(np.max(rows, where=inside, initial=0)) + 1
+        self.size = n * self.band_rows
+        self.slots = np.where(inside, np.minimum(pa, pb) * self.band_rows + rows, self.size)
+        self.pos = pos
+        self.order = None if np.array_equal(pos, np.arange(n)) else np.argsort(pos)
+        # per-pair products of the hat gradients: the block of a unit scalar
+        # weight, and the three parts of a symmetric 2x2 tensor weight
+        ca, cb = grads[:, :, la], grads[:, :, lb]
+        self.unit = np.sum(ca * cb, axis=1)
+        if grid.dim == 2:
+            self.tensor = (ca[:, 0] * cb[:, 0], ca[:, 0] * cb[:, 1] + ca[:, 1] * cb[:, 0],
+                           ca[:, 1] * cb[:, 1])
+        self._grid = grid
+
+    def band(self, w, atoms=()):
+        """Lower band of the stiffness ``G^T B G`` on the interior nodes.
+
+        ``w`` holds either one weight per cell, shape ``(n_cells,)`` (cell
+        volume times conductivity for a Dirichlet energy; ``B`` repeats it
+        on every gradient component), or one symmetric 2x2 tensor per cell
+        of a rectangle, shape ``(n_cells, 2, 2)`` (``B`` couples the x and y
+        gradients of the cell, as in a Hessian).  An atom ``(location,
+        mass)`` adds the point stiffness of the hat gradients on the cells
+        carrying it, which is the unit block weighted by ``mass`` times the
+        cell's share of the atom.
+        """
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 1:
+            vals = w[:, None] * self.unit
+        else:
+            xx, xy, yy = self.tensor
+            vals = w[:, 0, 0, None] * xx + w[:, 0, 1, None] * xy + w[:, 1, 1, None] * yy
+        if atoms:
+            extra = np.zeros(self._grid.n_cells)
+            for loc, mass in atoms:
+                for i, cw in self._grid.cell_weights_at(loc):
+                    extra[i] += mass * cw
+            vals = vals + extra[:, None] * self.unit
+        flat = np.bincount(self.slots.ravel(), weights=vals.ravel(), minlength=self.size + 1)
+        return flat[:self.size].reshape(self.n, self.band_rows).T
+
+    def matrix(self, band):
+        """The full symmetric matrix of a band, as a CSC matrix of its nonzeros.
+
+        An entry that sums to exactly zero is left out, so the matrix's
+        graph has an edge exactly where two nodes are coupled.
+        """
+        row, col = np.nonzero(band)
+        vals = band[row, col]
+        order = np.arange(self.n) if self.order is None else self.order
+        i, j = order[col + row], order[col]
+        off = row > 0
+        return sp.coo_matrix((np.concatenate([vals, vals[off]]),
+                              (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
+                             shape=(self.n, self.n)).tocsc()
+
+    def factor(self, band, pinned=()):
+        """Banded Cholesky factor of a band from :meth:`band`, which it overwrites.
+
+        ``pinned`` interior nodes become unit rows decoupled from the rest,
+        so a right-hand side that vanishes there fixes them at zero.  One
+        LAPACK ``pbtrf`` factorisation.  A pivot that is not positive means
+        the stiffness is singular to working precision; the quadratic
+        energy it defines then has no computable minimum, and
+        :class:`Unbounded` is raised.
+        """
+        p = self.pos[np.asarray(pinned, dtype=int)]
+        if p.size:
+            # column p below the diagonal, then row p left of it: band[r, p - r]
+            band[:, p] = 0.0
+            band[0, p] = 1.0
+            r, c = np.broadcast_arrays(np.arange(1, self.band_rows),
+                                       p[:, None] - np.arange(1, self.band_rows))
+            band[r[c >= 0], c[c >= 0]] = 0.0
+        try:
+            band = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+        except LinAlgError as exc:
+            raise Unbounded("stiffness is singular to working precision: %s" % exc) from None
+        return BandCholesky(band, self.order)
+
+
 def stiffness(grid, w, atoms=()):
     """Stiffness ``G^T B G`` on the interior nodes, as a CSC matrix.
 
-    ``w`` holds either one weight per cell, shape ``(n_cells,)`` (cell
-    volume times conductivity for a Dirichlet energy; ``B`` repeats it on
-    every gradient component), or one symmetric 2x2 tensor per cell of a
-    rectangle, shape ``(n_cells, 2, 2)`` (``B`` couples the x and y rows of
-    the cell, as in a Hessian).  An atom ``(location, mass)`` adds the point
-    stiffness of the hat gradients on the cells carrying it.  The matrix is
-    symmetric positive semidefinite for positive semidefinite weights, and
-    definite when every interior node reaches the boundary through cells of
-    positive definite weight.
+    ``w`` and ``atoms`` are as in :meth:`StiffnessLayout.band`.  The matrix
+    is symmetric positive semidefinite for positive semidefinite weights,
+    and definite when every interior node reaches the boundary through
+    cells of positive definite weight.
     """
-    G = grid.interior_gradient()
-    w = np.asarray(w, dtype=float)
-    n = grid.n_cells
-    if w.ndim == 1:
-        B = sp.diags(np.tile(w, grid.dim))
-    else:
-        B = sp.diags([w[:, 1, 0], np.concatenate([w[:, 0, 0], w[:, 1, 1]]), w[:, 0, 1]],
-                     [-n, 0, n])
-    K = G.T @ B @ G
-    for loc, mass in atoms:
-        for i, cw in grid.cell_weights_at(loc):
-            Gc = G[i::n]
-            K = K + mass * cw * (Gc.T @ Gc)
-    return K.tocsc()
+    layout = grid.stiffness_layout()
+    return layout.matrix(layout.band(w, atoms))
+
+
+def stiffness_factor(grid, w):
+    """Factor of the stiffness ``G^T B G``; ``.solve(b)`` solves with it.
+
+    The stiffness of the cell weights ``w`` is assembled straight into its
+    band (:meth:`StiffnessLayout.band`) and factored by banded Cholesky
+    (:meth:`StiffnessLayout.factor`, which raises :class:`Unbounded` for a
+    stiffness singular to working precision).
+    """
+    layout = grid.stiffness_layout()
+    return layout.factor(layout.band(w))
 
 
 class BandCholesky:
@@ -509,41 +646,6 @@ class BandCholesky:
         x[self.order] = cho_solve_banded((self.band, True), b[self.order],
                                          check_finite=False)
         return x
-
-
-def spd_factor(K):
-    """Factor a sparse symmetric positive definite ``K``; ``.solve(b)`` solves.
-
-    One banded Cholesky factorisation (LAPACK ``pbtrf``) of the lower band
-    of ``K``, whose width is read from ``K``'s own nonzeros: a 1-d
-    stiffness is tridiagonal, and the interior nodes of a rectangle,
-    numbered row by row, give a band ``nx`` wide.  When the reverse
-    Cuthill-McKee ordering of ``K``'s graph gives a narrower band, as on a
-    rectangle much wider than tall, ``K`` is factored in that order
-    instead.  A pivot that is not positive means ``K`` is singular to
-    working precision; the quadratic energy it defines then has no
-    computable minimum, and :class:`Unbounded` is raised.
-    """
-    K = K.tocsc()
-    n = K.shape[0]
-    cols = np.repeat(np.arange(n, dtype=K.indices.dtype), np.diff(K.indptr))
-    lower = K.indices >= cols
-    rows, cols, vals = K.indices[lower], cols[lower], K.data[lower]
-    order = None
-    if n:  # the ordering needs at least one node
-        perm = reverse_cuthill_mckee(K, symmetric_mode=True)
-        rank = np.empty_like(perm)
-        rank[perm] = np.arange(n, dtype=perm.dtype)
-        prow, pcol = rank[rows], rank[cols]
-        if np.max(np.abs(prow - pcol), initial=0) < np.max(rows - cols, initial=0):
-            rows, cols, order = np.maximum(prow, pcol), np.minimum(prow, pcol), perm
-    band = np.zeros((int(np.max(rows - cols, initial=0)) + 1, n), order="F")
-    band[rows - cols, cols] = vals
-    try:
-        band = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise Unbounded("stiffness is singular to working precision: %s" % exc) from None
-    return BandCholesky(band, order)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ One entry point, :func:`recover_measure`, serves every solve.  In one
 dimension the solver's exact certificate holds the flux ``sigma`` and a
 gradient ``g`` with ``sigma = a * g``, ``a`` in the subdifferential of the
 conjugate at ``|g|^2 / 2``.  The density is therefore ``|sigma| / |g|`` in
-both regimes, and ``D-c*`` where the flux or the gradient vanishes; a flux
-that no gradient carries is booked as an atom.  In two dimensions, in the
+both regimes, with ``|g|`` the certificate's own magnitude
+(``AuxiliarySolution.grad_magnitude``), and ``D-c*`` where the flux or the
+gradient vanishes; a flux that no gradient carries is booked as an atom.  In two dimensions, in the
 superlinear regime, the density is a cellwise selection from the
 subdifferential interval; when the interval is nondegenerate the selection
 closest to the solver's flux is taken.  The linear regime on rectangles has
@@ -28,7 +29,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded
-from .grids import DiscreteMeasure, ScalarField, divergence_weighted, spd_factor, stiffness
+from .grids import DiscreteMeasure, ScalarField, divergence_weighted
 from .solver import (SolverParams, build_problem, objective_eval, resolve_cell_weights,
                      solve_auxiliary)
 
@@ -42,10 +43,12 @@ INF = math.inf
 def recover_measure(solution, problem):
     """Optimal measure from the solver's flux and gradient.
 
-    On interval and radial grids ``a = |sigma| / |g|`` from
-    ``solution.flux`` and ``solution.grad``, with ``D-c*(|g|^2/2)`` where
-    either vanishes.  Flux left unmatched by ``|g| * a`` (a cell with flux
-    but no gradient) is booked as an atom of mass ``excess * h / cap``.  On
+    On interval and radial grids ``a = |sigma| / t`` from
+    ``solution.flux`` and ``solution.grad_magnitude`` (the certificate's own
+    gradient magnitude, exact where the integrated ``u``'s gradient carries
+    rounding), with ``D-c*(|g|^2/2)`` where either vanishes.  Flux left
+    unmatched by ``t * a`` (a cell with flux but no gradient) is booked as
+    an atom of mass ``excess * h / cap``.  On
     rectangles the superlinear subdifferential selection is taken; a
     linear-regime problem raises :class:`RegimeMismatch`.
     """
@@ -55,7 +58,7 @@ def recover_measure(solution, problem):
     lo = problem.conj_dminus(s)
     if grid.dim == 1:
         vabs = np.abs(solution.flux.values[:, 0])
-        t = np.abs(g[:, 0])
+        t = solution.grad_magnitude
         carried = (vabs > 0.0) & (t > 0.0)
         a = np.where(carried, vabs / np.where(carried, t, 1.0), lo)
         excess = vabs - t * a
@@ -172,8 +175,8 @@ def _floating_pins(K, F):
     constant.  Raises :class:`Unbounded` when the source puts net load on
     a floating component, which includes a loaded node with no stiffness.
     """
-    # scipy's sparse products and sums drop exact zeros, so the graph of K
-    # has an edge exactly where two nodes are coupled
+    # K holds no explicit zeros (StiffnessLayout.matrix drops them), so its
+    # graph has an edge exactly where two nodes are coupled
     n_comp, labels = connected_components(K, directed=False)
     # the sums of a floating row cancel only to rounding
     grounded = np.abs(K @ np.ones(K.shape[0])) > 1e-12 * K.diagonal()
@@ -192,27 +195,33 @@ def energy_eval(mu, source):
     """Infimal weighted Dirichlet energy ``E_f(mu)`` by one direct solve.
 
     Solves the weak form of ``-div(a grad u) = f`` on the interior nodes
-    (atoms of ``mu`` contribute point stiffness) with one sparse SPD
-    factorisation, :func:`massopt.grids.spd_factor`.  Interior nodes that
-    the measure does not connect to the boundary form floating components;
-    one node of each is pinned, which leaves the energy unchanged when the
-    component carries no net load.  Raises :class:`Unbounded` when the
-    energy is unbounded below: the source loads a floating component (for
-    instance a node with no stiffness), the factorisation meets a pivot
-    that is not positive (a stiffness singular to working precision), or
-    the energy falls below the admissibility floor.
+    (atoms of ``mu`` contribute point stiffness).  The stiffness is summed
+    once into the band of the grid's
+    :class:`massopt.grids.StiffnessLayout`; its sparse copy (explicit zeros
+    dropped) finds the floating components and scores the energy, and the
+    band itself is factored by banded Cholesky.  Interior nodes that the
+    measure does not connect to the boundary form floating components; one
+    node of each is pinned, as a unit row of the band with a zero load,
+    which leaves the energy unchanged when the component carries no net
+    load.  Raises :class:`Unbounded` when the energy is unbounded below:
+    the source loads a floating component (for instance a node with no
+    stiffness), the factorisation meets a pivot that is not positive (a
+    stiffness singular to working precision), or the energy falls below the
+    admissibility floor.
     """
     grid = mu.grid
-    K = stiffness(grid, grid.cell_volumes * mu.ac_density, mu.atoms)
     Fin = source.load_vector()[grid.interior_idx]
     fnorm = float(np.linalg.norm(Fin))
     if fnorm == 0.0:
         return EnergyResult(0.0, ScalarField.zeros(grid), 0.0)
 
-    free = np.ones(Fin.size, dtype=bool)
-    free[_floating_pins(K, Fin)] = False
-    u = np.zeros(Fin.size)
-    u[free] = spd_factor(K[free][:, free]).solve(Fin[free])
+    layout = grid.stiffness_layout()
+    band = layout.band(grid.cell_volumes * mu.ac_density, mu.atoms)
+    K = layout.matrix(band)
+    pins = _floating_pins(K, Fin)
+    rhs = Fin.copy()
+    rhs[pins] = 0.0
+    u = layout.factor(band, pins).solve(rhs)
     energy = 0.5 * float(u @ (K @ u)) - float(Fin @ u)
     if energy < -1e13 * (1.0 + fnorm) ** 2:
         raise Unbounded("weighted energy diverges below the admissibility floor")

@@ -27,7 +27,9 @@ names the method that closed it (``AuxiliarySolution.method``):
   scaled along its ray, takes one direct solve of the tensor stiffness
   ``G^T H G`` per step (per-cell 2x2 Hessian blocks, see
   :func:`_hessian_blocks`), backtracks on the objective, and certifies
-  every step by projecting its flux.
+  every step by projecting its flux.  It stops after a full step whose
+  Newton decrement was rounding level of the objective, since a further
+  step could not decrease it.
 * ``"splitting"``: every other 2-d case runs a Chambolle-Pock primal-dual
   splitting whose dual update reduces to a scalar monotone root-find per
   cell, by bisection on the upper conjugate derivative ``D+c*``
@@ -41,10 +43,12 @@ names the method that closed it (``AuxiliarySolution.method``):
   monotone along accepted iterates.
 
 In two dimensions the flux projection, the Newton step and the Picard
-candidate are each one direct solve of an interior stiffness
-(:func:`massopt.grids.stiffness`, :func:`massopt.grids.spd_factor`), exact
-up to rounding.  The projection's unit-weight stiffness depends on the grid
-only, so each solve factors it once and reuses the factor at every check.
+candidate are each one direct solve of an interior stiffness, exact up to
+rounding: :func:`massopt.grids.stiffness_factor` sums the per-cell blocks
+straight into the band of the grid's :class:`massopt.grids.StiffnessLayout`
+(built once per grid) and factors it by banded Cholesky.  The
+projection's unit-weight stiffness depends on the grid only, so each solve
+factors it once and reuses the factor at every check.
 """
 
 import math
@@ -53,12 +57,15 @@ import numpy as np
 
 from .costs import bisect, validate_cost
 from .errors import InadmissibleSource, InvalidCost, NotConverged, RegimeMismatch
-from .grids import ScalarField, VectorField, spd_factor, stiffness
+from .grids import ScalarField, VectorField, stiffness_factor
 
 INF = math.inf
 
 # both splitting steps are this fraction of 1 / ||D||
 STEP_SCALE = 0.95
+
+# a Newton decrement below this fraction of |objective| is rounding level
+NEWTON_FLAT = 16.0 * np.finfo(float).eps
 
 
 class SolverParams:
@@ -342,13 +349,14 @@ def _project_flux(problem, y_cells, unit_factor):
     level.
     """
     grid = problem.grid
-    idx = grid.interior_idx
-    Gi = grid.interior_gradient()
+    Gi, GiT = grid.interior_gradient(), grid.interior_gradient_transpose()
     y_flat = y_cells.T.ravel()
-    resid = problem.load[idx] - Gi.T @ y_flat
-    y_hat = y_flat + Gi @ unit_factor.solve(resid)
-    sigma = y_hat.reshape(grid.dim, grid.n_cells).T / grid.cell_volumes[:, None]
-    res = float(np.linalg.norm(Gi.T @ y_hat - problem.load[idx]))
+    resid = problem.load[grid.interior_idx] - GiT @ y_flat
+    corr = Gi @ unit_factor.solve(resid)
+    sigma = (y_flat + corr).reshape(grid.dim, grid.n_cells).T / grid.cell_volumes[:, None]
+    # the corrected divergence misses the load by what the correction's
+    # divergence misses the residual
+    res = float(np.linalg.norm(GiT @ corr - resid))
     return sigma, res
 
 
@@ -367,7 +375,7 @@ def _picard_candidate(problem, sigma):
     a = np.maximum(a, 1e-12 * max(float(np.max(a)), 1.0))
     idx = grid.interior_idx
     u = np.zeros(grid.n_nodes)
-    u[idx] = spd_factor(stiffness(grid, grid.cell_volumes * a)).solve(problem.load[idx])
+    u[idx] = stiffness_factor(grid, grid.cell_volumes * a).solve(problem.load[idx])
     return u
 
 
@@ -415,8 +423,10 @@ def _newton_2d(problem, params, q, unit_factor):
     (Armijo).  Each iterate's flux ``vol * c*'(s) * g`` is projected with
     ``unit_factor`` and scored as a dual certificate, one log row per
     iterate.  The steps count against ``max_iterations``; the loop also
-    stops when the gradient falls to ``1e-12 |F|`` or a step gives no
-    decrease.
+    stops when the gradient falls to ``1e-12 |F|``, when a step gives no
+    decrease, or after a full step whose decrement ``-slope / 2`` was at
+    most ``NEWTON_FLAT * |obj|``: that iterate is certified and logged, and
+    no further stiffness is factored.
     """
     grid = problem.grid
     idx = grid.interior_idx
@@ -435,6 +445,7 @@ def _newton_2d(problem, params, q, unit_factor):
     log = []
     steps = 0
     factorisations = 1  # unit_factor
+    flat = False  # the last step was full and its decrement rounding level
     while True:
         g = grid.gradient_apply(u)
         d = problem.conj_dplus(0.5 * np.sum(g * g, axis=1))
@@ -446,11 +457,11 @@ def _newton_2d(problem, params, q, unit_factor):
         gap, rel_gap = _relative_gap(obj, best_dual)
         log.append((steps, obj, best_dual, gap))
         grad = (grid.gradient_adjoint(flux) - F)[idx]
-        if steps == params.max_iterations or np.linalg.norm(grad) <= grad_floor:
+        if flat or steps == params.max_iterations or np.linalg.norm(grad) <= grad_floor:
             break
         d = np.maximum(d, 1e-12 * float(np.max(d)))
         factorisations += 1
-        step = -spd_factor(stiffness(grid, _hessian_blocks(problem, g, d, q))).solve(grad)
+        step = -stiffness_factor(grid, _hessian_blocks(problem, g, d, q)).solve(grad)
         slope = float(np.dot(grad, step))
         t = 1.0
         for _ in range(40):
@@ -462,6 +473,9 @@ def _newton_2d(problem, params, q, unit_factor):
             t *= 0.5
         if not obj_trial < obj:
             break  # no decrease left: the objective is flat at rounding level
+        # a full step that predicted a rounding-level decrease has left
+        # nothing for a further factorisation to find
+        flat = t == 1.0 and -0.5 * slope <= NEWTON_FLAT * abs(obj)
         u, obj = trial, obj_trial
         steps += 1
 
@@ -501,20 +515,27 @@ class AuxiliarySolution:
     ``method`` names how the gap was sought: ``"certificate"`` (the exact
     flux, every interval and radial grid), ``"newton"`` (2-d power-law
     conjugates) or ``"splitting"`` (2-d Chambolle-Pock); ``None`` for a
-    wrapper that ran no solve.  ``factorisations`` counts the stiffness
-    factorisations (:func:`massopt.grids.spd_factor`) the solve made: none
-    for the 1-d certificate; for Newton the projection's unit-weight factor
-    plus one per step attempted; for the splitting that factor plus one
-    Picard factor per check.
+    wrapper that ran no solve.  ``factorisations`` counts the banded
+    Cholesky factorisations of a stiffness
+    (:meth:`massopt.grids.StiffnessLayout.factor`) the solve made: none for
+    the 1-d certificate; for Newton the projection's unit-weight factor plus
+    one per step attempted (the loop stops without a further factorisation
+    after a full step whose decrement was rounding level); for the
+    splitting that factor plus one Picard factor per check.
+    ``grad_magnitude`` holds ``|g|`` per cell: the 1-d certificate's own
+    inverted magnitude ``t`` when its primal candidate is returned, else
+    the magnitude of ``grad``.
     """
 
     def __init__(self, problem, u_values, sigma, objective, dual_value, gap,
                  rel_gap, iterations, converged, dual_residual, log, method=None,
-                 notes=(), factorisations=0):
+                 notes=(), factorisations=0, grad_magnitude=None):
         grid = problem.grid
         self.problem = problem
         self.u = ScalarField(grid, u_values)
         self.grad = VectorField(grid, grid.gradient_apply(u_values))
+        self.grad_magnitude = (self.grad.magnitudes() if grad_magnitude is None
+                               else grad_magnitude)
         self.flux = VectorField(grid, sigma)
         self.objective = objective
         self.dual_value = dual_value
@@ -572,7 +593,7 @@ def solve_auxiliary(problem, params=None):
     if grid.dim == 1:
         return _certificate_1d(problem, params)
     # the 2-d flux projection's stiffness depends on the grid only
-    unit_factor = spd_factor(stiffness(grid, np.ones(grid.n_cells)))
+    unit_factor = stiffness_factor(grid, np.ones(grid.n_cells))
     q = problem.cost.conj_exponent
     if q is not None:
         return _newton_2d(problem, params, q, unit_factor)
@@ -583,20 +604,22 @@ def _certificate_1d(problem, params):
     """Score the exact 1-d flux and the primal field integrated from it.
 
     The flux fixes the dual value.  Its primal candidate competes with
-    ``u = 0``, and the better of the two is returned.
+    ``u = 0``, and the better of the two is returned.  The candidate
+    carries the inverted magnitude ``t`` as its ``grad_magnitude``.
     """
     grid = problem.grid
     sigma, g, t = feasible_flux_1d(problem)
     u = np.zeros(grid.n_nodes)
     obj = objective_eval(problem, u)
+    mag = np.zeros(grid.n_cells)
     u_cand = _primal_from_gradient(grid, g)
     obj_cand = objective_eval(problem, u_cand)
     if obj_cand < obj:
-        u, obj = u_cand, obj_cand
+        u, obj, mag = u_cand, obj_cand, t
     dual = _dual_value(problem, sigma, t)
     gap, rel_gap = _relative_gap(obj, dual)
     return _finish(problem, params, u, sigma, obj, dual, 0, rel_gap <= params.gap_tolerance,
-                   0.0, [(0, obj, dual, gap)], "certificate", 0)
+                   0.0, [(0, obj, dual, gap)], "certificate", 0, mag)
 
 
 def _splitting_2d(problem, params, unit_factor):
@@ -672,7 +695,7 @@ def _splitting_2d(problem, params, unit_factor):
 
 
 def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
-            dual_residual, log, method, factorisations):
+            dual_residual, log, method, factorisations, grad_magnitude=None):
     """Assemble the solution and write the iteration log."""
     gap, rel_gap = _relative_gap(obj, dual)
     notes = []
@@ -682,7 +705,7 @@ def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
         dual_residual = dual_residual / max(1.0, float(np.linalg.norm(problem.load)))
     solution = AuxiliarySolution(problem, u, sigma, obj, dual, gap, rel_gap,
                                  iterations, converged, dual_residual, log, method,
-                                 notes, factorisations)
+                                 notes, factorisations, grad_magnitude)
     if params.log_path:
         write_iteration_log(params.log_path, log)
     return solution

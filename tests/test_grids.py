@@ -293,35 +293,36 @@ def test_stiffness_tensor_of_scalar_weights(atoms):
     assert abs(K - Kt).max() <= 1e-14 * abs(K).max()
 
 
-def _hessian_stiffness():
+def _hessian_weights():
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 12, 10)
     prob = mo.build_problem(g, mo.power_cost(3.0), mo.SourceTerm.constant(g, 1.0))
     u = np.random.default_rng(1).standard_normal(g.n_nodes)
     u[g.boundary_mask] = 0.0
     grad = g.gradient_apply(u)
     d = prob.conj_dplus(0.5 * np.sum(grad * grad, axis=1))
-    blocks = mo.solver._hessian_blocks(prob, grad, d, prob.cost.conj_exponent)
-    return mo.grids.stiffness(g, blocks), False
+    return g, mo.solver._hessian_blocks(prob, grad, d, prob.cost.conj_exponent), ()
 
 
-def _unit_stiffness(g, atoms=()):
-    return mo.grids.stiffness(g, g.cell_volumes, atoms)
+def _unit_weights(g, atoms=()):
+    return g, g.cell_volumes, atoms
 
 
-@pytest.mark.parametrize("build", [
-    lambda: (_unit_stiffness(mo.interval_grid(-1.0, 2.0, 97)), False),
-    lambda: (_unit_stiffness(mo.radial_grid(1.0, 80, 3)), False),
-    lambda: (_unit_stiffness(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 12, 10),
-                             [(np.array([0.37, 0.51]), 2.0)]), False),
-    _hessian_stiffness,
-    lambda: (_unit_stiffness(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 96, 6)), True),
-    lambda: (_unit_stiffness(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 6, 96)), False),
+@pytest.mark.parametrize("build, reordered", [
+    (lambda: _unit_weights(mo.interval_grid(-1.0, 2.0, 97)), False),
+    (lambda: _unit_weights(mo.radial_grid(1.0, 80, 3)), False),
+    (lambda: _unit_weights(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 12, 10),
+                           [(np.array([0.37, 0.51]), 2.0)]), True),
+    (_hessian_weights, True),
+    (lambda: _unit_weights(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 96, 6)), True),
+    (lambda: _unit_weights(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 6, 96)), False),
 ], ids=["interval", "radial", "rect-atom", "hessian", "rect-96x6", "rect-6x96"])
-def test_spd_factor_matches_dense_solve(build):
-    # the reverse Cuthill-McKee order is taken exactly where it narrows the band
-    K, reordered = build()
+def test_spd_factor_matches_dense_solve(build, reordered):
+    # a rectangle wider than tall is factored column by column
+    g, w, atoms = build()
+    K = mo.grids.stiffness(g, w, atoms)
     b = np.random.default_rng(4).standard_normal(K.shape[0])
-    factor = mo.grids.spd_factor(K)
+    layout = g.stiffness_layout()
+    factor = layout.factor(layout.band(w, atoms))
     assert (factor.order is not None) == reordered
     x = factor.solve(b)
     ref = np.linalg.solve(K.toarray(), b)
@@ -329,6 +330,75 @@ def test_spd_factor_matches_dense_solve(build):
 
 
 def test_spd_factor_band_of_wide_rectangle():
-    # row-by-row numbering gives a band 256 wide; the reordered band is short
+    # row-by-row numbering gives a band 256 wide; column by column it is short
     g = mo.rectangle_grid(0.0, 4.0, 0.0, 1.0, 256, 8)
-    assert mo.grids.spd_factor(_unit_stiffness(g)).band.shape[0] <= 2 * 8
+    assert mo.grids.stiffness_factor(g, g.cell_volumes).band.shape[0] <= 2 * 8
+
+
+def _dense_stiffness(g, w, atoms):
+    # G^T B G from the sparse gradient, each atom's point stiffness from the
+    # gradient rows of the cells that carry it
+    G = g.gradient_sparse().toarray()[:, g.interior_idx]
+    n = g.n_cells
+    if w.ndim == 1:
+        B = np.diag(np.tile(w, g.dim))
+    else:
+        B = np.block([[np.diag(w[:, 0, 0]), np.diag(w[:, 0, 1])],
+                      [np.diag(w[:, 1, 0]), np.diag(w[:, 1, 1])]])
+    K = G.T @ B @ G
+    for loc, mass in atoms:
+        for i, cw in g.cell_weights_at(loc):
+            K += mass * cw * (G[i::n].T @ G[i::n])
+    return K
+
+
+_LAYOUT_GRIDS = {
+    "interval": (lambda: mo.interval_grid(-1.0, 2.0, 23), [(np.array([0.4]), 1.5)]),
+    "radial": (lambda: mo.radial_grid(1.3, 19, 3), [(np.array([0.5]), 0.7)]),
+    "square": (lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8),
+               [(np.array([0.5, 0.5]), 2.0), (np.array([0.3, 0.71]), 0.4)]),
+    "wide": (lambda: mo.rectangle_grid(0.0, 3.0, -1.0, 0.5, 13, 5),
+             [(np.array([1.1, -0.2]), 1.0)]),
+    "tall": (lambda: mo.rectangle_grid(0.0, 0.7, 0.0, 2.0, 4, 11),
+             [(np.array([0.35, 1.0]), 3.0)]),
+}
+
+
+@pytest.mark.parametrize("with_atoms", [False, True], ids=["plain", "atoms"])
+@pytest.mark.parametrize("name, tensor", [
+    (name, False) for name in sorted(_LAYOUT_GRIDS)] + [
+    (name, True) for name in ("square", "tall", "wide")],  # 2x2 weights on rectangles
+    ids=lambda v: v if isinstance(v, str) else ("tensor" if v else "scalar"))
+def test_stiffness_matches_dense_product(name, tensor, with_atoms):
+    make, atoms = _LAYOUT_GRIDS[name]
+    g = make()
+    rng = np.random.default_rng(5)
+    if tensor:
+        A = rng.standard_normal((g.n_cells, 2, 2))
+        w = A @ np.swapaxes(A, 1, 2) + 0.1 * np.eye(2)
+    else:
+        w = rng.uniform(0.1, 10.0, g.n_cells)
+    atoms = atoms if with_atoms else ()
+    ref = _dense_stiffness(g, w, atoms)
+    K = mo.grids.stiffness(g, w, atoms)
+    assert abs(K.toarray() - ref).max() <= 1e-14 * abs(ref).max()
+    b = rng.standard_normal(ref.shape[0])
+    layout = g.stiffness_layout()
+    x = layout.factor(layout.band(w, atoms)).solve(b)
+    assert np.linalg.norm(x - np.linalg.solve(ref, b)) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_repeated_stiffness_is_identical():
+    # the cached layout must not be changed by the matrices built from it
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 7)
+    w = np.where(np.arange(g.n_cells) % 5 == 0, 0.0, 1.0)  # explicit zeros to prune
+    first = mo.grids.stiffness(g, w)
+    for _ in range(3):
+        again = mo.grids.stiffness(g, w)
+        again.data[:] = -1.0  # a caller may write into its own matrix
+        assert mo.grids.stiffness(g, w).nnz == first.nnz
+    last = mo.grids.stiffness(g, w)
+    assert np.array_equal(last.indptr, first.indptr)
+    assert np.array_equal(last.indices, first.indices)
+    assert np.array_equal(last.data, first.data)
+    assert g.stiffness_layout() is g.stiffness_layout()

@@ -124,13 +124,12 @@ def test_l_recovery_radial_center_atom():
 
 
 def _sigma_over_g(problem, sol):
-    # reference: |sigma| / |g| from a flux built afresh from the problem and
-    # the solution's gradient; D-c* where either vanishes, and the flux that
-    # no gradient carries booked as an atom
-    sigma, _g, _t = mo.feasible_flux_1d(problem)
+    # reference: |sigma| / t from a flux and magnitude built afresh from the
+    # problem; D-c* of the solution's gradient where either vanishes, and
+    # the flux that no gradient carries booked as an atom
+    sigma, _g, t = mo.feasible_flux_1d(problem)
     vabs = np.abs(sigma[:, 0])
-    t = np.abs(sol.grad.values[:, 0])
-    a = problem.conj_dminus(0.5 * t * t)
+    a = problem.conj_dminus(0.5 * sol.grad.values[:, 0] ** 2)
     carried = (vabs > 0.0) & (t > 0.0)
     a[carried] = vabs[carried] / t[carried]
     excess = vabs - t * a
@@ -327,6 +326,65 @@ def test_energy_island_without_net_load_is_finite():
     res = mo.energy_eval(mu, mo.SourceTerm(mu.grid, density=np.where(island, dens, 0.0)))
     assert res.energy == pytest.approx(-0.003940563848416746, rel=1e-10)
     assert res.residual <= 1e-12
+
+
+def rectangle_island(nx, bx):
+    # zero density on a ring of cells cuts the 15 nodes inside it off the
+    # boundary of an nx x 8 grid on [0, bx] x [0, 1]
+    g = mo.rectangle_grid(0.0, bx, 0.0, 1.0, nx, 8)
+    iy, ix = np.divmod(np.arange(g.n_cells), nx)
+    ring = (((ix == 2) | (ix == 7)) & (iy >= 2) & (iy <= 5)) | (
+        ((iy == 2) | (iy == 5)) & (ix >= 2) & (ix <= 7))
+    j, i = np.divmod(np.arange(g.n_nodes), nx + 1)
+    island = (i >= 3) & (i <= 7) & (j >= 3) & (j <= 5)
+    return mo.DiscreteMeasure(g, np.where(ring, 0.0, 1.0 + 0.1 * ix)), island, i
+
+
+# oblong cells leave the island one component; square cells decouple its
+# checkerboard colours into two, and on a grid wider than tall, numbered
+# column by column, a pinned node then has coupled nodes before it
+@pytest.mark.parametrize("nx, bx", [(10, 0.8), (12, 1.5)], ids=["oblong", "square"])
+def test_energy_rectangle_island_is_pinned_or_unbounded(nx, bx):
+    mu, island, i = rectangle_island(nx, bx)
+    g = mu.grid
+    with pytest.raises(mo.Unbounded):
+        mo.energy_eval(mu, mo.SourceTerm(g, density=np.where(island, 1.0, 0.0)))
+    # a load on the island without net mass (on each colour) leaves the
+    # energy finite
+    f = mo.SourceTerm(g, density=np.where(island, i - 5.0, 1.0))
+    res = mo.energy_eval(mu, f)
+    # dense reference: the least-squares solution of the singular system;
+    # the island's free fields change neither u elsewhere nor the energy
+    idx = g.interior_idx
+    K = mo.grids.stiffness(g, g.cell_volumes * mu.ac_density).toarray()
+    F = f.load_vector()[idx]
+    u = np.linalg.lstsq(K, F, rcond=None)[0]
+    assert res.energy == pytest.approx(-0.5 * float(F @ u), rel=1e-12)
+    uf = np.zeros(g.n_nodes)
+    uf[idx] = u
+    scale = np.max(np.abs(u))
+    assert np.allclose(res.u.values[~island], uf[~island], rtol=0.0, atol=1e-12 * scale)
+    # the island may differ by fields without gradient on the cells that
+    # carry density: a constant and the checkerboard that the cell-averaged
+    # gradient does not see
+    dense = mu.ac_density > 0.0
+    assert np.allclose(g.gradient_apply(res.u.values)[dense], g.gradient_apply(uf)[dense],
+                       rtol=0.0, atol=1e-10 * scale)
+    assert np.min(np.abs(res.u.values[island])) == 0.0  # the pinned node
+    assert res.residual <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1000, 3484])
+def test_interval_recovery_divides_by_certificate_magnitude(n):
+    # the gradient of the integrated u carries rounding where the flux is
+    # small; the certificate's own magnitude does not
+    fix = mo.fixture("reciprocal_interval")
+    prob = fix.build(n)
+    sol = mo.solve_auxiliary(prob)
+    assert np.array_equal(sol.grad_magnitude, mo.feasible_flux_1d(prob)[2])
+    _u_err, a_err = mo.fixture_errors(fix, prob.grid, sol.u.values,
+                                      mo.recover_measure(sol, prob))
+    assert a_err <= 2e-14
 
 
 def test_energy_rectangle_with_atom_matches_dense_solve():

@@ -369,7 +369,7 @@ def test_project_flux_reused_factor_is_exact():
     prob = mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0))
 
     def fresh():
-        return mo.grids.spd_factor(mo.grids.stiffness(g, np.ones(g.n_cells)))
+        return mo.grids.stiffness_factor(g, np.ones(g.n_cells))
 
     shared = fresh()
     rng = np.random.default_rng(3)
@@ -446,6 +446,21 @@ def test_rectangle_power_law_costs_solve_by_newton(monkeypatch, make_cost, weigh
     assert sol.log[-1][1:] == (sol.objective, sol.dual_value, sol.gap)
     assert sol.dual_residual <= 1e-12
     assert np.linalg.norm(mo.objective_gradient(prob, sol.u)) <= 1e-9 * np.linalg.norm(prob.load)
+
+
+def test_newton_stops_after_a_rounding_level_step(monkeypatch):
+    # after a full step whose decrement was rounding level of the objective
+    # the iterate is certified and no further stiffness is factored
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 45, 34)
+    prob = mo.build_problem(g, mo.power_cost(2.9527), mo.SourceTerm.from_function(
+        g, lambda p: 1.4147 + 0.2532 * p[0] * p[1]))
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and sol.method == "newton"
+    assert sol.factorisations == sol.iterations + 1  # the unit factor and one per step
+    assert [row[0] for row in sol.log] == list(range(sol.iterations + 1))
+    assert np.linalg.norm(mo.objective_gradient(prob, sol.u)) <= 1e-9 * np.linalg.norm(prob.load)
+    monkeypatch.setattr(solver, "NEWTON_FLAT", 0.0)
+    assert mo.solve_auxiliary(prob).iterations == sol.iterations + 1
 
 
 def test_rectangle_tabulated_cost_takes_splitting(monkeypatch):
