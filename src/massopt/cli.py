@@ -18,6 +18,7 @@ stderr).
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -369,7 +370,9 @@ def cmd_fixtures(name, dimension, resolution, stream=None):
     return 0 if ok else 1
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="massopt",
                                      description="mass optimization with convex costs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -390,8 +393,11 @@ def main(argv=None):
     p_fix.add_argument("--name", required=True, choices=fixture_names())
     p_fix.add_argument("--dimension", type=int, default=None)
     p_fix.add_argument("--resolution", type=int, default=2048)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     if args.command == "run":
         return run(args.config, log_path=args.log, json_report_path=args.json_report)

@@ -219,6 +219,9 @@ class _QuadraticProfile:
         t = np.cbrt(2.0 * np.asarray(vabs, dtype=float))
         return t, 0.5 * t * t
 
+    def dead_zone(self):
+        return 0.0
+
     def regularized_maximizer(self, s, eps):
         # argmax of a*s - a^2/2 - eps*a^2 over a >= 0
         return np.maximum(np.asarray(s, dtype=float), 0.0) / (1.0 + 2.0 * eps)
@@ -269,6 +272,9 @@ class _PowerProfile:
             a = np.where(t > 0.0, vabs / np.where(t > 0.0, t, 1.0), 0.0)
         return t, a
 
+    def dead_zone(self):
+        return 0.0
+
     def describe(self):
         return {"p": self.p}
 
@@ -310,6 +316,9 @@ class _LinearProfile:
         cmax = math.sqrt(2.0 * self.slope)
         t = np.where(vabs > 0.0, cmax, 0.0)
         return t, vabs / cmax
+
+    def dead_zone(self):
+        return self.slope
 
     def regularized_maximizer(self, s, eps):
         # argmax of a*s - slope*a - eps*a^2 over a >= 0
@@ -364,6 +373,9 @@ class _ReciprocalProfile:
         t = vabs * np.sqrt(self.a / (self.b + 0.5 * vabs * vabs))
         a = np.sqrt((self.b + 0.5 * vabs * vabs) / self.a)
         return t, a
+
+    def dead_zone(self):
+        return 0.0
 
     def describe(self):
         return {"a": self.a, "b": self.b}
@@ -466,6 +478,16 @@ class _TabulatedProfile:
         self.slopes = np.diff(cs) / np.diff(ts)
         self.domain = (float(ts[0]), float(ts[-1]))
         self.seed_t = float(ts[ts.size // 2])
+        # the flux map t * D+c0*(t^2/2) is ts[j] * t between the kinks
+        # kinks[j] and kinks[j+1] (kinks[j+1] = sqrt(2 * slopes[j]), kinks[0]
+        # = 0, the last segment unbounded), and jumps at each kink from
+        # kinks[j+1] * ts[j] to kinks[j+1] * ts[j+1]; flux_edges holds the
+        # flux at both ends of every segment, in increasing order
+        self._kinks = np.concatenate([[0.0], np.sqrt(2.0 * np.maximum(self.slopes, 0.0))])
+        self._flux_edges = np.full(2 * ts.size, INF)
+        self._flux_edges[0::2] = self._kinks * ts
+        self._flux_edges[1:-1:2] = self._kinks[1:] * ts[:-1]
+        self._rest_density = float(ts[np.searchsorted(self.slopes, 0.0)])
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -496,6 +518,25 @@ class _TabulatedProfile:
     def recession(self):
         # the table is +inf beyond its last sample, hence superlinear
         return INF
+
+    def invert_flux(self, vabs):
+        """Exact inverse of the flux map by one search over its segment ends.
+
+        ``k`` counts the segment ends below ``v``: odd ``k`` falls on the
+        slope of segment ``k // 2`` (``t = v / ts[k // 2]``, density
+        ``ts[k // 2]``), even ``k > 0`` on the jump at ``kinks[k // 2]``.
+        """
+        vabs = np.asarray(vabs, dtype=float)
+        k = np.searchsorted(self._flux_edges, vabs)
+        j = k // 2
+        on_slope = k % 2 == 1
+        t = np.where(on_slope, vabs / np.where(on_slope, self.ts[j], 1.0), self._kinks[j])
+        a = np.where(on_slope, self.ts[j], vabs / np.where(k > 0, t, 1.0))
+        return t, np.where(k > 0, a, self._rest_density)
+
+    def dead_zone(self):
+        # D-c0*(s) = ts[0] until s passes slopes[0]
+        return max(float(self.slopes[0]), 0.0) if self.ts[0] == 0.0 else 0.0
 
     def describe(self):
         return {"samples": int(self.ts.size),
@@ -628,6 +669,11 @@ class _RegularizedProfile:
         a0 = self._maximizer(np.zeros_like(v))  # cost-minimal density at zero flux
         return np.where(pos, t, 0.0), np.where(pos, a, a0)
 
+    def dead_zone(self):
+        # the maximizer vanishes where s lies in the subdifferential of c_eps
+        # at 0, which eps * t^2 leaves as the base's
+        return self.base.dead_zone() if hasattr(self.base, "dead_zone") else None
+
     def describe(self):
         d = dict(self.base.describe())
         d["base"] = self.base.name
@@ -677,7 +723,7 @@ class CostFunction:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self._recession = None
-        self._dead_zone = None
+        self._zero_flux_edge = None
 
     # -- representation ----------------------------------------------------
 
@@ -787,9 +833,12 @@ class CostFunction:
         Returns ``(t, a)`` with ``t >= 0`` the gradient magnitude and
         ``a = v / t`` the matching density (cost-minimal density where the
         flux vanishes).  The homogeneous inverse ``(t0, a0)`` is the
-        profile's closed form, else :func:`bisect` on the upper conjugate
-        derivative.  A weight rescales it: ``m_w(t) = sqrt(w) * m0(t / sqrt(w))``,
-        so ``t = sqrt(w) * t0(v / sqrt(w))`` and ``a = a0(v / sqrt(w))``.
+        profile's own: a closed form for the builtin costs, one search over
+        the segment ends for a table, and a vectorized bisection on the
+        regularized map.  Expression and piecewise-polynomial costs fall
+        back to :func:`bisect` on the upper conjugate derivative.  A weight
+        rescales it: ``m_w(t) = sqrt(w) * m0(t / sqrt(w))``, so
+        ``t = sqrt(w) * t0(v / sqrt(w))`` and ``a = a0(v / sqrt(w))``.
         """
         root = np.sqrt(np.asarray(weight, dtype=float))
         vabs = np.asarray(vabs, dtype=float) / root
@@ -820,22 +869,31 @@ class CostFunction:
         """Largest gradient magnitude of zero flux, ``sup{t : t * D-c0*(t^2/2) = 0}``.
 
         Where the flux vanishes, every gradient up to this edge carries it.
-        The edge is ``sqrt(2 * D+c0(0))`` when ``c0`` rises from 0 with a
-        positive slope (``sqrt(2 * slope)`` for the linear cost,
-        ``sqrt(2 * slopes[0])`` for a table that starts at 0) and 0
-        otherwise.  A weight ``w`` scales it by ``sqrt(w)``.  It is found once, by
-        :func:`bisect`, as the lower end of the last bracket: there the flux
-        still vanishes, and it is exactly 0 for a cost without a dead zone.
+        The edge is ``sqrt(2 * s0)`` for the profile's dead zone
+        ``s0 = sup{s : D-c0*(s) = 0}``, in closed form where the profile
+        gives it: ``slope`` for the linear cost, ``slopes[0]`` for a table
+        that starts at 0, its base's for a regularized cost, and 0 otherwise.
+        The edge is then rounded down until ``t^2 / 2 <= s0``, so the flux
+        still vanishes there.  Expression and piecewise-polynomial profiles
+        find it once by :func:`bisect`, as the lower end of the last bracket.
+        A weight ``w`` scales it by ``sqrt(w)``.
         """
-        if self._dead_zone is None:
-            def below(t):
-                with np.errstate(invalid="ignore", over="ignore"):
-                    return t * self.conjugate_dminus(0.5 * t * t) <= 0.0
+        if self._zero_flux_edge is None:
+            level = getattr(self._profile, "dead_zone", lambda: None)()
+            if level is None:
+                def below(t):
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        return t * self.conjugate_dminus(0.5 * t * t) <= 0.0
 
-            cap = math.sqrt(2.0 * self.recession_slope())  # +inf in the superlinear case
-            hi = float(grow_bracket(below, 1.0)) if math.isinf(cap) else cap
-            self._dead_zone = max(float(bisect(below, 0.0, hi, 90)) - hi * 2.0 ** -91, 0.0)
-        return self._dead_zone
+                cap = math.sqrt(2.0 * self.recession_slope())  # +inf in the superlinear case
+                hi = float(grow_bracket(below, 1.0)) if math.isinf(cap) else cap
+                edge = max(float(bisect(below, 0.0, hi, 90)) - hi * 2.0 ** -91, 0.0)
+            else:
+                edge = math.sqrt(2.0 * level)
+                while 0.5 * edge * edge > level:
+                    edge = math.nextafter(edge, 0.0)
+            self._zero_flux_edge = edge
+        return self._zero_flux_edge
 
     # -- heterogeneity -------------------------------------------------------
 

@@ -13,7 +13,10 @@ names the method that closed it (``AuxiliarySolution.method``):
 
 * ``"certificate"``: in one dimension the feasible set of fluxes is a point
   or a one-parameter family, so the exact flux depends on the problem
-  alone.  Inverting the gradient-to-flux map along it
+  alone.  On an interval the family's parameter is found by a binary search
+  over the breakpoints of the mean gradient and a safeguarded secant
+  between two of them (:func:`feasible_flux_1d`), a few dozen flux
+  inversions at most.  Inverting the gradient-to-flux map along the flux
   (:meth:`AuxiliaryProblem.invert_flux`) gives the gradient of every cell
   that carries flux; a cell of zero flux may take any gradient up to the
   cost's dead-zone edge (:meth:`massopt.costs.CostFunction.zero_flux_edge`).
@@ -260,10 +263,14 @@ def feasible_flux_1d(problem):
     The nodal constraints ``(D^T y)_j = F_j`` telescope in one dimension:
     with ``q_i = y_i / h_i`` they read ``q_{j-1} - q_j = F_j``.  On radial
     grids the center node is free, so ``q`` is fully determined; on interval
-    grids one constant remains and is fixed by the zero-mean condition on
-    the recovered gradient (monotone in the constant, solved by bisection
-    between ``min(cum) - 1`` and ``max(cum) + 1``, where every flux has one
-    sign).
+    grids one constant ``q0`` remains and is fixed by the zero-mean
+    condition on the recovered gradient.  The mean gradient is
+    nondecreasing in ``q0`` and jumps or kinks only at the breakpoints
+    ``cum``, the partial sums of the load, so a binary search over them
+    (about ``log2(n)`` flux inversions) brackets the root between two
+    neighbours, and :func:`_first_nonnegative` finds it there to adjacent
+    floats: exactly at the breakpoint when the mean gradient jumps over
+    zero there, as for a cost with a dead zone.
 
     Returns ``(sigma, g, t)``: per-cell flux densities, a matching gradient
     selection, and the inverted magnitude ``t`` of ``|sigma|`` that scores
@@ -293,15 +300,25 @@ def feasible_flux_1d(problem):
         t, _ = problem.invert_flux(np.abs(sigma))
         return float(np.dot(h, t * np.sign(sigma)))
 
-    # every flux is negative below min(cum) and positive above max(cum),
-    # so the mean gradient changes sign inside this bracket
-    q0 = float(bisect(lambda q: mean_grad(q) < 0.0, float(np.min(cum)) - 1.0,
-                      float(np.max(cum)) + 1.0, 120))
+    # every flux is negative below min(cum) and positive above max(cum), and
+    # the mean gradient is nondecreasing in q0, continuous between the
+    # breakpoints cum; binary search finds the two neighbours where it turns
+    # nonnegative
+    knots = np.unique(cum)
+    knots = np.concatenate([[knots[0] - 1.0], knots, [knots[-1] + 1.0]])
+    lo, hi = 0, knots.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mean_grad(knots[mid]) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    q0 = _first_nonnegative(mean_grad, float(knots[lo]), float(knots[hi]))
 
     sigma = (q0 - cum) * h / vol
-    # the bisection leaves the flux of the sign-change cell at rounding
-    # level; a nonzero sign there would pin that cell's gradient to the
-    # dead-zone edge and the zero-mean selection below could not close
+    # a root next to a breakpoint leaves the flux of the sign-change cell at
+    # rounding level; a nonzero sign there would pin that cell's gradient to
+    # the dead-zone edge and the zero-mean selection below could not close
     sigma[np.abs(sigma) <= 1e-12 * np.max(np.abs(sigma))] = 0.0
     t, _ = problem.invert_flux(np.abs(sigma))
     # a nonzero flux fixes its gradient; a zero flux admits any gradient up
@@ -309,6 +326,50 @@ def feasible_flux_1d(problem):
     slack = np.where(sigma == 0.0, np.sqrt(problem._w) * problem.cost.zero_flux_edge(), 0.0)
     g = _zero_mean_selection(h, t * np.sign(sigma), slack)
     return sigma[:, None], g, t
+
+
+def _first_nonnegative(f, a, b):
+    """Smallest float in ``(a, b]`` where a nondecreasing ``f`` is ``>= 0``.
+
+    Needs ``f(a) < 0 <= f(b)``, with ``f`` continuous strictly between
+    them.  A jump at either end is settled by the floats next to it.
+    Inside, a regula falsi with the Illinois modification (when the same
+    end moves twice in a row, the value kept at the other end is halved)
+    shrinks the bracket to adjacent floats; a step that rounds onto an end
+    probes the float next to it instead.  After 100 steps it returns the
+    upper end.
+    """
+    inner_b = math.nextafter(b, a)
+    if inner_b == a:
+        return b
+    fb = f(inner_b)
+    if fb < 0.0:
+        return b
+    a = math.nextafter(a, b)
+    if a == inner_b:
+        return a
+    fa = f(a)
+    if fa >= 0.0:
+        return a
+    b = inner_b
+    side = 0
+    for _ in range(100):
+        below_b, above_a = math.nextafter(b, a), math.nextafter(a, b)
+        if above_a >= b:
+            break
+        x = min(max(b - fb * ((b - a) / (fb - fa)), above_a), below_b)
+        fx = f(x)
+        if fx < 0.0:
+            a, fa = x, fx
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = x, fx
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return b
 
 
 def _zero_mean_selection(h, g, slack):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -513,3 +516,43 @@ def test_fixtures_command(capsys):
 
 def test_missing_config_file():
     assert cli.main(["run", "/nonexistent/path.cfg"]) == 2
+
+
+_NO_OPTIMIZE = """
+import sys
+from massopt import cli
+codes = [cli.main(["run", path]) for path in sys.argv[1:]]
+assert codes == [0] * len(codes), codes
+assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+"""
+
+
+def test_run_does_not_import_scipy_optimize(tmp_path):
+    # importing scipy.optimize after massopt's own imports takes about 0.2 s,
+    # which would be paid inside the first op of a process that reaches it
+    interval = write(tmp_path / "interval.cfg", MK_CONFIG.format(out=tmp_path / "interval"))
+    rect = write(tmp_path / "rect.cfg", """
+[domain]
+kind = rectangle
+ax = 0.0
+bx = 1.0
+ay = 0.0
+by = 1.0
+nx = 12
+ny = 12
+
+[cost]
+builtin = quadratic
+
+[source]
+value = 1.0
+
+[output]
+dir = {out}
+""".format(out=tmp_path / "rect"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mo.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _NO_OPTIMIZE, interval, rect], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

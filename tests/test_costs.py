@@ -322,8 +322,9 @@ def test_weighted_invert_flux_is_rescaled_homogeneous_inverse(factory):
 
 
 @pytest.mark.parametrize("factory", [mo.quadratic_cost, lambda: mo.power_cost(1.5),
-                                     lambda: mo.linear_cost(0.5), mo.reciprocal_cost],
-                         ids=["quadratic", "power1.5", "linear", "reciprocal"])
+                                     lambda: mo.linear_cost(0.5), mo.reciprocal_cost,
+                                     _tabulated_square],
+                         ids=["quadratic", "power1.5", "linear", "reciprocal", "tabulated"])
 def test_weighted_closed_form_inverse_takes_no_bisection(monkeypatch, factory):
     def fail(self, vabs):
         raise AssertionError("flux inversion fell back to bisection")
@@ -333,6 +334,38 @@ def test_weighted_closed_form_inverse_takes_no_bisection(monkeypatch, factory):
     w = np.linspace(0.5, 2.0, 64)
     t, a = factory().invert_flux(v, weight=w)
     np.testing.assert_allclose(t[1:] * a[1:], v[1:], rtol=1e-13)
+
+
+def _table(ts, fn):
+    ts = np.asarray(ts, dtype=float)
+    return mo.tabulated_cost(ts, fn(ts))
+
+
+# the three tables of t^2/2 the benchmark runs, a table with a dead zone, and
+# one that starts above 0
+INVERSE_TABLES = [
+    ("square-10-201", lambda: _table(np.linspace(0.0, 10.0, 201), lambda t: 0.5 * t * t)),
+    ("square-8-20001", lambda: _table(np.linspace(0.0, 8.0, 20001), lambda t: 0.5 * t * t)),
+    ("square-4-401", lambda: _table(np.linspace(0.0, 4.0, 401), lambda t: 0.5 * t * t)),
+    ("dead-zone", lambda: _table(np.linspace(0.0, 8.0, 257), lambda t: t + 0.5 * t * t)),
+    ("positive-start", lambda: _table(np.linspace(0.5, 6.0, 40), lambda t: 0.5 * t * t + 1.0 / t)),
+]
+
+
+@pytest.mark.parametrize("factory", [f for _, f in INVERSE_TABLES],
+                         ids=[name for name, _ in INVERSE_TABLES])
+def test_table_flux_inverse_is_exact(factory):
+    # one search over the segment ends lands where the bisection on
+    # t * D+c*(t^2/2) does, also at the ends themselves and on the jumps
+    cost = factory()
+    prof = cost._profile
+    edges = prof._flux_edges[np.isfinite(prof._flux_edges)]
+    v = np.concatenate([[0.0], np.geomspace(1e-10, 1e3, 4095), edges,
+                        0.5 * (edges[1:] + edges[:-1])])
+    t, a = prof.invert_flux(v)
+    t_ref, a_ref = cost._invert_flux_bisect(v)
+    np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0.0)
 
 
 # -- regularization ---------------------------------------------------------

@@ -245,14 +245,102 @@ def test_interval_selection_is_the_flux_inverse(cost, weighted):
     assert mo.solve_auxiliary(prob).converged
 
 
-def test_zero_flux_edge_closed_forms():
+def test_zero_flux_edge_closed_forms(monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("the dead-zone edge fell back to bisection")
+
+    monkeypatch.setattr(mo.costs, "bisect", fail)
     assert mo.quadratic_cost().zero_flux_edge() == 0.0
     assert mo.power_cost(1.5).zero_flux_edge() == 0.0
     assert mo.reciprocal_cost().zero_flux_edge() == 0.0
     assert mo.linear_cost(0.5).zero_flux_edge() == pytest.approx(1.0, rel=1e-15)
+    assert mo.regularized_cost(mo.linear_cost(0.5), 1e-3).zero_flux_edge() == \
+        pytest.approx(1.0, rel=1e-15)
+    assert mo.regularized_cost(mo.quadratic_cost(), 1e-3).zero_flux_edge() == 0.0
     table = mo.tabulated_cost(_TS, _TS + _TS ** 2 / 2.0)
-    assert table.zero_flux_edge() == pytest.approx(math.sqrt(2.0 * (1.0 + 1.0 / 64.0)),
-                                                   rel=1e-15)
+    edge = table.zero_flux_edge()
+    assert edge == pytest.approx(math.sqrt(2.0 * (1.0 + 1.0 / 64.0)), rel=1e-15)
+    # the edge is rounded down onto the dead zone: sqrt(2 * 0.3) rounds up
+    kinked = mo.tabulated_cost([0.0, 1.0, 2.0], [0.0, 0.3, 1.0])
+    edge = kinked.zero_flux_edge()
+    assert edge == pytest.approx(math.sqrt(0.6), rel=1e-15)
+    assert kinked.conjugate_dminus(0.5 * edge * edge) == 0.0
+    shifted = _TS[1:] + 0.5
+    assert mo.tabulated_cost(shifted, shifted ** 2 / 2.0).zero_flux_edge() == 0.0
+
+
+def _reference_flux_level(prob):
+    """``q0`` of the interval certificate by a 240-step bisection, and its flux."""
+    grid = prob.grid
+    h, vol = grid.cell_h, grid.cell_volumes
+    cum = np.concatenate([[0.0], np.cumsum(prob.load[1:grid.n_cells])])
+
+    def mean_grad(q0):
+        sigma = (q0 - cum) * h / vol
+        t, _ = prob.invert_flux(np.abs(sigma))
+        return float(np.dot(h, t * np.sign(sigma)))
+
+    q0 = float(mo.costs.bisect(lambda q: mean_grad(q) < 0.0, float(np.min(cum)) - 1.0,
+                               float(np.max(cum)) + 1.0, 240))
+    sigma = (q0 - cum) * h / vol
+    sigma[np.abs(sigma) <= 1e-12 * np.max(np.abs(sigma))] = 0.0
+    return q0, sigma
+
+
+_LEVEL_COSTS = [
+    ("quadratic", mo.quadratic_cost), ("power1.5", lambda: mo.power_cost(1.5)),
+    ("reciprocal", mo.reciprocal_cost), ("linear", lambda: mo.linear_cost(0.5)),
+    ("dead-zone-table", lambda: mo.tabulated_cost(_TS, _TS + _TS ** 2 / 2.0)),
+]
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["homogeneous", "weighted"])
+@pytest.mark.parametrize("make_cost, atoms", [
+    pytest.param(f, atoms, id=name + ("-atoms" if atoms else ""))
+    for name, f in _LEVEL_COSTS for atoms in (False, True)
+    # Dirac sources need a linear-regime or the quadratic cost
+    if not atoms or name in ("quadratic", "reciprocal", "linear")])
+def test_interval_flux_level_matches_reference_bisection(make_cost, atoms, weighted):
+    # the breakpoint search lands within a few ulps of where a long
+    # bisection of the mean gradient ends, with the same certificate
+    cost = make_cost()
+    grid = mo.interval_grid(-1.0, 1.0, 511)
+    x = grid.node_coords[:, 0]
+    w = 1.0 + 0.5 * (grid.cell_centers[:, 0] + 1.0) if weighted else None
+    source = mo.SourceTerm(grid, density=1.0 + np.sin(3.0 * x),
+                           atoms=[(np.array([0.3]), 0.7)] if atoms else [])
+    prob = mo.build_problem(grid, cost, source, w)
+    q_ref, sigma_ref = _reference_flux_level(prob)
+    sigma = solver.feasible_flux_1d(prob)[0][:, 0]
+    scale = float(np.max(np.abs(sigma_ref))) + abs(q_ref)
+    assert np.max(np.abs(sigma - sigma_ref)) <= 4.0 * np.finfo(float).eps * scale
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged
+    dual_ref = solver._dual_value(prob, sigma_ref[:, None])
+    assert sol.dual_value == pytest.approx(dual_ref, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [255, 4096])
+@pytest.mark.parametrize("weighted", [False, True], ids=["homogeneous", "weighted"])
+@pytest.mark.parametrize("make_cost", [f for _, f in _LEVEL_COSTS],
+                         ids=[name for name, _ in _LEVEL_COSTS])
+def test_interval_certificate_takes_few_flux_inversions(monkeypatch, make_cost, weighted, n):
+    # a binary search over the breakpoints, then a few secant steps; the
+    # bisection it replaced took 120 inversions
+    calls = []
+    invert = mo.CostFunction.invert_flux
+
+    def counted(self, vabs, weight=1.0):
+        calls.append(1)
+        return invert(self, vabs, weight)
+
+    monkeypatch.setattr(mo.CostFunction, "invert_flux", counted)
+    grid = mo.interval_grid(-1.0, 1.0, n)
+    w = 1.0 + 0.5 * (grid.cell_centers[:, 0] + 1.0) if weighted else None
+    source = mo.SourceTerm(grid, density=1.0 + np.sin(3.0 * grid.node_coords[:, 0]))
+    sol = mo.solve_auxiliary(mo.build_problem(grid, make_cost(), source, w))
+    assert sol.converged
+    assert len(calls) <= math.log2(n) + 20
 
 
 def test_symmetry_even_source():
