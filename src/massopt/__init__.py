@@ -7,13 +7,17 @@ primal-dual splitting on rectangles), the optimal conductivity is
 recovered from subdifferential optimality conditions, and every
 optimality condition is verified numerically against the recovered
 measure.
+
+Costs are the builtin closed forms (quadratic, power, linear,
+reciprocal), piecewise-linear tables, expressions in ``t`` and their
+regularizations ``c + eps t^2``; the conjugate of an expression or a
+regularized cost is evaluated by bisection on its upper derivative.
 """
 
 from .costs import (Conjugate, CostFunction, CostValidation, RecessionValue,
                     builtin_cost, conjugate_eval, expression_cost, linear_cost,
-                    piecewise_polynomial_cost, power_cost, quadratic_cost,
-                    recession_eval, reciprocal_cost, regularized_cost,
-                    subdiff_interval, tabulated_cost, validate_cost)
+                    power_cost, quadratic_cost, recession_eval, reciprocal_cost,
+                    regularized_cost, subdiff_interval, tabulated_cost, validate_cost)
 from .errors import (AtomOutsideGrid, ConfigError, InadmissibleSource, InvalidCost,
                      MassOptError, NonMonotoneQuotient, NotConverged,
                      NumericOverflow, OutsideDomain, RegimeMismatch,

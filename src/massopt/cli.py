@@ -326,15 +326,15 @@ def cmd_conjugate_table(cost, s_lo, s_hi, count, stream):
     """Deterministic (s, c*(s), subdiff lo, hi) table for plotting."""
     conj = cost.conjugate()
     thr = conj.finiteness_threshold()
+    s = np.linspace(s_lo, s_hi, count)
+    value = np.asarray(conj.value(s), dtype=float)
+    inside = s <= thr * (1.0 + 1e-12) + 1e-300
+    lo = np.full(count, math.nan)
+    hi = np.full(count, math.nan)
+    lo[inside], hi[inside] = costs_mod.subdiff_interval(conj, None, s[inside])
     stream.write("s,value,subdiff_lo,subdiff_hi\n")
-    for s in np.linspace(s_lo, s_hi, count):
-        s = float(s)
-        value = float(np.asarray(conj.value(s)))
-        if s > thr * (1.0 + 1e-12) + 1e-300:
-            lo = hi = math.nan
-        else:
-            lo, hi = costs_mod.subdiff_interval(conj, None, s)
-        stream.write(",".join(_FMT % v for v in (s, value, lo, hi)) + "\n")
+    for row in zip(s, value, lo, hi):
+        stream.write(",".join(_FMT % v for v in row) + "\n")
 
 
 def _post_build_error(exc):

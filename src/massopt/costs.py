@@ -13,6 +13,12 @@ Costs are classified by the recession slope ``cinf = lim c(t0 + s) / s``:
 * superlinear (SL): ``cinf = +inf``; the conjugate is finite everywhere;
 * linear (L): ``cinf < +inf``; the conjugate is ``+inf`` beyond ``cinf``.
 
+The builtin costs and tables evaluate their conjugates and flux inverses
+in closed form.  Expression and regularized costs give their value and
+their upper derivative ``D+c`` (an expression by forward-mode
+differentiation of its syntax tree), and every conjugate map is one
+vectorized bisection on ``D+c`` (:class:`_SubgradientProfile`).
+
 All evaluators are numpy-vectorized.  ``+inf`` is IEEE infinity; arithmetic
 with it saturates.  Objects are immutable after construction and safe to
 share between threads.
@@ -63,105 +69,6 @@ def grow_bracket(below, hi, limit=80, where=True):
             break
         hi = np.where(grow, hi * 2.0, hi)
     return hi
-
-
-def _golden_max(fn, a, b, iters=200, tol=1e-13):
-    """Golden-section maximization of a quasi-concave fn on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-    if f1 >= f2:
-        return f1, x1
-    return f2, x2
-
-
-def _concave_max(fn, seed, lo=0.0, hi=INF, cap=_OVERFLOW_CAP):
-    """Maximize a concave extended-real function over [lo, hi].
-
-    Returns ``(value, argmax)``.  A supremum that climbs past ``cap`` while
-    the maximizer runs off to an unbounded edge is reported as
-    ``(inf, inf)``.  Hitting the cap with a bounded maximizer signals an
-    internal bug (:class:`NumericOverflow`).
-    """
-    f_seed = fn(seed)
-    if not f_seed > -INF:
-        # walk toward the interior of the domain to find a finite value
-        for cand in (seed * 0.5, seed * 2.0, seed + 1.0, lo + 1e-8, 1.0):
-            if lo <= cand <= hi and fn(cand) > -INF:
-                seed = cand
-                f_seed = fn(seed)
-                break
-        else:
-            raise InvalidCost("no finite value found for numeric supremum")
-
-    # expand to the right
-    right = seed
-    f_right = f_seed
-    step = max(1.0, abs(seed))
-    increasing = False
-    while right < hi:
-        nxt = min(right + step, hi, 1e13)
-        f_nxt = fn(nxt)
-        if f_nxt > cap:
-            if math.isinf(hi):
-                return INF, INF
-            raise NumericOverflow("overflow cap hit with bounded maximizer")
-        if f_nxt <= f_right:
-            right = nxt
-            increasing = False
-            break
-        right, f_right = nxt, f_nxt
-        increasing = True
-        if nxt >= min(hi, 1e13):
-            break
-        step *= 2.0
-    if increasing and math.isinf(hi) and right >= 1e13 \
-            and f_right > 1e3 * (1.0 + abs(f_seed)):
-        # still climbing at the expansion limit: unbounded maximizer
-        return INF, INF
-
-    # expand to the left
-    left = seed
-    f_left = f_seed
-    step = max(1.0, abs(seed))
-    increasing = False
-    while left > lo:
-        nxt = max(left - step, lo, -1e13)
-        f_nxt = fn(nxt)
-        if f_nxt > cap:
-            if math.isinf(lo):
-                return INF, -INF
-            raise NumericOverflow("overflow cap hit with bounded maximizer")
-        if f_nxt <= f_left:
-            left = nxt
-            increasing = False
-            break
-        left, f_left = nxt, f_nxt
-        increasing = True
-        if nxt <= max(lo, -1e13):
-            break
-        step *= 2.0
-    if increasing and math.isinf(lo) and left <= -1e13 \
-            and f_left > 1e3 * (1.0 + abs(f_seed)):
-        return INF, -INF
-
-    value, arg = _golden_max(fn, left, right)
-    value = max(value, f_seed)
-    if value > cap:
-        raise NumericOverflow("overflow cap hit with bounded maximizer")
-    return value, arg
 
 
 def _numeric_recession(value_fn, t0, tol=1e-9, cap=_OVERFLOW_CAP):
@@ -221,10 +128,6 @@ class _QuadraticProfile:
 
     def dead_zone(self):
         return 0.0
-
-    def regularized_maximizer(self, s, eps):
-        # argmax of a*s - a^2/2 - eps*a^2 over a >= 0
-        return np.maximum(np.asarray(s, dtype=float), 0.0) / (1.0 + 2.0 * eps)
 
     def describe(self):
         return {}
@@ -320,10 +223,6 @@ class _LinearProfile:
     def dead_zone(self):
         return self.slope
 
-    def regularized_maximizer(self, s, eps):
-        # argmax of a*s - slope*a - eps*a^2 over a >= 0
-        return np.maximum(np.asarray(s, dtype=float) - self.slope, 0.0) / (2.0 * eps)
-
     def describe(self):
         return {"slope": self.slope}
 
@@ -381,63 +280,75 @@ class _ReciprocalProfile:
         return {"a": self.a, "b": self.b}
 
 
-class _NumericConjugateMixin:
-    """Conjugate / recession via generic numeric machinery.
+class _SubgradientProfile:
+    """Conjugate machinery of a cost known by its value and upper derivative.
 
-    One-sided conjugate derivatives use the envelope relation: the slope of
-    ``c*`` at ``s`` is the maximizer of ``t*s - c(t)``.  The maximizer is
-    available for free from the numeric supremum, so a Richardson-style
-    extrapolation of maximizers at ``s -/+ delta`` is both cheaper and more
-    accurate than differencing conjugate values.
+    A subclass gives ``value``, the upper derivative ``subgrad_hi`` (``D+c``,
+    nondecreasing; ``-inf`` left of the domain and ``+inf`` right of it),
+    ``domain`` and ``recession``.  Every evaluation is one vectorized
+    :func:`bisect` on a monotone predicate, with :func:`grow_bracket` for
+    its upper end:
+
+    * ``D-c*(s) = inf{t : D+c(t) >= s}``;
+    * ``D+c*(s) = sup{t : D+c(t) <= s}``, ``+inf`` where ``D+c`` never
+      exceeds ``s`` (at or past the recession slope);
+    * ``c*(s) = s t - c(t)`` at ``t = D-c*(s)``, the maximizer of
+      ``s t - c(t)``, and ``+inf`` past the recession slope.
     """
 
-    _fd_step = 1e-6
+    def _first_false(self, below, shape):
+        """Where ``below`` (true, then false, in ``t``) turns false on the domain.
 
-    def _conj_scalar(self, s):
-        lo = self.domain[0]
-        val, arg = _concave_max(lambda t: s * t - float(self.value(t)), self.seed_t, lo=lo)
-        return val, arg
+        Returns ``(t, never)``: ``t`` is the left end of the domain where
+        ``below`` fails there already and the midpoint of a 100-step
+        bisection otherwise; ``never`` holds where ``below`` still holds at
+        the end of the grown bracket.
+        """
+        lo = np.full(shape, float(self.domain[0]))
+        hi = grow_bracket(below, lo + 1.0)
+        t = np.where(below(lo), bisect(below, lo, hi, 100), lo)
+        return np.clip(t, *self.domain), below(hi)
 
     def conj_value(self, s):
         s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape, dtype=float)
-        for idx in np.ndindex(s.shape):
-            out[idx] = self._conj_scalar(float(s[idx]))[0]
-        return out if out.shape else float(out)
-
-    def _maximizer(self, s):
-        val, arg = self._conj_scalar(s)
-        if math.isinf(val):
-            return INF
-        return arg
-
-    def _onesided(self, s, sign):
-        d = self._fd_step
-        m1 = self._maximizer(s + sign * d)
-        m2 = self._maximizer(s + sign * d / 2.0)
-        if math.isinf(m1) or math.isinf(m2):
-            return INF
-        return max(2.0 * m2 - m1, 0.0)
+        t, _ = self._first_false(lambda t: self.subgrad_hi(t) < s, s.shape)
+        return np.where(s > self.recession(), INF, s * t - self.value(t))
 
     def conj_dminus(self, s):
         s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape, dtype=float)
-        for idx in np.ndindex(s.shape):
-            out[idx] = self._onesided(float(s[idx]), -1.0)
-        return out if out.shape else float(out)
+        t, never = self._first_false(lambda t: self.subgrad_hi(t) < s, s.shape)
+        return np.where(never, INF, t)
 
     def conj_dplus(self, s):
         s = np.asarray(s, dtype=float)
-        out = np.empty(s.shape, dtype=float)
-        for idx in np.ndindex(s.shape):
-            out[idx] = self._onesided(float(s[idx]), +1.0)
-        return out if out.shape else float(out)
+        t, never = self._first_false(lambda t: self.subgrad_hi(t) <= s, s.shape)
+        return np.where(never, INF, t)
 
-    def recession(self):
-        return _numeric_recession(lambda t: float(self.value(t)), self.seed_t)
+    def invert_flux(self, vabs):
+        """Joint solve of ``v = t a``, ``t^2/2`` in the subdifferential of ``c`` at ``a``.
+
+        ``D+c(a) - v^2 / (2 a^2)`` is strictly increasing in the density
+        ``a``, so its sign change, found by bisection, is the density and
+        ``t = v / a``.  Where the flux vanishes the density is the
+        cost-minimal ``D-c*(0)``.
+        """
+        vabs = np.asarray(vabs, dtype=float)
+        pos = vabs > 0.0
+        v = np.where(pos, vabs, 1.0)
+
+        def below(a):
+            return self.subgrad_hi(a) - 0.5 * v * v / (a * a) < 0.0
+
+        hi = grow_bracket(below, np.ones_like(v), limit=200)
+        a = bisect(below, np.full_like(v, 1e-300), hi, 120)
+        return np.where(pos, v / a, 0.0), np.where(pos, a, self.conj_dminus(0.0))
+
+    def dead_zone(self):
+        # D-c*(s) = 0 exactly while s <= D+c(0); D+c(0) = -inf where c(0) = +inf
+        return max(float(self.subgrad_hi(0.0)), 0.0)
 
 
-class _ExpressionProfile(_NumericConjugateMixin):
+class _ExpressionProfile(_SubgradientProfile):
     kind = "expression"
     name = "expression"
     domain = (0.0, INF)
@@ -445,12 +356,26 @@ class _ExpressionProfile(_NumericConjugateMixin):
     def __init__(self, text, seed_t=1.0):
         self.expr = Expression(text, variables=("t",))
         self.seed_t = float(seed_t)
+        self._recession = None
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         # evaluate on the clamped domain; t < 0 is +inf by definition
         out = np.asarray(self.expr(t=np.maximum(t, 0.0)), dtype=float)
         return np.where(t < 0.0, INF, out)
+
+    def subgrad_hi(self, t):
+        t = np.asarray(t, dtype=float)
+        value, slope = self.expr.derivative("t", t=np.maximum(t, 0.0))
+        # off the domain, which holds the witness seed_t, D+c is -inf to its
+        # left and +inf to its right
+        inside = (t >= 0.0) & (value < INF)
+        return np.where(inside, slope, np.where(t < self.seed_t, -INF, INF))
+
+    def recession(self):
+        if self._recession is None:
+            self._recession = _numeric_recession(lambda t: float(self.value(t)), self.seed_t)
+        return self._recession
 
     def describe(self):
         return {"expression": self.expr.text}
@@ -515,6 +440,9 @@ class _TabulatedProfile:
         _, jr = self._argmax_nodes(s)
         return self.ts[jr] + np.zeros_like(np.asarray(s, dtype=float))
 
+    def subgrad_hi(self, t):
+        return np.concatenate([[-INF], self.slopes, [INF]])[np.searchsorted(self.ts, t, side="right")]
+
     def recession(self):
         # the table is +inf beyond its last sample, hence superlinear
         return INF
@@ -543,136 +471,34 @@ class _TabulatedProfile:
                 "t_min": float(self.ts[0]), "t_max": float(self.ts[-1])}
 
 
-class _PiecewisePolyProfile(_NumericConjugateMixin):
-    """Polynomial segments between breakpoints; last segment may extend."""
-
-    kind = "piecewise_polynomial"
-    name = "piecewise_polynomial"
-
-    def __init__(self, breakpoints, coefficients, extend_last=True):
-        bp = np.asarray(breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0.0):
-            raise InvalidCost("breakpoints must be strictly increasing")
-        if bp[0] < 0.0:
-            raise InvalidCost("breakpoints must satisfy t >= 0")
-        if len(coefficients) != bp.size - 1:
-            raise InvalidCost("need one coefficient row per segment")
-        self.bp = bp
-        self.coeffs = [np.asarray(c, dtype=float) for c in coefficients]
-        self.extend_last = bool(extend_last)
-        self.domain = (float(bp[0]), INF if extend_last else float(bp[-1]))
-        self.seed_t = float(0.5 * (bp[0] + bp[1]))
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(self.bp, t, side="right") - 1, 0, len(self.coeffs) - 1)
-        out = np.empty(t.shape, dtype=float)
-        for k, c in enumerate(self.coeffs):
-            mask = seg == k
-            if np.any(mask):
-                out[mask] = np.polynomial.polynomial.polyval(t[mask], c)
-        below = t < self.bp[0]
-        above = t > self.bp[-1]
-        if not self.extend_last:
-            out = np.where(above, INF, out)
-        return np.where(below | (t < 0.0), INF, out)
-
-    def describe(self):
-        return {"breakpoints": [float(b) for b in self.bp]}
-
-
-class _RegularizedProfile:
+class _RegularizedProfile(_SubgradientProfile):
     """Base cost plus ``eps * t**2``; always superlinear.
 
     The strictly convex quadratic term makes the conjugate differentiable,
     with derivative equal to the unique maximizer of ``t*s - c_eps(t)``.
-    All evaluations reduce to :func:`bisect` on the monotone map
-    ``t -> subgrad(c)(t) + 2*eps*t`` when the base exposes its upper
-    subgradient in closed form (``subgrad_hi``); otherwise the generic
-    numeric path is used per element.  The map is strictly monotone, so
-    ``subgrad_hi(t) + 2*eps*t < s`` holds exactly below the root and the
-    upper subgradient alone locates it.
+    Its upper derivative is the base's plus ``2 eps t``.
     """
 
     kind = "regularized"
     name = "regularized"
 
-    def __init__(self, base_profile, eps, seed_t=1.0):
+    def __init__(self, base_profile, eps):
         if not eps > 0.0:
             raise InvalidCost("regularization needs eps > 0")
         self.base = base_profile
         self.eps = float(eps)
-        self.domain = (base_profile.domain[0], base_profile.domain[1])
-        self.seed_t = float(seed_t)
-        self._fast = hasattr(base_profile, "subgrad_hi")
+        self.domain = base_profile.domain
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         return self.base.value(t) + np.where(t < 0.0, INF, self.eps * t * t)
 
-    def _sub_hi(self, t):
+    def subgrad_hi(self, t):
+        t = np.asarray(t, dtype=float)
         return self.base.subgrad_hi(t) + 2.0 * self.eps * t
-
-    def _maximizer(self, s):
-        """Solve s in subgrad(c_eps)(t) by bisection; vectorized."""
-        if hasattr(self.base, "regularized_maximizer"):
-            return self.base.regularized_maximizer(s, self.eps)
-        s = np.asarray(s, dtype=float)
-
-        def below(t):
-            return self._sub_hi(t) < s
-
-        hi = grow_bracket(below, np.full_like(s, max(1.0, self.domain[0] + 1.0)))
-        return bisect(below, np.zeros_like(s), hi, 100)
-
-    def conj_value(self, s):
-        if not self._fast:
-            return _NumericConjugateMixin.conj_value(self, s)
-        s = np.asarray(s, dtype=float)
-        t = self._maximizer(s)
-        val = s * t - self.value(t)
-        # t may sit at the open edge of the base domain (value +inf there);
-        # nudge inward for the evaluation
-        bad = ~np.isfinite(val)
-        if np.any(bad):
-            tb = np.maximum(t, 1e-300) * (1.0 + 1e-12) + 1e-300
-            val = np.where(bad, s * tb - self.value(tb), val)
-        return val
-
-    def conj_dminus(self, s):
-        if not self._fast:
-            return _NumericConjugateMixin.conj_dminus(self, s)
-        return self._maximizer(s)
-
-    def conj_dplus(self, s):
-        if not self._fast:
-            return _NumericConjugateMixin.conj_dplus(self, s)
-        return self._maximizer(s)
 
     def recession(self):
         return INF
-
-    def invert_flux(self, vabs):
-        """Joint solve of v = g*a, g^2/2 in subgrad(c_eps)(a), vectorized in a."""
-        if not self._fast:
-            return None
-        vabs = np.asarray(vabs, dtype=float)
-        pos = vabs > 0.0
-        v = np.where(pos, vabs, 1.0)
-
-        def below(a):
-            return self._sub_hi(a) - 0.5 * v * v / (a * a) < 0.0
-
-        hi = grow_bracket(below, np.ones_like(v), limit=200)
-        a = bisect(below, np.full_like(v, 1e-300), hi, 120)
-        t = v / a
-        a0 = self._maximizer(np.zeros_like(v))  # cost-minimal density at zero flux
-        return np.where(pos, t, 0.0), np.where(pos, a, a0)
-
-    def dead_zone(self):
-        # the maximizer vanishes where s lies in the subdifferential of c_eps
-        # at 0, which eps * t^2 leaves as the base's
-        return self.base.dead_zone() if hasattr(self.base, "dead_zone") else None
 
     def describe(self):
         d = dict(self.base.describe())
@@ -748,6 +574,11 @@ class CostFunction:
         """
         return getattr(self._profile, "conj_exponent", None)
 
+    @property
+    def conjugate_by_bisection(self):
+        """True when every conjugate map is a bisection on ``D+c`` (expression and regularized costs)."""
+        return isinstance(self._profile, _SubgradientProfile)
+
     def describe(self):
         d = {"kind": self.kind, "name": self.name}
         d.update(self._profile.describe())
@@ -793,6 +624,10 @@ class CostFunction:
         """Cost value ``w * c0(t)`` (``+inf`` allowed)."""
         return np.asarray(weight, dtype=float) * self.base_value(t)
 
+    def subgrad_hi(self, t, weight=1.0):
+        """Upper derivative ``D+c(x, t) = w * D+c0(t)``; ``-inf`` left of the domain, ``+inf`` right of it."""
+        return np.asarray(weight, dtype=float) * self._profile.subgrad_hi(np.asarray(t, dtype=float))
+
     def recession_slope(self):
         """Recession slope ``c0_inf(1)`` of the base; ``+inf`` in the superlinear case.
 
@@ -834,64 +669,31 @@ class CostFunction:
         ``a = v / t`` the matching density (cost-minimal density where the
         flux vanishes).  The homogeneous inverse ``(t0, a0)`` is the
         profile's own: a closed form for the builtin costs, one search over
-        the segment ends for a table, and a vectorized bisection on the
-        regularized map.  Expression and piecewise-polynomial costs fall
-        back to :func:`bisect` on the upper conjugate derivative.  A weight
-        rescales it: ``m_w(t) = sqrt(w) * m0(t / sqrt(w))``, so
+        the segment ends for a table, and a vectorized bisection in the
+        density for expression and regularized costs.  A weight rescales
+        it: ``m_w(t) = sqrt(w) * m0(t / sqrt(w))``, so
         ``t = sqrt(w) * t0(v / sqrt(w))`` and ``a = a0(v / sqrt(w))``.
         """
         root = np.sqrt(np.asarray(weight, dtype=float))
-        vabs = np.asarray(vabs, dtype=float) / root
-        out = self._profile.invert_flux(vabs) if hasattr(self._profile, "invert_flux") else None
-        t, a = self._invert_flux_bisect(vabs) if out is None else out
+        t, a = self._profile.invert_flux(np.asarray(vabs, dtype=float) / root)
         return root * t, a
-
-    def _invert_flux_bisect(self, vabs):
-        vabs = np.asarray(vabs, dtype=float).ravel()
-        cap = math.sqrt(2.0 * self.recession_slope())  # +inf in the superlinear case
-        hi = np.maximum(vabs, 1.0) if math.isinf(cap) else np.full_like(vabs, cap)
-
-        def below(t):
-            with np.errstate(invalid="ignore"):
-                return t * self.conjugate_dplus(0.5 * t * t) < vabs
-
-        hi = grow_bracket(below, hi, where=math.isinf(cap))
-        t = bisect(below, np.zeros_like(vabs), hi, 100)
-        pos = vabs > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(pos & (t > 0.0), vabs / np.where(t > 0.0, t, 1.0), 0.0)
-        a0 = self.conjugate_dminus(np.zeros_like(vabs))
-        a = np.where(pos, a, a0)
-        t = np.where(pos, t, 0.0)
-        return t, a
 
     def zero_flux_edge(self):
         """Largest gradient magnitude of zero flux, ``sup{t : t * D-c0*(t^2/2) = 0}``.
 
         Where the flux vanishes, every gradient up to this edge carries it.
         The edge is ``sqrt(2 * s0)`` for the profile's dead zone
-        ``s0 = sup{s : D-c0*(s) = 0}``, in closed form where the profile
-        gives it: ``slope`` for the linear cost, ``slopes[0]`` for a table
-        that starts at 0, its base's for a regularized cost, and 0 otherwise.
+        ``s0 = sup{s : D-c0*(s) = 0}``: ``slope`` for the linear cost,
+        ``slopes[0]`` for a table that starts at 0, ``max(D+c0(0), 0)`` for
+        an expression or regularized cost finite at 0, and 0 otherwise.
         The edge is then rounded down until ``t^2 / 2 <= s0``, so the flux
-        still vanishes there.  Expression and piecewise-polynomial profiles
-        find it once by :func:`bisect`, as the lower end of the last bracket.
-        A weight ``w`` scales it by ``sqrt(w)``.
+        still vanishes there.  A weight ``w`` scales it by ``sqrt(w)``.
         """
         if self._zero_flux_edge is None:
-            level = getattr(self._profile, "dead_zone", lambda: None)()
-            if level is None:
-                def below(t):
-                    with np.errstate(invalid="ignore", over="ignore"):
-                        return t * self.conjugate_dminus(0.5 * t * t) <= 0.0
-
-                cap = math.sqrt(2.0 * self.recession_slope())  # +inf in the superlinear case
-                hi = float(grow_bracket(below, 1.0)) if math.isinf(cap) else cap
-                edge = max(float(bisect(below, 0.0, hi, 90)) - hi * 2.0 ** -91, 0.0)
-            else:
-                edge = math.sqrt(2.0 * level)
-                while 0.5 * edge * edge > level:
-                    edge = math.nextafter(edge, 0.0)
+            level = self._profile.dead_zone()
+            edge = math.sqrt(2.0 * level)
+            while 0.5 * edge * edge > level:
+                edge = math.nextafter(edge, 0.0)
             self._zero_flux_edge = edge
         return self._zero_flux_edge
 
@@ -965,22 +767,20 @@ def recession_eval(cost, x=None):
 
 
 def subdiff_interval(conj, x, s):
-    """Subdifferential interval ``[D- c*(x,s), D+ c*(x,s)]``.
+    """Subdifferential interval ``[D- c*(x,s), D+ c*(x,s)]``, elementwise in ``s``.
 
     At the finiteness threshold the upper end is ``+inf`` (the conjugate is
     ``+inf`` beyond, so the normal cone opens up).  Raises
     :class:`OutsideDomain` for ``s`` past the threshold.
     """
-    s = float(s)
+    s = np.asarray(s, dtype=float)
     thr = conj.finiteness_threshold(x)
     pad = _THRESHOLD_SLACK * (1.0 + abs(thr)) if math.isfinite(thr) else 0.0
-    if s > thr + pad:
-        raise OutsideDomain("s=%g exceeds the conjugate threshold %g" % (s, thr))
-    lo = float(np.asarray(conj.dminus(s, x)))
-    hi = float(np.asarray(conj.dplus(s, x)))
-    if math.isfinite(thr) and s >= thr - pad:
-        hi = INF
-    return lo, hi
+    if np.any(s > thr + pad):
+        raise OutsideDomain("s=%g exceeds the conjugate threshold %g" % (np.max(s), thr))
+    lo = np.asarray(conj.dminus(s, x), dtype=float)
+    hi = np.where(s >= thr - pad, INF, np.asarray(conj.dplus(s, x), dtype=float))
+    return lo[()], hi[()]
 
 
 class CostValidation:
@@ -1098,7 +898,7 @@ def reciprocal_cost(a=1.0, b=1.0, spatial_weight=None):
 
 
 def expression_cost(text, alpha=None, beta=None, t0=1.0, spatial_weight=None):
-    """Cost from a mini-language expression in ``t`` (numeric conjugate)."""
+    """Cost from a mini-language expression in ``t``; its conjugate by bisection on ``D+c``."""
     try:
         prof = _ExpressionProfile(text, seed_t=t0)
         float(np.asarray(prof.value(t0)))
@@ -1114,17 +914,9 @@ def tabulated_cost(ts, cs, alpha=None, beta=None, spatial_weight=None):
                         spatial_weight=spatial_weight)
 
 
-def piecewise_polynomial_cost(breakpoints, coefficients, extend_last=True,
-                              alpha=None, beta=None, spatial_weight=None):
-    """Cost given by polynomial segments between breakpoints."""
-    prof = _PiecewisePolyProfile(breakpoints, coefficients, extend_last)
-    return CostFunction(prof, alpha=alpha, beta=beta, t0=prof.seed_t,
-                        spatial_weight=spatial_weight)
-
-
 def regularized_cost(base, eps):
     """``c_eps(t) = c(t) + eps * t^2``: superlinear continuation of ``base``."""
-    prof = _RegularizedProfile(base._profile, eps, seed_t=base.t0)
+    prof = _RegularizedProfile(base._profile, eps)
     return CostFunction(prof, alpha=base.alpha, beta=base.beta, t0=base.t0,
                         spatial_weight=base.spatial_weight)
 

@@ -13,6 +13,9 @@ Variables are declared by the caller (``t`` for costs, ``x``/``y``/``r``
 for sources).  Evaluation is numpy-vectorized and works on extended reals:
 ``inf`` is IEEE infinity and arithmetic with it saturates.
 
+:meth:`Expression.derivative` also gives the right derivative in one
+variable, by forward-mode differentiation over the syntax tree.
+
 Division by zero is tolerated in exactly one place: a term like ``1/t``
 evaluated at ``t == 0`` yields ``+inf`` (the cost is extended-valued at the
 domain edge).  A vanishing denominator anywhere else raises :class:`ExprError`.
@@ -181,6 +184,17 @@ class Expression:
             out = self._eval(self.ast, arrs)
         return out
 
+    def derivative(self, var, **values):
+        """Value and right derivative in ``var``, by forward mode over the AST.
+
+        Returns ``(value, slope)``.  The value is the one :meth:`__call__`
+        gives.  At a guard's cut the ``>=`` branch is taken, so a piecewise
+        expression gets its right derivative there.
+        """
+        arrs = {k: np.asarray(v, dtype=float) for k, v in values.items()}
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self._dual(self.ast, arrs, var)
+
     def _eval(self, node, values):
         op = node[0]
         if op == "num":
@@ -193,8 +207,36 @@ class Expression:
             _, var, cut, body, other = node
             cond = values[var] >= cut
             return np.where(cond, self._eval(body, values), self._eval(other, values))
-        a = self._eval(node[1], values)
-        b = self._eval(node[2], values)
+        return self._apply(op, self._eval(node[1], values), self._eval(node[2], values), values)
+
+    def _dual(self, node, values, var):
+        op = node[0]
+        if op == "num":
+            return np.asarray(node[1], dtype=float), 0.0
+        if op == "var":
+            return values[node[1]], float(node[1] == var)
+        if op == "neg":
+            a, da = self._dual(node[1], values, var)
+            return -a, -da
+        if op == "guard":
+            _, gvar, cut, body, other = node
+            cond = values[gvar] >= cut
+            (a, da), (b, db) = self._dual(body, values, var), self._dual(other, values, var)
+            return np.where(cond, a, b), np.where(cond, da, db)
+        (a, da), (b, db) = self._dual(node[1], values, var), self._dual(node[2], values, var)
+        out = self._apply(op, a, b, values)
+        if op == "+":
+            return out, da + db
+        if op == "-":
+            return out, da - db
+        if op == "*":
+            return out, da * b + a * db
+        if op == "/":
+            return out, (da - out * db) / b
+        # a^b: the logarithmic term only where the exponent varies
+        return out, b * np.power(a, b - 1.0) * da + np.where(db == 0.0, 0.0, out * np.log(a) * db)
+
+    def _apply(self, op, a, b, values):
         if op == "+":
             return a + b
         if op == "-":

@@ -532,19 +532,16 @@ class StiffnessLayout:
         if grid.dim == 2:
             self.tensor = (ca[:, 0] * cb[:, 0], ca[:, 0] * cb[:, 1] + ca[:, 1] * cb[:, 0],
                            ca[:, 1] * cb[:, 1])
-        self._grid = grid
 
-    def band(self, w, atoms=()):
+    def band(self, w):
         """Lower band of the stiffness ``G^T B G`` on the interior nodes.
 
         ``w`` holds either one weight per cell, shape ``(n_cells,)`` (cell
         volume times conductivity for a Dirichlet energy; ``B`` repeats it
         on every gradient component), or one symmetric 2x2 tensor per cell
         of a rectangle, shape ``(n_cells, 2, 2)`` (``B`` couples the x and y
-        gradients of the cell, as in a Hessian).  An atom ``(location,
-        mass)`` adds the point stiffness of the hat gradients on the cells
-        carrying it, which is the unit block weighted by ``mass`` times the
-        cell's share of the atom.
+        gradients of the cell, as in a Hessian).  Atoms are folded into
+        ``w`` beforehand (:func:`with_atoms`).
         """
         w = np.asarray(w, dtype=float)
         if w.ndim == 1:
@@ -552,12 +549,6 @@ class StiffnessLayout:
         else:
             xx, xy, yy = self.tensor
             vals = w[:, 0, 0, None] * xx + w[:, 0, 1, None] * xy + w[:, 1, 1, None] * yy
-        if atoms:
-            extra = np.zeros(self._grid.n_cells)
-            for loc, mass in atoms:
-                for i, cw in self._grid.cell_weights_at(loc):
-                    extra[i] += mass * cw
-            vals = vals + extra[:, None] * self.unit
         flat = np.bincount(self.slots.ravel(), weights=vals.ravel(), minlength=self.size + 1)
         return flat[:self.size].reshape(self.n, self.band_rows).T
 
@@ -601,16 +592,34 @@ class StiffnessLayout:
         return BandCholesky(band, self.order)
 
 
+def with_atoms(grid, w, atoms):
+    """Cell weights ``w`` with the point stiffness of each atom folded in.
+
+    An atom ``(location, mass)`` adds the point stiffness of the hat
+    gradients on the cells carrying it.  The hat gradients are constant on
+    a cell, so that is the cell's stiffness at weight ``mass`` times the
+    cell's share of the atom (times the identity for 2x2 weights).
+    """
+    w = np.asarray(w, dtype=float)
+    if not atoms:
+        return w
+    extra = np.zeros(grid.n_cells)
+    for loc, mass in atoms:
+        for i, cw in grid.cell_weights_at(loc):
+            extra[i] += mass * cw
+    return w + (extra if w.ndim == 1 else extra[:, None, None] * np.eye(2))
+
+
 def stiffness(grid, w, atoms=()):
     """Stiffness ``G^T B G`` on the interior nodes, as a CSC matrix.
 
-    ``w`` and ``atoms`` are as in :meth:`StiffnessLayout.band`.  The matrix
-    is symmetric positive semidefinite for positive semidefinite weights,
-    and definite when every interior node reaches the boundary through
-    cells of positive definite weight.
+    ``w`` is as in :meth:`StiffnessLayout.band`, and ``atoms`` as in
+    :func:`with_atoms`.  The matrix is symmetric positive semidefinite for
+    positive semidefinite weights, and definite when every interior node
+    reaches the boundary through cells of positive definite weight.
     """
     layout = grid.stiffness_layout()
-    return layout.matrix(layout.band(w, atoms))
+    return layout.matrix(layout.band(with_atoms(grid, w, atoms)))
 
 
 def stiffness_factor(grid, w):

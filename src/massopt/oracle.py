@@ -24,14 +24,17 @@ where applicable):
 The brute-force minimizer is deliberately independent of the solver: cyclic
 coordinate descent with an exact golden-section line search per node,
 restricted to the per-coordinate feasible interval in the linear regime.
+``_concave_max``, a scalar golden-section maximization of a concave
+function, is likewise independent of the conjugate code: the acceptance
+suite takes it as the biconjugacy reference.
 """
 
 import math
 
 import numpy as np
 
-from .costs import linear_cost, quadratic_cost, reciprocal_cost
-from .errors import TooLarge, UnknownFixture
+from .costs import _OVERFLOW_CAP, linear_cost, quadratic_cost, reciprocal_cost
+from .errors import InvalidCost, NumericOverflow, TooLarge, UnknownFixture
 from .grids import SourceTerm, interval_grid, radial_grid, sphere_surface
 from .solver import build_problem, objective_eval
 
@@ -185,6 +188,105 @@ def _golden_min(fn, a, b, tol=1e-12, iters=200):
             x1 = b - invphi * (b - a)
             f1 = fn(x1)
     return x1 if f1 <= f2 else x2
+
+
+def _golden_max(fn, a, b, iters=200, tol=1e-13):
+    """Golden-section maximization of a quasi-concave fn on [a, b]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    for _ in range(iters):
+        if b - a <= tol * (1.0 + abs(a) + abs(b)):
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fn(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fn(x1)
+    if f1 >= f2:
+        return f1, x1
+    return f2, x2
+
+
+def _concave_max(fn, seed, lo=0.0, hi=INF, cap=_OVERFLOW_CAP):
+    """Maximize a concave extended-real function over [lo, hi].
+
+    Returns ``(value, argmax)``.  A supremum that climbs past ``cap`` while
+    the maximizer runs off to an unbounded edge is reported as
+    ``(inf, inf)``.  Hitting the cap with a bounded maximizer signals an
+    internal bug (:class:`NumericOverflow`).
+    """
+    f_seed = fn(seed)
+    if not f_seed > -INF:
+        # walk toward the interior of the domain to find a finite value
+        for cand in (seed * 0.5, seed * 2.0, seed + 1.0, lo + 1e-8, 1.0):
+            if lo <= cand <= hi and fn(cand) > -INF:
+                seed = cand
+                f_seed = fn(seed)
+                break
+        else:
+            raise InvalidCost("no finite value found for numeric supremum")
+
+    # expand to the right
+    right = seed
+    f_right = f_seed
+    step = max(1.0, abs(seed))
+    increasing = False
+    while right < hi:
+        nxt = min(right + step, hi, 1e13)
+        f_nxt = fn(nxt)
+        if f_nxt > cap:
+            if math.isinf(hi):
+                return INF, INF
+            raise NumericOverflow("overflow cap hit with bounded maximizer")
+        if f_nxt <= f_right:
+            right = nxt
+            increasing = False
+            break
+        right, f_right = nxt, f_nxt
+        increasing = True
+        if nxt >= min(hi, 1e13):
+            break
+        step *= 2.0
+    if increasing and math.isinf(hi) and right >= 1e13 \
+            and f_right > 1e3 * (1.0 + abs(f_seed)):
+        # still climbing at the expansion limit: unbounded maximizer
+        return INF, INF
+
+    # expand to the left
+    left = seed
+    f_left = f_seed
+    step = max(1.0, abs(seed))
+    increasing = False
+    while left > lo:
+        nxt = max(left - step, lo, -1e13)
+        f_nxt = fn(nxt)
+        if f_nxt > cap:
+            if math.isinf(lo):
+                return INF, -INF
+            raise NumericOverflow("overflow cap hit with bounded maximizer")
+        if f_nxt <= f_left:
+            left = nxt
+            increasing = False
+            break
+        left, f_left = nxt, f_nxt
+        increasing = True
+        if nxt <= max(lo, -1e13):
+            break
+        step *= 2.0
+    if increasing and math.isinf(lo) and left <= -1e13 \
+            and f_left > 1e3 * (1.0 + abs(f_seed)):
+        return INF, -INF
+
+    value, arg = _golden_max(fn, left, right)
+    value = max(value, f_seed)
+    if value > cap:
+        raise NumericOverflow("overflow cap hit with bounded maximizer")
+    return value, arg
 
 
 def _scalar_conjugate(cost):

@@ -29,7 +29,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded
-from .grids import DiscreteMeasure, ScalarField, divergence_weighted
+from .grids import DiscreteMeasure, ScalarField, divergence_weighted, with_atoms
 from .solver import (SolverParams, build_problem, objective_eval, resolve_cell_weights,
                      solve_auxiliary)
 
@@ -216,7 +216,7 @@ def energy_eval(mu, source):
         return EnergyResult(0.0, ScalarField.zeros(grid), 0.0)
 
     layout = grid.stiffness_layout()
-    band = layout.band(grid.cell_volumes * mu.ac_density, mu.atoms)
+    band = layout.band(with_atoms(grid, grid.cell_volumes * mu.ac_density, mu.atoms))
     K = layout.matrix(band)
     pins = _floating_pins(K, Fin)
     rhs = Fin.copy()

@@ -38,7 +38,9 @@ names the method that closed it (``AuxiliarySolution.method``):
   cell, by bisection on the upper conjugate derivative ``D+c*``
   (:func:`massopt.costs.bisect`): its map is strictly increasing and
   ``D-c* <= D+c*``, so a test on the lower derivative could never move a
-  bracket end.  In the linear regime the bracket starts at the cap, so the
+  bracket end.  Where ``D+c*`` is itself a bisection (expression and
+  regularized costs), each step tests the cost's upper derivative ``D+c``
+  at the density the step implies instead.  In the linear regime the bracket starts at the cap, so the
   pointwise bound ``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by
   penalty.  Each check projects the iterate's flux once, scores it as the
   dual certificate, and builds a Picard candidate from it.  The solver
@@ -135,6 +137,9 @@ class AuxiliaryProblem:
     def invert_flux(self, vabs):
         return self.cost.invert_flux(vabs, weight=self._w)
 
+    def subgrad_hi(self, a):
+        return self.cost.subgrad_hi(a, weight=self._w)
+
     def cost_value(self, a):
         return self.cost.value(a, weight=self._w)
 
@@ -229,12 +234,20 @@ def _prox_bisect(problem, r, lam):
     """Solve ``r in t + lam * t * dc*(t^2/2)`` per cell by bisection on ``D+c*``.
 
     The bracket starts at the cap, so the linear-regime bound holds exactly.
+    Where ``D+c*`` is itself a bisection on ``D+c``, each step tests the
+    cost's upper derivative instead: ``D+c*(t^2/2) < (r - t) / (lam t)``
+    holds exactly when ``D+c`` at that density exceeds ``t^2/2``, up to a
+    jump of ``D+c`` at that very density.
     """
     r = np.asarray(r, dtype=float)
-
-    def below(t):
-        with np.errstate(invalid="ignore", over="ignore"):
-            return t + lam * t * problem.conj_dplus(0.5 * t * t) < r
+    if problem.cost.conjugate_by_bisection:
+        def below(t):
+            # t = 0 only brackets r = 0, whose answer is 0 either way
+            return problem.subgrad_hi((r - t) / (lam * np.where(t > 0.0, t, 1.0))) > 0.5 * t * t
+    else:
+        def below(t):
+            with np.errstate(invalid="ignore", over="ignore"):
+                return t + lam * t * problem.conj_dplus(0.5 * t * t) < r
 
     return bisect(below, np.zeros_like(r), np.minimum(r, problem.cell_caps), 70)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import massopt as mo
-from massopt.costs import _concave_max
+from massopt.oracle import _concave_max
 
 INF = math.inf
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,20 @@ def test_open_1d_certificate_exit_code(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["converged"] is False
     assert (report["method"], report["iterations"], report["checks"]) == ("certificate", 0, 1)
+
+
+@pytest.mark.parametrize("expression", ["t + t^2/2", "t + 1/t"])
+def test_interval_expression_cost_run(tmp_path, expression):
+    # an expression cost's conjugate maps and flux inverse are vectorized
+    # bisections, so an interval solve of it finishes like a builtin one
+    text = MK_CONFIG.format(out=tmp_path / "out").replace(
+        "builtin = linear\nslope = 0.5", "expression = " + expression).replace(
+        "n = 256", "n = 1024")
+    cfg = write(tmp_path / "expr.cfg", text)
+    start = time.monotonic()
+    assert cli.main(["run", cfg]) == 0
+    assert time.monotonic() - start <= 10.0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True
 
 
 def test_run_is_deterministic(tmp_path):

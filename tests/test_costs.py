@@ -110,18 +110,6 @@ def test_nonconvex_cost_recession_raises():
         mo.recession_eval(c)
 
 
-def test_piecewise_polynomial_cost():
-    # t^2/2 as a single extended segment, and split at t = 1
-    c = mo.piecewise_polynomial_cost([0.0, 1.0], [[0.0, 0.0, 0.5]])
-    assert float(np.asarray(c.base_value(2.0))) == pytest.approx(2.0)
-    assert mo.conjugate_eval(c, None, 3.0) == pytest.approx(4.5, abs=1e-7)
-    split = mo.piecewise_polynomial_cost(
-        [0.0, 1.0, 2.0], [[0.0, 0.0, 0.5], [0.0, 0.0, 0.5]])
-    assert float(np.asarray(split.base_value(1.5))) == pytest.approx(1.125)
-    with pytest.raises(mo.InvalidCost):
-        mo.piecewise_polynomial_cost([0.0, 1.0], [[0.0], [0.0]])
-
-
 # -- subdifferentials -------------------------------------------------------
 
 def test_subdiff_smooth_quadratic():
@@ -225,7 +213,7 @@ def test_fenchel_young(name, factory):
 
 @pytest.mark.parametrize("name,factory", CATALOG)
 def test_biconjugacy(name, factory):
-    from massopt.costs import _concave_max
+    from massopt.oracle import _concave_max
 
     cost = factory()
     conj = cost.conjugate()
@@ -326,10 +314,10 @@ def test_weighted_invert_flux_is_rescaled_homogeneous_inverse(factory):
                                      _tabulated_square],
                          ids=["quadratic", "power1.5", "linear", "reciprocal", "tabulated"])
 def test_weighted_closed_form_inverse_takes_no_bisection(monkeypatch, factory):
-    def fail(self, vabs):
+    def fail(*_args, **_kwargs):
         raise AssertionError("flux inversion fell back to bisection")
 
-    monkeypatch.setattr(mo.CostFunction, "_invert_flux_bisect", fail)
+    monkeypatch.setattr(mo.costs, "bisect", fail)
     v = np.linspace(0.0, 3.0, 64)
     w = np.linspace(0.5, 2.0, 64)
     t, a = factory().invert_flux(v, weight=w)
@@ -363,7 +351,7 @@ def test_table_flux_inverse_is_exact(factory):
     v = np.concatenate([[0.0], np.geomspace(1e-10, 1e3, 4095), edges,
                         0.5 * (edges[1:] + edges[:-1])])
     t, a = prof.invert_flux(v)
-    t_ref, a_ref = cost._invert_flux_bisect(v)
+    t_ref, a_ref = _weighted_bisection_inverse(cost, v, 1.0)
     np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0.0)
 
@@ -390,6 +378,33 @@ def test_regularized_invert_flux():
     assert t[0] == 0.0
     assert np.all(t[1:] > 0.0)
     assert np.allclose(t[1:] * a[1:], v[1:], rtol=1e-10)
+
+
+def test_regularized_expression_matches_builtin():
+    # the regularized expression and the regularized builtin run the same
+    # bisection, on the forward-mode and the closed-form derivative
+    expr = mo.regularized_cost(mo.expression_cost("t + 1/t"), 1e-3)
+    builtin = mo.regularized_cost(mo.reciprocal_cost(), 1e-3)
+    s = np.linspace(-3.0, 5.0, 161)
+    for method in ("conjugate_value", "conjugate_dplus"):
+        np.testing.assert_allclose(getattr(expr, method)(s), getattr(builtin, method)(s),
+                                   rtol=0.0, atol=1e-10)
+    v = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 200)])
+    for got, ref in zip(expr.invert_flux(v), builtin.invert_flux(v)):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
+
+
+def test_regularized_table_evaluates():
+    ts = np.linspace(0.0, 4.0, 17)
+    ceps = mo.regularized_cost(mo.tabulated_cost(ts, 0.5 * ts * ts), 1e-3)
+    s = np.array([-1.0, 0.0, 1.0, 3.0, 10.0])
+    # the maximizers sit at the table's kinks, and at its last node past it
+    t = ceps.conjugate_dplus(s)
+    np.testing.assert_allclose(t, [0.0, 0.0, 1.0, 3.0, 4.0], rtol=1e-12)
+    gap = ceps.base_value(t) + ceps.conjugate_value(s) - t * s
+    assert np.all(np.abs(gap) <= 1e-9 * (1.0 + t))
+    t, a = ceps.invert_flux(np.array([0.0, 0.5, 2.0]))
+    np.testing.assert_allclose(t[1:] * a[1:], [0.5, 2.0], rtol=1e-12)
 
 
 # -- validation -------------------------------------------------------------
@@ -435,8 +450,7 @@ def test_conj_exponent_only_for_power_law_conjugates():
     ts = np.linspace(0.0, 4.0, 17)
     for cost in (mo.linear_cost(0.5), mo.reciprocal_cost(), mo.expression_cost("t^2/2"),
                  mo.tabulated_cost(ts, 0.5 * ts * ts, alpha=1.0, beta=-0.5),
-                 mo.regularized_cost(mo.quadratic_cost(), 1e-2),
-                 mo.piecewise_polynomial_cost([0.0, 1.0], [[0.0, 0.0, 0.5]])):
+                 mo.regularized_cost(mo.quadratic_cost(), 1e-2)):
         assert cost.conj_exponent is None
 
 

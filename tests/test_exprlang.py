@@ -68,3 +68,15 @@ def test_vectorized_evaluation():
     e = Expression("t^2/2")
     t = np.linspace(0, 4, 9)
     assert np.allclose(e(t=t), t * t / 2)
+
+
+def test_forward_derivative():
+    # the >= branch at a guard's cut gives the right derivative there
+    e = Expression("t^2/2 if t >= 1 else 2*t - 3/2")
+    value, slope = e.derivative("t", t=np.array([0.5, 1.0, 2.0]))
+    assert value == pytest.approx([-0.5, 0.5, 2.0])
+    assert slope == pytest.approx([2.0, 1.0, 2.0])
+    value, slope = Expression("2^t + t/(1 + t) - (3*t)^0.5").derivative("t", t=3.0)
+    assert value == pytest.approx(8.0 + 0.75 - 3.0)
+    assert slope == pytest.approx(8.0 * math.log(2.0) + 1.0 / 16.0 - 0.5)
+    assert Expression("t + 1/t").derivative("t", t=0.0) == (math.inf, -math.inf)

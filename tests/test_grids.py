@@ -1,6 +1,8 @@
 """Grids, fields, sources, measures, and the discrete gradient pair."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -322,7 +324,7 @@ def test_spd_factor_matches_dense_solve(build, reordered):
     K = mo.grids.stiffness(g, w, atoms)
     b = np.random.default_rng(4).standard_normal(K.shape[0])
     layout = g.stiffness_layout()
-    factor = layout.factor(layout.band(w, atoms))
+    factor = layout.factor(layout.band(mo.grids.with_atoms(g, w, atoms)))
     assert (factor.order is not None) == reordered
     x = factor.solve(b)
     ref = np.linalg.solve(K.toarray(), b)
@@ -384,7 +386,7 @@ def test_stiffness_matches_dense_product(name, tensor, with_atoms):
     assert abs(K.toarray() - ref).max() <= 1e-14 * abs(ref).max()
     b = rng.standard_normal(ref.shape[0])
     layout = g.stiffness_layout()
-    x = layout.factor(layout.band(w, atoms)).solve(b)
+    x = layout.factor(layout.band(mo.grids.with_atoms(g, w, atoms))).solve(b)
     assert np.linalg.norm(x - np.linalg.solve(ref, b)) <= 1e-12 * np.linalg.norm(x)
 
 
@@ -402,3 +404,17 @@ def test_repeated_stiffness_is_identical():
     assert np.array_equal(last.indices, first.indices)
     assert np.array_equal(last.data, first.data)
     assert g.stiffness_layout() is g.stiffness_layout()
+
+
+def test_grid_with_layout_is_freed_without_the_collector():
+    # the cached layout holds no reference back to its grid, so dropping the
+    # grid frees it at once, not at the next cyclic collection
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 7)
+    mo.grids.stiffness(g, g.cell_volumes, [(np.array([0.4, 0.5]), 1.0)])
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()

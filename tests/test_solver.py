@@ -267,6 +267,13 @@ def test_zero_flux_edge_closed_forms(monkeypatch):
     assert kinked.conjugate_dminus(0.5 * edge * edge) == 0.0
     shifted = _TS[1:] + 0.5
     assert mo.tabulated_cost(shifted, shifted ** 2 / 2.0).zero_flux_edge() == 0.0
+    # an expression's dead zone is its upper derivative at 0: the edge of
+    # t + t^2 is the largest float with t^2/2 <= 1
+    edge = mo.expression_cost("t + t^2").zero_flux_edge()
+    assert 0.5 * edge * edge <= 1.0 < 0.5 * math.nextafter(edge, math.inf) ** 2
+    assert mo.expression_cost("t + 1/t").zero_flux_edge() == 0.0
+    assert mo.regularized_cost(mo.expression_cost("t/2"), 1e-3).zero_flux_edge() == \
+        pytest.approx(1.0, rel=1e-15)
 
 
 def _reference_flux_level(prob):
@@ -433,6 +440,31 @@ def test_prox_matches_three_way_reference(make_cost, weighted):
     lam = np.linspace(0.01, 5.0, g.n_cells)[::-1]
     got = solver._prox_bisect(prob, r, lam)
     assert np.array_equal(got, _prox_three_way(prob, r, lam))
+
+
+@pytest.mark.parametrize("make_cost", [
+    lambda: mo.regularized_cost(mo.linear_cost(0.5), 1e-2),
+    lambda: mo.expression_cost("t + t^2/2"),
+    lambda: mo.expression_cost("t + 1/t"),
+], ids=["regularized-linear", "expression-superlinear", "expression-reciprocal"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_prox_of_bisection_cost_tests_the_upper_derivative(monkeypatch, make_cost, weighted):
+    # D+c* of these costs is itself a bisection, so each prox step tests D+c
+    # at the density the step implies; it lands within rounding of the
+    # reference loop on the conjugate derivatives
+    g = mo.interval_grid(-1.0, 1.0, 64)
+    weights = np.linspace(0.5, 2.0, g.n_cells) if weighted else None
+    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0),
+                            cell_weights=weights)
+    r = np.linspace(0.0, 3.0, g.n_cells)
+    lam = np.linspace(0.01, 5.0, g.n_cells)[::-1]
+    ref = _prox_three_way(prob, r, lam)
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("the prox solved for D+c*")
+
+    monkeypatch.setattr(mo.costs._SubgradientProfile, "conj_dplus", fail)
+    np.testing.assert_allclose(solver._prox_bisect(prob, r, lam), ref, rtol=1e-15, atol=0.0)
 
 
 def test_prox_quadratic_closed_form():
