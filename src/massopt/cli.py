@@ -324,14 +324,12 @@ def run(config_path, log_path=None, json_report_path=None):
 
 def cmd_conjugate_table(cost, s_lo, s_hi, count, stream):
     """Deterministic (s, c*(s), subdiff lo, hi) table for plotting."""
-    conj = cost.conjugate()
-    thr = conj.finiteness_threshold()
     s = np.linspace(s_lo, s_hi, count)
-    value = np.asarray(conj.value(s), dtype=float)
-    inside = s <= thr * (1.0 + 1e-12) + 1e-300
+    value = np.asarray(cost.conjugate_value(s), dtype=float)
+    inside = s <= cost.recession_slope() + cost.threshold_pad()
     lo = np.full(count, math.nan)
     hi = np.full(count, math.nan)
-    lo[inside], hi[inside] = costs_mod.subdiff_interval(conj, None, s[inside])
+    lo[inside], hi[inside] = costs_mod.subdiff_interval(cost, s[inside])
     stream.write("s,value,subdiff_lo,subdiff_hi\n")
     for row in zip(s, value, lo, hi):
         stream.write(",".join(_FMT % v for v in row) + "\n")

@@ -2,9 +2,11 @@
 
 A cost is a proper convex lower-semicontinuous function ``c : R -> [0, +inf]``
 with ``c(t) = +inf`` for ``t < 0`` and at-least-linear growth
-``c(t) >= alpha*t + beta`` for some ``alpha > 0``.  Heterogeneous costs are
-separable, ``c(x, t) = w(x) * c0(t)`` with a finite positive weight ``w``;
-then ``c*(x, s) = w(x) * c0*(s / w(x))`` and the recession slope scales by
+``c(t) >= alpha*t + beta`` for some ``alpha > 0``.  A cost is homogeneous.
+Heterogeneity is separable, ``c(x, t) = w(x) * c0(t)`` with a finite
+positive weight ``w`` that a problem holds per cell
+(:class:`massopt.solver.AuxiliaryProblem`); then
+``c*(x, s) = w(x) * c0*(s / w(x))`` and the recession slope scales by
 ``w(x)``.  Every evaluator takes the weight as an argument (1 when
 homogeneous) and rescales the homogeneous map.
 
@@ -512,7 +514,10 @@ class _RegularizedProfile(_SubgradientProfile):
 # ---------------------------------------------------------------------------
 
 class CostFunction:
-    """Convex cost ``c(x, t) = w(x) * c0(t)`` with conjugate machinery.
+    """Homogeneous convex cost ``c0(t)`` with conjugate machinery.
+
+    Every evaluator takes an optional weight ``w`` (a scalar or an array
+    that broadcasts) and returns the map of the separable cost ``w * c0``.
 
     Parameters
     ----------
@@ -522,17 +527,13 @@ class CostFunction:
         constructors rather than building profiles directly.
     alpha, beta
         Growth witnesses: ``c0(t) >= alpha * t + beta`` with ``alpha > 0``.
-        Estimated by sampling when omitted.
+        Estimated when omitted (:meth:`_estimate_growth`).
     t0
         Finiteness witness, ``c0(t0) < +inf``.
-    spatial_weight
-        Optional callable ``w(x) > 0`` making the cost heterogeneous in the
-        separable form; ``None`` means homogeneous.
     """
 
-    def __init__(self, profile, alpha=None, beta=None, t0=None, spatial_weight=None):
+    def __init__(self, profile, alpha=None, beta=None, t0=None):
         self._profile = profile
-        self.spatial_weight = spatial_weight
         self.t0 = float(t0) if t0 is not None else getattr(profile, "seed_t", 1.0)
         v0 = float(np.asarray(profile.value(self.t0)))
         if not math.isfinite(v0):
@@ -569,7 +570,7 @@ class CostFunction:
     def conj_exponent(self):
         """``q`` when the conjugate is the power law ``c0*(s) = s^q / q``, else None.
 
-        Then ``2s * c0*''(s) = 2(q - 1) * c0*'(s)``, also with a spatial weight,
+        Then ``2s * c0*''(s) = 2(q - 1) * c0*'(s)``, also with a weight,
         so the conjugate's second derivative needs no evaluator of its own.
         """
         return getattr(self._profile, "conj_exponent", None)
@@ -590,6 +591,13 @@ class CostFunction:
     # -- growth estimation ---------------------------------------------------
 
     def _estimate_growth(self):
+        """Growth constants ``(alpha, beta)`` of ``c0 >= alpha * t + beta``.
+
+        ``alpha`` is half a positive secant slope of ``c0``.  The tightest
+        ``beta`` is the least value of ``c0(t) - alpha * t``, taken at the
+        maximizer ``t* = D-c0*(alpha)`` of ``alpha * t - c0(t)``, so
+        ``beta = c0(t*) - alpha * t*``, less a relative rounding slack.
+        """
         val = lambda t: float(np.asarray(self._profile.value(t)))
         t = max(self.t0, 1.0)
         slope = -INF
@@ -607,12 +615,10 @@ class CostFunction:
         if not slope > 0.0:
             raise InvalidCost("could not find a positive growth slope")
         alpha = 0.5 * slope
-        grid = np.geomspace(max(self._profile.domain[0], 1e-9) + 1e-12, 2.0 * t, 128)
-        # c - alpha*t of a piecewise-linear table is least at one of its nodes
-        grid = np.concatenate([grid, getattr(self._profile, "ts", ())])
-        vals = np.asarray(self._profile.value(grid), dtype=float)
-        finite = np.isfinite(vals)
-        beta = float(np.min(vals[finite] - alpha * grid[finite])) if np.any(finite) else 0.0
+        t_star = float(np.asarray(self._profile.conj_dminus(alpha)))
+        beta = val(t_star) - alpha * t_star
+        if not math.isfinite(beta):
+            raise InvalidCost("could not find a growth constant beta")
         return alpha, beta - 1e-12 * (1.0 + abs(beta))
 
     # -- core evaluators (vectorized; weight arrays broadcast) --------------
@@ -642,12 +648,20 @@ class CostFunction:
         """``"SL"`` when the recession slope is infinite, else ``"L"``."""
         return "SL" if math.isinf(self.recession_slope()) else "L"
 
+    def threshold_pad(self):
+        """Rounding slack past the recession slope within which ``c0*`` stays finite.
+
+        ``s`` up to ``cinf + pad`` is treated as the threshold ``cinf``
+        itself; the pad is 0 in the superlinear case.
+        """
+        thr = self.recession_slope()
+        return _THRESHOLD_SLACK * (1.0 + abs(thr)) if math.isfinite(thr) else 0.0
+
     def _guard_threshold(self, s):
         thr = self.recession_slope()
         if math.isinf(thr):
             return s
-        pad = _THRESHOLD_SLACK * (1.0 + abs(thr))
-        return np.where((s > thr) & (s <= thr + pad), thr, s)
+        return np.where((s > thr) & (s <= thr + self.threshold_pad()), thr, s)
 
     def conjugate_value(self, s, weight=1.0):
         """Fenchel conjugate ``c*(x, s) = w * c0*(s / w)``."""
@@ -697,89 +711,25 @@ class CostFunction:
             self._zero_flux_edge = edge
         return self._zero_flux_edge
 
-    # -- heterogeneity -------------------------------------------------------
-
-    def weight_at(self, x):
-        """Separable weight ``w(x)``; 1 for homogeneous costs."""
-        if self.spatial_weight is None:
-            return 1.0
-        w = float(self.spatial_weight(np.asarray(x, dtype=float)))
-        if not 0.0 < w < INF:
-            raise InvalidCost("spatial weight must be finite and positive, got %g" % w)
-        return w
-
-    def conjugate(self):
-        return Conjugate(self)
-
-
-class Conjugate:
-    """Evaluable view of ``c*(x, s)`` with one-sided derivatives."""
-
-    def __init__(self, cost):
-        self.cost = cost
-
-    def _w(self, x):
-        return 1.0 if x is None else self.cost.weight_at(x)
-
-    def value(self, s, x=None):
-        return self.cost.conjugate_value(s, weight=self._w(x))
-
-    def dminus(self, s, x=None):
-        return self.cost.conjugate_dminus(s, weight=self._w(x))
-
-    def dplus(self, s, x=None):
-        return self.cost.conjugate_dplus(s, weight=self._w(x))
-
-    def finiteness_threshold(self, x=None):
-        return self.cost.recession_slope() * self._w(x)
-
-
-class RecessionValue:
-    """Recession slope at a point together with the growth regime flag."""
-
-    __slots__ = ("value", "regime")
-
-    def __init__(self, value, regime):
-        self.value = float(value)
-        self.regime = regime
-
-    @property
-    def is_superlinear(self):
-        return self.regime == "SL"
-
-    def __repr__(self):
-        return "RecessionValue(value=%r, regime=%r)" % (self.value, self.regime)
-
 
 # ---------------------------------------------------------------------------
 # spec-level operations
 # ---------------------------------------------------------------------------
 
-def conjugate_eval(cost, x, s):
-    """Conjugate value ``c*(x, s)`` at a spatial point (extended real)."""
-    return float(np.asarray(cost.conjugate_value(float(s), weight=cost.weight_at(x))))
+def subdiff_interval(cost, s):
+    """Subdifferential interval ``[D- c0*(s), D+ c0*(s)]``, elementwise in ``s``.
 
-
-def recession_eval(cost, x=None):
-    """Recession slope ``c_inf(x, 1)`` with its SL/L classification."""
-    w = 1.0 if x is None else cost.weight_at(x)
-    return RecessionValue(w * cost.recession_slope(), cost.regime)
-
-
-def subdiff_interval(conj, x, s):
-    """Subdifferential interval ``[D- c*(x,s), D+ c*(x,s)]``, elementwise in ``s``.
-
-    At the finiteness threshold the upper end is ``+inf`` (the conjugate is
-    ``+inf`` beyond, so the normal cone opens up).  Raises
-    :class:`OutsideDomain` for ``s`` past the threshold.
+    At the finiteness threshold, the recession slope, the upper end is
+    ``+inf`` (the conjugate is ``+inf`` beyond, so the normal cone opens
+    up).  Raises :class:`OutsideDomain` for ``s`` past the threshold.
     """
     s = np.asarray(s, dtype=float)
-    thr = conj.finiteness_threshold(x)
-    pad = _THRESHOLD_SLACK * (1.0 + abs(thr)) if math.isfinite(thr) else 0.0
+    thr = cost.recession_slope()
+    pad = cost.threshold_pad()
     if np.any(s > thr + pad):
         raise OutsideDomain("s=%g exceeds the conjugate threshold %g" % (np.max(s), thr))
-    lo = np.asarray(conj.dminus(s, x), dtype=float)
-    hi = np.where(s >= thr - pad, INF, np.asarray(conj.dplus(s, x), dtype=float))
+    lo = np.asarray(cost.conjugate_dminus(s), dtype=float)
+    hi = np.where(s >= thr - pad, INF, np.asarray(cost.conjugate_dplus(s), dtype=float))
     return lo[()], hi[()]
 
 
@@ -803,8 +753,7 @@ def validate_cost(cost, sample_budget=256):
 
     Growth ``c >= alpha*t + beta``, the finiteness witness, convexity by
     three-point secants on a log grid, and ``c = +inf`` on ``t < 0`` are all
-    checked by sampling.  A spatial weight is not sampled here: it is
-    resolved into per-cell weights and checked once, by
+    checked by sampling.  A problem's per-cell weights are checked once, by
     :func:`massopt.solver.build_problem`.
     """
     checks = {}
@@ -855,7 +804,7 @@ def validate_cost(cost, sample_budget=256):
     checks["convexity"] = ok
 
     if cost.growth_estimated:
-        notes.append("growth constants alpha/beta estimated by sampling")
+        notes.append("growth constants alpha/beta estimated")
 
     try:
         regime = cost.regime
@@ -872,53 +821,47 @@ def validate_cost(cost, sample_budget=256):
 # catalog
 # ---------------------------------------------------------------------------
 
-def quadratic_cost(spatial_weight=None):
+def quadratic_cost():
     """``c(t) = t^2 / 2`` on ``t >= 0``; superlinear, ``c*(s) = (s+)^2 / 2``."""
-    return CostFunction(_QuadraticProfile(), alpha=1.0, beta=-0.5, t0=1.0,
-                        spatial_weight=spatial_weight)
+    return CostFunction(_QuadraticProfile(), alpha=1.0, beta=-0.5, t0=1.0)
 
 
-def power_cost(p, spatial_weight=None):
+def power_cost(p):
     """``c(t) = t^p / p`` with ``p > 1``; superlinear, ``c*(s) = (s+)^q / q``."""
     prof = _PowerProfile(p)
-    return CostFunction(prof, alpha=1.0, beta=-1.0 / prof.q, t0=1.0,
-                        spatial_weight=spatial_weight)
+    return CostFunction(prof, alpha=1.0, beta=-1.0 / prof.q, t0=1.0)
 
 
-def linear_cost(slope=0.5, spatial_weight=None):
+def linear_cost(slope=0.5):
     """``c(t) = slope * t`` on ``t >= 0``; linear regime, indicator conjugate."""
-    return CostFunction(_LinearProfile(slope), alpha=slope, beta=0.0, t0=1.0,
-                        spatial_weight=spatial_weight)
+    return CostFunction(_LinearProfile(slope), alpha=slope, beta=0.0, t0=1.0)
 
 
-def reciprocal_cost(a=1.0, b=1.0, spatial_weight=None):
+def reciprocal_cost(a=1.0, b=1.0):
     """``c(t) = a*t + b/t`` on ``t > 0``; linear regime with slope ``a``."""
-    return CostFunction(_ReciprocalProfile(a, b), alpha=a, beta=0.0,
-                        t0=math.sqrt(b / a), spatial_weight=spatial_weight)
+    return CostFunction(_ReciprocalProfile(a, b), alpha=a, beta=0.0, t0=math.sqrt(b / a))
 
 
-def expression_cost(text, alpha=None, beta=None, t0=1.0, spatial_weight=None):
+def expression_cost(text, alpha=None, beta=None, t0=1.0):
     """Cost from a mini-language expression in ``t``; its conjugate by bisection on ``D+c``."""
     try:
         prof = _ExpressionProfile(text, seed_t=t0)
         float(np.asarray(prof.value(t0)))
     except ExprError as exc:
         raise InvalidCost("bad cost expression: %s" % exc) from exc
-    return CostFunction(prof, alpha=alpha, beta=beta, t0=t0, spatial_weight=spatial_weight)
+    return CostFunction(prof, alpha=alpha, beta=beta, t0=t0)
 
 
-def tabulated_cost(ts, cs, alpha=None, beta=None, spatial_weight=None):
+def tabulated_cost(ts, cs, alpha=None, beta=None):
     """Piecewise-linear cost through samples ``(ts, cs)``; +inf off the table."""
     prof = _TabulatedProfile(ts, cs)
-    return CostFunction(prof, alpha=alpha, beta=beta, t0=prof.seed_t,
-                        spatial_weight=spatial_weight)
+    return CostFunction(prof, alpha=alpha, beta=beta, t0=prof.seed_t)
 
 
 def regularized_cost(base, eps):
     """``c_eps(t) = c(t) + eps * t^2``: superlinear continuation of ``base``."""
     prof = _RegularizedProfile(base._profile, eps)
-    return CostFunction(prof, alpha=base.alpha, beta=base.beta, t0=base.t0,
-                        spatial_weight=base.spatial_weight)
+    return CostFunction(prof, alpha=base.alpha, beta=base.beta, t0=base.t0)
 
 
 _BUILTINS = {

@@ -171,6 +171,14 @@ def fixture_errors(fix, grid, u_values, measure):
 # brute-force minimizer
 # ---------------------------------------------------------------------------
 
+# the coordinate descent of brute_force_min: golden-section tolerance per
+# node, the objective decrease of a pass that counts as rounding (relative
+# to max(1, |objective|)), and the pass cap that bounds its time
+_LINE_TOL = 1e-12
+_FLAT_PASS = 4.0 * np.finfo(float).eps
+_MAX_PASSES = 20000
+
+
 def _golden_min(fn, a, b, tol=1e-12, iters=200):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
@@ -315,15 +323,18 @@ def _scalar_conjugate(cost):
     return lambda s: float(np.asarray(cost.conjugate_value(s)))
 
 
-def brute_force_min(problem, stationarity_tol=1e-11, line_tol=1e-12,
-                    max_passes=20000):
+def brute_force_min(problem):
     """Global minimum of the discrete objective on a tiny interval grid.
 
-    Cyclic coordinate descent; each nodal value is minimized exactly by
-    golden section over its feasible interval (the linear-regime gradient
-    bound is respected by construction, so feasibility of the output is
-    exact).  Convexity of the objective makes the stationary point global
-    up to tolerance.  Limited to <= 8 interior nodes.
+    Cyclic coordinate descent; each nodal value is minimized by golden
+    section over its feasible interval (the linear-regime gradient bound is
+    respected by construction, so feasibility of the output is exact).  A
+    move is kept only if it does not raise that node's local value, so the
+    objective never increases.  The descent stops after a full pass that
+    lowers the objective by no more than rounding, ``4 eps max(1, |obj|)``,
+    or after ``_MAX_PASSES`` passes.  Convexity of the objective makes the
+    point where it stalls global up to rounding.  Limited to <= 8 interior
+    nodes.
     """
     grid = problem.grid
     if grid.kind != "interval":
@@ -352,8 +363,8 @@ def brute_force_min(problem, stationarity_tol=1e-11, line_tol=1e-12,
         return terms - F[j] * val
 
     radii = np.ones(grid.n_nodes)  # warm-started bracket widths
-    for _ in range(max_passes):
-        biggest = 0.0
+    obj = objective_eval(problem, u)
+    for _ in range(_MAX_PASSES):
         for j in range(1, grid.n_nodes - 1):
             if math.isinf(caps[j - 1]) and math.isinf(caps[j]):
                 box_lo, box_hi = -INF, INF
@@ -364,21 +375,22 @@ def brute_force_min(problem, stationarity_tol=1e-11, line_tol=1e-12,
                              u[j + 1] + h[j] * caps[j])
                 if box_hi < box_lo:  # numerically empty: keep the current value
                     continue
-            radius = max(4.0 * radii[j], 64.0 * line_tol)
+            radius = max(4.0 * radii[j], 64.0 * _LINE_TOL)
             x = u[j]
             for _ in range(80):
                 lo = max(u[j] - radius, box_lo)
                 hi = min(u[j] + radius, box_hi)
-                x = _golden_min(lambda v: local(j, v), lo, hi, tol=line_tol)
+                x = _golden_min(lambda v: local(j, v), lo, hi, tol=_LINE_TOL)
                 pad = 0.02 * (hi - lo)
                 at_lo = (x - lo) <= pad and lo > box_lo
                 at_hi = (hi - x) <= pad and hi < box_hi
                 if not (at_lo or at_hi):
                     break
                 radius *= 4.0
-            radii[j] = max(abs(x - u[j]), line_tol)
-            biggest = max(biggest, abs(x - u[j]))
-            u[j] = x
-        if biggest <= stationarity_tol:
+            radii[j] = max(abs(x - u[j]), _LINE_TOL)
+            if local(j, x) <= local(j, u[j]):
+                u[j] = x
+        prev, obj = obj, objective_eval(problem, u)
+        if prev - obj <= _FLAT_PASS * max(1.0, abs(obj)):
             break
-    return objective_eval(problem, u), u
+    return obj, u

@@ -241,13 +241,11 @@ def _atom_weight(grid, cell_weights, loc):
 def cost_eval(mu, cost, cell_weights=None):
     """Total cost ``C(mu)``: density integral plus recession-weighted atoms.
 
-    ``cell_weights`` are the per-cell weights of the problem; when omitted,
-    a callable weight of the cost is resolved at the cell centers as
-    :func:`massopt.solver.build_problem` does.  An atom is weighted by the
-    cells around it.
+    ``cell_weights`` are the per-cell weights of the problem, ``None`` for
+    a homogeneous cost.  An atom is weighted by the cells around it.
     """
     grid = mu.grid
-    weights = resolve_cell_weights(grid, cost, cell_weights)
+    weights = resolve_cell_weights(grid, cell_weights)
     vals = np.asarray(cost.value(mu.ac_density, weight=1.0 if weights is None else weights),
                       dtype=float)
     if np.any(np.isinf(vals)):

@@ -40,10 +40,11 @@ names the method that closed it (``AuxiliarySolution.method``):
   ``D-c* <= D+c*``, so a test on the lower derivative could never move a
   bracket end.  Where ``D+c*`` is itself a bisection (expression and
   regularized costs), each step tests the cost's upper derivative ``D+c``
-  at the density the step implies instead.  In the linear regime the bracket starts at the cap, so the
-  pointwise bound ``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by
-  penalty.  Each check projects the iterate's flux once, scores it as the
-  dual certificate, and builds a Picard candidate from it.  The solver
+  at the density the step implies instead.  In the linear regime the
+  bracket starts at the cap, so the pointwise bound
+  ``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by penalty.  Each
+  check projects the iterate's flux once, scores it as the dual
+  certificate, and builds a Picard candidate from it.  The solver
   keeps whichever iterate has the best merit, so the reported gap is
   monotone along accepted iterates.
 
@@ -144,18 +145,14 @@ class AuxiliaryProblem:
         return self.cost.value(a, weight=self._w)
 
 
-def resolve_cell_weights(grid, cost, cell_weights=None):
-    """Per-cell weights: the table given, else the cost's callable weight.
+def resolve_cell_weights(grid, cell_weights=None):
+    """Per-cell weight table as a float array; ``None`` when homogeneous.
 
-    The callable ``cost.spatial_weight`` is evaluated once per cell center.
-    Returns ``None`` for a homogeneous cost (no table, no callable).  Raises
-    :class:`InvalidCost` unless there is one weight per cell and every
-    weight is finite and positive.
+    Raises :class:`InvalidCost` unless there is one weight per cell and
+    every weight is finite and positive.
     """
     if cell_weights is None:
-        if cost.spatial_weight is None:
-            return None
-        cell_weights = [float(cost.spatial_weight(x)) for x in grid.cell_centers]
+        return None
     cell_weights = np.asarray(cell_weights, dtype=float)
     if cell_weights.shape != (grid.n_cells,):
         raise InvalidCost("cell weight table needs %d entries" % grid.n_cells)
@@ -167,20 +164,19 @@ def resolve_cell_weights(grid, cost, cell_weights=None):
 def build_problem(grid, cost, source, cell_weights=None):
     """Validate and assemble an :class:`AuxiliaryProblem`.
 
-    The weights come from ``cell_weights`` when given, else from the cost's
-    callable (:func:`resolve_cell_weights`).  Dirac parts of the source are
-    admitted in the linear regime always, and in the superlinear regime
-    only for quadratic-type growth (the quadratic catalog cost and its
-    regularized continuations) in dimension <= 3.
+    ``cell_weights`` holds one separable weight per cell, ``None`` for a
+    homogeneous cost (:func:`resolve_cell_weights`).  Dirac parts of the
+    source are admitted in the linear regime always, and in the superlinear
+    regime only for quadratic-type growth (the quadratic catalog cost and
+    its regularized continuations) in dimension <= 3.
     """
     assumptions = []
-    cell_weights = resolve_cell_weights(grid, cost, cell_weights)
+    cell_weights = resolve_cell_weights(grid, cell_weights)
     if cell_weights is not None:
         assumptions.append("heterogeneous cost: absence of the Lavrentiev "
                            "phenomenon is assumed, not verified")
-        if cost.spatial_weight is None:
-            assumptions.append("per-cell weight table: upper semicontinuity "
-                               "of the conjugate in x is assumed")
+        assumptions.append("per-cell weight table: upper semicontinuity "
+                           "of the conjugate in x is assumed")
 
     report = validate_cost(cost, sample_budget=64)
     if not report.passed:

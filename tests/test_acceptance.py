@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import massopt as mo
+from massopt import oracle
 from massopt.oracle import _concave_max
 
 INF = math.inf
@@ -72,18 +73,16 @@ def test_criterion_3_conjugate_recession_catalog():
     for (text, exact, (lo, hi), rec), builtin in zip(cases, builtins):
         numeric = mo.expression_cost(text)
         for s in np.linspace(lo, hi, 100):
-            err = abs(mo.conjugate_eval(numeric, None, float(s)) - exact(float(s)))
+            err = abs(float(numeric.conjugate_value(float(s))) - exact(float(s)))
             worst = max(worst, err)
             assert err <= 1e-8, (text, s, err)
         # classification is exact; builtin recession slopes are the exact values
-        rv_builtin = mo.recession_eval(builtin)
-        rv_numeric = mo.recession_eval(numeric)
-        assert rv_builtin.value == rec
-        assert rv_builtin.regime == rv_numeric.regime == ("SL" if math.isinf(rec) else "L")
+        assert builtin.recession_slope() == rec
+        assert builtin.regime == numeric.regime == ("SL" if math.isinf(rec) else "L")
         if math.isfinite(rec):
-            assert abs(rv_numeric.value - rec) <= 1e-8
+            assert abs(numeric.recession_slope() - rec) <= 1e-8
         else:
-            assert rv_numeric.value == INF
+            assert numeric.recession_slope() == INF
     _report(3, "catalog conjugates at 100 points, worst |err| %.2e; "
                "recession values {inf, 1, 1/2} classified exactly" % worst)
 
@@ -106,7 +105,6 @@ def test_criterion_4_fenchel_young_and_biconjugacy():
         worst_gap = min(worst_gap, float(np.min(gap)))
         assert float(np.min(gap)) >= -1e-12, name
 
-        conj = cost.conjugate()
         hi = thr if math.isfinite(thr) else INF
         seed = min(1.0, 0.5 * thr) if math.isfinite(thr) else 1.0
         for tt in np.linspace(1e-3, 8.0, 256):
@@ -114,7 +112,7 @@ def test_criterion_4_fenchel_young_and_biconjugacy():
             if not math.isfinite(exact):
                 continue
             val, _ = _concave_max(
-                lambda s_: tt * s_ - float(np.asarray(conj.value(s_))),
+                lambda s_: tt * s_ - float(np.asarray(cost.conjugate_value(s_))),
                 seed=seed, lo=-INF, hi=hi)
             assert abs(val - exact) <= 1e-7, (name, tt, val, exact)
     _report(4, "Fenchel-Young >= -1e-12 on 4x10^4 pairs (worst %.1e); "
@@ -167,8 +165,8 @@ def test_criterion_6_lipschitz_bound():
     assert sol2.max_gradient <= 1.0 + 1e-9
     # heterogeneous linear cost: per-cell bound sqrt(2 w(x) cinf)
     w = lambda x: 1.0 + 0.5 * float(np.atleast_1d(x)[0]) ** 2
-    probh = mo.build_problem(g, mo.linear_cost(0.5, spatial_weight=w),
-                             mo.SourceTerm.constant(g, 1.0))
+    probh = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0),
+                             cell_weights=[w(x) for x in g.cell_centers])
     solh = mo.solve_auxiliary(probh)
     assert np.all(np.abs(solh.grad.values[:, 0]) <= probh.cell_caps + 1e-9)
     _report(6, "max |grad u| <= bound + 1e-9 on 5 linear-regime solves "
@@ -177,9 +175,9 @@ def test_criterion_6_lipschitz_bound():
 
 # -- criterion 7: oracle equivalence ---------------------------------------------
 
-def test_criterion_7_oracle_equivalence():
+def _criterion_7_instances():
+    """The 20 random small problems of criterion 7, as ``(trial, kind, n, problem)``."""
     rng = np.random.default_rng(777)
-    worst = 0.0
     for trial in range(20):
         kind = trial % 4
         if kind == 0:
@@ -199,13 +197,36 @@ def test_criterion_7_oracle_equivalence():
             density = rng.random(g.n_nodes) + 0.1  # one-signed for the pure indicator
         else:
             density = rng.standard_normal(g.n_nodes)
-        prob = mo.build_problem(g, cost, mo.SourceTerm(g, density=density))
+        yield trial, kind, n, mo.build_problem(g, cost, mo.SourceTerm(g, density=density))
+
+
+def test_criterion_7_oracle_equivalence():
+    worst = 0.0
+    for trial, kind, n, prob in _criterion_7_instances():
         sol = mo.solve_auxiliary(prob, mo.SolverParams(gap_tolerance=1e-12))
         val, _u = mo.brute_force_min(prob)
         diff = abs(sol.objective - val)
         worst = max(worst, diff)
         assert diff <= 1e-6, (trial, kind, n, diff)
     _report(7, "20 random small instances: worst |solver - oracle| = %.2e" % worst)
+
+
+def test_criterion_7_oracle_stops_before_its_pass_cap(monkeypatch):
+    # A pass that runs no golden section leaves the iterate as it is and
+    # ends the descent, so fewer line searches than the cap minus one
+    # means the descent stopped on its own, before the cap.
+    calls = [0]
+    golden_min = oracle._golden_min
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return golden_min(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_golden_min", counted)
+    for trial, kind, n, prob in _criterion_7_instances():
+        calls[0] = 0
+        mo.brute_force_min(prob)
+        assert calls[0] < oracle._MAX_PASSES - 1, (trial, kind, n, calls[0])
 
 
 # -- criterion 8: one-dimensional mass-transfer reduction -------------------------

@@ -42,6 +42,29 @@ dir = {out}
 """
 
 
+def test_run_expression_cost_with_estimated_growth(tmp_path, capsys):
+    # beta of t + t^2 is exact at the maximizer, so validation passes
+    cfg = write(tmp_path / "run.cfg", """
+[domain]
+kind = interval
+a = -1.0
+b = 1.0
+n = 64
+
+[cost]
+expression = t + t^2
+
+[source]
+value = 1.0
+
+[output]
+dir = {out}
+""".format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is True
+
+
 def test_run_pipeline_exit_zero(tmp_path, capsys):
     cfg = write(tmp_path / "run.cfg", MK_CONFIG.format(out=tmp_path / "out"))
     assert cli.main(["run", cfg]) == 0
@@ -198,6 +221,19 @@ def test_conjugate_table_indicator_boundary(tmp_path, capsys):
     rows = capsys.readouterr().out.strip().splitlines()
     s, value, lo, hi = (float(tok) for tok in rows[1].split(","))
     assert (s, value, lo) == (0.5, 0.0, 0.0)
+    assert math.isinf(hi)
+
+
+def test_conjugate_table_row_within_threshold_slack(tmp_path, capsys):
+    # the row mask and the subdifferential share one rounding slack, so a
+    # row of finite value has both subdifferential ends
+    cfg = write(tmp_path / "lin.cfg", "[cost]\nbuiltin = linear\nslope = 0.5\n")
+    s = "%.17g" % (0.5 + 1e-12)
+    assert cli.main(["conjugate", cfg, "--range", s, s, "--count", "2"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    s_row, value, lo, hi = (float(tok) for tok in rows[1].split(","))
+    assert s_row > 0.5
+    assert (value, lo) == (0.0, 0.0)
     assert math.isinf(hi)
 
 

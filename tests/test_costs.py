@@ -32,30 +32,30 @@ def exact_conjugate(name, s):
 
 def test_quadratic_conjugate_values():
     c = mo.quadratic_cost()
-    assert mo.conjugate_eval(c, None, 3.0) == pytest.approx(4.5, abs=1e-15)
-    assert mo.conjugate_eval(c, None, -1.0) == 0.0
+    assert float(c.conjugate_value(3.0)) == pytest.approx(4.5, abs=1e-15)
+    assert float(c.conjugate_value(-1.0)) == 0.0
 
 
 def test_reciprocal_conjugate_value():
     c = mo.reciprocal_cost()
-    assert mo.conjugate_eval(c, None, 0.0) == pytest.approx(-2.0, abs=1e-15)
-    assert mo.conjugate_eval(c, None, 0.75) == pytest.approx(-1.0, abs=1e-15)
-    assert mo.conjugate_eval(c, None, 1.5) == INF
+    assert float(c.conjugate_value(0.0)) == pytest.approx(-2.0, abs=1e-15)
+    assert float(c.conjugate_value(0.75)) == pytest.approx(-1.0, abs=1e-15)
+    assert float(c.conjugate_value(1.5)) == INF
 
 
 def test_linear_conjugate_indicator():
     c = mo.linear_cost(0.5)
-    assert mo.conjugate_eval(c, None, 0.4) == 0.0
-    assert mo.conjugate_eval(c, None, 0.6) == INF
+    assert float(c.conjugate_value(0.4)) == 0.0
+    assert float(c.conjugate_value(0.6)) == INF
 
 
 def test_recession_values():
-    assert mo.recession_eval(mo.quadratic_cost()).value == INF
-    assert mo.recession_eval(mo.quadratic_cost()).regime == "SL"
-    r = mo.recession_eval(mo.reciprocal_cost())
-    assert r.value == 1.0 and r.regime == "L"
-    l = mo.recession_eval(mo.linear_cost(0.5))
-    assert l.value == 0.5 and l.regime == "L"
+    assert mo.quadratic_cost().recession_slope() == INF
+    assert mo.quadratic_cost().regime == "SL"
+    r = mo.reciprocal_cost()
+    assert r.recession_slope() == 1.0 and r.regime == "L"
+    l = mo.linear_cost(0.5)
+    assert l.recession_slope() == 0.5 and l.regime == "L"
 
 
 def test_recession_one_homogeneity():
@@ -81,79 +81,76 @@ def test_numeric_conjugate_matches_closed_form(text, name):
         samples = rng.uniform(-2.0, 0.999, 40)
     for s in samples:
         exact = exact_conjugate(name, float(s))
-        got = mo.conjugate_eval(cost, None, float(s))
+        got = float(cost.conjugate_value(float(s)))
         assert got == pytest.approx(exact, abs=1e-8)
 
 
 def test_numeric_conjugate_divergence_detected():
     cost = mo.expression_cost("t/2")
-    assert mo.conjugate_eval(cost, None, 0.6) == INF
+    assert float(cost.conjugate_value(0.6)) == INF
 
 
 def test_tabulated_conjugate():
     ts = np.linspace(0.0, 10.0, 100001)
     tab = mo.tabulated_cost(ts, 0.5 * ts * ts)
-    assert mo.conjugate_eval(tab, None, 3.0) == pytest.approx(4.5, abs=1e-8)
+    assert float(tab.conjugate_value(3.0)) == pytest.approx(4.5, abs=1e-8)
     # bounded table: +inf beyond the last sample, hence superlinear
-    assert mo.recession_eval(tab).regime == "SL"
+    assert tab.regime == "SL"
 
 
 def test_numeric_recession_values():
-    assert mo.recession_eval(mo.expression_cost("t^2/2")).value == INF
-    assert mo.recession_eval(mo.expression_cost("t/2")).value == pytest.approx(0.5, abs=1e-12)
-    assert mo.recession_eval(mo.expression_cost("t + 1/t")).value == pytest.approx(1.0, abs=1e-8)
+    assert mo.expression_cost("t^2/2").recession_slope() == INF
+    assert mo.expression_cost("t/2").recession_slope() == pytest.approx(0.5, abs=1e-12)
+    assert mo.expression_cost("t + 1/t").recession_slope() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_nonconvex_cost_recession_raises():
     c = mo.expression_cost("t^0.5", alpha=1.0, beta=0.0)
     with pytest.raises(mo.NonMonotoneQuotient):
-        mo.recession_eval(c)
+        c.recession_slope()
 
 
 # -- subdifferentials -------------------------------------------------------
 
 def test_subdiff_smooth_quadratic():
-    conj = mo.quadratic_cost().conjugate()
-    lo, hi = mo.subdiff_interval(conj, None, 2.0)
+    lo, hi = mo.subdiff_interval(mo.quadratic_cost(), 2.0)
     assert lo == hi == pytest.approx(2.0)
 
 
 def test_subdiff_indicator_normal_cone():
-    conj = mo.linear_cost(0.5).conjugate()
-    assert mo.subdiff_interval(conj, None, 0.3) == (0.0, 0.0)
-    lo, hi = mo.subdiff_interval(conj, None, 0.5)
+    cost = mo.linear_cost(0.5)
+    assert mo.subdiff_interval(cost, 0.3) == (0.0, 0.0)
+    lo, hi = mo.subdiff_interval(cost, 0.5)
     assert lo == 0.0 and hi == INF
     with pytest.raises(mo.OutsideDomain):
-        mo.subdiff_interval(conj, None, 0.6)
+        mo.subdiff_interval(cost, 0.6)
 
 
 def test_subdiff_reciprocal_closed_form_and_fd():
-    conj = mo.reciprocal_cost().conjugate()
-    lo, hi = mo.subdiff_interval(conj, None, 0.0)
+    cost = mo.reciprocal_cost()
+    lo, hi = mo.subdiff_interval(cost, 0.0)
     assert lo == pytest.approx(1.0, abs=1e-12)
     assert hi == pytest.approx(1.0, abs=1e-12)
     # cross-check by central differences of the conjugate value
     d = 1e-6
-    fd = (conj.value(d) - conj.value(-d)) / (2 * d)
+    fd = (cost.conjugate_value(d) - cost.conjugate_value(-d)) / (2 * d)
     assert fd == pytest.approx(1.0, abs=1e-5)
 
 
 def test_subdiff_upper_end_inf_at_threshold():
-    conj = mo.linear_cost(0.5).conjugate()
-    _lo, hi = mo.subdiff_interval(conj, None, 0.5)
+    _lo, hi = mo.subdiff_interval(mo.linear_cost(0.5), 0.5)
     assert hi == INF
 
 
 @pytest.mark.parametrize("name,factory", CATALOG)
 def test_monotone_subdifferential(name, factory):
     cost = factory()
-    conj = cost.conjugate()
-    thr = conj.finiteness_threshold()
+    thr = cost.recession_slope()
     top = min(thr, 3.0) if math.isfinite(thr) else 3.0
     ss = np.linspace(-1.0, top, 60)
     for s1, s2 in zip(ss[:-1], ss[1:]):
-        _, hi1 = mo.subdiff_interval(conj, None, float(s1))
-        lo2, _ = mo.subdiff_interval(conj, None, float(s2))
+        _, hi1 = mo.subdiff_interval(cost, float(s1))
+        lo2, _ = mo.subdiff_interval(cost, float(s2))
         if math.isfinite(hi1):
             assert hi1 <= lo2 + 1e-9
 
@@ -161,19 +158,18 @@ def test_monotone_subdifferential(name, factory):
 @pytest.mark.parametrize("name,factory", CATALOG)
 def test_fenchel_equality_characterizes_interval(name, factory):
     cost = factory()
-    conj = cost.conjugate()
-    thr = conj.finiteness_threshold()
+    thr = cost.recession_slope()
     ss = [0.25, min(thr, 2.0) * 0.8] if math.isfinite(thr) else [0.25, 2.0]
     for s in ss:
-        lo, hi = mo.subdiff_interval(conj, None, s)
+        lo, hi = mo.subdiff_interval(cost, s)
         members = [lo] if not math.isfinite(hi) else [lo, 0.5 * (lo + hi), hi]
         for a in members:
             if not math.isfinite(a):
                 continue
-            gap = float(np.asarray(cost.base_value(a))) + conj.value(s) - a * s
+            gap = float(np.asarray(cost.base_value(a))) + cost.conjugate_value(s) - a * s
             assert abs(gap) <= 1e-9 * (1.0 + abs(a))
         outsider = (hi if math.isfinite(hi) else lo) + 0.5 + 0.1 * abs(lo)
-        gap = float(np.asarray(cost.base_value(outsider))) + conj.value(s) - outsider * s
+        gap = float(np.asarray(cost.base_value(outsider))) + cost.conjugate_value(s) - outsider * s
         assert gap > 1e-6
 
 
@@ -216,15 +212,14 @@ def test_biconjugacy(name, factory):
     from massopt.oracle import _concave_max
 
     cost = factory()
-    conj = cost.conjugate()
-    thr = conj.finiteness_threshold()
+    thr = cost.recession_slope()
     hi = thr if math.isfinite(thr) else INF
     seed = min(1.0, 0.5 * thr) if math.isfinite(thr) else 1.0
     for t in np.geomspace(0.05, 8.0, 24):
         exact = float(np.asarray(cost.base_value(t)))
         if not math.isfinite(exact):
             continue
-        val, _ = _concave_max(lambda s: t * s - float(np.asarray(conj.value(s))),
+        val, _ = _concave_max(lambda s: t * s - float(np.asarray(cost.conjugate_value(s))),
                               seed=seed, lo=-INF, hi=hi)
         assert val == pytest.approx(exact, abs=1e-7)
 
@@ -243,21 +238,25 @@ def test_recession_matches_conjugate_threshold(name, factory):
 
 # -- heterogeneity ----------------------------------------------------------
 
+def _weighted(cost, w):
+    g = mo.interval_grid(-1.0, 1.0, 4)
+    return mo.build_problem(g, cost, mo.SourceTerm.constant(g, 1.0),
+                            cell_weights=np.full(g.n_cells, w))
+
+
 def test_separable_weight_scaling():
-    w = lambda x: 2.0
-    c = mo.quadratic_cost(spatial_weight=w)
+    c = mo.quadratic_cost()
     # c*(x, s) = w * c0*(s / w)
-    assert mo.conjugate_eval(c, 0.0, 3.0) == pytest.approx(2.0 * 0.5 * 1.5 ** 2)
-    assert mo.recession_eval(c, 0.0).value == INF
-    r = mo.reciprocal_cost(spatial_weight=w)
-    assert mo.recession_eval(r, 0.0).value == pytest.approx(2.0)
+    assert float(c.conjugate_value(3.0, weight=2.0)) == pytest.approx(2.0 * 0.5 * 1.5 ** 2)
+    assert np.all(_weighted(c, 2.0).cell_thresholds == INF)
+    r = mo.reciprocal_cost()
+    assert _weighted(r, 2.0).cell_thresholds == pytest.approx(2.0)
 
 
 def test_weight_must_be_positive():
     for bad in (-1.0, INF, math.nan):
-        c = mo.quadratic_cost(spatial_weight=lambda x, bad=bad: bad)
         with pytest.raises(mo.InvalidCost):
-            c.weight_at(0.0)
+            _weighted(mo.quadratic_cost(), bad)
 
 
 def _tabulated_square():
@@ -361,7 +360,7 @@ def test_table_flux_inverse_is_exact(factory):
 def test_regularized_cost_conjugate_consistency():
     base = mo.linear_cost(0.5)
     ceps = mo.regularized_cost(base, 1e-2)
-    assert mo.recession_eval(ceps).regime == "SL"
+    assert ceps.regime == "SL"
     # derivative of the conjugate equals the maximizer: check Fenchel equality
     for s in (0.1, 0.5, 1.0, 3.0):
         a = float(np.asarray(ceps.conjugate_dplus(s)))
@@ -437,6 +436,21 @@ def test_validate_sqrt_fails_growth():
     assert any("growth" in msg for msg in rep.failures)
 
 
+@pytest.mark.parametrize("cost,beta", [
+    (lambda: mo.expression_cost("t + t^2"), -0.25),
+    (lambda: mo.expression_cost("t + 1/t"), math.sqrt(3.0)),
+    (lambda: mo.tabulated_cost(np.linspace(0.0, 8.0, 257),
+                               0.5 * np.linspace(0.0, 8.0, 257) ** 2), -4.5),
+])
+def test_estimated_growth_constant_is_exact(cost, beta):
+    # beta = min (c0(t) - alpha t), less only the 1e-12 relative slack
+    c = cost()
+    assert c.growth_estimated
+    assert c.beta <= beta
+    assert c.beta == pytest.approx(beta, abs=1e-11)
+    assert mo.validate_cost(c).checks["growth"]
+
+
 def test_validate_never_throws_on_bad_cost():
     c = mo.expression_cost("t^0.5", alpha=1.0, beta=0.0)
     rep = mo.validate_cost(c)
@@ -446,7 +460,7 @@ def test_validate_never_throws_on_bad_cost():
 def test_conj_exponent_only_for_power_law_conjugates():
     assert mo.quadratic_cost().conj_exponent == 2.0
     assert mo.power_cost(1.5).conj_exponent == pytest.approx(3.0)
-    assert mo.power_cost(3.0, spatial_weight=lambda x: 2.0).conj_exponent == pytest.approx(1.5)
+    assert mo.power_cost(3.0).conj_exponent == pytest.approx(1.5)
     ts = np.linspace(0.0, 4.0, 17)
     for cost in (mo.linear_cost(0.5), mo.reciprocal_cost(), mo.expression_cost("t^2/2"),
                  mo.tabulated_cost(ts, 0.5 * ts * ts, alpha=1.0, beta=-0.5),

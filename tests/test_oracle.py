@@ -95,7 +95,8 @@ def test_brute_force_zero_source():
     g = mo.interval_grid(-1.0, 1.0, 6)
     prob = mo.build_problem(g, mo.reciprocal_cost(), mo.SourceTerm.constant(g, 0.0))
     val, u = mo.brute_force_min(prob)
-    # stationarity tolerance governs the iterate, not the value
+    # the descent stops once a pass no longer lowers the value, so the
+    # iterate is near 0 to within the objective's flatness, not exactly 0
     assert np.max(np.abs(u)) <= 1e-6
     # value = sum vol * c*(0) = 2 * (-2)
     assert val == pytest.approx(-4.0, rel=1e-12)

@@ -202,8 +202,8 @@ def test_regularization_keeps_cell_weights():
     # each level is built on the problem's own cell weights
     g = mo.interval_grid(-1.0, 1.0, 1024)
     w = lambda x: 1.0 + 0.5 * float(x[0]) ** 2
-    prob = mo.build_problem(g, mo.linear_cost(0.5, spatial_weight=w),
-                            mo.SourceTerm.constant(g, 1.0))
+    prob = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0),
+                            cell_weights=[w(x) for x in g.cell_centers])
     mu = mo.recover_measure(mo.solve_auxiliary(prob), prob)
     mu_eps, diag = mo.recover_via_regularization(prob)
     assert diag.settled

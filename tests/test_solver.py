@@ -46,19 +46,15 @@ def test_objective_zero_source_reciprocal():
 
 # -- problem assembly -------------------------------------------------------
 
-def test_build_problem_evaluates_weight_once_per_cell():
-    calls = []
-
-    def w(x):
-        calls.append(x)
-        return 1.0 + 0.5 * float(x[0]) ** 2
-
+def test_build_problem_takes_weights_per_cell():
+    w = lambda x: 1.0 + 0.5 * float(x[0]) ** 2
     g = mo.interval_grid(-1.0, 1.0, 64)
-    prob = mo.build_problem(g, mo.linear_cost(0.5, spatial_weight=w),
-                            mo.SourceTerm.constant(g, 1.0))
-    assert len(calls) == g.n_cells
+    prob = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0),
+                            cell_weights=[w(x) for x in g.cell_centers])
     np.testing.assert_array_equal(prob.cell_weights,
                                   1.0 + 0.5 * g.cell_centers[:, 0] ** 2)
+    # every weighted problem states both of its unverified assumptions
+    assert len(prob.assumptions) == 2
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
@@ -70,8 +66,8 @@ def test_build_problem_refuses_bad_weights(bad):
         mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0),
                          cell_weights=table)
     with pytest.raises(mo.InvalidCost, match="finite and positive"):
-        mo.build_problem(g, mo.quadratic_cost(spatial_weight=lambda x: bad),
-                         mo.SourceTerm.constant(g, 1.0))
+        mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0),
+                         cell_weights=np.full(g.n_cells, bad))
 
 
 @pytest.mark.parametrize("budget", [0, -3])
@@ -246,6 +242,12 @@ def test_interval_selection_is_the_flux_inverse(cost, weighted):
 
 
 def test_zero_flux_edge_closed_forms(monkeypatch):
+    # expression costs are built first: their estimated growth constant
+    # beta is one bisection, at construction, not in the edge
+    sum_square = mo.expression_cost("t + t^2")
+    sum_reciprocal = mo.expression_cost("t + 1/t")
+    half = mo.expression_cost("t/2")
+
     def fail(*_args, **_kwargs):
         raise AssertionError("the dead-zone edge fell back to bisection")
 
@@ -269,10 +271,10 @@ def test_zero_flux_edge_closed_forms(monkeypatch):
     assert mo.tabulated_cost(shifted, shifted ** 2 / 2.0).zero_flux_edge() == 0.0
     # an expression's dead zone is its upper derivative at 0: the edge of
     # t + t^2 is the largest float with t^2/2 <= 1
-    edge = mo.expression_cost("t + t^2").zero_flux_edge()
+    edge = sum_square.zero_flux_edge()
     assert 0.5 * edge * edge <= 1.0 < 0.5 * math.nextafter(edge, math.inf) ** 2
-    assert mo.expression_cost("t + 1/t").zero_flux_edge() == 0.0
-    assert mo.regularized_cost(mo.expression_cost("t/2"), 1e-3).zero_flux_edge() == \
+    assert sum_reciprocal.zero_flux_edge() == 0.0
+    assert mo.regularized_cost(half, 1e-3).zero_flux_edge() == \
         pytest.approx(1.0, rel=1e-15)
 
 
