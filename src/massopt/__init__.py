@@ -2,8 +2,8 @@
 
 Solves compliance minimization penalized by a convex cost functional on
 measures: the auxiliary variational problem is minimized with a certified
-duality gap (the exact flux certificate in 1-d, damped Newton or a
-primal-dual splitting on rectangles), the optimal conductivity is
+duality gap (the exact flux certificate in 1-d, damped Newton on
+rectangles, smoothed where the cost needs it), the optimal conductivity is
 recovered from subdifferential optimality conditions, and every
 optimality condition is verified numerically against the recovered
 measure.
@@ -34,7 +34,7 @@ from .recovery import (EnergyResult, OptimalityReport, RegularizationDiagnostics
                        verify_conditions)
 from .solver import (AuxiliaryProblem, AuxiliarySolution, SolverParams,
                      build_problem, feasible_flux_1d, objective_eval,
-                     objective_gradient, operator_norm, require_converged,
+                     objective_gradient, require_converged,
                      solve_auxiliary)
 
 __version__ = "0.1.0"

@@ -209,11 +209,13 @@ def _parse_source(cfg, grid):
 
 def _parse_solver(cfg):
     sec = cfg["solver"] if "solver" in cfg else {}
+    for key in sec:
+        if key not in ("max_iterations", "gap_tolerance"):
+            raise ConfigError("unknown solver key %r" % key)
     try:
         return SolverParams(
             max_iterations=int(sec.get("max_iterations", 20000)),
-            gap_tolerance=float(sec.get("gap_tolerance", 1e-8)),
-            check_every=int(sec.get("check_every", 25)))
+            gap_tolerance=float(sec.get("gap_tolerance", 1e-8)))
     except ValueError as exc:
         raise ConfigError("section [solver]: %s" % exc) from None
 
@@ -279,8 +281,8 @@ def run(config_path, log_path=None, json_report_path=None):
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     if problem.regime == "L" and problem.grid.dim == 2:
-        # no exact 2-d linear-regime certificate exists, and the limit of the
-        # regularized continuation fails the verifier on rectangles
+        # the Newton certifies the gap, but recover_measure has no 2-d
+        # linear-regime branch
         print("config error: the linear regime (a cost with a finite recession "
               "slope) is not supported on a 2-d grid", file=sys.stderr)
         return 2
@@ -302,6 +304,7 @@ def run(config_path, log_path=None, json_report_path=None):
         "iterations": solution.iterations,
         "checks": len(solution.log),
         "factorisations": solution.factorisations,
+        "mu_levels": solution.mu_levels,
         "method": solution.method,
         "regime": solution.regime,
         "thresholds": config.thresholds,

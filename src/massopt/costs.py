@@ -19,7 +19,9 @@ The builtin costs and tables evaluate their conjugates and flux inverses
 in closed form.  Expression and regularized costs give their value and
 their upper derivative ``D+c`` (an expression by forward-mode
 differentiation of its syntax tree), and every conjugate map is one
-vectorized bisection on ``D+c`` (:class:`_SubgradientProfile`).
+vectorized bisection on ``D+c`` (:class:`_SubgradientProfile`).  Every
+cost also gives the radial curvature of its conjugate and, where a 2-d
+Newton solve needs one, a smoothing of it (:meth:`CostFunction.smoothed_conjugate`).
 
 All evaluators are numpy-vectorized.  ``+inf`` is IEEE infinity; arithmetic
 with it saturates.  Objects are immutable after construction and safe to
@@ -103,7 +105,6 @@ class _QuadraticProfile:
     kind = "builtin"
     name = "quadratic"
     domain = (0.0, INF)
-    conj_exponent = 2.0  # c0*(s) = s^2 / 2
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -117,6 +118,9 @@ class _QuadraticProfile:
         return np.maximum(np.asarray(s, dtype=float), 0.0)
 
     conj_dplus = conj_dminus
+
+    def conj_curvature(self, s):
+        return np.full_like(np.asarray(s, dtype=float), 2.0)
 
     def recession(self):
         return INF
@@ -145,7 +149,6 @@ class _PowerProfile:
             raise InvalidCost("power cost needs exponent p > 1")
         self.p = float(p)
         self.q = self.p / (self.p - 1.0)
-        self.conj_exponent = self.q  # c0*(s) = s^q / q
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -161,6 +164,9 @@ class _PowerProfile:
         return np.maximum(s, 0.0) ** (self.q - 1.0)
 
     conj_dplus = conj_dminus
+
+    def conj_curvature(self, s):
+        return np.full_like(np.asarray(s, dtype=float), 2.0 * (self.q - 1.0))
 
     def recession(self):
         return INF
@@ -209,6 +215,9 @@ class _LinearProfile:
     def conj_dplus(self, s):
         s = np.asarray(s, dtype=float)
         return np.where(s < self.slope, 0.0, INF)
+
+    # c0* is flat below the slope and +inf from it on
+    conj_curvature = conj_dplus
 
     def recession(self):
         return self.slope
@@ -260,6 +269,12 @@ class _ReciprocalProfile:
 
     conj_dplus = conj_dminus
 
+    def conj_curvature(self, s):
+        # c0*' = sqrt(b / (a - s)) and 2s c0*'' = s sqrt(b) (a - s)^(-3/2)
+        s = np.maximum(np.asarray(s, dtype=float), 0.0)
+        gap = self.a - s
+        return np.where(gap > 0.0, s / np.where(gap > 0.0, gap, 1.0), INF)
+
     def recession(self):
         return self.a
 
@@ -295,7 +310,9 @@ class _SubgradientProfile:
     * ``D+c*(s) = sup{t : D+c(t) <= s}``, ``+inf`` where ``D+c`` never
       exceeds ``s`` (at or past the recession slope);
     * ``c*(s) = s t - c(t)`` at ``t = D-c*(s)``, the maximizer of
-      ``s t - c(t)``, and ``+inf`` past the recession slope.
+      ``s t - c(t)``, and ``+inf`` past the recession slope;
+    * ``2s c*''(s) / c*'(s) = 2s / (t c''(t))`` at ``t = D+c*(s)``, with ``c''``
+      a central difference of ``D+c``.
     """
 
     def _first_false(self, below, shape):
@@ -325,6 +342,19 @@ class _SubgradientProfile:
         s = np.asarray(s, dtype=float)
         t, never = self._first_false(lambda t: self.subgrad_hi(t) <= s, s.shape)
         return np.where(never, INF, t)
+
+    def conj_curvature(self, s):
+        # the difference spans a jump of D+c where s sits inside one (a flat
+        # stretch of D+c*, which has no curvature), and t = 0 in a dead zone
+        s = np.asarray(s, dtype=float)
+        t = self.conj_dplus(s)
+        finite = np.isfinite(t)
+        t = np.where(finite, t, 0.0)
+        h = 1e-5 * t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv = (self.subgrad_hi(t + h) - self.subgrad_hi(t - h)) / (2.0 * h)
+            rho = 2.0 * s / (t * curv)
+        return np.where(finite, np.where(t > 0.0, rho, 0.0), INF)
 
     def invert_flux(self, vabs):
         """Joint solve of ``v = t a``, ``t^2/2`` in the subdifferential of ``c`` at ``a``.
@@ -441,6 +471,28 @@ class _TabulatedProfile:
     def conj_dplus(self, s):
         _, jr = self._argmax_nodes(s)
         return self.ts[jr] + np.zeros_like(np.asarray(s, dtype=float))
+
+    def conj_curvature(self, s):
+        # c0* is piecewise linear
+        return np.zeros_like(np.asarray(s, dtype=float))
+
+    def smoothed(self, s, mu):
+        """Log-sum-exp smoothing ``mu log sum_j exp((ts_j s - cs_j) / mu)`` of ``c0*``.
+
+        Returns its value, its derivative and ``2s`` times its second
+        derivative.  It lies within ``mu log(#samples)`` above ``c0*``, and
+        its derivative is the mean of the samples ``ts`` under the softmax
+        weights (Nesterov, Math. Prog. 103, 2005).
+        """
+        s = np.asarray(s, dtype=float)
+        z = s[..., None] * self.ts - self.cs
+        top = np.max(z, axis=-1)
+        p = np.exp((z - top[..., None]) / mu)
+        total = np.sum(p, axis=-1)
+        p /= total[..., None]
+        d = p @ self.ts
+        var = np.sum(p * (self.ts - d[..., None]) ** 2, axis=-1)
+        return top + mu * np.log(total), d, 2.0 * s * var / mu
 
     def subgrad_hi(self, t):
         return np.concatenate([[-INF], self.slopes, [INF]])[np.searchsorted(self.ts, t, side="right")]
@@ -567,18 +619,14 @@ class CostFunction:
         return self._profile.domain
 
     @property
-    def conj_exponent(self):
-        """``q`` when the conjugate is the power law ``c0*(s) = s^q / q``, else None.
+    def smoothing(self):
+        """True when a 2-d Newton solve smooths the cost at a level ``mu`` (:meth:`smoothed_conjugate`).
 
-        Then ``2s * c0*''(s) = 2(q - 1) * c0*'(s)``, also with a weight,
-        so the conjugate's second derivative needs no evaluator of its own.
+        That is a cost with a finite recession slope, a dead zone or a
+        table; quadratic and power costs take none.
         """
-        return getattr(self._profile, "conj_exponent", None)
-
-    @property
-    def conjugate_by_bisection(self):
-        """True when every conjugate map is a bisection on ``D+c`` (expression and regularized costs)."""
-        return isinstance(self._profile, _SubgradientProfile)
+        return (self.regime == "L" or self.zero_flux_edge() > 0.0
+                or isinstance(self._profile, _TabulatedProfile))
 
     def describe(self):
         d = {"kind": self.kind, "name": self.name}
@@ -675,6 +723,70 @@ class CostFunction:
     def conjugate_dplus(self, s, weight=1.0):
         w = np.asarray(weight, dtype=float)
         return self._profile.conj_dplus(self._guard_threshold(np.asarray(s, dtype=float) / w))
+
+    def conjugate_curvature(self, s, weight=1.0):
+        """Radial curvature ``rho = 2s * c*''(x, s) / c*'(x, s)``; 0 where ``c*'`` vanishes.
+
+        The Hessian of ``c*(|g|^2/2)`` in ``g`` is ``c*'(s) (I + rho e e^T)``,
+        ``e = g / |g|``; ``rho`` is ``+inf`` where ``c*`` is, and a weight
+        leaves it unchanged, ``rho_w(s) = rho0(s / w)``.  It is ``2(q - 1)``
+        for a power law ``c0*(s) = s^q / q``, ``s / (a - s)`` for the
+        reciprocal cost, and 0 for a table and below the linear slope.  An
+        expression or regularized cost takes a difference of ``D+c``, whose
+        accuracy sets only the Newton steps, never the certificate.
+        """
+        w = np.asarray(weight, dtype=float)
+        return self._profile.conj_curvature(self._guard_threshold(np.asarray(s, dtype=float) / w))
+
+    def smoothed_conjugate(self, s, mu, weight=1.0):
+        """The conjugate ``c*(x, s)`` smoothed at level ``mu > 0``, ``w * phi(s / w)``.
+
+        ``phi`` is ``c0*`` changed only where a 2-d Newton solve needs it
+        (:attr:`smoothing`), each change vanishing with ``mu``: a table's
+        conjugate is its log-sum-exp smoothing; a finite recession slope
+        ``cinf`` adds the log barrier ``-mu * log(cinf - sigma)`` (``+inf``
+        from ``cinf`` on), which also keeps ``phi'`` positive in a dead zone;
+        a superlinear dead zone, where ``c0*'`` vanishes, adds the density
+        floor ``mu * sigma``.
+        """
+        w = np.asarray(weight, dtype=float)
+        sig = self._guard_threshold(np.asarray(s, dtype=float) / w)
+        prof = self._profile
+        value = (prof.smoothed(sig, mu)[0] if isinstance(prof, _TabulatedProfile)
+                 else prof.conj_value(sig))
+        thr = self.recession_slope()
+        if math.isfinite(thr):
+            room = thr - sig
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = np.where(room > 0.0, value - mu * np.log(room), INF)
+        elif self.zero_flux_edge() > 0.0:
+            value = value + mu * sig
+        return w * value
+
+    def smoothed_derivatives(self, s, mu, weight=1.0):
+        """Derivative in ``s`` and radial curvature of :meth:`smoothed_conjugate`.
+
+        They stand in for :meth:`conjugate_dplus` and :meth:`conjugate_curvature`.
+        """
+        w = np.asarray(weight, dtype=float)
+        sig = self._guard_threshold(np.asarray(s, dtype=float) / w)
+        prof = self._profile
+        if isinstance(prof, _TabulatedProfile):
+            _value, d, r = prof.smoothed(sig, mu)
+        else:
+            d = prof.conj_dplus(sig)
+            r = d * prof.conj_curvature(sig)
+        thr = self.recession_slope()
+        if math.isfinite(thr):
+            room = thr - sig
+            inside = room > 0.0
+            room = np.where(inside, room, 1.0)
+            d = np.where(inside, d + mu / room, INF)
+            r = np.where(inside, r + 2.0 * mu * sig / (room * room), INF)
+        elif self.zero_flux_edge() > 0.0:
+            d = d + mu
+        live = np.isfinite(d) & (d > 0.0)
+        return d, np.where(live, r / np.where(live, d, 1.0), np.where(d > 0.0, INF, 0.0))
 
     def invert_flux(self, vabs, weight=1.0):
         """Invert the gradient-to-flux map ``m(t) = t * dc*(t^2/2)``.

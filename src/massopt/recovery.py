@@ -106,12 +106,11 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
     weak-star settling of the iterates.  Cells concentrating more than
     ``concentration_fraction`` of the total mass are flagged as emergent
     singular parts.  This is an approximation path, not an exact
-    construction: the verifier decides whether its measure is optimal.  On
-    rectangles it does not pass (the regularization error stays above the
-    thresholds), which is why ``massopt run`` refuses 2-d linear-regime
-    configurations; the function remains a library call.  Each level
-    reuses the problem's cell weights, so a heterogeneous cost is
-    continued as ``w(x) * c_eps(t)``.
+    construction: the verifier decides whether its measure is optimal.
+    ``massopt run`` refuses 2-d linear-regime configurations, since
+    :func:`recover_measure` has no 2-d linear-regime branch; this function
+    is a library call.  Each level reuses the problem's cell weights, so a
+    heterogeneous cost is continued as ``w(x) * c_eps(t)``.
     """
     if problem.regime != "L":
         raise RegimeMismatch("regularization continuation applies to the linear regime")
@@ -130,8 +129,7 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
         # certified gap must shrink with eps^2 for the iterates to settle
         params_eps = SolverParams(
             max_iterations=params.max_iterations,
-            gap_tolerance=max(min(params.gap_tolerance, 0.1 * eps * eps), 1e-10),
-            check_every=params.check_every)
+            gap_tolerance=max(min(params.gap_tolerance, 0.1 * eps * eps), 1e-10))
         sol = solve_auxiliary(prob_eps, params_eps)
         measure = recover_measure(sol, prob_eps)
         a = measure.ac_density
@@ -167,13 +165,17 @@ class EnergyResult:
         return "EnergyResult(energy=%.12g, residual=%.3g)" % (self.energy, self.residual)
 
 
-def _floating_pins(K, F):
-    """One node of each floating component of the stiffness graph.
+def _floating_pins(K, F, colour=None):
+    """One node of each floating class of the stiffness graph.
 
     A component is floating when none of its rows couples to the boundary,
     i.e. its row sums vanish: its field is then fixed only up to a
-    constant.  Raises :class:`Unbounded` when the source puts net load on
-    a floating component, which includes a loaded node with no stiffness.
+    constant.  ``colour`` holds each node's checkerboard colour
+    ``(i + j) % 2`` on a rectangle: the cell-averaged gradient does not see
+    the checkerboard, so a floating component's two colours are classes of
+    their own (square cells already decouple them; oblong cells do not).
+    Raises :class:`Unbounded` when the source puts net load on a floating
+    class, which includes a loaded node with no stiffness.
     """
     # K holds no explicit zeros (StiffnessLayout.matrix drops them), so its
     # graph has an edge exactly where two nodes are coupled
@@ -182,13 +184,16 @@ def _floating_pins(K, F):
     grounded = np.abs(K @ np.ones(K.shape[0])) > 1e-12 * K.diagonal()
     floating = np.ones(n_comp, dtype=bool)
     floating[labels[grounded]] = False
-    net = np.bincount(labels, weights=F, minlength=n_comp)
-    scale = np.bincount(labels, weights=np.abs(F), minlength=n_comp)
+    if colour is not None:
+        labels = 2 * labels + colour
+        floating = np.repeat(floating, 2)
+    net = np.bincount(labels, weights=F, minlength=floating.size)
+    scale = np.bincount(labels, weights=np.abs(F), minlength=floating.size)
     if np.any(floating & (np.abs(net) > 1e-10 * scale)):
         raise Unbounded("source loads a part of the domain that the measure "
                         "does not connect to the boundary")
-    _, first = np.unique(labels, return_index=True)
-    return first[floating]
+    present, first = np.unique(labels, return_index=True)
+    return first[floating[present]]
 
 
 def energy_eval(mu, source):
@@ -200,7 +205,8 @@ def energy_eval(mu, source):
     :class:`massopt.grids.StiffnessLayout`; its sparse copy (explicit zeros
     dropped) finds the floating components and scores the energy, and the
     band itself is factored by banded Cholesky.  Interior nodes that the
-    measure does not connect to the boundary form floating components; one
+    measure does not connect to the boundary form floating components, on a
+    rectangle one for each checkerboard colour (:func:`_floating_pins`); one
     node of each is pinned, as a unit row of the band with a zero load,
     which leaves the energy unchanged when the component carries no net
     load.  Raises :class:`Unbounded` when the energy is unbounded below:
@@ -218,7 +224,11 @@ def energy_eval(mu, source):
     layout = grid.stiffness_layout()
     band = layout.band(with_atoms(grid, grid.cell_volumes * mu.ac_density, mu.atoms))
     K = layout.matrix(band)
-    pins = _floating_pins(K, Fin)
+    colour = None
+    if grid.kind == "rectangle":
+        j, i = np.divmod(grid.interior_idx, grid.xs.size)
+        colour = (i + j) % 2
+    pins = _floating_pins(K, Fin, colour)
     rhs = Fin.copy()
     rhs[pins] = 0.0
     u = layout.factor(band, pins).solve(rhs)

@@ -24,51 +24,40 @@ names the method that closed it (``AuxiliarySolution.method``):
   on the discrete minimizer to machine precision.  This certificate is the
   whole 1-d solve: it takes no iteration, and it is converged exactly when
   its gap meets the tolerance.
-* ``"newton"``: in two dimensions, for power-law conjugates
-  ``c0*(s) = s^q / q`` (quadratic and power costs), the objective is C^2
-  and convex.  Damped Newton starts from the unit-weight Poisson solution
-  scaled along its ray, takes one direct solve of the tensor stiffness
-  ``G^T H G`` per step (per-cell 2x2 Hessian blocks, see
-  :func:`_hessian_blocks`), backtracks on the objective, and certifies
-  every step by projecting its flux.  It stops after a full step whose
-  Newton decrement was rounding level of the objective, since a further
-  step could not decrease it.
-* ``"splitting"``: every other 2-d case runs a Chambolle-Pock primal-dual
-  splitting whose dual update reduces to a scalar monotone root-find per
-  cell, by bisection on the upper conjugate derivative ``D+c*``
-  (:func:`massopt.costs.bisect`): its map is strictly increasing and
-  ``D-c* <= D+c*``, so a test on the lower derivative could never move a
-  bracket end.  Where ``D+c*`` is itself a bisection (expression and
-  regularized costs), each step tests the cost's upper derivative ``D+c``
-  at the density the step implies instead.  In the linear regime the
-  bracket starts at the cap, so the pointwise bound
-  ``|g| <= sqrt(2 * cinf(x))`` holds exactly, never by penalty.  Each
-  check projects the iterate's flux once, scores it as the dual
-  certificate, and builds a Picard candidate from it.  The solver
-  keeps whichever iterate has the best merit, so the reported gap is
-  monotone along accepted iterates.
+* ``"newton"``: every rectangle.  Damped Newton takes one direct solve of
+  the tensor stiffness ``G^T H G`` per step (per-cell 2x2 Hessian blocks
+  ``vol * c*' (I + rho e e^T)`` with the cost's radial curvature
+  ``rho = 2s c*'' / c*'``, see :func:`_hessian_blocks`), backtracks on the
+  objective, and certifies every iterate by projecting its flux.  For
+  quadratic and power costs the objective is C^2 and convex and is
+  minimised as it is, from the unit-weight Poisson solution scaled along
+  its ray.  Every other cost needs a smoothing: a log barrier on the
+  gradient bound ``|g| < sqrt(2 * cinf(x))`` in the linear regime, a
+  density floor where ``c*'`` vanishes in a dead zone, and the log-sum-exp
+  of a table's piecewise-linear conjugate.  Their level ``mu`` starts at 1
+  and shrinks by 10 each time Newton has centred the level, until the
+  certified gap meets the tolerance or a level fails to lower it.  The
+  certificate always scores the exact conjugate, so the smoothing sets
+  only how fast the gap closes.
 
-In two dimensions the flux projection, the Newton step and the Picard
-candidate are each one direct solve of an interior stiffness, exact up to
-rounding: :func:`massopt.grids.stiffness_factor` sums the per-cell blocks
-straight into the band of the grid's :class:`massopt.grids.StiffnessLayout`
-(built once per grid) and factors it by banded Cholesky.  The
-projection's unit-weight stiffness depends on the grid only, so each solve
-factors it once and reuses the factor at every check.
+In two dimensions the flux projection and the Newton step are each one
+direct solve of an interior stiffness, exact up to rounding:
+:func:`massopt.grids.stiffness_factor` sums the per-cell blocks straight
+into the band of the grid's :class:`massopt.grids.StiffnessLayout` (built
+once per grid) and factors it by banded Cholesky.  The projection's
+unit-weight stiffness depends on the grid only, so each solve factors it
+once and reuses the factor at every certificate.
 """
 
 import math
 
 import numpy as np
 
-from .costs import bisect, validate_cost
-from .errors import InadmissibleSource, InvalidCost, NotConverged, RegimeMismatch
+from .costs import validate_cost
+from .errors import InadmissibleSource, InvalidCost, NotConverged, RegimeMismatch, Unbounded
 from .grids import ScalarField, VectorField, stiffness_factor
 
 INF = math.inf
-
-# both splitting steps are this fraction of 1 / ||D||
-STEP_SCALE = 0.95
 
 # a Newton decrement below this fraction of |objective| is rounding level
 NEWTON_FLAT = 16.0 * np.finfo(float).eps
@@ -77,27 +66,19 @@ NEWTON_FLAT = 16.0 * np.finfo(float).eps
 class SolverParams:
     """Iteration budget and tolerances for :func:`solve_auxiliary`.
 
-    ``max_iterations`` and ``check_every`` apply in two dimensions only: a
-    1-d solve is its exact certificate and takes no iteration.
-    Both are at least 1.  ``max_iterations`` bounds the splitting iterations,
-    or the Newton steps of a power-law solve.  The splitting builds a
-    certificate every ``check_every`` iterations, and an improving
-    candidate always restarts it; Newton certifies every step, so
-    ``check_every`` does not apply to it.  ``log_path``, when set, receives
-    the iteration log as CSV.
+    ``max_iterations`` (at least 1) bounds the Newton steps of a rectangle,
+    over every smoothing level; a 1-d solve is its exact certificate and
+    takes no iteration.  ``log_path``, when set, receives the iteration log
+    as CSV.
     """
 
-    def __init__(self, max_iterations=20000, gap_tolerance=1e-8, check_every=25,
-                 log_path=None):
+    def __init__(self, max_iterations=20000, gap_tolerance=1e-8, log_path=None):
         if not gap_tolerance > 0.0:
             raise ValueError("gap_tolerance must be positive")
         if int(max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
-        if int(check_every) < 1:
-            raise ValueError("check_every must be >= 1")
         self.max_iterations = int(max_iterations)
         self.gap_tolerance = float(gap_tolerance)
-        self.check_every = int(check_every)
         self.log_path = log_path
 
 
@@ -135,11 +116,11 @@ class AuxiliaryProblem:
     def conj_dplus(self, s):
         return self.cost.conjugate_dplus(s, weight=self._w)
 
+    def conj_curvature(self, s):
+        return self.cost.conjugate_curvature(s, weight=self._w)
+
     def invert_flux(self, vabs):
         return self.cost.invert_flux(vabs, weight=self._w)
-
-    def subgrad_hi(self, a):
-        return self.cost.subgrad_hi(a, weight=self._w)
 
     def cost_value(self, a):
         return self.cost.value(a, weight=self._w)
@@ -220,32 +201,6 @@ def objective_gradient(problem, u):
     out = grid.gradient_adjoint(flux) - problem.load
     out[grid.boundary_mask] = 0.0
     return out
-
-
-# ---------------------------------------------------------------------------
-# per-cell scalar solves
-# ---------------------------------------------------------------------------
-
-def _prox_bisect(problem, r, lam):
-    """Solve ``r in t + lam * t * dc*(t^2/2)`` per cell by bisection on ``D+c*``.
-
-    The bracket starts at the cap, so the linear-regime bound holds exactly.
-    Where ``D+c*`` is itself a bisection on ``D+c``, each step tests the
-    cost's upper derivative instead: ``D+c*(t^2/2) < (r - t) / (lam t)``
-    holds exactly when ``D+c`` at that density exceeds ``t^2/2``, up to a
-    jump of ``D+c`` at that very density.
-    """
-    r = np.asarray(r, dtype=float)
-    if problem.cost.conjugate_by_bisection:
-        def below(t):
-            # t = 0 only brackets r = 0, whose answer is 0 either way
-            return problem.subgrad_hi((r - t) / (lam * np.where(t > 0.0, t, 1.0))) > 0.5 * t * t
-    else:
-        def below(t):
-            with np.errstate(invalid="ignore", over="ignore"):
-                return t + lam * t * problem.conj_dplus(0.5 * t * t) < r
-
-    return bisect(below, np.zeros_like(r), np.minimum(r, problem.cell_caps), 70)
 
 
 def _dual_value(problem, sigma, t=None):
@@ -430,168 +385,160 @@ def _project_flux(problem, y_cells, unit_factor):
     return sigma, res
 
 
-def _picard_candidate(problem, sigma):
-    """Primal candidate: density from flux inversion, one weighted solve.
-
-    Inverting the gradient-to-flux map along a feasible flux gives a
-    density field; minimizing the quadratic energy for that frozen density
-    (a Picard step for the nonlinear optimality system) produces a primal
-    iterate that typically tightens the certificate far faster than the
-    splitting alone.
-    """
-    grid = problem.grid
-    absw = np.sqrt(np.sum(sigma * sigma, axis=1))
-    _t, a = problem.invert_flux(absw)
-    a = np.maximum(a, 1e-12 * max(float(np.max(a)), 1.0))
-    idx = grid.interior_idx
-    u = np.zeros(grid.n_nodes)
-    u[idx] = stiffness_factor(grid, grid.cell_volumes * a).solve(problem.load[idx])
-    return u
-
-
-def _rescale_feasible(problem, u):
-    """Shrink a field onto the linear-regime gradient bound (no-op in SL)."""
-    if problem.regime != "L":
-        return u
-    g = problem.grid.gradient_apply(u)
-    mags = np.sqrt(np.sum(g * g, axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = problem.cell_caps / np.where(mags > 0.0, mags, 1.0)
-    scale = min(1.0, float(np.min(np.where(mags > 0.0, ratio, INF))))
-    return u * scale
-
-
 # ---------------------------------------------------------------------------
-# two-dimensional Newton for power-law conjugates
+# two-dimensional Newton
 # ---------------------------------------------------------------------------
 
-def _hessian_blocks(problem, g, d, q):
-    """Per-cell 2x2 Hessian blocks of the objective for ``c0*(s) = s^q / q``.
+def _hessian_blocks(problem, g, d, rho):
+    """Per-cell 2x2 Hessian blocks ``vol * d * (I + rho e e^T)``, ``e = g / |g|``.
 
-    The Hessian of ``vol * c*(|g|^2/2)`` in ``g`` is
-    ``vol * (c*'(s) I + c*''(s) g g^T)``; with ``2s c*''(s) = 2(q-1) c*'(s)``
-    it is ``vol * c*'(s) * (I + 2(q-1) e e^T)``, ``e = g / |g|``, which needs
-    no second derivative and stays finite at ``g = 0``.  ``d`` holds
-    ``c*'(s)`` per cell.
+    This is the Hessian ``vol * (c*'(s) I + c*''(s) g g^T)`` of
+    ``vol * c*(|g|^2/2)`` in ``g``, with ``d = c*'(s)`` and the radial
+    curvature ``rho = 2s c*''(s) / c*'(s)``
+    (:meth:`massopt.costs.CostFunction.conjugate_curvature`), finite at
+    ``g = 0``.
     """
     mag = np.sqrt(np.sum(g * g, axis=1))
     e = g / np.where(mag > 0.0, mag, 1.0)[:, None]
-    H = 2.0 * (q - 1.0) * e[:, :, None] * e[:, None, :]
+    H = rho[:, None, None] * e[:, :, None] * e[:, None, :]
     H[:, 0, 0] += 1.0
     H[:, 1, 1] += 1.0
     return H * (problem.grid.cell_volumes * d)[:, None, None]
 
 
-def _newton_2d(problem, params, q, unit_factor):
-    """Damped Newton on a rectangle for a conjugate ``c0*(s) = s^q / q``.
+def _integrand(problem, s, mu):
+    """``(c*', rho)`` per cell, of the conjugate smoothed at level ``mu`` (exact when None)."""
+    if mu is None:
+        return problem.conj_dplus(s), problem.conj_curvature(s)
+    return problem.cost.smoothed_derivatives(s, mu, weight=problem._w)
 
-    The start is the unit-weight Poisson solution ``u0`` scaled along its
-    ray: the objective ``lam^(2q) A - lam <F, u0>`` is 2q-homogeneous there,
-    with ``A = sum vol * c*(|grad u0|^2/2)``.  Each step factors the tensor
-    stiffness of the Hessian (``c*'`` floored at ``1e-12`` of its maximum,
-    where it vanishes with the gradient) and backtracks on the objective
-    (Armijo).  Each iterate's flux ``vol * c*'(s) * g`` is projected with
-    ``unit_factor`` and scored as a dual certificate, one log row per
-    iterate.  The steps count against ``max_iterations``; the loop also
-    stops when the gradient falls to ``1e-12 |F|``, when a step gives no
-    decrease, or after a full step whose decrement ``-slope / 2`` was at
-    most ``NEWTON_FLAT * |obj|``: that iterate is certified and logged, and
-    no further stiffness is factored.
+
+def _level_objective(problem, u, mu):
+    """The objective with the conjugate smoothed at level ``mu`` (exact when None)."""
+    if mu is None:
+        return objective_eval(problem, u)
+    g = problem.grid.gradient_apply(u)
+    # +inf past a barrier, where the line search must not step
+    value = problem.cost.smoothed_conjugate(0.5 * np.sum(g * g, axis=1), mu, weight=problem._w)
+    return float(np.dot(problem.grid.cell_volumes, value) - np.dot(problem.load, u))
+
+
+def _newton_2d(problem, params, unit_factor):
+    """Damped Newton on a rectangle, along a smoothing path where the cost needs one.
+
+    A quadratic or power cost starts from the unit-weight Poisson solution
+    ``u0`` scaled along its ray, where the objective ``lam^(2q) A - lam <F, u0>``
+    is least (``A = sum vol * c*(|grad u0|^2/2)``; ``q = 1 + rho / 2`` at the
+    steepest cell, which is exact for a power law).
+    Every other cost starts from 0 at the smoothing level ``mu = 1``
+    (:meth:`massopt.costs.CostFunction.smoothed_conjugate`).  Each step
+    factors the stiffness of the Hessian blocks (:func:`_hessian_blocks`,
+    ``c*'`` floored at ``1e-12`` of its maximum) and backtracks on the
+    level's objective (Armijo).  Each iterate's flux ``vol * c*'(s) * g`` is
+    projected with ``unit_factor`` and scored against the exact conjugate,
+    one log row per certificate; the best exact objective and dual are kept.
+    A level is centred when the gradient falls to ``1e-12 |F|``, when a
+    step gives no decrease, or after a full step whose decrement
+    ``-slope / 2`` was at most ``NEWTON_FLAT * |obj|``.  Then the solve
+    stops, unless ``mu`` shrinks by 10 to a next level: the certified gap
+    is still above the tolerance and this level lowered it.  The steps of
+    every level count against ``max_iterations``.
     """
     grid = problem.grid
     idx = grid.interior_idx
     vol = grid.cell_volumes
     F = problem.load
+    mu = 1.0 if problem.cost.smoothing else None
     u = np.zeros(grid.n_nodes)
-    u[idx] = unit_factor.solve(F[idx])
-    g = grid.gradient_apply(u)
-    A = float(np.dot(vol, problem.conj_value(0.5 * np.sum(g * g, axis=1))))
-    b = float(np.dot(F, u))
-    u *= (b / (2.0 * q * A)) ** (1.0 / (2.0 * q - 1.0)) if A > 0.0 and b > 0.0 else 0.0
+    if mu is None:
+        u[idx] = unit_factor.solve(F[idx])
+        g = grid.gradient_apply(u)
+        s = 0.5 * np.sum(g * g, axis=1)
+        A = float(np.dot(vol, problem.conj_value(s)))
+        b = float(np.dot(F, u))
+        q = 1.0 + 0.5 * float(problem.conj_curvature(s)[np.argmax(s)])
+        u *= (b / (2.0 * q * A)) ** (1.0 / (2.0 * q - 1.0)) if A > 0.0 and b > 0.0 else 0.0
     obj = objective_eval(problem, u)
+    obj_mu = _level_objective(problem, u, mu)
     grad_floor = 1e-12 * float(np.linalg.norm(F[idx]))
 
+    best_obj, best_u = INF, u
     best_dual, best_sigma, dual_residual = -INF, np.zeros((grid.n_cells, 2)), INF
     log = []
     steps = 0
     factorisations = 1  # unit_factor
+    levels = 0 if mu is None else 1
+    level_gap = INF  # the best gap when the level was entered
     flat = False  # the last step was full and its decrement rounding level
     while True:
+        if obj < best_obj:
+            best_obj, best_u = obj, u
         g = grid.gradient_apply(u)
-        d = problem.conj_dplus(0.5 * np.sum(g * g, axis=1))
+        d, rho = _integrand(problem, 0.5 * np.sum(g * g, axis=1), mu)
         flux = g * (vol * d)[:, None]
         sigma, res = _project_flux(problem, flux, unit_factor)
         dual = _dual_value(problem, sigma)
         if dual > best_dual:
             best_dual, best_sigma, dual_residual = dual, sigma, res
-        gap, rel_gap = _relative_gap(obj, best_dual)
-        log.append((steps, obj, best_dual, gap))
-        grad = (grid.gradient_adjoint(flux) - F)[idx]
-        if flat or steps == params.max_iterations or np.linalg.norm(grad) <= grad_floor:
+        gap, rel_gap = _relative_gap(best_obj, best_dual)
+        log.append((steps, best_obj, best_dual, gap))
+        if steps == params.max_iterations:
             break
-        d = np.maximum(d, 1e-12 * float(np.max(d)))
-        factorisations += 1
-        step = -stiffness_factor(grid, _hessian_blocks(problem, g, d, q)).solve(grad)
-        slope = float(np.dot(grad, step))
-        t = 1.0
-        for _ in range(40):
-            trial = u.copy()
-            trial[idx] += t * step
-            obj_trial = objective_eval(problem, trial)
-            if obj_trial <= obj + 1e-4 * t * slope:
+        grad = (grid.gradient_adjoint(flux) - F)[idx]
+        centred = flat or np.linalg.norm(grad) <= grad_floor
+        if not centred:
+            d = np.maximum(d, 1e-12 * float(np.max(d)))
+            factorisations += 1
+            try:
+                step = -stiffness_factor(grid, _hessian_blocks(problem, g, d, rho)).solve(grad)
+            except Unbounded:
+                break  # the Hessian is singular to working precision: no step is left
+            slope = float(np.dot(grad, step))
+            t = 1.0
+            for _ in range(40):
+                trial = u.copy()
+                trial[idx] += t * step
+                obj_trial = _level_objective(problem, trial, mu)
+                if obj_trial <= obj_mu + 1e-4 * t * slope:
+                    break
+                t *= 0.5
+            # no decrease left: the level's objective is flat at rounding level
+            centred = not obj_trial < obj_mu
+        if centred:
+            if mu is None or rel_gap <= params.gap_tolerance or not gap < level_gap:
                 break
-            t *= 0.5
-        if not obj_trial < obj:
-            break  # no decrease left: the objective is flat at rounding level
+            level_gap, mu, levels, flat = gap, 0.1 * mu, levels + 1, False
+            obj_mu = _level_objective(problem, u, mu)
+            continue
         # a full step that predicted a rounding-level decrease has left
         # nothing for a further factorisation to find
-        flat = t == 1.0 and -0.5 * slope <= NEWTON_FLAT * abs(obj)
-        u, obj = trial, obj_trial
+        flat = t == 1.0 and -0.5 * slope <= NEWTON_FLAT * abs(obj_mu)
+        u, obj_mu = trial, obj_trial
+        obj = obj_mu if mu is None else objective_eval(problem, u)
         steps += 1
 
-    return _finish(problem, params, u, best_sigma, obj, best_dual, steps,
+    return _finish(problem, params, best_u, best_sigma, best_obj, best_dual, steps,
                    rel_gap <= params.gap_tolerance, dual_residual, log, "newton",
-                   factorisations)
+                   factorisations, mu_levels=levels)
 
 
 # ---------------------------------------------------------------------------
 # the solver
 # ---------------------------------------------------------------------------
 
-def operator_norm(grid, iterations=50, seed=0):
-    """Norm of the discrete gradient on the zero-boundary subspace."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(grid.n_nodes)
-    v[grid.boundary_mask] = 0.0
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:  # no interior nodes: the operator is trivial
-        return 1.0
-    v /= nrm
-    lam = 1.0
-    for _ in range(iterations):
-        w = grid.gradient_apply(v)
-        v2 = grid.gradient_adjoint(w)
-        v2[grid.boundary_mask] = 0.0
-        lam = np.linalg.norm(v2)
-        if lam == 0.0:
-            return 1.0
-        v = v2 / lam
-    return math.sqrt(lam)
-
-
 class AuxiliarySolution:
     """Solver output: minimizer, feasible dual flux, certified gap.
 
     ``method`` names how the gap was sought: ``"certificate"`` (the exact
-    flux, every interval and radial grid), ``"newton"`` (2-d power-law
-    conjugates) or ``"splitting"`` (2-d Chambolle-Pock); ``None`` for a
-    wrapper that ran no solve.  ``factorisations`` counts the banded
-    Cholesky factorisations of a stiffness
-    (:meth:`massopt.grids.StiffnessLayout.factor`) the solve made: none for
-    the 1-d certificate; for Newton the projection's unit-weight factor plus
-    one per step attempted (the loop stops without a further factorisation
-    after a full step whose decrement was rounding level); for the
-    splitting that factor plus one Picard factor per check.
+    flux, every interval and radial grid) or ``"newton"`` (every
+    rectangle); ``None`` for a wrapper that ran no solve.
+    ``factorisations`` counts the banded Cholesky factorisations of a
+    stiffness (:meth:`massopt.grids.StiffnessLayout.factor`) the solve
+    made: none for the 1-d certificate; for Newton the projection's
+    unit-weight factor plus one per step attempted (a level ends without a
+    further factorisation after a full step whose decrement was rounding
+    level).  ``mu_levels`` counts the smoothing levels a Newton solve
+    entered: 0 for quadratic and power costs and in 1-d.
     ``grad_magnitude`` holds ``|g|`` per cell: the 1-d certificate's own
     inverted magnitude ``t`` when its primal candidate is returned, else
     the magnitude of ``grad``.
@@ -599,7 +546,7 @@ class AuxiliarySolution:
 
     def __init__(self, problem, u_values, sigma, objective, dual_value, gap,
                  rel_gap, iterations, converged, dual_residual, log, method=None,
-                 notes=(), factorisations=0, grad_magnitude=None):
+                 notes=(), factorisations=0, grad_magnitude=None, mu_levels=0):
         grid = problem.grid
         self.problem = problem
         self.u = ScalarField(grid, u_values)
@@ -612,8 +559,9 @@ class AuxiliarySolution:
         self.gap = gap
         self.rel_gap = rel_gap
         self.iterations = iterations
-        self.method = method  # "certificate", "newton" or "splitting"
+        self.method = method  # "certificate" or "newton"
         self.factorisations = factorisations
+        self.mu_levels = mu_levels
         self.converged = converged
         self.dual_residual = dual_residual
         self.regime = problem.regime
@@ -651,23 +599,18 @@ def solve_auxiliary(problem, params=None):
     flux; ``gap = objective - dual_value`` is a true optimality certificate.
     On non-convergence the best iterate is returned with ``converged=False``.
 
-    Three methods, by grid and cost: the exact certificate on interval and
-    radial grids (:func:`_certificate_1d`; ``iterations = 0`` and one log
-    row, so a gap above the tolerance returns not converged), damped Newton
-    on rectangles with quadratic and power costs (:func:`_newton_2d`; one
-    log row per iterate, the start included), and the splitting on every
-    other rectangle (:func:`_splitting_2d`).
+    Two methods, by grid: the exact certificate on interval and radial
+    grids (:func:`_certificate_1d`; ``iterations = 0`` and one log row, so
+    a gap above the tolerance returns not converged), and damped Newton on
+    rectangles (:func:`_newton_2d`; one log row per certificate, the start
+    included).
     """
     params = params or SolverParams()
     grid = problem.grid
     if grid.dim == 1:
         return _certificate_1d(problem, params)
     # the 2-d flux projection's stiffness depends on the grid only
-    unit_factor = stiffness_factor(grid, np.ones(grid.n_cells))
-    q = problem.cost.conj_exponent
-    if q is not None:
-        return _newton_2d(problem, params, q, unit_factor)
-    return _splitting_2d(problem, params, unit_factor)
+    return _newton_2d(problem, params, stiffness_factor(grid, np.ones(grid.n_cells)))
 
 
 def _certificate_1d(problem, params):
@@ -692,80 +635,9 @@ def _certificate_1d(problem, params):
                    0.0, [(0, obj, dual, gap)], "certificate", 0, mag)
 
 
-def _splitting_2d(problem, params, unit_factor):
-    """Chambolle-Pock on a rectangle, certified every ``check_every`` steps.
-
-    A check projects the dual iterate's flux (:func:`_project_flux`) and
-    scores it as the certificate.  The Picard candidate of that flux,
-    shrunk onto the gradient bound, competes with the primal iterate, and
-    an improving candidate restarts the splitting from it.
-    """
-    grid = problem.grid
-    F = problem.load
-
-    best_u = np.zeros(grid.n_nodes)
-    best_obj = objective_eval(problem, best_u)
-    best_dual = -INF
-    best_sigma = np.zeros((grid.n_cells, grid.dim))
-    dual_residual = INF
-    log = []
-    iterations = 0
-
-    norm_D = operator_norm(grid)
-    tau = STEP_SCALE / norm_D
-    sig = STEP_SCALE / norm_D
-
-    u = np.zeros(grid.n_nodes)
-    ubar = u.copy()
-    y = np.zeros((grid.n_cells, grid.dim))
-    lam = grid.cell_volumes / sig
-    converged = False
-
-    for k in range(1, params.max_iterations + 1):
-        iterations = k
-        # dual ascent: prox of the conjugate integrand via per-cell root-find
-        ytil = y + sig * grid.gradient_apply(ubar)
-        r = np.sqrt(np.sum(ytil * ytil, axis=1)) / sig
-        t = _prox_bisect(problem, r, lam)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            shrink = np.where(r > 0.0, t / np.where(r > 0.0, r, 1.0), 0.0)
-        y = ytil * (1.0 - shrink)[:, None]
-        # primal descent with exact boundary handling
-        u_new = u - tau * grid.gradient_adjoint(y) + tau * F
-        u_new[grid.boundary_mask] = 0.0
-        ubar = 2.0 * u_new - u
-        u = u_new
-
-        if k % params.check_every == 0 or k == params.max_iterations:
-            u_eval = _rescale_feasible(problem, u)
-            obj_iter = objective_eval(problem, u_eval)
-            if obj_iter < best_obj:
-                best_obj, best_u = obj_iter, u_eval.copy()
-            sigma, dual_residual = _project_flux(problem, y, unit_factor)
-            dual = _dual_value(problem, sigma)
-            u_cand = _rescale_feasible(problem, _picard_candidate(problem, sigma))
-            obj_cand = objective_eval(problem, u_cand)
-            if obj_cand < best_obj:
-                best_obj, best_u = obj_cand, u_cand.copy()
-                # restart the splitting from the polished iterate
-                u = u_cand.copy()
-                ubar = u.copy()
-                y = sigma * grid.cell_volumes[:, None]
-            if dual > best_dual:
-                best_dual, best_sigma = dual, sigma
-            gap, rel_gap = _relative_gap(best_obj, best_dual)
-            log.append((k, best_obj, best_dual, gap))
-            if rel_gap <= params.gap_tolerance:
-                converged = True
-                break
-
-    # unit_factor, and one Picard factor per check
-    return _finish(problem, params, best_u, best_sigma, best_obj, best_dual,
-                   iterations, converged, dual_residual, log, "splitting", 1 + len(log))
-
-
 def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
-            dual_residual, log, method, factorisations, grad_magnitude=None):
+            dual_residual, log, method, factorisations, grad_magnitude=None,
+            mu_levels=0):
     """Assemble the solution and write the iteration log."""
     gap, rel_gap = _relative_gap(obj, dual)
     notes = []
@@ -775,7 +647,7 @@ def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
         dual_residual = dual_residual / max(1.0, float(np.linalg.norm(problem.load)))
     solution = AuxiliarySolution(problem, u, sigma, obj, dual, gap, rel_gap,
                                  iterations, converged, dual_residual, log, method,
-                                 notes, factorisations, grad_magnitude)
+                                 notes, factorisations, grad_magnitude, mu_levels)
     if params.log_path:
         write_iteration_log(params.log_path, log)
     return solution

@@ -160,8 +160,7 @@ def test_criterion_6_lipschitz_bound():
     g2 = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 16, 16)
     prob2 = mo.build_problem(g2, mo.linear_cost(0.5), mo.SourceTerm.constant(g2, 1.0))
     sol2 = mo.solve_auxiliary(prob2, mo.SolverParams(max_iterations=2000,
-                                                     gap_tolerance=1e-3,
-                                                     check_every=50))
+                                                     gap_tolerance=1e-3))
     assert sol2.max_gradient <= 1.0 + 1e-9
     # heterogeneous linear cost: per-cell bound sqrt(2 w(x) cinf)
     w = lambda x: 1.0 + 0.5 * float(np.atleast_1d(x)[0]) ** 2

@@ -76,7 +76,7 @@ def test_run_pipeline_exit_zero(tmp_path, capsys):
     assert report["passed"] is True
     assert report["regime"] == "L"
     assert report["pde_residual"] <= 1e-3
-    # the exact 1-d certificate closes the gap before any splitting step
+    # the exact 1-d certificate closes the gap with no iteration
     assert report["iterations"] == 0
     assert report["checks"] == 1
     assert report["method"] == "certificate"
@@ -185,7 +185,6 @@ value = 1.0
 [solver]
 max_iterations = 3
 gap_tolerance = 1e-14
-check_every = 2
 
 [output]
 dir = {out}
@@ -307,7 +306,6 @@ value = 1.0
 [solver]
 max_iterations = 3000
 gap_tolerance = 1e-6
-check_every = 50
 
 [verify]
 pde_residual = 0.05
@@ -369,6 +367,7 @@ def test_report_counts_factorisations(tmp_path, domain):
                 % (domain, tmp_path / "out"))
     assert cli.main(["run", cfg]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["mu_levels"] == 0
     if report["method"] == "certificate":
         assert report["factorisations"] == 0
     else:
@@ -378,17 +377,21 @@ def test_report_counts_factorisations(tmp_path, domain):
         assert report["factorisations"] - report["iterations"] in (1, 2)
 
 
-def test_rectangle_tabulated_cost_reports_splitting(tmp_path):
+def test_rectangle_tabulated_cost_reports_newton(tmp_path):
     ts = np.linspace(0.0, 4.0, 17)
     table = tmp_path / "cost.csv"
     np.savetxt(table, np.column_stack([ts, 0.5 * ts * ts]), delimiter=",")
     cfg = write(tmp_path / "tab.cfg", RECT_CONFIG.format(
         n=8, cost="table = %s" % table, budget=50, out=tmp_path / "out"))
-    cli.main(["run", cfg])
+    assert cli.main(["run", cfg]) == 3
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["method"] == "splitting"
-    assert report["checks"] == 2  # check_every = 25
-    assert report["factorisations"] == 3  # the unit factor and one per check
+    assert report["method"] == "newton"
+    # the budget ends the seventh smoothing level; the unit factor, one per
+    # step, and one for each of three levels that ended on a step that gave
+    # no decrease
+    assert (report["iterations"], report["mu_levels"], report["factorisations"]) == (50, 7, 54)
+    # a certificate per iterate, and one more at each level entered after the first
+    assert report["checks"] == report["iterations"] + report["mu_levels"]
 
 
 def test_rectangle_linear_regime_refused(tmp_path, capsys):
@@ -508,7 +511,7 @@ def test_bad_grid_is_config_error(tmp_path, capsys, domain):
 
 @pytest.mark.parametrize("setting, message", [
     ("max_iterations = -3", "max_iterations must be >= 1"),
-    ("max_iterations = 5000\ncheck_every = -5", "check_every must be >= 1"),
+    ("max_iterations = 5000\ncheck_every = -5", "unknown solver key 'check_every'"),
 ], ids=["max_iterations", "check_every"])
 def test_budget_below_one_is_config_error(tmp_path, capsys, setting, message):
     text = MK_CONFIG.format(out=tmp_path / "out").replace("max_iterations = 5000", setting)

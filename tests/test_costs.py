@@ -457,15 +457,29 @@ def test_validate_never_throws_on_bad_cost():
     assert isinstance(rep.failures, list)
 
 
-def test_conj_exponent_only_for_power_law_conjugates():
-    assert mo.quadratic_cost().conj_exponent == 2.0
-    assert mo.power_cost(1.5).conj_exponent == pytest.approx(3.0)
-    assert mo.power_cost(3.0).conj_exponent == pytest.approx(1.5)
-    ts = np.linspace(0.0, 4.0, 17)
-    for cost in (mo.linear_cost(0.5), mo.reciprocal_cost(), mo.expression_cost("t^2/2"),
-                 mo.tabulated_cost(ts, 0.5 * ts * ts, alpha=1.0, beta=-0.5),
-                 mo.regularized_cost(mo.quadratic_cost(), 1e-2)):
-        assert cost.conj_exponent is None
+@pytest.mark.parametrize("make_cost, s, weight", [
+    (mo.quadratic_cost, [0.05, 0.4, 1.3], 1.0),
+    (lambda: mo.power_cost(1.5), [0.05, 0.4, 1.3], 1.0),
+    (lambda: mo.power_cost(3.0), [0.05, 0.4, 1.3], 1.0),
+    (mo.reciprocal_cost, [0.05, 0.4, 0.9], 1.0),
+    # off the kink at the slope, on both sides of it
+    (lambda: mo.regularized_cost(mo.linear_cost(0.5), 1e-2), [0.1, 0.3, 0.6, 2.0], 1.0),
+    (lambda: mo.expression_cost("t + t^2/2"), [0.4, 1.3, 2.5], 1.0),
+    (mo.reciprocal_cost, [0.05, 0.4, 1.5], 1.7),
+], ids=["quadratic", "power-1.5", "power-3", "reciprocal", "regularized-linear",
+        "expression", "weighted-reciprocal"])
+def test_conjugate_curvature_matches_derivative_differences(make_cost, s, weight):
+    # rho * c*'(s) = 2s c*''(s) against central differences of D+c*
+    cost = make_cost()
+    s = np.asarray(s)
+    h = 1e-6 * s
+    fd = 2.0 * s * (cost.conjugate_dplus(s + h, weight=weight)
+                    - cost.conjugate_dplus(s - h, weight=weight)) / (2.0 * h)
+    r = cost.conjugate_curvature(s, weight=weight) * cost.conjugate_dplus(s, weight=weight)
+    np.testing.assert_allclose(r, fd, rtol=1e-7, atol=0.0)
+    # a dead zone has no curvature
+    if cost.zero_flux_edge() > 0.0:
+        assert np.all(cost.conjugate_curvature(s[s < 0.5], weight=weight) == 0.0)
 
 
 def test_unknown_builtin():

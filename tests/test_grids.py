@@ -301,8 +301,8 @@ def _hessian_weights():
     u = np.random.default_rng(1).standard_normal(g.n_nodes)
     u[g.boundary_mask] = 0.0
     grad = g.gradient_apply(u)
-    d = prob.conj_dplus(0.5 * np.sum(grad * grad, axis=1))
-    return g, mo.solver._hessian_blocks(prob, grad, d, prob.cost.conj_exponent), ()
+    s = 0.5 * np.sum(grad * grad, axis=1)
+    return g, mo.solver._hessian_blocks(prob, grad, prob.conj_dplus(s), prob.conj_curvature(s)), ()
 
 
 def _unit_weights(g, atoms=()):

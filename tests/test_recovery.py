@@ -215,7 +215,7 @@ def test_regularization_keeps_cell_weights():
 def test_regularization_rectangle_settles():
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 10, 10)
     prob = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0))
-    params = mo.SolverParams(max_iterations=4000, check_every=50)
+    params = mo.SolverParams(max_iterations=4000)
     mu, diag = mo.recover_via_regularization(
         prob, epsilon_schedule=(1e-1, 3e-2, 1e-2), solver_params=params,
         cauchy_tol=0.1)
@@ -347,8 +347,15 @@ def rectangle_island(nx, bx):
 def test_energy_rectangle_island_is_pinned_or_unbounded(nx, bx):
     mu, island, i = rectangle_island(nx, bx)
     g = mu.grid
+    colour = (i + np.arange(g.n_nodes) // (nx + 1)) % 2
     with pytest.raises(mo.Unbounded):
         mo.energy_eval(mu, mo.SourceTerm(g, density=np.where(island, 1.0, 0.0)))
+    # no net load, but a nonzero alternating sum: the checkerboard, which
+    # carries no gradient, lowers the energy without bound
+    even, odd = island & (colour == 0), island & (colour == 1)
+    alternating = np.where(even, 1.0 / np.sum(even), np.where(odd, -1.0 / np.sum(odd), 0.0))
+    with pytest.raises(mo.Unbounded):
+        mo.energy_eval(mu, mo.SourceTerm(g, density=alternating))
     # a load on the island without net mass (on each colour) leaves the
     # energy finite
     f = mo.SourceTerm(g, density=np.where(island, i - 5.0, 1.0))
@@ -370,7 +377,12 @@ def test_energy_rectangle_island_is_pinned_or_unbounded(nx, bx):
     dense = mu.ac_density > 0.0
     assert np.allclose(g.gradient_apply(res.u.values)[dense], g.gradient_apply(uf)[dense],
                        rtol=0.0, atol=1e-10 * scale)
-    assert np.min(np.abs(res.u.values[island])) == 0.0  # the pinned node
+    # u differs from it by one constant on each colour of the island, and
+    # holds a pinned node of each colour
+    for part in (even, odd):
+        diff = (res.u.values - uf)[part]
+        assert np.ptp(diff) <= 1e-12 * scale
+        assert np.min(np.abs(res.u.values[part])) == 0.0
     assert res.residual <= 1e-12
 
 

@@ -16,6 +16,10 @@ def interval_problem(cost, n=256, value=1.0):
     return mo.build_problem(g, cost, mo.SourceTerm.constant(g, value))
 
 
+def _no_factor(*_args, **_kwargs):
+    raise AssertionError("a stiffness was factored")
+
+
 # -- objective --------------------------------------------------------------
 
 def test_objective_zero_field():
@@ -134,8 +138,7 @@ def test_certified_gap_is_a_true_sandwich():
 def test_merit_monotone_over_accepted_iterates():
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 12, 12)
     prob = mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0))
-    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=600, check_every=50,
-                                                   gap_tolerance=1e-10))
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=600, gap_tolerance=1e-10))
     gaps = [row[3] for row in sol.log]
     for g1, g2 in zip(gaps[:-1], gaps[1:]):
         assert g2 <= g1 + 1e-12
@@ -152,12 +155,9 @@ def _radial_quadratic(n=512):
     lambda: mo.fixture("reciprocal_interval").build(512),
 ], ids=["interval-linear", "radial-quadratic", "reciprocal-interval"])
 def test_certificate_first_skips_splitting(monkeypatch, make_problem):
-    # the exact 1-d certificate closes the gap before any splitting step,
-    # so neither the operator norm nor an iteration is needed
-    def no_splitting(*_args, **_kwargs):
-        raise AssertionError("the splitting ran")
-
-    monkeypatch.setattr(solver, "operator_norm", no_splitting)
+    # the exact 1-d certificate closes the gap with no iteration and no
+    # stiffness factorisation
+    monkeypatch.setattr(solver, "stiffness_factor", _no_factor)
     prob = make_problem()
     sol = mo.solve_auxiliary(prob)
     assert sol.converged
@@ -181,9 +181,9 @@ def test_open_certificate_takes_no_splitting(monkeypatch, make_problem):
         return build(problem)
 
     monkeypatch.setattr(solver, "feasible_flux_1d", counted)
-    monkeypatch.setattr(solver, "operator_norm", _no_splitting)
+    monkeypatch.setattr(solver, "stiffness_factor", _no_factor)
     sol = mo.solve_auxiliary(make_problem(), mo.SolverParams(
-        max_iterations=100, check_every=25, gap_tolerance=1e-300))
+        max_iterations=100, gap_tolerance=1e-300))
     assert len(calls) == 1
     assert not sol.converged and sol.method == "certificate"
     assert sol.iterations == 0
@@ -400,86 +400,9 @@ def test_objective_gradient_matches_finite_differences():
         assert float(grad @ d) == pytest.approx(fd, rel=1e-5)
 
 
-# -- per-cell scalar solves -------------------------------------------------
-
-def _prox_three_way(problem, r, lam, iters=70):
-    """Reference prox loop that tests both one-sided conjugate derivatives."""
-    r = np.asarray(r, dtype=float)
-    lo = np.zeros_like(r)
-    hi = np.minimum(r, problem.cell_caps)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        s = 0.5 * mid * mid
-        with np.errstate(invalid="ignore", over="ignore"):
-            glo = mid + lam * mid * problem.conj_dminus(s)
-            ghi = mid + lam * mid * problem.conj_dplus(s)
-        go_right = ghi < r
-        go_left = glo > r
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_left, mid, np.where(go_right, hi, mid))
-    return 0.5 * (lo + hi)
-
-
 def _tabulated_quadratic():
     ts = np.linspace(0.0, 4.0, 17)
     return mo.tabulated_cost(ts, 0.5 * ts * ts, alpha=1.0, beta=-0.5)
-
-
-@pytest.mark.parametrize("make_cost, weighted", [
-    (mo.quadratic_cost, False),
-    (lambda: mo.power_cost(1.5), False),
-    (lambda: mo.linear_cost(0.5), False),  # cap 1 < max r: both sides of it
-    (mo.reciprocal_cost, False),
-    (_tabulated_quadratic, False),
-    (lambda: mo.linear_cost(0.5), True),
-], ids=["quadratic", "power-1.5", "linear", "reciprocal", "tabulated", "weighted"])
-def test_prox_matches_three_way_reference(make_cost, weighted):
-    g = mo.interval_grid(-1.0, 1.0, 64)
-    weights = np.linspace(0.5, 2.0, g.n_cells) if weighted else None
-    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0),
-                            cell_weights=weights)
-    r = np.linspace(0.0, 3.0, g.n_cells)
-    lam = np.linspace(0.01, 5.0, g.n_cells)[::-1]
-    got = solver._prox_bisect(prob, r, lam)
-    assert np.array_equal(got, _prox_three_way(prob, r, lam))
-
-
-@pytest.mark.parametrize("make_cost", [
-    lambda: mo.regularized_cost(mo.linear_cost(0.5), 1e-2),
-    lambda: mo.expression_cost("t + t^2/2"),
-    lambda: mo.expression_cost("t + 1/t"),
-], ids=["regularized-linear", "expression-superlinear", "expression-reciprocal"])
-@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-def test_prox_of_bisection_cost_tests_the_upper_derivative(monkeypatch, make_cost, weighted):
-    # D+c* of these costs is itself a bisection, so each prox step tests D+c
-    # at the density the step implies; it lands within rounding of the
-    # reference loop on the conjugate derivatives
-    g = mo.interval_grid(-1.0, 1.0, 64)
-    weights = np.linspace(0.5, 2.0, g.n_cells) if weighted else None
-    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0),
-                            cell_weights=weights)
-    r = np.linspace(0.0, 3.0, g.n_cells)
-    lam = np.linspace(0.01, 5.0, g.n_cells)[::-1]
-    ref = _prox_three_way(prob, r, lam)
-
-    def fail(*_args, **_kwargs):
-        raise AssertionError("the prox solved for D+c*")
-
-    monkeypatch.setattr(mo.costs._SubgradientProfile, "conj_dplus", fail)
-    np.testing.assert_allclose(solver._prox_bisect(prob, r, lam), ref, rtol=1e-15, atol=0.0)
-
-
-def test_prox_quadratic_closed_form():
-    # real root of lam/2 t^3 + t = r: t = -2 sqrt(p/3) sinh(asinh(3q/(2p) sqrt(3/p)) / 3)
-    # for the depressed cubic t^3 + p t + q with p = 2/lam, q = -2r/lam
-    prob = interval_problem(mo.quadratic_cost(), n=64)
-    r = np.geomspace(1e-6, 1e3, prob.grid.n_cells)
-    lam = np.geomspace(1e-3, 1e2, prob.grid.n_cells)
-    p, q = 2.0 / lam, -2.0 * r / lam
-    exact = -2.0 * np.sqrt(p / 3.0) * np.sinh(
-        np.arcsinh(1.5 * q / p * np.sqrt(3.0 / p)) / 3.0)
-    np.testing.assert_allclose(solver._prox_bisect(prob, r, lam), exact,
-                               rtol=1e-14, atol=0.0)
 
 
 # -- two dimensions ---------------------------------------------------------
@@ -506,18 +429,9 @@ def test_project_flux_reused_factor_is_exact():
 def test_rectangle_quadratic_certified():
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 20, 20)
     prob = mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0))
-    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=3000,
-                                                   gap_tolerance=1e-6, check_every=50))
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=3000, gap_tolerance=1e-6))
     assert sol.converged
     assert sol.dual_residual <= 1e-10
-
-
-class _SplittingRan(Exception):
-    pass
-
-
-def _no_splitting(*_args, **_kwargs):
-    raise _SplittingRan()
 
 
 def _rectangle_problem(cost, weighted=False, nx=14, ny=11):
@@ -526,16 +440,32 @@ def _rectangle_problem(cost, weighted=False, nx=14, ny=11):
     return mo.build_problem(g, cost, mo.SourceTerm.constant(g, 1.0), cell_weights=weights)
 
 
-@pytest.mark.parametrize("make_cost, weighted", [
-    (mo.quadratic_cost, False),
-    (lambda: mo.power_cost(1.5), False),
-    (lambda: mo.power_cost(3.0), False),
-    (mo.quadratic_cost, True),
-], ids=["quadratic", "power-1.5", "power-3", "weighted-quadratic"])
-def test_newton_hessian_matches_gradient_differences(make_cost, weighted):
+def _first_variation(prob, u, mu):
+    """First variation of the objective at smoothing level ``mu`` (exact when None)."""
+    g = prob.grid
+    grad = g.gradient_apply(u)
+    d, _rho = solver._integrand(prob, 0.5 * np.sum(grad * grad, axis=1), mu)
+    return g.gradient_adjoint(grad * (g.cell_volumes * d)[:, None]) - prob.load
+
+
+@pytest.mark.parametrize("make_cost, weighted, mu", [
+    (mo.quadratic_cost, False, None),
+    (lambda: mo.power_cost(1.5), False, None),
+    (lambda: mo.power_cost(3.0), False, None),
+    (mo.quadratic_cost, True, None),
+    (mo.reciprocal_cost, False, 1e-2),
+    (lambda: mo.regularized_cost(mo.linear_cost(0.5), 1e-2), False, 1e-2),
+    (lambda: mo.expression_cost("t + t^2/2"), False, 1e-2),
+    (lambda: mo.expression_cost("t + 1/t"), False, 1e-2),
+    (lambda: mo.linear_cost(0.5), True, 1e-2),
+], ids=["quadratic", "power-1.5", "power-3", "weighted-quadratic", "reciprocal",
+        "regularized-linear", "expression", "expression-reciprocal", "weighted-linear"])
+def test_newton_hessian_matches_gradient_differences(make_cost, weighted, mu):
     # the tensor stiffness of the 2x2 Hessian blocks is the derivative of
-    # the objective's first variation
+    # the first variation of the objective Newton minimises: the exact one
+    # for a power law, the smoothed one at level mu for every other cost
     prob = _rectangle_problem(make_cost(), weighted, nx=9, ny=11)
+    assert prob.cost.smoothing == (mu is not None)
     g = prob.grid
     idx = g.interior_idx
     rng = np.random.default_rng(7)
@@ -543,12 +473,15 @@ def test_newton_hessian_matches_gradient_differences(make_cost, weighted):
     v = np.zeros(g.n_nodes)
     u[idx] = rng.standard_normal(idx.size)
     v[idx] = rng.standard_normal(idx.size)
+    if prob.regime == "L":
+        # inside the gradient bound, where the barrier is finite
+        u *= 0.8 * np.min(prob.cell_caps / np.linalg.norm(g.gradient_apply(u), axis=1))
     grad = g.gradient_apply(u)
-    d = prob.conj_dplus(0.5 * np.sum(grad * grad, axis=1))
-    H = mo.grids.stiffness(g, solver._hessian_blocks(prob, grad, d, prob.cost.conj_exponent))
+    d, rho = solver._integrand(prob, 0.5 * np.sum(grad * grad, axis=1), mu)
+    H = mo.grids.stiffness(g, solver._hessian_blocks(prob, grad, d, rho))
     h = 1e-5
-    fd = (mo.objective_gradient(prob, u + h * v)
-          - mo.objective_gradient(prob, u - h * v))[idx] / (2.0 * h)
+    fd = (_first_variation(prob, u + h * v, mu)
+          - _first_variation(prob, u - h * v, mu))[idx] / (2.0 * h)
     assert np.linalg.norm(H @ v[idx] - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
@@ -557,11 +490,10 @@ def test_newton_hessian_matches_gradient_differences(make_cost, weighted):
     (lambda: mo.power_cost(1.5), False),
     (lambda: mo.power_cost(3.0), True),
 ], ids=["quadratic", "power-1.5", "weighted-power-3"])
-def test_rectangle_power_law_costs_solve_by_newton(monkeypatch, make_cost, weighted):
-    monkeypatch.setattr(solver, "operator_norm", _no_splitting)
+def test_rectangle_power_law_costs_solve_by_newton(make_cost, weighted):
     prob = _rectangle_problem(make_cost(), weighted)
     sol = mo.solve_auxiliary(prob)
-    assert sol.converged and sol.method == "newton"
+    assert sol.converged and sol.method == "newton" and sol.mu_levels == 0
     assert 0 < sol.iterations <= 12
     # one certificate per iterate, the start included
     assert [row[0] for row in sol.log] == list(range(sol.iterations + 1))
@@ -585,12 +517,55 @@ def test_newton_stops_after_a_rounding_level_step(monkeypatch):
     assert mo.solve_auxiliary(prob).iterations == sol.iterations + 1
 
 
-def test_rectangle_tabulated_cost_takes_splitting(monkeypatch):
-    monkeypatch.setattr(solver, "operator_norm", _no_splitting)
+def test_rectangle_tabulated_cost_takes_newton():
+    # the table's conjugate is smoothed by log-sum-exp; the certificate
+    # scores the exact one
     prob = _rectangle_problem(_tabulated_quadratic())
-    assert prob.cost.conj_exponent is None
-    with pytest.raises(_SplittingRan):
-        mo.solve_auxiliary(prob)
+    assert prob.cost.smoothing
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and sol.method == "newton" and sol.mu_levels >= 2
+    assert sol.objective == mo.objective_eval(prob, sol.u)
+    # the unit factor, one per step, and one per level ended by a step
+    # that gave no decrease
+    assert 0 <= sol.factorisations - 1 - sol.iterations <= sol.mu_levels
+
+
+def test_solution_counts_levels_and_factorisations():
+    # a power law takes no smoothing level; the linear cost's barrier
+    # shrinks mu until the certified gap meets the tolerance.  Each count
+    # holds the unit factor and one factor per step attempted
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 16, 16)
+    source = mo.SourceTerm.constant(g, 1.0)
+    power = mo.solve_auxiliary(mo.build_problem(g, mo.power_cost(1.5), source))
+    assert power.converged
+    assert (power.iterations, power.mu_levels, power.factorisations) == (8, 0, 9)
+    barrier = mo.solve_auxiliary(mo.build_problem(g, mo.linear_cost(0.5), source))
+    assert barrier.converged and barrier.max_gradient < 1.0
+    assert (barrier.iterations, barrier.mu_levels, barrier.factorisations) == (57, 9, 63)
+    # a certificate per iterate, and one more at each level entered after the first
+    assert len(barrier.log) == barrier.iterations + barrier.mu_levels
+
+
+def test_singular_hessian_ends_the_solve(monkeypatch):
+    # a Hessian singular to working precision (as where the barrier's flux
+    # concentrates on an atom) leaves no step: the solve returns its best
+    # certificate instead of raising
+    factor = solver.stiffness_factor
+    calls = []
+
+    def failing(grid, w):
+        calls.append(w)
+        if len(calls) == 4:  # the unit factor, two steps, then a singular Hessian
+            raise mo.Unbounded("stiffness is singular to working precision")
+        return factor(grid, w)
+
+    monkeypatch.setattr(solver, "stiffness_factor", failing)
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8)
+    prob = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0))
+    sol = mo.solve_auxiliary(prob)
+    assert not sol.converged and sol.method == "newton"
+    assert (sol.iterations, sol.factorisations) == (2, 4)
+    assert sol.objective == mo.objective_eval(prob, sol.u) >= sol.dual_value
 
 
 def test_newton_budget_counts_steps():
@@ -603,8 +578,7 @@ def test_newton_budget_counts_steps():
 def test_rectangle_linear_regime_feasible():
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 16, 16)
     prob = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0))
-    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=2500,
-                                                   gap_tolerance=1e-3, check_every=50))
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=2500, gap_tolerance=1e-3))
     assert sol.max_gradient <= 1.0 + 1e-9
     assert sol.objective >= sol.dual_value - 1e-12
 
@@ -636,8 +610,7 @@ def test_invalid_cost_rejected_at_build():
 def test_not_converged_reports_best_iterate():
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 12, 12)
     prob = mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0))
-    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=4,
-                                                   gap_tolerance=1e-14, check_every=2))
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=4, gap_tolerance=1e-14))
     assert not sol.converged
     assert math.isfinite(sol.objective)
     with pytest.raises(mo.NotConverged) as err:
