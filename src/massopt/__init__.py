@@ -4,9 +4,8 @@ Solves compliance minimization penalized by a convex cost functional on
 measures: the auxiliary variational problem is minimized with a certified
 duality gap (the exact flux certificate in 1-d, damped Newton on
 rectangles, smoothed where the cost needs it), the optimal conductivity is
-recovered from subdifferential optimality conditions, and every
-optimality condition is verified numerically against the recovered
-measure.
+the density the solver's flux carries, and every optimality condition is
+verified numerically against the recovered measure.
 
 Costs are the builtin closed forms (quadratic, power, linear,
 reciprocal), piecewise-linear tables, expressions in ``t`` and their
@@ -23,7 +22,7 @@ from .errors import (AtomOutsideGrid, ConfigError, InadmissibleSource, InvalidCo
                      ScheduleTooShort, TooLarge, Unbounded, UnknownFixture,
                      UnsupportedGrid)
 from .grids import (DiscreteMeasure, Grid, ScalarField, SourceTerm, VectorField,
-                    divergence_weighted, gradient, interval_grid, pair_source,
+                    divergence_weighted, interval_grid, pair_source,
                     radial_grid, read_field_csv, read_measure, rectangle_grid,
                     sphere_surface, write_field_csv, write_measure)
 from .oracle import (ClosedFormFixture, brute_force_min, fixture, fixture_errors,

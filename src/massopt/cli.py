@@ -8,12 +8,11 @@ cost's conjugate and subdifferential.  ``massopt fixtures`` runs the
 closed-form comparison for one catalog fixture.
 
 Exit codes: 0 all verification thresholds met; 1 thresholds failed;
-2 configuration error (a linear-regime cost on a rectangle included);
-3 solver did not converge (on an interval or radial grid: the exact
-certificate's gap stayed above the tolerance); 4 ``run`` or ``fixtures``
-failed after the problem was built (a :class:`~massopt.errors.MassOptError`
-from solve, recover or verify, reported as ``error: <Class>: <message>`` on
-stderr).
+2 configuration error; 3 solver did not converge (on an interval or
+radial grid: the exact certificate's gap stayed above the tolerance);
+4 ``run`` or ``fixtures`` failed after the problem was built (a
+:class:`~massopt.errors.MassOptError` from solve, recover or verify,
+reported as ``error: <Class>: <message>`` on stderr).
 """
 
 import argparse
@@ -279,12 +278,6 @@ def run(config_path, log_path=None, json_report_path=None):
                                 cell_weights=config.cell_weights)
     except MassOptError as exc:
         print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    if problem.regime == "L" and problem.grid.dim == 2:
-        # the Newton certifies the gap, but recover_measure has no 2-d
-        # linear-regime branch
-        print("config error: the linear regime (a cost with a finite recession "
-              "slope) is not supported on a 2-d grid", file=sys.stderr)
         return 2
 
     try:

@@ -615,10 +615,6 @@ class CostFunction:
         return self._profile.name
 
     @property
-    def effective_domain(self):
-        return self._profile.domain
-
-    @property
     def smoothing(self):
         """True when a 2-d Newton solve smooths the cost at a level ``mu`` (:meth:`smoothed_conjugate`).
 

@@ -343,11 +343,6 @@ class VectorField:
         return sum(w * self.values[i] for i, w in self.grid.cell_weights_at(point))
 
 
-def gradient(u):
-    """Discrete gradient of a nodal scalar field (per-cell values)."""
-    return VectorField(u.grid, u.grid.gradient_apply(u.values))
-
-
 # ---------------------------------------------------------------------------
 # sources and measures
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
 """Conductivity recovery from the auxiliary solution, and verification.
 
-One entry point, :func:`recover_measure`, serves every solve.  In one
-dimension the solver's exact certificate holds the flux ``sigma`` and a
-gradient ``g`` with ``sigma = a * g``, ``a`` in the subdifferential of the
-conjugate at ``|g|^2 / 2``.  The density is therefore ``|sigma| / |g|`` in
-both regimes, with ``|g|`` the certificate's own magnitude
-(``AuxiliarySolution.grad_magnitude``), and ``D-c*`` where the flux or the
-gradient vanishes; a flux that no gradient carries is booked as an atom.  In two dimensions, in the
-superlinear regime, the density is a cellwise selection from the
-subdifferential interval; when the interval is nondegenerate the selection
-closest to the solver's flux is taken.  The linear regime on rectangles has
-no exact recovery; :func:`recover_via_regularization` approximates it.
+One rule, :func:`recover_measure`, serves every grid and both regimes:
+the measure's density is the one the solver's flux carries,
+``AuxiliarySolution.density``.  In one dimension that is the exact
+certificate's ``|sigma| / t``, with ``D-c*`` where the flux or its
+gradient vanishes, and a flux that no gradient carries is booked as an
+atom.  On rectangles it is Newton's conjugate derivative ``c*'(s)`` at
+its last iterate, smoothed where the cost needs it: for the linear
+regime's log barrier the central-path multiplier.
+:func:`recover_via_regularization` approximates a linear-regime measure
+through the continuation ``c + eps t^2`` instead.
 
 The verifier scores every optimality condition numerically:  the weak PDE
 residual, the pointwise Fenchel-equality error (equivalent to membership of
@@ -35,51 +34,33 @@ from .solver import (SolverParams, build_problem, objective_eval, resolve_cell_w
 
 INF = math.inf
 
+# the Fenchel equality is scored on cells whose density exceeds this
+# fraction of the largest density
+DENSITY_FLOOR_REL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # recovery
 # ---------------------------------------------------------------------------
 
 def recover_measure(solution, problem):
-    """Optimal measure from the solver's flux and gradient.
+    """Optimal measure: the density the solver's flux carries, ``solution.density``.
 
-    On interval and radial grids ``a = |sigma| / t`` from
-    ``solution.flux`` and ``solution.grad_magnitude`` (the certificate's own
-    gradient magnitude, exact where the integrated ``u``'s gradient carries
-    rounding), with ``D-c*(|g|^2/2)`` where either vanishes.  Flux left
-    unmatched by ``t * a`` (a cell with flux but no gradient) is booked as
-    an atom of mass ``excess * h / cap``.  On
-    rectangles the superlinear subdifferential selection is taken; a
-    linear-regime problem raises :class:`RegimeMismatch`.
+    The same on every grid and in both regimes.  On interval and radial
+    grids, flux left unmatched by the density along the gradient (a cell
+    with flux but no gradient) is booked as an atom of mass
+    ``excess * h / cap``.
     """
     grid = problem.grid
-    g = solution.grad.values
-    s = 0.5 * np.sum(g * g, axis=1)
-    lo = problem.conj_dminus(s)
+    a = solution.density
+    atoms = []
     if grid.dim == 1:
         vabs = np.abs(solution.flux.values[:, 0])
-        t = solution.grad_magnitude
-        carried = (vabs > 0.0) & (t > 0.0)
-        a = np.where(carried, vabs / np.where(carried, t, 1.0), lo)
-        excess = vabs - t * a
-        bad = np.nonzero(excess > 1e-8 * (1.0 + vabs))[0]
+        excess = vabs - solution.grad.magnitudes() * a
         atoms = [(grid.cell_centers[i],
                   float(excess[i] * grid.cell_h[i] / max(problem.cell_caps[i], 1e-300)))
-                 for i in bad]
-        return DiscreteMeasure(grid, a, atoms=atoms)
-    if problem.regime != "SL":
-        raise RegimeMismatch("no exact linear-regime recovery on a 2-d grid; "
-                             "use recover_via_regularization")
-    hi = problem.conj_dplus(s)
-    a = 0.5 * (lo + np.where(np.isfinite(hi), hi, lo))
-    wide = (hi - lo) > 1e-9 * (1.0 + np.abs(lo))
-    if np.any(wide):
-        sigma = solution.flux.values
-        g2 = np.sum(g * g, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fit = np.where(g2 > 0.0, np.sum(g * sigma, axis=1) / np.where(g2 > 0.0, g2, 1.0), lo)
-        a = np.where(wide, np.clip(fit, lo, hi), a)
-    return DiscreteMeasure(grid, np.maximum(a, 0.0))
+                 for i in np.nonzero(excess > 1e-8 * (1.0 + vabs))[0]]
+    return DiscreteMeasure(grid, a, atoms=atoms)
 
 
 class RegularizationDiagnostics:
@@ -107,10 +88,9 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
     ``concentration_fraction`` of the total mass are flagged as emergent
     singular parts.  This is an approximation path, not an exact
     construction: the verifier decides whether its measure is optimal.
-    ``massopt run`` refuses 2-d linear-regime configurations, since
-    :func:`recover_measure` has no 2-d linear-regime branch; this function
-    is a library call.  Each level reuses the problem's cell weights, so a
-    heterogeneous cost is continued as ``w(x) * c_eps(t)``.
+    ``massopt run`` does not use it; this function is a library call.
+    Each level reuses the problem's cell weights, so a heterogeneous cost
+    is continued as ``w(x) * c_eps(t)``.
     """
     if problem.regime != "L":
         raise RegimeMismatch("regularization continuation applies to the linear regime")
@@ -337,8 +317,7 @@ def solution_like(problem, u_values):
                              notes=["verification wrapper; no dual certificate"])
 
 
-def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None,
-                      density_floor_rel=1e-12):
+def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
     """Score every optimality condition for a candidate pair ``(mu, u)``.
 
     ``cell_mask`` / ``node_mask`` restrict the metrics (used e.g. to excise
@@ -364,7 +343,7 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None,
     pde_residual = float(np.sum(np.abs(resid[interior]))) / max(denom, 1e-300)
 
     # 2) Fenchel-equality error on cells carrying density
-    floor = density_floor_rel * max(float(np.max(a)), 1e-300)
+    floor = DENSITY_FLOOR_REL * max(float(np.max(a)), 1e-300)
     active = cell_mask & (a > floor)
     if np.any(active):
         conj_v = np.asarray(problem.conj_value(s), dtype=float)

@@ -23,7 +23,8 @@ names the method that closed it (``AuxiliarySolution.method``):
   Integrating that gradient yields a primal candidate that typically lands
   on the discrete minimizer to machine precision.  This certificate is the
   whole 1-d solve: it takes no iteration, and it is converged exactly when
-  its gap meets the tolerance.
+  its gap meets the tolerance.  The density its flux carries is
+  ``|sigma| / t``.
 * ``"newton"``: every rectangle.  Damped Newton takes one direct solve of
   the tensor stiffness ``G^T H G`` per step (per-cell 2x2 Hessian blocks
   ``vol * c*' (I + rho e e^T)`` with the cost's radial curvature
@@ -38,7 +39,8 @@ names the method that closed it (``AuxiliarySolution.method``):
   and shrinks by 10 each time Newton has centred the level, until the
   certified gap meets the tolerance or a level fails to lower it.  The
   certificate always scores the exact conjugate, so the smoothing sets
-  only how fast the gap closes.
+  only how fast the gap closes.  The solve returns its last iterate, and
+  the (smoothed) ``c*'`` there as the density its flux carries.
 
 In two dimensions the flux projection and the Newton step are each one
 direct solve of an interior stiffness, exact up to rounding:
@@ -436,13 +438,19 @@ def _newton_2d(problem, params, unit_factor):
     ``c*'`` floored at ``1e-12`` of its maximum) and backtracks on the
     level's objective (Armijo).  Each iterate's flux ``vol * c*'(s) * g`` is
     projected with ``unit_factor`` and scored against the exact conjugate,
-    one log row per certificate; the best exact objective and dual are kept.
-    A level is centred when the gradient falls to ``1e-12 |F|``, when a
-    step gives no decrease, or after a full step whose decrement
-    ``-slope / 2`` was at most ``NEWTON_FLAT * |obj|``.  Then the solve
+    one log row per certificate with the iterate's exact objective and the
+    best dual so far.  A level is centred when the gradient falls to
+    ``1e-12 |F|``, when a step gives no decrease, or after a full step
+    whose decrement ``-slope / 2`` was at most ``NEWTON_FLAT * |obj|``.  Then the solve
     stops, unless ``mu`` shrinks by 10 to a next level: the certified gap
     is still above the tolerance and this level lowered it.  The steps of
     every level count against ``max_iterations``.
+
+    The solve returns its last iterate with that iterate's ``c*'`` (the
+    smoothed one at the last level) as the density its flux carries.  For
+    a power law Newton decreases the objective at every step, so the last
+    iterate is the best; for a smoothed cost it is the final centred point,
+    whose exact objective is what the gap certifies.
     """
     grid = problem.grid
     idx = grid.interior_idx
@@ -462,17 +470,14 @@ def _newton_2d(problem, params, unit_factor):
     obj_mu = _level_objective(problem, u, mu)
     grad_floor = 1e-12 * float(np.linalg.norm(F[idx]))
 
-    best_obj, best_u = INF, u
     best_dual, best_sigma, dual_residual = -INF, np.zeros((grid.n_cells, 2)), INF
     log = []
     steps = 0
     factorisations = 1  # unit_factor
     levels = 0 if mu is None else 1
-    level_gap = INF  # the best gap when the level was entered
+    level_gap = INF  # the gap when the level was entered
     flat = False  # the last step was full and its decrement rounding level
     while True:
-        if obj < best_obj:
-            best_obj, best_u = obj, u
         g = grid.gradient_apply(u)
         d, rho = _integrand(problem, 0.5 * np.sum(g * g, axis=1), mu)
         flux = g * (vol * d)[:, None]
@@ -480,17 +485,17 @@ def _newton_2d(problem, params, unit_factor):
         dual = _dual_value(problem, sigma)
         if dual > best_dual:
             best_dual, best_sigma, dual_residual = dual, sigma, res
-        gap, rel_gap = _relative_gap(best_obj, best_dual)
-        log.append((steps, best_obj, best_dual, gap))
+        gap, rel_gap = _relative_gap(obj, best_dual)
+        log.append((steps, obj, best_dual, gap))
         if steps == params.max_iterations:
             break
         grad = (grid.gradient_adjoint(flux) - F)[idx]
         centred = flat or np.linalg.norm(grad) <= grad_floor
         if not centred:
-            d = np.maximum(d, 1e-12 * float(np.max(d)))
             factorisations += 1
+            blocks = _hessian_blocks(problem, g, np.maximum(d, 1e-12 * float(np.max(d))), rho)
             try:
-                step = -stiffness_factor(grid, _hessian_blocks(problem, g, d, rho)).solve(grad)
+                step = -stiffness_factor(grid, blocks).solve(grad)
             except Unbounded:
                 break  # the Hessian is singular to working precision: no step is left
             slope = float(np.dot(grad, step))
@@ -517,9 +522,9 @@ def _newton_2d(problem, params, unit_factor):
         obj = obj_mu if mu is None else objective_eval(problem, u)
         steps += 1
 
-    return _finish(problem, params, best_u, best_sigma, best_obj, best_dual, steps,
+    return _finish(problem, params, u, best_sigma, obj, best_dual, steps,
                    rel_gap <= params.gap_tolerance, dual_residual, log, "newton",
-                   factorisations, mu_levels=levels)
+                   factorisations, d, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -539,20 +544,22 @@ class AuxiliarySolution:
     further factorisation after a full step whose decrement was rounding
     level).  ``mu_levels`` counts the smoothing levels a Newton solve
     entered: 0 for quadratic and power costs and in 1-d.
-    ``grad_magnitude`` holds ``|g|`` per cell: the 1-d certificate's own
-    inverted magnitude ``t`` when its primal candidate is returned, else
-    the magnitude of ``grad``.
+    ``density`` holds the conductivity per cell that the solve's flux
+    carries along ``grad`` (:func:`massopt.recovery.recover_measure` wraps
+    it in the measure): the 1-d certificate's ``|sigma| / t``, and Newton's
+    (smoothed) conjugate derivative ``c*'(s)`` at its last iterate, for
+    the log barrier the central-path multiplier ``c*'(s) + mu / (cinf - s)``;
+    ``None`` for a wrapper that ran no solve.
     """
 
     def __init__(self, problem, u_values, sigma, objective, dual_value, gap,
                  rel_gap, iterations, converged, dual_residual, log, method=None,
-                 notes=(), factorisations=0, grad_magnitude=None, mu_levels=0):
+                 notes=(), factorisations=0, density=None, mu_levels=0):
         grid = problem.grid
         self.problem = problem
         self.u = ScalarField(grid, u_values)
         self.grad = VectorField(grid, grid.gradient_apply(u_values))
-        self.grad_magnitude = (self.grad.magnitudes() if grad_magnitude is None
-                               else grad_magnitude)
+        self.density = density
         self.flux = VectorField(grid, sigma)
         self.objective = objective
         self.dual_value = dual_value
@@ -595,9 +602,10 @@ def _relative_gap(obj, dual):
 def solve_auxiliary(problem, params=None):
     """Minimize the discrete auxiliary objective with a certified gap.
 
-    Returns the best primal iterate together with a divergence-feasible dual
-    flux; ``gap = objective - dual_value`` is a true optimality certificate.
-    On non-convergence the best iterate is returned with ``converged=False``.
+    Returns the primal field together with a divergence-feasible dual
+    flux and the density that flux carries; ``gap = objective -
+    dual_value`` is a true optimality certificate.  On non-convergence the
+    last iterate is returned with ``converged=False``.
 
     Two methods, by grid: the exact certificate on interval and radial
     grids (:func:`_certificate_1d`; ``iterations = 0`` and one log row, so
@@ -617,8 +625,11 @@ def _certificate_1d(problem, params):
     """Score the exact 1-d flux and the primal field integrated from it.
 
     The flux fixes the dual value.  Its primal candidate competes with
-    ``u = 0``, and the better of the two is returned.  The candidate
-    carries the inverted magnitude ``t`` as its ``grad_magnitude``.
+    ``u = 0``, and the better of the two is returned.  The density is
+    ``|sigma| / t`` where the candidate is returned and the flux and its
+    inverted magnitude ``t`` are nonzero (``t``, not the integrated
+    ``u``'s gradient, which carries rounding where the flux is small), and
+    ``D-c*(|g|^2/2)`` at the returned ``u``'s gradient elsewhere.
     """
     grid = problem.grid
     sigma, g, t = feasible_flux_1d(problem)
@@ -631,13 +642,17 @@ def _certificate_1d(problem, params):
         u, obj, mag = u_cand, obj_cand, t
     dual = _dual_value(problem, sigma, t)
     gap, rel_gap = _relative_gap(obj, dual)
+    vabs = np.abs(sigma[:, 0])
+    carried = (vabs > 0.0) & (mag > 0.0)
+    g_u = grid.gradient_apply(u)[:, 0]
+    density = np.where(carried, vabs / np.where(carried, mag, 1.0),
+                       problem.conj_dminus(0.5 * g_u * g_u))
     return _finish(problem, params, u, sigma, obj, dual, 0, rel_gap <= params.gap_tolerance,
-                   0.0, [(0, obj, dual, gap)], "certificate", 0, mag)
+                   0.0, [(0, obj, dual, gap)], "certificate", 0, density)
 
 
 def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
-            dual_residual, log, method, factorisations, grad_magnitude=None,
-            mu_levels=0):
+            dual_residual, log, method, factorisations, density, mu_levels=0):
     """Assemble the solution and write the iteration log."""
     gap, rel_gap = _relative_gap(obj, dual)
     notes = []
@@ -647,7 +662,7 @@ def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
         dual_residual = dual_residual / max(1.0, float(np.linalg.norm(problem.load)))
     solution = AuxiliarySolution(problem, u, sigma, obj, dual, gap, rel_gap,
                                  iterations, converged, dual_residual, log, method,
-                                 notes, factorisations, grad_magnitude, mu_levels)
+                                 notes, factorisations, density, mu_levels)
     if params.log_path:
         write_iteration_log(params.log_path, log)
     return solution

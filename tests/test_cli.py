@@ -394,13 +394,19 @@ def test_rectangle_tabulated_cost_reports_newton(tmp_path):
     assert report["checks"] == report["iterations"] + report["mu_levels"]
 
 
-def test_rectangle_linear_regime_refused(tmp_path, capsys):
+@pytest.mark.parametrize("cost", [
+    "builtin = linear\nslope = 0.5", "builtin = reciprocal",
+    "builtin = linear\nslope = 0.5\nweight_table = {w}",
+], ids=["linear", "reciprocal", "weighted-linear"])
+def test_rectangle_linear_growth_costs_pass(tmp_path, cost):
+    # the barrier's central-path multiplier is the measure in the linear regime
+    weights = tmp_path / "w.csv"
+    np.savetxt(weights, np.geomspace(0.2, 5.0, 32 * 32), delimiter=",")
     cfg = write(tmp_path / "lin.cfg", RECT_CONFIG.format(
-        n=16, cost="builtin = linear\nslope = 0.5", budget=400, out=tmp_path / "out"))
-    assert cli.main(["run", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "linear regime" in err and "2-d grid" in err
-    assert not (tmp_path / "out" / "report.json").exists()
+        n=32, cost=cost.format(w=weights), budget=400, out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] and report["regime"] == "L" and report["mu_levels"] > 0
 
 
 def test_table_cost_config(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import massopt as mo
+from massopt import cli
 
 INF = math.inf
 
@@ -62,12 +63,33 @@ def _rectangle_solution(cost):
     return prob, sol
 
 
-def test_sl_recovery_rejects_linear_regime():
-    # the subdifferential selection is the 2-d recovery; a 2-d linear-regime
-    # measure has no exact recovery
-    prob, sol = _rectangle_solution(mo.linear_cost(0.5))
-    with pytest.raises(mo.RegimeMismatch):
-        mo.recover_measure(sol, prob)
+@pytest.mark.parametrize("cost", [mo.quadratic_cost(), mo.linear_cost(0.5)],
+                         ids=["quadratic", "linear"])
+def test_rectangle_recovery_reads_solver_density(cost):
+    # one rule in both regimes: the measure is the density Newton's flux carries
+    prob, sol = _rectangle_solution(cost)
+    mu = mo.recover_measure(sol, prob)
+    assert np.array_equal(mu.ac_density, sol.density)
+    assert not mu.atoms
+
+
+_T17 = np.linspace(0.0, 4.0, 17)
+_T257 = np.linspace(0.0, 8.0, 257)
+
+
+@pytest.mark.parametrize("make_cost, nx, ny, by", [
+    (lambda: mo.tabulated_cost(_T17, 0.5 * _T17 ** 2, alpha=1.0, beta=-0.5), 14, 11, 1.5),
+    (lambda: mo.tabulated_cost(_T257, _T257 + 0.5 * _T257 ** 2), 16, 16, 1.0),
+], ids=["17-node", "dead-zone"])
+def test_rectangle_table_measure_verifies(make_cost, nx, ny, by):
+    # the smoothed conjugate's derivative carries the flux of a
+    # piecewise-linear conjugate, where its subdifferential is an interval
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, by, nx, ny)
+    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0))
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged
+    rep = mo.verify_conditions(mo.recover_measure(sol, prob), sol, prob)
+    assert rep.passes(cli.DEFAULT_THRESHOLDS), rep
 
 
 # -- linear-regime recovery --------------------------------------------------
@@ -393,7 +415,11 @@ def test_interval_recovery_divides_by_certificate_magnitude(n):
     fix = mo.fixture("reciprocal_interval")
     prob = fix.build(n)
     sol = mo.solve_auxiliary(prob)
-    assert np.array_equal(sol.grad_magnitude, mo.feasible_flux_1d(prob)[2])
+    sigma, _g, t = mo.feasible_flux_1d(prob)
+    vabs = np.abs(sigma[:, 0])
+    carried = (vabs > 0.0) & (t > 0.0)
+    assert np.count_nonzero(carried) >= n - 1
+    assert np.array_equal(sol.density[carried], vabs[carried] / t[carried])
     _u_err, a_err = mo.fixture_errors(fix, prob.grid, sol.u.values,
                                       mo.recover_measure(sol, prob))
     assert a_err <= 2e-14

@@ -530,6 +530,21 @@ def test_rectangle_tabulated_cost_takes_newton():
     assert 0 <= sol.factorisations - 1 - sol.iterations <= sol.mu_levels
 
 
+@pytest.mark.parametrize("make_cost", [lambda: mo.linear_cost(0.5), _tabulated_quadratic],
+                         ids=["barrier", "table"])
+def test_smoothed_solve_returns_its_last_iterate(tmp_path, make_cost):
+    # the returned field is the final centred point: its exact objective
+    # is the one the gap certifies, and the last logged primal
+    path = tmp_path / "iterations.csv"
+    prob = _rectangle_problem(make_cost())
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(log_path=str(path)))
+    assert sol.converged and sol.mu_levels >= 2
+    assert sol.objective == mo.objective_eval(prob, sol.u)
+    last = path.read_text().strip().splitlines()[-1].split(",")
+    assert float(last[1]) == sol.objective
+    assert sol.gap == sol.objective - sol.dual_value
+
+
 def test_solution_counts_levels_and_factorisations():
     # a power law takes no smoothing level; the linear cost's barrier
     # shrinks mu until the certified gap meets the tolerance.  Each count
