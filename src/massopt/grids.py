@@ -470,6 +470,37 @@ def _cell_gradient(grid, cell):
     return grid.gradient_sparse()[cell::grid.n_cells]
 
 
+# A cell's local nodes as (x, y) offsets from its first node, and the local
+# pairs (a, b) in the order they are added to the band.  A band entry that
+# several cells share gets their pairs in ascending cell order: a node's
+# diagonal from the cells below left, below right, above left and above
+# right of it, (3, 3) to (0, 0); the edge along x from the cell below it,
+# then above, (2, 3) then (0, 1); the edge along y from the cell left of
+# it, then right, (1, 3) then (0, 2).  The diagonals (0, 3) and (1, 2) each
+# come from one cell.
+_LOCAL = {1: ((0, 0), (1, 0)), 2: ((0, 0), (1, 0), (0, 1), (1, 1))}
+_PAIRS = {1: ((1, 1), (0, 0), (0, 1)),
+          2: ((3, 3), (2, 2), (1, 1), (0, 0), (2, 3), (0, 1), (1, 3), (0, 2), (0, 3), (1, 2))}
+
+
+def _shared(items, item):
+    """The index in ``items`` of a tuple of arrays with the bits of ``item``, appended if none."""
+    for k, other in enumerate(items):
+        if all(x.tobytes() == y.tobytes() for x, y in zip(other, item)):
+            return k
+    items.append(item)
+    return len(items) - 1
+
+
+def _pair_cells(n_cells, lo, hi, da, db):
+    """The cells along one axis whose nodes at offsets ``da`` and ``db`` are interior.
+
+    ``lo..hi`` are the interior node indices along the axis; returns the
+    half-open range of cells, empty when ``start >= stop``.
+    """
+    return max(0, lo - min(da, db)), min(n_cells, hi + 1 - max(da, db))
+
+
 class StiffnessLayout:
     """Where each cell's local stiffness block lands in the interior band.
 
@@ -480,53 +511,108 @@ class StiffnessLayout:
     ``min(nx, ny)`` wide; a 1-d stiffness is tridiagonal.  ``pos[k]`` is
     the band position of interior node ``k``, ``order`` its inverse
     (``None`` when the two numberings agree), and ``band_rows`` is the
-    half-bandwidth plus one.
+    half-bandwidth plus one.  The band is LAPACK's lower band storage,
+    ``band[i - j, j] = K[i, j]``.
 
-    A cell's local block couples its ``k`` nodes (2 on a 1-d grid, 4 on a
+    A cell's local block couples its nodes (2 on a 1-d grid, 4 on a
     rectangle) through the hat gradients ``C`` on it (``dim x k``): the
-    block is ``C^T B C`` for the cell's weight ``B``.  For each cell and
-    each local pair ``a <= b`` the layout keeps the slot of that entry in
-    LAPACK's lower band storage, ``band[i - j, j] = K[i, j]``, flattened in
-    column order; a pair that touches the boundary goes to a dump slot
-    past the end.  Assembly is then one ``np.bincount``.
+    block is ``C^T B C`` for the cell's weight ``B``.  A local pair
+    ``(a, b)`` of nodes is the same number of band positions apart in
+    every cell, so all its entries fall on one band diagonal.  Read as a
+    grid of interior nodes, the diagonal takes them in a block, from a
+    block of the grid of cells: those whose pair is interior.  The slice
+    plan holds the diagonal and the two blocks of each pair (of at most 3
+    on a 1-d grid, 10 on a rectangle), so :meth:`band` adds each pair's
+    values to its diagonal in one 2-d slice-add, and a band entry that
+    several cells share sums them in ascending cell order.  The plan also
+    says which of the (at most 9) neighbours of a node each pair couples
+    it to, so :meth:`matrix` copies the band into a table of each node's
+    column of the full matrix, which is that matrix in CSC order.
     """
 
     def __init__(self, grid):
         n = grid.interior_idx.size
         if grid.dim == 1:
-            local = np.arange(grid.n_cells)[:, None] + np.arange(2)
-            grads = (np.array([-1.0, 1.0]) / grid.cell_h[:, None])[:, None, :]
-            pos = np.arange(n)
+            m = grid.n_cells
+            # (cells, first and last interior node) along y, then x; r = 0 is
+            # interior on a radial grid
+            axes = [(1, 0, 0), (m, int(grid.kind == "interval"), m - 1)]
+            grads = (np.array([-1.0, 1.0]) / grid.cell_h[:, None]).T[:, None]
+            transposed = False
         else:
             nx, ny = grid.params["nx"], grid.params["ny"]
-            jj, ii = np.divmod(np.arange(grid.n_cells), nx)
-            local = (jj * (nx + 1) + ii)[:, None] + np.array([0, 1, nx + 1, nx + 2])
-            grads = (np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
-                     / [[2.0 * grid.hx], [2.0 * grid.hy]])[None]
-            if nx <= ny:
-                pos = np.arange(n)
-            else:
-                iy, ix = np.divmod(np.arange(n), nx - 1)
-                pos = ix * (ny - 1) + iy
-        node_pos = np.full(grid.n_nodes, -1)
-        node_pos[grid.interior_idx] = pos
-        la, lb = np.triu_indices(local.shape[1])
-        pa, pb = node_pos[local[:, la]], node_pos[local[:, lb]]
-        inside = (pa >= 0) & (pb >= 0)
-        rows = np.abs(pa - pb)
+            axes = [(ny, 1, ny - 1), (nx, 1, nx - 1)]
+            grads = np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]]).T / [
+                2.0 * grid.hx, 2.0 * grid.hy]
+            transposed = nx > ny
+        nodes = [max(hi - lo + 1, 0) for _, lo, hi in axes]
+        # a node's neighbours (dy, dx), in the order of their rows in its
+        # column of the matrix
+        near = [(dy, dx) for dy in ((0,) if grid.dim == 1 else (-1, 0, 1)) for dx in (-1, 0, 1)]
+        self._rows = (np.arange(n)[:, None]
+                      + [dy * nodes[1] + dx for dy, dx in near]).ravel().astype(np.int32)
+        self._table = (nodes[0], nodes[1], len(near))
+        pos = np.arange(n)
+        if transposed:
+            # number along y: the plan works on (x, y) grids
+            pos = pos.reshape(nodes[::-1]).T.ravel()
+            axes, nodes = axes[::-1], nodes[::-1]
         self.n = n
-        self.band_rows = int(np.max(rows, where=inside, initial=0)) + 1
-        self.size = n * self.band_rows
-        self.slots = np.where(inside, np.minimum(pa, pb) * self.band_rows + rows, self.size)
         self.pos = pos
         self.order = None if np.array_equal(pos, np.arange(n)) else np.argsort(pos)
-        # per-pair products of the hat gradients: the block of a unit scalar
-        # weight, and the three parts of a symmetric 2x2 tensor weight
-        ca, cb = grads[:, :, la], grads[:, :, lb]
-        self.unit = np.sum(ca * cb, axis=1)
-        if grid.dim == 2:
-            self.tensor = (ca[:, 0] * cb[:, 0], ca[:, 0] * cb[:, 1] + ca[:, 1] * cb[:, 0],
-                           ca[:, 1] * cb[:, 1])
+        self._cells = tuple(m for m, _, _ in axes)
+        self._nodes = tuple(nodes)
+        self._transposed = transposed
+        # per pair: its band diagonal, the block of that diagonal and the
+        # block of cells that adds to it, and the products of the hat
+        # gradients on a cell (one per cell in 1-d), shared by pairs with
+        # equal products: the block of a unit scalar weight, and the three
+        # parts of a symmetric 2x2 tensor weight
+        self._plan, self._units, self._tensors = [], [], []
+        # per pair and direction: the diagonal, its block, the table's block
+        # (on the (y, x) grid) and the neighbour
+        self._stencil = []
+        for a, b in _PAIRS[grid.dim]:
+            offs = list(zip(_LOCAL[grid.dim][a], _LOCAL[grid.dim][b]))
+            offs = offs if transposed else offs[::-1]
+            cells = [_pair_cells(m, lo, hi, da, db) for (m, lo, hi), (da, db) in zip(axes, offs)]
+            if any(start >= stop for start, stop in cells):
+                continue  # no cell has both nodes inside
+            step = (offs[0][1] - offs[0][0]) * nodes[1] + offs[1][1] - offs[1][0]
+            # the pair's entry sits at its lower-numbered node, the other
+            # node lies ``ahead`` of it
+            low = [da if step >= 0 else db for da, db in offs]
+            ahead = [(db - da) * (1 if step >= 0 else -1) for da, db in offs]
+            dst = tuple(slice(start + d - lo, stop + d - lo)
+                        for (start, stop), d, (_, lo, _) in zip(cells, low, axes))
+            src = tuple(slice(start, stop) for start, stop in cells)
+            ca, cb = grads[a], grads[b]
+            unit = _shared(self._units, (np.sum(ca * cb, axis=0),))
+            tensor = None
+            if grid.dim == 2:
+                tensor = _shared(self._tensors, (ca[0] * cb[0], ca[0] * cb[1] + ca[1] * cb[0],
+                                                 ca[1] * cb[1]))
+            self._plan.append((abs(step), dst, src, unit, tensor))
+            # in matrix(), the pair couples the lower node's column toward
+            # the other node and, off the diagonal, the other's column back
+            columns = [(ahead, (0, 0))] + ([([-o for o in ahead], ahead)] if step else [])
+            for toward, shift in columns:
+                block = tuple(slice(d.start + o, d.stop + o) for d, o in zip(dst, shift))
+                if transposed:
+                    block, toward = block[::-1], toward[::-1]
+                copy = (abs(step), dst, block, near.index(tuple(toward)))
+                if copy not in self._stencil:
+                    self._stencil.append(copy)
+        self.band_rows = max((r for r, _, _, _, _ in self._plan), default=0) + 1
+
+    def _diagonal(self, band, r):
+        """Band diagonal ``r`` as a view on the plan's grid of interior nodes."""
+        return band[r].reshape(self._nodes)
+
+    def _on_cells(self, w):
+        """Per-cell values ``w`` on the plan's grid of cells, C-contiguous."""
+        w = w.reshape(self._cells[::-1] if self._transposed else self._cells)
+        return np.ascontiguousarray(w.T) if self._transposed else w
 
     def band(self, w):
         """Lower band of the stiffness ``G^T B G`` on the interior nodes.
@@ -534,18 +620,32 @@ class StiffnessLayout:
         ``w`` holds either one weight per cell, shape ``(n_cells,)`` (cell
         volume times conductivity for a Dirichlet energy; ``B`` repeats it
         on every gradient component), or one symmetric 2x2 tensor per cell
-        of a rectangle, shape ``(n_cells, 2, 2)`` (``B`` couples the x and y
-        gradients of the cell, as in a Hessian).  Atoms are folded into
-        ``w`` beforehand (:func:`with_atoms`).
+        of a rectangle (``B`` couples the x and y gradients of the cell, as
+        in a Hessian): shape ``(n_cells, 2, 2)``, or its three parts
+        ``(B_xx, B_xy, B_yy)``, each of shape ``(n_cells,)``.  Atoms are
+        folded into ``w`` beforehand (:func:`with_atoms`).  The band is
+        Fortran-ordered, so :meth:`factor` factors it in place.
         """
-        w = np.asarray(w, dtype=float)
-        if w.ndim == 1:
-            vals = w[:, None] * self.unit
+        if not isinstance(w, tuple):
+            w = np.asarray(w, dtype=float)
+            if w.ndim == 3:
+                w = (w[:, 0, 0], w[:, 0, 1], w[:, 1, 1])
+        tensor = isinstance(w, tuple)
+        if tensor:
+            bxx, bxy, byy = (self._on_cells(np.asarray(p, dtype=float)) for p in w)
+            vals = []
+            for xx, xy, yy in self._tensors:
+                v = bxx * xx
+                v += bxy * xy
+                v += byy * yy
+                vals.append(v)
         else:
-            xx, xy, yy = self.tensor
-            vals = w[:, 0, 0, None] * xx + w[:, 0, 1, None] * xy + w[:, 1, 1, None] * yy
-        flat = np.bincount(self.slots.ravel(), weights=vals.ravel(), minlength=self.size + 1)
-        return flat[:self.size].reshape(self.n, self.band_rows).T
+            w = self._on_cells(w)
+            vals = [w * unit for unit, in self._units]
+        band = np.zeros((self.band_rows, self.n), order="F")
+        for r, dst, src, unit, parts in self._plan:
+            self._diagonal(band, r)[dst] += vals[parts if tensor else unit][src]
+        return band
 
     def matrix(self, band):
         """The full symmetric matrix of a band, as a CSC matrix of its nonzeros.
@@ -553,14 +653,16 @@ class StiffnessLayout:
         An entry that sums to exactly zero is left out, so the matrix's
         graph has an edge exactly where two nodes are coupled.
         """
-        row, col = np.nonzero(band)
-        vals = band[row, col]
-        order = np.arange(self.n) if self.order is None else self.order
-        i, j = order[col + row], order[col]
-        off = row > 0
-        return sp.coo_matrix((np.concatenate([vals, vals[off]]),
-                              (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
-                             shape=(self.n, self.n)).tocsc()
+        table = np.zeros(self._table)
+        for r, dst, block, k in self._stencil:
+            diagonal = self._diagonal(band, r)[dst]
+            table[block + (k,)] = diagonal.T if self._transposed else diagonal
+        data = table.ravel()
+        keep = data != 0.0
+        kept = np.zeros(data.size + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept[1:])
+        indptr = np.ascontiguousarray(kept[::self._table[2]])
+        return sp.csc_matrix((data[keep], self._rows[keep], indptr), shape=(self.n, self.n))
 
     def factor(self, band, pinned=()):
         """Banded Cholesky factor of a band from :meth:`band`, which it overwrites.
@@ -595,13 +697,16 @@ def with_atoms(grid, w, atoms):
     a cell, so that is the cell's stiffness at weight ``mass`` times the
     cell's share of the atom (times the identity for 2x2 weights).
     """
-    w = np.asarray(w, dtype=float)
     if not atoms:
         return w
     extra = np.zeros(grid.n_cells)
     for loc, mass in atoms:
         for i, cw in grid.cell_weights_at(loc):
             extra[i] += mass * cw
+    if isinstance(w, tuple):
+        bxx, bxy, byy = w
+        return bxx + extra, bxy, byy + extra
+    w = np.asarray(w, dtype=float)
     return w + (extra if w.ndim == 1 else extra[:, None, None] * np.eye(2))
 
 
@@ -667,13 +772,31 @@ def _write_rows(fh, points, values):
     fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
+def _write_grid_rows(fh, xs, ys, values):
+    """What :func:`_write_rows` writes for the points ``(x, y)`` of ``xs x ys``, x fastest.
+
+    Each distinct coordinate is formatted once, and the ``x,y,`` prefixes
+    are joined from them into the template, so the one format operation
+    formats only the values.
+    """
+    xcol = [_FMT % x + "," for x in xs.tolist()]
+    rows = []
+    for y in ys.tolist():
+        tail = _FMT % y + "," + _FMT + "\n"
+        rows.append(tail.join(xcol) + tail)
+    fh.write("".join(rows) % tuple(np.asarray(values, dtype=float).tolist()))
+
+
 def write_field_csv(path, field):
     grid = field.grid
     cols = ["x", "y"][: grid.dim]
     with open(path, "w") as fh:
         fh.write(grid.header() + "\n")
         fh.write(",".join(cols + ["value"]) + "\n")
-        _write_rows(fh, grid.node_coords, field.values)
+        if grid.dim == 1:
+            _write_rows(fh, grid.node_coords, field.values)
+        else:
+            _write_grid_rows(fh, grid.xs, grid.ys, field.values)
 
 
 def read_field_csv(path):
@@ -687,7 +810,12 @@ def write_measure(path_csv, path_json, measure):
     with open(path_csv, "w") as fh:
         fh.write(grid.header() + "\n")
         fh.write(",".join(cols + ["density"]) + "\n")
-        _write_rows(fh, grid.cell_centers, measure.ac_density)
+        if grid.dim == 1:
+            _write_rows(fh, grid.cell_centers, measure.ac_density)
+        else:
+            nx = grid.params["nx"]
+            _write_grid_rows(fh, grid.cell_centers[:nx, 0], grid.cell_centers[::nx, 1],
+                             measure.ac_density)
     sidecar = {
         "atoms": [{"location": [float(c) for c in loc], "mass": mass}
                   for loc, mass in measure.atoms],

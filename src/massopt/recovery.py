@@ -183,13 +183,15 @@ def energy_eval(mu, source):
     (atoms of ``mu`` contribute point stiffness).  The stiffness is summed
     once into the band of the grid's
     :class:`massopt.grids.StiffnessLayout`; its sparse copy (explicit zeros
-    dropped) finds the floating components and scores the energy, and the
-    band itself is factored by banded Cholesky.  Interior nodes that the
-    measure does not connect to the boundary form floating components, on a
-    rectangle one for each checkerboard colour (:func:`_floating_pins`); one
-    node of each is pinned, as a unit row of the band with a zero load,
-    which leaves the energy unchanged when the component carries no net
-    load.  Raises :class:`Unbounded` when the energy is unbounded below:
+    dropped) scores the energy, and the band itself is factored by banded
+    Cholesky.  When some cell has zero weight, interior nodes that the
+    measure does not connect to the boundary may form floating components
+    of the sparse copy's graph, on a rectangle one for each checkerboard
+    colour (:func:`_floating_pins`); one node of each is pinned, as a unit
+    row of the band with a zero load, which leaves the energy unchanged
+    when the component carries no net load.  When every cell carries
+    weight, every node reaches the boundary and that graph search is
+    skipped.  Raises :class:`Unbounded` when the energy is unbounded below:
     the source loads a floating component (for instance a node with no
     stiffness), the factorisation meets a pivot that is not positive (a
     stiffness singular to working precision), or the energy falls below the
@@ -202,13 +204,16 @@ def energy_eval(mu, source):
         return EnergyResult(0.0, ScalarField.zeros(grid), 0.0)
 
     layout = grid.stiffness_layout()
-    band = layout.band(with_atoms(grid, grid.cell_volumes * mu.ac_density, mu.atoms))
+    w = grid.cell_volumes * mu.ac_density
+    band = layout.band(with_atoms(grid, w, mu.atoms))
     K = layout.matrix(band)
-    colour = None
-    if grid.kind == "rectangle":
-        j, i = np.divmod(grid.interior_idx, grid.xs.size)
-        colour = (i + j) % 2
-    pins = _floating_pins(K, Fin, colour)
+    pins = []
+    if np.any(w == 0.0):  # otherwise every node reaches the boundary
+        colour = None
+        if grid.kind == "rectangle":
+            j, i = np.divmod(grid.interior_idx, grid.xs.size)
+            colour = (i + j) % 2
+        pins = _floating_pins(K, Fin, colour)
     rhs = Fin.copy()
     rhs[pins] = 0.0
     u = layout.factor(band, pins).solve(rhs)

@@ -46,7 +46,8 @@ In two dimensions the flux projection and the Newton step are each one
 direct solve of an interior stiffness, exact up to rounding:
 :func:`massopt.grids.stiffness_factor` sums the per-cell blocks straight
 into the band of the grid's :class:`massopt.grids.StiffnessLayout` (built
-once per grid) and factors it by banded Cholesky.  The projection's
+once per grid; one slice-add per pair of a cell's nodes) and factors it by
+banded Cholesky.  The projection's
 unit-weight stiffness depends on the grid only, so each solve factors it
 once and reuses the factor at every certificate.
 """
@@ -184,12 +185,7 @@ def objective_eval(problem, u):
     """Discrete objective; ``+inf`` when a cell violates the gradient bound."""
     values = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
     g = problem.grid.gradient_apply(values)
-    s = 0.5 * np.sum(g * g, axis=1)
-    integrand = problem.conj_value(s)
-    if np.any(np.isinf(integrand)):
-        return INF
-    return float(np.dot(problem.grid.cell_volumes, integrand)
-                 - np.dot(problem.load, values))
+    return _level_objective(problem, values, 0.5 * np.sum(g * g, axis=1), None)
 
 
 def objective_gradient(problem, u):
@@ -391,6 +387,12 @@ def _project_flux(problem, y_cells, unit_factor):
 # two-dimensional Newton
 # ---------------------------------------------------------------------------
 
+def _half_square(g):
+    """``|g|^2 / 2`` per cell of a rectangle's gradient ``g``, shape ``(n_cells, 2)``."""
+    gx, gy = g[:, 0], g[:, 1]
+    return 0.5 * (gx * gx + gy * gy)
+
+
 def _hessian_blocks(problem, g, d, rho):
     """Per-cell 2x2 Hessian blocks ``vol * d * (I + rho e e^T)``, ``e = g / |g|``.
 
@@ -398,14 +400,16 @@ def _hessian_blocks(problem, g, d, rho):
     ``vol * c*(|g|^2/2)`` in ``g``, with ``d = c*'(s)`` and the radial
     curvature ``rho = 2s c*''(s) / c*'(s)``
     (:meth:`massopt.costs.CostFunction.conjugate_curvature`), finite at
-    ``g = 0``.
+    ``g = 0``.  Returns the three parts ``(H_xx, H_xy, H_yy)`` of the
+    blocks, each one value per cell.
     """
-    mag = np.sqrt(np.sum(g * g, axis=1))
-    e = g / np.where(mag > 0.0, mag, 1.0)[:, None]
-    H = rho[:, None, None] * e[:, :, None] * e[:, None, :]
-    H[:, 0, 0] += 1.0
-    H[:, 1, 1] += 1.0
-    return H * (problem.grid.cell_volumes * d)[:, None, None]
+    gx, gy = g[:, 0], g[:, 1]
+    mag = np.sqrt(gx * gx + gy * gy)
+    mag = np.where(mag > 0.0, mag, 1.0)
+    ex, ey = gx / mag, gy / mag
+    vd = problem.grid.cell_volumes * d
+    rx = rho * ex
+    return (rx * ex + 1.0) * vd, rx * ey * vd, (rho * ey * ey + 1.0) * vd
 
 
 def _integrand(problem, s, mu):
@@ -415,13 +419,19 @@ def _integrand(problem, s, mu):
     return problem.cost.smoothed_derivatives(s, mu, weight=problem._w)
 
 
-def _level_objective(problem, u, mu):
-    """The objective with the conjugate smoothed at level ``mu`` (exact when None)."""
+def _level_objective(problem, u, s, mu):
+    """The objective at ``u`` with the conjugate smoothed at level ``mu`` (exact when None).
+
+    ``s`` is ``|grad u|^2 / 2`` per cell.  The value is ``+inf`` where a
+    cell violates the gradient bound, or lies past a barrier, where the
+    line search must not step.
+    """
     if mu is None:
-        return objective_eval(problem, u)
-    g = problem.grid.gradient_apply(u)
-    # +inf past a barrier, where the line search must not step
-    value = problem.cost.smoothed_conjugate(0.5 * np.sum(g * g, axis=1), mu, weight=problem._w)
+        value = problem.conj_value(s)
+        if np.any(np.isinf(value)):
+            return INF
+    else:
+        value = problem.cost.smoothed_conjugate(s, mu, weight=problem._w)
     return float(np.dot(problem.grid.cell_volumes, value) - np.dot(problem.load, u))
 
 
@@ -435,11 +445,14 @@ def _newton_2d(problem, params, unit_factor):
     Every other cost starts from 0 at the smoothing level ``mu = 1``
     (:meth:`massopt.costs.CostFunction.smoothed_conjugate`).  Each step
     factors the stiffness of the Hessian blocks (:func:`_hessian_blocks`,
-    ``c*'`` floored at ``1e-12`` of its maximum) and backtracks on the
-    level's objective (Armijo).  Each iterate's flux ``vol * c*'(s) * g`` is
-    projected with ``unit_factor`` and scored against the exact conjugate,
-    one log row per certificate with the iterate's exact objective and the
-    best dual so far.  A level is centred when the gradient falls to
+    ``c*'`` floored at ``1e-12`` of its maximum), which go to
+    :func:`massopt.grids.stiffness_factor` as their three parts per cell,
+    and backtracks on the level's objective (Armijo).  The gradient ``g``
+    and ``s = |g|^2/2`` of the accepted trial point carry over to the next
+    iterate, so each iterate's gradient is taken once.  Each iterate's flux
+    ``vol * c*'(s) * g`` is projected with ``unit_factor`` and scored
+    against the exact conjugate, one log row per certificate with the
+    iterate's exact objective and the best dual so far.  A level is centred when the gradient falls to
     ``1e-12 |F|``, when a step gives no decrease, or after a full step
     whose decrement ``-slope / 2`` was at most ``NEWTON_FLAT * |obj|``.  Then the solve
     stops, unless ``mu`` shrinks by 10 to a next level: the certified gap
@@ -460,14 +473,15 @@ def _newton_2d(problem, params, unit_factor):
     u = np.zeros(grid.n_nodes)
     if mu is None:
         u[idx] = unit_factor.solve(F[idx])
-        g = grid.gradient_apply(u)
-        s = 0.5 * np.sum(g * g, axis=1)
+        s = _half_square(grid.gradient_apply(u))
         A = float(np.dot(vol, problem.conj_value(s)))
         b = float(np.dot(F, u))
         q = 1.0 + 0.5 * float(problem.conj_curvature(s)[np.argmax(s)])
         u *= (b / (2.0 * q * A)) ** (1.0 / (2.0 * q - 1.0)) if A > 0.0 and b > 0.0 else 0.0
-    obj = objective_eval(problem, u)
-    obj_mu = _level_objective(problem, u, mu)
+    g = grid.gradient_apply(u)
+    s = _half_square(g)
+    obj = _level_objective(problem, u, s, None)
+    obj_mu = obj if mu is None else _level_objective(problem, u, s, mu)
     grad_floor = 1e-12 * float(np.linalg.norm(F[idx]))
 
     best_dual, best_sigma, dual_residual = -INF, np.zeros((grid.n_cells, 2)), INF
@@ -478,8 +492,7 @@ def _newton_2d(problem, params, unit_factor):
     level_gap = INF  # the gap when the level was entered
     flat = False  # the last step was full and its decrement rounding level
     while True:
-        g = grid.gradient_apply(u)
-        d, rho = _integrand(problem, 0.5 * np.sum(g * g, axis=1), mu)
+        d, rho = _integrand(problem, s, mu)
         flux = g * (vol * d)[:, None]
         sigma, res = _project_flux(problem, flux, unit_factor)
         dual = _dual_value(problem, sigma)
@@ -503,7 +516,9 @@ def _newton_2d(problem, params, unit_factor):
             for _ in range(40):
                 trial = u.copy()
                 trial[idx] += t * step
-                obj_trial = _level_objective(problem, trial, mu)
+                g_trial = grid.gradient_apply(trial)
+                s_trial = _half_square(g_trial)
+                obj_trial = _level_objective(problem, trial, s_trial, mu)
                 if obj_trial <= obj_mu + 1e-4 * t * slope:
                     break
                 t *= 0.5
@@ -513,13 +528,13 @@ def _newton_2d(problem, params, unit_factor):
             if mu is None or rel_gap <= params.gap_tolerance or not gap < level_gap:
                 break
             level_gap, mu, levels, flat = gap, 0.1 * mu, levels + 1, False
-            obj_mu = _level_objective(problem, u, mu)
+            obj_mu = _level_objective(problem, u, s, mu)
             continue
         # a full step that predicted a rounding-level decrease has left
         # nothing for a further factorisation to find
         flat = t == 1.0 and -0.5 * slope <= NEWTON_FLAT * abs(obj_mu)
-        u, obj_mu = trial, obj_trial
-        obj = obj_mu if mu is None else objective_eval(problem, u)
+        u, g, s, obj_mu = trial, g_trial, s_trial, obj_trial
+        obj = obj_mu if mu is None else _level_objective(problem, u, s, None)
         steps += 1
 
     return _finish(problem, params, u, best_sigma, obj, best_dual, steps,
@@ -669,7 +684,7 @@ def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
 
 
 def write_iteration_log(path, log):
+    """The log's ``(iteration, primal, dual, gap)`` rows as CSV, in one format operation."""
     with open(path, "w") as fh:
         fh.write("iteration,primal,dual,gap\n")
-        for k, p, d, g in log:
-            fh.write("%d,%.17g,%.17g,%.17g\n" % (k, p, d, g))
+        fh.write("%d,%.17g,%.17g,%.17g\n" * len(log) % tuple(v for row in log for v in row))

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import massopt as mo
 
@@ -266,7 +267,11 @@ def _old_rows(fh, points, values):
 
 
 @pytest.mark.parametrize("grid", [mo.rectangle_grid(-0.3, 1.0, 0.0, 2.5, 7, 5),
-                                  mo.radial_grid(1.7, 23, 3)], ids=["rectangle", "radial"])
+                                  mo.radial_grid(1.7, 23, 3),
+                                  # wider than tall, bounds and steps not representable
+                                  mo.rectangle_grid(-0.3, 1.1, 0.1, 7.0 / 3.0, 11, 4),
+                                  mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 1, 1)],
+                         ids=["rectangle", "radial", "wide-inexact", "1x1"])
 def test_csv_writers_match_per_cell_writer(tmp_path, grid):
     rng = np.random.default_rng(8)
     values = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.uniform(-30, 30, grid.n_nodes)
@@ -335,6 +340,111 @@ def test_spd_factor_band_of_wide_rectangle():
     # row-by-row numbering gives a band 256 wide; column by column it is short
     g = mo.rectangle_grid(0.0, 4.0, 0.0, 1.0, 256, 8)
     assert mo.grids.stiffness_factor(g, g.cell_volumes).band.shape[0] <= 2 * 8
+
+
+def _bincount_band(g, w):
+    # the np.bincount assembly the slice plan replaced: every (cell, local
+    # pair) entry goes to its slot in the band, or past its end when a node
+    # of the pair is on the boundary; returns the band and the positions
+    n = g.interior_idx.size
+    if g.dim == 1:
+        local = np.arange(g.n_cells)[:, None] + np.arange(2)
+        grads = (np.array([-1.0, 1.0]) / g.cell_h[:, None])[:, None, :]
+        pos = np.arange(n)
+    else:
+        nx, ny = g.params["nx"], g.params["ny"]
+        jj, ii = np.divmod(np.arange(g.n_cells), nx)
+        local = (jj * (nx + 1) + ii)[:, None] + np.array([0, 1, nx + 1, nx + 2])
+        grads = (np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
+                 / [[2.0 * g.hx], [2.0 * g.hy]])[None]
+        pos = np.arange(n)
+        if nx > ny:
+            iy, ix = np.divmod(np.arange(n), nx - 1)
+            pos = ix * (ny - 1) + iy
+    node_pos = np.full(g.n_nodes, -1)
+    node_pos[g.interior_idx] = pos
+    la, lb = np.triu_indices(local.shape[1])
+    pa, pb = node_pos[local[:, la]], node_pos[local[:, lb]]
+    inside = (pa >= 0) & (pb >= 0)
+    rows = np.abs(pa - pb)
+    band_rows = int(np.max(rows, where=inside, initial=0)) + 1
+    size = n * band_rows
+    slots = np.where(inside, np.minimum(pa, pb) * band_rows + rows, size)
+    ca, cb = grads[:, :, la], grads[:, :, lb]
+    if w.ndim == 1:
+        vals = w[:, None] * np.sum(ca * cb, axis=1)
+    else:
+        vals = (w[:, 0, 0, None] * (ca[:, 0] * cb[:, 0])
+                + w[:, 0, 1, None] * (ca[:, 0] * cb[:, 1] + ca[:, 1] * cb[:, 0])
+                + w[:, 1, 1, None] * (ca[:, 1] * cb[:, 1]))
+    flat = np.bincount(slots.ravel(), weights=vals.ravel(), minlength=size + 1)
+    return flat[:size].reshape(n, band_rows).T, pos
+
+
+def _nonzero_matrix(band, pos):
+    # the CSC matrix the band's np.nonzero entries gave before the slice plan
+    n = band.shape[1]
+    row, col = np.nonzero(band)
+    vals = band[row, col]
+    order = np.argsort(pos)
+    i, j = order[col + row], order[col]
+    off = row > 0
+    return sp.coo_matrix((np.concatenate([vals, vals[off]]),
+                          (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
+                         shape=(n, n)).tocsc()
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+_PLAN_GRIDS = {
+    "tall": lambda: mo.rectangle_grid(0.0, 0.7, 0.0, 2.0, 5, 11),
+    "wide": lambda: mo.rectangle_grid(-0.3, 3.0, -1.0, 7.0 / 3.0, 13, 6),
+    "square-cells": lambda: mo.rectangle_grid(0.0, 1.5, 0.0, 1.0, 12, 8),
+    "1x7": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 1, 7),
+    "7x1": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 7, 1),
+    "2x2": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 2, 2),
+    "2x9": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 2, 9),
+    "3x8": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 3, 8),
+    "8x3": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 3),
+    "interval": lambda: mo.interval_grid(-1.0, 2.0, 23),
+    "radial": lambda: mo.radial_grid(1.3, 19, 3),
+}
+
+
+@pytest.mark.parametrize("name, weights", [
+    (name, weights) for name in sorted(_PLAN_GRIDS)
+    for weights in ("scalar", "scalar-atoms") + (
+        () if name in ("interval", "radial") else ("tensor", "tensor-atoms"))])
+def test_slice_plan_band_matches_bincount_assembly(name, weights):
+    # bit for bit, with cells of zero weight (exact zeros for matrix() to
+    # drop), and on square cells, whose edge couplings cancel exactly; 2x2
+    # weights live on rectangles
+    g = _PLAN_GRIDS[name]()
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.1, 10.0, g.n_cells)
+    w[::3] = 0.0
+    if weights.startswith("tensor"):
+        A = rng.standard_normal((g.n_cells, 2, 2))
+        w = (A @ np.swapaxes(A, 1, 2)) * (w > 0.0)[:, None, None]
+    if weights.endswith("atoms"):
+        loc = np.array([0.4]) if g.dim == 1 else g.cell_centers[g.n_cells // 2] + 0.01
+        w = mo.grids.with_atoms(g, w, [(loc, 1.5)])
+    layout = g.stiffness_layout()
+    ref, pos = _bincount_band(g, w)
+    band = layout.band(w)
+    assert band.shape == ref.shape and band.flags.f_contiguous
+    assert np.array_equal(_bits(band), _bits(ref))
+    assert np.array_equal(layout.pos, pos)
+    if w.ndim == 3:
+        parts = layout.band((w[:, 0, 0], w[:, 0, 1], w[:, 1, 1]))
+        assert np.array_equal(_bits(parts), _bits(ref))
+    K, K_ref = layout.matrix(band), _nonzero_matrix(ref, pos)
+    for attr in ("indptr", "indices"):
+        assert getattr(K, attr).dtype == getattr(K_ref, attr).dtype
+        assert np.array_equal(getattr(K, attr), getattr(K_ref, attr)), attr
+    assert np.array_equal(_bits(K.data), _bits(K_ref.data))
 
 
 def _dense_stiffness(g, w, atoms):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import massopt as mo
-from massopt import cli
+from massopt import cli, recovery
 
 INF = math.inf
 
@@ -308,19 +308,55 @@ def test_energy_unbounded_detection():
         mo.energy_eval(mu, mo.SourceTerm.constant(g, 1.0))
 
 
-def test_energy_numerically_singular_stiffness_is_unbounded():
+def _no_graph_search(*_args, **_kwargs):
+    raise AssertionError("the stiffness graph was searched")
+
+
+def test_energy_numerically_singular_stiffness_is_unbounded(monkeypatch):
     # 1e-16 + 1 rounds to 1 on the diagonal, so eliminating a node across a
     # unit-density cell leaves a zero pivot; no finite energy can be trusted,
-    # and a positive one would be impossible (u = 0 scores 0)
+    # and a positive one would be impossible (u = 0 scores 0).  Every cell
+    # carries density, so the factorisation finds it, not a graph search.
     g = mo.interval_grid(-1.0, 1.0, 64)
     mu = mo.DiscreteMeasure(g, np.where(np.arange(g.n_cells) % 2 == 0, 1e-16, 1.0))
     f = mo.SourceTerm.constant(g, 1.0)
-    with pytest.raises(mo.Unbounded):
+    monkeypatch.setattr(recovery, "connected_components", _no_graph_search)
+    with pytest.raises(mo.Unbounded, match="singular to working precision"):
         mo.energy_eval(mu, f)
     prob = mo.build_problem(g, mo.quadratic_cost(), f)
     report = mo.verify_conditions(mu, mo.solve_auxiliary(prob), prob)
     assert report.energy_e_f == -math.inf
     assert report.duality_identity_error == math.inf
+
+
+@pytest.mark.parametrize("make_grid, atoms", [
+    (lambda: mo.interval_grid(-1.0, 1.0, 64), [(np.array([0.3]), 2.0)]),
+    (lambda: mo.radial_grid(1.2, 48, 3), []),
+    (lambda: mo.rectangle_grid(0.0, 1.5, 0.0, 1.0, 12, 8), []),  # square cells
+    (lambda: mo.rectangle_grid(0.0, 1.0, -0.5, 1.0, 11, 7), [(np.array([0.4, 0.2]), 1.5)]),
+], ids=["interval-atom", "radial", "square-cells", "wide-atom"])
+def test_energy_positive_density_skips_graph_search(monkeypatch, make_grid, atoms):
+    # every cell carries density, so no node floats: the graph search would
+    # pin nothing, and the energy is the unpinned solve's, bit for bit
+    g = make_grid()
+    rng = np.random.default_rng(3)
+    mu = mo.DiscreteMeasure(g, rng.uniform(0.5, 2.0, g.n_cells), atoms=atoms)
+    f = mo.SourceTerm(g, density=rng.standard_normal(g.n_nodes))
+    idx = g.interior_idx
+    Fin = f.load_vector()[idx]
+    layout = g.stiffness_layout()
+    w = mo.grids.with_atoms(g, g.cell_volumes * mu.ac_density, mu.atoms)
+    K = layout.matrix(layout.band(w))
+    colour = None if g.dim == 1 else np.sum(np.divmod(idx, g.xs.size), axis=0) % 2
+    assert recovery._floating_pins(K, Fin, colour).size == 0
+    u = layout.factor(layout.band(w)).solve(Fin)
+
+    monkeypatch.setattr(recovery, "connected_components", _no_graph_search)
+    res = mo.energy_eval(mu, f)
+    assert res.energy == 0.5 * float(u @ (K @ u)) - float(Fin @ u)
+    assert res.residual == float(np.linalg.norm(Fin - K @ u)) / float(np.linalg.norm(Fin))
+    assert np.array_equal(res.u.values[idx], u)
+    assert not np.any(res.u.values[g.boundary_mask])
 
 
 def island_measure():

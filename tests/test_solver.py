@@ -633,6 +633,18 @@ def test_not_converged_reports_best_iterate():
     assert err.value.solution is sol
 
 
+@pytest.mark.parametrize("log", [
+    [],
+    [(0, 1.0 / 3.0, -INF, INF)],
+    [(0, -0.0, -1e-300, 5e300), (7, 0.1, 0.2, 0.30000000000000004), (12, math.nan, 2.5, -1.0)],
+], ids=["empty", "one", "three"])
+def test_iteration_log_matches_per_row_writer(tmp_path, log):
+    path = tmp_path / "iters.csv"
+    solver.write_iteration_log(path, log)
+    rows = "".join("%d,%.17g,%.17g,%.17g\n" % row for row in log)
+    assert path.read_text() == "iteration,primal,dual,gap\n" + rows
+
+
 def test_iteration_log_written(tmp_path):
     prob = interval_problem(mo.quadratic_cost(), n=64)
     path = tmp_path / "iters.csv"
