@@ -8,11 +8,13 @@ cost's conjugate and subdifferential.  ``massopt fixtures`` runs the
 closed-form comparison for one catalog fixture.
 
 Exit codes: 0 all verification thresholds met; 1 thresholds failed;
-2 configuration error; 3 solver did not converge (on an interval or
-radial grid: the exact certificate's gap stayed above the tolerance);
-4 ``run`` or ``fixtures`` failed after the problem was built (a
-:class:`~massopt.errors.MassOptError` from solve, recover or verify,
-reported as ``error: <Class>: <message>`` on stderr).
+2 configuration error (including an output directory that cannot be
+made); 3 solver did not converge (on an interval or radial grid: the
+exact certificate's gap stayed above the tolerance); 4 ``run`` or
+``fixtures`` failed after the problem was built (a
+:class:`~massopt.errors.MassOptError` from solve, recover or verify, or
+an ``OSError`` writing ``iterations.csv``, ``u.csv``, the measure or
+``report.json``, reported as ``error: <Class>: <message>`` on stderr).
 """
 
 import argparse
@@ -269,7 +271,11 @@ def run(config_path, log_path=None, json_report_path=None):
         return 2
 
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print("config error: output.dir: %s" % exc, file=sys.stderr)
+        return 2
     params = config.solver_params
     params.log_path = log_path or os.path.join(out, "iterations.csv")
 
@@ -284,29 +290,28 @@ def run(config_path, log_path=None, json_report_path=None):
         solution = solve_auxiliary(problem, params)
         measure = recover_measure(solution, problem)
         report = verify_conditions(measure, solution, problem)
-    except MassOptError as exc:
+        write_field_csv(os.path.join(out, "u.csv"), solution.u)
+        write_measure(os.path.join(out, "measure.csv"), os.path.join(out, "measure.json"),
+                      measure)
+        payload = report.to_dict()
+        payload.update({
+            "converged": solution.converged,
+            "relative_gap": solution.rel_gap,
+            "iterations": solution.iterations,
+            "checks": len(solution.log),
+            "factorisations": solution.factorisations,
+            "mu_levels": solution.mu_levels,
+            "method": solution.method,
+            "regime": solution.regime,
+            "thresholds": config.thresholds,
+            "passed": report.passes(config.thresholds),
+        })
+        report_path = json_report_path or os.path.join(out, "report.json")
+        with open(report_path, "w") as fh:
+            json.dump(_sanitize(payload), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except (MassOptError, OSError) as exc:
         return _post_build_error(exc)
-
-    write_field_csv(os.path.join(out, "u.csv"), solution.u)
-    write_measure(os.path.join(out, "measure.csv"), os.path.join(out, "measure.json"),
-                  measure)
-    payload = report.to_dict()
-    payload.update({
-        "converged": solution.converged,
-        "relative_gap": solution.rel_gap,
-        "iterations": solution.iterations,
-        "checks": len(solution.log),
-        "factorisations": solution.factorisations,
-        "mu_levels": solution.mu_levels,
-        "method": solution.method,
-        "regime": solution.regime,
-        "thresholds": config.thresholds,
-        "passed": report.passes(config.thresholds),
-    })
-    report_path = json_report_path or os.path.join(out, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(_sanitize(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
     for name, value in sorted(report.residuals().items()):
         ok = value <= config.thresholds[name]

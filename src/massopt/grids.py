@@ -18,7 +18,6 @@ import json
 import math
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import AtomOutsideGrid, Unbounded, UnsupportedGrid
@@ -104,9 +103,6 @@ class Grid:
         self.n_cells = self.cell_volumes.shape[0]
         self.interior_idx = np.nonzero(~self.boundary_mask)[0]
         self.node_weights = self._nodal_weights()
-        self._grad_sparse = None
-        self._grad_interior = None
-        self._grad_interior_t = None
         self._layout = None
 
     # -- basic structure -----------------------------------------------------
@@ -160,67 +156,14 @@ class Grid:
         nx, ny = self.params["nx"], self.params["ny"]
         qx = (y[:, 0] / (2.0 * self.hx)).reshape(ny, nx)
         qy = (y[:, 1] / (2.0 * self.hy)).reshape(ny, nx)
+        # each corner of a cell takes qx and qy with its own pair of signs
+        p, m = qx + qy, qx - qy
         o2 = np.zeros((ny + 1, nx + 1))
-        o2[:-1, 1:] += qx
-        o2[:-1, :-1] -= qx
-        o2[1:, 1:] += qx
-        o2[1:, :-1] -= qx
-        o2[1:, :-1] += qy
-        o2[:-1, :-1] -= qy
-        o2[1:, 1:] += qy
-        o2[:-1, 1:] -= qy
+        o2[1:, 1:] += p
+        o2[:-1, :-1] -= p
+        o2[:-1, 1:] += m
+        o2[1:, :-1] -= m
         return o2.ravel()
-
-    def gradient_sparse(self):
-        """Sparse gradient operator, shape (dim * n_cells, n_nodes)."""
-        if self._grad_sparse is None:
-            if self.dim == 1:
-                n = self.n_cells
-                inv_h = 1.0 / self.cell_h
-                rows = np.concatenate([np.arange(n), np.arange(n)])
-                cols = np.concatenate([np.arange(1, n + 1), np.arange(n)])
-                vals = np.concatenate([inv_h, -inv_h])
-                self._grad_sparse = sp.csr_matrix((vals, (rows, cols)),
-                                                  shape=(n, self.n_nodes))
-            else:
-                nx, ny = self.params["nx"], self.params["ny"]
-                n = self.n_cells
-                jj, ii = np.divmod(np.arange(n), nx)
-                node = lambda dy, dx: (jj + dy) * (nx + 1) + (ii + dx)
-                rows, cols, vals = [], [], []
-                for dy in (0, 1):
-                    for dx, sgn in ((1, 1.0), (0, -1.0)):
-                        rows.append(np.arange(n))
-                        cols.append(node(dy, dx))
-                        vals.append(np.full(n, sgn / (2.0 * self.hx)))
-                for dx in (0, 1):
-                    for dy, sgn in ((1, 1.0), (0, -1.0)):
-                        rows.append(np.arange(n) + n)
-                        cols.append(node(dy, dx))
-                        vals.append(np.full(n, sgn / (2.0 * self.hy)))
-                self._grad_sparse = sp.csr_matrix(
-                    (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(2 * n, self.n_nodes))
-        return self._grad_sparse
-
-    def interior_gradient(self):
-        """The sparse gradient's interior-node columns, as CSR; built once.
-
-        This is the gradient on fields that vanish on the boundary, the
-        space every flux projection works in.
-        """
-        if self._grad_interior is None:
-            self._grad_interior = self.gradient_sparse()[:, self.interior_idx].tocsr()
-        return self._grad_interior
-
-    def interior_gradient_transpose(self):
-        """The transpose of :meth:`interior_gradient`, as CSR; built once.
-
-        It maps cell fluxes to the weak divergence on the interior nodes.
-        """
-        if self._grad_interior_t is None:
-            self._grad_interior_t = self.interior_gradient().T.tocsr()
-        return self._grad_interior_t
 
     def stiffness_layout(self):
         """The :class:`StiffnessLayout` every stiffness of this grid uses; built once."""
@@ -347,6 +290,15 @@ class VectorField:
 # sources and measures
 # ---------------------------------------------------------------------------
 
+def _atom_location(grid, loc):
+    """An atom's location as an array of the grid's ``dim`` coordinates."""
+    loc = np.atleast_1d(np.asarray(loc, dtype=float))
+    if loc.shape != (grid.dim,):
+        raise AtomOutsideGrid("atom at %r needs %d coordinate(s) on a %s grid"
+                              % (loc.tolist(), grid.dim, grid.kind))
+    return loc
+
+
 class SourceTerm:
     """Signed source: nodal density plus point atoms.
 
@@ -366,7 +318,7 @@ class SourceTerm:
             self.density = density
         self.atoms = []
         for loc, mass in atoms:
-            loc = np.atleast_1d(np.asarray(loc, dtype=float))
+            loc = _atom_location(grid, loc)
             if not grid.contains_interior(loc):
                 raise AtomOutsideGrid("source atom at %r is not strictly inside" % (loc,))
             self.atoms.append((loc, float(mass)))
@@ -428,7 +380,7 @@ class DiscreteMeasure:
         self.ac_density = ac
         self.atoms = []
         for loc, mass in atoms:
-            loc = np.atleast_1d(np.asarray(loc, dtype=float))
+            loc = _atom_location(grid, loc)
             if mass <= 0.0:
                 raise ValueError("atom masses must be positive")
             # placement is validated against the closed domain
@@ -451,23 +403,19 @@ def divergence_weighted(mu, sigma):
 
     Returns the nodal vector ``<div(mu sigma), hat_j> = -int sigma . grad
     hat_j dmu``; exact transpose of the discrete gradient, so discrete
-    integration by parts is machine-exact.
+    integration by parts is machine-exact.  An atom adds its mass times the
+    flux at its location to the weighted flux of each cell carrying it.
+    The flux must live on a grid of the measure's kind and parameters.
     """
     grid = mu.grid
-    if sigma.grid is not grid and sigma.grid.kind != grid.kind:
+    if (sigma.grid.kind, sigma.grid.params) != (grid.kind, grid.params):
         raise UnsupportedGrid("measure and flux live on different grids")
     weighted = sigma.values * (grid.cell_volumes * mu.ac_density)[:, None]
-    out = -grid.gradient_adjoint(weighted)
     for loc, mass in mu.atoms:
         sig_at = sigma.at_point(loc)
         for i, w in grid.cell_weights_at(loc):
-            out -= mass * w * (_cell_gradient(grid, i).T @ sig_at)
-    return out
-
-
-def _cell_gradient(grid, cell):
-    """Rows of the gradient for one cell: the hat gradients on it, (dim, n_nodes)."""
-    return grid.gradient_sparse()[cell::grid.n_cells]
+            weighted[i] += mass * w * sig_at
+    return -grid.gradient_adjoint(weighted)
 
 
 # A cell's local nodes as (x, y) offsets from its first node, and the local
@@ -524,10 +472,10 @@ class StiffnessLayout:
     plan holds the diagonal and the two blocks of each pair (of at most 3
     on a 1-d grid, 10 on a rectangle), so :meth:`band` adds each pair's
     values to its diagonal in one 2-d slice-add, and a band entry that
-    several cells share sums them in ascending cell order.  The plan also
-    says which of the (at most 9) neighbours of a node each pair couples
-    it to, so :meth:`matrix` copies the band into a table of each node's
-    column of the full matrix, which is that matrix in CSC order.
+    several cells share sums them in ascending cell order.  The band is
+    the only form a stiffness takes; products with the gradient and its
+    transpose are the stencils :meth:`Grid.gradient_apply` and
+    :meth:`Grid.gradient_adjoint`.
     """
 
     def __init__(self, grid):
@@ -546,12 +494,6 @@ class StiffnessLayout:
                 2.0 * grid.hx, 2.0 * grid.hy]
             transposed = nx > ny
         nodes = [max(hi - lo + 1, 0) for _, lo, hi in axes]
-        # a node's neighbours (dy, dx), in the order of their rows in its
-        # column of the matrix
-        near = [(dy, dx) for dy in ((0,) if grid.dim == 1 else (-1, 0, 1)) for dx in (-1, 0, 1)]
-        self._rows = (np.arange(n)[:, None]
-                      + [dy * nodes[1] + dx for dy, dx in near]).ravel().astype(np.int32)
-        self._table = (nodes[0], nodes[1], len(near))
         pos = np.arange(n)
         if transposed:
             # number along y: the plan works on (x, y) grids
@@ -569,9 +511,6 @@ class StiffnessLayout:
         # equal products: the block of a unit scalar weight, and the three
         # parts of a symmetric 2x2 tensor weight
         self._plan, self._units, self._tensors = [], [], []
-        # per pair and direction: the diagonal, its block, the table's block
-        # (on the (y, x) grid) and the neighbour
-        self._stencil = []
         for a, b in _PAIRS[grid.dim]:
             offs = list(zip(_LOCAL[grid.dim][a], _LOCAL[grid.dim][b]))
             offs = offs if transposed else offs[::-1]
@@ -579,10 +518,8 @@ class StiffnessLayout:
             if any(start >= stop for start, stop in cells):
                 continue  # no cell has both nodes inside
             step = (offs[0][1] - offs[0][0]) * nodes[1] + offs[1][1] - offs[1][0]
-            # the pair's entry sits at its lower-numbered node, the other
-            # node lies ``ahead`` of it
+            # the pair's entry sits at its lower-numbered node
             low = [da if step >= 0 else db for da, db in offs]
-            ahead = [(db - da) * (1 if step >= 0 else -1) for da, db in offs]
             dst = tuple(slice(start + d - lo, stop + d - lo)
                         for (start, stop), d, (_, lo, _) in zip(cells, low, axes))
             src = tuple(slice(start, stop) for start, stop in cells)
@@ -593,21 +530,7 @@ class StiffnessLayout:
                 tensor = _shared(self._tensors, (ca[0] * cb[0], ca[0] * cb[1] + ca[1] * cb[0],
                                                  ca[1] * cb[1]))
             self._plan.append((abs(step), dst, src, unit, tensor))
-            # in matrix(), the pair couples the lower node's column toward
-            # the other node and, off the diagonal, the other's column back
-            columns = [(ahead, (0, 0))] + ([([-o for o in ahead], ahead)] if step else [])
-            for toward, shift in columns:
-                block = tuple(slice(d.start + o, d.stop + o) for d, o in zip(dst, shift))
-                if transposed:
-                    block, toward = block[::-1], toward[::-1]
-                copy = (abs(step), dst, block, near.index(tuple(toward)))
-                if copy not in self._stencil:
-                    self._stencil.append(copy)
         self.band_rows = max((r for r, _, _, _, _ in self._plan), default=0) + 1
-
-    def _diagonal(self, band, r):
-        """Band diagonal ``r`` as a view on the plan's grid of interior nodes."""
-        return band[r].reshape(self._nodes)
 
     def _on_cells(self, w):
         """Per-cell values ``w`` on the plan's grid of cells, C-contiguous."""
@@ -644,25 +567,9 @@ class StiffnessLayout:
             vals = [w * unit for unit, in self._units]
         band = np.zeros((self.band_rows, self.n), order="F")
         for r, dst, src, unit, parts in self._plan:
-            self._diagonal(band, r)[dst] += vals[parts if tensor else unit][src]
+            # band diagonal r, viewed on the plan's grid of interior nodes
+            band[r].reshape(self._nodes)[dst] += vals[parts if tensor else unit][src]
         return band
-
-    def matrix(self, band):
-        """The full symmetric matrix of a band, as a CSC matrix of its nonzeros.
-
-        An entry that sums to exactly zero is left out, so the matrix's
-        graph has an edge exactly where two nodes are coupled.
-        """
-        table = np.zeros(self._table)
-        for r, dst, block, k in self._stencil:
-            diagonal = self._diagonal(band, r)[dst]
-            table[block + (k,)] = diagonal.T if self._transposed else diagonal
-        data = table.ravel()
-        keep = data != 0.0
-        kept = np.zeros(data.size + 1, dtype=np.int32)
-        np.cumsum(keep, out=kept[1:])
-        indptr = np.ascontiguousarray(kept[::self._table[2]])
-        return sp.csc_matrix((data[keep], self._rows[keep], indptr), shape=(self.n, self.n))
 
     def factor(self, band, pinned=()):
         """Banded Cholesky factor of a band from :meth:`band`, which it overwrites.
@@ -708,18 +615,6 @@ def with_atoms(grid, w, atoms):
         return bxx + extra, bxy, byy + extra
     w = np.asarray(w, dtype=float)
     return w + (extra if w.ndim == 1 else extra[:, None, None] * np.eye(2))
-
-
-def stiffness(grid, w, atoms=()):
-    """Stiffness ``G^T B G`` on the interior nodes, as a CSC matrix.
-
-    ``w`` is as in :meth:`StiffnessLayout.band`, and ``atoms`` as in
-    :func:`with_atoms`.  The matrix is symmetric positive semidefinite for
-    positive semidefinite weights, and definite when every interior node
-    reaches the boundary through cells of positive definite weight.
-    """
-    layout = grid.stiffness_layout()
-    return layout.matrix(layout.band(with_atoms(grid, w, atoms)))
 
 
 def stiffness_factor(grid, w):

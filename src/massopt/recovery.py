@@ -24,6 +24,7 @@ import json
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .costs import regularized_cost
@@ -145,30 +146,31 @@ class EnergyResult:
         return "EnergyResult(energy=%.12g, residual=%.3g)" % (self.energy, self.residual)
 
 
-def _floating_pins(K, F, colour=None):
-    """One node of each floating class of the stiffness graph.
+def _floating_pins(grid, w, F):
+    """One interior node of each floating component of the cell weights ``w``.
 
-    A component is floating when none of its rows couples to the boundary,
-    i.e. its row sums vanish: its field is then fixed only up to a
-    constant.  ``colour`` holds each node's checkerboard colour
-    ``(i + j) % 2`` on a rectangle: the cell-averaged gradient does not see
-    the checkerboard, so a floating component's two colours are classes of
-    their own (square cells already decouple them; oblong cells do not).
-    Raises :class:`Unbounded` when the source puts net load on a floating
-    class, which includes a loaded node with no stiffness.
+    A cell's averaged gradient vanishes exactly when the nodes on each of
+    its diagonals (in 1-d, its two nodes) agree, so the fields of zero
+    energy are constant on each component of the graph whose edges are the
+    diagonals of the cells with ``w > 0``.  A component without a boundary
+    node floats.  Raises :class:`Unbounded` when the interior load ``F``
+    puts net load on one, which includes a loaded node with no stiffness.
     """
-    # K holds no explicit zeros (StiffnessLayout.matrix drops them), so its
-    # graph has an edge exactly where two nodes are coupled
-    n_comp, labels = connected_components(K, directed=False)
-    # the sums of a floating row cancel only to rounding
-    grounded = np.abs(K @ np.ones(K.shape[0])) > 1e-12 * K.diagonal()
+    if grid.dim == 1:
+        ends = (np.arange(grid.n_cells), np.arange(1, grid.n_nodes))
+    else:
+        nx, ny = grid.params["nx"], grid.params["ny"]
+        low = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # lower left
+        ends = (np.concatenate([low, low + 1]), np.concatenate([low + nx + 2, low + nx + 1]))
+    tied = np.tile(w > 0.0, grid.dim)  # one edge per cell in 1-d, two on a rectangle
+    graph = coo_matrix((np.ones(np.count_nonzero(tied)), (ends[0][tied], ends[1][tied])),
+                       shape=(grid.n_nodes, grid.n_nodes))
+    n_comp, labels = connected_components(graph, directed=False)
     floating = np.ones(n_comp, dtype=bool)
-    floating[labels[grounded]] = False
-    if colour is not None:
-        labels = 2 * labels + colour
-        floating = np.repeat(floating, 2)
-    net = np.bincount(labels, weights=F, minlength=floating.size)
-    scale = np.bincount(labels, weights=np.abs(F), minlength=floating.size)
+    floating[labels[grid.boundary_mask]] = False
+    labels = labels[grid.interior_idx]
+    net = np.bincount(labels, weights=F, minlength=n_comp)
+    scale = np.bincount(labels, weights=np.abs(F), minlength=n_comp)
     if np.any(floating & (np.abs(net) > 1e-10 * scale)):
         raise Unbounded("source loads a part of the domain that the measure "
                         "does not connect to the boundary")
@@ -180,49 +182,39 @@ def energy_eval(mu, source):
     """Infimal weighted Dirichlet energy ``E_f(mu)`` by one direct solve.
 
     Solves the weak form of ``-div(a grad u) = f`` on the interior nodes
-    (atoms of ``mu`` contribute point stiffness).  The stiffness is summed
-    once into the band of the grid's
-    :class:`massopt.grids.StiffnessLayout`; its sparse copy (explicit zeros
-    dropped) scores the energy, and the band itself is factored by banded
-    Cholesky.  When some cell has zero weight, interior nodes that the
-    measure does not connect to the boundary may form floating components
-    of the sparse copy's graph, on a rectangle one for each checkerboard
-    colour (:func:`_floating_pins`); one node of each is pinned, as a unit
-    row of the band with a zero load, which leaves the energy unchanged
-    when the component carries no net load.  When every cell carries
-    weight, every node reaches the boundary and that graph search is
-    skipped.  Raises :class:`Unbounded` when the energy is unbounded below:
-    the source loads a floating component (for instance a node with no
-    stiffness), the factorisation meets a pivot that is not positive (a
-    stiffness singular to working precision), or the energy falls below the
-    admissibility floor.
+    for the cell weights ``w = vol * a``, atoms of ``mu`` folded in
+    (:func:`massopt.grids.with_atoms`): the stiffness's band is factored by
+    banded Cholesky, and the energy ``0.5 * sum(w |G u|^2) - <F, u>`` and
+    residual ``F - G^T (w G u)`` are scored by the gradient stencils.  When
+    some cell has zero weight, one node of each floating component
+    (:func:`_floating_pins`) is pinned, as a unit row of the band with a
+    zero load, which leaves the energy unchanged when the component carries
+    no net load.  Raises :class:`Unbounded` when the energy is unbounded
+    below: the source loads a floating component, the factorisation meets
+    a pivot that is not positive (a stiffness singular to working
+    precision), or the energy falls below the admissibility floor.
     """
     grid = mu.grid
-    Fin = source.load_vector()[grid.interior_idx]
+    idx = grid.interior_idx
+    Fin = source.load_vector()[idx]
     fnorm = float(np.linalg.norm(Fin))
     if fnorm == 0.0:
         return EnergyResult(0.0, ScalarField.zeros(grid), 0.0)
 
     layout = grid.stiffness_layout()
-    w = grid.cell_volumes * mu.ac_density
-    band = layout.band(with_atoms(grid, w, mu.atoms))
-    K = layout.matrix(band)
+    w = with_atoms(grid, grid.cell_volumes * mu.ac_density, mu.atoms)
     pins = []
     if np.any(w == 0.0):  # otherwise every node reaches the boundary
-        colour = None
-        if grid.kind == "rectangle":
-            j, i = np.divmod(grid.interior_idx, grid.xs.size)
-            colour = (i + j) % 2
-        pins = _floating_pins(K, Fin, colour)
+        pins = _floating_pins(grid, w, Fin)
     rhs = Fin.copy()
     rhs[pins] = 0.0
-    u = layout.factor(band, pins).solve(rhs)
-    energy = 0.5 * float(u @ (K @ u)) - float(Fin @ u)
+    uf = np.zeros(grid.n_nodes)
+    uf[idx] = layout.factor(layout.band(w), pins).solve(rhs)
+    g = grid.gradient_apply(uf)
+    energy = 0.5 * float(np.sum(w * np.sum(g * g, axis=1))) - float(Fin @ uf[idx])
     if energy < -1e13 * (1.0 + fnorm) ** 2:
         raise Unbounded("weighted energy diverges below the admissibility floor")
-    resid = float(np.linalg.norm(Fin - K @ u))
-    uf = np.zeros(grid.n_nodes)
-    uf[grid.interior_idx] = u
+    resid = float(np.linalg.norm(Fin - grid.gradient_adjoint(g * w[:, None])[idx]))
     return EnergyResult(energy, ScalarField(grid, uf), resid / fnorm)
 
 

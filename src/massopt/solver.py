@@ -49,7 +49,8 @@ into the band of the grid's :class:`massopt.grids.StiffnessLayout` (built
 once per grid; one slice-add per pair of a cell's nodes) and factors it by
 banded Cholesky.  The projection's
 unit-weight stiffness depends on the grid only, so each solve factors it
-once and reuses the factor at every certificate.
+once and reuses the factor at every certificate.  The band is the only
+matrix built: ``G`` and ``G^T`` are always the grid's gradient stencils.
 """
 
 import math
@@ -369,17 +370,18 @@ def _project_flux(problem, y_cells, unit_factor):
     The correction ``G z`` solves ``(G^T G) z = F - G^T y`` on the interior
     nodes by one direct solve with ``unit_factor``, the factor of the
     unit-weight stiffness ``G^T G``, so the returned residual is rounding
-    level.
+    level.  ``G`` acts on node vectors that vanish on the boundary.
     """
     grid = problem.grid
-    Gi, GiT = grid.interior_gradient(), grid.interior_gradient_transpose()
-    y_flat = y_cells.T.ravel()
-    resid = problem.load[grid.interior_idx] - GiT @ y_flat
-    corr = Gi @ unit_factor.solve(resid)
-    sigma = (y_flat + corr).reshape(grid.dim, grid.n_cells).T / grid.cell_volumes[:, None]
+    idx = grid.interior_idx
+    resid = problem.load[idx] - grid.gradient_adjoint(y_cells)[idx]
+    z = np.zeros(grid.n_nodes)
+    z[idx] = unit_factor.solve(resid)
+    corr = grid.gradient_apply(z)
+    sigma = (y_cells + corr) / grid.cell_volumes[:, None]
     # the corrected divergence misses the load by what the correction's
     # divergence misses the residual
-    res = float(np.linalg.norm(GiT @ corr - resid))
+    res = float(np.linalg.norm(grid.gradient_adjoint(corr)[idx] - resid))
     return sigma, res
 
 

@@ -266,6 +266,55 @@ dir = {out}
     assert cli.main(["run", cfg]) == 0
 
 
+RECT_ATOM_CONFIG = """
+[domain]
+kind = rectangle
+ax = 0.0
+bx = 1.0
+ay = 0.0
+by = 1.0
+nx = 8
+ny = 8
+
+[cost]
+builtin = quadratic
+
+[source]
+atoms = {atoms}
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("atoms", ["0.5:1.0", "0.5 0.5 0.5:1.0"], ids=["one", "three"])
+def test_atom_with_wrong_coordinate_count_is_config_error(tmp_path, capsys, atoms):
+    # a rectangle atom needs exactly two coordinates
+    cfg = write(tmp_path / "atom.cfg",
+                RECT_ATOM_CONFIG.format(atoms=atoms, out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error: source.atoms: " in err and "needs 2 coordinate" in err
+
+
+def test_output_dir_that_is_a_file_is_config_error(tmp_path, capsys):
+    (tmp_path / "out").write_text("not a directory\n")
+    cfg = write(tmp_path / "run.cfg", MK_CONFIG.format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: output.dir: ")
+
+
+@pytest.mark.parametrize("name", ["iterations.csv", "u.csv", "measure.csv", "measure.json",
+                                  "report.json"])
+def test_output_write_failure_exit_code(tmp_path, capsys, name):
+    # a directory in the way of an output file fails its open(); the run
+    # reports it and exits 4, not with a traceback
+    (tmp_path / "out" / name).mkdir(parents=True)
+    cfg = write(tmp_path / "run.cfg", MK_CONFIG.format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 4
+    assert "error: IsADirectoryError: " in capsys.readouterr().err
+
+
 def test_source_expression_config(tmp_path):
     cfg = write(tmp_path / "expr.cfg", """
 [domain]

@@ -2,11 +2,13 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import massopt as mo
 
@@ -92,10 +94,9 @@ def test_weighted_divergence_adjointness(grid):
     u = rng.standard_normal(grid.n_nodes)
     u[grid.boundary_mask] = 0.0
     sigma = mo.VectorField(grid, rng.standard_normal((grid.n_cells, grid.dim)))
-    atoms = []
-    if grid.dim == 1 and grid.kind == "interval":
-        atoms = [(np.array([0.31]), 0.6)]
-    mu = mo.DiscreteMeasure(grid, rng.random(grid.n_cells), atoms=atoms)
+    atoms = {"interval": [(np.array([0.31]), 0.6)],
+             "rectangle": [(np.array([0.37, 1.3]), 0.6), (np.array([0.8, 0.25]), 1.1)]}
+    mu = mo.DiscreteMeasure(grid, rng.random(grid.n_cells), atoms=atoms.get(grid.kind, []))
     div = mo.divergence_weighted(mu, sigma)
     lhs = float(u @ div)
     gv = grid.gradient_apply(u)
@@ -135,6 +136,26 @@ def test_divergence_single_atom():
     h = g.cell_h[i]
     assert div[i] == pytest.approx(1.0 / h)
     assert div[i + 1] == pytest.approx(-1.0 / h)
+
+
+def test_divergence_rejects_flux_from_another_grid(tmp_path):
+    # a flux is only paired with a measure on a grid of the same kind and
+    # parameters; a CSV round trip keeps the parameters, so it is accepted
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 6, 5)
+    mu = mo.DiscreteMeasure.lebesgue(g)
+    for other in (mo.rectangle_grid(0.0, 2.0, 0.0, 1.0, 6, 5),
+                  mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 7, 5)):
+        sigma = mo.VectorField(other, np.ones((other.n_cells, 2)))
+        with pytest.raises(mo.UnsupportedGrid):
+            mo.divergence_weighted(mu, sigma)
+    u = mo.ScalarField(g, np.random.default_rng(2).standard_normal(g.n_nodes))
+    mo.write_field_csv(tmp_path / "u.csv", u)
+    back = mo.read_field_csv(tmp_path / "u.csv")
+    assert back.grid is not g
+    div = mo.divergence_weighted(mu, mo.VectorField(back.grid,
+                                                    back.grid.gradient_apply(back.values)))
+    assert np.array_equal(div, mo.divergence_weighted(mu, mo.VectorField(
+        g, g.gradient_apply(u.values))))
 
 
 # -- sources ----------------------------------------------------------------
@@ -180,6 +201,20 @@ def test_source_atom_must_be_interior():
         mo.SourceTerm(g, atoms=[(np.array([1.0]), 1.0)])
     with pytest.raises(mo.AtomOutsideGrid):
         mo.SourceTerm(g, atoms=[(np.array([2.0]), 1.0)])
+
+
+@pytest.mark.parametrize("grid, loc", [
+    (mo.interval_grid(-1.0, 1.0, 8), [0.2, 5.0]),
+    (mo.radial_grid(1.0, 8, 2), [0.1, 0.1]),
+    (mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8), [0.5]),
+    (mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8), [0.5, 0.5, 0.5]),
+], ids=["interval-2", "radial-2", "rectangle-1", "rectangle-3"])
+def test_atom_needs_one_coordinate_per_axis(grid, loc):
+    for make in (lambda: mo.SourceTerm(grid, atoms=[(np.array(loc), 1.0)]),
+                 lambda: mo.DiscreteMeasure(grid, np.ones(grid.n_cells),
+                                            atoms=[(np.array(loc), 1.0)])):
+        with pytest.raises(mo.AtomOutsideGrid, match="needs %d coordinate" % grid.dim):
+            make()
 
 
 def test_radial_center_atom_allowed():
@@ -295,8 +330,9 @@ def test_stiffness_tensor_of_scalar_weights(atoms):
     # the tensor form with w * I assembles the scalar-weight stiffness
     g = mo.rectangle_grid(0.0, 1.5, 0.0, 1.0, 13, 9)
     w = np.random.default_rng(2).uniform(0.1, 10.0, g.n_cells)
-    K = mo.grids.stiffness(g, w, atoms)
-    Kt = mo.grids.stiffness(g, w[:, None, None] * np.eye(2), atoms)
+    layout = g.stiffness_layout()
+    K = layout.band(mo.grids.with_atoms(g, w, atoms))
+    Kt = layout.band(mo.grids.with_atoms(g, w[:, None, None] * np.eye(2), atoms))
     assert abs(K - Kt).max() <= 1e-14 * abs(K).max()
 
 
@@ -326,13 +362,13 @@ def _unit_weights(g, atoms=()):
 def test_spd_factor_matches_dense_solve(build, reordered):
     # a rectangle wider than tall is factored column by column
     g, w, atoms = build()
-    K = mo.grids.stiffness(g, w, atoms)
+    K = _dense_stiffness(g, w, atoms)
     b = np.random.default_rng(4).standard_normal(K.shape[0])
     layout = g.stiffness_layout()
     factor = layout.factor(layout.band(mo.grids.with_atoms(g, w, atoms)))
     assert (factor.order is not None) == reordered
     x = factor.solve(b)
-    ref = np.linalg.solve(K.toarray(), b)
+    ref = np.linalg.solve(K, b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -381,19 +417,6 @@ def _bincount_band(g, w):
     return flat[:size].reshape(n, band_rows).T, pos
 
 
-def _nonzero_matrix(band, pos):
-    # the CSC matrix the band's np.nonzero entries gave before the slice plan
-    n = band.shape[1]
-    row, col = np.nonzero(band)
-    vals = band[row, col]
-    order = np.argsort(pos)
-    i, j = order[col + row], order[col]
-    off = row > 0
-    return sp.coo_matrix((np.concatenate([vals, vals[off]]),
-                          (np.concatenate([i, j[off]]), np.concatenate([j, i[off]]))),
-                         shape=(n, n)).tocsc()
-
-
 def _bits(a):
     return np.asarray(a).view(np.int64)
 
@@ -418,9 +441,8 @@ _PLAN_GRIDS = {
     for weights in ("scalar", "scalar-atoms") + (
         () if name in ("interval", "radial") else ("tensor", "tensor-atoms"))])
 def test_slice_plan_band_matches_bincount_assembly(name, weights):
-    # bit for bit, with cells of zero weight (exact zeros for matrix() to
-    # drop), and on square cells, whose edge couplings cancel exactly; 2x2
-    # weights live on rectangles
+    # bit for bit, with cells of zero weight, and on square cells, whose
+    # edge couplings cancel exactly; 2x2 weights live on rectangles
     g = _PLAN_GRIDS[name]()
     rng = np.random.default_rng(11)
     w = rng.uniform(0.1, 10.0, g.n_cells)
@@ -440,18 +462,22 @@ def test_slice_plan_band_matches_bincount_assembly(name, weights):
     if w.ndim == 3:
         parts = layout.band((w[:, 0, 0], w[:, 0, 1], w[:, 1, 1]))
         assert np.array_equal(_bits(parts), _bits(ref))
-    K, K_ref = layout.matrix(band), _nonzero_matrix(ref, pos)
-    for attr in ("indptr", "indices"):
-        assert getattr(K, attr).dtype == getattr(K_ref, attr).dtype
-        assert np.array_equal(getattr(K, attr), getattr(K_ref, attr)), attr
-    assert np.array_equal(_bits(K.data), _bits(K_ref.data))
+
+
+def _dense_gradient(g):
+    # the gradient on the interior nodes as a dense matrix, one column per
+    # unit vector through the stencil; rows hold every cell's x part, then y
+    G = np.stack([g.gradient_apply(e) for e in np.eye(g.n_nodes)[g.interior_idx]], axis=-1)
+    return G.transpose(1, 0, 2).reshape(g.dim * g.n_cells, -1)
 
 
 def _dense_stiffness(g, w, atoms):
-    # G^T B G from the sparse gradient, each atom's point stiffness from the
-    # gradient rows of the cells that carry it
-    G = g.gradient_sparse().toarray()[:, g.interior_idx]
+    # G^T B G from the stencil's gradient, each atom's point stiffness from
+    # the gradient rows of the cells that carry it
+    G = _dense_gradient(g)
     n = g.n_cells
+    if isinstance(w, tuple):
+        w = np.stack([np.stack([w[0], w[1]], -1), np.stack([w[1], w[2]], -1)], -2)
     if w.ndim == 1:
         B = np.diag(np.tile(w, g.dim))
     else:
@@ -492,35 +518,40 @@ def test_stiffness_matches_dense_product(name, tensor, with_atoms):
         w = rng.uniform(0.1, 10.0, g.n_cells)
     atoms = atoms if with_atoms else ()
     ref = _dense_stiffness(g, w, atoms)
-    K = mo.grids.stiffness(g, w, atoms)
-    assert abs(K.toarray() - ref).max() <= 1e-14 * abs(ref).max()
-    b = rng.standard_normal(ref.shape[0])
     layout = g.stiffness_layout()
-    x = layout.factor(layout.band(mo.grids.with_atoms(g, w, atoms))).solve(b)
+    band = layout.band(mo.grids.with_atoms(g, w, atoms))
+    # the dense matrix in band order: nothing outside the band, and the band
+    # holds its lower diagonals
+    order = np.argsort(layout.pos)
+    K = ref[np.ix_(order, order)]
+    assert not np.any(np.tril(K, -layout.band_rows))
+    lower = np.array([np.pad(np.diagonal(K, -r), (0, r)) for r in range(layout.band_rows)])
+    assert abs(band - lower).max() <= 1e-14 * abs(ref).max()
+    b = rng.standard_normal(ref.shape[0])
+    x = layout.factor(band).solve(b)
     assert np.linalg.norm(x - np.linalg.solve(ref, b)) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_repeated_stiffness_is_identical():
-    # the cached layout must not be changed by the matrices built from it
+    # the cached layout must not be changed by the bands built from it
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 7)
-    w = np.where(np.arange(g.n_cells) % 5 == 0, 0.0, 1.0)  # explicit zeros to prune
-    first = mo.grids.stiffness(g, w)
+    w = np.where(np.arange(g.n_cells) % 5 == 0, 0.0, 1.0)
+    layout = g.stiffness_layout()
+    first = layout.band(w)
     for _ in range(3):
-        again = mo.grids.stiffness(g, w)
-        again.data[:] = -1.0  # a caller may write into its own matrix
-        assert mo.grids.stiffness(g, w).nnz == first.nnz
-    last = mo.grids.stiffness(g, w)
-    assert np.array_equal(last.indptr, first.indptr)
-    assert np.array_equal(last.indices, first.indices)
-    assert np.array_equal(last.data, first.data)
-    assert g.stiffness_layout() is g.stiffness_layout()
+        layout.factor(layout.band(np.ones(g.n_cells)))  # factored in place
+        again = layout.band(w)
+        again[:] = -1.0  # a caller may write into its own band
+    assert np.array_equal(_bits(layout.band(w)), _bits(first))
+    assert g.stiffness_layout() is layout
 
 
 def test_grid_with_layout_is_freed_without_the_collector():
     # the cached layout holds no reference back to its grid, so dropping the
     # grid frees it at once, not at the next cyclic collection
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 7)
-    mo.grids.stiffness(g, g.cell_volumes, [(np.array([0.4, 0.5]), 1.0)])
+    mo.grids.stiffness_factor(g, mo.grids.with_atoms(g, g.cell_volumes,
+                                                     [(np.array([0.4, 0.5]), 1.0)]))
     ref = weakref.ref(g)
     gc.disable()
     try:
@@ -528,3 +559,22 @@ def test_grid_with_layout_is_freed_without_the_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_grids_module_imports_no_sparse_matrices():
+    # every stiffness is a band and every gradient a stencil; the package's
+    # own __init__ also loads recovery, whose island search uses
+    # scipy.sparse.csgraph, so grids is imported under a bare package
+    code = """
+import sys, types
+pkg = types.ModuleType("massopt")
+pkg.__path__ = [sys.argv[1]]
+sys.modules["massopt"] = pkg
+import massopt.grids
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+assert not loaded, loaded
+"""
+    pkg_dir = os.path.dirname(os.path.abspath(mo.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, pkg_dir],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
