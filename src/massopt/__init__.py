@@ -22,9 +22,9 @@ from .errors import (AtomOutsideGrid, ConfigError, InadmissibleSource, InvalidCo
                      ScheduleTooShort, TooLarge, Unbounded, UnknownFixture,
                      UnsupportedGrid)
 from .grids import (DiscreteMeasure, Grid, ScalarField, SourceTerm, VectorField,
-                    divergence_weighted, interval_grid, pair_source,
-                    radial_grid, read_field_csv, read_measure, rectangle_grid,
-                    sphere_surface, write_field_csv, write_measure)
+                    divergence_weighted, interval_grid, radial_grid, read_field_csv,
+                    read_measure, rectangle_grid, sphere_surface, write_field_csv,
+                    write_measure)
 from .oracle import (ClosedFormFixture, brute_force_min, fixture, fixture_errors,
                      fixture_names)
 from .recovery import (EnergyResult, OptimalityReport, RegularizationDiagnostics,

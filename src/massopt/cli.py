@@ -14,7 +14,8 @@ exact certificate's gap stayed above the tolerance); 4 ``run`` or
 ``fixtures`` failed after the problem was built (a
 :class:`~massopt.errors.MassOptError` from solve, recover or verify, or
 an ``OSError`` writing ``iterations.csv``, ``u.csv``, the measure or
-``report.json``, reported as ``error: <Class>: <message>`` on stderr).
+``report.json``), or ``conjugate`` could not write its ``--output``
+file; both are reported as ``error: <Class>: <message>`` on stderr.
 """
 
 import argparse
@@ -337,7 +338,7 @@ def cmd_conjugate_table(cost, s_lo, s_hi, count, stream):
 
 
 def _post_build_error(exc):
-    """Report a failure after the problem was built; exit code 4."""
+    """Report a failure after the configuration was read; exit code 4."""
     print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
     return 4
 
@@ -416,8 +417,11 @@ def main(argv=None):
             print("config error: %s" % exc, file=sys.stderr)
             return 2
         if args.output:
-            with open(args.output, "w") as fh:
-                cmd_conjugate_table(cost, args.range[0], args.range[1], args.count, fh)
+            try:
+                with open(args.output, "w") as fh:
+                    cmd_conjugate_table(cost, args.range[0], args.range[1], args.count, fh)
+            except OSError as exc:
+                return _post_build_error(exc)
         else:
             cmd_conjugate_table(cost, args.range[0], args.range[1], args.count,
                                 sys.stdout)

@@ -2,26 +2,30 @@
 
 A cost is a proper convex lower-semicontinuous function ``c : R -> [0, +inf]``
 with ``c(t) = +inf`` for ``t < 0`` and at-least-linear growth
-``c(t) >= alpha*t + beta`` for some ``alpha > 0``.  A cost is homogeneous.
-Heterogeneity is separable, ``c(x, t) = w(x) * c0(t)`` with a finite
-positive weight ``w`` that a problem holds per cell
-(:class:`massopt.solver.AuxiliaryProblem`); then
+``c(t) >= alpha*t + beta`` for some ``alpha > 0``.  For a convex ``c`` that
+holds exactly when the recession slope ``cinf = lim c(t0 + s) / s`` is
+positive, so :class:`CostFunction` refuses every cost whose slope is not.
+A cost is homogeneous.  Heterogeneity is separable,
+``c(x, t) = w(x) * c0(t)`` with a finite positive weight ``w`` that a
+problem holds per cell (:class:`massopt.solver.AuxiliaryProblem`); then
 ``c*(x, s) = w(x) * c0*(s / w(x))`` and the recession slope scales by
 ``w(x)``.  Every evaluator takes the weight as an argument (1 when
 homogeneous) and rescales the homogeneous map.
 
-Costs are classified by the recession slope ``cinf = lim c(t0 + s) / s``:
+Costs are classified by the recession slope:
 
 * superlinear (SL): ``cinf = +inf``; the conjugate is finite everywhere;
 * linear (L): ``cinf < +inf``; the conjugate is ``+inf`` beyond ``cinf``.
 
-The builtin costs and tables evaluate their conjugates and flux inverses
-in closed form.  Expression and regularized costs give their value and
-their upper derivative ``D+c`` (an expression by forward-mode
-differentiation of its syntax tree), and every conjugate map is one
-vectorized bisection on ``D+c`` (:class:`_SubgradientProfile`).  Every
-cost also gives the radial curvature of its conjugate and, where a 2-d
-Newton solve needs one, a smoothing of it (:meth:`CostFunction.smoothed_conjugate`).
+The builtin costs (the quadratic cost is the power law ``p = 2``) and the
+tables evaluate their conjugates and flux inverses in closed form.
+Expression and regularized costs give their value and their upper
+derivative ``D+c`` (an expression by forward-mode differentiation of its
+syntax tree), and every conjugate map is one vectorized bisection on
+``D+c`` (:class:`_SubgradientProfile`).  A flux inverse returns the
+gradient magnitude alone.  Every cost also gives the radial curvature of
+its conjugate and, where a 2-d Newton solve needs one, a smoothing of it
+(:meth:`CostFunction.smoothed_conjugate`).
 
 All evaluators are numpy-vectorized.  ``+inf`` is IEEE infinity; arithmetic
 with it saturates.  Objects are immutable after construction and safe to
@@ -32,7 +36,7 @@ import math
 
 import numpy as np
 
-from .errors import ExprError, InvalidCost, NonMonotoneQuotient, NumericOverflow, OutsideDomain
+from .errors import ExprError, InvalidCost, NonMonotoneQuotient, OutsideDomain
 from .exprlang import Expression
 
 INF = math.inf
@@ -101,47 +105,7 @@ def _numeric_recession(value_fn, t0, tol=1e-9, cap=_OVERFLOW_CAP):
 # cost profiles (homogeneous base c0)
 # ---------------------------------------------------------------------------
 
-class _QuadraticProfile:
-    kind = "builtin"
-    name = "quadratic"
-    domain = (0.0, INF)
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 0.0, INF, 0.5 * t * t)
-
-    def conj_value(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s > 0.0, 0.5 * s * s, 0.0)
-
-    def conj_dminus(self, s):
-        return np.maximum(np.asarray(s, dtype=float), 0.0)
-
-    conj_dplus = conj_dminus
-
-    def conj_curvature(self, s):
-        return np.full_like(np.asarray(s, dtype=float), 2.0)
-
-    def recession(self):
-        return INF
-
-    def subgrad_hi(self, t):
-        return np.maximum(np.asarray(t, dtype=float), 0.0)
-
-    def invert_flux(self, vabs):
-        t = np.cbrt(2.0 * np.asarray(vabs, dtype=float))
-        return t, 0.5 * t * t
-
-    def dead_zone(self):
-        return 0.0
-
-    def describe(self):
-        return {}
-
-
 class _PowerProfile:
-    kind = "builtin"
-    name = "power"
     domain = (0.0, INF)
 
     def __init__(self, p):
@@ -149,6 +113,7 @@ class _PowerProfile:
             raise InvalidCost("power cost needs exponent p > 1")
         self.p = float(p)
         self.q = self.p / (self.p - 1.0)
+        self.name = "quadratic" if self.p == 2.0 else "power"
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -177,11 +142,7 @@ class _PowerProfile:
 
     def invert_flux(self, vabs):
         # t * (t^2/2)^(q-1) = v
-        vabs = np.asarray(vabs, dtype=float)
-        t = (2.0 ** (self.q - 1.0) * vabs) ** (1.0 / (2.0 * self.q - 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(t > 0.0, vabs / np.where(t > 0.0, t, 1.0), 0.0)
-        return t, a
+        return (2.0 ** (self.q - 1.0) * vabs) ** (1.0 / (2.0 * self.q - 1.0))
 
     def dead_zone(self):
         return 0.0
@@ -191,7 +152,6 @@ class _PowerProfile:
 
 
 class _LinearProfile:
-    kind = "builtin"
     name = "linear"
     domain = (0.0, INF)
 
@@ -226,10 +186,7 @@ class _LinearProfile:
         return np.full_like(np.asarray(t, dtype=float), self.slope)
 
     def invert_flux(self, vabs):
-        vabs = np.asarray(vabs, dtype=float)
-        cmax = math.sqrt(2.0 * self.slope)
-        t = np.where(vabs > 0.0, cmax, 0.0)
-        return t, vabs / cmax
+        return np.where(vabs > 0.0, math.sqrt(2.0 * self.slope), 0.0)
 
     def dead_zone(self):
         return self.slope
@@ -239,7 +196,6 @@ class _LinearProfile:
 
 
 class _ReciprocalProfile:
-    kind = "builtin"
     name = "reciprocal"
     domain = (0.0, INF)  # open at 0: c(0) = +inf
 
@@ -285,10 +241,7 @@ class _ReciprocalProfile:
         return np.where(t > 0.0, d, -INF)
 
     def invert_flux(self, vabs):
-        vabs = np.asarray(vabs, dtype=float)
-        t = vabs * np.sqrt(self.a / (self.b + 0.5 * vabs * vabs))
-        a = np.sqrt((self.b + 0.5 * vabs * vabs) / self.a)
-        return t, a
+        return vabs * np.sqrt(self.a / (self.b + 0.5 * vabs * vabs))
 
     def dead_zone(self):
         return 0.0
@@ -357,14 +310,12 @@ class _SubgradientProfile:
         return np.where(finite, np.where(t > 0.0, rho, 0.0), INF)
 
     def invert_flux(self, vabs):
-        """Joint solve of ``v = t a``, ``t^2/2`` in the subdifferential of ``c`` at ``a``.
+        """Gradient magnitude ``t`` of the flux ``v = t a`` with ``t^2/2`` in ``dc(a)``.
 
         ``D+c(a) - v^2 / (2 a^2)`` is strictly increasing in the density
         ``a``, so its sign change, found by bisection, is the density and
-        ``t = v / a``.  Where the flux vanishes the density is the
-        cost-minimal ``D-c*(0)``.
+        ``t = v / a``; ``t = 0`` where the flux vanishes.
         """
-        vabs = np.asarray(vabs, dtype=float)
         pos = vabs > 0.0
         v = np.where(pos, vabs, 1.0)
 
@@ -373,7 +324,7 @@ class _SubgradientProfile:
 
         hi = grow_bracket(below, np.ones_like(v), limit=200)
         a = bisect(below, np.full_like(v, 1e-300), hi, 120)
-        return np.where(pos, v / a, 0.0), np.where(pos, a, self.conj_dminus(0.0))
+        return np.where(pos, v / a, 0.0)
 
     def dead_zone(self):
         # D-c*(s) = 0 exactly while s <= D+c(0); D+c(0) = -inf where c(0) = +inf
@@ -381,7 +332,6 @@ class _SubgradientProfile:
 
 
 class _ExpressionProfile(_SubgradientProfile):
-    kind = "expression"
     name = "expression"
     domain = (0.0, INF)
 
@@ -416,7 +366,6 @@ class _ExpressionProfile(_SubgradientProfile):
 class _TabulatedProfile:
     """Piecewise-linear cost through samples; +inf outside the sample range."""
 
-    kind = "tabulated"
     name = "tabulated"
 
     def __init__(self, ts, cs):
@@ -444,7 +393,6 @@ class _TabulatedProfile:
         self._flux_edges = np.full(2 * ts.size, INF)
         self._flux_edges[0::2] = self._kinks * ts
         self._flux_edges[1:-1:2] = self._kinks[1:] * ts[:-1]
-        self._rest_density = float(ts[np.searchsorted(self.slopes, 0.0)])
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -505,16 +453,13 @@ class _TabulatedProfile:
         """Exact inverse of the flux map by one search over its segment ends.
 
         ``k`` counts the segment ends below ``v``: odd ``k`` falls on the
-        slope of segment ``k // 2`` (``t = v / ts[k // 2]``, density
-        ``ts[k // 2]``), even ``k > 0`` on the jump at ``kinks[k // 2]``.
+        slope of segment ``k // 2`` (``t = v / ts[k // 2]``), even ``k`` on
+        the jump at ``kinks[k // 2]`` (``t = 0`` at ``k = 0``, zero flux).
         """
-        vabs = np.asarray(vabs, dtype=float)
         k = np.searchsorted(self._flux_edges, vabs)
         j = k // 2
         on_slope = k % 2 == 1
-        t = np.where(on_slope, vabs / np.where(on_slope, self.ts[j], 1.0), self._kinks[j])
-        a = np.where(on_slope, self.ts[j], vabs / np.where(k > 0, t, 1.0))
-        return t, np.where(k > 0, a, self._rest_density)
+        return np.where(on_slope, vabs / np.where(on_slope, self.ts[j], 1.0), self._kinks[j])
 
     def dead_zone(self):
         # D-c0*(s) = ts[0] until s passes slopes[0]
@@ -533,7 +478,6 @@ class _RegularizedProfile(_SubgradientProfile):
     Its upper derivative is the base's plus ``2 eps t``.
     """
 
-    kind = "regularized"
     name = "regularized"
 
     def __init__(self, base_profile, eps):
@@ -571,44 +515,34 @@ class CostFunction:
     Every evaluator takes an optional weight ``w`` (a scalar or an array
     that broadcasts) and returns the map of the separable cost ``w * c0``.
 
+    A cost is built only when it grows at least linearly, which for a
+    convex ``c0`` holds exactly when its recession slope is positive
+    (Rockafellar, *Convex Analysis*, Sec. 8); otherwise construction raises
+    :class:`InvalidCost`.
+
     Parameters
     ----------
     profile
         Internal evaluation strategy (builtin closed forms, parsed
         expression, tabulated samples, ...).  Use the module-level
         constructors rather than building profiles directly.
-    alpha, beta
-        Growth witnesses: ``c0(t) >= alpha * t + beta`` with ``alpha > 0``.
-        Estimated when omitted (:meth:`_estimate_growth`).
     t0
         Finiteness witness, ``c0(t0) < +inf``.
     """
 
-    def __init__(self, profile, alpha=None, beta=None, t0=None):
+    def __init__(self, profile, t0=None):
         self._profile = profile
         self.t0 = float(t0) if t0 is not None else getattr(profile, "seed_t", 1.0)
         v0 = float(np.asarray(profile.value(self.t0)))
         if not math.isfinite(v0):
             raise InvalidCost("cost is not finite at the witness t0=%g" % self.t0)
-        if alpha is None or beta is None:
-            est_a, est_b = self._estimate_growth()
-            alpha = est_a if alpha is None else alpha
-            beta = est_b if beta is None else beta
-            self.growth_estimated = True
-        else:
-            self.growth_estimated = False
-        if not alpha > 0.0:
-            raise InvalidCost("growth slope alpha must be positive")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self._recession = None
+        self._recession = float(profile.recession())
+        if not self._recession > 0.0:
+            raise InvalidCost("cost needs at-least-linear growth, a positive recession "
+                              "slope (got %g)" % self._recession)
         self._zero_flux_edge = None
 
     # -- representation ----------------------------------------------------
-
-    @property
-    def kind(self):
-        return self._profile.kind
 
     @property
     def name(self):
@@ -625,45 +559,12 @@ class CostFunction:
                 or isinstance(self._profile, _TabulatedProfile))
 
     def describe(self):
-        d = {"kind": self.kind, "name": self.name}
+        d = {"name": self.name}
         d.update(self._profile.describe())
         return d
 
     def __repr__(self):
         return "CostFunction(%s)" % (self.describe(),)
-
-    # -- growth estimation ---------------------------------------------------
-
-    def _estimate_growth(self):
-        """Growth constants ``(alpha, beta)`` of ``c0 >= alpha * t + beta``.
-
-        ``alpha`` is half a positive secant slope of ``c0``.  The tightest
-        ``beta`` is the least value of ``c0(t) - alpha * t``, taken at the
-        maximizer ``t* = D-c0*(alpha)`` of ``alpha * t - c0(t)``, so
-        ``beta = c0(t*) - alpha * t*``, less a relative rounding slack.
-        """
-        val = lambda t: float(np.asarray(self._profile.value(t)))
-        t = max(self.t0, 1.0)
-        slope = -INF
-        for _ in range(80):
-            hi = val(2.0 * t)
-            lo = val(t)
-            if math.isfinite(hi) and math.isfinite(lo):
-                slope = (hi - lo) / t
-                if slope > 0.0:
-                    break
-            elif math.isinf(hi) and math.isfinite(lo):
-                slope = 1.0  # bounded domain: any positive slope works
-                break
-            t *= 2.0
-        if not slope > 0.0:
-            raise InvalidCost("could not find a positive growth slope")
-        alpha = 0.5 * slope
-        t_star = float(np.asarray(self._profile.conj_dminus(alpha)))
-        beta = val(t_star) - alpha * t_star
-        if not math.isfinite(beta):
-            raise InvalidCost("could not find a growth constant beta")
-        return alpha, beta - 1e-12 * (1.0 + abs(beta))
 
     # -- core evaluators (vectorized; weight arrays broadcast) --------------
 
@@ -674,17 +575,11 @@ class CostFunction:
         """Cost value ``w * c0(t)`` (``+inf`` allowed)."""
         return np.asarray(weight, dtype=float) * self.base_value(t)
 
-    def subgrad_hi(self, t, weight=1.0):
-        """Upper derivative ``D+c(x, t) = w * D+c0(t)``; ``-inf`` left of the domain, ``+inf`` right of it."""
-        return np.asarray(weight, dtype=float) * self._profile.subgrad_hi(np.asarray(t, dtype=float))
-
     def recession_slope(self):
-        """Recession slope ``c0_inf(1)`` of the base; ``+inf`` in the superlinear case.
+        """Recession slope ``c0_inf(1) > 0`` of the base; ``+inf`` in the superlinear case.
 
         A weight ``w`` scales it to ``w * c0_inf(1)``.
         """
-        if self._recession is None:
-            self._recession = float(self._profile.recession())
         return self._recession
 
     @property
@@ -787,18 +682,16 @@ class CostFunction:
     def invert_flux(self, vabs, weight=1.0):
         """Invert the gradient-to-flux map ``m(t) = t * dc*(t^2/2)``.
 
-        Returns ``(t, a)`` with ``t >= 0`` the gradient magnitude and
-        ``a = v / t`` the matching density (cost-minimal density where the
-        flux vanishes).  The homogeneous inverse ``(t0, a0)`` is the
-        profile's own: a closed form for the builtin costs, one search over
-        the segment ends for a table, and a vectorized bisection in the
-        density for expression and regularized costs.  A weight rescales
-        it: ``m_w(t) = sqrt(w) * m0(t / sqrt(w))``, so
-        ``t = sqrt(w) * t0(v / sqrt(w))`` and ``a = a0(v / sqrt(w))``.
+        Returns the gradient magnitude ``t >= 0`` of every flux magnitude
+        ``v``; the density that flux carries is ``v / t``.  The homogeneous
+        inverse ``t0`` is the profile's own: a closed form for the builtin
+        costs, one search over the segment ends for a table, and a
+        vectorized bisection in the density for expression and regularized
+        costs.  A weight rescales it: ``m_w(t) = sqrt(w) * m0(t / sqrt(w))``,
+        so ``t = sqrt(w) * t0(v / sqrt(w))``.
         """
         root = np.sqrt(np.asarray(weight, dtype=float))
-        t, a = self._profile.invert_flux(np.asarray(vabs, dtype=float) / root)
-        return root * t, a
+        return root * self._profile.invert_flux(np.asarray(vabs, dtype=float) / root)
 
     def zero_flux_edge(self):
         """Largest gradient magnitude of zero flux, ``sup{t : t * D-c0*(t^2/2) = 0}``.
@@ -844,12 +737,11 @@ def subdiff_interval(cost, s):
 class CostValidation:
     """Structured result of :func:`validate_cost`; never raises."""
 
-    def __init__(self, passed, regime, checks, failures, notes):
+    def __init__(self, passed, regime, checks, failures):
         self.passed = passed
         self.regime = regime
         self.checks = checks
         self.failures = failures
-        self.notes = notes
 
     def __repr__(self):
         status = "pass" if self.passed else "FAIL"
@@ -859,14 +751,14 @@ class CostValidation:
 def validate_cost(cost, sample_budget=256):
     """Sample-based check of the structural hypotheses of the base cost ``c0``.
 
-    Growth ``c >= alpha*t + beta``, the finiteness witness, convexity by
-    three-point secants on a log grid, and ``c = +inf`` on ``t < 0`` are all
-    checked by sampling.  A problem's per-cell weights are checked once, by
+    Convexity by three-point secants on a log grid and ``c = +inf`` on
+    ``t < 0`` are checked by sampling.  Growth and the finiteness witness
+    need no sampling: a :class:`CostFunction` is built only with both.  A
+    problem's per-cell weights are checked once, by
     :func:`massopt.solver.build_problem`.
     """
     checks = {}
     failures = []
-    notes = []
 
     t0 = cost.t0
     grid = np.unique(np.concatenate([
@@ -880,25 +772,9 @@ def validate_cost(cost, sample_budget=256):
     if not checks["negative_domain"]:
         failures.append("c(t) is not +inf for some t < 0")
 
-    # (P2-style witness) finite value at t0
-    checks["finite_witness"] = bool(math.isfinite(float(np.asarray(cost.base_value(t0)))))
-    if not checks["finite_witness"]:
-        failures.append("c(t0) is not finite at t0=%g" % t0)
-
-    # (P1-style growth) c(t) >= alpha*t + beta on samples
-    bound = cost.alpha * grid + cost.beta
-    finite = np.isfinite(vals)
-    slack = 1e-9 * (1.0 + np.abs(bound))
-    bad = finite & (vals < bound - slack)
-    checks["growth"] = not bool(np.any(bad))
-    if not checks["growth"]:
-        t_bad = grid[bad][0]
-        failures.append("growth violated at t=%g: c=%g < %g"
-                        % (t_bad, vals[bad][0], bound[bad][0]))
-
     # convexity via three-point secants on consecutive finite samples
     ok = True
-    f_idx = np.nonzero(finite)[0]
+    f_idx = np.nonzero(np.isfinite(vals))[0]
     if f_idx.size >= 3:
         t1, t2, t3 = grid[f_idx[:-2]], grid[f_idx[1:-1]], grid[f_idx[2:]]
         v1, v2, v3 = vals[f_idx[:-2]], vals[f_idx[1:-1]], vals[f_idx[2:]]
@@ -911,18 +787,7 @@ def validate_cost(cost, sample_budget=256):
             failures.append("secant convexity violated at t=%g" % t2[viol][0])
     checks["convexity"] = ok
 
-    if cost.growth_estimated:
-        notes.append("growth constants alpha/beta estimated")
-
-    try:
-        regime = cost.regime
-        checks["recession"] = True
-    except (NonMonotoneQuotient, InvalidCost, NumericOverflow) as exc:
-        regime = "unknown"
-        checks["recession"] = False
-        failures.append("recession slope: %s" % exc)
-
-    return CostValidation(len(failures) == 0, regime, checks, failures, notes)
+    return CostValidation(len(failures) == 0, cost.regime, checks, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -930,46 +795,44 @@ def validate_cost(cost, sample_budget=256):
 # ---------------------------------------------------------------------------
 
 def quadratic_cost():
-    """``c(t) = t^2 / 2`` on ``t >= 0``; superlinear, ``c*(s) = (s+)^2 / 2``."""
-    return CostFunction(_QuadraticProfile(), alpha=1.0, beta=-0.5, t0=1.0)
+    """``c(t) = t^2 / 2`` on ``t >= 0``, the power law ``p = 2``; ``c*(s) = (s+)^2 / 2``."""
+    return CostFunction(_PowerProfile(2.0))
 
 
 def power_cost(p):
-    """``c(t) = t^p / p`` with ``p > 1``; superlinear, ``c*(s) = (s+)^q / q``."""
-    prof = _PowerProfile(p)
-    return CostFunction(prof, alpha=1.0, beta=-1.0 / prof.q, t0=1.0)
+    """``c(t) = t^p / p`` with ``p > 1``; superlinear, ``c*(s) = (s+)^q / q``.
+
+    ``p = 2`` is the quadratic cost and carries its name.
+    """
+    return CostFunction(_PowerProfile(p))
 
 
 def linear_cost(slope=0.5):
     """``c(t) = slope * t`` on ``t >= 0``; linear regime, indicator conjugate."""
-    return CostFunction(_LinearProfile(slope), alpha=slope, beta=0.0, t0=1.0)
+    return CostFunction(_LinearProfile(slope))
 
 
 def reciprocal_cost(a=1.0, b=1.0):
     """``c(t) = a*t + b/t`` on ``t > 0``; linear regime with slope ``a``."""
-    return CostFunction(_ReciprocalProfile(a, b), alpha=a, beta=0.0, t0=math.sqrt(b / a))
+    return CostFunction(_ReciprocalProfile(a, b), t0=math.sqrt(b / a))
 
 
-def expression_cost(text, alpha=None, beta=None, t0=1.0):
+def expression_cost(text, t0=1.0):
     """Cost from a mini-language expression in ``t``; its conjugate by bisection on ``D+c``."""
     try:
-        prof = _ExpressionProfile(text, seed_t=t0)
-        float(np.asarray(prof.value(t0)))
+        return CostFunction(_ExpressionProfile(text, seed_t=t0))
     except ExprError as exc:
         raise InvalidCost("bad cost expression: %s" % exc) from exc
-    return CostFunction(prof, alpha=alpha, beta=beta, t0=t0)
 
 
-def tabulated_cost(ts, cs, alpha=None, beta=None):
+def tabulated_cost(ts, cs):
     """Piecewise-linear cost through samples ``(ts, cs)``; +inf off the table."""
-    prof = _TabulatedProfile(ts, cs)
-    return CostFunction(prof, alpha=alpha, beta=beta, t0=prof.seed_t)
+    return CostFunction(_TabulatedProfile(ts, cs))
 
 
 def regularized_cost(base, eps):
     """``c_eps(t) = c(t) + eps * t^2``: superlinear continuation of ``base``."""
-    prof = _RegularizedProfile(base._profile, eps)
-    return CostFunction(prof, alpha=base.alpha, beta=base.beta, t0=base.t0)
+    return CostFunction(_RegularizedProfile(base._profile, eps), t0=base.t0)
 
 
 _BUILTINS = {

@@ -275,7 +275,3 @@ class Expression:
         out[zero] = np.where(a[zero] >= 0.0, math.inf, -math.inf)
         return out
 
-
-def parse_expression(text, variables=("t",)):
-    """Parse ``text`` into an :class:`Expression` over the given variables."""
-    return Expression(text, variables)

@@ -262,9 +262,6 @@ class ScalarField:
         b = self.values[self.grid.boundary_mask]
         return bool(np.all(np.abs(b) <= tol))
 
-    def interpolate(self, point):
-        return sum(w * self.values[j] for j, w in self.grid.hat_weights(point))
-
 
 class VectorField:
     """Per-cell vector values on a grid (the radial grid stores d/dr)."""
@@ -356,11 +353,6 @@ class SourceTerm:
     def pair(self, u):
         """The duality pairing ``<f, u>``."""
         return float(np.dot(self.load_vector(), u.values))
-
-
-def pair_source(f, u):
-    """``<f, u>`` by cell quadrature plus atom evaluation."""
-    return f.pair(u)
 
 
 class DiscreteMeasure:

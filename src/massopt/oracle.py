@@ -306,9 +306,7 @@ def _scalar_conjugate(cost):
     """
     prof = cost._profile
     name = getattr(prof, "name", "")
-    if name == "quadratic":
-        return lambda s: 0.5 * s * s if s > 0.0 else 0.0
-    if name == "power":
+    if name in ("quadratic", "power"):
         q = prof.q
         return lambda s: s ** q / q if s > 0.0 else 0.0
     if name == "linear":

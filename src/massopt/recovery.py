@@ -24,8 +24,6 @@ import json
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded
@@ -156,6 +154,10 @@ def _floating_pins(grid, w, F):
     node floats.  Raises :class:`Unbounded` when the interior load ``F``
     puts net load on one, which includes a loaded node with no stiffness.
     """
+    # imported here, so that importing the package loads no scipy.sparse
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if grid.dim == 1:
         ends = (np.arange(grid.n_cells), np.arange(1, grid.n_nodes))
     else:

@@ -91,7 +91,9 @@ class AuxiliaryProblem:
 
     ``cell_weights`` holds the separable weight of every cell, ``None`` for
     a homogeneous cost; every weighted map of the problem is the cost's
-    homogeneous map rescaled by it.
+    homogeneous map rescaled by it.  The regime and the per-cell gradient
+    caps come from the cost's recession slope, which is positive for every
+    cost.
     """
 
     def __init__(self, grid, cost, source, cell_weights=None, assumptions=()):
@@ -124,6 +126,7 @@ class AuxiliaryProblem:
         return self.cost.conjugate_curvature(s, weight=self._w)
 
     def invert_flux(self, vabs):
+        """Gradient magnitude ``t`` of each cell's flux magnitude ``vabs`` (density ``vabs / t``)."""
         return self.cost.invert_flux(vabs, weight=self._w)
 
     def cost_value(self, a):
@@ -152,8 +155,9 @@ def build_problem(grid, cost, source, cell_weights=None):
     ``cell_weights`` holds one separable weight per cell, ``None`` for a
     homogeneous cost (:func:`resolve_cell_weights`).  Dirac parts of the
     source are admitted in the linear regime always, and in the superlinear
-    regime only for quadratic-type growth (the quadratic catalog cost and
-    its regularized continuations) in dimension <= 3.
+    regime only for quadratic-type growth (the quadratic cost, which
+    ``power_cost(2)`` also is, and its regularized continuations) in
+    dimension <= 3.
     """
     assumptions = []
     cell_weights = resolve_cell_weights(grid, cell_weights)
@@ -210,7 +214,7 @@ def _dual_value(problem, sigma, t=None):
     """
     absw = np.sqrt(np.sum(np.asarray(sigma, dtype=float) ** 2, axis=1))
     if t is None:
-        t, _ = problem.invert_flux(absw)
+        t = problem.invert_flux(absw)
     psi = problem.conj_value(0.5 * t * t)
     phi_star = t * absw - psi
     return -float(np.dot(problem.grid.cell_volumes, phi_star))
@@ -253,14 +257,14 @@ def feasible_flux_1d(problem):
     if grid.kind == "radial":
         q = -np.cumsum(F[:n])
         sigma = q * h / vol
-        t, _ = problem.invert_flux(np.abs(sigma))
+        t = problem.invert_flux(np.abs(sigma))
         return sigma[:, None], t * np.sign(sigma), t
 
     cum = np.concatenate([[0.0], np.cumsum(F[1:n])])
 
     def mean_grad(q0):
         sigma = (q0 - cum) * h / vol
-        t, _ = problem.invert_flux(np.abs(sigma))
+        t = problem.invert_flux(np.abs(sigma))
         return float(np.dot(h, t * np.sign(sigma)))
 
     # every flux is negative below min(cum) and positive above max(cum), and
@@ -283,7 +287,7 @@ def feasible_flux_1d(problem):
     # rounding level; a nonzero sign there would pin that cell's gradient to
     # the dead-zone edge and the zero-mean selection below could not close
     sigma[np.abs(sigma) <= 1e-12 * np.max(np.abs(sigma))] = 0.0
-    t, _ = problem.invert_flux(np.abs(sigma))
+    t = problem.invert_flux(np.abs(sigma))
     # a nonzero flux fixes its gradient; a zero flux admits any gradient up
     # to the dead-zone edge
     slack = np.where(sigma == 0.0, np.sqrt(problem._w) * problem.cost.zero_flux_edge(), 0.0)

@@ -43,7 +43,7 @@ dir = {out}
 
 
 def test_run_expression_cost_with_estimated_growth(tmp_path, capsys):
-    # beta of t + t^2 is exact at the maximizer, so validation passes
+    # t + t^2 has an infinite recession slope, estimated from its values
     cfg = write(tmp_path / "run.cfg", """
 [domain]
 kind = interval
@@ -63,6 +63,32 @@ dir = {out}
     assert cli.main(["run", cfg]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is True
+
+
+def test_run_cost_without_positive_recession_slope_is_config_error(tmp_path, capsys):
+    # 1e-10*t + 1/(1+t) has a recession slope that estimates to -8.3e-10; it
+    # is refused where the cost is built, before any regime is taken
+    cfg = write(tmp_path / "run.cfg", """
+[domain]
+kind = interval
+a = -1.0
+b = 1.0
+n = 64
+
+[cost]
+expression = 1e-10*t + 1/(1+t)
+
+[source]
+value = 1.0
+
+[output]
+dir = {out}
+""".format(out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cost.expression: ")
+    assert "positive recession slope" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_pipeline_exit_zero(tmp_path, capsys):
@@ -234,6 +260,25 @@ def test_conjugate_table_row_within_threshold_slack(tmp_path, capsys):
     assert s_row > 0.5
     assert (value, lo) == (0.0, 0.0)
     assert math.isinf(hi)
+
+
+@pytest.mark.parametrize("expression", ["1/(1+t)", "-t"])
+def test_conjugate_refuses_cost_without_linear_growth(tmp_path, capsys, expression):
+    cfg = write(tmp_path / "bad.cfg", "[cost]\nexpression = %s\n" % expression)
+    assert cli.main(["conjugate", cfg, "--range", "0", "1", "--count", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive recession slope" in captured.err
+
+
+def test_conjugate_output_that_cannot_be_opened_exit_code(tmp_path, capsys):
+    # like run's write failures: exit 4 and one line on stderr, no traceback
+    cfg = write(tmp_path / "quad.cfg", "[cost]\nbuiltin = quadratic\n")
+    out = tmp_path / "missing" / "table.csv"
+    assert cli.main(["conjugate", cfg, "--range", "0", "1", "--count", "3",
+                     "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+    assert not out.parent.exists()
 
 
 def test_conjugate_table_outside_domain_rows(tmp_path, capsys):

@@ -105,9 +105,33 @@ def test_numeric_recession_values():
 
 
 def test_nonconvex_cost_recession_raises():
-    c = mo.expression_cost("t^0.5", alpha=1.0, beta=0.0)
+    # the recession slope is taken where the cost is built
     with pytest.raises(mo.NonMonotoneQuotient):
-        c.recession_slope()
+        mo.expression_cost("t^0.5")
+
+
+@pytest.mark.parametrize("text", ["1e-10*t + 1/(1+t)", "1/(1+t)", "-t", "1"])
+def test_cost_without_positive_recession_slope_is_refused(text):
+    # a convex cost grows at least linearly exactly when its recession slope
+    # is positive; 1e-10*t + 1/(1+t) estimates to -8.3e-10
+    with pytest.raises(mo.InvalidCost, match="positive recession slope"):
+        mo.expression_cost(text)
+
+
+def test_quadratic_is_power_two_bit_for_bit():
+    # the quadratic cost is the power law p = 2: its closed forms are those
+    # of t^2/2, exactly
+    quad, power = mo.quadratic_cost(), mo.power_cost(2.0)
+    assert quad.name == power.name == "quadratic"
+    s = np.random.default_rng(5).uniform(-3.0, 3.0, 100000)
+    for cost in (quad, power):
+        assert np.array_equal(cost.base_value(s), np.where(s < 0.0, INF, 0.5 * s * s))
+        assert np.array_equal(cost.conjugate_value(s), np.where(s > 0.0, 0.5 * s * s, 0.0))
+        assert np.array_equal(cost.conjugate_dminus(s), np.maximum(s, 0.0))
+        assert np.array_equal(cost.conjugate_dplus(s), np.maximum(s, 0.0))
+        assert np.array_equal(cost.conjugate_curvature(s), np.full_like(s, 2.0))
+        v = np.abs(s)
+        np.testing.assert_allclose(cost.invert_flux(v), np.cbrt(2.0 * v), rtol=4e-16, atol=0.0)
 
 
 # -- subdifferentials -------------------------------------------------------
@@ -261,7 +285,7 @@ def test_weight_must_be_positive():
 
 def _tabulated_square():
     ts = np.linspace(0.0, 4.0, 17)
-    return mo.tabulated_cost(ts, 0.5 * ts * ts, alpha=1.0, beta=-0.5)
+    return mo.tabulated_cost(ts, 0.5 * ts * ts)
 
 
 FLUX_PROFILES = [
@@ -276,7 +300,7 @@ FLUX_PROFILES = [
 
 
 def _weighted_bisection_inverse(cost, vabs, w):
-    """Weighted flux inversion by 100-step bisection on ``t * D+c*_w(t^2/2)``."""
+    """Weighted flux inverse ``t`` by 100-step bisection on ``t * D+c*_w(t^2/2)``."""
     thr = w * cost.recession_slope()
     cap = np.where(np.isinf(thr), INF, np.sqrt(2.0 * np.where(np.isinf(thr), 1.0, thr)))
     hi = np.where(np.isinf(cap), np.maximum(vabs, 1.0), cap)
@@ -287,11 +311,20 @@ def _weighted_bisection_inverse(cost, vabs, w):
 
     hi = mo.costs.grow_bracket(below, hi, where=np.isinf(cap))
     t = mo.costs.bisect(below, np.zeros_like(vabs), hi, 100)
-    pos = vabs > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(pos & (t > 0.0), vabs / np.where(t > 0.0, t, 1.0), 0.0)
-    a0 = cost.conjugate_dminus(np.zeros_like(vabs), w)
-    return np.where(pos, t, 0.0), np.where(pos, a, a0)
+    return np.where(vabs > 0.0, t, 0.0)
+
+
+def _assert_inverts_flux_map(cost, t, vabs, w=1.0, rtol=1e-13):
+    """``vabs = t * c*_w'(t^2/2)``, the flux map at ``t``, to ``rtol`` in ``t``.
+
+    The map is nondecreasing and jumps where ``c*`` has a kink, so ``vabs``
+    lies between its lower one-sided value just below ``t`` and its upper
+    one-sided value just above.
+    """
+    lo, hi = t * (1.0 - rtol), t * (1.0 + rtol)
+    m_lo = lo * cost.conjugate_dminus(0.5 * lo * lo, w)
+    m_hi = hi * cost.conjugate_dplus(0.5 * hi * hi, w)
+    assert np.all((m_lo <= vabs) & (vabs <= m_hi))
 
 
 @pytest.mark.parametrize("factory", [f for _, f in FLUX_PROFILES],
@@ -302,10 +335,10 @@ def test_weighted_invert_flux_is_rescaled_homogeneous_inverse(factory):
     cost = factory()
     v = np.concatenate([[0.0], np.geomspace(1e-10, 1e3, 4095)])
     w = np.geomspace(0.2, 5.0, v.size)[::-1]
-    t, a = cost.invert_flux(v, weight=w)
-    t_ref, a_ref = _weighted_bisection_inverse(cost, v, w)
-    np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0.0)
+    t = cost.invert_flux(v, weight=w)
+    assert t.shape == v.shape
+    np.testing.assert_allclose(t, _weighted_bisection_inverse(cost, v, w), rtol=1e-14, atol=0.0)
+    _assert_inverts_flux_map(cost, t, v, w)
 
 
 @pytest.mark.parametrize("factory", [mo.quadratic_cost, lambda: mo.power_cost(1.5),
@@ -319,8 +352,8 @@ def test_weighted_closed_form_inverse_takes_no_bisection(monkeypatch, factory):
     monkeypatch.setattr(mo.costs, "bisect", fail)
     v = np.linspace(0.0, 3.0, 64)
     w = np.linspace(0.5, 2.0, 64)
-    t, a = factory().invert_flux(v, weight=w)
-    np.testing.assert_allclose(t[1:] * a[1:], v[1:], rtol=1e-13)
+    cost = factory()
+    _assert_inverts_flux_map(cost, cost.invert_flux(v, weight=w), v, w)
 
 
 def _table(ts, fn):
@@ -349,10 +382,9 @@ def test_table_flux_inverse_is_exact(factory):
     edges = prof._flux_edges[np.isfinite(prof._flux_edges)]
     v = np.concatenate([[0.0], np.geomspace(1e-10, 1e3, 4095), edges,
                         0.5 * (edges[1:] + edges[:-1])])
-    t, a = prof.invert_flux(v)
-    t_ref, a_ref = _weighted_bisection_inverse(cost, v, 1.0)
-    np.testing.assert_allclose(t, t_ref, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(a, a_ref, rtol=1e-14, atol=0.0)
+    t = prof.invert_flux(v)
+    np.testing.assert_allclose(t, _weighted_bisection_inverse(cost, v, 1.0), rtol=1e-14, atol=0.0)
+    _assert_inverts_flux_map(cost, t, v)
 
 
 # -- regularization ---------------------------------------------------------
@@ -373,10 +405,10 @@ def test_regularized_invert_flux():
     base = mo.linear_cost(0.5)
     ceps = mo.regularized_cost(base, 1e-3)
     v = np.array([0.0, 0.3, 1.0])
-    t, a = ceps.invert_flux(v)
+    t = ceps.invert_flux(v)
     assert t[0] == 0.0
     assert np.all(t[1:] > 0.0)
-    assert np.allclose(t[1:] * a[1:], v[1:], rtol=1e-10)
+    _assert_inverts_flux_map(ceps, t, v, rtol=1e-10)
 
 
 def test_regularized_expression_matches_builtin():
@@ -389,8 +421,7 @@ def test_regularized_expression_matches_builtin():
         np.testing.assert_allclose(getattr(expr, method)(s), getattr(builtin, method)(s),
                                    rtol=0.0, atol=1e-10)
     v = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 200)])
-    for got, ref in zip(expr.invert_flux(v), builtin.invert_flux(v)):
-        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(expr.invert_flux(v), builtin.invert_flux(v), rtol=0.0, atol=1e-10)
 
 
 def test_regularized_table_evaluates():
@@ -402,8 +433,8 @@ def test_regularized_table_evaluates():
     np.testing.assert_allclose(t, [0.0, 0.0, 1.0, 3.0, 4.0], rtol=1e-12)
     gap = ceps.base_value(t) + ceps.conjugate_value(s) - t * s
     assert np.all(np.abs(gap) <= 1e-9 * (1.0 + t))
-    t, a = ceps.invert_flux(np.array([0.0, 0.5, 2.0]))
-    np.testing.assert_allclose(t[1:] * a[1:], [0.5, 2.0], rtol=1e-12)
+    v = np.array([0.0, 0.5, 2.0])
+    _assert_inverts_flux_map(ceps, ceps.invert_flux(v), v, rtol=1e-12)
 
 
 # -- validation -------------------------------------------------------------
@@ -419,41 +450,30 @@ def test_validate_linear_regime():
 
 
 def test_growth_estimate_takes_table_nodes():
-    # c - alpha*t of t^2/2 tabulated to t = 8 is least at the node t = 3,
-    # which the log-spaced samples miss
+    # t^2/2 tabulated to t = 8 is superlinear (+inf past its last node) and
+    # convex on the log-spaced samples
     ts = np.linspace(0.0, 8.0, 257)
     c = mo.tabulated_cost(ts, 0.5 * ts * ts)
-    assert c.alpha == 3.0
-    assert c.beta == pytest.approx(-4.5, abs=1e-10)
+    assert c.recession_slope() == INF
     assert mo.validate_cost(c).passed
 
 
 def test_validate_sqrt_fails_growth():
-    # sqrt(t) < alpha*t + beta at t = (2/alpha)^2 for beta = 0
-    c = mo.expression_cost("t^0.5", alpha=1.0, beta=0.0)
+    # sqrt(t) grows sublinearly and is refused where it is built;
+    # t^2 + sqrt(t) grows superlinearly and is built, but the secant check
+    # finds it concave near 0
+    with pytest.raises(mo.NonMonotoneQuotient):
+        mo.expression_cost("t^0.5")
+    c = mo.expression_cost("t^2 + t^0.5")
+    assert c.recession_slope() == INF
     rep = mo.validate_cost(c)
     assert not rep.passed
-    assert any("growth" in msg for msg in rep.failures)
-
-
-@pytest.mark.parametrize("cost,beta", [
-    (lambda: mo.expression_cost("t + t^2"), -0.25),
-    (lambda: mo.expression_cost("t + 1/t"), math.sqrt(3.0)),
-    (lambda: mo.tabulated_cost(np.linspace(0.0, 8.0, 257),
-                               0.5 * np.linspace(0.0, 8.0, 257) ** 2), -4.5),
-])
-def test_estimated_growth_constant_is_exact(cost, beta):
-    # beta = min (c0(t) - alpha t), less only the 1e-12 relative slack
-    c = cost()
-    assert c.growth_estimated
-    assert c.beta <= beta
-    assert c.beta == pytest.approx(beta, abs=1e-11)
-    assert mo.validate_cost(c).checks["growth"]
+    assert rep.checks == {"negative_domain": True, "convexity": False}
+    assert rep.failures == ["secant convexity violated at t=1e-06"]
 
 
 def test_validate_never_throws_on_bad_cost():
-    c = mo.expression_cost("t^0.5", alpha=1.0, beta=0.0)
-    rep = mo.validate_cost(c)
+    rep = mo.validate_cost(mo.expression_cost("t^2 + t^0.5"))
     assert isinstance(rep.failures, list)
 
 

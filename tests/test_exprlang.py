@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from massopt.errors import ExprError
-from massopt.exprlang import Expression, parse_expression
+from massopt.exprlang import Expression
 
 
 def test_precedence_and_power():
@@ -52,14 +52,14 @@ def test_unknown_variable_rejected():
 
 
 def test_multiple_variables():
-    e = parse_expression("x^2 + y", variables=("x", "y"))
+    e = Expression("x^2 + y", variables=("x", "y"))
     assert e(x=2.0, y=1.0) == pytest.approx(5.0)
     out = e(x=np.array([0.0, 1.0]), y=np.array([1.0, 1.0]))
     assert out == pytest.approx([1.0, 2.0])
 
 
 def test_missing_variable_value():
-    e = parse_expression("x + 1", variables=("x",))
+    e = Expression("x + 1", variables=("x",))
     with pytest.raises(ExprError, match="missing value"):
         e()
 

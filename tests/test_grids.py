@@ -164,14 +164,14 @@ def test_pair_source_quadrature():
     g = mo.interval_grid(-1.0, 1.0, 512)
     f = mo.SourceTerm.constant(g, 1.0)
     u = mo.ScalarField.from_function(g, lambda p: (1.0 - p[0] ** 2) / 2.0)
-    assert mo.pair_source(f, u) == pytest.approx(2.0 / 3.0, abs=1e-5)
+    assert f.pair(u) == pytest.approx(2.0 / 3.0, abs=1e-5)
 
 
 def test_pair_source_atom():
     g = mo.interval_grid(-1.0, 1.0, 64)
     f = mo.SourceTerm(g, atoms=[(np.array([0.0]), 1.0)])
     tent = mo.ScalarField.from_function(g, lambda p: 1.0 - abs(p[0]))
-    assert mo.pair_source(f, tent) == pytest.approx(1.0, abs=1e-14)
+    assert f.pair(tent) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_pair_zero_total_with_constant_field():
@@ -179,7 +179,7 @@ def test_pair_zero_total_with_constant_field():
     dens = g.node_coords[:, 0].copy()  # odd density: zero total mass
     f = mo.SourceTerm(g, density=dens)
     const = mo.ScalarField(g, np.ones(g.n_nodes))
-    assert abs(mo.pair_source(f, const)) <= 1e-14
+    assert abs(f.pair(const)) <= 1e-14
     assert abs(f.total_mass) <= 1e-14
 
 
@@ -191,8 +191,8 @@ def test_pairing_is_linear():
     u = mo.ScalarField(g, rng.standard_normal(g.n_nodes))
     v = mo.ScalarField(g, rng.standard_normal(g.n_nodes))
     uv = mo.ScalarField(g, 2.0 * u.values - 3.0 * v.values)
-    assert mo.pair_source(f, uv) == pytest.approx(
-        2.0 * mo.pair_source(f, u) - 3.0 * mo.pair_source(f, v), rel=1e-12)
+    assert f.pair(uv) == pytest.approx(
+        2.0 * f.pair(u) - 3.0 * f.pair(v), rel=1e-12)
 
 
 def test_source_atom_must_be_interior():
@@ -562,9 +562,9 @@ def test_grid_with_layout_is_freed_without_the_collector():
 
 
 def test_grids_module_imports_no_sparse_matrices():
-    # every stiffness is a band and every gradient a stencil; the package's
-    # own __init__ also loads recovery, whose island search uses
-    # scipy.sparse.csgraph, so grids is imported under a bare package
+    # every stiffness is a band and every gradient a stencil; grids is
+    # imported under a bare package, so this holds whatever the rest of the
+    # package imports
     code = """
 import sys, types
 pkg = types.ModuleType("massopt")
@@ -576,5 +576,22 @@ assert not loaded, loaded
 """
     pkg_dir = os.path.dirname(os.path.abspath(mo.__file__))
     proc = subprocess.run([sys.executable, "-c", code, pkg_dir],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_imports_no_sparse_matrices():
+    # only recovery's island search uses scipy.sparse, and it imports it
+    # when a measure leaves some cell without weight
+    code = """
+import sys
+import massopt
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+assert not loaded, loaded
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mo.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -78,7 +78,7 @@ _T257 = np.linspace(0.0, 8.0, 257)
 
 
 @pytest.mark.parametrize("make_cost, nx, ny, by", [
-    (lambda: mo.tabulated_cost(_T17, 0.5 * _T17 ** 2, alpha=1.0, beta=-0.5), 14, 11, 1.5),
+    (lambda: mo.tabulated_cost(_T17, 0.5 * _T17 ** 2), 14, 11, 1.5),
     (lambda: mo.tabulated_cost(_T257, _T257 + 0.5 * _T257 ** 2), 16, 16, 1.0),
 ], ids=["17-node", "dead-zone"])
 def test_rectangle_table_measure_verifies(make_cost, nx, ny, by):
@@ -320,7 +320,7 @@ def test_energy_numerically_singular_stiffness_is_unbounded(monkeypatch):
     g = mo.interval_grid(-1.0, 1.0, 64)
     mu = mo.DiscreteMeasure(g, np.where(np.arange(g.n_cells) % 2 == 0, 1e-16, 1.0))
     f = mo.SourceTerm.constant(g, 1.0)
-    monkeypatch.setattr(recovery, "connected_components", _no_graph_search)
+    monkeypatch.setattr(recovery, "_floating_pins", _no_graph_search)
     with pytest.raises(mo.Unbounded, match="singular to working precision"):
         mo.energy_eval(mu, f)
     prob = mo.build_problem(g, mo.quadratic_cost(), f)
@@ -353,7 +353,7 @@ def test_energy_positive_density_skips_graph_search(monkeypatch, make_grid, atom
     energy = 0.5 * float(np.sum(w * np.sum(grad * grad, axis=1))) - float(Fin @ u[idx])
     resid = Fin - g.gradient_adjoint(grad * w[:, None])[idx]
 
-    monkeypatch.setattr(recovery, "connected_components", _no_graph_search)
+    monkeypatch.setattr(recovery, "_floating_pins", _no_graph_search)
     res = mo.energy_eval(mu, f)
     assert res.energy == energy
     assert res.residual == float(np.linalg.norm(resid)) / float(np.linalg.norm(Fin))

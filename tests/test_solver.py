@@ -286,7 +286,7 @@ def _reference_flux_level(prob):
 
     def mean_grad(q0):
         sigma = (q0 - cum) * h / vol
-        t, _ = prob.invert_flux(np.abs(sigma))
+        t = prob.invert_flux(np.abs(sigma))
         return float(np.dot(h, t * np.sign(sigma)))
 
     q0 = float(mo.costs.bisect(lambda q: mean_grad(q) < 0.0, float(np.min(cum)) - 1.0,
@@ -402,7 +402,7 @@ def test_objective_gradient_matches_finite_differences():
 
 def _tabulated_quadratic():
     ts = np.linspace(0.0, 4.0, 17)
-    return mo.tabulated_cost(ts, 0.5 * ts * ts, alpha=1.0, beta=-0.5)
+    return mo.tabulated_cost(ts, 0.5 * ts * ts)
 
 
 # -- two dimensions ---------------------------------------------------------
@@ -618,9 +618,24 @@ def test_dirac_admissibility_rules():
                          mo.SourceTerm(g4, atoms=[(np.array([0.0]), 1.0)]))
 
 
+@pytest.mark.parametrize("make_cost", [mo.quadratic_cost, lambda: mo.power_cost(2.0),
+                                       lambda: mo.builtin_cost("power", p=2)],
+                         ids=["quadratic", "power-2", "builtin-power-2"])
+def test_power_two_is_the_quadratic_cost(make_cost):
+    # admissibility of a Dirac source reads the cost's name, so t^2/2 is
+    # admitted however it is built
+    g = mo.radial_grid(1.0, 32, 2)
+    cost = make_cost()
+    assert cost.name == "quadratic"
+    prob = mo.build_problem(g, cost, mo.SourceTerm(g, atoms=[(np.array([0.0]), 1.0)]))
+    assert prob.regime == "SL"
+
+
 def test_invalid_cost_rejected_at_build():
+    # t^2 + t^0.5 grows superlinearly, so it is built, but it is concave
+    # near 0, which the secant check finds
     g = mo.interval_grid(-1.0, 1.0, 32)
-    bad = mo.expression_cost("t^0.5", alpha=1.0, beta=0.0)
+    bad = mo.expression_cost("t^2 + t^0.5")
     with pytest.raises(mo.InvalidCost):
         mo.build_problem(g, bad, mo.SourceTerm.constant(g, 1.0))
 
