@@ -13,9 +13,9 @@ regularizations ``c + eps t^2``; the conjugate of an expression or a
 regularized cost is evaluated by bisection on its upper derivative.
 """
 
-from .costs import (CostFunction, CostValidation, builtin_cost, expression_cost,
-                    linear_cost, power_cost, quadratic_cost, reciprocal_cost,
-                    regularized_cost, subdiff_interval, tabulated_cost, validate_cost)
+from .costs import (CostFunction, builtin_cost, expression_cost, linear_cost,
+                    power_cost, quadratic_cost, reciprocal_cost, regularized_cost,
+                    subdiff_interval, tabulated_cost, validate_cost)
 from .errors import (AtomOutsideGrid, ConfigError, InadmissibleSource, InvalidCost,
                      MassOptError, NonMonotoneQuotient, NotConverged,
                      NumericOverflow, OutsideDomain, RegimeMismatch,

@@ -4,7 +4,13 @@ A cost is a proper convex lower-semicontinuous function ``c : R -> [0, +inf]``
 with ``c(t) = +inf`` for ``t < 0`` and at-least-linear growth
 ``c(t) >= alpha*t + beta`` for some ``alpha > 0``.  For a convex ``c`` that
 holds exactly when the recession slope ``cinf = lim c(t0 + s) / s`` is
-positive, so :class:`CostFunction` refuses every cost whose slope is not.
+positive.  Both hypotheses are decided once, where a :class:`CostFunction`
+is built, so a cost that exists is convex: a table is refused when its
+slopes fall, and every cost when its recession slope is not positive or the
+secant check :func:`validate_cost` finds it concave.  Every conjugate
+evaluator relies on it: a table's searches its nondecreasing slopes, an
+expression's bisects its nondecreasing ``D+c``.
+
 A cost is homogeneous.  Heterogeneity is separable,
 ``c(x, t) = w(x) * c0(t)`` with a finite positive weight ``w`` that a
 problem holds per cell (:class:`massopt.solver.AuxiliaryProblem`); then
@@ -43,6 +49,7 @@ INF = math.inf
 
 _OVERFLOW_CAP = 1e12
 _THRESHOLD_SLACK = 1e-12  # relative rounding slack at the conjugate threshold
+_SECANT_SAMPLES = 64  # log-spaced samples of the secant convexity check
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,11 @@ def grow_bracket(below, hi, limit=80, where=True):
 
 
 def _numeric_recession(value_fn, t0, tol=1e-9, cap=_OVERFLOW_CAP):
-    """Recession slope via difference quotients along a doubling sequence."""
+    """Recession slope via difference quotients along a doubling sequence.
+
+    It stops where two successive quotients agree to ``tol`` relative, so a
+    small positive slope is resolved as well as a large one.
+    """
     c0 = float(value_fn(t0))
     if not math.isfinite(c0):
         raise InvalidCost("finiteness witness t0 has infinite cost")
@@ -94,7 +105,7 @@ def _numeric_recession(value_fn, t0, tol=1e-9, cap=_OVERFLOW_CAP):
             if q < prev - 1e-9 * (1.0 + abs(prev)):
                 raise NonMonotoneQuotient(
                     "difference quotients decreased (%.17g -> %.17g)" % (prev, q))
-            if abs(q - prev) <= tol:
+            if abs(q - prev) <= tol * abs(prev):
                 return q
         prev = q
         step *= 2.0
@@ -144,9 +155,6 @@ class _PowerProfile:
         # t * (t^2/2)^(q-1) = v
         return (2.0 ** (self.q - 1.0) * vabs) ** (1.0 / (2.0 * self.q - 1.0))
 
-    def dead_zone(self):
-        return 0.0
-
     def describe(self):
         return {"p": self.p}
 
@@ -187,9 +195,6 @@ class _LinearProfile:
 
     def invert_flux(self, vabs):
         return np.where(vabs > 0.0, math.sqrt(2.0 * self.slope), 0.0)
-
-    def dead_zone(self):
-        return self.slope
 
     def describe(self):
         return {"slope": self.slope}
@@ -242,9 +247,6 @@ class _ReciprocalProfile:
 
     def invert_flux(self, vabs):
         return vabs * np.sqrt(self.a / (self.b + 0.5 * vabs * vabs))
-
-    def dead_zone(self):
-        return 0.0
 
     def describe(self):
         return {"a": self.a, "b": self.b}
@@ -326,10 +328,6 @@ class _SubgradientProfile:
         a = bisect(below, np.full_like(v, 1e-300), hi, 120)
         return np.where(pos, v / a, 0.0)
 
-    def dead_zone(self):
-        # D-c*(s) = 0 exactly while s <= D+c(0); D+c(0) = -inf where c(0) = +inf
-        return max(float(self.subgrad_hi(0.0)), 0.0)
-
 
 class _ExpressionProfile(_SubgradientProfile):
     name = "expression"
@@ -381,7 +379,16 @@ class _TabulatedProfile:
             raise InvalidCost("tabulated cost values must be finite")
         self.ts = ts
         self.cs = cs
-        self.slopes = np.diff(cs) / np.diff(ts)
+        dt = np.diff(ts)
+        self.slopes = np.diff(cs) / dt
+        # convex exactly when the slopes never fall, up to the rounding of
+        # each slope's two samples (ts >= 0) and of its quotient
+        slack = 4.0 * np.finfo(float).eps / dt * (
+            np.abs(cs[:-1]) + np.abs(cs[1:]) + np.abs(self.slopes) * (ts[:-1] + ts[1:]))
+        fall = np.nonzero(np.diff(self.slopes) < -(slack[:-1] + slack[1:]))[0]
+        if fall.size:
+            raise InvalidCost("tabulated cost is not convex: its slope falls at t=%g"
+                              % ts[fall[0] + 1])
         self.domain = (float(ts[0]), float(ts[-1]))
         self.seed_t = float(ts[ts.size // 2])
         # the flux map t * D+c0*(t^2/2) is ts[j] * t between the kinks
@@ -461,10 +468,6 @@ class _TabulatedProfile:
         on_slope = k % 2 == 1
         return np.where(on_slope, vabs / np.where(on_slope, self.ts[j], 1.0), self._kinks[j])
 
-    def dead_zone(self):
-        # D-c0*(s) = ts[0] until s passes slopes[0]
-        return max(float(self.slopes[0]), 0.0) if self.ts[0] == 0.0 else 0.0
-
     def describe(self):
         return {"samples": int(self.ts.size),
                 "t_min": float(self.ts[0]), "t_max": float(self.ts[-1])}
@@ -515,10 +518,11 @@ class CostFunction:
     Every evaluator takes an optional weight ``w`` (a scalar or an array
     that broadcasts) and returns the map of the separable cost ``w * c0``.
 
-    A cost is built only when it grows at least linearly, which for a
+    A cost that exists is convex and grows at least linearly, which for a
     convex ``c0`` holds exactly when its recession slope is positive
-    (Rockafellar, *Convex Analysis*, Sec. 8); otherwise construction raises
-    :class:`InvalidCost`.
+    (Rockafellar, *Convex Analysis*, Sec. 8).  Both are decided here, by
+    that slope and :func:`validate_cost`; construction raises
+    :class:`InvalidCost` otherwise.
 
     Parameters
     ----------
@@ -540,6 +544,7 @@ class CostFunction:
         if not self._recession > 0.0:
             raise InvalidCost("cost needs at-least-linear growth, a positive recession "
                               "slope (got %g)" % self._recession)
+        validate_cost(self)
         self._zero_flux_edge = None
 
     # -- representation ----------------------------------------------------
@@ -697,15 +702,16 @@ class CostFunction:
         """Largest gradient magnitude of zero flux, ``sup{t : t * D-c0*(t^2/2) = 0}``.
 
         Where the flux vanishes, every gradient up to this edge carries it.
-        The edge is ``sqrt(2 * s0)`` for the profile's dead zone
-        ``s0 = sup{s : D-c0*(s) = 0}``: ``slope`` for the linear cost,
-        ``slopes[0]`` for a table that starts at 0, ``max(D+c0(0), 0)`` for
-        an expression or regularized cost finite at 0, and 0 otherwise.
-        The edge is then rounded down until ``t^2 / 2 <= s0``, so the flux
-        still vanishes there.  A weight ``w`` scales it by ``sqrt(w)``.
+        The edge is ``sqrt(2 * s0)`` for the dead zone
+        ``s0 = sup{s : D-c0*(s) = 0} = max(D+c0(0), 0)``, read once from the
+        profile's upper derivative: ``slope`` for the linear cost,
+        ``slopes[0]`` for a table that starts at 0, and 0 where
+        ``D+c0(0) <= 0`` (``-inf`` where ``c0(0) = +inf``).  The edge is
+        then rounded down until ``t^2 / 2 <= s0``, so the flux still
+        vanishes there.  A weight ``w`` scales it by ``sqrt(w)``.
         """
         if self._zero_flux_edge is None:
-            level = self._profile.dead_zone()
+            level = max(float(self._profile.subgrad_hi(0.0)), 0.0)
             edge = math.sqrt(2.0 * level)
             while 0.5 * edge * edge > level:
                 edge = math.nextafter(edge, 0.0)
@@ -734,60 +740,28 @@ def subdiff_interval(cost, s):
     return lo[()], hi[()]
 
 
-class CostValidation:
-    """Structured result of :func:`validate_cost`; never raises."""
+def validate_cost(cost):
+    """Secant convexity check of the base cost ``c0``; raises :class:`InvalidCost`.
 
-    def __init__(self, passed, regime, checks, failures):
-        self.passed = passed
-        self.regime = regime
-        self.checks = checks
-        self.failures = failures
-
-    def __repr__(self):
-        status = "pass" if self.passed else "FAIL"
-        return "CostValidation(%s, regime=%s, failures=%r)" % (status, self.regime, self.failures)
-
-
-def validate_cost(cost, sample_budget=256):
-    """Sample-based check of the structural hypotheses of the base cost ``c0``.
-
-    Convexity by three-point secants on a log grid and ``c = +inf`` on
-    ``t < 0`` are checked by sampling.  Growth and the finiteness witness
-    need no sampling: a :class:`CostFunction` is built only with both.  A
-    problem's per-cell weights are checked once, by
-    :func:`massopt.solver.build_problem`.
+    Every :class:`CostFunction` runs it once, where it is built.  Each
+    three consecutive finite samples of ``t = 0`` and a log grid from
+    ``1e-6 max(t0, 1)`` to ``1e6 max(t0, 1)`` must lie on or below their
+    chord, at a relative slack of 1e-9.  A table is refused before that by
+    its falling slopes, which is exact; ``c0 = +inf`` on ``t < 0`` holds
+    for every profile by construction.
     """
-    checks = {}
-    failures = []
-
-    t0 = cost.t0
-    grid = np.unique(np.concatenate([
-        [0.0], np.geomspace(1e-6 * max(t0, 1.0), 1e6 * max(t0, 1.0), sample_budget)]))
+    scale = max(cost.t0, 1.0)
+    grid = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 1e6 * scale, _SECANT_SAMPLES)])
     with np.errstate(over="ignore"):
         vals = np.asarray(cost.base_value(grid), dtype=float)
-
-    # (negative domain) c(t) = +inf for t < 0
-    neg = np.asarray(cost.base_value(np.array([-1.0, -1e-3, -1e3])), dtype=float)
-    checks["negative_domain"] = bool(np.all(np.isinf(neg) & (neg > 0)))
-    if not checks["negative_domain"]:
-        failures.append("c(t) is not +inf for some t < 0")
-
-    # convexity via three-point secants on consecutive finite samples
-    ok = True
     f_idx = np.nonzero(np.isfinite(vals))[0]
-    if f_idx.size >= 3:
-        t1, t2, t3 = grid[f_idx[:-2]], grid[f_idx[1:-1]], grid[f_idx[2:]]
-        v1, v2, v3 = vals[f_idx[:-2]], vals[f_idx[1:-1]], vals[f_idx[2:]]
-        lam = (t2 - t1) / (t3 - t1)
-        chord = (1.0 - lam) * v1 + lam * v3
-        tol = 1e-9 * (1.0 + np.abs(chord))
-        viol = v2 > chord + tol
-        ok = not bool(np.any(viol))
-        if not ok:
-            failures.append("secant convexity violated at t=%g" % t2[viol][0])
-    checks["convexity"] = ok
-
-    return CostValidation(len(failures) == 0, cost.regime, checks, failures)
+    t1, t2, t3 = grid[f_idx[:-2]], grid[f_idx[1:-1]], grid[f_idx[2:]]
+    v1, v2, v3 = vals[f_idx[:-2]], vals[f_idx[1:-1]], vals[f_idx[2:]]
+    lam = (t2 - t1) / (t3 - t1)
+    chord = (1.0 - lam) * v1 + lam * v3
+    viol = v2 > chord + 1e-9 * (1.0 + np.abs(chord))
+    if np.any(viol):
+        raise InvalidCost("cost is not convex: secant check violated at t=%g" % t2[viol][0])
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ class Grid:
             self.cell_centers = (0.5 * (nodes[:-1] + nodes[1:]))[:, None]
             self.boundary_mask = np.zeros(n + 1, dtype=bool)
             self.boundary_mask[[0, -1]] = True
-            self.domain_volume = b - a
         elif kind == "radial":
             radius, n, d = params["radius"], params["n"], params["dimension"]
             if not (_finite(radius) and radius > 0 and n >= 1 and d >= 1):
@@ -71,7 +70,6 @@ class Grid:
             self.cell_centers = (0.5 * (nodes[:-1] + nodes[1:]))[:, None]
             self.boundary_mask = np.zeros(n + 1, dtype=bool)
             self.boundary_mask[-1] = True  # r = 0 is an interior point of the ball
-            self.domain_volume = omega * radius ** d / d
         elif kind == "rectangle":
             ax, bx, ay, by = params["ax"], params["bx"], params["ay"], params["by"]
             nx, ny = params["nx"], params["ny"]
@@ -95,7 +93,6 @@ class Grid:
             mask[0, :] = mask[-1, :] = True
             mask[:, 0] = mask[:, -1] = True
             self.boundary_mask = mask.ravel()
-            self.domain_volume = (bx - ax) * (by - ay)
         else:
             raise UnsupportedGrid("unknown grid kind %r" % kind)
 

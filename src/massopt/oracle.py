@@ -45,14 +45,13 @@ class ClosedFormFixture:
     """Exact (u, a) pair with the data needed to rebuild the problem."""
 
     def __init__(self, name, ball_dim, cost, source_kind, u_exact, a_exact,
-                 grad_exact=None, validity=None):
+                 validity=None):
         self.name = name
         self.ball_dim = ball_dim
         self.cost = cost
         self.source_kind = source_kind
         self.u_exact = u_exact
         self.a_exact = a_exact
-        self.grad_exact = grad_exact
         self.validity = validity  # (r_min, r_max) window for error metrics
 
     def grid(self, resolution):
@@ -86,12 +85,10 @@ class ClosedFormFixture:
 def _quadratic_ball_uniform(n):
     cu = 0.75 * (2.0 / n) ** (1.0 / 3.0)
     ca = 0.5 * (2.0 / n) ** (2.0 / 3.0)
-    cg = (2.0 / n) ** (1.0 / 3.0)
     return ClosedFormFixture(
         "quadratic_ball_uniform", n, quadratic_cost(), "uniform_ball",
         u_exact=lambda r: cu * (1.0 - np.abs(r) ** (4.0 / 3.0)),
-        a_exact=lambda r: ca * np.abs(r) ** (2.0 / 3.0),
-        grad_exact=lambda r: -cg * np.sign(r) * np.abs(r) ** (1.0 / 3.0))
+        a_exact=lambda r: ca * np.abs(r) ** (2.0 / 3.0))
 
 
 def _quadratic_ball_dirac(n):
@@ -110,16 +107,14 @@ def _mk_interval_uniform():
     return ClosedFormFixture(
         "mk_interval_uniform", 1, linear_cost(0.5), "uniform_interval",
         u_exact=lambda x: 1.0 - np.abs(x),
-        a_exact=lambda x: np.abs(x),
-        grad_exact=lambda x: -np.sign(x))
+        a_exact=lambda x: np.abs(x))
 
 
 def _reciprocal_interval():
     return ClosedFormFixture(
         "reciprocal_interval", 1, reciprocal_cost(1.0, 1.0), "uniform_interval",
         u_exact=lambda x: math.sqrt(2.0) * (math.sqrt(3.0) - np.sqrt(2.0 + x * x)),
-        a_exact=lambda x: np.sqrt(1.0 + 0.5 * x * x),
-        grad_exact=lambda x: -x / np.sqrt(1.0 + 0.5 * x * x))
+        a_exact=lambda x: np.sqrt(1.0 + 0.5 * x * x))
 
 
 _CATALOG = {

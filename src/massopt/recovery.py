@@ -1,13 +1,12 @@
 """Conductivity recovery from the auxiliary solution, and verification.
 
 One rule, :func:`recover_measure`, serves every grid and both regimes:
-the measure's density is the one the solver's flux carries,
-``AuxiliarySolution.density``.  In one dimension that is the exact
-certificate's ``|sigma| / t``, with ``D-c*`` where the flux or its
-gradient vanishes, and a flux that no gradient carries is booked as an
-atom.  On rectangles it is Newton's conjugate derivative ``c*'(s)`` at
-its last iterate, smoothed where the cost needs it: for the linear
-regime's log barrier the central-path multiplier.
+the measure is the density the solver's flux carries,
+``AuxiliarySolution.density``, and nothing else.  In one dimension that is
+the exact certificate's ``|sigma| / t``, with ``D-c*`` where the flux or
+its gradient vanishes.  On rectangles it is Newton's conjugate derivative
+``c*'(s)`` at its last iterate, smoothed where the cost needs it: for the
+linear regime's log barrier the central-path multiplier.
 :func:`recover_via_regularization` approximates a linear-regime measure
 through the continuation ``c + eps t^2`` instead.
 
@@ -45,21 +44,10 @@ DENSITY_FLOOR_REL = 1e-12
 def recover_measure(solution, problem):
     """Optimal measure: the density the solver's flux carries, ``solution.density``.
 
-    The same on every grid and in both regimes.  On interval and radial
-    grids, flux left unmatched by the density along the gradient (a cell
-    with flux but no gradient) is booked as an atom of mass
-    ``excess * h / cap``.
+    The same on every grid and in both regimes, with no atoms: the 1-d
+    certificate's gradient carries every cell of flux up to rounding.
     """
-    grid = problem.grid
-    a = solution.density
-    atoms = []
-    if grid.dim == 1:
-        vabs = np.abs(solution.flux.values[:, 0])
-        excess = vabs - solution.grad.magnitudes() * a
-        atoms = [(grid.cell_centers[i],
-                  float(excess[i] * grid.cell_h[i] / max(problem.cell_caps[i], 1e-300)))
-                 for i in np.nonzero(excess > 1e-8 * (1.0 + vabs))[0]]
-    return DiscreteMeasure(grid, a, atoms=atoms)
+    return DiscreteMeasure(problem.grid, solution.density)
 
 
 class RegularizationDiagnostics:
@@ -136,7 +124,6 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
 class EnergyResult:
     def __init__(self, energy, u, residual):
         self.energy = energy
-        self.compliance = -energy
         self.u = u
         self.residual = residual
 
@@ -312,8 +299,7 @@ def solution_like(problem, u_values):
     obj = objective_eval(problem, vals)
     sigma = np.zeros((problem.grid.n_cells, problem.grid.dim))
     return AuxiliarySolution(problem, np.asarray(vals, dtype=float), sigma, obj,
-                             -INF, INF, INF, 0, False, INF, [],
-                             notes=["verification wrapper; no dual certificate"])
+                             -INF, INF, INF, 0, False, INF, [])
 
 
 def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):

@@ -65,10 +65,7 @@ dir = {out}
     assert report["passed"] is True
 
 
-def test_run_cost_without_positive_recession_slope_is_config_error(tmp_path, capsys):
-    # 1e-10*t + 1/(1+t) has a recession slope that estimates to -8.3e-10; it
-    # is refused where the cost is built, before any regime is taken
-    cfg = write(tmp_path / "run.cfg", """
+INTERVAL_COST_CONFIG = """
 [domain]
 kind = interval
 a = -1.0
@@ -76,18 +73,57 @@ b = 1.0
 n = 64
 
 [cost]
-expression = 1e-10*t + 1/(1+t)
+{cost}
 
 [source]
 value = 1.0
 
 [output]
 dir = {out}
-""".format(out=tmp_path / "out"))
+"""
+
+
+def test_run_cost_without_positive_recession_slope_is_config_error(tmp_path, capsys):
+    # 1/(1+t) has recession slope 0; it is refused where the cost is built,
+    # before any regime is taken
+    cfg = write(tmp_path / "run.cfg", INTERVAL_COST_CONFIG.format(
+        cost="expression = 1/(1+t)", out=tmp_path / "out"))
     assert cli.main(["run", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cost.expression: ")
     assert "positive recession slope" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_cost_with_small_recession_slope_verifies(tmp_path):
+    # the recession slope 1e-10 is resolved, so the cost is built and its
+    # linear regime verifies
+    cfg = write(tmp_path / "run.cfg", INTERVAL_COST_CONFIG.format(
+        cost="expression = 1e-10*t + 1/(1+t)", out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] and report["regime"] == "L"
+
+
+def _kinked_table(tmp_path):
+    # slopes 1, 1, 2, 1: not convex, and a 64-point secant sample misses it
+    table = tmp_path / "kinked.csv"
+    table.write_text("0,0\n1,1\n2,2\n2.5,3\n3,3.5\n")
+    return table
+
+
+@pytest.mark.parametrize("domain", [
+    "kind = interval\na = -1.0\nb = 1.0\nn = 64",
+    "kind = rectangle\nax = 0.0\nbx = 1.0\nay = 0.0\nby = 1.0\nnx = 16\nny = 16",
+], ids=["interval", "rectangle"])
+def test_run_nonconvex_table_is_config_error(tmp_path, capsys, domain):
+    cfg = write(tmp_path / "run.cfg", "[domain]\n%s\n\n[cost]\ntable = %s\n\n"
+                "[source]\nvalue = 1.0\n\n[output]\ndir = %s\n"
+                % (domain, _kinked_table(tmp_path), tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cost.table: ")
+    assert "not convex" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -269,6 +305,19 @@ def test_conjugate_refuses_cost_without_linear_growth(tmp_path, capsys, expressi
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "positive recession slope" in captured.err
+
+
+@pytest.mark.parametrize("cost", ["table = {table}", "expression = t^2 + t^0.5"],
+                         ids=["kinked-table", "concave-near-zero"])
+def test_conjugate_refuses_nonconvex_cost(tmp_path, capsys, cost):
+    # a non-convex cost has no conjugate table to print: exit 2, as in run
+    cfg = write(tmp_path / "bad.cfg",
+                "[cost]\n%s\n" % cost.format(table=_kinked_table(tmp_path)))
+    assert cli.main(["conjugate", cfg, "--range", "1", "3", "--count", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cost.")
+    assert "not convex" in captured.err
 
 
 def test_conjugate_output_that_cannot_be_opened_exit_code(tmp_path, capsys):
