@@ -187,13 +187,13 @@ def _parse_source(cfg, grid):
     if "source" not in cfg:
         raise ConfigError("missing section [source]")
     sec = cfg["source"]
-    density = None
+    key, density = "atoms", None
     if "value" in sec:
-        density = np.full(grid.n_nodes, _get(sec, "value", float))
+        key, density = "value", np.full(grid.n_nodes, _get(sec, "value", float))
     if "expression" in sec:
         if density is not None:
             raise ConfigError("section [source] takes value or expression, not both")
-        variables = _source_variables(grid)
+        key, variables = "expression", _source_variables(grid)
         try:
             expr = Expression(sec["expression"], variables=variables)
             kw = {v: grid.node_coords[:, i] for i, v in enumerate(variables)}
@@ -204,9 +204,11 @@ def _parse_source(cfg, grid):
     if density is None and not atoms:
         raise ConfigError("section [source] needs value, expression or atoms")
     try:
+        SourceTerm(grid, density=density)  # the density alone, so that its error names its key
+        key = "atoms"
         return SourceTerm(grid, density=density, atoms=atoms)
     except MassOptError as exc:
-        raise ConfigError("source.atoms: %s" % exc) from None
+        raise ConfigError("source.%s: %s" % (key, exc)) from None
 
 
 def _parse_solver(cfg):

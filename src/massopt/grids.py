@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from .errors import AtomOutsideGrid, Unbounded, UnsupportedGrid
+from .errors import AtomOutsideGrid, InadmissibleSource, Unbounded, UnsupportedGrid
 
 _FMT = "%.17g"  # float formatting that round-trips doubles exactly
 
@@ -298,7 +298,8 @@ class SourceTerm:
 
     The pairing ``<f, u>`` integrates the density with trapezoidal nodal
     weights and evaluates atoms through multilinear interpolation, so it is
-    exactly linear in ``u``.
+    exactly linear in ``u``.  A density value or atom mass that is not
+    finite raises :class:`InadmissibleSource`.
     """
 
     def __init__(self, grid, density=None, atoms=()):
@@ -309,13 +310,17 @@ class SourceTerm:
             density = np.asarray(density, dtype=float)
             if density.shape != (grid.n_nodes,):
                 raise ValueError("source density needs %d nodal values" % grid.n_nodes)
+            if not np.all(np.isfinite(density)):
+                raise InadmissibleSource("source density is not finite everywhere")
             self.density = density
         self.atoms = []
         for loc, mass in atoms:
-            loc = _atom_location(grid, loc)
+            loc, mass = _atom_location(grid, loc), float(mass)
             if not grid.contains_interior(loc):
                 raise AtomOutsideGrid("source atom at %r is not strictly inside" % (loc,))
-            self.atoms.append((loc, float(mass)))
+            if not math.isfinite(mass):
+                raise InadmissibleSource("source atom mass %r is not finite" % mass)
+            self.atoms.append((loc, mass))
         self._load = None
 
     @classmethod

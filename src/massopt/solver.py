@@ -29,8 +29,8 @@ names the method that closed it (``AuxiliarySolution.method``):
   the tensor stiffness ``G^T H G`` per step (per-cell 2x2 Hessian blocks
   ``vol * c*' (I + rho e e^T)`` with the cost's radial curvature
   ``rho = 2s c*'' / c*'``, see :func:`_hessian_blocks`), backtracks on the
-  objective, and certifies every iterate by projecting its flux.  For
-  quadratic and power costs the objective is C^2 and convex and is
+  objective, and certifies every iterate with the flux its step predicts.
+  For quadratic and power costs the objective is C^2 and convex and is
   minimised as it is, from the unit-weight Poisson solution scaled along
   its ray.  Every other cost needs a smoothing: a log barrier on the
   gradient bound ``|g| < sqrt(2 * cinf(x))`` in the linear regime, a
@@ -42,15 +42,14 @@ names the method that closed it (``AuxiliarySolution.method``):
   only how fast the gap closes.  The solve returns its last iterate, and
   the (smoothed) ``c*'`` there as the density its flux carries.
 
-In two dimensions the flux projection and the Newton step are each one
-direct solve of an interior stiffness, exact up to rounding:
+In two dimensions the Newton step is one direct solve of an interior
+stiffness, exact up to rounding, and the same solve corrects the
+iterate's flux onto the divergence constraint:
 :func:`massopt.grids.stiffness_factor` sums the per-cell blocks straight
 into the band of the grid's :class:`massopt.grids.StiffnessLayout` (built
 once per grid; one slice-add per pair of a cell's nodes) and factors it by
-banded Cholesky.  The projection's
-unit-weight stiffness depends on the grid only, so each solve factors it
-once and reuses the factor at every certificate.  The band is the only
-matrix built: ``G`` and ``G^T`` are always the grid's gradient stencils.
+banded Cholesky.  One band is alive at a time, and it is the only matrix
+built: ``G`` and ``G^T`` are always the grid's gradient stencils.
 """
 
 import math
@@ -369,27 +368,6 @@ def _primal_from_gradient(grid, g):
     return u
 
 
-def _project_flux(problem, y_cells, unit_factor):
-    """Project vol-weighted cell fluxes onto the divergence constraint.
-
-    The correction ``G z`` solves ``(G^T G) z = F - G^T y`` on the interior
-    nodes by one direct solve with ``unit_factor``, the factor of the
-    unit-weight stiffness ``G^T G``, so the returned residual is rounding
-    level.  ``G`` acts on node vectors that vanish on the boundary.
-    """
-    grid = problem.grid
-    idx = grid.interior_idx
-    resid = problem.load[idx] - grid.gradient_adjoint(y_cells)[idx]
-    z = np.zeros(grid.n_nodes)
-    z[idx] = unit_factor.solve(resid)
-    corr = grid.gradient_apply(z)
-    sigma = (y_cells + corr) / grid.cell_volumes[:, None]
-    # the corrected divergence misses the load by what the correction's
-    # divergence misses the residual
-    res = float(np.linalg.norm(grid.gradient_adjoint(corr)[idx] - resid))
-    return sigma, res
-
-
 # ---------------------------------------------------------------------------
 # two-dimensional Newton
 # ---------------------------------------------------------------------------
@@ -442,7 +420,7 @@ def _level_objective(problem, u, s, mu):
     return float(np.dot(problem.grid.cell_volumes, value) - np.dot(problem.load, u))
 
 
-def _newton_2d(problem, params, unit_factor):
+def _newton_2d(problem, params):
     """Damped Newton on a rectangle, along a smoothing path where the cost needs one.
 
     A quadratic or power cost starts from the unit-weight Poisson solution
@@ -451,20 +429,25 @@ def _newton_2d(problem, params, unit_factor):
     steepest cell, which is exact for a power law).
     Every other cost starts from 0 at the smoothing level ``mu = 1``
     (:meth:`massopt.costs.CostFunction.smoothed_conjugate`).  Each step
-    factors the stiffness of the Hessian blocks (:func:`_hessian_blocks`,
-    ``c*'`` floored at ``1e-12`` of its maximum), which go to
-    :func:`massopt.grids.stiffness_factor` as their three parts per cell,
-    and backtracks on the level's objective (Armijo).  The gradient ``g``
-    and ``s = |g|^2/2`` of the accepted trial point carry over to the next
-    iterate, so each iterate's gradient is taken once.  Each iterate's flux
-    ``vol * c*'(s) * g`` is projected with ``unit_factor`` and scored
-    against the exact conjugate, one log row per certificate with the
-    iterate's exact objective and the best dual so far.  A level is centred when the gradient falls to
-    ``1e-12 |F|``, when a step gives no decrease, or after a full step
-    whose decrement ``-slope / 2`` was at most ``NEWTON_FLAT * |obj|``.  Then the solve
-    stops, unless ``mu`` shrinks by 10 to a next level: the certified gap
-    is still above the tolerance and this level lowered it.  The steps of
-    every level count against ``max_iterations``.
+    factors the stiffness ``H = G^T B G`` of the Hessian blocks ``B``
+    (:func:`_hessian_blocks`, ``c*'`` floored at ``1e-12`` of its maximum),
+    which go to :func:`massopt.grids.stiffness_factor` as their three parts
+    per cell, solves ``H z = -grad J`` and backtracks along ``z`` on the
+    level's objective (Armijo).  The gradient ``g`` and ``s = |g|^2/2`` of
+    the accepted trial point carry over to the next iterate, so each
+    iterate's gradient is taken once.  The same solve certifies the iterate:
+    ``G^T (flux + B G z) = F`` for the flux ``vol * c*'(s) * g``.  An iterate
+    that takes no step is certified with the newest factor in hand (any
+    positive definite ``B`` gives a feasible flux), or before any factor by
+    its flux alone (a zero load's start); one whose Hessian is singular goes
+    uncertified.  A certificate scores the exact conjugate; each iterate logs
+    its exact objective and the best dual so far.  A level is centred when
+    the gradient falls to ``1e-12 |F|``, when a step gives no decrease, or
+    after a full step whose decrement ``-slope / 2`` was at most
+    ``NEWTON_FLAT * |obj|``.  Then the solve stops, unless ``mu`` shrinks by
+    10 to a next level: the certified gap is still above the tolerance and
+    this level lowered it.  The steps of every level count against
+    ``max_iterations``.
 
     The solve returns its last iterate with that iterate's ``c*'`` (the
     smoothed one at the last level) as the density its flux carries.  For
@@ -478,8 +461,11 @@ def _newton_2d(problem, params, unit_factor):
     F = problem.load
     mu = 1.0 if problem.cost.smoothing else None
     u = np.zeros(grid.n_nodes)
+    # the newest factor in hand and its blocks B: the unit ones at the start
+    factor, blocks, factorisations = None, (1.0, 0.0, 1.0), 0
     if mu is None:
-        u[idx] = unit_factor.solve(F[idx])
+        factor, factorisations = stiffness_factor(grid, np.ones(grid.n_cells)), 1
+        u[idx] = factor.solve(F[idx])
         s = _half_square(grid.gradient_apply(u))
         A = float(np.dot(vol, problem.conj_value(s)))
         b = float(np.dot(F, u))
@@ -491,33 +477,41 @@ def _newton_2d(problem, params, unit_factor):
     obj_mu = obj if mu is None else _level_objective(problem, u, s, mu)
     grad_floor = 1e-12 * float(np.linalg.norm(F[idx]))
 
-    best_dual, best_sigma, dual_residual = -INF, np.zeros((grid.n_cells, 2)), INF
-    log = []
-    steps = 0
-    factorisations = 1  # unit_factor
+    best_dual, best_sigma = -INF, np.zeros((grid.n_cells, 2))
+    log, steps = [], 0
     levels = 0 if mu is None else 1
     level_gap = INF  # the gap when the level was entered
     flat = False  # the last step was full and its decrement rounding level
+    z = np.zeros(grid.n_nodes)
     while True:
         d, rho = _integrand(problem, s, mu)
         flux = g * (vol * d)[:, None]
-        sigma, res = _project_flux(problem, flux, unit_factor)
-        dual = _dual_value(problem, sigma)
-        if dual > best_dual:
-            best_dual, best_sigma, dual_residual = dual, sigma, res
-        gap, rel_gap = _relative_gap(obj, best_dual)
-        log.append((steps, obj, best_dual, gap))
-        if steps == params.max_iterations:
-            break
         grad = (grid.gradient_adjoint(flux) - F)[idx]
         centred = flat or np.linalg.norm(grad) <= grad_floor
-        if not centred:
+        stepping = steps < params.max_iterations and not centred
+        if stepping:
             factorisations += 1
             blocks = _hessian_blocks(problem, g, np.maximum(d, 1e-12 * float(np.max(d))), rho)
+            factor = None  # one band alive at a time
             try:
-                step = -stiffness_factor(grid, blocks).solve(grad)
+                factor = stiffness_factor(grid, blocks)
             except Unbounded:
-                break  # the Hessian is singular to working precision: no step is left
+                pass  # the Hessian is singular to working precision: no step is left
+        if factor is not None:
+            z[idx] = step = -factor.solve(grad)
+        if factor is not None or not stepping:  # z = 0 before any factor
+            gx, gy = grid.gradient_apply(z).T
+            hxx, hxy, hyy = blocks
+            corr = np.column_stack([hxx * gx + hxy * gy, hxy * gx + hyy * gy])
+            sigma = (flux + corr) / vol[:, None]
+            dual = _dual_value(problem, sigma)
+            if dual > best_dual:
+                best_dual, best_sigma = dual, sigma
+        gap, rel_gap = _relative_gap(obj, best_dual)
+        log.append((steps, obj, best_dual, gap))
+        if steps == params.max_iterations or (stepping and factor is None):
+            break
+        if stepping:
             slope = float(np.dot(grad, step))
             t = 1.0
             for _ in range(40):
@@ -544,8 +538,9 @@ def _newton_2d(problem, params, unit_factor):
         obj = obj_mu if mu is None else _level_objective(problem, u, s, None)
         steps += 1
 
+    miss = (grid.gradient_adjoint(best_sigma * vol[:, None]) - F)[idx]
     return _finish(problem, params, u, best_sigma, obj, best_dual, steps,
-                   rel_gap <= params.gap_tolerance, dual_residual, log, "newton",
+                   rel_gap <= params.gap_tolerance, float(np.linalg.norm(miss)), log, "newton",
                    factorisations, d, levels)
 
 
@@ -561,11 +556,11 @@ class AuxiliarySolution:
     rectangle); ``None`` for a wrapper that ran no solve.
     ``factorisations`` counts the banded Cholesky factorisations of a
     stiffness (:meth:`massopt.grids.StiffnessLayout.factor`) the solve
-    made: none for the 1-d certificate; for Newton the projection's
-    unit-weight factor plus one per step attempted (a level ends without a
-    further factorisation after a full step whose decrement was rounding
-    level).  ``mu_levels`` counts the smoothing levels a Newton solve
-    entered: 0 for quadratic and power costs and in 1-d.
+    made: none for the 1-d certificate; for Newton one per step attempted
+    (a level ends without a further factorisation after a full step whose
+    decrement was rounding level), plus the unit-weight factor of a power
+    law's Poisson start.  ``mu_levels`` counts the smoothing levels a
+    Newton solve entered: 0 for quadratic and power costs and in 1-d.
     ``density`` holds the conductivity per cell that the solve's flux
     carries along ``grad`` (:func:`massopt.recovery.recover_measure` wraps
     it in the measure): the 1-d certificate's ``|sigma| / t``, and Newton's
@@ -635,11 +630,9 @@ def solve_auxiliary(problem, params=None):
     included).
     """
     params = params or SolverParams()
-    grid = problem.grid
-    if grid.dim == 1:
+    if problem.grid.dim == 1:
         return _certificate_1d(problem, params)
-    # the 2-d flux projection's stiffness depends on the grid only
-    return _newton_2d(problem, params, stiffness_factor(grid, np.ones(grid.n_cells)))
+    return _newton_2d(problem, params)
 
 
 def _certificate_1d(problem, params):

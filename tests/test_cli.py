@@ -391,6 +391,28 @@ def test_atom_with_wrong_coordinate_count_is_config_error(tmp_path, capsys, atom
     assert "config error: source.atoms: " in err and "needs 2 coordinate" in err
 
 
+_RECT_16 = "kind = rectangle\nax = 0.0\nbx = 1.0\nay = 0.0\nby = 1.0\nnx = 16\nny = 16"
+_INTERVAL_64 = "kind = interval\na = -1.0\nb = 1.0\nn = 64"
+
+
+@pytest.mark.parametrize("domain, source, key", [
+    (_RECT_16, "value = nan", "value"),
+    (_INTERVAL_64, "value = inf", "value"),
+    (_INTERVAL_64, "expression = 1/x", "expression"),  # +inf at the node x = 0
+    (_INTERVAL_64, "value = 1.0\natoms = 0.5:nan", "atoms"),
+    (_RECT_16, "value = 1.0\natoms = 0.5 0.5:inf", "atoms"),
+], ids=["rectangle-value-nan", "interval-value-inf", "interval-expression-pole",
+        "interval-atom-nan", "rectangle-atom-inf"])
+def test_non_finite_source_is_config_error(tmp_path, capsys, domain, source, key):
+    # a source that is not finite is refused where it is parsed, naming its key
+    cfg = write(tmp_path / "run.cfg", "[domain]\n%s\n\n[cost]\nbuiltin = quadratic\n\n"
+                "[source]\n%s\n\n[output]\ndir = %s\n" % (domain, source, tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: source.%s: " % key) and "not finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_output_dir_that_is_a_file_is_config_error(tmp_path, capsys):
     (tmp_path / "out").write_text("not a directory\n")
     cfg = write(tmp_path / "run.cfg", MK_CONFIG.format(out=tmp_path / "out"))
@@ -514,8 +536,8 @@ def test_report_counts_factorisations(tmp_path, domain):
     if report["method"] == "certificate":
         assert report["factorisations"] == 0
     else:
-        # the projection's unit factor, one per Newton step taken, and one
-        # for a last step that gave no decrease
+        # the Poisson start's unit factor, one per Newton step taken, and
+        # one for a last step that gave no decrease
         assert report["method"] == "newton"
         assert report["factorisations"] - report["iterations"] in (1, 2)
 
@@ -529,10 +551,9 @@ def test_rectangle_tabulated_cost_reports_newton(tmp_path):
     assert cli.main(["run", cfg]) == 3
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["method"] == "newton"
-    # the budget ends the seventh smoothing level; the unit factor, one per
-    # step, and one for each of three levels that ended on a step that gave
-    # no decrease
-    assert (report["iterations"], report["mu_levels"], report["factorisations"]) == (50, 7, 54)
+    # the budget ends the seventh smoothing level; one factor per step, and
+    # one for each of three levels that ended on a step that gave no decrease
+    assert (report["iterations"], report["mu_levels"], report["factorisations"]) == (50, 7, 53)
     # a certificate per iterate, and one more at each level entered after the first
     assert report["checks"] == report["iterations"] + report["mu_levels"]
 

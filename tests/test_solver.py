@@ -407,23 +407,32 @@ def _tabulated_quadratic():
 
 # -- two dimensions ---------------------------------------------------------
 
-def test_project_flux_reused_factor_is_exact():
-    # one unit-weight factor serves every projection of a solve; reusing it
-    # gives exactly what a fresh factorisation gives
-    g = mo.rectangle_grid(0.0, 1.0, 0.0, 2.0, 9, 14)
-    prob = mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0))
+def _atom_quadratic():
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.5, 14, 11)
+    return mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm(
+        g, density=np.ones(g.n_nodes), atoms=[((0.5, 0.75), 0.3)]))
 
-    def fresh():
-        return mo.grids.stiffness_factor(g, np.ones(g.n_cells))
 
-    shared = fresh()
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        y = rng.standard_normal((g.n_cells, 2))
-        sigma, res = solver._project_flux(prob, y, shared)
-        sigma_new, res_new = solver._project_flux(prob, y, fresh())
-        assert np.array_equal(sigma, sigma_new) and res == res_new
-        assert res <= 1e-12
+@pytest.mark.parametrize("make_problem", [
+    lambda: _rectangle_problem(mo.quadratic_cost()),
+    lambda: _rectangle_problem(mo.power_cost(1.5)),
+    lambda: _rectangle_problem(mo.power_cost(3.0), weighted=True),
+    _atom_quadratic,
+    lambda: _rectangle_problem(mo.linear_cost(0.5)),
+    lambda: _rectangle_problem(_tabulated_quadratic()),
+], ids=["quadratic", "power-1.5", "weighted-power-3", "quadratic-atom", "barrier", "table"])
+def test_step_certificate_is_divergence_feasible(make_problem):
+    # the Newton step's own solve corrects the flux onto the divergence
+    # constraint: G^T (vol * sigma) = F on the interior to rounding
+    prob = make_problem()
+    g = prob.grid
+    idx = g.interior_idx
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and sol.method == "newton"
+    div = g.gradient_adjoint(sol.flux.values * g.cell_volumes[:, None])
+    F = prob.load
+    assert np.linalg.norm(div[idx] - F[idx]) <= 1e-12 * np.linalg.norm(F)
+    assert sol.dual_residual <= 1e-12
 
 
 def test_rectangle_quadratic_certified():
@@ -528,9 +537,9 @@ def test_rectangle_tabulated_cost_takes_newton():
     sol = mo.solve_auxiliary(prob)
     assert sol.converged and sol.method == "newton" and sol.mu_levels >= 2
     assert sol.objective == mo.objective_eval(prob, sol.u)
-    # the unit factor, one per step, and one per level ended by a step
-    # that gave no decrease
-    assert 0 <= sol.factorisations - 1 - sol.iterations <= sol.mu_levels
+    # one factor per step, and one per level ended by a step that gave no
+    # decrease
+    assert 0 <= sol.factorisations - sol.iterations <= sol.mu_levels
 
 
 @pytest.mark.parametrize("make_cost", [lambda: mo.linear_cost(0.5), _tabulated_quadratic],
@@ -551,7 +560,8 @@ def test_smoothed_solve_returns_its_last_iterate(tmp_path, make_cost):
 def test_solution_counts_levels_and_factorisations():
     # a power law takes no smoothing level; the linear cost's barrier
     # shrinks mu until the certified gap meets the tolerance.  Each count
-    # holds the unit factor and one factor per step attempted
+    # holds one factor per step attempted, and the power law's also the
+    # unit factor of its Poisson start
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 16, 16)
     source = mo.SourceTerm.constant(g, 1.0)
     power = mo.solve_auxiliary(mo.build_problem(g, mo.power_cost(1.5), source))
@@ -559,9 +569,60 @@ def test_solution_counts_levels_and_factorisations():
     assert (power.iterations, power.mu_levels, power.factorisations) == (8, 0, 9)
     barrier = mo.solve_auxiliary(mo.build_problem(g, mo.linear_cost(0.5), source))
     assert barrier.converged and barrier.max_gradient < 1.0
-    assert (barrier.iterations, barrier.mu_levels, barrier.factorisations) == (57, 9, 63)
+    assert (barrier.iterations, barrier.mu_levels, barrier.factorisations) == (57, 9, 62)
     # a certificate per iterate, and one more at each level entered after the first
     assert len(barrier.log) == barrier.iterations + barrier.mu_levels
+
+
+@pytest.mark.parametrize("make_cost, weighted", [
+    (mo.quadratic_cost, False),
+    (lambda: mo.power_cost(1.5), False),
+    (lambda: mo.power_cost(3.0), True),
+], ids=["quadratic", "power-1.5", "weighted-power-3"])
+def test_power_law_takes_one_banded_solve_per_iterate(monkeypatch, make_cost, weighted):
+    # the step's solve is the certificate's: one solve per step attempted,
+    # the Poisson start's, and at most one for a last iterate that takes
+    # no step
+    solve = mo.grids.BandCholesky.solve
+    calls = []
+
+    def counted(self, b):
+        calls.append(b)
+        return solve(self, b)
+
+    monkeypatch.setattr(mo.grids.BandCholesky, "solve", counted)
+    sol = mo.solve_auxiliary(_rectangle_problem(make_cost(), weighted))
+    assert sol.converged
+    attempted = sol.factorisations - 1  # the start's unit factor
+    assert len(calls) - attempted - 1 in (0, 1)
+
+
+@pytest.mark.parametrize("make_cost", [lambda: mo.linear_cost(0.5), _tabulated_quadratic],
+                         ids=["barrier", "table"])
+def test_smoothed_solve_factors_no_unit_stiffness(monkeypatch, make_cost):
+    # a smoothed solve starts from 0 and certifies with its Hessians alone
+    factor = solver.stiffness_factor
+    weights = []
+
+    def recorded(grid, w):
+        weights.append(w)
+        return factor(grid, w)
+
+    monkeypatch.setattr(solver, "stiffness_factor", recorded)
+    sol = mo.solve_auxiliary(_rectangle_problem(make_cost()))
+    assert sol.converged and len(weights) == sol.factorisations
+    assert all(isinstance(w, tuple) for w in weights)
+
+
+@pytest.mark.parametrize("make_cost", [lambda: mo.linear_cost(0.5), _tabulated_quadratic],
+                         ids=["barrier", "table"])
+def test_smoothed_zero_load_start_is_certified_without_a_factor(make_cost):
+    # a zero load centres the smoothed start u = 0, whose zero flux is
+    # feasible: the solve certifies it and factors nothing
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.5, 14, 11)
+    sol = mo.solve_auxiliary(mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 0.0)))
+    assert sol.converged and sol.iterations == 0 and sol.factorisations == 0
+    assert sol.gap == 0.0 and sol.dual_residual == 0.0
 
 
 def test_singular_hessian_ends_the_solve(monkeypatch):
@@ -573,7 +634,7 @@ def test_singular_hessian_ends_the_solve(monkeypatch):
 
     def failing(grid, w):
         calls.append(w)
-        if len(calls) == 4:  # the unit factor, two steps, then a singular Hessian
+        if len(calls) == 3:  # two steps, then a singular Hessian
             raise mo.Unbounded("stiffness is singular to working precision")
         return factor(grid, w)
 
@@ -582,7 +643,7 @@ def test_singular_hessian_ends_the_solve(monkeypatch):
     prob = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0))
     sol = mo.solve_auxiliary(prob)
     assert not sol.converged and sol.method == "newton"
-    assert (sol.iterations, sol.factorisations) == (2, 4)
+    assert (sol.iterations, sol.factorisations) == (2, 3)
     assert sol.objective == mo.objective_eval(prob, sol.u) >= sol.dual_value
 
 
