@@ -415,6 +415,8 @@ def main(argv=None):
             cost, _w = _parse_cost(cfg, grid)
             if args.count < 2:
                 raise ConfigError("--count must be >= 2")
+            if not all(map(math.isfinite, args.range)):
+                raise ConfigError("--range needs two finite ends")
         except ConfigError as exc:
             print("config error: %s" % exc, file=sys.stderr)
             return 2

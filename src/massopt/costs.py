@@ -155,9 +155,6 @@ class _PowerProfile:
         # t * (t^2/2)^(q-1) = v
         return (2.0 ** (self.q - 1.0) * vabs) ** (1.0 / (2.0 * self.q - 1.0))
 
-    def describe(self):
-        return {"p": self.p}
-
 
 class _LinearProfile:
     name = "linear"
@@ -195,9 +192,6 @@ class _LinearProfile:
 
     def invert_flux(self, vabs):
         return np.where(vabs > 0.0, math.sqrt(2.0 * self.slope), 0.0)
-
-    def describe(self):
-        return {"slope": self.slope}
 
 
 class _ReciprocalProfile:
@@ -247,9 +241,6 @@ class _ReciprocalProfile:
 
     def invert_flux(self, vabs):
         return vabs * np.sqrt(self.a / (self.b + 0.5 * vabs * vabs))
-
-    def describe(self):
-        return {"a": self.a, "b": self.b}
 
 
 class _SubgradientProfile:
@@ -356,9 +347,6 @@ class _ExpressionProfile(_SubgradientProfile):
         if self._recession is None:
             self._recession = _numeric_recession(lambda t: float(self.value(t)), self.seed_t)
         return self._recession
-
-    def describe(self):
-        return {"expression": self.expr.text}
 
 
 class _TabulatedProfile:
@@ -468,10 +456,6 @@ class _TabulatedProfile:
         on_slope = k % 2 == 1
         return np.where(on_slope, vabs / np.where(on_slope, self.ts[j], 1.0), self._kinks[j])
 
-    def describe(self):
-        return {"samples": int(self.ts.size),
-                "t_min": float(self.ts[0]), "t_max": float(self.ts[-1])}
-
 
 class _RegularizedProfile(_SubgradientProfile):
     """Base cost plus ``eps * t**2``; always superlinear.
@@ -500,12 +484,6 @@ class _RegularizedProfile(_SubgradientProfile):
 
     def recession(self):
         return INF
-
-    def describe(self):
-        d = dict(self.base.describe())
-        d["base"] = self.base.name
-        d["eps"] = self.eps
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +541,8 @@ class CostFunction:
         return (self.regime == "L" or self.zero_flux_edge() > 0.0
                 or isinstance(self._profile, _TabulatedProfile))
 
-    def describe(self):
-        d = {"name": self.name}
-        d.update(self._profile.describe())
-        return d
-
     def __repr__(self):
-        return "CostFunction(%s)" % (self.describe(),)
+        return "CostFunction(%s)" % self.name
 
     # -- core evaluators (vectorized; weight arrays broadcast) --------------
 

@@ -18,7 +18,6 @@ import json
 import math
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .errors import AtomOutsideGrid, InadmissibleSource, Unbounded, UnsupportedGrid
 
@@ -163,7 +162,7 @@ class Grid:
         return o2.ravel()
 
     def stiffness_layout(self):
-        """The :class:`StiffnessLayout` every stiffness of this grid uses; built once."""
+        """The :class:`StiffnessLayout` every stiffness of this rectangle uses; built once."""
         if self._layout is None:
             self._layout = StiffnessLayout(self)
         return self._layout
@@ -420,9 +419,8 @@ def divergence_weighted(mu, sigma):
 # then above, (2, 3) then (0, 1); the edge along y from the cell left of
 # it, then right, (1, 3) then (0, 2).  The diagonals (0, 3) and (1, 2) each
 # come from one cell.
-_LOCAL = {1: ((0, 0), (1, 0)), 2: ((0, 0), (1, 0), (0, 1), (1, 1))}
-_PAIRS = {1: ((1, 1), (0, 0), (0, 1)),
-          2: ((3, 3), (2, 2), (1, 1), (0, 0), (2, 3), (0, 1), (1, 3), (0, 2), (0, 3), (1, 2))}
+_LOCAL = ((0, 0), (1, 0), (0, 1), (1, 1))
+_PAIRS = ((3, 3), (2, 2), (1, 1), (0, 0), (2, 3), (0, 1), (1, 3), (0, 2), (0, 3), (1, 2))
 
 
 def _shared(items, item):
@@ -434,95 +432,74 @@ def _shared(items, item):
     return len(items) - 1
 
 
-def _pair_cells(n_cells, lo, hi, da, db):
-    """The cells along one axis whose nodes at offsets ``da`` and ``db`` are interior.
-
-    ``lo..hi`` are the interior node indices along the axis; returns the
-    half-open range of cells, empty when ``start >= stop``.
-    """
-    return max(0, lo - min(da, db)), min(n_cells, hi + 1 - max(da, db))
-
-
 class StiffnessLayout:
-    """Where each cell's local stiffness block lands in the interior band.
+    """Where each cell's local stiffness block lands in a rectangle's interior band.
 
-    Every stiffness of a grid has the same sparsity pattern, so its layout
-    is computed once per grid (:meth:`Grid.stiffness_layout`).  The interior
-    nodes are numbered along the shorter side of a rectangle (row by row
-    when ``nx <= ny``, column by column otherwise), so the band is
-    ``min(nx, ny)`` wide; a 1-d stiffness is tridiagonal.  ``pos[k]`` is
-    the band position of interior node ``k``, ``order`` its inverse
-    (``None`` when the two numberings agree), and ``band_rows`` is the
-    half-bandwidth plus one.  The band is LAPACK's lower band storage,
-    ``band[i - j, j] = K[i, j]``.
+    Every stiffness of a rectangle has the same sparsity pattern, so its
+    layout is computed once per grid (:meth:`Grid.stiffness_layout`); a 1-d
+    grid has none and raises :class:`UnsupportedGrid`.  The interior nodes
+    are numbered along the shorter side (row by row when ``nx <= ny``,
+    column by column otherwise), so the band is ``min(nx, ny)`` wide.  ``pos[k]`` is the band position
+    of interior node ``k``, ``order`` its inverse (``None`` when the two
+    numberings agree), and ``band_rows`` is the half-bandwidth plus one.
+    The band is LAPACK's lower band storage, ``band[i - j, j] = K[i, j]``.
 
-    A cell's local block couples its nodes (2 on a 1-d grid, 4 on a
-    rectangle) through the hat gradients ``C`` on it (``dim x k``): the
-    block is ``C^T B C`` for the cell's weight ``B``.  A local pair
-    ``(a, b)`` of nodes is the same number of band positions apart in
-    every cell, so all its entries fall on one band diagonal.  Read as a
-    grid of interior nodes, the diagonal takes them in a block, from a
-    block of the grid of cells: those whose pair is interior.  The slice
-    plan holds the diagonal and the two blocks of each pair (of at most 3
-    on a 1-d grid, 10 on a rectangle), so :meth:`band` adds each pair's
-    values to its diagonal in one 2-d slice-add, and a band entry that
-    several cells share sums them in ascending cell order.  The band is
-    the only form a stiffness takes; products with the gradient and its
-    transpose are the stencils :meth:`Grid.gradient_apply` and
-    :meth:`Grid.gradient_adjoint`.
+    A cell's local block couples its 4 nodes through the hat gradients
+    ``C`` on it (``2 x 4``): the block is ``C^T B C`` for the cell's weight
+    ``B``.  A local pair ``(a, b)`` of nodes is the same number of band
+    positions apart in every cell, so all its entries fall on one band
+    diagonal.  Read as a grid of interior nodes, the diagonal takes them in
+    a block, from a block of the grid of cells: those whose pair is
+    interior.  The slice plan holds the diagonal and the two blocks of each
+    of the 10 pairs, so :meth:`band` adds each pair's values to its
+    diagonal in one 2-d slice-add, and a band entry that several cells
+    share sums them in ascending cell order.  The band is the only form a
+    stiffness takes; products with the gradient and its transpose are the
+    stencils :meth:`Grid.gradient_apply` and :meth:`Grid.gradient_adjoint`.
     """
 
     def __init__(self, grid):
+        if grid.kind != "rectangle":
+            raise UnsupportedGrid("a stiffness band is built on rectangles only, "
+                                  "not on a %s grid" % grid.kind)
+        nx, ny = grid.params["nx"], grid.params["ny"]
         n = grid.interior_idx.size
-        if grid.dim == 1:
-            m = grid.n_cells
-            # (cells, first and last interior node) along y, then x; r = 0 is
-            # interior on a radial grid
-            axes = [(1, 0, 0), (m, int(grid.kind == "interval"), m - 1)]
-            grads = (np.array([-1.0, 1.0]) / grid.cell_h[:, None]).T[:, None]
-            transposed = False
-        else:
-            nx, ny = grid.params["nx"], grid.params["ny"]
-            axes = [(ny, 1, ny - 1), (nx, 1, nx - 1)]
-            grads = np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]]).T / [
-                2.0 * grid.hx, 2.0 * grid.hy]
-            transposed = nx > ny
-        nodes = [max(hi - lo + 1, 0) for _, lo, hi in axes]
+        grads = np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]]).T / [
+            2.0 * grid.hx, 2.0 * grid.hy]
+        transposed = nx > ny
         pos = np.arange(n)
         if transposed:
             # number along y: the plan works on (x, y) grids
-            pos = pos.reshape(nodes[::-1]).T.ravel()
-            axes, nodes = axes[::-1], nodes[::-1]
+            pos = pos.reshape(nx - 1, ny - 1).T.ravel()
         self.n = n
         self.pos = pos
         self.order = None if np.array_equal(pos, np.arange(n)) else np.argsort(pos)
-        self._cells = tuple(m for m, _, _ in axes)
-        self._nodes = tuple(nodes)
+        # cells along the plan's two axes; along m cells nodes 1..m-1 are interior
+        self._cells = (nx, ny) if transposed else (ny, nx)
+        self._nodes = tuple(m - 1 for m in self._cells)
         self._transposed = transposed
         # per pair: its band diagonal, the block of that diagonal and the
         # block of cells that adds to it, and the products of the hat
-        # gradients on a cell (one per cell in 1-d), shared by pairs with
-        # equal products: the block of a unit scalar weight, and the three
-        # parts of a symmetric 2x2 tensor weight
+        # gradients on a cell, shared by pairs with equal products: the
+        # block of a unit scalar weight, and the three parts of a symmetric
+        # 2x2 tensor weight
         self._plan, self._units, self._tensors = [], [], []
-        for a, b in _PAIRS[grid.dim]:
-            offs = list(zip(_LOCAL[grid.dim][a], _LOCAL[grid.dim][b]))
+        for a, b in _PAIRS:
+            offs = list(zip(_LOCAL[a], _LOCAL[b]))
             offs = offs if transposed else offs[::-1]
-            cells = [_pair_cells(m, lo, hi, da, db) for (m, lo, hi), (da, db) in zip(axes, offs)]
+            # the cells along each axis whose nodes at offsets da and db are interior
+            cells = [(1 - min(da, db), m - max(da, db)) for m, (da, db) in zip(self._cells, offs)]
             if any(start >= stop for start, stop in cells):
                 continue  # no cell has both nodes inside
-            step = (offs[0][1] - offs[0][0]) * nodes[1] + offs[1][1] - offs[1][0]
+            step = (offs[0][1] - offs[0][0]) * self._nodes[1] + offs[1][1] - offs[1][0]
             # the pair's entry sits at its lower-numbered node
             low = [da if step >= 0 else db for da, db in offs]
-            dst = tuple(slice(start + d - lo, stop + d - lo)
-                        for (start, stop), d, (_, lo, _) in zip(cells, low, axes))
+            dst = tuple(slice(start + d - 1, stop + d - 1) for (start, stop), d in zip(cells, low))
             src = tuple(slice(start, stop) for start, stop in cells)
             ca, cb = grads[a], grads[b]
             unit = _shared(self._units, (np.sum(ca * cb, axis=0),))
-            tensor = None
-            if grid.dim == 2:
-                tensor = _shared(self._tensors, (ca[0] * cb[0], ca[0] * cb[1] + ca[1] * cb[0],
-                                                 ca[1] * cb[1]))
+            tensor = _shared(self._tensors, (ca[0] * cb[0], ca[0] * cb[1] + ca[1] * cb[0],
+                                             ca[1] * cb[1]))
             self._plan.append((abs(step), dst, src, unit, tensor))
         self.band_rows = max((r for r, _, _, _, _ in self._plan), default=0) + 1
 
@@ -537,7 +514,7 @@ class StiffnessLayout:
         ``w`` holds either one weight per cell, shape ``(n_cells,)`` (cell
         volume times conductivity for a Dirichlet energy; ``B`` repeats it
         on every gradient component), or one symmetric 2x2 tensor per cell
-        of a rectangle (``B`` couples the x and y gradients of the cell, as
+        (``B`` couples the x and y gradients of the cell, as
         in a Hessian): shape ``(n_cells, 2, 2)``, or its three parts
         ``(B_xx, B_xy, B_yy)``, each of shape ``(n_cells,)``.  Atoms are
         folded into ``w`` beforehand (:func:`with_atoms`).  The band is
@@ -575,6 +552,9 @@ class StiffnessLayout:
         energy it defines then has no computable minimum, and
         :class:`Unbounded` is raised.
         """
+        # imported here, so that a 1-d run loads no scipy
+        from scipy.linalg import LinAlgError, cholesky_banded
+
         p = self.pos[np.asarray(pinned, dtype=int)]
         if p.size:
             # column p below the diagonal, then row p left of it: band[r, p - r]
@@ -638,6 +618,8 @@ class BandCholesky:
 
     def solve(self, b):
         """The solution ``x`` of ``K x = b``."""
+        from scipy.linalg import cho_solve_banded
+
         if self.order is None:
             return cho_solve_banded((self.band, True), b, check_finite=False)
         x = np.empty_like(b)

@@ -15,8 +15,10 @@ residual, the pointwise Fenchel-equality error (equivalent to membership of
 the density in the subdifferential interval), the saturation of the gradient
 magnitude at atoms against the recession slope, the boundary mass, and the
 duality identity tying the energy/cost pair to the auxiliary value.  The
-gradient entering atom conditions is the interpolated grid gradient, a
-documented surrogate for the tangential gradient.
+energy is the flux recursion on 1-d grids, on numpy alone, and a banded
+Cholesky solve on rectangles, which alone import scipy.  The gradient
+entering atom conditions is the interpolated grid gradient, a documented
+surrogate for the tangential gradient.
 """
 
 import json
@@ -27,8 +29,8 @@ import numpy as np
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded
 from .grids import DiscreteMeasure, ScalarField, divergence_weighted, with_atoms
-from .solver import (SolverParams, build_problem, objective_eval, resolve_cell_weights,
-                     solve_auxiliary)
+from .solver import (SolverParams, _primal_from_gradient, build_problem, objective_eval,
+                     resolve_cell_weights, solve_auxiliary, telescoped_load)
 
 INF = math.inf
 
@@ -132,26 +134,23 @@ class EnergyResult:
 
 
 def _floating_pins(grid, w, F):
-    """One interior node of each floating component of the cell weights ``w``.
+    """One interior node of each floating component of a rectangle's cell weights ``w``.
 
     A cell's averaged gradient vanishes exactly when the nodes on each of
-    its diagonals (in 1-d, its two nodes) agree, so the fields of zero
-    energy are constant on each component of the graph whose edges are the
-    diagonals of the cells with ``w > 0``.  A component without a boundary
-    node floats.  Raises :class:`Unbounded` when the interior load ``F``
-    puts net load on one, which includes a loaded node with no stiffness.
+    its diagonals agree, so the fields of zero energy are constant on each
+    component of the graph whose edges are the diagonals of the cells with
+    ``w > 0``.  A component without a boundary node floats.  Raises
+    :class:`Unbounded` when the interior load ``F`` puts net load on one,
+    which includes a loaded node with no stiffness.
     """
     # imported here, so that importing the package loads no scipy.sparse
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    if grid.dim == 1:
-        ends = (np.arange(grid.n_cells), np.arange(1, grid.n_nodes))
-    else:
-        nx, ny = grid.params["nx"], grid.params["ny"]
-        low = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # lower left
-        ends = (np.concatenate([low, low + 1]), np.concatenate([low + nx + 2, low + nx + 1]))
-    tied = np.tile(w > 0.0, grid.dim)  # one edge per cell in 1-d, two on a rectangle
+    nx, ny = grid.params["nx"], grid.params["ny"]
+    low = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # lower left
+    ends = (np.concatenate([low, low + 1]), np.concatenate([low + nx + 2, low + nx + 1]))
+    tied = np.tile(w > 0.0, 2)  # two diagonals per cell
     graph = coo_matrix((np.ones(np.count_nonzero(tied)), (ends[0][tied], ends[1][tied])),
                        shape=(grid.n_nodes, grid.n_nodes))
     n_comp, labels = connected_components(graph, directed=False)
@@ -160,45 +159,86 @@ def _floating_pins(grid, w, F):
     labels = labels[grid.interior_idx]
     net = np.bincount(labels, weights=F, minlength=n_comp)
     scale = np.bincount(labels, weights=np.abs(F), minlength=n_comp)
+    _refuse_loaded(floating, net, scale)
+    present, first = np.unique(labels, return_index=True)
+    return first[floating[present]]
+
+
+def _refuse_loaded(floating, net, scale):
+    """Raise :class:`Unbounded` if a floating part's net load exceeds 1e-10 of its absolute load."""
     if np.any(floating & (np.abs(net) > 1e-10 * scale)):
         raise Unbounded("source loads a part of the domain that the measure "
                         "does not connect to the boundary")
-    present, first = np.unique(labels, return_index=True)
-    return first[floating[present]]
+
+
+def _telescoped_field(grid, w, F):
+    """The field of least energy ``0.5 * sum(w g^2) - <F, u>`` on a 1-d grid.
+
+    Cell ``i`` carries the flux ``q0 - cum_i`` (:func:`telescoped_load`), so
+    its gradient is ``(q0 - cum_i) h_i / w_i``; ``q0 = sum(h^2/w * cum) /
+    sum(h^2/w)`` closes ``u`` on an interval.  A cell of zero weight is a
+    cut that carries no flux, and the flux restarts after it.  On an
+    interval the first cut fixes ``q0`` and takes the gradient that closes
+    ``u``.  The runs of nodes between two cuts, and on a radial grid the
+    run from the centre to the first cut, float, and must carry no net load
+    (:func:`_refuse_loaded`).
+    """
+    h = grid.cell_h
+    cum, free = telescoped_load(grid, F)
+    cut = w == 0.0
+    cuts = np.flatnonzero(cut)
+    w = np.where(cut, 1.0, w)
+    q0 = 0.0
+    if free:  # the first cut carries no flux; with none, q0 closes u
+        q0 = cum[cuts[0]] if cuts.size else float(np.dot(h * h / w, cum) / np.sum(h * h / w))
+    if cuts.size:
+        # the load of the run of nodes that ends at each cut; an interval's
+        # first run reaches its left end
+        load = np.where(grid.boundary_mask, 0.0, F)[:cuts[-1] + 1]
+        starts = np.concatenate([[0], cuts[:-1] + 1])
+        _refuse_loaded(np.arange(cuts.size) >= free, np.add.reduceat(load, starts),
+                       np.add.reduceat(np.abs(load), starts))
+    last = np.maximum.accumulate(np.where(cut, np.arange(grid.n_cells), -1))
+    g = np.where(cut, 0.0, (np.where(last >= 0, cum[last], q0) - cum) * h / w)
+    if free and cuts.size:
+        g[cuts[0]] = -float(np.dot(h, g)) / h[cuts[0]]
+    return _primal_from_gradient(grid, g)
 
 
 def energy_eval(mu, source):
     """Infimal weighted Dirichlet energy ``E_f(mu)`` by one direct solve.
 
-    Solves the weak form of ``-div(a grad u) = f`` on the interior nodes
-    for the cell weights ``w = vol * a``, atoms of ``mu`` folded in
-    (:func:`massopt.grids.with_atoms`): the stiffness's band is factored by
-    banded Cholesky, and the energy ``0.5 * sum(w |G u|^2) - <F, u>`` and
-    residual ``F - G^T (w G u)`` are scored by the gradient stencils.  When
-    some cell has zero weight, one node of each floating component
-    (:func:`_floating_pins`) is pinned, as a unit row of the band with a
-    zero load, which leaves the energy unchanged when the component carries
-    no net load.  Raises :class:`Unbounded` when the energy is unbounded
-    below: the source loads a floating component, the factorisation meets
+    Minimises ``0.5 * sum(w |G u|^2) - <F, u>`` over the interior nodes for
+    the cell weights ``w = vol * a``, atoms of ``mu`` folded in
+    (:func:`massopt.grids.with_atoms`): on an interval or radial grid by the
+    flux recursion (:func:`_telescoped_field`), on a rectangle by banded
+    Cholesky of the stiffness, with one node of each floating component
+    (:func:`_floating_pins`) pinned as a unit row with a zero load, which
+    leaves the energy unchanged when the component carries no net load.
+    The energy and residual ``F - G^T (w G u)`` are scored by the gradient
+    stencils.  Raises :class:`Unbounded` when the energy is unbounded below:
+    the source loads a floating part of the domain, the factorisation meets
     a pivot that is not positive (a stiffness singular to working
     precision), or the energy falls below the admissibility floor.
     """
     grid = mu.grid
     idx = grid.interior_idx
-    Fin = source.load_vector()[idx]
+    F = source.load_vector()
+    Fin = F[idx]
     fnorm = float(np.linalg.norm(Fin))
     if fnorm == 0.0:
         return EnergyResult(0.0, ScalarField.zeros(grid), 0.0)
 
-    layout = grid.stiffness_layout()
     w = with_atoms(grid, grid.cell_volumes * mu.ac_density, mu.atoms)
-    pins = []
-    if np.any(w == 0.0):  # otherwise every node reaches the boundary
-        pins = _floating_pins(grid, w, Fin)
-    rhs = Fin.copy()
-    rhs[pins] = 0.0
-    uf = np.zeros(grid.n_nodes)
-    uf[idx] = layout.factor(layout.band(w), pins).solve(rhs)
+    if grid.dim == 1:
+        uf = _telescoped_field(grid, w, F)
+    else:
+        layout = grid.stiffness_layout()
+        pins = _floating_pins(grid, w, Fin) if np.any(w == 0.0) else []  # else none floats
+        rhs = Fin.copy()
+        rhs[pins] = 0.0
+        uf = np.zeros(grid.n_nodes)
+        uf[idx] = layout.factor(layout.band(w), pins).solve(rhs)
     g = grid.gradient_apply(uf)
     energy = 0.5 * float(np.sum(w * np.sum(g * g, axis=1))) - float(Fin @ uf[idx])
     if energy < -1e13 * (1.0 + fnorm) ** 2:

@@ -79,8 +79,8 @@ class SolverParams:
     """
 
     def __init__(self, max_iterations=20000, gap_tolerance=1e-8, log_path=None):
-        if not gap_tolerance > 0.0:
-            raise ValueError("gap_tolerance must be positive")
+        if not 0.0 < gap_tolerance < INF:
+            raise ValueError("gap_tolerance must be positive and finite")
         if int(max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
         self.max_iterations = int(max_iterations)
@@ -224,20 +224,30 @@ def _dual_value(problem, sigma, t=None):
 # one-dimensional certificates (exact flux construction)
 # ---------------------------------------------------------------------------
 
+def telescoped_load(grid, F):
+    """Partial sums ``cum`` of a 1-d grid's interior load, and whether ``q0`` is free.
+
+    ``(D^T y)_j = F_j`` telescopes in 1-d: cell ``i`` carries the flux
+    ``q_i = y_i / h_i = q0 - cum_i``.  ``q0`` is free on an interval, whose
+    first node is on the boundary, and 0 on a radial grid, whose centre is
+    an interior node with no cell before it.
+    """
+    cum = np.cumsum(np.where(grid.boundary_mask, 0.0, F)[:-1])
+    return cum, grid.kind == "interval"
+
+
 def feasible_flux_1d(problem):
     """Divergence-feasible cell fluxes on an interval or radial grid.
 
-    The nodal constraints ``(D^T y)_j = F_j`` telescope in one dimension:
-    with ``q_i = y_i / h_i`` they read ``q_{j-1} - q_j = F_j``.  On radial
-    grids the center node is free, so ``q`` is fully determined; on interval
-    grids one constant ``q0`` remains and is fixed by the zero-mean
-    condition on the recovered gradient.  The mean gradient is
-    nondecreasing in ``q0`` and jumps or kinks only at the breakpoints
-    ``cum``, the partial sums of the load, so a binary search over them
-    (about ``log2(n)`` flux inversions) brackets the root between two
-    neighbours, and :func:`_first_nonnegative` finds it there to adjacent
-    floats: exactly at the breakpoint when the mean gradient jumps over
-    zero there, as for a cost with a dead zone.
+    The fluxes are ``q0 - cum`` (:func:`telescoped_load`).  On radial
+    grids ``q0 = 0``, so ``q`` is fully determined; on interval grids
+    ``q0`` is fixed by the zero-mean condition on the recovered gradient.
+    The mean gradient is nondecreasing in ``q0`` and jumps or kinks only at
+    the breakpoints ``cum``, so a binary search over them (about
+    ``log2(n)`` flux inversions) brackets the root between two neighbours,
+    and :func:`_first_nonnegative` finds it there to adjacent floats:
+    exactly at the breakpoint when the mean gradient jumps over zero there,
+    as for a cost with a dead zone.
 
     Returns ``(sigma, g, t)``: per-cell flux densities, a matching gradient
     selection, and the inverted magnitude ``t`` of ``|sigma|`` that scores
@@ -249,18 +259,13 @@ def feasible_flux_1d(problem):
     grid = problem.grid
     if grid.dim != 1:
         raise RegimeMismatch("1-d flux construction needs an interval or radial grid")
-    F = problem.load
     h = grid.cell_h
     vol = grid.cell_volumes
-    n = grid.n_cells
-
-    if grid.kind == "radial":
-        q = -np.cumsum(F[:n])
-        sigma = q * h / vol
+    cum, free = telescoped_load(grid, problem.load)
+    if not free:
+        sigma = -cum * h / vol
         t = problem.invert_flux(np.abs(sigma))
         return sigma[:, None], t * np.sign(sigma), t
-
-    cum = np.concatenate([[0.0], np.cumsum(F[1:n])])
 
     def mean_grad(q0):
         sigma = (q0 - cum) * h / vol

@@ -330,6 +330,15 @@ def test_conjugate_output_that_cannot_be_opened_exit_code(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("ends", [("nan", "1"), ("0", "inf")], ids=["nan", "inf"])
+def test_conjugate_non_finite_range_is_config_error(tmp_path, capsys, ends):
+    cfg = write(tmp_path / "c.cfg", "[cost]\nbuiltin = quadratic\n")
+    assert cli.main(["conjugate", cfg, "--range", *ends, "--count", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "config error: --range" in captured.err
+    assert captured.out == ""
+
+
 def test_conjugate_table_outside_domain_rows(tmp_path, capsys):
     cfg = write(tmp_path / "lin.cfg", "[cost]\nbuiltin = linear\nslope = 0.5\n")
     assert cli.main(["conjugate", cfg, "--range", "1.0", "1.0", "--count", "2"]) == 0
@@ -716,10 +725,20 @@ def test_fixtures_post_build_failure_exit_code(capsys, monkeypatch):
 
 
 def test_threshold_failure_exit_code(tmp_path):
-    text = MK_CONFIG.format(out=tmp_path / "out") + \
-        "\n[verify]\nduality_identity_error = 1e-30\n"
+    # the run's pde_residual is at rounding level, about 1e-16
+    text = MK_CONFIG.format(out=tmp_path / "out") + "\n[verify]\npde_residual = 1e-30\n"
     cfg = write(tmp_path / "tight.cfg", text)
     assert cli.main(["run", cfg]) == 1
+
+
+def test_non_finite_gap_tolerance_is_config_error(tmp_path, capsys):
+    # an infinite tolerance would call any certificate converged
+    cfg = write(tmp_path / "inf.cfg", RECT_CONFIG.format(
+        n=16, cost="builtin = linear\nslope = 0.5", budget="50\ngap_tolerance = inf",
+        out=tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    assert "config error: section [solver]: gap_tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_flag_paths(tmp_path):
@@ -749,6 +768,48 @@ codes = [cli.main(["run", path]) for path in sys.argv[1:]]
 assert codes == [0] * len(codes), codes
 assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
 """
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule fails
+import massopt
+from massopt import cli
+codes = [cli.main(["run", path]) for path in sys.argv[1:]]
+codes.append(cli.main(["fixtures", "--name", "quadratic_ball_uniform",
+                       "--dimension", "2", "--resolution", "512"]))
+assert codes == [0] * len(codes), codes
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_one_dimensional_pipeline_runs_without_scipy(tmp_path):
+    # every 1-d energy is the flux recursion, and only a rectangle's band
+    # and island search import scipy
+    interval = write(tmp_path / "interval.cfg", MK_CONFIG.format(out=tmp_path / "interval"))
+    radial = write(tmp_path / "radial.cfg", """
+[domain]
+kind = radial
+radius = 1.0
+n = 512
+dimension = 3
+
+[cost]
+builtin = quadratic
+
+[source]
+value = 1.0
+
+[output]
+dir = {out}
+""".format(out=tmp_path / "radial"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mo.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, interval, radial], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_does_not_import_scipy_optimize(tmp_path):

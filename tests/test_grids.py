@@ -351,14 +351,12 @@ def _unit_weights(g, atoms=()):
 
 
 @pytest.mark.parametrize("build, reordered", [
-    (lambda: _unit_weights(mo.interval_grid(-1.0, 2.0, 97)), False),
-    (lambda: _unit_weights(mo.radial_grid(1.0, 80, 3)), False),
     (lambda: _unit_weights(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 12, 10),
                            [(np.array([0.37, 0.51]), 2.0)]), True),
     (_hessian_weights, True),
     (lambda: _unit_weights(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 96, 6)), True),
     (lambda: _unit_weights(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 6, 96)), False),
-], ids=["interval", "radial", "rect-atom", "hessian", "rect-96x6", "rect-6x96"])
+], ids=["rect-atom", "hessian", "rect-96x6", "rect-6x96"])
 def test_spd_factor_matches_dense_solve(build, reordered):
     # a rectangle wider than tall is factored column by column
     g, w, atoms = build()
@@ -383,20 +381,15 @@ def _bincount_band(g, w):
     # pair) entry goes to its slot in the band, or past its end when a node
     # of the pair is on the boundary; returns the band and the positions
     n = g.interior_idx.size
-    if g.dim == 1:
-        local = np.arange(g.n_cells)[:, None] + np.arange(2)
-        grads = (np.array([-1.0, 1.0]) / g.cell_h[:, None])[:, None, :]
-        pos = np.arange(n)
-    else:
-        nx, ny = g.params["nx"], g.params["ny"]
-        jj, ii = np.divmod(np.arange(g.n_cells), nx)
-        local = (jj * (nx + 1) + ii)[:, None] + np.array([0, 1, nx + 1, nx + 2])
-        grads = (np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
-                 / [[2.0 * g.hx], [2.0 * g.hy]])[None]
-        pos = np.arange(n)
-        if nx > ny:
-            iy, ix = np.divmod(np.arange(n), nx - 1)
-            pos = ix * (ny - 1) + iy
+    nx, ny = g.params["nx"], g.params["ny"]
+    jj, ii = np.divmod(np.arange(g.n_cells), nx)
+    local = (jj * (nx + 1) + ii)[:, None] + np.array([0, 1, nx + 1, nx + 2])
+    grads = (np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
+             / [[2.0 * g.hx], [2.0 * g.hy]])[None]
+    pos = np.arange(n)
+    if nx > ny:
+        iy, ix = np.divmod(np.arange(n), nx - 1)
+        pos = ix * (ny - 1) + iy
     node_pos = np.full(g.n_nodes, -1)
     node_pos[g.interior_idx] = pos
     la, lb = np.triu_indices(local.shape[1])
@@ -431,18 +424,15 @@ _PLAN_GRIDS = {
     "2x9": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 2, 9),
     "3x8": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 3, 8),
     "8x3": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 3),
-    "interval": lambda: mo.interval_grid(-1.0, 2.0, 23),
-    "radial": lambda: mo.radial_grid(1.3, 19, 3),
 }
 
 
 @pytest.mark.parametrize("name, weights", [
     (name, weights) for name in sorted(_PLAN_GRIDS)
-    for weights in ("scalar", "scalar-atoms") + (
-        () if name in ("interval", "radial") else ("tensor", "tensor-atoms"))])
+    for weights in ("scalar", "scalar-atoms", "tensor", "tensor-atoms")])
 def test_slice_plan_band_matches_bincount_assembly(name, weights):
     # bit for bit, with cells of zero weight, and on square cells, whose
-    # edge couplings cancel exactly; 2x2 weights live on rectangles
+    # edge couplings cancel exactly
     g = _PLAN_GRIDS[name]()
     rng = np.random.default_rng(11)
     w = rng.uniform(0.1, 10.0, g.n_cells)
@@ -451,8 +441,7 @@ def test_slice_plan_band_matches_bincount_assembly(name, weights):
         A = rng.standard_normal((g.n_cells, 2, 2))
         w = (A @ np.swapaxes(A, 1, 2)) * (w > 0.0)[:, None, None]
     if weights.endswith("atoms"):
-        loc = np.array([0.4]) if g.dim == 1 else g.cell_centers[g.n_cells // 2] + 0.01
-        w = mo.grids.with_atoms(g, w, [(loc, 1.5)])
+        w = mo.grids.with_atoms(g, w, [(g.cell_centers[g.n_cells // 2] + 0.01, 1.5)])
     layout = g.stiffness_layout()
     ref, pos = _bincount_band(g, w)
     band = layout.band(w)
@@ -491,8 +480,6 @@ def _dense_stiffness(g, w, atoms):
 
 
 _LAYOUT_GRIDS = {
-    "interval": (lambda: mo.interval_grid(-1.0, 2.0, 23), [(np.array([0.4]), 1.5)]),
-    "radial": (lambda: mo.radial_grid(1.3, 19, 3), [(np.array([0.5]), 0.7)]),
     "square": (lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8),
                [(np.array([0.5, 0.5]), 2.0), (np.array([0.3, 0.71]), 0.4)]),
     "wide": (lambda: mo.rectangle_grid(0.0, 3.0, -1.0, 0.5, 13, 5),
@@ -504,8 +491,7 @@ _LAYOUT_GRIDS = {
 
 @pytest.mark.parametrize("with_atoms", [False, True], ids=["plain", "atoms"])
 @pytest.mark.parametrize("name, tensor", [
-    (name, False) for name in sorted(_LAYOUT_GRIDS)] + [
-    (name, True) for name in ("square", "tall", "wide")],  # 2x2 weights on rectangles
+    (name, tensor) for tensor in (False, True) for name in sorted(_LAYOUT_GRIDS)],
     ids=lambda v: v if isinstance(v, str) else ("tensor" if v else "scalar"))
 def test_stiffness_matches_dense_product(name, tensor, with_atoms):
     make, atoms = _LAYOUT_GRIDS[name]
@@ -530,6 +516,14 @@ def test_stiffness_matches_dense_product(name, tensor, with_atoms):
     b = rng.standard_normal(ref.shape[0])
     x = layout.factor(band).solve(b)
     assert np.linalg.norm(x - np.linalg.solve(ref, b)) <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("grid", [mo.interval_grid(-1.0, 2.0, 23), mo.radial_grid(1.3, 19, 3)],
+                         ids=["interval", "radial"])
+def test_stiffness_layout_is_rectangle_only(grid):
+    # a 1-d energy is the flux recursion, which needs no band
+    with pytest.raises(mo.UnsupportedGrid, match="rectangles only"):
+        grid.stiffness_layout()
 
 
 def test_repeated_stiffness_is_identical():

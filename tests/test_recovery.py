@@ -313,20 +313,23 @@ def _no_graph_search(*_args, **_kwargs):
 
 
 def test_energy_numerically_singular_stiffness_is_unbounded(monkeypatch):
-    # 1e-16 + 1 rounds to 1 on the diagonal, so eliminating a node across a
-    # unit-density cell leaves a zero pivot; no finite energy can be trusted,
-    # and a positive one would be impossible (u = 0 scores 0).  Every cell
-    # carries density, so the factorisation finds it, not a graph search.
+    # in 1-d the flux recursion scores alternating 1e-16 / 1 densities
+    # exactly, about -1.7e15, below the admissibility floor
     g = mo.interval_grid(-1.0, 1.0, 64)
     mu = mo.DiscreteMeasure(g, np.where(np.arange(g.n_cells) % 2 == 0, 1e-16, 1.0))
     f = mo.SourceTerm.constant(g, 1.0)
     monkeypatch.setattr(recovery, "_floating_pins", _no_graph_search)
-    with pytest.raises(mo.Unbounded, match="singular to working precision"):
+    with pytest.raises(mo.Unbounded, match="admissibility floor"):
         mo.energy_eval(mu, f)
     prob = mo.build_problem(g, mo.quadratic_cost(), f)
     report = mo.verify_conditions(mu, mo.solve_auxiliary(prob), prob)
     assert report.energy_e_f == -math.inf
     assert report.duality_identity_error == math.inf
+    # a rectangle's band with no stiffness meets a zero pivot: no finite
+    # energy can be trusted
+    layout = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 6, 5).stiffness_layout()
+    with pytest.raises(mo.Unbounded, match="singular to working precision"):
+        layout.factor(layout.band(np.zeros(30)))
 
 
 @pytest.mark.parametrize("make_grid, atoms", [
@@ -337,16 +340,24 @@ def test_energy_numerically_singular_stiffness_is_unbounded(monkeypatch):
 ], ids=["interval-atom", "radial", "square-cells", "wide-atom"])
 def test_energy_positive_density_skips_graph_search(monkeypatch, make_grid, atoms):
     # every cell carries density, so no node floats: the graph search would
-    # pin nothing, and the energy is the unpinned solve's, bit for bit
+    # pin nothing, and a rectangle's energy is the unpinned solve's, bit for
+    # bit; a 1-d energy is the flux recursion, which agrees with a dense solve
     g = make_grid()
     rng = np.random.default_rng(3)
     mu = mo.DiscreteMeasure(g, rng.uniform(0.5, 2.0, g.n_cells), atoms=atoms)
     f = mo.SourceTerm(g, density=rng.standard_normal(g.n_nodes))
     idx = g.interior_idx
     Fin = f.load_vector()[idx]
-    layout = g.stiffness_layout()
     w = mo.grids.with_atoms(g, g.cell_volumes * mu.ac_density, mu.atoms)
+    if g.dim == 1:
+        u = np.linalg.solve(_dense_stiffness(g, w), Fin)
+        monkeypatch.setattr(recovery, "_floating_pins", _no_graph_search)
+        res = mo.energy_eval(mu, f)
+        assert res.energy == pytest.approx(-0.5 * float(Fin @ u), rel=1e-12)
+        assert res.residual <= 1e-12
+        return
     assert recovery._floating_pins(g, w, Fin).size == 0
+    layout = g.stiffness_layout()
     u = np.zeros(g.n_nodes)
     u[idx] = layout.factor(layout.band(w)).solve(Fin)
     grad = g.gradient_apply(u)
@@ -393,6 +404,25 @@ def _dense_stiffness(g, w):
     G = np.stack([g.gradient_apply(e) for e in np.eye(g.n_nodes)[g.interior_idx]], axis=-1)
     G = G.transpose(1, 0, 2).reshape(g.dim * g.n_cells, -1)
     return G.T @ (np.tile(w, g.dim)[:, None] * G)
+
+
+def test_energy_radial_centre_run_floats():
+    # a cell without weight cuts the ball's centre off its boundary: a load
+    # on the centre run has no finite energy, a load outside it has the
+    # dense least-squares energy of the singular system
+    g = mo.radial_grid(1.0, 40, 3)
+    a = np.random.default_rng(7).uniform(0.5, 2.0, g.n_cells)
+    a[12] = 0.0
+    mu = mo.DiscreteMeasure(g, a)
+    x = g.nodes_1d
+    with pytest.raises(mo.Unbounded):
+        mo.energy_eval(mu, mo.SourceTerm(g, density=np.where(x < x[12], 1.0, 0.0)))
+    f = mo.SourceTerm(g, density=np.where(x > x[13], 1.0 + x, 0.0))
+    res = mo.energy_eval(mu, f)
+    F = f.load_vector()[g.interior_idx]
+    u = np.linalg.lstsq(_dense_stiffness(g, g.cell_volumes * a), F, rcond=None)[0]
+    assert res.energy == pytest.approx(-0.5 * float(F @ u), rel=1e-12)
+    assert res.residual <= 1e-12
 
 
 def rectangle_island(nx, bx):
