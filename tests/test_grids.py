@@ -350,22 +350,36 @@ def _unit_weights(g, atoms=()):
     return g, g.cell_volumes, atoms
 
 
+def _telescoped_solve(g, w, b):
+    # K x = b for the stiffness of the folded cell weights w on a 1-d grid,
+    # by the flux recursion energy_eval uses there in place of a band
+    F = np.zeros(g.n_nodes)
+    F[g.interior_idx] = b
+    return mo.recovery._telescoped_field(g, w, F)[g.interior_idx]
+
+
 @pytest.mark.parametrize("build, reordered", [
+    (lambda: _unit_weights(mo.interval_grid(-1.0, 2.0, 97)), None),
+    (lambda: _unit_weights(mo.radial_grid(1.0, 80, 3)), None),
     (lambda: _unit_weights(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 12, 10),
                            [(np.array([0.37, 0.51]), 2.0)]), True),
     (_hessian_weights, True),
     (lambda: _unit_weights(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 96, 6)), True),
     (lambda: _unit_weights(mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 6, 96)), False),
-], ids=["rect-atom", "hessian", "rect-96x6", "rect-6x96"])
+], ids=["interval", "radial", "rect-atom", "hessian", "rect-96x6", "rect-6x96"])
 def test_spd_factor_matches_dense_solve(build, reordered):
-    # a rectangle wider than tall is factored column by column
+    # a rectangle wider than tall is factored column by column; a 1-d grid
+    # builds no factor (reordered is None) and solves by the flux recursion
     g, w, atoms = build()
     K = _dense_stiffness(g, w, atoms)
     b = np.random.default_rng(4).standard_normal(K.shape[0])
-    layout = g.stiffness_layout()
-    factor = layout.factor(layout.band(mo.grids.with_atoms(g, w, atoms)))
-    assert (factor.order is not None) == reordered
-    x = factor.solve(b)
+    if reordered is None:
+        x = _telescoped_solve(g, mo.grids.with_atoms(g, w, atoms), b)
+    else:
+        layout = g.stiffness_layout()
+        factor = layout.factor(layout.band(mo.grids.with_atoms(g, w, atoms)))
+        assert (factor.order is not None) == reordered
+        x = factor.solve(b)
     ref = np.linalg.solve(K, b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -381,15 +395,20 @@ def _bincount_band(g, w):
     # pair) entry goes to its slot in the band, or past its end when a node
     # of the pair is on the boundary; returns the band and the positions
     n = g.interior_idx.size
-    nx, ny = g.params["nx"], g.params["ny"]
-    jj, ii = np.divmod(np.arange(g.n_cells), nx)
-    local = (jj * (nx + 1) + ii)[:, None] + np.array([0, 1, nx + 1, nx + 2])
-    grads = (np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
-             / [[2.0 * g.hx], [2.0 * g.hy]])[None]
-    pos = np.arange(n)
-    if nx > ny:
-        iy, ix = np.divmod(np.arange(n), nx - 1)
-        pos = ix * (ny - 1) + iy
+    if g.dim == 1:
+        local = np.arange(g.n_cells)[:, None] + np.arange(2)
+        grads = (np.array([-1.0, 1.0]) / g.cell_h[:, None])[:, None, :]
+        pos = np.arange(n)
+    else:
+        nx, ny = g.params["nx"], g.params["ny"]
+        jj, ii = np.divmod(np.arange(g.n_cells), nx)
+        local = (jj * (nx + 1) + ii)[:, None] + np.array([0, 1, nx + 1, nx + 2])
+        grads = (np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
+                 / [[2.0 * g.hx], [2.0 * g.hy]])[None]
+        pos = np.arange(n)
+        if nx > ny:
+            iy, ix = np.divmod(np.arange(n), nx - 1)
+            pos = ix * (ny - 1) + iy
     node_pos = np.full(g.n_nodes, -1)
     node_pos[g.interior_idx] = pos
     la, lb = np.triu_indices(local.shape[1])
@@ -424,15 +443,27 @@ _PLAN_GRIDS = {
     "2x9": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 2, 9),
     "3x8": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 3, 8),
     "8x3": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 3),
+    "interval": lambda: mo.interval_grid(-1.0, 2.0, 23),
+    "radial": lambda: mo.radial_grid(1.3, 19, 3),
 }
+
+
+def _dense_from_band(band):
+    # the symmetric matrix whose lower diagonals the band holds
+    n = band.shape[1]
+    K = np.diag(band[0])
+    for r in range(1, band.shape[0]):
+        K += np.diag(band[r, :n - r], -r) + np.diag(band[r, :n - r], r)
+    return K
 
 
 @pytest.mark.parametrize("name, weights", [
     (name, weights) for name in sorted(_PLAN_GRIDS)
-    for weights in ("scalar", "scalar-atoms", "tensor", "tensor-atoms")])
+    for weights in ("scalar", "scalar-atoms") + (
+        () if name in ("interval", "radial") else ("tensor", "tensor-atoms"))])
 def test_slice_plan_band_matches_bincount_assembly(name, weights):
     # bit for bit, with cells of zero weight, and on square cells, whose
-    # edge couplings cancel exactly
+    # edge couplings cancel exactly; 2x2 weights live on rectangles
     g = _PLAN_GRIDS[name]()
     rng = np.random.default_rng(11)
     w = rng.uniform(0.1, 10.0, g.n_cells)
@@ -441,9 +472,19 @@ def test_slice_plan_band_matches_bincount_assembly(name, weights):
         A = rng.standard_normal((g.n_cells, 2, 2))
         w = (A @ np.swapaxes(A, 1, 2)) * (w > 0.0)[:, None, None]
     if weights.endswith("atoms"):
-        w = mo.grids.with_atoms(g, w, [(g.cell_centers[g.n_cells // 2] + 0.01, 1.5)])
-    layout = g.stiffness_layout()
+        loc = np.array([0.4]) if g.dim == 1 else g.cell_centers[g.n_cells // 2] + 0.01
+        w = mo.grids.with_atoms(g, w, [(loc, 1.5)])
     ref, pos = _bincount_band(g, w)
+    if g.dim == 1:
+        # no band: the flux recursion solves the assembled stiffness across
+        # the cuts of the cells of zero weight, for a load that puts no net
+        # load on a floating run
+        K = _dense_from_band(ref)
+        b = K @ rng.standard_normal(K.shape[0])
+        x = _telescoped_solve(g, w, b)
+        assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+        return
+    layout = g.stiffness_layout()
     band = layout.band(w)
     assert band.shape == ref.shape and band.flags.f_contiguous
     assert np.array_equal(_bits(band), _bits(ref))
@@ -480,6 +521,8 @@ def _dense_stiffness(g, w, atoms):
 
 
 _LAYOUT_GRIDS = {
+    "interval": (lambda: mo.interval_grid(-1.0, 2.0, 23), [(np.array([0.4]), 1.5)]),
+    "radial": (lambda: mo.radial_grid(1.3, 19, 3), [(np.array([0.5]), 0.7)]),
     "square": (lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8),
                [(np.array([0.5, 0.5]), 2.0), (np.array([0.3, 0.71]), 0.4)]),
     "wide": (lambda: mo.rectangle_grid(0.0, 3.0, -1.0, 0.5, 13, 5),
@@ -491,7 +534,8 @@ _LAYOUT_GRIDS = {
 
 @pytest.mark.parametrize("with_atoms", [False, True], ids=["plain", "atoms"])
 @pytest.mark.parametrize("name, tensor", [
-    (name, tensor) for tensor in (False, True) for name in sorted(_LAYOUT_GRIDS)],
+    (name, False) for name in sorted(_LAYOUT_GRIDS)] + [
+    (name, True) for name in ("square", "tall", "wide")],  # 2x2 weights on rectangles
     ids=lambda v: v if isinstance(v, str) else ("tensor" if v else "scalar"))
 def test_stiffness_matches_dense_product(name, tensor, with_atoms):
     make, atoms = _LAYOUT_GRIDS[name]
@@ -504,6 +548,11 @@ def test_stiffness_matches_dense_product(name, tensor, with_atoms):
         w = rng.uniform(0.1, 10.0, g.n_cells)
     atoms = atoms if with_atoms else ()
     ref = _dense_stiffness(g, w, atoms)
+    if g.dim == 1:  # no band: the flux recursion solves the dense product
+        b = rng.standard_normal(ref.shape[0])
+        x = _telescoped_solve(g, mo.grids.with_atoms(g, w, atoms), b)
+        assert np.linalg.norm(x - np.linalg.solve(ref, b)) <= 1e-12 * np.linalg.norm(x)
+        return
     layout = g.stiffness_layout()
     band = layout.band(mo.grids.with_atoms(g, w, atoms))
     # the dense matrix in band order: nothing outside the band, and the band
