@@ -31,6 +31,7 @@ import numpy as np
 from . import costs as costs_mod
 from .errors import ConfigError, MassOptError, UnsupportedGrid
 from .exprlang import Expression
+from .formatting import write_rows
 from .grids import (SourceTerm, interval_grid, radial_grid, rectangle_grid,
                     write_field_csv, write_measure)
 from .oracle import fixture, fixture_errors, fixture_names
@@ -335,8 +336,7 @@ def cmd_conjugate_table(cost, s_lo, s_hi, count, stream):
     hi = np.full(count, math.nan)
     lo[inside], hi[inside] = costs_mod.subdiff_interval(cost, s[inside])
     stream.write("s,value,subdiff_lo,subdiff_hi\n")
-    for row in zip(s, value, lo, hi):
-        stream.write(",".join(_FMT % v for v in row) + "\n")
+    write_rows(stream, np.column_stack((s, value, lo, hi)))
 
 
 def _post_build_error(exc):

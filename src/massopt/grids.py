@@ -20,8 +20,9 @@ import math
 import numpy as np
 
 from .errors import AtomOutsideGrid, InadmissibleSource, Unbounded, UnsupportedGrid
+from .formatting import write_rows
 
-_FMT = "%.17g"  # float formatting that round-trips doubles exactly
+_FMT = "%.17g"  # reads back to the same double; write_rows writes the same bytes
 
 
 def sphere_surface(d):
@@ -632,23 +633,13 @@ class BandCholesky:
 # CSV / JSON export
 # ---------------------------------------------------------------------------
 
-def _write_rows(fh, points, values):
-    """One ``x[,y],value`` line per point, each number as ``%.17g``.
-
-    The whole table is one format operation on a flat tuple of floats, so
-    writing it allocates no per-row objects for the garbage collector.
-    """
-    table = np.column_stack((points, values))
-    row = ",".join([_FMT] * table.shape[1]) + "\n"
-    fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
-
-
 def _write_grid_rows(fh, xs, ys, values):
-    """What :func:`_write_rows` writes for the points ``(x, y)`` of ``xs x ys``, x fastest.
+    """What :func:`write_rows` writes for the points ``(x, y)`` of ``xs x ys``, x fastest.
 
     Each distinct coordinate is formatted once, and the ``x,y,`` prefixes
     are joined from them into the template, so the one format operation
-    formats only the values.
+    formats only the values; on rectangles of rect-2d's sizes that
+    is faster than :func:`write_rows` on the three columns.
     """
     xcol = [_FMT % x + "," for x in xs.tolist()]
     rows = []
@@ -665,7 +656,7 @@ def write_field_csv(path, field):
         fh.write(grid.header() + "\n")
         fh.write(",".join(cols + ["value"]) + "\n")
         if grid.dim == 1:
-            _write_rows(fh, grid.node_coords, field.values)
+            write_rows(fh, np.column_stack((grid.node_coords, field.values)))
         else:
             _write_grid_rows(fh, grid.xs, grid.ys, field.values)
 
@@ -682,7 +673,7 @@ def write_measure(path_csv, path_json, measure):
         fh.write(grid.header() + "\n")
         fh.write(",".join(cols + ["density"]) + "\n")
         if grid.dim == 1:
-            _write_rows(fh, grid.cell_centers, measure.ac_density)
+            write_rows(fh, np.column_stack((grid.cell_centers, measure.ac_density)))
         else:
             nx = grid.params["nx"]
             _write_grid_rows(fh, grid.cell_centers[:nx, 0], grid.cell_centers[::nx, 1],

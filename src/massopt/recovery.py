@@ -219,8 +219,11 @@ def energy_eval(mu, source):
     stencils.  Raises :class:`Unbounded` when the energy is unbounded below:
     the source loads a floating part of the domain, the factorisation meets
     a pivot that is not positive (a stiffness singular to working
-    precision), or the energy falls below the admissibility floor.
+    precision), or the energy falls below the admissibility floor.  Raises
+    ``ValueError`` when a density of ``mu`` is not finite.
     """
+    if not np.all(np.isfinite(mu.ac_density)):
+        raise ValueError("density must be finite")
     grid = mu.grid
     idx = grid.interior_idx
     F = source.load_vector()

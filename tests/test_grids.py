@@ -1,6 +1,7 @@
 """Grids, fields, sources, measures, and the discrete gradient pair."""
 
 import gc
+import io
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import massopt as mo
+from massopt.formatting import write_rows
 
 
 # -- grid structure ---------------------------------------------------------
@@ -322,6 +324,65 @@ def test_csv_writers_match_per_cell_writer(tmp_path, grid):
             fh.write(",".join(cols + [last]) + "\n")
             _old_rows(fh, points, vals)
         assert (tmp_path / name).read_bytes() == (tmp_path / ("old_" + name)).read_bytes()
+
+
+def _printf_rows(table):
+    # the one-format-operation writer write_rows replaced
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return row * table.shape[0] % tuple(table.ravel().tolist())
+
+
+def _assert_written_as_printf(table):
+    fh = io.StringIO()
+    write_rows(fh, table)
+    got, want = fh.getvalue().split("\n"), _printf_rows(table).split("\n")
+    first = next(((i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert first is None and len(got) == len(want), first  # (row, written, printf)
+
+
+def _g17_edge_values():
+    big = sys.float_info.max
+    values = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+              big, -big, sys.float_info.min, 9.9999999999999995e-7, 99999999999999999.0]
+    # powers of ten and their neighbours, across the fixed/exponent switch
+    # (X = -5 | -4 and 16 | 17) and the ends of the exact range (1e-6, 1e17)
+    for j in range(-323, 309):
+        p = float("1e%d" % j)
+        down, up = np.nextafter(p, 0.0), np.nextafter(p, math.inf)
+        values += [p, down, up, np.nextafter(down, 0.0), np.nextafter(up, math.inf)]
+    # exact decimal ties at the 17th digit (2**-25 = 2.98023223876953125e-8)
+    values += [2.0 ** -n for n in range(1075)] + [2.0 ** n for n in range(1024)]
+    values += [3.0 * 2.0 ** -n for n in range(80)] + [0.5 + 2.0 ** -n for n in range(54)]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_write_rows_is_printf_on_random_bit_patterns():
+    rng = np.random.default_rng(26)
+    bits = rng.integers(0, 2 ** 64, 100_002, dtype=np.uint64, endpoint=False).view(np.float64)
+    _assert_written_as_printf(bits.reshape(-1, 3))
+
+
+def test_write_rows_is_printf_where_digits_are_exact():
+    # random mantissas in and around 1e-6 <= |x| < 1e17, where the digits
+    # come from the exact product instead of Python's "%.16e"
+    rng = np.random.default_rng(27)
+    exps = rng.integers(-25, 60, 100_000)
+    values = np.ldexp(rng.uniform(0.5, 1.0, exps.size), exps) * rng.choice([-1.0, 1.0], exps.size)
+    _assert_written_as_printf(values.reshape(-1, 2))
+
+
+def test_write_rows_is_printf_on_edge_values():
+    _assert_written_as_printf(_g17_edge_values()[:, None])
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513])
+@pytest.mark.parametrize("ncols", [1, 2, 3])
+def test_write_rows_is_printf_at_block_edges(ncols, rows):
+    rng = np.random.default_rng(ncols * 1000 + rows)
+    table = rng.choice(_g17_edge_values(), (rows, ncols))
+    table[::3] = rng.standard_normal((len(table[::3]), ncols))
+    _assert_written_as_printf(table)
 
 
 @pytest.mark.parametrize("atoms", [(), ((np.array([0.61, 0.33]), 0.8),)],

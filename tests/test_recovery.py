@@ -308,6 +308,18 @@ def test_energy_unbounded_detection():
         mo.energy_eval(mu, mo.SourceTerm.constant(g, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("grid", [mo.interval_grid(-1.0, 1.0, 16),
+                                  mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 4, 3)],
+                         ids=["interval", "rectangle"])
+def test_energy_refuses_a_density_that_is_not_finite(grid, bad):
+    density = np.ones(grid.n_cells)
+    density[3] = bad
+    mu = mo.DiscreteMeasure(grid, density)  # the measure itself accepts it
+    with pytest.raises(ValueError, match="finite"):
+        mo.energy_eval(mu, mo.SourceTerm.constant(grid, 1.0))
+
+
 def _no_graph_search(*_args, **_kwargs):
     raise AssertionError("the stiffness graph was searched")
 
