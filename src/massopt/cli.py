@@ -31,14 +31,12 @@ import numpy as np
 from . import costs as costs_mod
 from .errors import ConfigError, MassOptError, UnsupportedGrid
 from .exprlang import Expression
-from .formatting import write_rows
+from .formatting import FMT, write_rows
 from .grids import (SourceTerm, interval_grid, radial_grid, rectangle_grid,
-                    write_field_csv, write_measure)
+                    write_field_csv, write_iteration_log, write_measure)
 from .oracle import fixture, fixture_errors, fixture_names
-from .recovery import recover_measure, verify_conditions
-from .solver import SolverParams, build_problem, solve_auxiliary, write_iteration_log
-
-_FMT = "%.17g"
+from .recovery import json_safe, recover_measure, verify_conditions
+from .solver import SolverParams, build_problem, solve_auxiliary
 
 # perfbench/tracing.py looks these two names up in this module to time
 # recovery, and cannot install when either is missing; the pipeline itself
@@ -256,16 +254,6 @@ def parse_config(path):
 # pipeline
 # ---------------------------------------------------------------------------
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
 def run(config_path, log_path=None, json_report_path=None):
     """Execute a configured pipeline; returns the process exit code."""
     try:
@@ -280,8 +268,6 @@ def run(config_path, log_path=None, json_report_path=None):
     except OSError as exc:
         print("config error: output.dir: %s" % exc, file=sys.stderr)
         return 2
-    params = config.solver_params
-    params.log_path = log_path or os.path.join(out, "iterations.csv")
 
     try:
         problem = build_problem(config.grid, config.cost, config.source,
@@ -291,7 +277,8 @@ def run(config_path, log_path=None, json_report_path=None):
         return 2
 
     try:
-        solution = solve_auxiliary(problem, params)
+        solution = solve_auxiliary(problem, config.solver_params)
+        write_iteration_log(log_path or os.path.join(out, "iterations.csv"), solution.log)
         measure = recover_measure(solution, problem)
         report = verify_conditions(measure, solution, problem)
         write_field_csv(os.path.join(out, "u.csv"), solution.u)
@@ -312,7 +299,7 @@ def run(config_path, log_path=None, json_report_path=None):
         })
         report_path = json_report_path or os.path.join(out, "report.json")
         with open(report_path, "w") as fh:
-            json.dump(_sanitize(payload), fh, indent=2, sort_keys=True)
+            json.dump(json_safe(payload), fh, indent=2, sort_keys=True)
             fh.write("\n")
     except (MassOptError, OSError) as exc:
         return _post_build_error(exc)
@@ -363,10 +350,10 @@ def cmd_fixtures(name, dimension, resolution, stream=None):
     except MassOptError as exc:
         return _post_build_error(exc)
     stream.write("fixture %s (n=%d, resolution=%d)\n" % (fix.name, fix.ball_dim, resolution))
-    stream.write("u_rel_sup_error,%s\n" % (_FMT % u_err))
-    stream.write("a_rel_l1_error,%s\n" % (_FMT % a_err))
+    stream.write("u_rel_sup_error,%s\n" % (FMT % u_err))
+    stream.write("a_rel_l1_error,%s\n" % (FMT % a_err))
     for key, value in sorted(report.residuals().items()):
-        stream.write("%s,%s\n" % (key, _FMT % value))
+        stream.write("%s,%s\n" % (key, FMT % value))
     ok = (u_err <= 0.05 and a_err <= 0.05
           and report.passes(DEFAULT_THRESHOLDS) and solution.converged)
     return 0 if ok else 1

@@ -152,8 +152,13 @@ class _PowerProfile:
         return np.where(t > 0.0, np.abs(t) ** (self.p - 1.0), 0.0)
 
     def invert_flux(self, vabs):
-        # t * (t^2/2)^(q-1) = v
-        return (2.0 ** (self.q - 1.0) * vabs) ** (1.0 / (2.0 * self.q - 1.0))
+        # t * (t^2/2)^(q-1) = v; in logs where 2^(q-1) v overflows, as for p near 1
+        e = 1.0 / (2.0 * self.q - 1.0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = np.float64(2.0) ** (self.q - 1.0) * vabs
+            if np.all(np.isfinite(x)):
+                return x ** e
+            return np.exp(e * ((self.q - 1.0) * math.log(2.0) + np.log(vabs)))
 
 
 class _LinearProfile:

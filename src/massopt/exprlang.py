@@ -14,7 +14,8 @@ for sources).  Evaluation is numpy-vectorized and works on extended reals:
 ``inf`` is IEEE infinity and arithmetic with it saturates.
 
 :meth:`Expression.derivative` also gives the right derivative in one
-variable, by forward-mode differentiation over the syntax tree.
+variable, by forward-mode differentiation over the syntax tree; a call
+takes the value half of the same walk.
 
 Division by zero is tolerated in exactly one place: a term like ``1/t``
 evaluated at ``t == 0`` yields ``+inf`` (the cost is extended-valued at the
@@ -181,8 +182,7 @@ class Expression:
             raise ExprError("missing value for variable(s) %s" % ", ".join(missing))
         arrs = {k: np.asarray(v, dtype=float) for k, v in values.items()}
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = self._eval(self.ast, arrs)
-        return out
+            return self._dual(self.ast, arrs, None)[0]
 
     def derivative(self, var, **values):
         """Value and right derivative in ``var``, by forward mode over the AST.
@@ -195,21 +195,8 @@ class Expression:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return self._dual(self.ast, arrs, var)
 
-    def _eval(self, node, values):
-        op = node[0]
-        if op == "num":
-            return np.asarray(node[1], dtype=float)
-        if op == "var":
-            return values[node[1]]
-        if op == "neg":
-            return -self._eval(node[1], values)
-        if op == "guard":
-            _, var, cut, body, other = node
-            cond = values[var] >= cut
-            return np.where(cond, self._eval(body, values), self._eval(other, values))
-        return self._apply(op, self._eval(node[1], values), self._eval(node[2], values), values)
-
     def _dual(self, node, values, var):
+        """``(value, derivative in var)`` of a node; the derivative is 0 for ``var=None``."""
         op = node[0]
         if op == "num":
             return np.asarray(node[1], dtype=float), 0.0

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+FMT = "%.17g"  # reads back to the same double; write_rows writes the same bytes
 _BLOCK_ROWS = 512  # rows formatted per numpy pass; bounds the temporaries
 _POW10 = np.array([float(10 ** j) for j in range(23)])  # exact for j <= 22
 _EXP_OFF = 400  # decimal exponents of doubles lie in [-324, 308]

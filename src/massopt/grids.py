@@ -20,14 +20,15 @@ import math
 import numpy as np
 
 from .errors import AtomOutsideGrid, InadmissibleSource, Unbounded, UnsupportedGrid
-from .formatting import write_rows
-
-_FMT = "%.17g"  # reads back to the same double; write_rows writes the same bytes
+from .formatting import FMT, write_rows
 
 
 def sphere_surface(d):
-    """Surface measure of the unit (d-1)-sphere: 2 pi^(d/2) / Gamma(d/2)."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    """Surface measure of the unit (d-1)-sphere: 2 pi^(d/2) / Gamma(d/2); nan past float range."""
+    try:
+        return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    except OverflowError:  # Gamma(d/2) or pi^(d/2), from d = 344 on
+        return math.nan
 
 
 def _finite(*xs):
@@ -35,45 +36,40 @@ def _finite(*xs):
 
 
 class Grid:
-    """Structured grid; immutable after construction."""
+    """Structured grid; immutable, every cell volume finite and positive (else UnsupportedGrid)."""
 
     def __init__(self, kind, params):
         self.kind = kind
         self.params = dict(params)
-        if kind == "interval":
-            a, b, n = params["a"], params["b"], params["n"]
-            if not (_finite(a, b) and b > a and n >= 1):
-                raise UnsupportedGrid("interval needs finite a < b and n >= 1")
+        if kind in ("interval", "radial"):
+            if kind == "interval":
+                a, b, n, d = params["a"], params["b"], params["n"], 1
+                if not (_finite(a, b, b - a) and b > a and n >= 1):
+                    raise UnsupportedGrid("interval needs finite a < b, b - a finite and n >= 1")
+            else:
+                a, b, n, d = 0.0, params["radius"], params["n"], params["dimension"]
+                if not (_finite(b) and b > 0 and n >= 1 and d >= 1):
+                    raise UnsupportedGrid("radial needs a finite radius > 0, n >= 1, "
+                                          "dimension >= 1")
             self.dim = 1
-            self.ball_dim = 1
+            self.ball_dim = int(d)
             nodes = np.linspace(a, b, n + 1)
             self.nodes_1d = nodes
             self.node_coords = nodes[:, None]
             self.cell_h = np.diff(nodes)
             self.cell_volumes = self.cell_h.copy()
+            if kind == "radial":
+                with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                    self.cell_volumes = sphere_surface(d) * (nodes[1:] ** d - nodes[:-1] ** d) / d
             self.cell_centers = (0.5 * (nodes[:-1] + nodes[1:]))[:, None]
             self.boundary_mask = np.zeros(n + 1, dtype=bool)
-            self.boundary_mask[[0, -1]] = True
-        elif kind == "radial":
-            radius, n, d = params["radius"], params["n"], params["dimension"]
-            if not (_finite(radius) and radius > 0 and n >= 1 and d >= 1):
-                raise UnsupportedGrid("radial needs a finite radius > 0, n >= 1, "
-                                      "dimension >= 1")
-            self.dim = 1
-            self.ball_dim = int(d)
-            nodes = np.linspace(0.0, radius, n + 1)
-            self.nodes_1d = nodes
-            self.node_coords = nodes[:, None]
-            self.cell_h = np.diff(nodes)
-            omega = sphere_surface(d)
-            self.cell_volumes = omega * (nodes[1:] ** d - nodes[:-1] ** d) / d
-            self.cell_centers = (0.5 * (nodes[:-1] + nodes[1:]))[:, None]
-            self.boundary_mask = np.zeros(n + 1, dtype=bool)
-            self.boundary_mask[-1] = True  # r = 0 is an interior point of the ball
+            # both ends of an interval; r = 0 is an interior point of the ball
+            self.boundary_mask[[0, -1] if kind == "interval" else -1] = True
         elif kind == "rectangle":
             ax, bx, ay, by = params["ax"], params["bx"], params["ay"], params["by"]
             nx, ny = params["nx"], params["ny"]
-            if not (_finite(ax, bx, ay, by) and bx > ax and by > ay and nx >= 1 and ny >= 1):
+            if not (_finite(ax, bx, ay, by, bx - ax, by - ay) and bx > ax and by > ay
+                    and nx >= 1 and ny >= 1):
                 raise UnsupportedGrid("rectangle needs finite positive extents and "
                                       "resolutions")
             self.dim = 2
@@ -98,6 +94,8 @@ class Grid:
 
         self.n_nodes = self.node_coords.shape[0]
         self.n_cells = self.cell_volumes.shape[0]
+        if not np.all(np.isfinite(self.cell_volumes) & (self.cell_volumes > 0.0)):
+            raise UnsupportedGrid("%s grid cells need finite positive volumes" % kind)
         self.interior_idx = np.nonzero(~self.boundary_mask)[0]
         self.node_weights = self._nodal_weights()
         self._layout = None
@@ -121,7 +119,7 @@ class Grid:
         return w
 
     def header(self):
-        items = " ".join("%s=%s" % (k, _FMT % v if isinstance(v, float) else v)
+        items = " ".join("%s=%s" % (k, FMT % v if isinstance(v, float) else v)
                          for k, v in sorted(self.params.items()))
         return "# grid: %s %s" % (self.kind, items)
 
@@ -513,18 +511,13 @@ class StiffnessLayout:
         """Lower band of the stiffness ``G^T B G`` on the interior nodes.
 
         ``w`` holds either one weight per cell, shape ``(n_cells,)`` (cell
-        volume times conductivity for a Dirichlet energy; ``B`` repeats it
-        on every gradient component), or one symmetric 2x2 tensor per cell
-        (``B`` couples the x and y gradients of the cell, as
-        in a Hessian): shape ``(n_cells, 2, 2)``, or its three parts
-        ``(B_xx, B_xy, B_yy)``, each of shape ``(n_cells,)``.  Atoms are
-        folded into ``w`` beforehand (:func:`with_atoms`).  The band is
+        volume times conductivity for a Dirichlet energy, atoms folded in by
+        :func:`with_atoms`; ``B`` repeats it on every gradient component),
+        or the three parts ``(B_xx, B_xy, B_yy)`` of one symmetric 2x2
+        tensor per cell, each of shape ``(n_cells,)`` (``B`` couples the x
+        and y gradients of the cell, as in a Hessian).  The band is
         Fortran-ordered, so :meth:`factor` factors it in place.
         """
-        if not isinstance(w, tuple):
-            w = np.asarray(w, dtype=float)
-            if w.ndim == 3:
-                w = (w[:, 0, 0], w[:, 0, 1], w[:, 1, 1])
         tensor = isinstance(w, tuple)
         if tensor:
             bxx, bxy, byy = (self._on_cells(np.asarray(p, dtype=float)) for p in w)
@@ -535,7 +528,7 @@ class StiffnessLayout:
                 v += byy * yy
                 vals.append(v)
         else:
-            w = self._on_cells(w)
+            w = self._on_cells(np.asarray(w, dtype=float))
             vals = [w * unit for unit, in self._units]
         band = np.zeros((self.band_rows, self.n), order="F")
         for r, dst, src, unit, parts in self._plan:
@@ -572,12 +565,12 @@ class StiffnessLayout:
 
 
 def with_atoms(grid, w, atoms):
-    """Cell weights ``w`` with the point stiffness of each atom folded in.
+    """Per-cell weights ``w`` with the point stiffness of each atom folded in.
 
     An atom ``(location, mass)`` adds the point stiffness of the hat
     gradients on the cells carrying it.  The hat gradients are constant on
     a cell, so that is the cell's stiffness at weight ``mass`` times the
-    cell's share of the atom (times the identity for 2x2 weights).
+    cell's share of the atom.
     """
     if not atoms:
         return w
@@ -585,11 +578,7 @@ def with_atoms(grid, w, atoms):
     for loc, mass in atoms:
         for i, cw in grid.cell_weights_at(loc):
             extra[i] += mass * cw
-    if isinstance(w, tuple):
-        bxx, bxy, byy = w
-        return bxx + extra, bxy, byy + extra
-    w = np.asarray(w, dtype=float)
-    return w + (extra if w.ndim == 1 else extra[:, None, None] * np.eye(2))
+    return w + extra
 
 
 def stiffness_factor(grid, w):
@@ -641,12 +630,19 @@ def _write_grid_rows(fh, xs, ys, values):
     formats only the values; on rectangles of rect-2d's sizes that
     is faster than :func:`write_rows` on the three columns.
     """
-    xcol = [_FMT % x + "," for x in xs.tolist()]
+    xcol = [FMT % x + "," for x in xs.tolist()]
     rows = []
     for y in ys.tolist():
-        tail = _FMT % y + "," + _FMT + "\n"
+        tail = FMT % y + "," + FMT + "\n"
         rows.append(tail.join(xcol) + tail)
     fh.write("".join(rows) % tuple(np.asarray(values, dtype=float).tolist()))
+
+
+def write_iteration_log(path, log):
+    """The log's ``(iteration, primal, dual, gap)`` rows as CSV, in one format operation."""
+    row = "%d" + ("," + FMT) * 3 + "\n"
+    with open(path, "w") as fh:
+        fh.write("iteration,primal,dual,gap\n" + row * len(log) % tuple(v for r in log for v in r))
 
 
 def write_field_csv(path, field):

@@ -133,8 +133,8 @@ def fixture(name, dimension=None):
         raise UnknownFixture("unknown fixture %r (have: %s)"
                              % (name, ", ".join(sorted(_CATALOG)))) from None
     if needs_dim:
-        if dimension is None:
-            raise UnknownFixture("fixture %r needs a dimension" % name)
+        if dimension is None or int(dimension) < 1:
+            raise UnknownFixture("fixture %r needs a dimension >= 1" % name)
         return factory(int(dimension))
     return factory()
 

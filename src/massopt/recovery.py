@@ -321,17 +321,22 @@ class OptimalityReport:
         return d
 
     def to_json(self):
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return repr(v)
-            return v
-
-        return json.dumps({k: clean(v) for k, v in self.to_dict().items()},
-                          indent=2, sort_keys=True)
+        return json.dumps(json_safe(self.to_dict()), indent=2, sort_keys=True)
 
     def __repr__(self):
         body = ", ".join("%s=%.3g" % (k, v) for k, v in self.residuals().items())
         return "OptimalityReport(%s)" % body
+
+
+def json_safe(obj):
+    """``obj`` with every float that is not finite, at any depth, as its ``repr`` string."""
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 def solution_like(problem, u_values):
@@ -350,7 +355,9 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
 
     ``cell_mask`` / ``node_mask`` restrict the metrics (used e.g. to excise
     a ball around a source singularity where exact fields are unbounded).
-    The report carries numbers; it never raises.
+    The report carries numbers; it never raises.  An energy that is
+    unbounded below scores ``-inf``, and the duality identity error
+    ``inf``; so does a density that is not finite, whose cost is ``nan``.
     """
     grid = problem.grid
     F = problem.load
@@ -391,12 +398,15 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
     # 4) boundary mass
     boundary_mass = mu.boundary_mass
 
-    # 5) duality identity  E_f(mu) - C(mu) = I_{f,c}
-    try:
-        energy = energy_eval(mu, problem.source).energy
-    except Unbounded:
-        energy = -INF
-    total_cost = cost_eval(mu, problem.cost, cell_weights=problem.cell_weights)
+    # 5) duality identity  E_f(mu) - C(mu) = I_{f,c}; neither side is defined
+    # for a density that is not finite, which energy_eval refuses
+    energy, total_cost = -INF, math.nan
+    if np.all(np.isfinite(a)):
+        try:
+            energy = energy_eval(mu, problem.source).energy
+        except Unbounded:
+            pass
+        total_cost = cost_eval(mu, problem.cost, cell_weights=problem.cell_weights)
     if math.isfinite(energy) and math.isfinite(total_cost):
         duality_err = abs(energy - total_cost - solution.objective)
     else:

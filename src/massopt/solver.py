@@ -74,18 +74,16 @@ class SolverParams:
 
     ``max_iterations`` (at least 1) bounds the Newton steps of a rectangle,
     over every smoothing level; a 1-d solve is its exact certificate and
-    takes no iteration.  ``log_path``, when set, receives the iteration log
-    as CSV.
+    takes no iteration.
     """
 
-    def __init__(self, max_iterations=20000, gap_tolerance=1e-8, log_path=None):
+    def __init__(self, max_iterations=20000, gap_tolerance=1e-8):
         if not 0.0 < gap_tolerance < INF:
             raise ValueError("gap_tolerance must be positive and finite")
         if int(max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
         self.max_iterations = int(max_iterations)
         self.gap_tolerance = float(gap_tolerance)
-        self.log_path = log_path
 
 
 class AuxiliaryProblem:
@@ -544,7 +542,7 @@ def _newton_2d(problem, params):
         steps += 1
 
     miss = (grid.gradient_adjoint(best_sigma * vol[:, None]) - F)[idx]
-    return _finish(problem, params, u, best_sigma, obj, best_dual, steps,
+    return _finish(problem, u, best_sigma, obj, best_dual, steps,
                    rel_gap <= params.gap_tolerance, float(np.linalg.norm(miss)), log, "newton",
                    factorisations, d, levels)
 
@@ -616,8 +614,9 @@ def require_converged(solution):
 
 
 def _relative_gap(obj, dual):
+    """``(gap, relative gap)``; an infinite gap is infinite relative to anything."""
     gap = obj - dual
-    return gap, gap / max(1.0, abs(obj), abs(dual))
+    return gap, gap if math.isinf(gap) else gap / max(1.0, abs(obj), abs(dual))
 
 
 def solve_auxiliary(problem, params=None):
@@ -666,25 +665,15 @@ def _certificate_1d(problem, params):
     g_u = grid.gradient_apply(u)[:, 0]
     density = np.where(carried, vabs / np.where(carried, mag, 1.0),
                        problem.conj_dminus(0.5 * g_u * g_u))
-    return _finish(problem, params, u, sigma, obj, dual, 0, rel_gap <= params.gap_tolerance,
+    return _finish(problem, u, sigma, obj, dual, 0, rel_gap <= params.gap_tolerance,
                    0.0, [(0, obj, dual, gap)], "certificate", 0, density)
 
 
-def _finish(problem, params, u, sigma, obj, dual, iterations, converged,
+def _finish(problem, u, sigma, obj, dual, iterations, converged,
             dual_residual, log, method, factorisations, density, mu_levels=0):
-    """Assemble the solution and write the iteration log."""
+    """The solution, with its gap and its dual residual relative to the load."""
     gap, rel_gap = _relative_gap(obj, dual)
     dual_residual = dual_residual / max(1.0, float(np.linalg.norm(problem.load)))
-    solution = AuxiliarySolution(problem, u, sigma, obj, dual, gap, rel_gap,
-                                 iterations, converged, dual_residual, log, method,
-                                 factorisations, density, mu_levels)
-    if params.log_path:
-        write_iteration_log(params.log_path, log)
-    return solution
-
-
-def write_iteration_log(path, log):
-    """The log's ``(iteration, primal, dual, gap)`` rows as CSV, in one format operation."""
-    with open(path, "w") as fh:
-        fh.write("iteration,primal,dual,gap\n")
-        fh.write("%d,%.17g,%.17g,%.17g\n" * len(log) % tuple(v for row in log for v in row))
+    return AuxiliarySolution(problem, u, sigma, obj, dual, gap, rel_gap, iterations,
+                             converged, dual_residual, log, method, factorisations,
+                             density, mu_levels)

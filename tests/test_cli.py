@@ -688,6 +688,67 @@ def test_bad_grid_is_config_error(tmp_path, capsys, domain):
     assert "config error: domain: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", [
+    "kind = radial\nradius = 1.0\nn = 64\ndimension = 400",
+    "kind = radial\nradius = 1.0\nn = 64\ndimension = 200",
+    "kind = radial\nradius = 1e200\nn = 64\ndimension = 3",
+    "kind = interval\na = -1e308\nb = 1e308\nn = 64",
+    "kind = rectangle\nax = 0.0\nbx = 1e-300\nay = 0.0\nby = 1e-300\nnx = 8\nny = 8",
+], ids=["radial-dimension-400", "radial-dimension-200", "radial-radius-1e200",
+        "interval-length-overflows", "rectangle-cells-underflow"])
+def test_grid_cells_outside_float_range_are_config_error(tmp_path, capsys, domain):
+    # cell volumes that overflow, underflow or cannot be computed are refused
+    cfg = write(tmp_path / "g.cfg", "[domain]\n%s\n\n[cost]\nbuiltin = quadratic\n\n"
+                "[source]\nvalue = 1.0\n\n[output]\ndir = %s\n" % (domain, tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: domain: ")
+
+
+@pytest.mark.parametrize("dimension", ["0", "-1", "4000"])
+def test_fixture_dimension_outside_range_is_config_error(capsys, dimension):
+    assert cli.main(["fixtures", "--name", "quadratic_ball_uniform",
+                     "--dimension", dimension, "--resolution", "64"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("p", ["1.0005", "1.00001", "1.0000001"])
+@pytest.mark.parametrize("domain", [
+    "kind = interval\na = -1.0\nb = 1.0\nn = 256",
+    "kind = radial\nradius = 1.0\nn = 256\ndimension = 3",
+], ids=["interval", "radial"])
+def test_power_cost_near_one_runs_in_1d(tmp_path, domain, p):
+    # 2^(q-1) overflows a double once p < 1 + 1/1024
+    cfg = write(tmp_path / "p.cfg", "[domain]\n%s\n\n[cost]\nbuiltin = power\np = %s\n\n"
+                "[source]\nvalue = 1.0\n\n[output]\ndir = %s\n" % (domain, p, tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 0
+
+
+def test_infinite_gap_is_reported_as_infinite(tmp_path, capsys):
+    # p = 1.01 at 16x16: no iterate is certified, so the gap is infinite
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "p.cfg", RECT_CONFIG.format(
+        n=16, cost="builtin = power\np = 1.01", budget=20000, out=out))
+    assert cli.main(["run", cfg]) == 3
+    assert "relative gap inf" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["relative_gap"] == "inf" and report["converged"] is False
+
+
+def test_iteration_log_kept_when_recovery_fails(tmp_path, capsys, monkeypatch):
+    # the log is written as soon as the solve returns
+    def fail(solution, problem):
+        raise mo.Unbounded("no measure")
+
+    monkeypatch.setattr(cli, "recover_measure", fail)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "run.cfg", MK_CONFIG.format(out=out))
+    assert cli.main(["run", cfg]) == 4
+    assert "error: Unbounded: no measure" in capsys.readouterr().err
+    lines = (out / "iterations.csv").read_text().splitlines()
+    assert lines[0] == "iteration,primal,dual,gap" and lines[1].startswith("0,")
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("setting, message", [
     ("max_iterations = -3", "max_iterations must be >= 1"),
     ("max_iterations = 5000\ncheck_every = -5", "unknown solver key 'check_every'"),

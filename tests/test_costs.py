@@ -335,6 +335,26 @@ def _assert_inverts_flux_map(cost, t, vabs, w=1.0, rtol=1e-13):
     assert np.all((m_lo <= vabs) & (vabs <= m_hi))
 
 
+@pytest.mark.parametrize("p", [1.0005, 1.00001, 1.0000001])
+def test_power_invert_flux_near_one(p):
+    # 2^(q-1) overflows a double once p < 1 + 1/1024; the inverse is then
+    # taken in logs
+    cost = mo.power_cost(p)
+    v = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 25)])
+    t = cost.invert_flux(v)
+    assert t[0] == 0.0 and np.all(np.isfinite(t))
+    _assert_inverts_flux_map(cost, t[1:], v[1:])
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.7])
+def test_power_invert_flux_closed_form_bits(p):
+    # where 2^(q-1) v stays finite the inverse is the closed form, bit for bit
+    cost = mo.power_cost(p)
+    q = p / (p - 1.0)
+    v = np.random.default_rng(8).uniform(0.0, 10.0, 1000)
+    assert np.array_equal(cost.invert_flux(v), (2.0 ** (q - 1.0) * v) ** (1.0 / (2.0 * q - 1.0)))
+
+
 @pytest.mark.parametrize("factory", [f for _, f in FLUX_PROFILES],
                          ids=[name for name, _ in FLUX_PROFILES])
 def test_weighted_invert_flux_is_rescaled_homogeneous_inverse(factory):

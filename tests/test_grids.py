@@ -388,12 +388,14 @@ def test_write_rows_is_printf_at_block_edges(ncols, rows):
 @pytest.mark.parametrize("atoms", [(), ((np.array([0.61, 0.33]), 0.8),)],
                          ids=["plain", "atom"])
 def test_stiffness_tensor_of_scalar_weights(atoms):
-    # the tensor form with w * I assembles the scalar-weight stiffness
+    # the tensor parts (w, 0, w) assemble the scalar-weight stiffness, with
+    # the atoms folded into w
     g = mo.rectangle_grid(0.0, 1.5, 0.0, 1.0, 13, 9)
     w = np.random.default_rng(2).uniform(0.1, 10.0, g.n_cells)
+    w = mo.grids.with_atoms(g, w, atoms)
     layout = g.stiffness_layout()
-    K = layout.band(mo.grids.with_atoms(g, w, atoms))
-    Kt = layout.band(mo.grids.with_atoms(g, w[:, None, None] * np.eye(2), atoms))
+    K = layout.band(w)
+    Kt = layout.band((w, np.zeros(g.n_cells), w))
     assert abs(K - Kt).max() <= 1e-14 * abs(K).max()
 
 
@@ -494,6 +496,19 @@ def _bits(a):
     return np.asarray(a).view(np.int64)
 
 
+def _folded(g, w, atoms):
+    # with_atoms for per-cell scalars; an atom adds its cells' shares to the
+    # diagonal of 2x2 tensor weights
+    extra = mo.grids.with_atoms(g, np.zeros(g.n_cells), atoms)
+    return w + (extra if w.ndim == 1 else extra[:, None, None] * np.eye(2))
+
+
+def _parts(w):
+    # the weights as band takes them: per-cell scalars, or the three parts
+    # of per-cell 2x2 tensors
+    return w if w.ndim == 1 else (w[:, 0, 0], w[:, 0, 1], w[:, 1, 1])
+
+
 _PLAN_GRIDS = {
     "tall": lambda: mo.rectangle_grid(0.0, 0.7, 0.0, 2.0, 5, 11),
     "wide": lambda: mo.rectangle_grid(-0.3, 3.0, -1.0, 7.0 / 3.0, 13, 6),
@@ -534,7 +549,7 @@ def test_slice_plan_band_matches_bincount_assembly(name, weights):
         w = (A @ np.swapaxes(A, 1, 2)) * (w > 0.0)[:, None, None]
     if weights.endswith("atoms"):
         loc = np.array([0.4]) if g.dim == 1 else g.cell_centers[g.n_cells // 2] + 0.01
-        w = mo.grids.with_atoms(g, w, [(loc, 1.5)])
+        w = _folded(g, w, [(loc, 1.5)])
     ref, pos = _bincount_band(g, w)
     if g.dim == 1:
         # no band: the flux recursion solves the assembled stiffness across
@@ -546,13 +561,10 @@ def test_slice_plan_band_matches_bincount_assembly(name, weights):
         assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
         return
     layout = g.stiffness_layout()
-    band = layout.band(w)
+    band = layout.band(_parts(w))
     assert band.shape == ref.shape and band.flags.f_contiguous
     assert np.array_equal(_bits(band), _bits(ref))
     assert np.array_equal(layout.pos, pos)
-    if w.ndim == 3:
-        parts = layout.band((w[:, 0, 0], w[:, 0, 1], w[:, 1, 1]))
-        assert np.array_equal(_bits(parts), _bits(ref))
 
 
 def _dense_gradient(g):
@@ -615,7 +627,7 @@ def test_stiffness_matches_dense_product(name, tensor, with_atoms):
         assert np.linalg.norm(x - np.linalg.solve(ref, b)) <= 1e-12 * np.linalg.norm(x)
         return
     layout = g.stiffness_layout()
-    band = layout.band(mo.grids.with_atoms(g, w, atoms))
+    band = layout.band(_parts(_folded(g, w, atoms)))
     # the dense matrix in band order: nothing outside the band, and the band
     # holds its lower diagonals
     order = np.argsort(layout.pos)

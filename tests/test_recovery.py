@@ -686,6 +686,35 @@ def test_report_json_fields():
     assert not rep2.passes({"duality_identity_error": 1e-3})
 
 
+def test_report_json_writes_non_finite_values_as_strings():
+    rep = mo.OptimalityReport(0.0, 0.0, 0.0, 0.0, INF, 1.0, -INF, math.nan, INF,
+                              assumptions=("a",))
+    data = json.loads(rep.to_json())
+    assert data["energy_e_f"] == "-inf" and data["duality_identity_error"] == "inf"
+    assert data["cost_c"] == "nan" and data["assumptions"] == ["a"]
+    assert recovery.json_safe({"x": [(1.0, -INF)], "y": {"z": math.nan}}) == {
+        "x": [[1.0, "-inf"]], "y": {"z": "nan"}}
+
+
+@pytest.mark.parametrize("make_grid, cost", [
+    (lambda: mo.interval_grid(-1.0, 1.0, 64), mo.quadratic_cost),
+    (lambda: mo.interval_grid(-1.0, 1.0, 64), lambda: mo.expression_cost("t + t^2/2")),
+    (lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8), mo.quadratic_cost),
+], ids=["interval", "interval-expression", "rectangle"])
+def test_verify_scores_non_finite_density_as_unbounded(make_grid, cost):
+    # energy_eval refuses the density, and an expression cost raises on nan;
+    # the verifier scores it and does not raise
+    g = make_grid()
+    prob = mo.build_problem(g, cost(), mo.SourceTerm.constant(g, 1.0))
+    sol = mo.solve_auxiliary(prob)
+    a = mo.recover_measure(sol, prob).ac_density.copy()
+    a[g.n_cells // 2] = math.nan
+    rep = mo.verify_conditions(mo.DiscreteMeasure(g, a), sol, prob)
+    assert rep.energy_e_f == -INF and rep.duality_identity_error == INF
+    assert math.isnan(rep.cost_c)
+    assert not rep.passes({"duality_identity_error": 1e-3})
+
+
 def test_energy_corner_joined_islands_are_pinned():
     # two unloaded cells meeting at one corner node float apart from the
     # grounded strip along the bottom; on oblong cells their four nodes off

@@ -549,7 +549,8 @@ def test_smoothed_solve_returns_its_last_iterate(tmp_path, make_cost):
     # is the one the gap certifies, and the last logged primal
     path = tmp_path / "iterations.csv"
     prob = _rectangle_problem(make_cost())
-    sol = mo.solve_auxiliary(prob, mo.SolverParams(log_path=str(path)))
+    sol = mo.solve_auxiliary(prob)
+    mo.grids.write_iteration_log(path, sol.log)
     assert sol.converged and sol.mu_levels >= 2
     assert sol.objective == mo.objective_eval(prob, sol.u)
     last = path.read_text().strip().splitlines()[-1].split(",")
@@ -710,6 +711,11 @@ def test_not_converged_reports_best_iterate():
     assert err.value.solution is sol
 
 
+@pytest.mark.parametrize("obj, dual", [(1.0, -INF), (INF, 0.0), (INF, -INF)])
+def test_infinite_gap_is_infinite_relative_gap(obj, dual):
+    assert solver._relative_gap(obj, dual) == (INF, INF)
+
+
 @pytest.mark.parametrize("log", [
     [],
     [(0, 1.0 / 3.0, -INF, INF)],
@@ -717,15 +723,19 @@ def test_not_converged_reports_best_iterate():
 ], ids=["empty", "one", "three"])
 def test_iteration_log_matches_per_row_writer(tmp_path, log):
     path = tmp_path / "iters.csv"
-    solver.write_iteration_log(path, log)
+    mo.grids.write_iteration_log(path, log)
     rows = "".join("%d,%.17g,%.17g,%.17g\n" % row for row in log)
     assert path.read_text() == "iteration,primal,dual,gap\n" + rows
 
 
-def test_iteration_log_written(tmp_path):
+def test_iteration_log_written(tmp_path, monkeypatch):
+    # the solve writes no file; the log it returns is written by the caller
+    monkeypatch.chdir(tmp_path)
     prob = interval_problem(mo.quadratic_cost(), n=64)
+    sol = mo.solve_auxiliary(prob)
+    assert not any(tmp_path.iterdir())
     path = tmp_path / "iters.csv"
-    mo.solve_auxiliary(prob, mo.SolverParams(log_path=str(path)))
+    mo.grids.write_iteration_log(path, sol.log)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,primal,dual,gap"
     assert len(lines) >= 2
