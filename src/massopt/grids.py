@@ -373,8 +373,8 @@ class DiscreteMeasure:
         self.atoms = []
         for loc, mass in atoms:
             loc = _atom_location(grid, loc)
-            if mass <= 0.0:
-                raise ValueError("atom masses must be positive")
+            if not 0.0 < mass < math.inf:
+                raise ValueError("atom masses must be finite and positive")
             # placement is validated against the closed domain
             grid.cell_weights_at(loc)
             self.atoms.append((loc, float(mass)))

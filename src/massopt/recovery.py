@@ -357,7 +357,8 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
     a ball around a source singularity where exact fields are unbounded).
     The report carries numbers; it never raises.  An energy that is
     unbounded below scores ``-inf``, and the duality identity error
-    ``inf``; so does a density that is not finite, whose cost is ``nan``.
+    ``inf``; so does a density that is not finite, whose cost is ``nan``
+    and whose PDE residual and inclusion violation are ``inf``.
     """
     grid = problem.grid
     F = problem.load
@@ -371,22 +372,22 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
         node_mask = np.ones(grid.n_nodes, dtype=bool)
     interior = node_mask & ~grid.boundary_mask
 
-    # 1) weak residual of -div(mu grad u) = f
-    div = divergence_weighted(mu, solution.grad)
-    resid = -div - F
-    denom = float(np.sum(np.abs(F[~grid.boundary_mask])))
-    pde_residual = float(np.sum(np.abs(resid[interior]))) / max(denom, 1e-300)
-
-    # 2) Fenchel-equality error on cells carrying density
-    floor = DENSITY_FLOOR_REL * max(float(np.max(a)), 1e-300)
-    active = cell_mask & (a > floor)
-    if np.any(active):
-        conj_v = np.asarray(problem.conj_value(s), dtype=float)
-        cost_v = np.asarray(problem.cost_value(a), dtype=float)
-        err = np.abs(a * s - conj_v - cost_v)
-        inclusion = float(np.max(err[active]))
-    else:
+    # 1) weak residual of -div(mu grad u) = f, and 2) the Fenchel-equality
+    # error on cells carrying density; a density that is not finite has
+    # neither, and scores inf on both
+    finite = bool(np.all(np.isfinite(a)))
+    pde_residual = inclusion = INF
+    if finite:
+        resid = -divergence_weighted(mu, solution.grad) - F
+        denom = float(np.sum(np.abs(F[~grid.boundary_mask])))
+        pde_residual = float(np.sum(np.abs(resid[interior]))) / max(denom, 1e-300)
+        floor = DENSITY_FLOOR_REL * max(float(np.max(a)), 1e-300)
+        active = cell_mask & (a > floor)
         inclusion = 0.0
+        if np.any(active):
+            conj_v = np.asarray(problem.conj_value(s), dtype=float)
+            cost_v = np.asarray(problem.cost_value(a), dtype=float)
+            inclusion = float(np.max(np.abs(a * s - conj_v - cost_v)[active]))
 
     # 3) gradient saturation at atoms (interpolated-gradient surrogate)
     saturation = 0.0
@@ -401,7 +402,7 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
     # 5) duality identity  E_f(mu) - C(mu) = I_{f,c}; neither side is defined
     # for a density that is not finite, which energy_eval refuses
     energy, total_cost = -INF, math.nan
-    if np.all(np.isfinite(a)):
+    if finite:
         try:
             energy = energy_eval(mu, problem.source).energy
         except Unbounded:

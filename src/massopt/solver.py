@@ -31,16 +31,21 @@ names the method that closed it (``AuxiliarySolution.method``):
   ``rho = 2s c*'' / c*'``, see :func:`_hessian_blocks`), backtracks on the
   objective, and certifies every iterate with the flux its step predicts.
   For quadratic and power costs the objective is C^2 and convex and is
-  minimised as it is, from the unit-weight Poisson solution scaled along
-  its ray.  Every other cost needs a smoothing: a log barrier on the
-  gradient bound ``|g| < sqrt(2 * cinf(x))`` in the linear regime, a
-  density floor where ``c*'`` vanishes in a dead zone, and the log-sum-exp
-  of a table's piecewise-linear conjugate.  Their level ``mu`` starts at 1
-  and shrinks by 10 each time Newton has centred the level, until the
-  certified gap meets the tolerance or a level fails to lower it.  The
-  certificate always scores the exact conjugate, so the smoothing sets
-  only how fast the gap closes.  The solve returns its last iterate, and
-  the (smoothed) ``c*'`` there as the density its flux carries.
+  minimised as it is.  Its start reads the optimality condition
+  ``-div(a grad u) = f``, ``a in dc*(|grad u|^2/2)``: the unit-weight
+  Poisson solution's flux is divergence-feasible, the cost's flux inverse
+  turns it into a gradient per cell, and one more solve with the same
+  factor projects those gradients back onto a nodal field, which is
+  scaled along its ray.  Every other cost needs a smoothing: a log
+  barrier on the gradient bound ``|g| < sqrt(2 * cinf(x))`` in the
+  linear regime, a density floor where ``c*'`` vanishes in a dead zone,
+  and the log-sum-exp of a table's piecewise-linear conjugate.  Their
+  level ``mu`` starts at 1 and shrinks by 10 each time Newton has centred
+  the level, until the certified gap meets the tolerance or a level fails
+  to lower it.  The certificate always scores the exact conjugate, so the
+  smoothing sets only how fast the gap closes.  The solve returns its last
+  iterate, and the (smoothed) ``c*'`` there as the density its flux
+  carries.
 
 In two dimensions the Newton step is one direct solve of an interior
 stiffness, exact up to rounding, and the same solve corrects the
@@ -426,9 +431,14 @@ def _level_objective(problem, u, s, mu):
 def _newton_2d(problem, params):
     """Damped Newton on a rectangle, along a smoothing path where the cost needs one.
 
-    A quadratic or power cost starts from the unit-weight Poisson solution
-    ``u0`` scaled along its ray, where the objective ``lam^(2q) A - lam <F, u0>``
-    is least (``A = sum vol * c*(|grad u0|^2/2)``; ``q = 1 + rho / 2`` at the
+    A quadratic or power cost starts from the optimality condition.  The
+    unit-weight Poisson solution ``u0 = K0^-1 F`` has the flux density
+    ``sigma0 = G u0``, which meets ``G^T (vol sigma0) = F``; each cell takes
+    the gradient ``g1 = invert_flux(|sigma0|) sigma0 / |sigma0|`` that would
+    carry it (0 where ``sigma0 = 0``), and the same factor projects it back,
+    ``u1 = K0^-1 G^T (vol g1)``.  That ``u1`` is scaled along its ray to
+    where the objective ``lam^(2q) A - lam <F, u1>`` is least
+    (``A = sum vol * c*(|grad u1|^2/2)``; ``q = 1 + rho / 2`` at the
     steepest cell, which is exact for a power law).
     Every other cost starts from 0 at the smoothing level ``mu = 1``
     (:meth:`massopt.costs.CostFunction.smoothed_conjugate`).  Each step
@@ -469,6 +479,13 @@ def _newton_2d(problem, params):
     if mu is None:
         factor, factorisations = stiffness_factor(grid, np.ones(grid.n_cells)), 1
         u[idx] = factor.solve(F[idx])
+        # the Poisson flux meets G^T (vol sigma) = F; each cell takes the
+        # cost's gradient along it, projected back with the same factor
+        sigma = grid.gradient_apply(u)
+        mag = np.sqrt(2.0 * _half_square(sigma))
+        live = mag > 0.0
+        scale = np.where(live, problem.invert_flux(mag) / np.where(live, mag, 1.0), 0.0)
+        u[idx] = factor.solve(grid.gradient_adjoint(sigma * (vol * scale)[:, None])[idx])
         s = _half_square(grid.gradient_apply(u))
         A = float(np.dot(vol, problem.conj_value(s)))
         b = float(np.dot(F, u))
@@ -561,9 +578,10 @@ class AuxiliarySolution:
     stiffness (:meth:`massopt.grids.StiffnessLayout.factor`) the solve
     made: none for the 1-d certificate; for Newton one per step attempted
     (a level ends without a further factorisation after a full step whose
-    decrement was rounding level), plus the unit-weight factor of a power
-    law's Poisson start.  ``mu_levels`` counts the smoothing levels a
-    Newton solve entered: 0 for quadratic and power costs and in 1-d.
+    decrement was rounding level), plus the unit-weight factor that a
+    power law's start solves with twice.  ``mu_levels`` counts the
+    smoothing levels a Newton solve entered: 0 for quadratic and power
+    costs and in 1-d.
     ``density`` holds the conductivity per cell that the solve's flux
     carries along ``grad`` (:func:`massopt.recovery.recover_measure` wraps
     it in the measure): the 1-d certificate's ``|sigma| / t``, and Newton's

@@ -245,7 +245,7 @@ builtin = quadratic
 value = 1.0
 
 [solver]
-max_iterations = 3
+max_iterations = 2
 gap_tolerance = 1e-14
 
 [output]

@@ -2,6 +2,7 @@
 
 import gc
 import io
+import json
 import math
 import os
 import subprocess
@@ -266,6 +267,19 @@ def test_measure_roundtrip(tmp_path):
     assert np.array_equal(back.ac_density, mu.ac_density)
     assert back.atoms[0][1] == 0.5
     assert back.total_variation == pytest.approx(mu.total_variation, rel=1e-15)
+
+
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_measure_refuses_an_atom_mass_that_is_not_finite_and_positive(tmp_path, mass):
+    g = mo.interval_grid(-1.0, 1.0, 20)
+    with pytest.raises(ValueError, match="finite and positive"):
+        mo.DiscreteMeasure(g, np.ones(g.n_cells), atoms=[(np.array([0.25]), mass)])
+    # a hand-written sidecar: json reads NaN and Infinity as floats
+    mo.write_measure(tmp_path / "m.csv", tmp_path / "m.json", mo.DiscreteMeasure.lebesgue(g))
+    (tmp_path / "m.json").write_text(
+        '{"atoms": [{"location": [0.25], "mass": %s}]}' % json.dumps(mass))
+    with pytest.raises(ValueError, match="finite and positive"):
+        mo.read_measure(tmp_path / "m.csv", tmp_path / "m.json")
 
 
 @pytest.mark.parametrize("grid", [mo.rectangle_grid(-0.3, 1.0, 0.0, 2.5, 7, 5),

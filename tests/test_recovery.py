@@ -703,16 +703,18 @@ def test_report_json_writes_non_finite_values_as_strings():
 ], ids=["interval", "interval-expression", "rectangle"])
 def test_verify_scores_non_finite_density_as_unbounded(make_grid, cost):
     # energy_eval refuses the density, and an expression cost raises on nan;
-    # the verifier scores it and does not raise
+    # the verifier scores it without evaluating it, and does not raise
     g = make_grid()
     prob = mo.build_problem(g, cost(), mo.SourceTerm.constant(g, 1.0))
     sol = mo.solve_auxiliary(prob)
     a = mo.recover_measure(sol, prob).ac_density.copy()
-    a[g.n_cells // 2] = math.nan
-    rep = mo.verify_conditions(mo.DiscreteMeasure(g, a), sol, prob)
-    assert rep.energy_e_f == -INF and rep.duality_identity_error == INF
-    assert math.isnan(rep.cost_c)
-    assert not rep.passes({"duality_identity_error": 1e-3})
+    for bad in (math.nan, math.inf):
+        a[g.n_cells // 2] = bad
+        rep = mo.verify_conditions(mo.DiscreteMeasure(g, a), sol, prob)
+        assert rep.pde_residual == INF and rep.inclusion_violation == INF
+        assert rep.energy_e_f == -INF and rep.duality_identity_error == INF
+        assert math.isnan(rep.cost_c)
+        assert not rep.passes({"duality_identity_error": 1e-3})
 
 
 def test_energy_corner_joined_islands_are_pinned():
