@@ -71,15 +71,10 @@ def bisect(below, lo, hi, iters):
     return 0.5 * (lo + hi)
 
 
-def grow_bracket(below, hi, limit=80, where=True):
-    """Double ``hi`` (only where ``where`` holds) until ``below(hi)`` fails.
-
-    ``below`` is not evaluated at all when ``where`` holds nowhere.
-    """
-    if not np.any(where):
-        return hi
+def grow_bracket(below, hi, limit=80):
+    """Double ``hi`` until ``below(hi)`` fails."""
     for _ in range(limit):
-        grow = where & below(hi)
+        grow = below(hi)
         if not np.any(grow):
             break
         hi = np.where(grow, hi * 2.0, hi)
@@ -399,26 +394,20 @@ class _TabulatedProfile:
         out = np.interp(t, self.ts, self.cs)
         return np.where((t < self.ts[0]) | (t > self.ts[-1]), INF, out)
 
-    def _argmax_nodes(self, s):
-        # conjugate of a piecewise-linear function peaks at a sample node;
-        # the active node index is located by bisection on the sorted slopes
-        s = np.asarray(s, dtype=float)
-        jl = np.searchsorted(self.slopes, s, side="left")
-        jr = np.searchsorted(self.slopes, s, side="right")
-        return jl, jr
-
+    # the conjugate of a piecewise-linear function peaks at a sample node,
+    # found by binary search on the sorted slopes
     def conj_value(self, s):
         s = np.asarray(s, dtype=float)
-        jl, _ = self._argmax_nodes(s)
-        return self.ts[jl] * s - self.cs[jl]
+        j = np.searchsorted(self.slopes, s, side="left")
+        return self.ts[j] * s - self.cs[j]
 
     def conj_dminus(self, s):
-        jl, _ = self._argmax_nodes(s)
-        return self.ts[jl] + np.zeros_like(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        return self.ts[np.searchsorted(self.slopes, s, side="left")] + np.zeros_like(s)
 
     def conj_dplus(self, s):
-        _, jr = self._argmax_nodes(s)
-        return self.ts[jr] + np.zeros_like(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        return self.ts[np.searchsorted(self.slopes, s, side="right")] + np.zeros_like(s)
 
     def conj_curvature(self, s):
         # c0* is piecewise linear

@@ -1,6 +1,6 @@
 """Tiny arithmetic expression language for costs and sources.
 
-Grammar (recursive descent, usual precedence)::
+Grammar (usual precedence)::
 
     expr     := sum ('if' VAR '>=' NUMBER 'else' expr)?
     sum      := product (('+' | '-') product)*
@@ -8,6 +8,11 @@ Grammar (recursive descent, usual precedence)::
     unary    := '-' unary | power
     power    := atom ('^' unary)?          # right associative
     atom     := NUMBER | 'inf' | VAR | '(' expr ')'
+    NUMBER   := digits with an optional point and an optional exponent
+
+The grammar is the specification: Python's parser reads the text (``^`` as
+``**``) and :func:`_parse` admits only these nodes.  ``007`` is refused, as
+in Python, and so are non-ASCII text and trees deeper than ``_MAX_DEPTH``.
 
 Variables are declared by the caller (``t`` for costs, ``x``/``y``/``r``
 for sources).  Evaluation is numpy-vectorized and works on extended reals:
@@ -22,147 +27,71 @@ evaluated at ``t == 0`` yields ``+inf`` (the cost is extended-valued at the
 domain edge).  A vanishing denominator anywhere else raises :class:`ExprError`.
 """
 
+import ast
 import math
+import re
+import warnings
 
 import numpy as np
 
 from .errors import ExprError
 
-_TOKEN_OPS = set("+-*/^()")
-_KEYWORDS = {"if", "else", "inf"}
+_MAX_DEPTH = 200
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# NUMBER: the longest run of digits, points and signed exponent letters
+_NUMBER = re.compile(r"(?:[0-9.]|[eE][+-]?)+")
+# between a guard's branches: their parentheses and 'if VAR >= NUMBER else'
+_GUARD = re.compile(r"[ )]*if *(?!inf\b)[A-Za-z_]\w* *>= *[0-9.](?:[0-9.]|[eE][+-]?)* *else[ (]*")
+# Python's power, its comments (absent from its tree) and all but printable ASCII
+_REFUSED = re.compile(r"\*\*|#|[^ -~]")
 
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == ">":
-            if text[i : i + 2] == ">=":
-                tokens.append((">=", ">=", i))
-                i += 2
-                continue
-            raise ExprError("expected '>=' at position %d" % i)
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and j > i and text[j - 1] in "eE")):
-                j += 1
-            try:
-                val = float(text[i:j])
-            except ValueError:
-                raise ExprError("bad number %r at position %d" % (text[i:j], i)) from None
-            tokens.append(("num", val, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                tokens.append((word, word, i))
-            else:
-                tokens.append(("var", word, i))
-            i = j
-            continue
-        raise ExprError("unexpected character %r at position %d" % (ch, i))
-    tokens.append(("end", None, n))
-    return tokens
+def _parse(text, variables):
+    """Tuple tree of ``text``: Python's parser reads it, the grammar above admits it."""
+    line = "".join(" " if ch.isspace() else ch for ch in text)
+    refused = _REFUSED.search(line)
+    if refused:
+        raise ExprError("unexpected %r at position %d" % (refused.group(), refused.start()))
+    lead = len(line) - len(line.lstrip())
+    src = line[lead:].replace("^", "**")
 
+    def at(col):  # the position in text of column col of src
+        return lead + col - src.count("**", 0, col)
 
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = tuple(variables)
+    def tree(node, depth):
+        where = at(node.col_offset)
+        if depth > _MAX_DEPTH:
+            raise ExprError("expression nests deeper than %d at position %d" % (_MAX_DEPTH, where))
+        run = isinstance(node, ast.Constant) and _NUMBER.match(src, node.col_offset)
+        if run and run.end() == node.end_col_offset:
+            return ("num", float(run.group()))
+        if isinstance(node, ast.Name):
+            if node.id != "inf" and node.id not in variables:
+                raise ExprError("unknown variable %r at position %d" % (node.id, where))
+            return ("num", math.inf) if node.id == "inf" else ("var", node.id)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", tree(node.operand, depth + 1))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], tree(node.left, depth + 1),
+                    tree(node.right, depth + 1))
+        if isinstance(node, ast.IfExp):
+            cmp = node.test  # 'VAR >= NUMBER' once the text around it matches
+            if not _GUARD.fullmatch(src, node.body.end_col_offset, node.orelse.col_offset):
+                raise ExprError("expected 'VAR >= NUMBER' at position %d" % at(cmp.col_offset))
+            return ("guard", tree(cmp.left, depth + 1)[1], tree(cmp.comparators[0], depth + 1)[1],
+                    tree(node.body, depth + 1), tree(node.orelse, depth + 1))
+        raise ExprError("unexpected %r at position %d"
+                        % (text[where:at(node.end_col_offset)], where))
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ExprError("expected %r, found %r at position %d" % (kind, tok[1], tok[2]))
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprError("unexpected token %r at position %d" % (tok[1], tok[2]))
-        return node
-
-    def expr(self):
-        body = self.sum()
-        if self.peek()[0] == "if":
-            self.take("if")
-            var = self.take("var")
-            if var[1] not in self.variables:
-                raise ExprError("unknown variable %r at position %d" % (var[1], var[2]))
-            self.take(">=")
-            cut = self.take("num")[1]
-            self.take("else")
-            other = self.expr()
-            return ("guard", var[1], cut, body, other)
-        return body
-
-    def sum(self):
-        node = self.product()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.product()
-            node = (op, node, rhs)
-        return node
-
-    def product(self):
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.unary()
-            node = (op, node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            return ("^", base, self.unary())
-        return base
-
-    def atom(self):
-        tok = self.peek()
-        if tok[0] == "num":
-            self.take()
-            return ("num", tok[1])
-        if tok[0] == "inf":
-            self.take()
-            return ("num", math.inf)
-        if tok[0] == "var":
-            self.take()
-            if tok[1] not in self.variables:
-                raise ExprError("unknown variable %r at position %d" % (tok[1], tok[2]))
-            return ("var", tok[1])
-        if tok[0] == "(":
-            self.take()
-            node = self.expr()
-            self.take(")")
-            return node
-        raise ExprError("unexpected token %r at position %d" % (tok[1], tok[2]))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # such as "invalid decimal literal" for '2if'
+            body = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:
+        raise ExprError("%s at position %d" % (exc.msg, at((exc.offset or 1) - 1))) from None
+    except (RecursionError, MemoryError):  # the parser's own limits on nesting
+        raise ExprError("expression nests deeper than %d" % _MAX_DEPTH) from None
+    return tree(body, 1)
 
 
 class Expression:
@@ -171,7 +100,7 @@ class Expression:
     def __init__(self, text, variables=("t",)):
         self.text = text
         self.variables = tuple(variables)
-        self.ast = _Parser(_tokenize(text), self.variables).parse()
+        self.ast = _parse(text, self.variables)
 
     def __repr__(self):
         return "Expression(%r)" % self.text

@@ -822,6 +822,80 @@ def test_missing_config_file():
     assert cli.main(["run", "/nonexistent/path.cfg"]) == 2
 
 
+INTERVAL = "kind = interval\na = -1.0\nb = 1.0\nn = 256"
+RUN = ["run", "{cfg}"]
+CONJUGATE = ["conjugate", "{cfg}", "--range", "0", "1", "--count", "3"]
+
+
+@pytest.mark.parametrize("argv, edits, message", [
+    (RUN, [(INTERVAL, "kind = radial\nradius = 1.0\nn = 4\ndimension = 2")],
+     "domain.n must be >= 8"),
+    (RUN, [(INTERVAL, "kind = rectangle\nax = 0\nbx = 1\nay = 0\nby = 1\nnx = 4\nny = 16")],
+     "domain.nx/ny must be >= 8"),
+    (RUN, [(INTERVAL, "kind = rectangle\nax = 0\nbx = 1\nay = 0\nby = 1\nnx = 16\nny = 4")],
+     "domain.nx/ny must be >= 8"),
+    (RUN, [("kind = interval", "kind = sphere")],
+     "domain.kind must be interval|radial|rectangle, got 'sphere'"),
+    (RUN, [("[domain]", "[grid]")], "missing section [domain]"),
+    (RUN, [("[cost]", "[costs]")], "missing section [cost]"),
+    (RUN, [("n = 256", "n = many")], "bad value 'many' for key 'n' in section [domain]"),
+    (RUN, [("slope = 0.5", "slope = 0.5\np = 2.0")], "cost.builtin: "),
+    (RUN, [("slope = 0.5", "slope = 0.5\nweight_table = {tmp}/missing.csv")],
+     "cost.weight_table: "),
+    (RUN, [("slope = 0.5", "slope = 0.5\nweight_table = {tmp}/three.csv")],
+     "cost.weight_table needs 256 per-cell values"),
+    (RUN, [("value = 1.0", "value = 1.0\nexpression = 1 + x")],
+     "section [source] takes value or expression, not both"),
+    (RUN, [("value = 1.0", "")], "section [source] needs value, expression or atoms"),
+    (RUN, [("value = 1.0", "atoms = 0.5")], "source.atoms entry '0.5' is not"),
+    (RUN, [("[output]", "[verify]\nresidual = 1e-3\n\n[output]")],
+     "unknown verify threshold 'residual'"),
+    (RUN, [("[output]", "[verify]\npde_residual = 0\n\n[output]")],
+     "verify.pde_residual must be positive"),
+    (["conjugate", "{tmp}/missing.cfg", "--range", "0", "1"], [], "cannot read config file"),
+    (CONJUGATE, [("[cost]", "[costs]")], "missing section [cost]"),
+    (CONJUGATE[:-1] + ["1"], [], "--count must be >= 2"),
+], ids=["radial-n", "rectangle-nx", "rectangle-ny", "unknown-kind", "no-domain", "no-cost",
+        "bad-value", "unknown-builtin-parameter", "unreadable-weight-table",
+        "weight-table-size", "value-and-expression", "empty-source", "malformed-atom",
+        "unknown-verify-key", "non-positive-threshold", "conjugate-unreadable-config",
+        "conjugate-no-cost", "conjugate-count-1"])
+def test_config_refusal_exit_code(tmp_path, capsys, argv, edits, message):
+    (tmp_path / "three.csv").write_text("1.0\n2.0\n3.0\n")
+    text = MK_CONFIG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write(tmp_path / "case.cfg", text.format(out=tmp_path / "out", tmp=tmp_path))
+    assert cli.main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert message in captured.err
+    assert captured.out == ""
+
+
+DEEP = {"parentheses": "(" * 300 + "t" + ")" * 300, "sum": "+".join(["t"] * 1500),
+        "minus": "-" * 1200 + "t"}
+
+
+@pytest.mark.parametrize("expression", list(DEEP.values()), ids=list(DEEP))
+def test_deep_expression_is_config_error(tmp_path, capsys, expression):
+    # each used to escape as a RecursionError, whose exit code 1 reads as
+    # "thresholds failed"
+    text = MK_CONFIG.format(out=tmp_path / "out").replace("n = 256", "n = 16")
+    cost = write(tmp_path / "cost.cfg", text.replace("builtin = linear\nslope = 0.5",
+                                                     "expression = " + expression))
+    for argv in (RUN, CONJUGATE):
+        argv = [arg.format(cfg=cost) for arg in argv]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: cost.expression: ")
+    source = write(tmp_path / "source.cfg", text.replace(
+        "value = 1.0", "expression = " + expression.replace("t", "x")))
+    assert cli.main(["run", source]) == 2
+    assert capsys.readouterr().err.startswith("config error: source.expression: ")
+    assert not (tmp_path / "out").exists()
+
+
 _NO_OPTIMIZE = """
 import sys
 from massopt import cli

@@ -317,7 +317,7 @@ def _weighted_bisection_inverse(cost, vabs, w):
         with np.errstate(invalid="ignore"):
             return t * cost.conjugate_dplus(0.5 * t * t, w) < vabs
 
-    hi = mo.costs.grow_bracket(below, hi, where=np.isinf(cap))
+    hi = mo.costs.grow_bracket(lambda t: np.isinf(cap) & below(t), hi)
     t = mo.costs.bisect(below, np.zeros_like(vabs), hi, 100)
     return np.where(vabs > 0.0, t, 0.0)
 
