@@ -21,10 +21,12 @@ file; both are reported as ``error: <Class>: <message>`` on stderr.
 import argparse
 import configparser
 import functools
+import inspect
 import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -32,8 +34,7 @@ from . import costs as costs_mod
 from .errors import ConfigError, MassOptError, UnsupportedGrid
 from .exprlang import Expression
 from .formatting import FMT, write_rows
-from .grids import (SourceTerm, interval_grid, radial_grid, rectangle_grid,
-                    write_field_csv, write_iteration_log, write_measure)
+from .grids import Grid, SourceTerm, write_field_csv, write_iteration_log, write_measure
 from .oracle import fixture, fixture_errors, fixture_names
 from .recovery import json_safe, recover_measure, verify_conditions
 from .solver import SolverParams, build_problem, solve_auxiliary
@@ -51,99 +52,123 @@ DEFAULT_THRESHOLDS = {
     "duality_identity_error": 1e-3,
 }
 
+# Every key a config file may hold, by section, with the conversion of its
+# value.  A [domain] also needs every key of its kind; a [cost] takes the
+# keys of its one form, a builtin's being its factory's parameters (needed
+# where the factory gives no default).
+SECTIONS = {
+    "domain": {"kind": str},
+    "cost": {"weight_table": str},
+    "source": {"value": float, "expression": str, "atoms": str},
+    "solver": {"max_iterations": int, "gap_tolerance": float},
+    "verify": dict.fromkeys(DEFAULT_THRESHOLDS, float),
+    "output": {"dir": str},
+}
+GRID_KEYS = {
+    "interval": {"a": float, "b": float, "n": int},
+    "radial": {"radius": float, "n": int, "dimension": int},
+    "rectangle": {"ax": float, "bx": float, "ay": float, "by": float, "nx": int, "ny": int},
+}
+COST_FORMS = {"builtin": {"builtin": str}, "expression": {"expression": str, "t0": float},
+              "table": {"table": str}}
+BUILTIN_PARAMS = {name: inspect.signature(factory).parameters
+                  for name, factory in costs_mod._BUILTINS.items()}
 
-class RunConfig:
-    def __init__(self, grid, cost, source, cell_weights, solver_params,
-                 thresholds, output_dir):
-        self.grid = grid
-        self.cost = cost
-        self.source = source
-        self.cell_weights = cell_weights
-        self.solver_params = solver_params
-        self.thresholds = thresholds
-        self.output_dir = output_dir
+
+def _declared(name, sec):
+    """The keys section ``name`` takes with their converters, the keys it
+    needs, and how a key it does not take is refused."""
+    keys = dict(SECTIONS[name])
+    if name == "domain":
+        kind = sec.get("kind")
+        if kind is not None and kind not in GRID_KEYS:
+            raise ConfigError("domain.kind must be interval|radial|rectangle, got %r" % kind)
+        grid_keys = GRID_KEYS.get(kind, {})  # no kind: its missing key is refused first
+        keys.update(grid_keys)
+        return keys, ["kind", *grid_keys], "domain: %s takes no key" % kind
+    if name == "cost":
+        forms = [form for form in COST_FORMS if form in sec]
+        if len(forms) != 1:
+            raise ConfigError("section [cost] needs exactly one of builtin|expression|table")
+        keys.update(COST_FORMS[forms[0]])
+        if forms != ["builtin"]:
+            return keys, forms, "cost.%s takes no key" % forms[0]
+        builtin = sec["builtin"]
+        if builtin not in BUILTIN_PARAMS:
+            raise ConfigError("cost.builtin: unknown builtin cost %r (have: %s)"
+                              % (builtin, ", ".join(sorted(BUILTIN_PARAMS))))
+        params = BUILTIN_PARAMS[builtin]
+        keys.update(dict.fromkeys(params, float))
+        needed = [key for key, p in params.items() if p.default is p.empty]
+        return keys, forms + needed, "cost.builtin: %s takes no key" % builtin
+    return keys, [], "unknown %s %s" % (name, "threshold" if name == "verify" else "key")
 
 
-def _get(section, key, conv, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError("missing key %r in section [%s]" % (key, section.name))
-        return default
-    raw = section[key]
+def read_config(path, needed):
+    """``{section: {key: value}}`` of the config file at ``path``.
+
+    Every section in ``needed`` must be there, and every section and key
+    must be declared in :data:`SECTIONS`; each value is converted.  A
+    ``%`` is literal, ``#`` starts a comment, and ``[DEFAULT]`` is an
+    unknown section like any other.
+    """
+    cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",),
+                                    default_section="")
     try:
-        return conv(raw)
-    except (TypeError, ValueError):
-        raise ConfigError("bad value %r for key %r in section [%s]"
-                          % (raw, key, section.name)) from None
+        if not cfg.read(path, encoding="utf-8"):
+            raise ConfigError("cannot read config file %r" % path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot parse config file %r: %s"
+                          % (path, " ".join(str(exc).split()))) from None
+    for name in needed:
+        if not cfg.has_section(name):
+            raise ConfigError("missing section [%s]" % name)
+    out = {}
+    for name in cfg.sections():
+        if name not in SECTIONS:
+            raise ConfigError("unknown section [%s]" % name)
+        sec = cfg[name]
+        keys, needs, refusal = _declared(name, sec)
+        for key in needs:
+            if key not in sec:
+                raise ConfigError("missing key %r in section [%s]" % (key, name))
+        values = out[name] = {}
+        for key, raw in sec.items():
+            if key not in keys:
+                raise ConfigError("%s %r" % (refusal, key))
+            try:
+                values[key] = keys[key](raw)
+            except ValueError:
+                raise ConfigError("bad value %r for key %r in section [%s]"
+                                  % (raw, key, name)) from None
+    return out
 
 
-def _parse_domain(cfg):
-    if "domain" not in cfg:
-        raise ConfigError("missing section [domain]")
-    sec = cfg["domain"]
-    kind = _get(sec, "kind", str, required=True)
+def _parse_domain(sec):
+    params = dict(sec)
+    kind = params.pop("kind")
+    if min(params.get(key, 8) for key in ("n", "nx", "ny")) < 8:
+        raise ConfigError("domain.%s must be >= 8" % ("nx/ny" if kind == "rectangle" else "n"))
     try:
-        return _build_grid(sec, kind)
+        return Grid(kind, params)
     except UnsupportedGrid as exc:
         raise ConfigError("domain: %s" % exc) from None
 
 
-def _build_grid(sec, kind):
-    if kind == "interval":
-        n = _get(sec, "n", int, required=True)
-        if n < 8:
-            raise ConfigError("domain.n must be >= 8")
-        return interval_grid(_get(sec, "a", float, required=True),
-                             _get(sec, "b", float, required=True), n)
-    if kind == "radial":
-        n = _get(sec, "n", int, required=True)
-        if n < 8:
-            raise ConfigError("domain.n must be >= 8")
-        return radial_grid(_get(sec, "radius", float, required=True), n,
-                           _get(sec, "dimension", int, required=True))
-    if kind == "rectangle":
-        nx = _get(sec, "nx", int, required=True)
-        ny = _get(sec, "ny", int, required=True)
-        if nx < 8 or ny < 8:
-            raise ConfigError("domain.nx/ny must be >= 8")
-        return rectangle_grid(_get(sec, "ax", float, required=True),
-                              _get(sec, "bx", float, required=True),
-                              _get(sec, "ay", float, required=True),
-                              _get(sec, "by", float, required=True), nx, ny)
-    raise ConfigError("domain.kind must be interval|radial|rectangle, got %r" % kind)
-
-
 def _parse_cost(cfg, grid):
-    if "cost" not in cfg:
-        raise ConfigError("missing section [cost]")
     sec = cfg["cost"]
-    forms = [k for k in ("builtin", "expression", "table") if k in sec]
-    if len(forms) != 1:
-        raise ConfigError("section [cost] needs exactly one of builtin|expression|table")
-    form = forms[0]
-    if form == "builtin":
-        name = sec["builtin"].strip()
-        params = {}
-        for key in ("slope", "p", "a", "b"):
-            if key in sec:
-                params[key] = _get(sec, key, float)
-        try:
-            cost = costs_mod.builtin_cost(name, **params)
-        except (MassOptError, TypeError) as exc:
-            raise ConfigError("cost.builtin: %s" % exc) from None
-    elif form == "expression":
-        try:
-            cost = costs_mod.expression_cost(sec["expression"],
-                                             t0=_get(sec, "t0", float, 1.0))
-        except MassOptError as exc:
-            raise ConfigError("cost.expression: %s" % exc) from None
-    else:
-        path = sec["table"]
-        try:
-            data = np.loadtxt(path, delimiter=",", comments="#")
+    form = next(form for form in COST_FORMS if form in sec)
+    try:
+        if form == "builtin":
+            params = {key: sec[key] for key in BUILTIN_PARAMS[sec["builtin"]] if key in sec}
+            cost = costs_mod.builtin_cost(sec["builtin"], **params)
+        elif form == "expression":
+            cost = costs_mod.expression_cost(sec["expression"], t0=sec.get("t0", 1.0))
+        else:
+            data = np.loadtxt(sec["table"], delimiter=",", comments="#")
             cost = costs_mod.tabulated_cost(data[:, 0], data[:, 1])
-        except (OSError, MassOptError, IndexError, ValueError) as exc:
-            raise ConfigError("cost.table: %s" % exc) from None
+    except (OSError, MassOptError, IndexError, ValueError) as exc:
+        raise ConfigError("cost.%s: %s" % (form, exc)) from None
 
     cell_weights = None
     if "weight_table" in sec:
@@ -182,13 +207,10 @@ def _parse_atoms(raw, grid):
     return atoms
 
 
-def _parse_source(cfg, grid):
-    if "source" not in cfg:
-        raise ConfigError("missing section [source]")
-    sec = cfg["source"]
+def _parse_source(sec, grid):
     key, density = "atoms", None
     if "value" in sec:
-        key, density = "value", np.full(grid.n_nodes, _get(sec, "value", float))
+        key, density = "value", np.full(grid.n_nodes, sec["value"])
     if "expression" in sec:
         if density is not None:
             raise ConfigError("section [source] takes value or expression, not both")
@@ -210,44 +232,24 @@ def _parse_source(cfg, grid):
         raise ConfigError("source.%s: %s" % (key, exc)) from None
 
 
-def _parse_solver(cfg):
-    sec = cfg["solver"] if "solver" in cfg else {}
-    for key in sec:
-        if key not in ("max_iterations", "gap_tolerance"):
-            raise ConfigError("unknown solver key %r" % key)
+def parse_config(path):
+    """The problem, budget, thresholds and output directory a run config declares."""
+    cfg = read_config(path, ("domain", "cost", "source"))
+    grid = _parse_domain(cfg["domain"])
+    cost, cell_weights = _parse_cost(cfg, grid)
+    source = _parse_source(cfg["source"], grid)
     try:
-        return SolverParams(
-            max_iterations=int(sec.get("max_iterations", 20000)),
-            gap_tolerance=float(sec.get("gap_tolerance", 1e-8)))
+        params = SolverParams(**cfg.get("solver", {}))
     except ValueError as exc:
         raise ConfigError("section [solver]: %s" % exc) from None
-
-
-def _parse_thresholds(cfg):
-    out = dict(DEFAULT_THRESHOLDS)
-    if "verify" in cfg:
-        for key in cfg["verify"]:
-            if key not in out:
-                raise ConfigError("unknown verify threshold %r" % key)
-            out[key] = _get(cfg["verify"], key, float)
-    for key, val in out.items():
+    thresholds = dict(DEFAULT_THRESHOLDS, **cfg.get("verify", {}))
+    for key, val in thresholds.items():
         if not val > 0.0:
             raise ConfigError("verify.%s must be positive" % key)
-    return out
-
-
-def parse_config(path):
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = cfg.read(path)
-    if not read:
-        raise ConfigError("cannot read config file %r" % path)
-    grid = _parse_domain(cfg)
-    cost, cell_weights = _parse_cost(cfg, grid)
-    source = _parse_source(cfg, grid)
-    params = _parse_solver(cfg)
-    thresholds = _parse_thresholds(cfg)
-    out_dir = cfg["output"]["dir"] if "output" in cfg and "dir" in cfg["output"] else "."
-    return RunConfig(grid, cost, source, cell_weights, params, thresholds, out_dir)
+    return types.SimpleNamespace(grid=grid, cost=cost, source=source,
+                                 cell_weights=cell_weights, solver_params=params,
+                                 thresholds=thresholds,
+                                 output_dir=cfg.get("output", {}).get("dir", "."))
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +395,8 @@ def main(argv=None):
 
     if args.command == "conjugate":
         try:
-            cfg = configparser.ConfigParser(inline_comment_prefixes=("#",))
-            if not cfg.read(args.config):
-                raise ConfigError("cannot read config file %r" % args.config)
-            if "cost" not in cfg:
-                raise ConfigError("missing section [cost]")
-            grid = _parse_domain(cfg) if "domain" in cfg else None
+            cfg = read_config(args.config, ("cost",))
+            grid = _parse_domain(cfg["domain"]) if "domain" in cfg else None
             cost, _w = _parse_cost(cfg, grid)
             if args.count < 2:
                 raise ConfigError("--count must be >= 2")

@@ -248,15 +248,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.n_nodes))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        vals = np.asarray([fn(p) for p in grid.node_coords], dtype=float)
-        return cls(grid, vals)
-
-    def is_zero_boundary(self, tol=0.0):
-        b = self.values[self.grid.boundary_mask]
-        return bool(np.all(np.abs(b) <= tol))
-
 
 class VectorField:
     """Per-cell vector values on a grid (the radial grid stores d/dr)."""
@@ -325,11 +316,6 @@ class SourceTerm:
     def constant(cls, grid, value):
         return cls(grid, density=np.full(grid.n_nodes, float(value)))
 
-    @classmethod
-    def from_function(cls, grid, fn, atoms=()):
-        dens = np.asarray([fn(p) for p in grid.node_coords], dtype=float)
-        return cls(grid, density=dens, atoms=atoms)
-
     def load_vector(self):
         """Nodal load ``F_j = <f, hat_j>``; cached."""
         if self._load is None:
@@ -341,14 +327,6 @@ class SourceTerm:
                     F[j] += mass * w
             self._load = F
         return self._load
-
-    @property
-    def total_mass(self):
-        total = 0.0
-        if self.density is not None:
-            total += float(np.dot(self.density, self.grid.node_weights))
-        total += sum(m for _, m in self.atoms)
-        return total
 
     def pair(self, u):
         """The duality pairing ``<f, u>``."""
@@ -379,15 +357,6 @@ class DiscreteMeasure:
             grid.cell_weights_at(loc)
             self.atoms.append((loc, float(mass)))
         self.boundary_mass = float(boundary_mass)
-
-    @classmethod
-    def lebesgue(cls, grid):
-        return cls(grid, np.ones(grid.n_cells))
-
-    @property
-    def total_variation(self):
-        return float(np.dot(self.ac_density, self.grid.cell_volumes)
-                     + sum(m for _, m in self.atoms) + self.boundary_mass)
 
 
 def divergence_weighted(mu, sigma):

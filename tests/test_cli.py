@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -669,18 +671,18 @@ def test_non_finite_weight_table_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("domain", [
-    "kind = interval\na = 1.0\nb = 1.0\n",
-    "kind = radial\nradius = -1\ndimension = 2\n",
-    "kind = radial\nradius = 1\ndimension = 0\n",
+    "kind = interval\na = 1.0\nb = 1.0\nn = 256\n",
+    "kind = radial\nradius = -1\ndimension = 2\nn = 256\n",
+    "kind = radial\nradius = 1\ndimension = 0\nn = 256\n",
     "kind = rectangle\nax = 1.0\nbx = 0.0\nay = 0.0\nby = 1.0\nnx = 16\nny = 16\n",
-    "kind = interval\na = -1.0\nb = inf\n",
-    "kind = radial\nradius = inf\ndimension = 2\n",
+    "kind = interval\na = -1.0\nb = inf\nn = 256\n",
+    "kind = radial\nradius = inf\ndimension = 2\nn = 256\n",
     "kind = rectangle\nax = 0.0\nbx = inf\nay = 0.0\nby = 1.0\nnx = 16\nny = 16\n",
 ], ids=["interval-b<=a", "radial-radius<0", "radial-dimension<1", "rectangle-bx<=ax",
         "interval-b=inf", "radial-radius=inf", "rectangle-bx=inf"])
 def test_bad_grid_is_config_error(tmp_path, capsys, domain):
     text = MK_CONFIG.format(out=tmp_path / "out").replace(
-        "kind = interval\na = -1.0\nb = 1.0\n", domain)
+        "kind = interval\na = -1.0\nb = 1.0\nn = 256\n", domain)
     cfg = write(tmp_path / "grid.cfg", text)
     assert cli.main(["run", cfg]) == 2
     assert "config error: domain: " in capsys.readouterr().err
@@ -822,9 +824,67 @@ def test_missing_config_file():
     assert cli.main(["run", "/nonexistent/path.cfg"]) == 2
 
 
+def test_readme_lists_every_config_key():
+    # the README's ini block and the reader's table name the same keys,
+    # section by section
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    listed, section = {}, None
+    for line in block.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        key = re.match(r"#?\s*(\w+)\s*=", line)
+        if header:
+            section = listed.setdefault(header.group(1), set())
+        elif key:
+            section.add(key.group(1))
+    declared = {name: set(keys) for name, keys in cli.SECTIONS.items()}
+    declared["domain"].update(*cli.GRID_KEYS.values())
+    declared["cost"].update(*cli.COST_FORMS.values(), *cli.BUILTIN_PARAMS.values())
+    assert listed == declared
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    # values are read without interpolation
+    cfg = write(tmp_path / "run.cfg", MK_CONFIG.format(out=tmp_path / "out%1"))
+    assert cli.main(["run", cfg]) == 0
+    assert (tmp_path / "out%1" / "report.json").exists()
+
+
 INTERVAL = "kind = interval\na = -1.0\nb = 1.0\nn = 256"
 RUN = ["run", "{cfg}"]
 CONJUGATE = ["conjugate", "{cfg}", "--range", "0", "1", "--count", "3"]
+
+
+# Files that every command refuses, since each reads the whole file
+# against one table of sections and keys: (id, edits, message).
+FILE_REFUSALS = [
+    ("unknown-domain-key", [("n = 256", "n = 256\nnx = 16")],
+     "config error: domain: interval takes no key 'nx'"),
+    ("unknown-source-key", [("value = 1.0", "value = 1.0\nvalu = 2.0")],
+     "config error: unknown source key 'valu'"),
+    ("unknown-output-key", [("dir = {out}", "dir = {out}\nformat = csv")],
+     "config error: unknown output key 'format'"),
+    ("unknown-solver-key", [("max_iterations = 5000", "max_iterations = 5000\ntol = 1e-9")],
+     "config error: unknown solver key 'tol'"),
+    ("expression-with-slope", [("builtin = linear", "expression = t/2")],
+     "config error: cost.expression takes no key 'slope'"),
+    ("linear-with-p", [("slope = 0.5", "slope = 0.5\np = 2.0")],
+     "config error: cost.builtin: linear takes no key 'p'"),
+    ("builtin-with-t0", [("slope = 0.5", "slope = 0.5\nt0 = 2.0")],
+     "config error: cost.builtin: linear takes no key 't0'"),
+    ("unknown-section", [("[solver]", "[sovler]")], "config error: unknown section [sovler]"),
+    ("default-section", [("[solver]", "[DEFAULT]")], "config error: unknown section [DEFAULT]"),
+    ("power-without-p", [("builtin = linear\nslope = 0.5", "builtin = power")],
+     "config error: missing key 'p' in section [cost]"),
+    ("duplicate-section", [("[output]", "[source]\nvalue = 2.0\n\n[output]")],
+     "section 'source' already exists"),
+    ("duplicate-key", [("n = 256", "n = 256\nn = 128")],
+     "option 'n' in section 'domain' already exists"),
+    ("line-before-header", [("[domain]", "n = 256\n[domain]")],
+     "File contains no section headers."),
+    ("non-utf8-byte", [("value = 1.0", "value = 1.0  # \udcff")],
+     "'utf-8' codec can't decode byte 0xff"),
+]
 
 
 @pytest.mark.parametrize("argv, edits, message", [
@@ -855,18 +915,25 @@ CONJUGATE = ["conjugate", "{cfg}", "--range", "0", "1", "--count", "3"]
     (["conjugate", "{tmp}/missing.cfg", "--range", "0", "1"], [], "cannot read config file"),
     (CONJUGATE, [("[cost]", "[costs]")], "missing section [cost]"),
     (CONJUGATE[:-1] + ["1"], [], "--count must be >= 2"),
-], ids=["radial-n", "rectangle-nx", "rectangle-ny", "unknown-kind", "no-domain", "no-cost",
-        "bad-value", "unknown-builtin-parameter", "unreadable-weight-table",
-        "weight-table-size", "value-and-expression", "empty-source", "malformed-atom",
-        "unknown-verify-key", "non-positive-threshold", "conjugate-unreadable-config",
-        "conjugate-no-cost", "conjugate-count-1"])
+] + [(argv, edits, message) for _id, edits, message in FILE_REFUSALS
+     for argv in (RUN, CONJUGATE)],
+    ids=["radial-n", "rectangle-nx", "rectangle-ny", "unknown-kind", "no-domain", "no-cost",
+         "bad-value", "unknown-builtin-parameter", "unreadable-weight-table",
+         "weight-table-size", "value-and-expression", "empty-source", "malformed-atom",
+         "unknown-verify-key", "non-positive-threshold", "conjugate-unreadable-config",
+         "conjugate-no-cost", "conjugate-count-1"]
+    + [prefix + case for case, _edits, _message in FILE_REFUSALS
+       for prefix in ("", "conjugate-")])
 def test_config_refusal_exit_code(tmp_path, capsys, argv, edits, message):
     (tmp_path / "three.csv").write_text("1.0\n2.0\n3.0\n")
     text = MK_CONFIG
     for old, new in edits:
         assert old in text
         text = text.replace(old, new)
-    cfg = write(tmp_path / "case.cfg", text.format(out=tmp_path / "out", tmp=tmp_path))
+    cfg = tmp_path / "case.cfg"
+    # a lone surrogate in the text stands for the byte it escapes
+    cfg.write_bytes(text.format(out=tmp_path / "out", tmp=tmp_path).encode(
+        "utf-8", "surrogateescape"))
     assert cli.main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: ")

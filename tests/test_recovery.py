@@ -273,20 +273,20 @@ def test_regularization_needs_schedule():
 def test_energy_lebesgue_unit_source():
     # -u'' = 1 on (-1,1): u = (1-x^2)/2, E = 1/3 - 2/3 = -1/3
     g = mo.interval_grid(-1.0, 1.0, 1024)
-    res = mo.energy_eval(mo.DiscreteMeasure.lebesgue(g), mo.SourceTerm.constant(g, 1.0))
+    res = mo.energy_eval(mo.DiscreteMeasure(g, np.ones(g.n_cells)), mo.SourceTerm.constant(g, 1.0))
     assert res.energy == pytest.approx(-1.0 / 3.0, abs=1e-5)
 
 
 def test_energy_zero_source():
     g = mo.interval_grid(-1.0, 1.0, 64)
-    res = mo.energy_eval(mo.DiscreteMeasure.lebesgue(g), mo.SourceTerm.constant(g, 0.0))
+    res = mo.energy_eval(mo.DiscreteMeasure(g, np.ones(g.n_cells)), mo.SourceTerm.constant(g, 0.0))
     assert res.energy == 0.0
 
 
 def test_energy_inverse_scaling():
     g = mo.interval_grid(-1.0, 1.0, 128)
     f = mo.SourceTerm.constant(g, 1.0)
-    e1 = mo.energy_eval(mo.DiscreteMeasure.lebesgue(g), f).energy
+    e1 = mo.energy_eval(mo.DiscreteMeasure(g, np.ones(g.n_cells)), f).energy
     lam = 2.5
     e2 = mo.energy_eval(mo.DiscreteMeasure(g, lam * np.ones(g.n_cells)), f).energy
     assert e2 == pytest.approx(e1 / lam, rel=1e-10)
@@ -297,7 +297,7 @@ def test_energy_with_atoms_in_stiffness():
     mu = mo.DiscreteMeasure(g, np.ones(g.n_cells), atoms=[(np.array([0.0]), 5.0)])
     f = mo.SourceTerm.constant(g, 1.0)
     stiffer = mo.energy_eval(mu, f).energy
-    plain = mo.energy_eval(mo.DiscreteMeasure.lebesgue(g), f).energy
+    plain = mo.energy_eval(mo.DiscreteMeasure(g, np.ones(g.n_cells)), f).energy
     assert stiffer > plain  # extra stiffness raises the infimal energy
 
 
@@ -521,7 +521,7 @@ def test_energy_rectangle_with_atom_matches_dense_solve():
     a = 1.0 + x * x + 0.5 * np.sin(3.0 * y)
     loc, mass = np.array([0.8, 0.45]), 2.5
     mu = mo.DiscreteMeasure(g, a, atoms=[(loc, mass)])
-    f = mo.SourceTerm.from_function(g, lambda p: 1.0 + p[0] * p[1])
+    f = mo.SourceTerm(g, density=1.0 + g.node_coords[:, 0] * g.node_coords[:, 1])
 
     cols = [g.gradient_apply(e) for e in np.eye(g.n_nodes)]
     D = np.stack([c.ravel() for c in cols], axis=1)  # (cells * 2, nodes)
@@ -544,7 +544,7 @@ def test_energy_rectangle_with_atom_matches_dense_solve():
 def test_cost_eval_values():
     g = mo.interval_grid(-1.0, 1.0, 64)
     lin = mo.linear_cost(0.5)
-    assert mo.cost_eval(mo.DiscreteMeasure.lebesgue(g), lin) == pytest.approx(1.0)
+    assert mo.cost_eval(mo.DiscreteMeasure(g, np.ones(g.n_cells)), lin) == pytest.approx(1.0)
     atom = mo.DiscreteMeasure(g, np.zeros(g.n_cells), atoms=[(np.array([0.0]), 1.0)])
     assert mo.cost_eval(atom, lin) == pytest.approx(0.5)
     assert mo.cost_eval(atom, mo.quadratic_cost()) == INF

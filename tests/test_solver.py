@@ -29,14 +29,14 @@ def test_objective_zero_field():
 
 def test_objective_infeasible_gradient_is_inf():
     prob = interval_problem(mo.linear_cost(0.5), n=16)
-    u = mo.ScalarField.from_function(prob.grid, lambda p: 2.0 * (1.0 - abs(p[0])))
+    u = mo.ScalarField(prob.grid, 2.0 * (1.0 - np.abs(prob.grid.node_coords[:, 0])))
     assert mo.objective_eval(prob, u) == INF
 
 
 def test_objective_polynomial_value():
     # int (x^2/2)^2/2 dx - int (1-x^2)/2 dx = 1/20 - 2/3 = -37/60
     prob = interval_problem(mo.quadratic_cost(), n=2048)
-    u = mo.ScalarField.from_function(prob.grid, lambda p: (1.0 - p[0] ** 2) / 2.0)
+    u = mo.ScalarField(prob.grid, (1.0 - prob.grid.node_coords[:, 0] ** 2) / 2.0)
     assert mo.objective_eval(prob, u) == pytest.approx(-37.0 / 60.0, abs=1e-5)
 
 
@@ -195,7 +195,7 @@ def test_open_certificate_takes_no_splitting(monkeypatch, make_problem):
 def test_dual_flux_is_divergence_feasible():
     prob = interval_problem(mo.quadratic_cost(), n=200)
     sol = mo.solve_auxiliary(prob)
-    mu = mo.DiscreteMeasure.lebesgue(prob.grid)
+    mu = mo.DiscreteMeasure(prob.grid, np.ones(prob.grid.n_cells))
     div = mo.divergence_weighted(mu, sol.flux)
     interior = ~prob.grid.boundary_mask
     resid = np.abs(-div - prob.load)[interior]
@@ -535,8 +535,9 @@ def test_newton_stops_after_a_rounding_level_step(monkeypatch):
     # after a full step whose decrement was rounding level of the objective
     # the iterate is certified and no further stiffness is factored
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 22, 46)
-    prob = mo.build_problem(g, mo.power_cost(2.5375), mo.SourceTerm.from_function(
-        g, lambda p: 0.6416 + 0.4089 * p[0] * p[1]))
+    x, y = g.node_coords.T
+    prob = mo.build_problem(g, mo.power_cost(2.5375),
+                            mo.SourceTerm(g, density=0.6416 + 0.4089 * x * y))
     sol = mo.solve_auxiliary(prob)
     assert sol.converged and sol.method == "newton"
     assert sol.factorisations == sol.iterations + 1  # the unit factor and one per step
