@@ -29,9 +29,11 @@ Expression and regularized costs give their value and their upper
 derivative ``D+c`` (an expression by forward-mode differentiation of its
 syntax tree), and every conjugate map is one vectorized bisection on
 ``D+c`` (:class:`_SubgradientProfile`).  A flux inverse returns the
-gradient magnitude alone.  Every cost also gives the radial curvature of
-its conjugate and, where a 2-d Newton solve needs one, a smoothing of it
-(:meth:`CostFunction.smoothed_conjugate`).
+gradient magnitude alone.  A 2-d Newton solve reads the conjugate through
+one pair of evaluators, :meth:`CostFunction.level_value` and
+:meth:`CostFunction.level_derivatives` (``c*'`` and its radial curvature),
+at a smoothing level ``mu`` where the cost needs one and exactly at
+``mu = None``.
 
 All evaluators are numpy-vectorized.  ``+inf`` is IEEE infinity; arithmetic
 with it saturates.  Objects are immutable after construction and safe to
@@ -85,12 +87,11 @@ def _numeric_recession(value_fn, t0, tol=1e-9, cap=_OVERFLOW_CAP):
     """Recession slope via difference quotients along a doubling sequence.
 
     It stops where two successive quotients agree to ``tol`` relative, so a
-    small positive slope is resolved as well as a large one.
+    small positive slope is resolved as well as a large one.  The first
+    step is 1, or ``2**-26 |t0|`` where a step of 1 would round away.
     """
     c0 = float(value_fn(t0))
-    if not math.isfinite(c0):
-        raise InvalidCost("finiteness witness t0 has infinite cost")
-    step = 1.0
+    step = max(1.0, 2.0 ** -26 * abs(t0))
     prev = None
     for _ in range(80):
         q = (float(value_fn(t0 + step)) - c0) / step
@@ -134,10 +135,9 @@ class _PowerProfile:
         s = np.asarray(s, dtype=float)
         return np.maximum(s, 0.0) ** (self.q - 1.0)
 
-    conj_dplus = conj_dminus
-
-    def conj_curvature(self, s):
-        return np.full_like(np.asarray(s, dtype=float), 2.0 * (self.q - 1.0))
+    def conj_dplus_rho(self, s):
+        d = self.conj_dminus(s)
+        return d, np.full_like(d, 2.0 * (self.q - 1.0))
 
     def recession(self):
         return INF
@@ -177,12 +177,10 @@ class _LinearProfile:
         s = np.asarray(s, dtype=float)
         return np.where(s <= self.slope, 0.0, INF)
 
-    def conj_dplus(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.where(s < self.slope, 0.0, INF)
-
-    # c0* is flat below the slope and +inf from it on
-    conj_curvature = conj_dplus
+    def conj_dplus_rho(self, s):
+        # c0* is flat below the slope and +inf from it on
+        d = np.where(np.asarray(s, dtype=float) < self.slope, 0.0, INF)
+        return d, d
 
     def recession(self):
         return self.slope
@@ -222,13 +220,11 @@ class _ReciprocalProfile:
             d = np.sqrt(self.b / np.where(gap > 0.0, gap, 1.0))
         return np.where(s > self.a, INF, np.where(gap > 0.0, d, INF))
 
-    conj_dplus = conj_dminus
-
-    def conj_curvature(self, s):
+    def conj_dplus_rho(self, s):
         # c0*' = sqrt(b / (a - s)) and 2s c0*'' = s sqrt(b) (a - s)^(-3/2)
-        s = np.maximum(np.asarray(s, dtype=float), 0.0)
-        gap = self.a - s
-        return np.where(gap > 0.0, s / np.where(gap > 0.0, gap, 1.0), INF)
+        sp = np.maximum(np.asarray(s, dtype=float), 0.0)
+        gap = self.a - sp
+        return self.conj_dminus(s), np.where(gap > 0.0, sp / np.where(gap > 0.0, gap, 1.0), INF)
 
     def recession(self):
         return self.a
@@ -258,7 +254,7 @@ class _SubgradientProfile:
     * ``c*(s) = s t - c(t)`` at ``t = D-c*(s)``, the maximizer of
       ``s t - c(t)``, and ``+inf`` past the recession slope;
     * ``2s c*''(s) / c*'(s) = 2s / (t c''(t))`` at ``t = D+c*(s)``, with ``c''``
-      a central difference of ``D+c``.
+      a central difference of ``D+c``, from the same search as ``D+c*``.
     """
 
     def _first_false(self, below, shape):
@@ -284,23 +280,19 @@ class _SubgradientProfile:
         t, never = self._first_false(lambda t: self.subgrad_hi(t) < s, s.shape)
         return np.where(never, INF, t)
 
-    def conj_dplus(self, s):
-        s = np.asarray(s, dtype=float)
-        t, never = self._first_false(lambda t: self.subgrad_hi(t) <= s, s.shape)
-        return np.where(never, INF, t)
-
-    def conj_curvature(self, s):
+    def conj_dplus_rho(self, s):
         # the difference spans a jump of D+c where s sits inside one (a flat
         # stretch of D+c*, which has no curvature), and t = 0 in a dead zone
         s = np.asarray(s, dtype=float)
-        t = self.conj_dplus(s)
-        finite = np.isfinite(t)
-        t = np.where(finite, t, 0.0)
+        t, never = self._first_false(lambda t: self.subgrad_hi(t) <= s, s.shape)
+        d = np.where(never, INF, t)
+        finite = np.isfinite(d)
+        t = np.where(finite, d, 0.0)
         h = 1e-5 * t
         with np.errstate(divide="ignore", invalid="ignore"):
             curv = (self.subgrad_hi(t + h) - self.subgrad_hi(t - h)) / (2.0 * h)
             rho = 2.0 * s / (t * curv)
-        return np.where(finite, np.where(t > 0.0, rho, 0.0), INF)
+        return d, np.where(finite, np.where(t > 0.0, rho, 0.0), INF)
 
     def invert_flux(self, vabs):
         """Gradient magnitude ``t`` of the flux ``v = t a`` with ``t^2/2`` in ``dc(a)``.
@@ -405,15 +397,13 @@ class _TabulatedProfile:
         s = np.asarray(s, dtype=float)
         return self.ts[np.searchsorted(self.slopes, s, side="left")] + np.zeros_like(s)
 
-    def conj_dplus(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.ts[np.searchsorted(self.slopes, s, side="right")] + np.zeros_like(s)
-
-    def conj_curvature(self, s):
+    def conj_dplus_rho(self, s):
         # c0* is piecewise linear
-        return np.zeros_like(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        zero = np.zeros_like(s)
+        return self.ts[np.searchsorted(self.slopes, s, side="right")] + zero, zero
 
-    def smoothed(self, s, mu):
+    def log_sum_exp(self, s, mu):
         """Log-sum-exp smoothing ``mu log sum_j exp((ts_j s - cs_j) / mu)`` of ``c0*``.
 
         Returns its value, its derivative and ``2s`` times its second
@@ -488,7 +478,8 @@ class CostFunction:
     """Homogeneous convex cost ``c0(t)`` with conjugate machinery.
 
     Every evaluator takes an optional weight ``w`` (a scalar or an array
-    that broadcasts) and returns the map of the separable cost ``w * c0``.
+    that broadcasts) and returns the map of the separable cost ``w * c0``:
+    the homogeneous map at ``s / w`` (:meth:`_scaled`), rescaled.
 
     A cost that exists is convex and grows at least linearly, which for a
     convex ``c0`` holds exactly when its recession slope is positive
@@ -517,23 +508,27 @@ class CostFunction:
             raise InvalidCost("cost needs at-least-linear growth, a positive recession "
                               "slope (got %g)" % self._recession)
         validate_cost(self)
-        self._zero_flux_edge = None
+        level = max(float(profile.subgrad_hi(0.0)), 0.0)
+        edge = math.sqrt(2.0 * level)
+        while 0.5 * edge * edge > level:
+            edge = math.nextafter(edge, 0.0)
+        self._zero_flux_edge = edge
+        # the smoothing of a 2-d Newton solve (level_value): a table's
+        # log-sum-exp conjugate, and the term a finite recession slope (a
+        # barrier) or a superlinear dead zone (a density floor) adds
+        self._smoothing = (getattr(profile, "log_sum_exp", None),
+                           "barrier" if math.isfinite(self._recession)
+                           else "floor" if edge > 0.0 else None)
+        # True when a 2-d Newton solve smooths the cost at a level mu: a cost
+        # with a finite recession slope, a dead zone or a table; quadratic
+        # and power costs take none
+        self.smoothing = self._smoothing != (None, None)
 
     # -- representation ----------------------------------------------------
 
     @property
     def name(self):
         return self._profile.name
-
-    @property
-    def smoothing(self):
-        """True when a 2-d Newton solve smooths the cost at a level ``mu`` (:meth:`smoothed_conjugate`).
-
-        That is a cost with a finite recession slope, a dead zone or a
-        table; quadratic and power costs take none.
-        """
-        return (self.regime == "L" or self.zero_flux_edge() > 0.0
-                or isinstance(self._profile, _TabulatedProfile))
 
     def __repr__(self):
         return "CostFunction(%s)" % self.name
@@ -568,24 +563,28 @@ class CostFunction:
         thr = self.recession_slope()
         return _THRESHOLD_SLACK * (1.0 + abs(thr)) if math.isfinite(thr) else 0.0
 
-    def _guard_threshold(self, s):
-        thr = self.recession_slope()
-        if math.isinf(thr):
-            return s
-        return np.where((s > thr) & (s <= thr + self.threshold_pad()), thr, s)
+    def _scaled(self, s, weight):
+        """The weight ``w`` as an array, and ``s / w`` with the threshold guarded.
+
+        A quotient past the recession slope by at most :meth:`threshold_pad`
+        is set onto the slope.
+        """
+        w = np.asarray(weight, dtype=float)
+        sig = np.asarray(s, dtype=float) / w
+        thr = self._recession
+        if math.isfinite(thr):
+            sig = np.where((sig > thr) & (sig <= thr + self.threshold_pad()), thr, sig)
+        return w, sig
 
     def conjugate_value(self, s, weight=1.0):
         """Fenchel conjugate ``c*(x, s) = w * c0*(s / w)``."""
-        w = np.asarray(weight, dtype=float)
-        return w * self._profile.conj_value(self._guard_threshold(np.asarray(s, dtype=float) / w))
+        return self.level_value(s, None, weight)
 
     def conjugate_dminus(self, s, weight=1.0):
-        w = np.asarray(weight, dtype=float)
-        return self._profile.conj_dminus(self._guard_threshold(np.asarray(s, dtype=float) / w))
+        return self._profile.conj_dminus(self._scaled(s, weight)[1])
 
     def conjugate_dplus(self, s, weight=1.0):
-        w = np.asarray(weight, dtype=float)
-        return self._profile.conj_dplus(self._guard_threshold(np.asarray(s, dtype=float) / w))
+        return self.level_derivatives(s, None, weight)[0]
 
     def conjugate_curvature(self, s, weight=1.0):
         """Radial curvature ``rho = 2s * c*''(x, s) / c*'(x, s)``; 0 where ``c*'`` vanishes.
@@ -598,55 +597,53 @@ class CostFunction:
         expression or regularized cost takes a difference of ``D+c``, whose
         accuracy sets only the Newton steps, never the certificate.
         """
-        w = np.asarray(weight, dtype=float)
-        return self._profile.conj_curvature(self._guard_threshold(np.asarray(s, dtype=float) / w))
+        return self.level_derivatives(s, None, weight)[1]
 
-    def smoothed_conjugate(self, s, mu, weight=1.0):
+    def level_value(self, s, mu=None, weight=1.0):
         """The conjugate ``c*(x, s)`` smoothed at level ``mu > 0``, ``w * phi(s / w)``.
 
-        ``phi`` is ``c0*`` changed only where a 2-d Newton solve needs it
-        (:attr:`smoothing`), each change vanishing with ``mu``: a table's
-        conjugate is its log-sum-exp smoothing; a finite recession slope
-        ``cinf`` adds the log barrier ``-mu * log(cinf - sigma)`` (``+inf``
-        from ``cinf`` on), which also keeps ``phi'`` positive in a dead zone;
-        a superlinear dead zone, where ``c0*'`` vanishes, adds the density
-        floor ``mu * sigma``.
+        ``mu = None`` is the exact conjugate.  ``phi`` is ``c0*`` changed
+        only where a 2-d Newton solve needs it (:attr:`smoothing`), each
+        change vanishing with ``mu``: a table's conjugate is its log-sum-exp
+        smoothing; a finite recession slope ``cinf`` adds the log barrier
+        ``-mu * log(cinf - sigma)`` (``+inf`` from ``cinf`` on), which also
+        keeps ``phi'`` positive in a dead zone; a superlinear dead zone,
+        where ``c0*'`` vanishes, adds the density floor ``mu * sigma``.
         """
-        w = np.asarray(weight, dtype=float)
-        sig = self._guard_threshold(np.asarray(s, dtype=float) / w)
-        prof = self._profile
-        value = (prof.smoothed(sig, mu)[0] if isinstance(prof, _TabulatedProfile)
-                 else prof.conj_value(sig))
-        thr = self.recession_slope()
-        if math.isfinite(thr):
-            room = thr - sig
+        w, sig = self._scaled(s, weight)
+        lse, term = self._smoothing if mu is not None else (None, None)
+        value = self._profile.conj_value(sig) if lse is None else lse(sig, mu)[0]
+        if term == "barrier":
+            room = self._recession - sig
             with np.errstate(divide="ignore", invalid="ignore"):
                 value = np.where(room > 0.0, value - mu * np.log(room), INF)
-        elif self.zero_flux_edge() > 0.0:
+        elif term == "floor":
             value = value + mu * sig
         return w * value
 
-    def smoothed_derivatives(self, s, mu, weight=1.0):
-        """Derivative in ``s`` and radial curvature of :meth:`smoothed_conjugate`.
+    def level_derivatives(self, s, mu=None, weight=1.0):
+        """``(c*', rho)`` of :meth:`level_value`: its derivative in ``s`` and radial curvature.
 
-        They stand in for :meth:`conjugate_dplus` and :meth:`conjugate_curvature`.
+        At ``mu = None`` they are :meth:`conjugate_dplus` and
+        :meth:`conjugate_curvature`, from one search of an expression or
+        regularized cost.
         """
-        w = np.asarray(weight, dtype=float)
-        sig = self._guard_threshold(np.asarray(s, dtype=float) / w)
-        prof = self._profile
-        if isinstance(prof, _TabulatedProfile):
-            _value, d, r = prof.smoothed(sig, mu)
+        _w, sig = self._scaled(s, weight)
+        if mu is None:
+            return self._profile.conj_dplus_rho(sig)
+        lse, term = self._smoothing
+        if lse is None:
+            d, rho = self._profile.conj_dplus_rho(sig)
+            r = d * rho
         else:
-            d = prof.conj_dplus(sig)
-            r = d * prof.conj_curvature(sig)
-        thr = self.recession_slope()
-        if math.isfinite(thr):
-            room = thr - sig
+            _value, d, r = lse(sig, mu)
+        if term == "barrier":
+            room = self._recession - sig
             inside = room > 0.0
             room = np.where(inside, room, 1.0)
             d = np.where(inside, d + mu / room, INF)
             r = np.where(inside, r + 2.0 * mu * sig / (room * room), INF)
-        elif self.zero_flux_edge() > 0.0:
+        elif term == "floor":
             d = d + mu
         live = np.isfinite(d) & (d > 0.0)
         return d, np.where(live, r / np.where(live, d, 1.0), np.where(d > 0.0, INF, 0.0))
@@ -677,12 +674,6 @@ class CostFunction:
         then rounded down until ``t^2 / 2 <= s0``, so the flux still
         vanishes there.  A weight ``w`` scales it by ``sqrt(w)``.
         """
-        if self._zero_flux_edge is None:
-            level = max(float(self._profile.subgrad_hi(0.0)), 0.0)
-            edge = math.sqrt(2.0 * level)
-            while 0.5 * edge * edge > level:
-                edge = math.nextafter(edge, 0.0)
-            self._zero_flux_edge = edge
         return self._zero_flux_edge
 
 

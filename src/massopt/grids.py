@@ -285,7 +285,8 @@ def _atom_location(grid, loc):
 class SourceTerm:
     """Signed source: nodal density plus point atoms.
 
-    The pairing ``<f, u>`` integrates the density with trapezoidal nodal
+    The pairing ``<f, u> = F . u`` with the load vector ``F``
+    (:meth:`load_vector`) integrates the density with trapezoidal nodal
     weights and evaluates atoms through multilinear interpolation, so it is
     exactly linear in ``u``.  A density value or atom mass that is not
     finite raises :class:`InadmissibleSource`.
@@ -327,10 +328,6 @@ class SourceTerm:
                     F[j] += mass * w
             self._load = F
         return self._load
-
-    def pair(self, u):
-        """The duality pairing ``<f, u>``."""
-        return float(np.dot(self.load_vector(), u.values))
 
 
 class DiscreteMeasure:

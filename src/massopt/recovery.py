@@ -37,6 +37,9 @@ INF = math.inf
 # the Fenchel equality is scored on cells whose density exceeds this
 # fraction of the largest density
 DENSITY_FLOOR_REL = 1e-12
+# the regularization path flags a cell holding more than this fraction of
+# the total mass as an emergent singular part
+CONCENTRATION_FRACTION = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +70,13 @@ class RegularizationDiagnostics:
 
 
 def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
-                               solver_params=None, cauchy_tol=0.05,
-                               concentration_fraction=0.05):
+                               solver_params=None, cauchy_tol=0.05):
     """Approximate a linear-regime measure through superlinear continuation.
 
     Solves the problem for ``c_eps = c + eps * t^2`` over a decreasing
     schedule, recovers the density each time, and reports the
     weak-star settling of the iterates.  Cells concentrating more than
-    ``concentration_fraction`` of the total mass are flagged as emergent
+    ``CONCENTRATION_FRACTION`` of the total mass are flagged as emergent
     singular parts.  This is an approximation path, not an exact
     construction: the verifier decides whether its measure is optimal.
     ``massopt run`` does not use it; this function is a library call.
@@ -104,7 +106,7 @@ def recover_via_regularization(problem, epsilon_schedule=(1e-2, 1e-3, 1e-4),
         a = measure.ac_density
         total = float(np.dot(vol, a))
         cell_mass = vol * a
-        flags.append([int(i) for i in np.nonzero(cell_mass > concentration_fraction
+        flags.append([int(i) for i in np.nonzero(cell_mass > CONCENTRATION_FRACTION
                                                  * max(total, 1e-300))[0]])
         if prev is not None:
             diff = float(np.dot(vol, np.abs(a - prev)))

@@ -42,10 +42,13 @@ names the method that closed it (``AuxiliarySolution.method``):
   and the log-sum-exp of a table's piecewise-linear conjugate.  Their
   level ``mu`` starts at 1 and shrinks by 10 each time Newton has centred
   the level, until the certified gap meets the tolerance or a level fails
-  to lower it.  The certificate always scores the exact conjugate, so the
-  smoothing sets only how fast the gap closes.  The solve returns its last
-  iterate, and the (smoothed) ``c*'`` there as the density its flux
-  carries.
+  to lower it.  Newton reads the cost through one pair of evaluators at
+  every level, the exact one (``mu = None``) included:
+  :meth:`AuxiliaryProblem.level_value` and
+  :meth:`AuxiliaryProblem.level_derivatives` (``c*'`` and ``rho``).  The
+  certificate always scores the exact conjugate, so the smoothing sets only
+  how fast the gap closes.  The solve returns its last iterate, and the
+  (smoothed) ``c*'`` there as the density its flux carries.
 
 In two dimensions the Newton step is one direct solve of an interior
 stiffness, exact up to rounding, and the same solve corrects the
@@ -129,6 +132,24 @@ class AuxiliaryProblem:
 
     def conj_curvature(self, s):
         return self.cost.conjugate_curvature(s, weight=self._w)
+
+    def level_value(self, s, mu=None):
+        """Per-cell conjugate at smoothing level ``mu``, exact when None.
+
+        See :meth:`massopt.costs.CostFunction.level_value`.
+        """
+        return self.cost.level_value(s, mu, weight=self._w)
+
+    def level_derivatives(self, s, mu=None):
+        """Per-cell ``(c*', rho)`` of :meth:`level_value`.
+
+        See :meth:`massopt.costs.CostFunction.level_derivatives`.
+        """
+        return self.cost.level_derivatives(s, mu, weight=self._w)
+
+    def zero_flux_edge(self):
+        """Per-cell zero-flux edge: the cost's edge scaled by ``sqrt(w)``."""
+        return np.sqrt(self._w) * self.cost.zero_flux_edge()
 
     def invert_flux(self, vabs):
         """Gradient magnitude ``t`` of each cell's flux magnitude ``vabs`` (density ``vabs / t``)."""
@@ -298,7 +319,7 @@ def feasible_flux_1d(problem):
     t = problem.invert_flux(np.abs(sigma))
     # a nonzero flux fixes its gradient; a zero flux admits any gradient up
     # to the dead-zone edge
-    slack = np.where(sigma == 0.0, np.sqrt(problem._w) * problem.cost.zero_flux_edge(), 0.0)
+    slack = np.where(sigma == 0.0, problem.zero_flux_edge(), 0.0)
     g = _zero_mean_selection(h, t * np.sign(sigma), slack)
     return sigma[:, None], g, t
 
@@ -405,13 +426,6 @@ def _hessian_blocks(problem, g, d, rho):
     return (rx * ex + 1.0) * vd, rx * ey * vd, (rho * ey * ey + 1.0) * vd
 
 
-def _integrand(problem, s, mu):
-    """``(c*', rho)`` per cell, of the conjugate smoothed at level ``mu`` (exact when None)."""
-    if mu is None:
-        return problem.conj_dplus(s), problem.conj_curvature(s)
-    return problem.cost.smoothed_derivatives(s, mu, weight=problem._w)
-
-
 def _level_objective(problem, u, s, mu):
     """The objective at ``u`` with the conjugate smoothed at level ``mu`` (exact when None).
 
@@ -419,12 +433,7 @@ def _level_objective(problem, u, s, mu):
     cell violates the gradient bound, or lies past a barrier, where the
     line search must not step.
     """
-    if mu is None:
-        value = problem.conj_value(s)
-        if np.any(np.isinf(value)):
-            return INF
-    else:
-        value = problem.cost.smoothed_conjugate(s, mu, weight=problem._w)
+    value = problem.level_value(s, mu)
     return float(np.dot(problem.grid.cell_volumes, value) - np.dot(problem.load, u))
 
 
@@ -441,7 +450,7 @@ def _newton_2d(problem, params):
     (``A = sum vol * c*(|grad u1|^2/2)``; ``q = 1 + rho / 2`` at the
     steepest cell, which is exact for a power law).
     Every other cost starts from 0 at the smoothing level ``mu = 1``
-    (:meth:`massopt.costs.CostFunction.smoothed_conjugate`).  Each step
+    (:meth:`massopt.costs.CostFunction.level_value`).  Each step
     factors the stiffness ``H = G^T B G`` of the Hessian blocks ``B``
     (:func:`_hessian_blocks`, ``c*'`` floored at ``1e-12`` of its maximum),
     which go to :func:`massopt.grids.stiffness_factor` as their three parts
@@ -504,7 +513,7 @@ def _newton_2d(problem, params):
     flat = False  # the last step was full and its decrement rounding level
     z = np.zeros(grid.n_nodes)
     while True:
-        d, rho = _integrand(problem, s, mu)
+        d, rho = problem.level_derivatives(s, mu)
         flux = g * (vol * d)[:, None]
         grad = (grid.gradient_adjoint(flux) - F)[idx]
         centred = flat or np.linalg.norm(grad) <= grad_floor
@@ -594,7 +603,6 @@ class AuxiliarySolution:
                  rel_gap, iterations, converged, dual_residual, log, method=None,
                  factorisations=0, density=None, mu_levels=0):
         grid = problem.grid
-        self.problem = problem
         self.u = ScalarField(grid, u_values)
         self.grad = VectorField(grid, grid.gradient_apply(u_values))
         self.density = density

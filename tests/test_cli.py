@@ -161,10 +161,11 @@ def test_open_1d_certificate_exit_code(tmp_path, capsys):
     assert (report["method"], report["iterations"], report["checks"]) == ("certificate", 0, 1)
 
 
-@pytest.mark.parametrize("expression", ["t + t^2/2", "t + 1/t"])
+@pytest.mark.parametrize("expression", ["t + t^2/2", "t + 1/t", "t + 1/t\nt0 = 1e17"])
 def test_interval_expression_cost_run(tmp_path, expression):
     # an expression cost's conjugate maps and flux inverse are vectorized
-    # bisections, so an interval solve of it finishes like a builtin one
+    # bisections, so an interval solve of it finishes like a builtin one; a
+    # witness where a step of 1 rounds away still finds the recession slope
     text = MK_CONFIG.format(out=tmp_path / "out").replace(
         "builtin = linear\nslope = 0.5", "expression = " + expression).replace(
         "n = 256", "n = 1024")

@@ -102,6 +102,10 @@ def test_numeric_recession_values():
     assert mo.expression_cost("t^2/2").recession_slope() == INF
     assert mo.expression_cost("t/2").recession_slope() == pytest.approx(0.5, abs=1e-12)
     assert mo.expression_cost("t + 1/t").recession_slope() == pytest.approx(1.0, abs=1e-8)
+    # witnesses where a first step of 1 would round away
+    for t0 in (1e17, 1e100):
+        cost = mo.expression_cost("t + 1/t", t0=t0)
+        assert cost.recession_slope() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_nonconvex_cost_recession_raises():

@@ -369,6 +369,21 @@ def test_solver_matches_brute_force_small():
     assert abs(sol.objective - val) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("make_cost", [
+    mo.quadratic_cost, lambda: mo.power_cost(2.5), mo.reciprocal_cost,
+    lambda: mo.linear_cost(0.5),
+], ids=["quadratic", "power-2.5", "reciprocal", "linear"])
+def test_solver_matches_brute_force_weighted(make_cost, n):
+    # the oracle scores every cell's weighted conjugate w * c0*(s / w) itself
+    g = mo.interval_grid(-1.0, 1.0, n)
+    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0),
+                            np.geomspace(0.2, 5.0, n))
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(gap_tolerance=1e-12))
+    val, _u = mo.brute_force_min(prob)
+    assert abs(sol.objective - val) <= 1e-10 * max(1.0, abs(val))
+
+
 def test_solution_converges_under_refinement():
     exact = 0.75 * 2.0 ** (1.0 / 3.0)
     errs = []
@@ -453,7 +468,7 @@ def _first_variation(prob, u, mu):
     """First variation of the objective at smoothing level ``mu`` (exact when None)."""
     g = prob.grid
     grad = g.gradient_apply(u)
-    d, _rho = solver._integrand(prob, 0.5 * np.sum(grad * grad, axis=1), mu)
+    d, _rho = prob.level_derivatives(0.5 * np.sum(grad * grad, axis=1), mu)
     return g.gradient_adjoint(grad * (g.cell_volumes * d)[:, None]) - prob.load
 
 
@@ -486,7 +501,7 @@ def test_newton_hessian_matches_gradient_differences(make_cost, weighted, mu):
         # inside the gradient bound, where the barrier is finite
         u *= 0.8 * np.min(prob.cell_caps / np.linalg.norm(g.gradient_apply(u), axis=1))
     grad = g.gradient_apply(u)
-    d, rho = solver._integrand(prob, 0.5 * np.sum(grad * grad, axis=1), mu)
+    d, rho = prob.level_derivatives(0.5 * np.sum(grad * grad, axis=1), mu)
     hxx, hxy, hyy = solver._hessian_blocks(prob, grad, d, rho)
     gv = g.gradient_apply(v)
     Hv = g.gradient_adjoint(np.column_stack([hxx * gv[:, 0] + hxy * gv[:, 1],
@@ -495,6 +510,28 @@ def test_newton_hessian_matches_gradient_differences(make_cost, weighted, mu):
     fd = (_first_variation(prob, u + h * v, mu)
           - _first_variation(prob, u - h * v, mu))[idx] / (2.0 * h)
     assert np.linalg.norm(Hv - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("make_cost, mu", [
+    (lambda: mo.expression_cost("t^2/2 + t^3/3"), None),
+    (lambda: mo.regularized_cost(mo.linear_cost(0.5), 1e-2), 1e-2),
+], ids=["expression-exact", "regularized-smoothed"])
+def test_newton_integrand_takes_one_search(monkeypatch, make_cost, mu):
+    # c*' and its radial curvature come from one bisection on D+c, exact or
+    # smoothed
+    prob = _rectangle_problem(make_cost(), nx=9, ny=11)
+    assert prob.cost.smoothing == (mu is not None)
+    searches = []
+    first_false = mo.costs._SubgradientProfile._first_false
+
+    def counted(profile, below, shape):
+        searches.append(shape)
+        return first_false(profile, below, shape)
+
+    monkeypatch.setattr(mo.costs._SubgradientProfile, "_first_false", counted)
+    d, rho = prob.level_derivatives(np.linspace(0.0, 2.0, prob.grid.n_cells), mu)
+    assert len(searches) == 1
+    assert np.all(np.isfinite(d) & (d >= 0.0)) and np.all(np.isfinite(rho))
 
 
 @pytest.mark.parametrize("make_cost, weighted", [
