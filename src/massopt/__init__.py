@@ -17,10 +17,9 @@ from .costs import (CostFunction, builtin_cost, expression_cost, linear_cost,
                     power_cost, quadratic_cost, reciprocal_cost, regularized_cost,
                     subdiff_interval, tabulated_cost, validate_cost)
 from .errors import (AtomOutsideGrid, ConfigError, InadmissibleSource, InvalidCost,
-                     MassOptError, NonMonotoneQuotient, NotConverged,
-                     NumericOverflow, OutsideDomain, RegimeMismatch,
-                     ScheduleTooShort, TooLarge, Unbounded, UnknownFixture,
-                     UnsupportedGrid)
+                     MassOptError, NonMonotoneQuotient, NumericOverflow,
+                     OutsideDomain, RegimeMismatch, ScheduleTooShort, TooLarge,
+                     Unbounded, UnknownFixture, UnsupportedGrid)
 from .grids import (DiscreteMeasure, Grid, ScalarField, SourceTerm, VectorField,
                     divergence_weighted, interval_grid, radial_grid, read_field_csv,
                     read_measure, rectangle_grid, sphere_surface, write_field_csv,
@@ -29,12 +28,10 @@ from .oracle import (ClosedFormFixture, brute_force_min, fixture, fixture_errors
                      fixture_names)
 from .recovery import (EnergyResult, OptimalityReport, RegularizationDiagnostics,
                        cost_eval, energy_eval, recover_measure,
-                       recover_via_regularization, solution_like,
-                       verify_conditions)
+                       recover_via_regularization, verify_conditions)
 from .solver import (AuxiliaryProblem, AuxiliarySolution, SolverParams,
                      build_problem, feasible_flux_1d, objective_eval,
-                     objective_gradient, require_converged,
-                     solve_auxiliary)
+                     objective_gradient, solve_auxiliary)
 
 __version__ = "0.1.0"
 

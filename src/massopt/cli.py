@@ -282,20 +282,21 @@ def run(config_path, log_path=None, json_report_path=None):
         solution = solve_auxiliary(problem, config.solver_params)
         write_iteration_log(log_path or os.path.join(out, "iterations.csv"), solution.log)
         measure = recover_measure(solution, problem)
-        report = verify_conditions(measure, solution, problem)
+        report = verify_conditions(measure, solution.u, problem)
         write_field_csv(os.path.join(out, "u.csv"), solution.u)
         write_measure(os.path.join(out, "measure.csv"), os.path.join(out, "measure.json"),
                       measure)
         payload = report.to_dict()
         payload.update({
             "converged": solution.converged,
+            "duality_gap": solution.gap,
             "relative_gap": solution.rel_gap,
             "iterations": solution.iterations,
             "checks": len(solution.log),
             "factorisations": solution.factorisations,
             "mu_levels": solution.mu_levels,
             "method": solution.method,
-            "regime": solution.regime,
+            "regime": problem.regime,
             "thresholds": config.thresholds,
             "passed": report.passes(config.thresholds),
         })
@@ -346,7 +347,7 @@ def cmd_fixtures(name, dimension, resolution, stream=None):
         solution = solve_auxiliary(problem, SolverParams())
         measure = recover_measure(solution, problem)
         cell_mask, node_mask = fix.masks(problem.grid)
-        report = verify_conditions(measure, solution, problem,
+        report = verify_conditions(measure, solution.u, problem,
                                    cell_mask=cell_mask, node_mask=node_mask)
         u_err, a_err = fixture_errors(fix, problem.grid, solution.u.values, measure)
     except MassOptError as exc:

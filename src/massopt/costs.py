@@ -50,6 +50,7 @@ from .exprlang import Expression
 INF = math.inf
 
 _OVERFLOW_CAP = 1e12
+_EPS = float(np.finfo(float).eps)
 _THRESHOLD_SLACK = 1e-12  # relative rounding slack at the conjugate threshold
 _SECANT_SAMPLES = 64  # log-spaced samples of the secant convexity check
 
@@ -83,29 +84,28 @@ def grow_bracket(below, hi, limit=80):
     return hi
 
 
-def _numeric_recession(value_fn, t0, tol=1e-9, cap=_OVERFLOW_CAP):
-    """Recession slope via difference quotients along a doubling sequence.
+def _numeric_recession(subgrad_hi, t0, cap=_OVERFLOW_CAP):
+    """Recession slope ``lim D+c(t)``, read along the doubling sequence ``t = max(t0, 1) 2^k``.
 
-    It stops where two successive quotients agree to ``tol`` relative, so a
-    small positive slope is resolved as well as a large one.  The first
-    step is 1, or ``2**-26 |t0|`` where a step of 1 would round away.
+    ``subgrad_hi`` is the exact upper derivative ``D+c``.  The slope is the
+    first value that agrees with the one before it to ``4 eps`` relative;
+    ``+inf`` once a value passes ``cap``, or when ``t`` overflows first.
+    A falling ``D+c`` is not convex.
     """
-    c0 = float(value_fn(t0))
-    step = max(1.0, 2.0 ** -26 * abs(t0))
+    t = max(float(t0), 1.0)
     prev = None
-    for _ in range(80):
-        q = (float(value_fn(t0 + step)) - c0) / step
+    while t < INF:
+        q = float(subgrad_hi(t))
         if q > cap:
             return INF
         if prev is not None:
             if q < prev - 1e-9 * (1.0 + abs(prev)):
-                raise NonMonotoneQuotient(
-                    "difference quotients decreased (%.17g -> %.17g)" % (prev, q))
-            if abs(q - prev) <= tol * abs(prev):
+                raise NonMonotoneQuotient("D+c decreased (%.17g -> %.17g)" % (prev, q))
+            if abs(q - prev) <= 4.0 * _EPS * abs(prev):
                 return q
         prev = q
-        step *= 2.0
-    return prev
+        t *= 2.0
+    return INF
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ class _ExpressionProfile(_SubgradientProfile):
 
     def recession(self):
         if self._recession is None:
-            self._recession = _numeric_recession(lambda t: float(self.value(t)), self.seed_t)
+            self._recession = _numeric_recession(self.subgrad_hi, self.seed_t)
         return self._recession
 
 

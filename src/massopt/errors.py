@@ -44,17 +44,6 @@ class UnsupportedGrid(MassOptError):
     """Grid kind not supported by the requested operation."""
 
 
-class NotConverged(MassOptError):
-    """Solver failed to certify the requested duality gap.
-
-    The exception carries the best solution found so far in ``solution``.
-    """
-
-    def __init__(self, message, solution=None):
-        super().__init__(message)
-        self.solution = solution
-
-
 class Unbounded(MassOptError):
     """The inner energy minimization is unbounded below."""
 

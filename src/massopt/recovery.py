@@ -10,11 +10,15 @@ linear regime's log barrier the central-path multiplier.
 :func:`recover_via_regularization` approximates a linear-regime measure
 through the continuation ``c + eps t^2`` instead.
 
-The verifier scores every optimality condition numerically:  the weak PDE
-residual, the pointwise Fenchel-equality error (equivalent to membership of
-the density in the subdifferential interval), the saturation of the gradient
-magnitude at atoms against the recession slope, the boundary mass, and the
-duality identity tying the energy/cost pair to the auxiliary value.  The
+The verifier scores a pair ``(mu, u)``, a measure and a nodal field, and
+reads nothing of the solve that produced them; a closed-form pair is
+checked the same way as a solved one.  It scores every optimality
+condition numerically:  the weak PDE residual, the pointwise
+Fenchel-equality error (equivalent to membership of the density in the
+subdifferential interval), the saturation of the gradient magnitude at
+atoms against the recession slope, the boundary mass, and the duality
+identity tying the energy/cost pair to the auxiliary value ``I_{f,c}(u)``,
+computed from ``u`` with the conjugate values of the Fenchel check.  The
 energy is the flux recursion on 1-d grids, on numpy alone, and a banded
 Cholesky solve on rectangles, which alone import scipy.  The gradient
 entering atom conditions is the interpolated grid gradient, a documented
@@ -28,8 +32,8 @@ import numpy as np
 
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded
-from .grids import DiscreteMeasure, ScalarField, divergence_weighted, with_atoms
-from .solver import (SolverParams, _primal_from_gradient, build_problem, objective_eval,
+from .grids import DiscreteMeasure, ScalarField, VectorField, divergence_weighted, with_atoms
+from .solver import (SolverParams, _primal_from_gradient, build_problem,
                      resolve_cell_weights, solve_auxiliary, telescoped_load)
 
 INF = math.inf
@@ -292,7 +296,7 @@ class OptimalityReport:
 
     def __init__(self, pde_residual, inclusion_violation, singular_saturation_error,
                  boundary_mass, duality_identity_error, objective_i_fc,
-                 energy_e_f, cost_c, duality_gap, assumptions=()):
+                 energy_e_f, cost_c, assumptions=()):
         self.pde_residual = pde_residual
         self.inclusion_violation = inclusion_violation
         self.singular_saturation_error = singular_saturation_error
@@ -302,7 +306,6 @@ class OptimalityReport:
         self.energy_e_f = energy_e_f
         self.cost_c = cost_c
         self.j_value = -energy_e_f + cost_c
-        self.duality_gap = duality_gap
         self.assumptions = list(assumptions)
 
     def residuals(self):
@@ -318,7 +321,6 @@ class OptimalityReport:
                   "energy_e_f": self.energy_e_f,
                   "cost_c": self.cost_c,
                   "j_value": self.j_value,
-                  "duality_gap": self.duality_gap,
                   "assumptions": self.assumptions})
         return d
 
@@ -341,20 +343,13 @@ def json_safe(obj):
     return obj
 
 
-def solution_like(problem, u_values):
-    """Wrap nodal values as a minimal solution object for verification."""
-    from .solver import AuxiliarySolution
+def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
+    """Score every optimality condition of the pair ``(mu, u)``.
 
-    vals = u_values.values if isinstance(u_values, ScalarField) else np.asarray(u_values)
-    obj = objective_eval(problem, vals)
-    sigma = np.zeros((problem.grid.n_cells, problem.grid.dim))
-    return AuxiliarySolution(problem, np.asarray(vals, dtype=float), sigma, obj,
-                             -INF, INF, INF, 0, False, INF, [])
-
-
-def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
-    """Score every optimality condition for a candidate pair ``(mu, u)``.
-
+    ``u`` is the nodal field, an array or a :class:`ScalarField`; the
+    verifier reads nothing else of a solve.  Its objective ``I_{f,c}(u)``
+    (:func:`massopt.solver.objective_eval`) is taken from the conjugate
+    values of the inclusion check.
     ``cell_mask`` / ``node_mask`` restrict the metrics (used e.g. to excise
     a ball around a source singularity where exact fields are unbounded).
     The report carries numbers; it never raises.  An energy that is
@@ -364,8 +359,12 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
     """
     grid = problem.grid
     F = problem.load
-    g = solution.grad.values
+    values = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
+    grad = VectorField(grid, grid.gradient_apply(values))
+    g = grad.values
     s = 0.5 * np.sum(g * g, axis=1)
+    conj_v = np.asarray(problem.conj_value(s), dtype=float)
+    objective = float(np.dot(grid.cell_volumes, conj_v) - np.dot(F, values))
     a = mu.ac_density
 
     if cell_mask is None:
@@ -380,21 +379,20 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
     finite = bool(np.all(np.isfinite(a)))
     pde_residual = inclusion = INF
     if finite:
-        resid = -divergence_weighted(mu, solution.grad) - F
+        resid = -divergence_weighted(mu, grad) - F
         denom = float(np.sum(np.abs(F[~grid.boundary_mask])))
         pde_residual = float(np.sum(np.abs(resid[interior]))) / max(denom, 1e-300)
         floor = DENSITY_FLOOR_REL * max(float(np.max(a)), 1e-300)
         active = cell_mask & (a > floor)
         inclusion = 0.0
         if np.any(active):
-            conj_v = np.asarray(problem.conj_value(s), dtype=float)
             cost_v = np.asarray(problem.cost_value(a), dtype=float)
             inclusion = float(np.max(np.abs(a * s - conj_v - cost_v)[active]))
 
     # 3) gradient saturation at atoms (interpolated-gradient surrogate)
     saturation = 0.0
     for loc, _mass in mu.atoms:
-        s_at = 0.5 * float(np.sum(solution.grad.at_point(loc) ** 2))
+        s_at = 0.5 * float(np.sum(grad.at_point(loc) ** 2))
         rec = problem.cost.recession_slope() * _atom_weight(grid, problem.cell_weights, loc)
         saturation = max(saturation, abs(s_at - rec))
 
@@ -411,7 +409,7 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
             pass
         total_cost = cost_eval(mu, problem.cost, cell_weights=problem.cell_weights)
     if math.isfinite(energy) and math.isfinite(total_cost):
-        duality_err = abs(energy - total_cost - solution.objective)
+        duality_err = abs(energy - total_cost - objective)
     else:
         duality_err = INF
 
@@ -421,5 +419,4 @@ def verify_conditions(mu, solution, problem, cell_mask=None, node_mask=None):
                            "gradient as a surrogate for the tangential gradient")
 
     return OptimalityReport(pde_residual, inclusion, saturation, boundary_mass,
-                            duality_err, solution.objective, energy, total_cost,
-                            solution.gap, assumptions)
+                            duality_err, objective, energy, total_cost, assumptions)

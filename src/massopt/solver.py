@@ -68,7 +68,7 @@ import numpy as np
 # validation, and cannot install when it is missing; every cost runs the
 # check itself, where it is built
 from .costs import validate_cost  # noqa: F401
-from .errors import InadmissibleSource, InvalidCost, NotConverged, RegimeMismatch, Unbounded
+from .errors import InadmissibleSource, InvalidCost, RegimeMismatch, Unbounded
 from .grids import ScalarField, VectorField, stiffness_factor
 
 INF = math.inf
@@ -568,9 +568,11 @@ def _newton_2d(problem, params):
         steps += 1
 
     miss = (grid.gradient_adjoint(best_sigma * vol[:, None]) - F)[idx]
-    return _finish(problem, u, best_sigma, obj, best_dual, steps,
-                   rel_gap <= params.gap_tolerance, float(np.linalg.norm(miss)), log, "newton",
-                   factorisations, d, levels)
+    return AuxiliarySolution(problem=problem, u=u, flux=best_sigma, objective=obj,
+                             dual_value=best_dual, converged=rel_gap <= params.gap_tolerance,
+                             log=log, method="newton", density=d, iterations=steps,
+                             factorisations=factorisations, mu_levels=levels,
+                             dual_residual=float(np.linalg.norm(miss)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +580,16 @@ def _newton_2d(problem, params):
 # ---------------------------------------------------------------------------
 
 class AuxiliarySolution:
-    """Solver output: minimizer, feasible dual flux, certified gap.
+    """Solver output, built by keyword: minimizer, feasible dual flux, certified gap.
 
+    ``u`` holds the nodal minimizer and ``flux`` the divergence-feasible
+    flux density whose dual value ``dual_value`` bounds the ``objective``
+    from below; the record computes ``gap = objective - dual_value`` and
+    ``rel_gap``, and takes ``dual_residual`` (the flux's miss of the load)
+    relative to ``max(1, |F|)``.
     ``method`` names how the gap was sought: ``"certificate"`` (the exact
     flux, every interval and radial grid) or ``"newton"`` (every
-    rectangle); ``None`` for a wrapper that ran no solve.
+    rectangle).
     ``factorisations`` counts the banded Cholesky factorisations of a
     stiffness (:meth:`massopt.grids.StiffnessLayout.factor`) the solve
     made: none for the 1-d certificate; for Newton one per step attempted
@@ -592,51 +599,40 @@ class AuxiliarySolution:
     smoothing levels a Newton solve entered: 0 for quadratic and power
     costs and in 1-d.
     ``density`` holds the conductivity per cell that the solve's flux
-    carries along ``grad`` (:func:`massopt.recovery.recover_measure` wraps
-    it in the measure): the 1-d certificate's ``|sigma| / t``, and Newton's
-    (smoothed) conjugate derivative ``c*'(s)`` at its last iterate, for
-    the log barrier the central-path multiplier ``c*'(s) + mu / (cinf - s)``;
-    ``None`` for a wrapper that ran no solve.
+    carries along the gradient of ``u``
+    (:func:`massopt.recovery.recover_measure` wraps it in the measure): the
+    1-d certificate's ``|sigma| / t``, and Newton's (smoothed) conjugate
+    derivative ``c*'(s)`` at its last iterate, for the log barrier the
+    central-path multiplier ``c*'(s) + mu / (cinf - s)``.
     """
 
-    def __init__(self, problem, u_values, sigma, objective, dual_value, gap,
-                 rel_gap, iterations, converged, dual_residual, log, method=None,
-                 factorisations=0, density=None, mu_levels=0):
+    def __init__(self, *, problem, u, flux, objective, dual_value, converged, log,
+                 method, density, iterations=0, factorisations=0, mu_levels=0,
+                 dual_residual=0.0):
         grid = problem.grid
-        self.u = ScalarField(grid, u_values)
-        self.grad = VectorField(grid, grid.gradient_apply(u_values))
+        self.u = ScalarField(grid, u)
+        self.flux = VectorField(grid, flux)
         self.density = density
-        self.flux = VectorField(grid, sigma)
         self.objective = objective
         self.dual_value = dual_value
-        self.gap = gap
-        self.rel_gap = rel_gap
+        self.gap, self.rel_gap = _relative_gap(objective, dual_value)
         self.iterations = iterations
-        self.method = method  # "certificate" or "newton"
+        self.method = method
         self.factorisations = factorisations
         self.mu_levels = mu_levels
         self.converged = converged
-        self.dual_residual = dual_residual
-        self.regime = problem.regime
-        self.lip_bound = problem.lip_bound
+        self.dual_residual = dual_residual / max(1.0, float(np.linalg.norm(problem.load)))
         self.log = log
 
     @property
     def max_gradient(self):
-        return float(np.max(self.grad.magnitudes())) if self.grad.values.size else 0.0
+        g = self.u.grid.gradient_apply(self.u.values)
+        return float(np.max(np.sqrt(np.sum(g * g, axis=1)), initial=0.0))
 
     def __repr__(self):
         return ("AuxiliarySolution(objective=%.12g, gap=%.3g, iterations=%d, "
                 "converged=%s)" % (self.objective, self.gap, self.iterations,
                                    self.converged))
-
-
-def require_converged(solution):
-    """Raise :class:`NotConverged` unless the gap tolerance was certified."""
-    if not solution.converged:
-        raise NotConverged(
-            "solver stopped with relative gap %.3g" % solution.rel_gap, solution)
-    return solution
 
 
 def _relative_gap(obj, dual):
@@ -691,15 +687,6 @@ def _certificate_1d(problem, params):
     g_u = grid.gradient_apply(u)[:, 0]
     density = np.where(carried, vabs / np.where(carried, mag, 1.0),
                        problem.conj_dminus(0.5 * g_u * g_u))
-    return _finish(problem, u, sigma, obj, dual, 0, rel_gap <= params.gap_tolerance,
-                   0.0, [(0, obj, dual, gap)], "certificate", 0, density)
-
-
-def _finish(problem, u, sigma, obj, dual, iterations, converged,
-            dual_residual, log, method, factorisations, density, mu_levels=0):
-    """The solution, with its gap and its dual residual relative to the load."""
-    gap, rel_gap = _relative_gap(obj, dual)
-    dual_residual = dual_residual / max(1.0, float(np.linalg.norm(problem.load)))
-    return AuxiliarySolution(problem, u, sigma, obj, dual, gap, rel_gap, iterations,
-                             converged, dual_residual, log, method, factorisations,
-                             density, mu_levels)
+    return AuxiliarySolution(problem=problem, u=u, flux=sigma, objective=obj, dual_value=dual,
+                             converged=rel_gap <= params.gap_tolerance,
+                             log=[(0, obj, dual, gap)], method="certificate", density=density)

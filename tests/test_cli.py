@@ -196,8 +196,8 @@ def test_measure_reimport_scores_identically(tmp_path):
     mu = mo.recover_measure(solution, problem)
     back = mo.read_measure(tmp_path / "out" / "measure.csv",
                            tmp_path / "out" / "measure.json")
-    r1 = mo.verify_conditions(mu, solution, problem)
-    r2 = mo.verify_conditions(back, solution, problem)
+    r1 = mo.verify_conditions(mu, solution.u, problem)
+    r2 = mo.verify_conditions(back, solution.u, problem)
     for field in mo.OptimalityReport.FIELDS:
         assert abs(getattr(r1, field) - getattr(r2, field)) <= 1e-12
 
@@ -405,6 +405,18 @@ def test_atom_with_wrong_coordinate_count_is_config_error(tmp_path, capsys, atom
 
 _RECT_16 = "kind = rectangle\nax = 0.0\nbx = 1.0\nay = 0.0\nby = 1.0\nnx = 16\nny = 16"
 _INTERVAL_64 = "kind = interval\na = -1.0\nb = 1.0\nn = 64"
+
+
+@pytest.mark.parametrize("cost", ["expression = t^1.5", "builtin = power\np = 1.5"],
+                         ids=["expression", "builtin"])
+def test_superlinear_atom_source_is_config_error(tmp_path, capsys, cost):
+    # an expression's recession slope is read as +inf, like the builtin's,
+    # so its atom is refused where the problem is built
+    cfg = write(tmp_path / "run.cfg",
+                "[domain]\n%s\n\n[cost]\n%s\n\n[source]\natoms = 0.5 0.5:1.0\n\n"
+                "[output]\ndir = %s\n" % (_RECT_16, cost, tmp_path / "out"))
+    assert cli.main(["run", cfg]) == 2
+    assert "config error: Dirac source parts in the superlinear regime" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("domain, source, key", [
@@ -735,6 +747,7 @@ def test_infinite_gap_is_reported_as_infinite(tmp_path, capsys):
     assert "relative gap inf" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["relative_gap"] == "inf" and report["converged"] is False
+    assert report["duality_gap"] == "inf"
 
 
 def test_iteration_log_kept_when_recovery_fails(tmp_path, capsys, monkeypatch):
@@ -842,6 +855,17 @@ def test_readme_lists_every_config_key():
     declared["domain"].update(*cli.GRID_KEYS.values())
     declared["cost"].update(*cli.COST_FORMS.values(), *cli.BUILTIN_PARAMS.values())
     assert listed == declared
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's python block is run as written, and its report passes
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads(scope["report"].to_json())
+    assert scope["report"].passes(cli.DEFAULT_THRESHOLDS)
 
 
 def test_percent_in_a_value_is_literal(tmp_path):

@@ -98,14 +98,35 @@ def test_tabulated_conjugate():
     assert tab.regime == "SL"
 
 
+EPS = np.finfo(float).eps
+
+
 def test_numeric_recession_values():
+    # the exact D+c along a doubling sequence, to a few units of rounding
     assert mo.expression_cost("t^2/2").recession_slope() == INF
-    assert mo.expression_cost("t/2").recession_slope() == pytest.approx(0.5, abs=1e-12)
-    assert mo.expression_cost("t + 1/t").recession_slope() == pytest.approx(1.0, abs=1e-8)
-    # witnesses where a first step of 1 would round away
+    assert mo.expression_cost("t/2").recession_slope() == 0.5
+    assert mo.expression_cost("t + 1/t").recession_slope() == pytest.approx(1.0, abs=4 * EPS)
+    # large witnesses start the sequence there
     for t0 in (1e17, 1e100):
         cost = mo.expression_cost("t + 1/t", t0=t0)
-        assert cost.recession_slope() == pytest.approx(1.0, abs=1e-8)
+        assert cost.recession_slope() == pytest.approx(1.0, abs=4 * EPS)
+
+
+@pytest.mark.parametrize("text", ["t^1.5", "t^1.1"])
+def test_numeric_recession_of_slow_superlinear_growth(text):
+    # D+c = p t^(p-1) passes the 1e12 cap only far out: 4e23 for p = 1.5,
+    # 1e110 for p = 1.1; difference quotients stopped before either
+    cost = mo.expression_cost(text)
+    assert cost.recession_slope() == INF and cost.regime == "SL"
+
+
+def test_numeric_conjugate_at_the_recession_slope():
+    # just below c_inf = 1, t + 1/t has the conjugate -2 sqrt(1 - s) of the
+    # reciprocal cost; a slope read short of 1 would cut it off as +inf
+    s = np.array([0.9999999995, 0.99999999975, 0.9999999999])
+    got = np.asarray(mo.expression_cost("t + 1/t").conjugate_value(s), dtype=float)
+    exact = np.asarray(mo.reciprocal_cost().conjugate_value(s), dtype=float)
+    assert np.all(np.abs(got - exact) <= 1e-8), got - exact
 
 
 def test_nonconvex_cost_recession_raises():

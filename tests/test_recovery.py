@@ -24,7 +24,7 @@ def solve_fixture(name, dim=None, resolution=512):
 def test_sl_density_is_half_gradient_squared():
     _fix, prob, sol = solve_fixture("quadratic_ball_uniform", 2)
     mu = mo.recover_measure(sol, prob)
-    s = 0.5 * np.sum(sol.grad.values ** 2, axis=1)
+    s = 0.5 * np.sum(prob.grid.gradient_apply(sol.u.values) ** 2, axis=1)
     assert np.allclose(mu.ac_density, s, atol=1e-13)
     assert not mu.atoms
 
@@ -88,7 +88,7 @@ def test_rectangle_table_measure_verifies(make_cost, nx, ny, by):
     prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0))
     sol = mo.solve_auxiliary(prob)
     assert sol.converged
-    rep = mo.verify_conditions(mo.recover_measure(sol, prob), sol, prob)
+    rep = mo.verify_conditions(mo.recover_measure(sol, prob), sol.u, prob)
     assert rep.passes(cli.DEFAULT_THRESHOLDS), rep
 
 
@@ -103,7 +103,7 @@ def test_mk_flux_inversion():
     err = np.dot(vol, np.abs(mu.ac_density - a_ex)) / np.dot(vol, a_ex)
     assert err <= 0.03
     # gradient saturates where the measure lives
-    g = np.abs(sol.grad.values[:, 0])
+    g = np.abs(prob.grid.gradient_apply(sol.u.values)[:, 0])
     on = mu.ac_density > 0.05
     assert np.max(np.abs(g[on] - 1.0)) <= 1e-3
 
@@ -122,7 +122,7 @@ def test_l_recovery_radial_reciprocal():
     prob = mo.build_problem(g, mo.reciprocal_cost(), mo.SourceTerm.constant(g, 1.0))
     sol = mo.solve_auxiliary(prob)
     mu = mo.recover_measure(sol, prob)
-    rep = mo.verify_conditions(mu, sol, prob)
+    rep = mo.verify_conditions(mu, sol.u, prob)
     assert np.min(mu.ac_density) >= 1.0 - 1e-6
     assert sol.max_gradient <= math.sqrt(2.0) + 1e-9
     for field, value in rep.residuals().items():
@@ -137,12 +137,12 @@ def test_l_recovery_radial_center_atom():
                             mo.SourceTerm(g, atoms=[(np.array([0.0]), 1.0)]))
     sol = mo.solve_auxiliary(prob)
     mu = mo.recover_measure(sol, prob)
-    rep = mo.verify_conditions(mu, sol, prob)
+    rep = mo.verify_conditions(mu, sol.u, prob)
     assert sol.max_gradient <= 1.0 + 1e-9
     for field, value in rep.residuals().items():
         assert value <= 1e-3, (field, value)
     on = mu.ac_density > 1e-3 * np.max(mu.ac_density)
-    assert np.max(np.abs(np.abs(sol.grad.values[on, 0]) - 1.0)) <= 1e-9
+    assert np.max(np.abs(np.abs(g.gradient_apply(sol.u.values)[on, 0]) - 1.0)) <= 1e-9
 
 
 def _sigma_over_g(problem, sol):
@@ -151,7 +151,7 @@ def _sigma_over_g(problem, sol):
     # the flux that no gradient carries booked as an atom
     sigma, _g, t = mo.feasible_flux_1d(problem)
     vabs = np.abs(sigma[:, 0])
-    a = problem.conj_dminus(0.5 * sol.grad.values[:, 0] ** 2)
+    a = problem.conj_dminus(0.5 * problem.grid.gradient_apply(sol.u.values)[:, 0] ** 2)
     carried = (vabs > 0.0) & (t > 0.0)
     a[carried] = vabs[carried] / t[carried]
     excess = vabs - t * a
@@ -202,8 +202,8 @@ def test_l_recovery_regime_and_grid_guards():
     assert np.array_equal(mu.ac_density, _sigma_over_g(prob, sol)[0])
     prob2, sol2 = _rectangle_solution(mo.quadratic_cost())
     mu2 = mo.recover_measure(sol2, prob2)
-    assert np.allclose(mu2.ac_density, 0.5 * np.sum(sol2.grad.values ** 2, axis=1),
-                       rtol=0.0, atol=1e-15)
+    g2 = prob2.grid.gradient_apply(sol2.u.values)
+    assert np.allclose(mu2.ac_density, 0.5 * np.sum(g2 ** 2, axis=1), rtol=0.0, atol=1e-15)
 
 
 # -- regularization continuation ---------------------------------------------
@@ -334,7 +334,7 @@ def test_energy_numerically_singular_stiffness_is_unbounded(monkeypatch):
     with pytest.raises(mo.Unbounded, match="admissibility floor"):
         mo.energy_eval(mu, f)
     prob = mo.build_problem(g, mo.quadratic_cost(), f)
-    report = mo.verify_conditions(mu, mo.solve_auxiliary(prob), prob)
+    report = mo.verify_conditions(mu, mo.solve_auxiliary(prob).u, prob)
     assert report.energy_e_f == -math.inf
     assert report.duality_identity_error == math.inf
     # a rectangle's band with no stiffness meets a zero pivot: no finite
@@ -578,7 +578,7 @@ def test_verify_pipeline_all_small():
                          ("reciprocal_interval", None, 512)]:
         fix, prob, sol = solve_fixture(name, dim, resolution=n)
         mu = mo.recover_measure(sol, prob)
-        rep = mo.verify_conditions(mu, sol, prob)
+        rep = mo.verify_conditions(mu, sol.u, prob)
         for field, value in rep.residuals().items():
             assert value <= 1e-3, (name, field, value)
 
@@ -587,7 +587,7 @@ def test_verify_detects_perturbed_density():
     _fix, prob, sol = solve_fixture("quadratic_ball_uniform", 2, resolution=256)
     mu = mo.recover_measure(sol, prob)
     bad = mo.DiscreteMeasure(prob.grid, 1.1 * mu.ac_density)
-    rep = mo.verify_conditions(bad, sol, prob)
+    rep = mo.verify_conditions(bad, sol.u, prob)
     assert rep.inclusion_violation > 1e-4
     assert rep.pde_residual > 1e-3
 
@@ -595,8 +595,8 @@ def test_verify_detects_perturbed_density():
 def test_verify_inclusion_iff_interval_membership():
     _fix, prob, sol = solve_fixture("quadratic_ball_uniform", 1, resolution=128)
     mu = mo.recover_measure(sol, prob)
-    rep = mo.verify_conditions(mu, sol, prob)
-    s = 0.5 * np.sum(sol.grad.values ** 2, axis=1)
+    rep = mo.verify_conditions(mu, sol.u, prob)
+    s = 0.5 * np.sum(prob.grid.gradient_apply(sol.u.values) ** 2, axis=1)
     lo = prob.conj_dminus(s)
     hi = prob.conj_dplus(s)
     inside = np.all((mu.ac_density >= lo - 1e-9 * (1 + np.abs(lo)))
@@ -611,7 +611,7 @@ def test_verify_saturation_at_atoms():
     base = mo.recover_measure(sol, prob)
     mu = mo.DiscreteMeasure(prob.grid, base.ac_density,
                             atoms=[(np.array([0.5]), 1e-6)])
-    rep = mo.verify_conditions(mu, sol, prob)
+    rep = mo.verify_conditions(mu, sol.u, prob)
     # |grad| = 1 there and recession = 1/2: |1/2 - 1/2| = 0
     assert rep.singular_saturation_error <= 1e-9
 
@@ -643,7 +643,7 @@ def test_exact_pairs_pass_verification():
         grid = prob.grid
         u_ex = fix.u_exact(grid.node_coords[:, 0])
         mu_ex = mo.DiscreteMeasure(grid, fix.a_exact(grid.cell_centers[:, 0]))
-        rep = mo.verify_conditions(mu_ex, mo.solution_like(prob, u_ex), prob)
+        rep = mo.verify_conditions(mu_ex, u_ex, prob)
         for field, value in rep.residuals().items():
             assert value <= 1e-3, (name, field, value)
 
@@ -662,16 +662,40 @@ def test_exact_dirac_pairs_pass_with_exclusion():
         u_b = np.where(nm, fix.u_exact(grid.node_coords[:, 0]), sol.u.values)
         a_b = np.where(cm, fix.a_exact(grid.cell_centers[:, 0]), mu_d.ac_density)
         rep = mo.verify_conditions(mo.DiscreteMeasure(grid, a_b),
-                                   mo.solution_like(prob, u_b), prob,
+                                   u_b, prob,
                                    cell_mask=cm, node_mask=nm)
         for field, value in rep.residuals().items():
             assert value <= 1e-3, (n, field, value)
 
 
+_TS = np.linspace(0.0, 8.0, 257)
+_GRIDS = {"interval": lambda: mo.interval_grid(-1.0, 1.0, 64),
+          "radial": lambda: mo.radial_grid(1.0, 64, 2),
+          "square": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8),
+          "rectangle": lambda: mo.rectangle_grid(0.0, 1.5, 0.0, 1.0, 12, 8)}
+_COSTS = {"quadratic": mo.quadratic_cost, "power": lambda: mo.power_cost(1.5),
+          "linear": mo.linear_cost, "reciprocal": mo.reciprocal_cost,
+          "expression": lambda: mo.expression_cost("t + t^2/2"),
+          "table": lambda: mo.tabulated_cost(_TS, 0.5 * _TS * _TS)}
+
+
+@pytest.mark.parametrize("cost", sorted(_COSTS))
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_verifier_objective_is_the_solver_objective(grid, cost):
+    # report.json's objective_i_fc is the verifier's I(u), computed from u
+    # alone; it must be the solve's objective to the bit
+    g = _GRIDS[grid]()
+    prob = mo.build_problem(g, _COSTS[cost](), mo.SourceTerm.constant(g, 1.0))
+    sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=40))
+    rep = mo.verify_conditions(mo.recover_measure(sol, prob), sol.u, prob)
+    assert math.isfinite(sol.objective)
+    assert rep.objective_i_fc == sol.objective == mo.objective_eval(prob, sol.u)
+
+
 def test_report_json_fields():
     _fix, prob, sol = solve_fixture("mk_interval_uniform", resolution=128)
     mu = mo.recover_measure(sol, prob)
-    rep = mo.verify_conditions(mu, sol, prob)
+    rep = mo.verify_conditions(mu, sol.u, prob)
     data = json.loads(rep.to_json())
     for field in mo.OptimalityReport.FIELDS:
         assert field in data
@@ -681,13 +705,13 @@ def test_report_json_fields():
     # cost, so its duality identity misses by construction
     double = mo.DiscreteMeasure(prob.grid, 2.0 * mu.ac_density,
                                 atoms=[(loc, 2.0 * m) for loc, m in mu.atoms])
-    rep2 = mo.verify_conditions(double, sol, prob)
+    rep2 = mo.verify_conditions(double, sol.u, prob)
     assert rep2.duality_identity_error > 1e-3
     assert not rep2.passes({"duality_identity_error": 1e-3})
 
 
 def test_report_json_writes_non_finite_values_as_strings():
-    rep = mo.OptimalityReport(0.0, 0.0, 0.0, 0.0, INF, 1.0, -INF, math.nan, INF,
+    rep = mo.OptimalityReport(0.0, 0.0, 0.0, 0.0, INF, 1.0, -INF, math.nan,
                               assumptions=("a",))
     data = json.loads(rep.to_json())
     assert data["energy_e_f"] == "-inf" and data["duality_identity_error"] == "inf"
@@ -710,7 +734,7 @@ def test_verify_scores_non_finite_density_as_unbounded(make_grid, cost):
     a = mo.recover_measure(sol, prob).ac_density.copy()
     for bad in (math.nan, math.inf):
         a[g.n_cells // 2] = bad
-        rep = mo.verify_conditions(mo.DiscreteMeasure(g, a), sol, prob)
+        rep = mo.verify_conditions(mo.DiscreteMeasure(g, a), sol.u, prob)
         assert rep.pde_residual == INF and rep.inclusion_violation == INF
         assert rep.energy_e_f == -INF and rep.duality_identity_error == INF
         assert math.isnan(rep.cost_c)
