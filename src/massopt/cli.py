@@ -183,14 +183,6 @@ def _parse_cost(cfg, grid):
     return cost, cell_weights
 
 
-def _source_variables(grid):
-    if grid.kind == "radial":
-        return ("r",)
-    if grid.kind == "interval":
-        return ("x",)
-    return ("x", "y")
-
-
 def _parse_atoms(raw, grid):
     atoms = []
     for item in raw.split(","):
@@ -214,7 +206,8 @@ def _parse_source(sec, grid):
     if "expression" in sec:
         if density is not None:
             raise ConfigError("section [source] takes value or expression, not both")
-        key, variables = "expression", _source_variables(grid)
+        # one variable per grid axis
+        key, variables = "expression", ("r",) if grid.kind == "radial" else ("x", "y")[:grid.dim]
         try:
             expr = Expression(sec["expression"], variables=variables)
             kw = {v: grid.node_coords[:, i] for i, v in enumerate(variables)}

@@ -14,8 +14,10 @@ as its exact transpose against nodal hat test functions, so discrete
 integration by parts holds to machine precision by construction.
 """
 
+import itertools
 import json
 import math
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -35,8 +37,34 @@ def _finite(*xs):
     return all(math.isfinite(x) for x in xs)
 
 
+def _product(arrays):
+    """Every point of the product of per-axis arrays, one row each, the first axis fastest."""
+    dim = len(arrays)
+    points = np.empty([a.size for a in arrays[::-1]] + [dim])
+    for k, a in enumerate(arrays):
+        points[..., k] = a.reshape((-1,) + (1,) * k)
+    return points.reshape(-1, dim)
+
+
+def _flat_product(per_axis, sizes):
+    """Flat ``(index, weight)`` pairs of per-axis ones on axes of ``sizes``; weights multiply."""
+    out, stride = [(0, 1.0)], 1
+    for pairs, size in zip(per_axis, sizes):
+        out = [(j + i * stride, w * f) for i, f in pairs for j, w in out]
+        stride *= size
+    return out
+
+
 class Grid:
-    """Structured grid; immutable, every cell volume finite and positive (else UnsupportedGrid)."""
+    """Structured grid, the product of its axes; immutable.
+
+    ``axes`` holds each axis' nodes (x, then y on a rectangle), ``widths``
+    its cell widths and ``ends`` which of its two ends is boundary: only
+    ``R`` on a radial grid.  Nodes and cells run the first axis fastest.
+    Coordinates, the boundary mask, nodal weights and point location follow
+    from the axes by one rule.  A cell's volume, the product of its widths
+    or a radial shell, must be finite and positive (else UnsupportedGrid).
+    """
 
     def __init__(self, kind, params):
         self.kind = kind
@@ -51,20 +79,12 @@ class Grid:
                 if not (_finite(b) and b > 0 and n >= 1 and d >= 1):
                     raise UnsupportedGrid("radial needs a finite radius > 0, n >= 1, "
                                           "dimension >= 1")
-            self.dim = 1
             self.ball_dim = int(d)
-            nodes = np.linspace(a, b, n + 1)
-            self.nodes_1d = nodes
-            self.node_coords = nodes[:, None]
-            self.cell_h = np.diff(nodes)
-            self.cell_volumes = self.cell_h.copy()
-            if kind == "radial":
-                with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                    self.cell_volumes = sphere_surface(d) * (nodes[1:] ** d - nodes[:-1] ** d) / d
-            self.cell_centers = (0.5 * (nodes[:-1] + nodes[1:]))[:, None]
-            self.boundary_mask = np.zeros(n + 1, dtype=bool)
+            self.axes = (np.linspace(a, b, n + 1),)
+            self.cell_h = np.diff(self.axes[0])
+            self.widths = (self.cell_h,)
             # both ends of an interval; r = 0 is an interior point of the ball
-            self.boundary_mask[[0, -1] if kind == "interval" else -1] = True
+            self.ends = ((kind == "interval", True),)
         elif kind == "rectangle":
             ax, bx, ay, by = params["ax"], params["bx"], params["ay"], params["by"]
             nx, ny = params["nx"], params["ny"]
@@ -72,51 +92,53 @@ class Grid:
                     and nx >= 1 and ny >= 1):
                 raise UnsupportedGrid("rectangle needs finite positive extents and "
                                       "resolutions")
-            self.dim = 2
             self.ball_dim = 2
-            self.xs = np.linspace(ax, bx, nx + 1)
-            self.ys = np.linspace(ay, by, ny + 1)
-            self.hx = (bx - ax) / nx
-            self.hy = (by - ay) / ny
-            X, Y = np.meshgrid(self.xs, self.ys)  # shape (ny+1, nx+1)
-            self.node_coords = np.column_stack([X.ravel(), Y.ravel()])
-            cx = 0.5 * (self.xs[:-1] + self.xs[1:])
-            cy = 0.5 * (self.ys[:-1] + self.ys[1:])
-            CX, CY = np.meshgrid(cx, cy)
-            self.cell_centers = np.column_stack([CX.ravel(), CY.ravel()])
-            self.cell_volumes = np.full(nx * ny, self.hx * self.hy)
-            mask = np.zeros((ny + 1, nx + 1), dtype=bool)
-            mask[0, :] = mask[-1, :] = True
-            mask[:, 0] = mask[:, -1] = True
-            self.boundary_mask = mask.ravel()
+            self.hx, self.hy = (bx - ax) / nx, (by - ay) / ny
+            self.axes = (np.linspace(ax, bx, nx + 1), np.linspace(ay, by, ny + 1))
+            self.widths = (np.full(nx, self.hx), np.full(ny, self.hy))
+            self.ends = ((True, True), (True, True))
         else:
             raise UnsupportedGrid("unknown grid kind %r" % kind)
 
+        self.dim = len(self.axes)
+        self.node_coords = _product(self.axes)
+        if kind == "radial":
+            r, d = self.axes[0], self.ball_dim
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                self.cell_volumes = sphere_surface(d) * (r[1:] ** d - r[:-1] ** d) / d
+        else:
+            with np.errstate(over="ignore"):  # refused below
+                self.cell_volumes = reduce(np.multiply.outer, self.widths[::-1]).ravel()
         self.n_nodes = self.node_coords.shape[0]
         self.n_cells = self.cell_volumes.shape[0]
         if not np.all(np.isfinite(self.cell_volumes) & (self.cell_volumes > 0.0)):
             raise UnsupportedGrid("%s grid cells need finite positive volumes" % kind)
+
+        # a node is on the boundary when it sits at a boundary end of any axis
+        on_ends = []
+        for x, (lo, hi) in zip(self.axes, self.ends):
+            on = np.zeros(x.size, dtype=bool)
+            on[0], on[-1] = lo, hi
+            on_ends.append(on)
+        self.boundary_mask = reduce(np.logical_or.outer, on_ends[::-1]).ravel()
         self.interior_idx = np.nonzero(~self.boundary_mask)[0]
-        self.node_weights = self._nodal_weights()
         self._layout = None
 
     # -- basic structure -----------------------------------------------------
 
-    def _nodal_weights(self):
-        w = np.zeros(self.n_nodes)
-        if self.dim == 1:
-            w[:-1] += 0.5 * self.cell_volumes
-            w[1:] += 0.5 * self.cell_volumes
-        else:
-            nx, ny = self.params["nx"], self.params["ny"]
-            w2 = np.zeros((ny + 1, nx + 1))
-            q = 0.25 * self.cell_volumes.reshape(ny, nx)
-            w2[:-1, :-1] += q
-            w2[:-1, 1:] += q
-            w2[1:, :-1] += q
-            w2[1:, 1:] += q
-            w = w2.ravel()
-        return w
+    @cached_property
+    def cell_centers(self):
+        """Cell centres, the product of each axis' midpoints; built on first read."""
+        return _product([0.5 * (x[:-1] + x[1:]) for x in self.axes])
+
+    @cached_property
+    def node_weights(self):
+        """Nodal weights, half of each cell next to a node along every axis; built on first read."""
+        share = 0.5 ** self.dim * self.cell_volumes.reshape([h.size for h in self.widths[::-1]])
+        weights = np.zeros([x.size for x in self.axes[::-1]])
+        for corner in itertools.product((slice(None, -1), slice(1, None)), repeat=self.dim):
+            weights[corner] += share
+        return weights.ravel()
 
     def header(self):
         items = " ".join("%s=%s" % (k, FMT % v if isinstance(v, float) else v)
@@ -168,52 +190,40 @@ class Grid:
 
     # -- point location ----------------------------------------------------------
 
+    def _per_axis(self, point):
+        """A point's coordinate on each axis, with that axis' nodes, widths and boundary ends."""
+        return zip(np.atleast_1d(np.asarray(point, dtype=float)), self.axes, self.widths,
+                   self.ends)
+
     def contains_interior(self, point):
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if self.kind == "interval":
-            return self.params["a"] < p[0] < self.params["b"]
-        if self.kind == "radial":
-            return 0.0 <= p[0] < self.params["radius"]
-        return (self.params["ax"] < p[0] < self.params["bx"]
-                and self.params["ay"] < p[1] < self.params["by"])
+        """Whether a point lies in the closed domain off every axis' boundary ends."""
+        return all((x[0] < p if lo else x[0] <= p) and (p < x[-1] if hi else p <= x[-1])
+                   for p, x, _h, (lo, hi) in self._per_axis(point))
 
     def hat_weights(self, point):
-        """Nodal interpolation weights (multilinear hats) at a point."""
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if self.dim == 1:
-            x = p[0]
-            i = int(np.clip(np.searchsorted(self.nodes_1d, x, side="right") - 1,
-                            0, self.n_cells - 1))
-            lam = (x - self.nodes_1d[i]) / self.cell_h[i]
-            return [(i, 1.0 - lam), (i + 1, lam)]
-        nx = self.params["nx"]
-        ix = int(np.clip(np.searchsorted(self.xs, p[0], side="right") - 1, 0, nx - 1))
-        iy = int(np.clip(np.searchsorted(self.ys, p[1], side="right") - 1,
-                         0, self.params["ny"] - 1))
-        lx = (p[0] - self.xs[ix]) / self.hx
-        ly = (p[1] - self.ys[iy]) / self.hy
-        base = iy * (nx + 1) + ix
-        return [(base, (1 - lx) * (1 - ly)), (base + 1, lx * (1 - ly)),
-                (base + nx + 1, (1 - lx) * ly), (base + nx + 2, lx * ly)]
+        """Nodal interpolation weights at a point: the product of each axis' linear hats.
+
+        An axis takes the cell right of a node, and its end cell outside it.
+        """
+        per_axis = []
+        for p, x, h, _ends in self._per_axis(point):
+            i = min(max(int(np.searchsorted(x, p, side="right")) - 1, 0), h.size - 1)
+            lam = (p - x[i]) / h[i]
+            per_axis.append(((i, 1.0 - lam), (i + 1, lam)))
+        return _flat_product(per_axis, [x.size for x in self.axes])
 
     def cell_weights_at(self, point):
-        """Cells carrying a point, with averaging weights on shared faces."""
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if self.dim == 1:
-            x = p[0]
-            hits = np.nonzero((self.nodes_1d[:-1] <= x) & (x <= self.nodes_1d[1:]))[0]
-            hits = [int(i) for i in hits]
-            if not hits:
+        """Cells carrying a point, averaged on shared faces: the product of each axis' hits.
+
+        A point that no cell of an axis holds raises :class:`AtomOutsideGrid`.
+        """
+        per_axis = []
+        for p, x, _h, _ends in self._per_axis(point):
+            hits = np.nonzero((x[:-1] <= p) & (p <= x[1:]))[0]
+            if hits.size == 0:
                 raise AtomOutsideGrid("point %r outside the grid" % (point,))
-            w = 1.0 / len(hits)
-            return [(i, w) for i in hits]
-        nx = self.params["nx"]
-        ix_hits = np.nonzero((self.xs[:-1] <= p[0]) & (p[0] <= self.xs[1:]))[0]
-        iy_hits = np.nonzero((self.ys[:-1] <= p[1]) & (p[1] <= self.ys[1:]))[0]
-        if ix_hits.size == 0 or iy_hits.size == 0:
-            raise AtomOutsideGrid("point %r outside the grid" % (point,))
-        w = 1.0 / (ix_hits.size * iy_hits.size)
-        return [(int(iy) * nx + int(ix), w) for iy in iy_hits for ix in ix_hits]
+            per_axis.append([(int(i), 1.0 / hits.size) for i in hits])
+        return _flat_product(per_axis, [h.size for h in self.widths])
 
 
 def interval_grid(a, b, n):
@@ -260,9 +270,6 @@ class VectorField:
             raise ValueError("vector field needs shape (%d, %d)" % (grid.n_cells, grid.dim))
         self.grid = grid
         self.values = values
-
-    def magnitudes(self):
-        return np.sqrt(np.sum(self.values ** 2, axis=1))
 
     def at_point(self, point):
         """Cell-value lookup with averaging when the point sits on a face."""
@@ -333,11 +340,13 @@ class SourceTerm:
 class DiscreteMeasure:
     """Nonnegative measure: per-cell density plus positive atoms.
 
-    Atoms are the only singular parts representable here; ``boundary_mass``
-    is a diagnostic that must vanish for optimal measures.
+    Atoms are the only singular parts representable here.  ``boundary_mass``
+    is the mass of the atoms on the boundary, those the grid does not
+    contain in its interior (:meth:`Grid.contains_interior`); it must
+    vanish for optimal measures.
     """
 
-    def __init__(self, grid, ac_density, atoms=(), boundary_mass=0.0):
+    def __init__(self, grid, ac_density, atoms=()):
         ac = np.asarray(ac_density, dtype=float)
         if ac.shape != (grid.n_cells,):
             raise ValueError("density needs %d per-cell values" % grid.n_cells)
@@ -353,7 +362,8 @@ class DiscreteMeasure:
             # placement is validated against the closed domain
             grid.cell_weights_at(loc)
             self.atoms.append((loc, float(mass)))
-        self.boundary_mass = float(boundary_mass)
+        self.boundary_mass = sum((mass for loc, mass in self.atoms
+                                  if not grid.contains_interior(loc)), 0.0)
 
 
 def divergence_weighted(mu, sigma):
@@ -620,7 +630,7 @@ def write_field_csv(path, field):
         if grid.dim == 1:
             write_rows(fh, np.column_stack((grid.node_coords, field.values)))
         else:
-            _write_grid_rows(fh, grid.xs, grid.ys, field.values)
+            _write_grid_rows(fh, *grid.axes, field.values)
 
 
 def read_field_csv(path):
@@ -656,8 +666,7 @@ def read_measure(path_csv, path_json):
     with open(path_json) as fh:
         sidecar = json.load(fh)
     atoms = [(np.asarray(a["location"]), a["mass"]) for a in sidecar.get("atoms", [])]
-    return DiscreteMeasure(grid, density, atoms=atoms,
-                           boundary_mass=sidecar.get("boundary_mass", 0.0))
+    return DiscreteMeasure(grid, density, atoms=atoms)
 
 
 def _read_grid_csv(path):

@@ -363,7 +363,7 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
     grad = VectorField(grid, grid.gradient_apply(values))
     g = grad.values
     s = 0.5 * np.sum(g * g, axis=1)
-    conj_v = np.asarray(problem.conj_value(s), dtype=float)
+    conj_v = np.asarray(problem.level_value(s), dtype=float)
     objective = float(np.dot(grid.cell_volumes, conj_v) - np.dot(F, values))
     a = mu.ac_density
 
@@ -396,11 +396,9 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
         rec = problem.cost.recession_slope() * _atom_weight(grid, problem.cell_weights, loc)
         saturation = max(saturation, abs(s_at - rec))
 
-    # 4) boundary mass
-    boundary_mass = mu.boundary_mass
-
-    # 5) duality identity  E_f(mu) - C(mu) = I_{f,c}; neither side is defined
-    # for a density that is not finite, which energy_eval refuses
+    # 4) the boundary mass is mu.boundary_mass; 5) the duality identity
+    # E_f(mu) - C(mu) = I_{f,c}: neither side is defined for a density that
+    # is not finite, which energy_eval refuses
     energy, total_cost = -INF, math.nan
     if finite:
         try:
@@ -415,8 +413,8 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
 
     assumptions = list(problem.assumptions)
     if mu.atoms:
-        assumptions.append("atom gradient magnitudes use the interpolated grid "
-                           "gradient as a surrogate for the tangential gradient")
+        assumptions.append("atom conditions read |grad u| from the interpolated grid "
+                           "gradient, a surrogate for the tangential gradient")
 
-    return OptimalityReport(pde_residual, inclusion, saturation, boundary_mass,
+    return OptimalityReport(pde_residual, inclusion, saturation, mu.boundary_mass,
                             duality_err, objective, energy, total_cost, assumptions)

@@ -112,26 +112,16 @@ class AuxiliaryProblem:
         self._w = 1.0 if cell_weights is None else cell_weights
         self.load = source.load_vector()
         self.regime = cost.regime
-        self.cell_thresholds = np.full(grid.n_cells, self._w * cost.recession_slope())
+        thresholds = np.full(grid.n_cells, self._w * cost.recession_slope())
         with np.errstate(over="ignore"):
-            self.cell_caps = np.where(np.isinf(self.cell_thresholds), INF,
-                                      np.sqrt(2.0 * np.minimum(self.cell_thresholds, 1e300)))
-        self.lip_bound = float(np.max(self.cell_caps)) if self.regime == "L" else INF
+            self.cell_caps = np.where(np.isinf(thresholds), INF,
+                                      np.sqrt(2.0 * np.minimum(thresholds, 1e300)))
         self.assumptions = list(assumptions)
 
-    # weighted conjugate shortcuts -------------------------------------------------
-
-    def conj_value(self, s):
-        return self.cost.conjugate_value(s, weight=self._w)
+    # weighted conjugate maps ------------------------------------------------------
 
     def conj_dminus(self, s):
         return self.cost.conjugate_dminus(s, weight=self._w)
-
-    def conj_dplus(self, s):
-        return self.cost.conjugate_dplus(s, weight=self._w)
-
-    def conj_curvature(self, s):
-        return self.cost.conjugate_curvature(s, weight=self._w)
 
     def level_value(self, s, mu=None):
         """Per-cell conjugate at smoothing level ``mu``, exact when None.
@@ -218,16 +208,23 @@ def objective_eval(problem, u):
 
 
 def objective_gradient(problem, u):
-    """First variation of the objective (superlinear, differentiable case)."""
+    """First variation of the objective (superlinear, differentiable case), 0 on the boundary."""
     values = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-    grid = problem.grid
-    g = grid.gradient_apply(values)
-    s = 0.5 * np.sum(g * g, axis=1)
-    d = problem.conj_dplus(s)
-    flux = g * (grid.cell_volumes * d)[:, None]
-    out = grid.gradient_adjoint(flux) - problem.load
-    out[grid.boundary_mask] = 0.0
+    g = problem.grid.gradient_apply(values)
+    d, _rho = problem.level_derivatives(0.5 * np.sum(g * g, axis=1))
+    _flux, out = _first_variation(problem, g, d)
+    out[problem.grid.boundary_mask] = 0.0
     return out
+
+
+def _first_variation(problem, g, d):
+    """``(flux, G^T flux - F)`` of per-cell gradients ``g`` at conjugate derivatives ``d``.
+
+    The flux is ``vol * d * g`` per cell; ``G^T flux - F`` is the first
+    variation of the objective on every node, the map Newton steps on.
+    """
+    flux = g * (problem.grid.cell_volumes * d)[:, None]
+    return flux, problem.grid.gradient_adjoint(flux) - problem.load
 
 
 def _dual_value(problem, sigma, t=None):
@@ -239,7 +236,7 @@ def _dual_value(problem, sigma, t=None):
     absw = np.sqrt(np.sum(np.asarray(sigma, dtype=float) ** 2, axis=1))
     if t is None:
         t = problem.invert_flux(absw)
-    psi = problem.conj_value(0.5 * t * t)
+    psi = problem.level_value(0.5 * t * t)
     phi_star = t * absw - psi
     return -float(np.dot(problem.grid.cell_volumes, phi_star))
 
@@ -386,13 +383,12 @@ def _primal_from_gradient(grid, g):
     u = np.zeros(grid.n_nodes)
     if grid.kind == "radial":
         u[:-1] = -np.cumsum((grid.cell_h * g)[::-1])[::-1]
-        u[-1] = 0.0
     else:
         u[1:] = np.cumsum(grid.cell_h * g)
         # spread the rounding residue as a uniform ramp so both endpoints
         # vanish exactly without bumping a single cell's gradient
-        span = grid.nodes_1d[-1] - grid.nodes_1d[0]
-        u -= u[-1] * (grid.nodes_1d - grid.nodes_1d[0]) / span
+        x = grid.axes[0]
+        u -= u[-1] * (x - x[0]) / (x[-1] - x[0])
         u[-1] = 0.0
     return u
 
@@ -496,9 +492,9 @@ def _newton_2d(problem, params):
         scale = np.where(live, problem.invert_flux(mag) / np.where(live, mag, 1.0), 0.0)
         u[idx] = factor.solve(grid.gradient_adjoint(sigma * (vol * scale)[:, None])[idx])
         s = _half_square(grid.gradient_apply(u))
-        A = float(np.dot(vol, problem.conj_value(s)))
+        A = float(np.dot(vol, problem.level_value(s)))
         b = float(np.dot(F, u))
-        q = 1.0 + 0.5 * float(problem.conj_curvature(s)[np.argmax(s)])
+        q = 1.0 + 0.5 * float(problem.level_derivatives(s)[1][np.argmax(s)])
         u *= (b / (2.0 * q * A)) ** (1.0 / (2.0 * q - 1.0)) if A > 0.0 and b > 0.0 else 0.0
     g = grid.gradient_apply(u)
     s = _half_square(g)
@@ -514,8 +510,8 @@ def _newton_2d(problem, params):
     z = np.zeros(grid.n_nodes)
     while True:
         d, rho = problem.level_derivatives(s, mu)
-        flux = g * (vol * d)[:, None]
-        grad = (grid.gradient_adjoint(flux) - F)[idx]
+        flux, grad = _first_variation(problem, g, d)
+        grad = grad[idx]
         centred = flat or np.linalg.norm(grad) <= grad_floor
         stepping = steps < params.max_iterations and not centred
         if stepping:

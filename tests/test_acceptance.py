@@ -145,8 +145,8 @@ def test_criterion_6_lipschitz_bound():
     for name, resolution in [("mk_interval_uniform", 1024),
                              ("reciprocal_interval", 1024)]:
         fix, prob, sol, _mu = _pipeline(name, None, resolution)
-        assert sol.max_gradient <= prob.lip_bound + 1e-9
-        runs.append((name, sol.max_gradient, prob.lip_bound))
+        assert sol.max_gradient <= np.max(prob.cell_caps) + 1e-9
+        runs.append((name, sol.max_gradient, np.max(prob.cell_caps)))
     # the catalog case c = t/2 has bound exactly 1
     assert runs[0][2] == pytest.approx(1.0)
     assert runs[0][1] <= 1.0 + 1e-9

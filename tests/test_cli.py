@@ -827,11 +827,20 @@ def test_run_flag_paths(tmp_path):
     assert "pde_residual" in json.loads(rep.read_text())
 
 
+# the dimensions the fixtures command runs a fixture at; one without a
+# dimension takes none
+FIXTURE_DIMENSIONS = {"quadratic_ball_uniform": (2,), "quadratic_ball_dirac": (2, 3)}
+
+
 def test_fixtures_command(capsys):
-    assert cli.main(["fixtures", "--name", "quadratic_ball_uniform",
-                     "--dimension", "2", "--resolution", "256"]) == 0
-    out = capsys.readouterr().out
-    assert "u_rel_sup_error" in out
+    # every catalog fixture passes its own checks through the command
+    for name in mo.fixture_names():
+        for dim in FIXTURE_DIMENSIONS.get(name, (None,)):
+            args = ["fixtures", "--name", name, "--resolution", "512"]
+            args += [] if dim is None else ["--dimension", str(dim)]
+            assert cli.main(args) == 0, (name, dim)
+            out = capsys.readouterr().out
+            assert out.startswith("fixture %s " % name) and "u_rel_sup_error" in out
 
 
 def test_missing_config_file():

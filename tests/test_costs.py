@@ -305,9 +305,10 @@ def test_separable_weight_scaling():
     c = mo.quadratic_cost()
     # c*(x, s) = w * c0*(s / w)
     assert float(c.conjugate_value(3.0, weight=2.0)) == pytest.approx(2.0 * 0.5 * 1.5 ** 2)
-    assert np.all(_weighted(c, 2.0).cell_thresholds == INF)
+    assert np.all(_weighted(c, 2.0).cell_caps == INF)
+    # the gradient cap sqrt(2 * w * c0_inf(1)) of a weighted linear-regime cost
     r = mo.reciprocal_cost()
-    assert _weighted(r, 2.0).cell_thresholds == pytest.approx(2.0)
+    assert _weighted(r, 2.0).cell_caps == pytest.approx(2.0)
 
 
 def test_weight_must_be_positive():
@@ -568,6 +569,44 @@ def test_conjugate_curvature_matches_derivative_differences(make_cost, s, weight
     # a dead zone has no curvature
     if cost.zero_flux_edge() > 0.0:
         assert np.all(cost.conjugate_curvature(s[s < 0.5], weight=weight) == 0.0)
+
+
+# the smoothings a 2-d Newton solve minimises (CostFunction.level_value), as
+# (log-sum-exp, added term): a table's log-sum-exp, with the density floor of
+# its dead zone, the log barrier of a finite recession slope, and the floor
+# of a superlinear dead zone
+@pytest.mark.parametrize("mu", [1.0, 1e-2])
+@pytest.mark.parametrize("weighted", [False, True], ids=["homogeneous", "weighted"])
+@pytest.mark.parametrize("make_cost, smoothing, s", [
+    (lambda: _table(np.linspace(0.5, 6.0, 40), lambda t: 0.5 * t * t + 1.0 / t),
+     (True, None), [0.2, 1.0, 3.0, 5.5]),
+    (lambda: _table(np.linspace(0.0, 8.0, 257), lambda t: t + 0.5 * t * t),
+     (True, "floor"), [0.4, 1.3, 4.0, 7.5]),
+    (lambda: mo.linear_cost(0.5), (False, "barrier"), [0.05, 0.2, 0.45]),
+    (mo.reciprocal_cost, (False, "barrier"), [0.05, 0.4, 0.9]),
+    (lambda: mo.expression_cost("t + t^2/2"), (False, "floor"), [0.4, 1.3, 2.5]),
+    (lambda: mo.regularized_cost(mo.linear_cost(0.5), 1e-2), (False, "floor"),
+     [0.1, 0.3, 0.6, 2.0]),
+], ids=["table", "table-dead-zone", "barrier-linear", "barrier-reciprocal",
+        "floor-expression", "floor-regularized-linear"])
+def test_level_derivatives_match_value_differences(make_cost, smoothing, s, weighted, mu):
+    # c*' and rho * c*' = 2s c*'' of the smoothed conjugate against central
+    # differences of its value and of c*'; the weights keep s / w on the
+    # listed points
+    cost = make_cost()
+    lse, term = cost._smoothing
+    assert (lse is not None, term) == smoothing
+    s = np.asarray(s)
+    weight = np.linspace(0.7, 1.6, s.size) if weighted else 1.0
+    s = s * weight
+    h = 1e-6 * s
+    d, rho = cost.level_derivatives(s, mu, weight)
+    fd = (cost.level_value(s + h, mu, weight) - cost.level_value(s - h, mu, weight)) / (2.0 * h)
+    np.testing.assert_allclose(d, fd, rtol=1e-8, atol=0.0)
+    fd2 = 2.0 * s * (cost.level_derivatives(s + h, mu, weight)[0]
+                     - cost.level_derivatives(s - h, mu, weight)[0]) / (2.0 * h)
+    # a log-sum-exp far from a kink has curvature below rounding
+    np.testing.assert_allclose(rho * d, fd2, rtol=1e-7, atol=1e-8 * np.max(d))
 
 
 def test_unknown_builtin():

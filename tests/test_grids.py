@@ -240,6 +240,27 @@ def test_measure_invariants():
     assert mo.cost_eval(mu, mo.linear_cost(1.0)) == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("grid, loc, on_boundary", [
+    (mo.interval_grid(-1.0, 1.0, 8), [1.0], True),
+    (mo.interval_grid(-1.0, 1.0, 8), [-1.0], True),
+    (mo.interval_grid(-1.0, 1.0, 8), [0.25], False),
+    (mo.radial_grid(1.0, 8, 3), [1.0], True),
+    (mo.radial_grid(1.0, 8, 3), [0.0], False),
+    (mo.rectangle_grid(0.0, 2.0, 0.0, 1.0, 8, 6), [0.7, 1.0], True),
+    (mo.rectangle_grid(0.0, 2.0, 0.0, 1.0, 8, 6), [0.0, 0.3], True),
+    (mo.rectangle_grid(0.0, 2.0, 0.0, 1.0, 8, 6), [2.0, 1.0], True),
+    (mo.rectangle_grid(0.0, 2.0, 0.0, 1.0, 8, 6), [0.7, 0.3], False),
+], ids=["interval-right", "interval-left", "interval-inside", "radial-R", "radial-centre",
+        "rectangle-top", "rectangle-left", "rectangle-corner", "rectangle-inside"])
+def test_measure_boundary_mass_is_its_boundary_atoms(grid, loc, on_boundary):
+    # an atom on a boundary end of an axis scores its mass; the ball's
+    # centre is interior
+    mu = mo.DiscreteMeasure(grid, np.ones(grid.n_cells),
+                            atoms=[(np.array(loc), 5.0), (np.full(grid.dim, 0.5), 0.25)])
+    assert mu.boundary_mass == (5.0 if on_boundary else 0.0)
+    assert mo.DiscreteMeasure(grid, np.ones(grid.n_cells)).boundary_mass == 0.0
+
+
 def test_zero_boundary_flag():
     g = mo.interval_grid(0.0, 1.0, 8)
     u = mo.ScalarField.zeros(g)
@@ -270,6 +291,19 @@ def test_measure_roundtrip(tmp_path):
     assert back.atoms[0][1] == 0.5
     assert np.array_equal(back.atoms[0][0], mu.atoms[0][0])
     assert back.boundary_mass == mu.boundary_mass
+
+
+def test_read_measure_computes_its_boundary_mass(tmp_path):
+    # the sidecar keeps boundary_mass for other readers; a measure read back
+    # computes its own from its atoms
+    g = mo.interval_grid(-1.0, 1.0, 20)
+    mu = mo.DiscreteMeasure(g, np.ones(g.n_cells), atoms=[(np.array([1.0]), 0.5)])
+    mo.write_measure(tmp_path / "m.csv", tmp_path / "m.json", mu)
+    side = json.loads((tmp_path / "m.json").read_text())
+    assert side["boundary_mass"] == 0.5
+    side["boundary_mass"] = 7.0
+    (tmp_path / "m.json").write_text(json.dumps(side))
+    assert mo.read_measure(tmp_path / "m.csv", tmp_path / "m.json").boundary_mass == 0.5
 
 
 @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -422,8 +456,8 @@ def _hessian_weights():
     u = np.random.default_rng(1).standard_normal(g.n_nodes)
     u[g.boundary_mask] = 0.0
     grad = g.gradient_apply(u)
-    s = 0.5 * np.sum(grad * grad, axis=1)
-    return g, mo.solver._hessian_blocks(prob, grad, prob.conj_dplus(s), prob.conj_curvature(s)), ()
+    d, rho = prob.level_derivatives(0.5 * np.sum(grad * grad, axis=1))
+    return g, mo.solver._hessian_blocks(prob, grad, d, rho), ()
 
 
 def _unit_weights(g, atoms=()):

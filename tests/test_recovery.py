@@ -403,7 +403,7 @@ def test_energy_island_without_net_load_is_finite():
     # a full sine period over the island carries no net load, so the energy
     # does not depend on the island's free constant
     mu, island = island_measure()
-    x = mu.grid.nodes_1d
+    x = mu.grid.axes[0]
     dens = np.sin(2.0 * np.pi * (x - x[21]) / (x[40] - x[21]))
     res = mo.energy_eval(mu, mo.SourceTerm(mu.grid, density=np.where(island, dens, 0.0)))
     assert res.energy == pytest.approx(-0.003940563848416746, rel=1e-10)
@@ -426,7 +426,7 @@ def test_energy_radial_centre_run_floats():
     a = np.random.default_rng(7).uniform(0.5, 2.0, g.n_cells)
     a[12] = 0.0
     mu = mo.DiscreteMeasure(g, a)
-    x = g.nodes_1d
+    x = g.axes[0]
     with pytest.raises(mo.Unbounded):
         mo.energy_eval(mu, mo.SourceTerm(g, density=np.where(x < x[12], 1.0, 0.0)))
     f = mo.SourceTerm(g, density=np.where(x > x[13], 1.0 + x, 0.0))
@@ -598,7 +598,7 @@ def test_verify_inclusion_iff_interval_membership():
     rep = mo.verify_conditions(mu, sol.u, prob)
     s = 0.5 * np.sum(prob.grid.gradient_apply(sol.u.values) ** 2, axis=1)
     lo = prob.conj_dminus(s)
-    hi = prob.conj_dplus(s)
+    hi = prob.level_derivatives(s)[0]
     inside = np.all((mu.ac_density >= lo - 1e-9 * (1 + np.abs(lo)))
                     & (mu.ac_density <= hi + 1e-9 * (1 + np.abs(hi))))
     assert inside == (rep.inclusion_violation <= 1e-9)
@@ -614,6 +614,16 @@ def test_verify_saturation_at_atoms():
     rep = mo.verify_conditions(mu, sol.u, prob)
     # |grad| = 1 there and recession = 1/2: |1/2 - 1/2| = 0
     assert rep.singular_saturation_error <= 1e-9
+
+
+def test_verify_measures_the_boundary_mass():
+    # the linear cost t/2 on [-1, 1] with a 5.0 atom at x = 1: the verifier
+    # scores the atom's mass, and the recovered measure's boundary mass is 0
+    _fix, prob, sol = solve_fixture("mk_interval_uniform", resolution=128)
+    base = mo.recover_measure(sol, prob)
+    assert mo.verify_conditions(base, sol.u, prob).boundary_mass == 0.0
+    mu = mo.DiscreteMeasure(prob.grid, base.ac_density, atoms=[(np.array([1.0]), 5.0)])
+    assert mo.verify_conditions(mu, sol.u, prob).boundary_mass == 5.0
 
 
 def test_weak_duality_sandwich():

@@ -112,7 +112,7 @@ def test_zero_source_quadratic():
 def test_linear_regime_lipschitz_bound():
     prob = interval_problem(mo.linear_cost(0.5), n=512)
     sol = mo.solve_auxiliary(prob)
-    assert prob.lip_bound == pytest.approx(1.0)
+    assert np.max(prob.cell_caps) == pytest.approx(1.0)
     assert sol.max_gradient <= 1.0 + 1e-9
 
 
@@ -210,7 +210,7 @@ def test_linear_certificate_closes_at_odd_resolution(n):
     prob = fix.build(n)
     sol = mo.solve_auxiliary(prob, mo.SolverParams(max_iterations=200))
     assert sol.converged
-    assert sol.max_gradient <= prob.lip_bound * (1.0 + 1e-12)
+    assert sol.max_gradient <= np.max(prob.cell_caps) * (1.0 + 1e-12)
     mu = mo.recover_measure(sol, prob)
     rep = mo.verify_conditions(mu, sol.u, prob)
     for field, value in rep.residuals().items():
@@ -466,10 +466,9 @@ def _rectangle_problem(cost, weighted=False, nx=14, ny=11):
 
 def _first_variation(prob, u, mu):
     """First variation of the objective at smoothing level ``mu`` (exact when None)."""
-    g = prob.grid
-    grad = g.gradient_apply(u)
+    grad = prob.grid.gradient_apply(u)
     d, _rho = prob.level_derivatives(0.5 * np.sum(grad * grad, axis=1), mu)
-    return g.gradient_adjoint(grad * (g.cell_volumes * d)[:, None]) - prob.load
+    return solver._first_variation(prob, grad, d)[1]
 
 
 @pytest.mark.parametrize("make_cost, weighted, mu", [
@@ -482,8 +481,13 @@ def _first_variation(prob, u, mu):
     (lambda: mo.expression_cost("t + t^2/2"), False, 1e-2),
     (lambda: mo.expression_cost("t + 1/t"), False, 1e-2),
     (lambda: mo.linear_cost(0.5), True, 1e-2),
+    # log-sum-exp: slopes up to 200, past every cell's s = |grad u|^2 / 2; at
+    # mu = 1e-2 its curvature turns within the differences' step
+    (lambda: mo.tabulated_cost(np.linspace(0.5, 200.0, 400),
+                               0.5 * np.linspace(0.5, 200.0, 400) ** 2), False, 1e-1),
 ], ids=["quadratic", "power-1.5", "power-3", "weighted-quadratic", "reciprocal",
-        "regularized-linear", "expression", "expression-reciprocal", "weighted-linear"])
+        "regularized-linear", "expression", "expression-reciprocal", "weighted-linear",
+        "table"])
 def test_newton_hessian_matches_gradient_differences(make_cost, weighted, mu):
     # the tensor stiffness of the 2x2 Hessian blocks is the derivative of
     # the first variation of the objective Newton minimises: the exact one
