@@ -34,7 +34,8 @@ from . import costs as costs_mod
 from .errors import ConfigError, MassOptError, UnsupportedGrid
 from .exprlang import Expression
 from .formatting import FMT, write_rows
-from .grids import Grid, SourceTerm, write_field_csv, write_iteration_log, write_measure
+from .grids import (GRID_KEYS, Grid, SourceTerm, write_field_csv, write_iteration_log,
+                    write_measure)
 from .oracle import fixture, fixture_errors, fixture_names
 from .recovery import json_safe, recover_measure, verify_conditions
 from .solver import SolverParams, build_problem, solve_auxiliary
@@ -53,9 +54,9 @@ DEFAULT_THRESHOLDS = {
 }
 
 # Every key a config file may hold, by section, with the conversion of its
-# value.  A [domain] also needs every key of its kind; a [cost] takes the
-# keys of its one form, a builtin's being its factory's parameters (needed
-# where the factory gives no default).
+# value.  A [domain] also needs every key of its kind (grids.GRID_KEYS); a
+# [cost] takes the keys of its one form, a builtin's being its factory's
+# parameters (needed where the factory gives no default).
 SECTIONS = {
     "domain": {"kind": str},
     "cost": {"weight_table": str},
@@ -63,11 +64,6 @@ SECTIONS = {
     "solver": {"max_iterations": int, "gap_tolerance": float},
     "verify": dict.fromkeys(DEFAULT_THRESHOLDS, float),
     "output": {"dir": str},
-}
-GRID_KEYS = {
-    "interval": {"a": float, "b": float, "n": int},
-    "radial": {"radius": float, "n": int, "dimension": int},
-    "rectangle": {"ax": float, "bx": float, "ay": float, "by": float, "nx": int, "ny": int},
 }
 COST_FORMS = {"builtin": {"builtin": str}, "expression": {"expression": str, "t0": float},
               "table": {"table": str}}

@@ -33,8 +33,17 @@ def sphere_surface(d):
         return math.nan
 
 
-def _finite(*xs):
-    return all(math.isfinite(x) for x in xs)
+# The keys of each grid kind, with their conversions; an integer must be >= 1.
+GRID_KEYS = {
+    "interval": {"a": float, "b": float, "n": int},
+    "radial": {"radius": float, "n": int, "dimension": int},
+    "rectangle": {"ax": float, "bx": float, "ay": float, "by": float, "nx": int, "ny": int},
+}
+
+
+def _midpoints(axes):
+    """Each axis' cell midpoints."""
+    return [0.5 * (x[:-1] + x[1:]) for x in axes]
 
 
 def _product(arrays):
@@ -62,74 +71,78 @@ class Grid:
     its cell widths and ``ends`` which of its two ends is boundary: only
     ``R`` on a radial grid.  Nodes and cells run the first axis fastest.
     Coordinates, the boundary mask, nodal weights and point location follow
-    from the axes by one rule.  A cell's volume, the product of its widths
-    or a radial shell, must be finite and positive (else UnsupportedGrid).
+    from the axes by one rule.  ``params`` holds the keys of ``kind`` in
+    :data:`GRID_KEYS`, converted.  Every axis' nodes must be finite and
+    strictly increasing, and every cell volume finite and positive; a grid
+    that breaks a rule raises UnsupportedGrid.
     """
 
     def __init__(self, kind, params):
-        self.kind = kind
-        self.params = dict(params)
-        if kind in ("interval", "radial"):
-            if kind == "interval":
-                a, b, n, d = params["a"], params["b"], params["n"], 1
-                if not (_finite(a, b, b - a) and b > a and n >= 1):
-                    raise UnsupportedGrid("interval needs finite a < b, b - a finite and n >= 1")
-            else:
-                a, b, n, d = 0.0, params["radius"], params["n"], params["dimension"]
-                if not (_finite(b) and b > 0 and n >= 1 and d >= 1):
-                    raise UnsupportedGrid("radial needs a finite radius > 0, n >= 1, "
-                                          "dimension >= 1")
-            self.ball_dim = int(d)
-            self.axes = (np.linspace(a, b, n + 1),)
-            self.cell_h = np.diff(self.axes[0])
-            self.widths = (self.cell_h,)
-            # both ends of an interval; r = 0 is an interior point of the ball
-            self.ends = ((kind == "interval", True),)
-        elif kind == "rectangle":
-            ax, bx, ay, by = params["ax"], params["bx"], params["ay"], params["by"]
-            nx, ny = params["nx"], params["ny"]
-            if not (_finite(ax, bx, ay, by, bx - ax, by - ay) and bx > ax and by > ay
-                    and nx >= 1 and ny >= 1):
-                raise UnsupportedGrid("rectangle needs finite positive extents and "
-                                      "resolutions")
-            self.ball_dim = 2
-            self.hx, self.hy = (bx - ax) / nx, (by - ay) / ny
-            self.axes = (np.linspace(ax, bx, nx + 1), np.linspace(ay, by, ny + 1))
-            self.widths = (np.full(nx, self.hx), np.full(ny, self.hy))
-            self.ends = ((True, True), (True, True))
-        else:
+        keys = GRID_KEYS.get(kind)
+        if keys is None:
             raise UnsupportedGrid("unknown grid kind %r" % kind)
+        if params.keys() != keys.keys():
+            odd = min(params.keys() ^ keys.keys())
+            raise UnsupportedGrid("%s grid %s key %r"
+                                  % (kind, "needs" if odd in keys else "takes no", odd))
+        self.kind, self.params = kind, {}
+        for key, convert in keys.items():
+            try:
+                value = self.params[key] = convert(params[key])
+            except (TypeError, ValueError):
+                raise UnsupportedGrid("%s grid: bad value %r for key %r"
+                                      % (kind, params[key], key)) from None
+            if convert is int and value < 1:
+                raise UnsupportedGrid("%s grid needs %s >= 1" % (kind, key))
+        p = self.params
+        # an overflow or a nan here breaks a rule below; min and max keep a nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            if kind == "rectangle":
+                self.ball_dim, self.ends = 2, ((True, True), (True, True))
+                self.hx, self.hy = (p["bx"] - p["ax"]) / p["nx"], (p["by"] - p["ay"]) / p["ny"]
+                self.axes = (np.linspace(p["ax"], p["bx"], p["nx"] + 1),
+                             np.linspace(p["ay"], p["by"], p["ny"] + 1))
+                self.widths = (np.full(p["nx"], self.hx), np.full(p["ny"], self.hy))
+            else:
+                a, b, self.ball_dim = ((p["a"], p["b"], 1) if kind == "interval"
+                                       else (0.0, p["radius"], p["dimension"]))
+                self.axes = (np.linspace(a, b, p["n"] + 1),)
+                self.cell_h = np.diff(self.axes[0])
+                self.widths = (self.cell_h,)
+                # both ends of an interval; r = 0 is an interior point of the ball
+                self.ends = ((kind == "interval", True),)
+            if kind == "radial":
+                r, d = self.axes[0], self.ball_dim
+                self.cell_volumes = sphere_surface(d) * (r[1:] ** d - r[:-1] ** d) / d
+            else:
+                self.cell_volumes = reduce(np.multiply.outer, self.widths[::-1]).ravel()
+            for x in self.axes:
+                # increasing between finite ends, so finite throughout
+                if not (math.isfinite(x[0]) and math.isfinite(x[-1])
+                        and np.count_nonzero(x[1:] > x[:-1]) == x.size - 1):
+                    raise UnsupportedGrid("%s grid needs finite, strictly increasing nodes "
+                                          "on every axis" % kind)
+            if not 0.0 < self.cell_volumes.min() <= self.cell_volumes.max() < math.inf:
+                raise UnsupportedGrid("%s grid cells need finite positive volumes" % kind)
 
         self.dim = len(self.axes)
         self.node_coords = _product(self.axes)
-        if kind == "radial":
-            r, d = self.axes[0], self.ball_dim
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                self.cell_volumes = sphere_surface(d) * (r[1:] ** d - r[:-1] ** d) / d
-        else:
-            with np.errstate(over="ignore"):  # refused below
-                self.cell_volumes = reduce(np.multiply.outer, self.widths[::-1]).ravel()
         self.n_nodes = self.node_coords.shape[0]
         self.n_cells = self.cell_volumes.shape[0]
-        if not np.all(np.isfinite(self.cell_volumes) & (self.cell_volumes > 0.0)):
-            raise UnsupportedGrid("%s grid cells need finite positive volumes" % kind)
 
         # a node is on the boundary when it sits at a boundary end of any axis
-        on_ends = []
-        for x, (lo, hi) in zip(self.axes, self.ends):
-            on = np.zeros(x.size, dtype=bool)
+        on_ends = [np.zeros(x.size, dtype=bool) for x in self.axes]
+        for on, (lo, hi) in zip(on_ends, self.ends):
             on[0], on[-1] = lo, hi
-            on_ends.append(on)
         self.boundary_mask = reduce(np.logical_or.outer, on_ends[::-1]).ravel()
         self.interior_idx = np.nonzero(~self.boundary_mask)[0]
-        self._layout = None
 
     # -- basic structure -----------------------------------------------------
 
     @cached_property
     def cell_centers(self):
         """Cell centres, the product of each axis' midpoints; built on first read."""
-        return _product([0.5 * (x[:-1] + x[1:]) for x in self.axes])
+        return _product(_midpoints(self.axes))
 
     @cached_property
     def node_weights(self):
@@ -182,11 +195,10 @@ class Grid:
         o2[1:, :-1] -= m
         return o2.ravel()
 
+    @cached_property
     def stiffness_layout(self):
-        """The :class:`StiffnessLayout` every stiffness of this rectangle uses; built once."""
-        if self._layout is None:
-            self._layout = StiffnessLayout(self)
-        return self._layout
+        """The :class:`StiffnessLayout` this rectangle's stiffnesses share; built on first read."""
+        return StiffnessLayout(self)
 
     # -- point location ----------------------------------------------------------
 
@@ -227,17 +239,15 @@ class Grid:
 
 
 def interval_grid(a, b, n):
-    return Grid("interval", {"a": float(a), "b": float(b), "n": int(n)})
+    return Grid("interval", {"a": a, "b": b, "n": n})
 
 
 def radial_grid(radius, n, dimension):
-    return Grid("radial", {"radius": float(radius), "n": int(n),
-                           "dimension": int(dimension)})
+    return Grid("radial", {"radius": radius, "n": n, "dimension": dimension})
 
 
 def rectangle_grid(ax, bx, ay, by, nx, ny):
-    return Grid("rectangle", {"ax": float(ax), "bx": float(bx), "ay": float(ay),
-                              "by": float(by), "nx": int(nx), "ny": int(ny)})
+    return Grid("rectangle", {"ax": ax, "bx": bx, "ay": ay, "by": by, "nx": nx, "ny": ny})
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +375,26 @@ class DiscreteMeasure:
         self.boundary_mass = sum((mass for loc, mass in self.atoms
                                   if not grid.contains_interior(loc)), 0.0)
 
+    @cached_property
+    def cell_mass(self):
+        """Each cell's mass ``vol * a`` with the atoms folded in (:func:`with_atoms`)."""
+        return with_atoms(self.grid, self.grid.cell_volumes * self.ac_density, self.atoms)
+
 
 def divergence_weighted(mu, sigma):
     """Weak divergence of ``mu * sigma`` against nodal hat test functions.
 
     Returns the nodal vector ``<div(mu sigma), hat_j> = -int sigma . grad
     hat_j dmu``; exact transpose of the discrete gradient, so discrete
-    integration by parts is machine-exact.  An atom adds its mass times the
-    flux at its location to the weighted flux of each cell carrying it.
-    The flux must live on a grid of the measure's kind and parameters.
+    integration by parts is machine-exact.  Each cell weighs the flux on it
+    by its mass (:attr:`DiscreteMeasure.cell_mass`), so an atom acts
+    through its share of each cell carrying it, as in the energy.  The flux
+    must live on a grid of the measure's kind and parameters.
     """
     grid = mu.grid
     if (sigma.grid.kind, sigma.grid.params) != (grid.kind, grid.params):
         raise UnsupportedGrid("measure and flux live on different grids")
-    weighted = sigma.values * (grid.cell_volumes * mu.ac_density)[:, None]
-    for loc, mass in mu.atoms:
-        sig_at = sigma.at_point(loc)
-        for i, w in grid.cell_weights_at(loc):
-            weighted[i] += mass * w * sig_at
-    return -grid.gradient_adjoint(weighted)
+    return -grid.gradient_adjoint(sigma.values * mu.cell_mass[:, None])
 
 
 # A cell's local nodes as (x, y) offsets from its first node, and the local
@@ -411,7 +422,7 @@ class StiffnessLayout:
     """Where each cell's local stiffness block lands in a rectangle's interior band.
 
     Every stiffness of a rectangle has the same sparsity pattern, so its
-    layout is computed once per grid (:meth:`Grid.stiffness_layout`); a 1-d
+    layout is computed once per grid (:attr:`Grid.stiffness_layout`); a 1-d
     grid has none and raises :class:`UnsupportedGrid`.  The interior nodes
     are numbered along the shorter side (row by row when ``nx <= ny``,
     column by column otherwise), so the band is ``min(nx, ny)`` wide.  ``pos[k]`` is the band position
@@ -565,7 +576,7 @@ def stiffness_factor(grid, w):
     (:meth:`StiffnessLayout.factor`, which raises :class:`Unbounded` for a
     stiffness singular to working precision).
     """
-    layout = grid.stiffness_layout()
+    layout = grid.stiffness_layout
     return layout.factor(layout.band(w))
 
 
@@ -621,35 +632,27 @@ def write_iteration_log(path, log):
         fh.write("iteration,primal,dual,gap\n" + row * len(log) % tuple(v for r in log for v in r))
 
 
-def write_field_csv(path, field):
-    grid = field.grid
-    cols = ["x", "y"][: grid.dim]
+def _write_table(path, grid, column, points, values):
+    """Header, then a row per point of the per-axis ``points`` (nodes or midpoints), x fastest."""
     with open(path, "w") as fh:
-        fh.write(grid.header() + "\n")
-        fh.write(",".join(cols + ["value"]) + "\n")
+        fh.write("%s\n%s\n" % (grid.header(), ",".join(["x", "y"][: grid.dim] + [column])))
         if grid.dim == 1:
-            write_rows(fh, np.column_stack((grid.node_coords, field.values)))
+            write_rows(fh, np.column_stack((points[0], values)))
         else:
-            _write_grid_rows(fh, *grid.axes, field.values)
+            _write_grid_rows(fh, *points, values)
+
+
+def write_field_csv(path, field):
+    _write_table(path, field.grid, "value", field.grid.axes, field.values)
 
 
 def read_field_csv(path):
-    grid, values = _read_grid_csv(path)
-    return ScalarField(grid, values)
+    return ScalarField(*_read_grid_csv(path))
 
 
 def write_measure(path_csv, path_json, measure):
     grid = measure.grid
-    cols = ["x", "y"][: grid.dim]
-    with open(path_csv, "w") as fh:
-        fh.write(grid.header() + "\n")
-        fh.write(",".join(cols + ["density"]) + "\n")
-        if grid.dim == 1:
-            write_rows(fh, np.column_stack((grid.cell_centers, measure.ac_density)))
-        else:
-            nx = grid.params["nx"]
-            _write_grid_rows(fh, grid.cell_centers[:nx, 0], grid.cell_centers[::nx, 1],
-                             measure.ac_density)
+    _write_table(path_csv, grid, "density", _midpoints(grid.axes), measure.ac_density)
     sidecar = {
         "atoms": [{"location": [float(c) for c in loc], "mass": mass}
                   for loc, mass in measure.atoms],
@@ -674,6 +677,7 @@ def _read_grid_csv(path):
 
     The body is parsed in one ``np.loadtxt`` call, which reads every number
     ``%.17g`` writes (``nan``, ``inf``, ``-0``) back to the same float.
+    The header's ``key=value`` items are converted by :class:`Grid`.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -682,10 +686,5 @@ def _read_grid_csv(path):
         fh.readline()  # column names
         lines = [line for line in fh if line.strip()]
     values = np.loadtxt(lines, delimiter=",", usecols=-1, ndmin=1)
-    body = header[len("# grid: "):].split()
-    kind = body[0]
-    params = {}
-    for item in body[1:]:
-        k, v = item.split("=")
-        params[k] = int(v) if k in ("n", "nx", "ny", "dimension") else float(v)
-    return Grid(kind, params), values
+    kind, *items = header[len("# grid: "):].split()
+    return Grid(kind, dict(item.partition("=")[::2] for item in items)), values

@@ -32,7 +32,7 @@ import numpy as np
 
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded
-from .grids import DiscreteMeasure, ScalarField, VectorField, divergence_weighted, with_atoms
+from .grids import DiscreteMeasure, ScalarField, VectorField, divergence_weighted
 from .solver import (SolverParams, _primal_from_gradient, build_problem,
                      resolve_cell_weights, solve_auxiliary, telescoped_load)
 
@@ -215,8 +215,8 @@ def energy_eval(mu, source):
     """Infimal weighted Dirichlet energy ``E_f(mu)`` by one direct solve.
 
     Minimises ``0.5 * sum(w |G u|^2) - <F, u>`` over the interior nodes for
-    the cell weights ``w = vol * a``, atoms of ``mu`` folded in
-    (:func:`massopt.grids.with_atoms`): on an interval or radial grid by the
+    the cell masses ``w = vol * a`` of ``mu``, atoms folded in
+    (:attr:`massopt.grids.DiscreteMeasure.cell_mass`): on an interval or radial grid by the
     flux recursion (:func:`_telescoped_field`), on a rectangle by banded
     Cholesky of the stiffness, with one node of each floating component
     (:func:`_floating_pins`) pinned as a unit row with a zero load, which
@@ -238,11 +238,11 @@ def energy_eval(mu, source):
     if fnorm == 0.0:
         return EnergyResult(0.0, ScalarField.zeros(grid), 0.0)
 
-    w = with_atoms(grid, grid.cell_volumes * mu.ac_density, mu.atoms)
+    w = mu.cell_mass
     if grid.dim == 1:
         uf = _telescoped_field(grid, w, F)
     else:
-        layout = grid.stiffness_layout()
+        layout = grid.stiffness_layout
         pins = _floating_pins(grid, w, Fin) if np.any(w == 0.0) else []  # else none floats
         rhs = Fin.copy()
         rhs[pins] = 0.0

@@ -691,8 +691,11 @@ def test_non_finite_weight_table_is_config_error(tmp_path, capsys):
     "kind = interval\na = -1.0\nb = inf\nn = 256\n",
     "kind = radial\nradius = inf\ndimension = 2\nn = 256\n",
     "kind = rectangle\nax = 0.0\nbx = inf\nay = 0.0\nby = 1.0\nnx = 16\nny = 16\n",
+    # 16 cells between 1e16 and the next double: the x nodes collapse
+    "kind = rectangle\nax = 1e16\nbx = 10000000000000002\nay = 0.0\nby = 1.0\nnx = 16\n"
+    "ny = 16\n",
 ], ids=["interval-b<=a", "radial-radius<0", "radial-dimension<1", "rectangle-bx<=ax",
-        "interval-b=inf", "radial-radius=inf", "rectangle-bx=inf"])
+        "interval-b=inf", "radial-radius=inf", "rectangle-bx=inf", "rectangle-nodes-collapse"])
 def test_bad_grid_is_config_error(tmp_path, capsys, domain):
     text = MK_CONFIG.format(out=tmp_path / "out").replace(
         "kind = interval\na = -1.0\nb = 1.0\nn = 256\n", domain)

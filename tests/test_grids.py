@@ -97,15 +97,21 @@ def test_weighted_divergence_adjointness(grid):
     u = rng.standard_normal(grid.n_nodes)
     u[grid.boundary_mask] = 0.0
     sigma = mo.VectorField(grid, rng.standard_normal((grid.n_cells, grid.dim)))
-    atoms = {"interval": [(np.array([0.31]), 0.6)],
-             "rectangle": [(np.array([0.37, 1.3]), 0.6), (np.array([0.8, 0.25]), 1.1)]}
-    mu = mo.DiscreteMeasure(grid, rng.random(grid.n_cells), atoms=atoms.get(grid.kind, []))
+    # atoms inside a cell and on a node, and on a rectangle on a face too
+    x = grid.axes
+    if grid.dim == 1:
+        atoms = [(np.array([0.31]), 0.6), (np.array([x[0][7]]), 0.9)]
+    else:
+        atoms = [(np.array([0.37, 1.3]), 0.6), (np.array([0.8, 0.25]), 1.1),
+                 (np.array([x[0][3], x[1][2]]), 0.9), (np.array([x[0][4], 1.3]), 0.7)]
+    mu = mo.DiscreteMeasure(grid, rng.random(grid.n_cells), atoms=atoms)
     div = mo.divergence_weighted(mu, sigma)
     lhs = float(u @ div)
-    gv = grid.gradient_apply(u)
-    rhs = -float(np.sum(sigma.values * gv * (grid.cell_volumes * mu.ac_density)[:, None]))
+    flux = np.sum(sigma.values * grid.gradient_apply(u), axis=1)
+    rhs = -float(np.dot(grid.cell_volumes * mu.ac_density, flux))
+    # an atom weighs each cell carrying it by its share
     for loc, mass in mu.atoms:
-        rhs -= mass * float(sigma.at_point(loc) @ mo.VectorField(grid, gv).at_point(loc))
+        rhs -= mass * sum(share * flux[i] for i, share in grid.cell_weights_at(loc))
     scale = 1.0 + abs(lhs) + abs(rhs)
     assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -347,6 +353,45 @@ def test_csv_reader_needs_grid_header(tmp_path):
         mo.read_field_csv(tmp_path / "u.csv")
 
 
+@pytest.mark.parametrize("header,key", [
+    ("interval a=-1 b=1", "'n'"),
+    ("interval a=-1 b=1 n=oops", "'n'"),
+    ("interval a=-1 b=1 n", "'n'"),
+    ("interval a=-1 b=1 n=8 nx=8", "'nx'"),
+    ("disc radius=1 n=8", "'disc'"),
+], ids=["missing-key", "bad-value", "no-value", "unknown-key", "unknown-kind"])
+def test_csv_reader_refuses_a_malformed_grid_header(tmp_path, header, key):
+    # the header is read through the one declaration of each kind's keys
+    (tmp_path / "u.csv").write_text("# grid: %s\nx,value\n0,1\n1,2\n" % header)
+    with pytest.raises(mo.UnsupportedGrid, match=key):
+        mo.read_field_csv(tmp_path / "u.csv")
+
+
+def test_grid_converts_its_params_through_the_declared_keys():
+    g = mo.Grid("rectangle", {"ax": 0, "bx": "1", "ay": np.float64(0.0), "by": 2.0,
+                              "nx": "4", "ny": np.int64(3)})
+    assert g.params == {"ax": 0.0, "bx": 1.0, "ay": 0.0, "by": 2.0, "nx": 4, "ny": 3}
+    assert [type(v) for v in g.params.values()] == [float] * 4 + [int] * 2
+    for params, key in [({"a": 0.0, "b": 1.0}, "'n'"), ({"a": 0.0, "b": None, "n": 8}, "'b'"),
+                        ({"a": 0.0, "b": 1.0, "n": 0}, "n >= 1")]:
+        with pytest.raises(mo.UnsupportedGrid, match=key):
+            mo.Grid("interval", params)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mo.rectangle_grid(1e16, 1e16 + 2, 0.0, 1.0, 8, 8),
+    lambda: mo.rectangle_grid(0.0, 1.0, -1e16 - 2, -1e16, 8, 8),
+    lambda: mo.interval_grid(1e16, 1e16 + 2, 8),
+    lambda: mo.radial_grid(-1.0, 8, 2),
+], ids=["rectangle-x", "rectangle-y", "interval", "radial-reversed"])
+def test_grid_refuses_nodes_that_do_not_increase(make):
+    # 1e16 + 2 is the next double after 1e16, so the nodes of 8 cells
+    # between them collapse under rounding; every axis' nodes must increase
+    # strictly
+    with pytest.raises(mo.UnsupportedGrid, match="strictly increasing"):
+        make()
+
+
 def _old_rows(fh, points, values):
     # the per-cell writer the vectorised one replaced
     for coords, v in zip(points, values):
@@ -444,7 +489,7 @@ def test_stiffness_tensor_of_scalar_weights(atoms):
     g = mo.rectangle_grid(0.0, 1.5, 0.0, 1.0, 13, 9)
     w = np.random.default_rng(2).uniform(0.1, 10.0, g.n_cells)
     w = mo.grids.with_atoms(g, w, atoms)
-    layout = g.stiffness_layout()
+    layout = g.stiffness_layout
     K = layout.band(w)
     Kt = layout.band((w, np.zeros(g.n_cells), w))
     assert abs(K - Kt).max() <= 1e-14 * abs(K).max()
@@ -490,7 +535,7 @@ def test_spd_factor_matches_dense_solve(build, reordered):
     if reordered is None:
         x = _telescoped_solve(g, mo.grids.with_atoms(g, w, atoms), b)
     else:
-        layout = g.stiffness_layout()
+        layout = g.stiffness_layout
         factor = layout.factor(layout.band(mo.grids.with_atoms(g, w, atoms)))
         assert (factor.order is not None) == reordered
         x = factor.solve(b)
@@ -611,7 +656,7 @@ def test_slice_plan_band_matches_bincount_assembly(name, weights):
         x = _telescoped_solve(g, w, b)
         assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
         return
-    layout = g.stiffness_layout()
+    layout = g.stiffness_layout
     band = layout.band(_parts(w))
     assert band.shape == ref.shape and band.flags.f_contiguous
     assert np.array_equal(_bits(band), _bits(ref))
@@ -677,7 +722,7 @@ def test_stiffness_matches_dense_product(name, tensor, with_atoms):
         x = _telescoped_solve(g, mo.grids.with_atoms(g, w, atoms), b)
         assert np.linalg.norm(x - np.linalg.solve(ref, b)) <= 1e-12 * np.linalg.norm(x)
         return
-    layout = g.stiffness_layout()
+    layout = g.stiffness_layout
     band = layout.band(_parts(_folded(g, w, atoms)))
     # the dense matrix in band order: nothing outside the band, and the band
     # holds its lower diagonals
@@ -696,21 +741,21 @@ def test_stiffness_matches_dense_product(name, tensor, with_atoms):
 def test_stiffness_layout_is_rectangle_only(grid):
     # a 1-d energy is the flux recursion, which needs no band
     with pytest.raises(mo.UnsupportedGrid, match="rectangles only"):
-        grid.stiffness_layout()
+        grid.stiffness_layout
 
 
 def test_repeated_stiffness_is_identical():
     # the cached layout must not be changed by the bands built from it
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 7)
     w = np.where(np.arange(g.n_cells) % 5 == 0, 0.0, 1.0)
-    layout = g.stiffness_layout()
+    layout = g.stiffness_layout
     first = layout.band(w)
     for _ in range(3):
         layout.factor(layout.band(np.ones(g.n_cells)))  # factored in place
         again = layout.band(w)
         again[:] = -1.0  # a caller may write into its own band
     assert np.array_equal(_bits(layout.band(w)), _bits(first))
-    assert g.stiffness_layout() is layout
+    assert g.stiffness_layout is layout
 
 
 def test_grid_with_layout_is_freed_without_the_collector():

@@ -301,6 +301,24 @@ def test_energy_with_atoms_in_stiffness():
     assert stiffer > plain  # extra stiffness raises the infimal energy
 
 
+@pytest.mark.parametrize("grid,loc", [
+    (mo.interval_grid(-1.0, 1.0, 8), [0.5]),
+    (mo.radial_grid(1.0, 8, 2), [0.5]),
+    (mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8), [0.5, 0.3]),
+    (mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8), [0.5, 0.5]),
+], ids=["interval-node", "radial-node", "square-face", "square-node"])
+def test_pde_residual_reads_atoms_as_the_energy_does(grid, loc):
+    # the energy's minimiser solves -div(mu grad u) = f for the residual too
+    # when the atom is shared by several cells: both read its mass through
+    # the carrying cells' shares
+    mu = mo.DiscreteMeasure(grid, np.ones(grid.n_cells), atoms=[(np.array(loc), 2.0)])
+    f = mo.SourceTerm.constant(grid, 1.0)
+    prob = mo.build_problem(grid, mo.builtin_cost("quadratic"), f)
+    result = mo.energy_eval(mu, f)
+    assert result.residual <= 1e-12
+    assert mo.verify_conditions(mu, result.u, prob).pde_residual <= 1e-12
+
+
 def test_energy_unbounded_detection():
     g = mo.interval_grid(-1.0, 1.0, 32)
     mu = mo.DiscreteMeasure(g, np.zeros(g.n_cells))
@@ -339,7 +357,7 @@ def test_energy_numerically_singular_stiffness_is_unbounded(monkeypatch):
     assert report.duality_identity_error == math.inf
     # a rectangle's band with no stiffness meets a zero pivot: no finite
     # energy can be trusted
-    layout = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 6, 5).stiffness_layout()
+    layout = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 6, 5).stiffness_layout
     with pytest.raises(mo.Unbounded, match="singular to working precision"):
         layout.factor(layout.band(np.zeros(30)))
 
@@ -369,7 +387,7 @@ def test_energy_positive_density_skips_graph_search(monkeypatch, make_grid, atom
         assert res.residual <= 1e-12
         return
     assert recovery._floating_pins(g, w, Fin).size == 0
-    layout = g.stiffness_layout()
+    layout = g.stiffness_layout
     u = np.zeros(g.n_nodes)
     u[idx] = layout.factor(layout.band(w)).solve(Fin)
     grad = g.gradient_apply(u)
