@@ -33,11 +33,27 @@ def sphere_surface(d):
         return math.nan
 
 
+def integral(value):
+    """``value`` as an int, refusing with ValueError one that is not integral.
+
+    ``8.0`` gives 8 and a string is read by ``int``; ``8.7``, ``inf`` and
+    ``nan`` are refused instead of truncated.
+    """
+    try:
+        n = int(value)
+    except OverflowError:
+        n = None
+    if n is None or (n != value and not isinstance(value, str)):
+        raise ValueError("%r is not an integer" % (value,))
+    return n
+
+
 # The keys of each grid kind, with their conversions; an integer must be >= 1.
 GRID_KEYS = {
-    "interval": {"a": float, "b": float, "n": int},
-    "radial": {"radius": float, "n": int, "dimension": int},
-    "rectangle": {"ax": float, "bx": float, "ay": float, "by": float, "nx": int, "ny": int},
+    "interval": {"a": float, "b": float, "n": integral},
+    "radial": {"radius": float, "n": integral, "dimension": integral},
+    "rectangle": {"ax": float, "bx": float, "ay": float, "by": float,
+                  "nx": integral, "ny": integral},
 }
 
 
@@ -92,7 +108,7 @@ class Grid:
             except (TypeError, ValueError):
                 raise UnsupportedGrid("%s grid: bad value %r for key %r"
                                       % (kind, params[key], key)) from None
-            if convert is int and value < 1:
+            if convert is integral and value < 1:
                 raise UnsupportedGrid("%s grid needs %s >= 1" % (kind, key))
         p = self.params
         # an overflow or a nan here breaks a rule below; min and max keep a nan

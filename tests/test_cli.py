@@ -936,6 +936,9 @@ FILE_REFUSALS = [
     (RUN, [("[domain]", "[grid]")], "missing section [domain]"),
     (RUN, [("[cost]", "[costs]")], "missing section [cost]"),
     (RUN, [("n = 256", "n = many")], "bad value 'many' for key 'n' in section [domain]"),
+    (RUN, [("n = 256", "n = 8.7")], "bad value '8.7' for key 'n' in section [domain]"),
+    (RUN, [("max_iterations = 5000", "max_iterations = 2.7")],
+     "bad value '2.7' for key 'max_iterations' in section [solver]"),
     (RUN, [("slope = 0.5", "slope = 0.5\np = 2.0")], "cost.builtin: "),
     (RUN, [("slope = 0.5", "slope = 0.5\nweight_table = {tmp}/missing.csv")],
      "cost.weight_table: "),
@@ -955,7 +958,8 @@ FILE_REFUSALS = [
 ] + [(argv, edits, message) for _id, edits, message in FILE_REFUSALS
      for argv in (RUN, CONJUGATE)],
     ids=["radial-n", "rectangle-nx", "rectangle-ny", "unknown-kind", "no-domain", "no-cost",
-         "bad-value", "unknown-builtin-parameter", "unreadable-weight-table",
+         "bad-value", "fractional-n", "fractional-max-iterations", "unknown-builtin-parameter",
+         "unreadable-weight-table",
          "weight-table-size", "value-and-expression", "empty-source", "malformed-atom",
          "unknown-verify-key", "non-positive-threshold", "conjugate-unreadable-config",
          "conjugate-no-cost", "conjugate-count-1"]

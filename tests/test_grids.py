@@ -378,6 +378,24 @@ def test_grid_converts_its_params_through_the_declared_keys():
             mo.Grid("interval", params)
 
 
+@pytest.mark.parametrize("value", [8.7, 2.5, math.inf, math.nan, 8.0])
+@pytest.mark.parametrize("build, read, error", [
+    (lambda v: mo.interval_grid(0.0, 1.0, v), lambda g: g.n_cells, mo.UnsupportedGrid),
+    (lambda v: mo.radial_grid(1.0, 8, v), lambda g: g.ball_dim, mo.UnsupportedGrid),
+    (lambda v: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, v, 8), lambda g: g.params["nx"],
+     mo.UnsupportedGrid),
+    (lambda v: mo.SolverParams(max_iterations=v), lambda p: p.max_iterations, ValueError),
+], ids=["interval-n", "radial-dimension", "rectangle-nx", "max-iterations"])
+def test_integer_keys_refuse_a_value_that_is_not_integral(build, read, error, value):
+    # a fractional or non-finite count is refused, not truncated; an
+    # integral float is the integer it holds
+    if value == 8.0:
+        assert read(build(value)) == 8
+    else:
+        with pytest.raises(error):
+            build(value)
+
+
 @pytest.mark.parametrize("make", [
     lambda: mo.rectangle_grid(1e16, 1e16 + 2, 0.0, 1.0, 8, 8),
     lambda: mo.rectangle_grid(0.0, 1.0, -1e16 - 2, -1e16, 8, 8),

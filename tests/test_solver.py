@@ -164,6 +164,7 @@ def test_certificate_first_skips_splitting(monkeypatch, make_problem):
     assert sol.iterations == 0
     assert len(sol.log) == 1 and sol.log[0][0] == 0
     assert sol.log[0][1:] == (sol.objective, sol.dual_value, sol.gap)
+    assert sol.dual_residual <= 1e-12
 
 
 @pytest.mark.parametrize("make_problem", [
@@ -448,6 +449,31 @@ def test_step_certificate_is_divergence_feasible(make_problem):
     F = prob.load
     assert np.linalg.norm(div[idx] - F[idx]) <= 1e-12 * np.linalg.norm(F)
     assert sol.dual_residual <= 1e-12
+
+
+def test_certificate_is_feasible_for_any_positive_definite_blocks():
+    # G^T (flux + B G z) = F holds for every positive definite B, not only
+    # the Newton Hessian: B = L L^T per cell with a random lower triangle L
+    prob = _rectangle_problem(mo.quadratic_cost())
+    g = prob.grid
+    idx, vol, F = g.interior_idx, g.cell_volumes, prob.load
+    rng = np.random.default_rng(11)
+    l11, l22 = rng.uniform(0.1, 2.0, (2, g.n_cells))
+    l21 = rng.standard_normal(g.n_cells)
+    blocks = (l11 * l11, l11 * l21, l21 * l21 + l22 * l22)
+    flux = rng.standard_normal((g.n_cells, 2))
+    z = np.zeros(g.n_nodes)
+    z[idx] = mo.grids.stiffness_factor(g, blocks).solve((F - g.gradient_adjoint(flux))[idx])
+    dual, sigma = solver._certify(prob, flux, blocks, z)
+    div = g.gradient_adjoint(sigma * vol[:, None])
+    assert np.linalg.norm(div[idx] - F[idx]) <= 1e-12 * np.linalg.norm(F[idx])
+    assert dual == solver._dual_value(prob, sigma)
+    # a flux that already meets F is certified as it is by z = 0
+    poisson = np.zeros(g.n_nodes)
+    poisson[idx] = mo.grids.stiffness_factor(g, np.ones(g.n_cells)).solve(F[idx])
+    feasible = g.gradient_apply(poisson)
+    _dual, sigma = solver._certify(prob, feasible, blocks, np.zeros(g.n_nodes))
+    assert np.array_equal(sigma, feasible / vol[:, None])
 
 
 def test_rectangle_quadratic_certified():
