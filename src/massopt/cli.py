@@ -283,6 +283,7 @@ def run(config_path, log_path=None, json_report_path=None):
             "iterations": solution.iterations,
             "checks": len(solution.log),
             "factorisations": solution.factorisations,
+            "chord_steps": solution.chord_steps,
             "mu_levels": solution.mu_levels,
             "method": solution.method,
             "regime": problem.regime,

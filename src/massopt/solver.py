@@ -22,11 +22,13 @@ names the method that closed it (``AuxiliarySolution.method``):
   ``G^T B G`` of per-cell 2x2 Hessian blocks ``B``, along a smoothing path
   where the cost needs one (:attr:`massopt.costs.CostFunction.smoothing`).
   :func:`_power_start` starts an unsmoothed cost from the optimality
-  condition, :func:`_factor_step` factors a step's stiffness,
+  condition, :func:`_factor_step` factors a step's stiffness (which an
+  unsmoothed cost's chord steps reuse while the gradient contracts),
   :func:`_line_search` damps the step, :func:`_certify` turns its solve
-  into a feasible flux, and :func:`_newton_2d` runs the levels of ``mu``
-  and the stop rule.  Every level, the exact one (``mu = None``) included,
-  reads the cost through :meth:`AuxiliaryProblem.level_value` and
+  into a feasible flux, and :func:`_newton_2d` runs the levels of ``mu``,
+  the reuse rule and the stop rule.  Every level, the exact one
+  (``mu = None``) included, reads the cost through
+  :meth:`AuxiliaryProblem.level_value` and
   :meth:`AuxiliaryProblem.level_derivatives`; the certificate always
   scores the exact conjugate, so the smoothing sets only how fast the gap
   closes.
@@ -47,6 +49,11 @@ INF = math.inf
 
 # a Newton decrement below this fraction of |objective| is rounding level
 NEWTON_FLAT = 16.0 * np.finfo(float).eps
+# an unsmoothed step reuses the newest factor (a chord step) after a full
+# step that cut |grad J| to at most CHORD_RATIO of its size, at most
+# CHORD_STEPS times in a row
+CHORD_RATIO = 0.1
+CHORD_STEPS = 3
 
 
 class SolverParams:
@@ -462,13 +469,17 @@ def _factor_step(problem, g, d, rho):
         return blocks, None
 
 
-def _line_search(problem, u, z, obj, slope, mu):
+def _line_search(problem, u, z, obj, slope, mu, grad_norm=None):
     """Armijo backtracking from ``u`` along the nodal step ``z`` on the level-``mu`` objective.
 
     The step length halves from 1 until the objective falls to
-    ``obj + 1e-4 * t * slope``, at most 40 times.  Returns whether the
-    full step was taken and the last trial point with its gradient ``g``,
-    ``s = |g|^2 / 2`` and objective, which carry over to the next iterate.
+    ``obj + 1e-4 * t * slope``, at most 40 times.  Given ``grad_norm``,
+    the norm of ``grad J`` at ``u``, only the full step is tried, and it
+    makes progress when it lowers that norm.  Returns whether the full step
+    was taken, whether the step made progress (without ``grad_norm``:
+    whether the objective fell), and the last trial point with its gradient
+    ``g``, ``s = |g|^2 / 2`` and objective, which carry over to the next
+    iterate.
     """
     t = 1.0
     for _ in range(40):
@@ -476,34 +487,52 @@ def _line_search(problem, u, z, obj, slope, mu):
         g = problem.grid.gradient_apply(trial)
         s = _half_square(g)
         obj_trial = _level_objective(problem, trial, s, mu)
+        if grad_norm is not None:
+            return True, _gradient_norm(problem, g, s, mu) < grad_norm, trial, g, s, obj_trial
         if obj_trial <= obj + 1e-4 * t * slope:
             break
         t *= 0.5
-    return t == 1.0, trial, g, s, obj_trial
+    return t == 1.0, obj_trial < obj, trial, g, s, obj_trial
+
+
+def _gradient_norm(problem, g, s, mu):
+    """``|grad J|`` on the interior at per-cell gradients ``g`` with ``s = |g|^2 / 2``."""
+    d, _rho = problem.level_derivatives(s, mu)
+    return float(np.linalg.norm(_first_variation(problem, g, d)[1][problem.grid.interior_idx]))
 
 
 def _newton_2d(problem, params):
     """Damped Newton on a rectangle, along a smoothing path where the cost needs one.
 
     An unsmoothed cost (``mu = None``) starts at :func:`_power_start`, a
-    smoothed one from 0 at ``mu = 1``.  Each step factors the Hessian
+    smoothed one from 0 at ``mu = 1``.  A step factors the Hessian
     (:func:`_factor_step`), solves ``H z = -grad J`` with it and
     backtracks along ``z`` (:func:`_line_search`); the same solve certifies
-    the iterate (:func:`_certify`).  An iterate that takes no step is
-    certified with the newest factor in hand, or before any factor by its
-    flux alone (a zero load's start); one whose Hessian is singular goes
-    uncertified and ends the solve.  Each iterate logs its exact objective
-    and the best dual so far.  A level is centred when the gradient falls
-    to ``1e-12 |F|``, when a step gives no decrease, or after a full step
-    whose decrement ``-slope / 2`` was at most ``NEWTON_FLAT * |obj|``.
-    Then the solve stops, unless ``mu`` shrinks by 10 to a next level: the
-    certified gap is still above the tolerance and this level lowered it.
-    The steps of every level count against ``max_iterations``.
+    the iterate (:func:`_certify`).  An unsmoothed step instead reuses the
+    newest factor and its blocks, which keeps the certificate exact, after
+    a full step that cut ``|grad J|`` to at most ``CHORD_RATIO`` of its
+    size, at most ``CHORD_STEPS`` times in a row: the chord (Shamanskii)
+    variant of Newton's method (Kelley, *Iterative Methods for Linear and
+    Nonlinear Equations*, SIAM 1995, ch. 5).  An unsmoothed step whose
+    decrement ``-slope / 2`` is at most ``NEWTON_FLAT * |obj|`` changes the
+    objective below its rounding but still reduces the gradient, so it is
+    taken in full exactly when it lowers ``|grad J|``.  An iterate that
+    takes no step is certified with the newest factor in hand, or before
+    any factor by its flux alone (a zero load's start); one whose Hessian
+    is singular goes uncertified and ends the solve.  Each iterate logs its
+    exact objective and the best dual so far.  A level is centred when the
+    gradient falls to ``1e-12 |F|``, when a step makes no progress, or
+    after a full step whose decrement was at most ``NEWTON_FLAT * |obj|``
+    unless a chord step is due.  Then the solve stops, unless ``mu``
+    shrinks by 10 to a next level: the certified gap is still above the
+    tolerance and this level lowered it.  The steps of every level count
+    against ``max_iterations``.
 
     The solve returns its last iterate and, as the density its flux
     carries, that iterate's ``c*'`` (the smoothed one at the last level):
-    for a power law the best iterate, for a smoothed cost the final
-    centred point, whose exact objective is what the gap certifies.
+    for a power law the best iterate up to the objective's rounding, for a
+    smoothed cost the final centred point, whose exact objective is what
+    the gap certifies.
     """
     grid = problem.grid
     idx = grid.interior_idx
@@ -519,21 +548,29 @@ def _newton_2d(problem, params):
     grad_floor = 1e-12 * float(np.linalg.norm(problem.load[idx]))
 
     best_dual, best_sigma = -INF, np.zeros((grid.n_cells, 2))
-    log, steps = [], 0
+    log, steps, chord_steps = [], 0, 0
     # the gap when the level was entered, and whether the last step was full
     # with a rounding-level decrement
     level_gap, flat = INF, False
+    # whether the next step may reuse the newest factor, the chord steps in
+    # a row, and |grad J| before the last step
+    reuse, run, last_norm = False, 0, INF
     z = np.zeros(grid.n_nodes)
     while True:
         d, rho = problem.level_derivatives(s, mu)
         flux, grad = _first_variation(problem, g, d)
         grad = grad[idx]
-        centred = flat or np.linalg.norm(grad) <= grad_floor
+        norm = float(np.linalg.norm(grad))
+        chord = reuse and norm <= CHORD_RATIO * last_norm
+        centred = norm <= grad_floor or flat and not chord
         stepping = steps < params.max_iterations and not centred
-        if stepping:
+        chord = chord and stepping
+        if stepping and not chord:
             factor = None  # one band alive at a time
             blocks, factor = _factor_step(problem, g, d, rho)
             factorisations += 1
+        run = run + 1 if chord else 0
+        chord_steps += chord
         if factor is not None:
             z[idx] = -factor.solve(grad)
         if factor is not None or not stepping:  # z = 0 before any factor
@@ -546,10 +583,12 @@ def _newton_2d(problem, params):
             break
         if stepping:
             slope = float(np.dot(grad, z[idx]))
-            full, trial, g_trial, s_trial, obj_trial = _line_search(problem, u, z, obj_mu,
-                                                                    slope, mu)
-            # no decrease left: the level's objective is flat at rounding level
-            centred = not obj_trial < obj_mu
+            rounding = -0.5 * slope <= NEWTON_FLAT * abs(obj_mu)
+            # the gradient judges an unsmoothed step the objective cannot resolve
+            full, progress, trial, g_trial, s_trial, obj_trial = _line_search(
+                problem, u, z, obj_mu, slope, mu, norm if rounding and mu is None else None)
+            # no progress left: the level is flat at rounding level
+            centred = not progress
         if centred:
             if mu is None or rel_gap <= params.gap_tolerance or not gap < level_gap:
                 break
@@ -557,8 +596,10 @@ def _newton_2d(problem, params):
             obj_mu = _level_objective(problem, u, s, mu)
             continue
         # a full step that predicted a rounding-level decrease has left
-        # nothing for a further factorisation to find
-        flat = full and -0.5 * slope <= NEWTON_FLAT * abs(obj_mu)
+        # nothing for a further factorisation to find; only a due chord
+        # step goes on
+        flat = full and rounding
+        reuse, last_norm = mu is None and full and run < CHORD_STEPS, norm
         u, g, s, obj_mu = trial, g_trial, s_trial, obj_trial
         obj = obj_mu if mu is None else _level_objective(problem, u, s, None)
         steps += 1
@@ -566,7 +607,8 @@ def _newton_2d(problem, params):
     return AuxiliarySolution(problem=problem, u=u, flux=best_sigma, objective=obj,
                              dual_value=best_dual, converged=rel_gap <= params.gap_tolerance,
                              log=log, method="newton", density=d, iterations=steps,
-                             factorisations=factorisations, mu_levels=levels)
+                             factorisations=factorisations, chord_steps=chord_steps,
+                             mu_levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +630,13 @@ class AuxiliarySolution:
     ``factorisations`` counts the banded Cholesky factorisations of a
     stiffness (:meth:`massopt.grids.StiffnessLayout.factor`) the solve
     made: none for the 1-d certificate; for Newton one per step attempted
-    (a level ends without a further factorisation after a full step whose
-    decrement was rounding level), plus the unit-weight factor that a
-    power law's start solves with twice.  ``mu_levels`` counts the
+    that is not a chord step (a level ends without a further factorisation
+    after a full step whose decrement was rounding level), plus the
+    unit-weight factor that a power law's start solves with twice.
+    ``chord_steps`` counts the Newton steps attempted with the newest
+    factor reused: none for a smoothed cost and in 1-d.  So an unsmoothed
+    solve has ``factorisations + chord_steps = iterations + 1``, plus one
+    for a last step that made no progress.  ``mu_levels`` counts the
     smoothing levels a Newton solve entered: 0 for quadratic and power
     costs and in 1-d.
     ``density`` holds the conductivity per cell that the solve's flux
@@ -602,7 +648,8 @@ class AuxiliarySolution:
     """
 
     def __init__(self, *, problem, u, flux, objective, dual_value, converged, log,
-                 method, density, iterations=0, factorisations=0, mu_levels=0):
+                 method, density, iterations=0, factorisations=0, chord_steps=0,
+                 mu_levels=0):
         grid, load = problem.grid, problem.load
         self.u = ScalarField(grid, u)
         self.flux = VectorField(grid, flux)
@@ -613,6 +660,7 @@ class AuxiliarySolution:
         self.iterations = iterations
         self.method = method
         self.factorisations = factorisations
+        self.chord_steps = chord_steps
         self.mu_levels = mu_levels
         self.converged = converged
         miss = grid.gradient_adjoint(self.flux.values * grid.cell_volumes[:, None]) - load

@@ -558,12 +558,14 @@ def test_report_counts_factorisations(tmp_path, domain):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["mu_levels"] == 0
     if report["method"] == "certificate":
-        assert report["factorisations"] == 0
+        assert report["factorisations"] == report["chord_steps"] == 0
     else:
-        # the Poisson start's unit factor, one per Newton step taken, and
-        # one for a last step that gave no decrease
-        assert report["method"] == "newton"
-        assert report["factorisations"] - report["iterations"] in (1, 2)
+        # the Poisson start's unit factor, one factor or one chord solve
+        # with the held factor per Newton step taken, and one for a last
+        # step that made no progress
+        assert report["method"] == "newton" and report["chord_steps"] > 0
+        assert (report["factorisations"] + report["chord_steps"]
+                - report["iterations"]) in (1, 2)
 
 
 def test_rectangle_tabulated_cost_reports_newton(tmp_path):

@@ -589,29 +589,38 @@ def test_rectangle_power_law_costs_solve_by_newton(make_cost, weighted):
 ], ids=["quadratic", "power-1.5", "weighted-power-3", "expression"])
 def test_flux_inverse_start_needs_few_newton_steps(make_cost, weighted):
     # the Poisson flux pushed through the cost's flux inverse starts Newton
-    # near the optimum
+    # near the optimum: the start's unit factor and at most four Hessian
+    # factors, the held one taking chord steps in between
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 32, 32)
     weights = 1.0 + 0.5 * g.cell_centers[:, 0] if weighted else None
     prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0), cell_weights=weights)
     sol = mo.solve_auxiliary(prob)
     assert sol.converged and sol.method == "newton" and sol.mu_levels == 0
-    assert sol.iterations <= 5
+    assert sol.factorisations <= 5
 
 
 def test_newton_stops_after_a_rounding_level_step(monkeypatch):
-    # after a full step whose decrement was rounding level of the objective
-    # the iterate is certified and no further stiffness is factored
+    # a step whose decrement is rounding level of the objective is judged by
+    # the gradient; after it only chord steps follow, and no further
+    # stiffness is factored
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 22, 46)
     x, y = g.node_coords.T
     prob = mo.build_problem(g, mo.power_cost(2.5375),
                             mo.SourceTerm(g, density=0.6416 + 0.4089 * x * y))
     sol = mo.solve_auxiliary(prob)
-    assert sol.converged and sol.method == "newton"
-    assert sol.factorisations == sol.iterations + 1  # the unit factor and one per step
+    assert sol.converged and sol.method == "newton" and sol.chord_steps > 0
+    # the unit factor, and one factor or one chord solve per step: no step
+    # was attempted and refused
+    assert sol.factorisations + sol.chord_steps == sol.iterations + 1
     assert [row[0] for row in sol.log] == list(range(sol.iterations + 1))
-    assert np.linalg.norm(mo.objective_gradient(prob, sol.u)) <= 1e-9 * np.linalg.norm(prob.load)
+    grad_norm = np.linalg.norm(mo.objective_gradient(prob, sol.u))
+    assert grad_norm <= 1e-9 * np.linalg.norm(prob.load)
+    # judged by the objective alone, a step below its rounding is refused,
+    # and the solve stops at a larger gradient
     monkeypatch.setattr(solver, "NEWTON_FLAT", 0.0)
-    assert mo.solve_auxiliary(prob).iterations == sol.iterations + 1
+    blind = mo.solve_auxiliary(prob)
+    assert blind.factorisations + blind.chord_steps == blind.iterations + 2
+    assert np.linalg.norm(mo.objective_gradient(prob, blind.u)) > grad_norm
 
 
 def test_rectangle_tabulated_cost_takes_newton():
@@ -645,17 +654,19 @@ def test_smoothed_solve_returns_its_last_iterate(tmp_path, make_cost):
 
 def test_solution_counts_levels_and_factorisations():
     # a power law takes no smoothing level; the linear cost's barrier
-    # shrinks mu until the certified gap meets the tolerance.  Each count
-    # holds one factor per step attempted, and the power law's also the
-    # unit factor of its start
+    # shrinks mu until the certified gap meets the tolerance.  The barrier
+    # factors once per step attempted; the power law factors its start's
+    # unit stiffness and three Hessians, and takes four chord steps
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 16, 16)
     source = mo.SourceTerm.constant(g, 1.0)
     power = mo.solve_auxiliary(mo.build_problem(g, mo.power_cost(1.5), source))
     assert power.converged
-    assert (power.iterations, power.mu_levels, power.factorisations) == (4, 0, 6)
+    assert (power.iterations, power.mu_levels, power.factorisations,
+            power.chord_steps) == (7, 0, 4, 4)
     barrier = mo.solve_auxiliary(mo.build_problem(g, mo.linear_cost(0.5), source))
     assert barrier.converged and barrier.max_gradient < 1.0
     assert (barrier.iterations, barrier.mu_levels, barrier.factorisations) == (57, 9, 62)
+    assert barrier.chord_steps == 0
     # a certificate per iterate, and one more at each level entered after the first
     assert len(barrier.log) == barrier.iterations + barrier.mu_levels
 
@@ -667,9 +678,10 @@ def test_solution_counts_levels_and_factorisations():
 ], ids=["quadratic", "power-1.5", "weighted-power-3"])
 def test_power_law_takes_one_banded_solve_per_iterate(monkeypatch, make_cost, weighted):
     # the step's solve is the certificate's: one solve per step attempted,
-    # the start's two with the unit factor (the Poisson solve and the
-    # projection of the flux-inverse gradient), and at most one for a last
-    # iterate that takes no step
+    # with a new factor or the held one (a chord step), the start's two
+    # with the unit factor (the Poisson solve and the projection of the
+    # flux-inverse gradient), and at most one for a last iterate that takes
+    # no step
     solve = mo.grids.BandCholesky.solve
     calls = []
 
@@ -679,9 +691,57 @@ def test_power_law_takes_one_banded_solve_per_iterate(monkeypatch, make_cost, we
 
     monkeypatch.setattr(mo.grids.BandCholesky, "solve", counted)
     sol = mo.solve_auxiliary(_rectangle_problem(make_cost(), weighted))
-    assert sol.converged
-    attempted = sol.factorisations - 1  # the start's unit factor
+    assert sol.converged and sol.chord_steps > 0
+    attempted = sol.factorisations - 1 + sol.chord_steps  # less the start's unit factor
     assert len(calls) - attempted - 2 in (0, 1)
+
+
+def test_chord_steps_keep_every_certificate():
+    # a power law's tail reuses the held factor; every iterate stays
+    # certified, and the solve still ends at a centred point
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 48, 48)
+    prob = mo.build_problem(g, mo.power_cost(1.5), mo.SourceTerm.constant(g, 1.0))
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and sol.chord_steps > 0
+    # weak duality, up to the rounding of the two sums once they agree
+    rounding = 4.0 * np.finfo(float).eps
+    assert all(dual <= obj + rounding * abs(obj) for _step, obj, dual, _gap in sol.log)
+    assert np.linalg.norm(mo.objective_gradient(prob, sol.u)) <= 1e-9 * np.linalg.norm(prob.load)
+    report = mo.verify_conditions(mo.recover_measure(sol, prob), sol.u, prob)
+    assert report.pde_residual <= 1e-8
+
+
+def test_chord_certificate_is_exact_with_held_blocks(monkeypatch):
+    # G^T (flux + B G z) = F holds for any positive definite blocks B paired
+    # with their own factor, so a chord iterate, certified with the older
+    # blocks and factor it holds, still has a feasible flux
+    certify, factor_step = solver._certify, solver._factor_step
+    certified, factored = [], []
+
+    def recorded_certify(problem, flux, blocks, z):
+        out = certify(problem, flux, blocks, z)
+        certified.append((blocks, out[1]))
+        return out
+
+    def recorded_factor_step(*args):
+        out = factor_step(*args)
+        factored.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver, "_certify", recorded_certify)
+    monkeypatch.setattr(solver, "_factor_step", recorded_factor_step)
+    prob = _rectangle_problem(mo.power_cost(1.5))
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and sol.chord_steps > 0
+    assert all(any(blocks is b for b in factored) for blocks, _sigma in certified)
+    # the iterates certified with blocks factored at an earlier iterate
+    held = [sigma for (blocks, sigma), (prev, _s) in zip(certified[1:], certified)
+            if blocks is prev]
+    assert len(held) >= sol.chord_steps
+    g, F = prob.grid, prob.load
+    for sigma in held:
+        miss = g.gradient_adjoint(sigma * g.cell_volumes[:, None]) - F
+        assert np.linalg.norm(miss[g.interior_idx]) <= 1e-12 * np.linalg.norm(F)
 
 
 @pytest.mark.parametrize("make_cost", [lambda: mo.linear_cost(0.5), _tabulated_quadratic],
