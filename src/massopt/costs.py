@@ -586,19 +586,6 @@ class CostFunction:
     def conjugate_dplus(self, s, weight=1.0):
         return self.level_derivatives(s, None, weight)[0]
 
-    def conjugate_curvature(self, s, weight=1.0):
-        """Radial curvature ``rho = 2s * c*''(x, s) / c*'(x, s)``; 0 where ``c*'`` vanishes.
-
-        The Hessian of ``c*(|g|^2/2)`` in ``g`` is ``c*'(s) (I + rho e e^T)``,
-        ``e = g / |g|``; ``rho`` is ``+inf`` where ``c*`` is, and a weight
-        leaves it unchanged, ``rho_w(s) = rho0(s / w)``.  It is ``2(q - 1)``
-        for a power law ``c0*(s) = s^q / q``, ``s / (a - s)`` for the
-        reciprocal cost, and 0 for a table and below the linear slope.  An
-        expression or regularized cost takes a difference of ``D+c``, whose
-        accuracy sets only the Newton steps, never the certificate.
-        """
-        return self.level_derivatives(s, None, weight)[1]
-
     def level_value(self, s, mu=None, weight=1.0):
         """The conjugate ``c*(x, s)`` smoothed at level ``mu > 0``, ``w * phi(s / w)``.
 
@@ -624,9 +611,17 @@ class CostFunction:
     def level_derivatives(self, s, mu=None, weight=1.0):
         """``(c*', rho)`` of :meth:`level_value`: its derivative in ``s`` and radial curvature.
 
-        At ``mu = None`` they are :meth:`conjugate_dplus` and
-        :meth:`conjugate_curvature`, from one search of an expression or
-        regularized cost.
+        The radial curvature is ``rho = 2s * c*''(x, s) / c*'(x, s)``, 0
+        where ``c*'`` vanishes: the Hessian of ``c*(|g|^2/2)`` in ``g`` is
+        ``c*'(s) (I + rho e e^T)``, ``e = g / |g|``.  ``rho`` is ``+inf``
+        where ``c*`` is, and a weight leaves it unchanged,
+        ``rho_w(s) = rho0(s / w)``.  At ``mu = None`` it is ``2(q - 1)`` for
+        a power law ``c0*(s) = s^q / q``, ``s / (a - s)`` for the reciprocal
+        cost, and 0 for a table and below the linear slope; an expression or
+        regularized cost takes a difference of ``D+c``, whose accuracy sets
+        only the Newton steps, never the certificate.  There ``c*'`` is
+        :meth:`conjugate_dplus`, and both come from one search of an
+        expression or regularized cost.
         """
         _w, sig = self._scaled(s, weight)
         if mu is None:

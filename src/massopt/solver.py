@@ -22,11 +22,11 @@ names the method that closed it (``AuxiliarySolution.method``):
   ``G^T B G`` of per-cell 2x2 Hessian blocks ``B``, along a smoothing path
   where the cost needs one (:attr:`massopt.costs.CostFunction.smoothing`).
   :func:`_power_start` starts an unsmoothed cost from the optimality
-  condition, :func:`_factor_step` factors a step's stiffness (which an
-  unsmoothed cost's chord steps reuse while the gradient contracts),
-  :func:`_line_search` damps the step, :func:`_certify` turns its solve
-  into a feasible flux, and :func:`_newton_2d` runs the levels of ``mu``,
-  the reuse rule and the stop rule.  Every level, the exact one
+  condition, :func:`_factor_step` factors a step's stiffness (which chord
+  steps reuse while the gradient contracts), :func:`_line_search` damps
+  the step, :func:`_certify` turns its solve into a feasible flux, and
+  :func:`_newton_2d` runs the levels of ``mu``, one step rule at every
+  level and the stop rule.  Every level, the exact one
   (``mu = None``) included, reads the cost through
   :meth:`AuxiliaryProblem.level_value` and
   :meth:`AuxiliaryProblem.level_derivatives`; the certificate always
@@ -49,9 +49,9 @@ INF = math.inf
 
 # a Newton decrement below this fraction of |objective| is rounding level
 NEWTON_FLAT = 16.0 * np.finfo(float).eps
-# an unsmoothed step reuses the newest factor (a chord step) after a full
-# step that cut |grad J| to at most CHORD_RATIO of its size, at most
-# CHORD_STEPS times in a row
+# a step reuses the newest factor (a chord step) after a full step that cut
+# |grad J| to at most CHORD_RATIO of its size, at most CHORD_STEPS times in
+# a row
 CHORD_RATIO = 0.1
 CHORD_STEPS = 3
 
@@ -382,7 +382,7 @@ def _hessian_blocks(problem, g, d, rho):
     This is the Hessian ``vol * (c*'(s) I + c*''(s) g g^T)`` of
     ``vol * c*(|g|^2/2)`` in ``g``, with ``d = c*'(s)`` and the radial
     curvature ``rho = 2s c*''(s) / c*'(s)``
-    (:meth:`massopt.costs.CostFunction.conjugate_curvature`), finite at
+    (:meth:`massopt.costs.CostFunction.level_derivatives`), finite at
     ``g = 0``.  Returns the three parts ``(H_xx, H_xy, H_yy)`` of the
     blocks, each one value per cell.
     """
@@ -505,28 +505,31 @@ def _newton_2d(problem, params):
     """Damped Newton on a rectangle, along a smoothing path where the cost needs one.
 
     An unsmoothed cost (``mu = None``) starts at :func:`_power_start`, a
-    smoothed one from 0 at ``mu = 1``.  A step factors the Hessian
-    (:func:`_factor_step`), solves ``H z = -grad J`` with it and
-    backtracks along ``z`` (:func:`_line_search`); the same solve certifies
-    the iterate (:func:`_certify`).  An unsmoothed step instead reuses the
-    newest factor and its blocks, which keeps the certificate exact, after
-    a full step that cut ``|grad J|`` to at most ``CHORD_RATIO`` of its
-    size, at most ``CHORD_STEPS`` times in a row: the chord (Shamanskii)
-    variant of Newton's method (Kelley, *Iterative Methods for Linear and
-    Nonlinear Equations*, SIAM 1995, ch. 5).  An unsmoothed step whose
-    decrement ``-slope / 2`` is at most ``NEWTON_FLAT * |obj|`` changes the
-    objective below its rounding but still reduces the gradient, so it is
-    taken in full exactly when it lowers ``|grad J|``.  An iterate that
-    takes no step is certified with the newest factor in hand, or before
-    any factor by its flux alone (a zero load's start); one whose Hessian
-    is singular goes uncertified and ends the solve.  Each iterate logs its
-    exact objective and the best dual so far.  A level is centred when the
-    gradient falls to ``1e-12 |F|``, when a step makes no progress, or
-    after a full step whose decrement was at most ``NEWTON_FLAT * |obj|``
-    unless a chord step is due.  Then the solve stops, unless ``mu``
-    shrinks by 10 to a next level: the certified gap is still above the
-    tolerance and this level lowered it.  The steps of every level count
-    against ``max_iterations``.
+    smoothed one from 0 at ``mu = 1``; every level then takes the same
+    step rule, on the objective and gradient of that level.  A step
+    factors the Hessian (:func:`_factor_step`), solves ``H z = -grad J``
+    with it and backtracks along ``z`` (:func:`_line_search`); the same
+    solve certifies the iterate (:func:`_certify`).  A step instead reuses
+    the newest factor and its blocks, which keeps the certificate exact,
+    after a full step that cut ``|grad J|`` to at most ``CHORD_RATIO`` of
+    its size, at most ``CHORD_STEPS`` times in a row: the chord
+    (Shamanskii) variant of Newton's method (Kelley, *Iterative Methods for
+    Linear and Nonlinear Equations*, SIAM 1995, ch. 5); the first step of
+    a level is measured against the last step of the level before.  A step
+    whose decrement ``-slope / 2`` is at most ``NEWTON_FLAT * |obj|``
+    changes the objective below its rounding but still reduces the
+    gradient, so it is taken in full exactly when it lowers ``|grad J|``
+    (Boyd and Vandenberghe, *Convex Optimization*, section 9.5).  An
+    iterate that takes no step is certified with the newest factor in
+    hand, or before any factor by its flux alone (a zero load's start);
+    one whose Hessian is singular goes uncertified and ends the solve.
+    Each iterate logs its exact objective and the best dual so far.  A
+    level is centred when the gradient falls to ``1e-12 |F|``, when a step
+    makes no progress, or after a full step whose decrement was at most
+    ``NEWTON_FLAT * |obj|`` unless a chord step is due.  Then the solve
+    stops, unless ``mu`` shrinks by 10 to a next level: the certified gap
+    is still above the tolerance and this level lowered it.  The steps of
+    every level count against ``max_iterations``.
 
     The solve returns its last iterate and, as the density its flux
     carries, that iterate's ``c*'`` (the smoothed one at the last level):
@@ -584,9 +587,9 @@ def _newton_2d(problem, params):
         if stepping:
             slope = float(np.dot(grad, z[idx]))
             rounding = -0.5 * slope <= NEWTON_FLAT * abs(obj_mu)
-            # the gradient judges an unsmoothed step the objective cannot resolve
+            # the gradient judges a step the objective cannot resolve
             full, progress, trial, g_trial, s_trial, obj_trial = _line_search(
-                problem, u, z, obj_mu, slope, mu, norm if rounding and mu is None else None)
+                problem, u, z, obj_mu, slope, mu, norm if rounding else None)
             # no progress left: the level is flat at rounding level
             centred = not progress
         if centred:
@@ -599,7 +602,7 @@ def _newton_2d(problem, params):
         # nothing for a further factorisation to find; only a due chord
         # step goes on
         flat = full and rounding
-        reuse, last_norm = mu is None and full and run < CHORD_STEPS, norm
+        reuse, last_norm = full and run < CHORD_STEPS, norm
         u, g, s, obj_mu = trial, g_trial, s_trial, obj_trial
         obj = obj_mu if mu is None else _level_objective(problem, u, s, None)
         steps += 1
@@ -634,11 +637,12 @@ class AuxiliarySolution:
     after a full step whose decrement was rounding level), plus the
     unit-weight factor that a power law's start solves with twice.
     ``chord_steps`` counts the Newton steps attempted with the newest
-    factor reused: none for a smoothed cost and in 1-d.  So an unsmoothed
-    solve has ``factorisations + chord_steps = iterations + 1``, plus one
-    for a last step that made no progress.  ``mu_levels`` counts the
-    smoothing levels a Newton solve entered: 0 for quadratic and power
-    costs and in 1-d.
+    factor reused: none in 1-d.  ``mu_levels`` counts the smoothing levels
+    a Newton solve entered: 0 for quadratic and power costs and in 1-d.
+    Every step attempted factors or reuses, and each level ends on at most
+    one step that made no progress (or a singular Hessian), so a Newton
+    solve has ``0 <= factorisations + chord_steps - iterations
+    - (mu_levels == 0) <= max(mu_levels, 1)``.
     ``density`` holds the conductivity per cell that the solve's flux
     carries along the gradient of ``u``
     (:func:`massopt.recovery.recover_measure` wraps it in the measure): the

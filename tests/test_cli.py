@@ -536,7 +536,8 @@ dir = {out}
 
 
 def test_rectangle_power_known_case(tmp_path):
-    # p = 1.5 at 48x48: the splitting stalled at a PDE residual above 1e-3
+    # p = 1.5 at 48x48, listed by the benchmark as a known failure (no
+    # convergence, a PDE residual above 1e-3): Newton closes it in few steps
     cfg = write(tmp_path / "p15.cfg", RECT_CONFIG.format(
         n=48, cost="builtin = power\np = 1.5", budget=400, out=tmp_path / "out"))
     assert cli.main(["run", cfg]) == 0
@@ -577,26 +578,37 @@ def test_rectangle_tabulated_cost_reports_newton(tmp_path):
     assert cli.main(["run", cfg]) == 3
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["method"] == "newton"
-    # the budget ends the seventh smoothing level; one factor per step, and
-    # one for each of three levels that ended on a step that gave no decrease
-    assert (report["iterations"], report["mu_levels"], report["factorisations"]) == (50, 7, 53)
+    # the budget ends a smoothing level; every step attempted factors or
+    # reuses the held factor, and each level ends on at most one step that
+    # made no progress
+    assert report["iterations"] == 50 and report["mu_levels"] > 0
+    extra = report["factorisations"] + report["chord_steps"] - report["iterations"]
+    assert 0 <= extra <= report["mu_levels"]
     # a certificate per iterate, and one more at each level entered after the first
     assert report["checks"] == report["iterations"] + report["mu_levels"]
 
 
-@pytest.mark.parametrize("cost", [
-    "builtin = linear\nslope = 0.5", "builtin = reciprocal",
-    "builtin = linear\nslope = 0.5\nweight_table = {w}",
-], ids=["linear", "reciprocal", "weighted-linear"])
-def test_rectangle_linear_growth_costs_pass(tmp_path, cost):
-    # the barrier's central-path multiplier is the measure in the linear regime
+LINEAR = "builtin = linear\nslope = 0.5"
+
+
+@pytest.mark.parametrize("n, cost, atoms", [
+    (32, LINEAR, None), (32, "builtin = reciprocal", None),
+    (32, LINEAR + "\nweight_table = {w}", None), (16, LINEAR + "\nweight_table = {w}", None),
+    (32, LINEAR, "0.3 0.6:1.0"),
+], ids=["linear", "reciprocal", "weighted-linear", "weighted-linear-16", "linear-atom"])
+def test_rectangle_linear_growth_costs_pass(tmp_path, n, cost, atoms):
+    # the barrier's central-path multiplier is the measure in the linear
+    # regime; every level steps by one rule, so cell weights or an atom off
+    # the nodes are centred as closely as the plain cost
     weights = tmp_path / "w.csv"
-    np.savetxt(weights, np.geomspace(0.2, 5.0, 32 * 32), delimiter=",")
-    cfg = write(tmp_path / "lin.cfg", RECT_CONFIG.format(
-        n=32, cost=cost.format(w=weights), budget=400, out=tmp_path / "out"))
-    assert cli.main(["run", cfg]) == 0
+    np.savetxt(weights, np.geomspace(0.2, 5.0, n * n), delimiter=",")
+    text = RECT_CONFIG.format(n=n, cost=cost.format(w=weights), budget=400, out=tmp_path / "out")
+    if atoms:
+        text = text.replace("value = 1.0", "value = 1.0\natoms = " + atoms)
+    assert cli.main(["run", write(tmp_path / "lin.cfg", text)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] and report["regime"] == "L" and report["mu_levels"] > 0
+    assert report["pde_residual"] <= 1e-5
 
 
 def test_table_cost_config(tmp_path, capsys):
