@@ -407,14 +407,15 @@ def _level_objective(problem, u, s, mu):
 
 
 def _power_start(problem):
-    """The flux-inverse start of an unsmoothed cost, and the unit-weight factor it solved with.
+    """The flux-inverse start of an unsmoothed cost, and the unit-weight solve it used.
 
     It reads the optimality condition ``-div(a grad u) = f``,
     ``a in dc*(|grad u|^2/2)``.  The unit-weight Poisson solution
-    ``u0 = K0^-1 F`` has the flux density ``sigma0 = G u0``, which meets
-    ``G^T (vol sigma0) = F``; each cell takes the gradient
-    ``g1 = invert_flux(|sigma0|) sigma0 / |sigma0|`` that would carry it (0
-    where ``sigma0 = 0``), and the same factor projects it back,
+    ``u0 = K0^-1 F`` (``K0 = G^T G``, solved by sine transforms,
+    :class:`massopt.grids.UnitStiffness`) has the flux density
+    ``sigma0 = G u0``, which meets ``G^T (vol sigma0) = F``; each cell takes
+    the gradient ``g1 = invert_flux(|sigma0|) sigma0 / |sigma0|`` that would
+    carry it (0 where ``sigma0 = 0``), and the same solve projects it back,
     ``u1 = K0^-1 G^T (vol g1)``.  That ``u1`` is scaled along its ray to
     where the objective ``lam^(2q) A - lam <F, u1>`` is least
     (``A = sum vol * c*(|grad u1|^2/2)``; ``q = 1 + rho / 2`` at the
@@ -423,7 +424,7 @@ def _power_start(problem):
     grid, F = problem.grid, problem.load
     idx, vol = grid.interior_idx, grid.cell_volumes
     u = np.zeros(grid.n_nodes)
-    factor = stiffness_factor(grid, np.ones(grid.n_cells))
+    factor = grid.unit_stiffness
     u[idx] = factor.solve(F[idx])
     sigma = grid.gradient_apply(u)
     mag = np.sqrt(2.0 * _half_square(sigma))
@@ -541,9 +542,9 @@ def _newton_2d(problem, params):
     idx = grid.interior_idx
     mu = 1.0 if problem.cost.smoothing else None
     u, factor = _power_start(problem) if mu is None else (np.zeros(grid.n_nodes), None)
-    # the newest factor in hand has the blocks B, the unit ones at the start;
-    # the power start counts its factor, a smoothed start its first level
-    blocks, factorisations, levels = (1.0, 0.0, 1.0), int(mu is None), int(mu is not None)
+    # the newest factor in hand has the blocks B, the unit ones at the start
+    # (whose solve factors nothing); a smoothed start counts its first level
+    blocks, factorisations, levels = (1.0, 0.0, 1.0), 0, int(mu is not None)
     g = grid.gradient_apply(u)
     s = _half_square(g)
     obj = _level_objective(problem, u, s, None)
@@ -634,15 +635,15 @@ class AuxiliarySolution:
     stiffness (:meth:`massopt.grids.StiffnessLayout.factor`) the solve
     made: none for the 1-d certificate; for Newton one per step attempted
     that is not a chord step (a level ends without a further factorisation
-    after a full step whose decrement was rounding level), plus the
-    unit-weight factor that a power law's start solves with twice.
-    ``chord_steps`` counts the Newton steps attempted with the newest
-    factor reused: none in 1-d.  ``mu_levels`` counts the smoothing levels
-    a Newton solve entered: 0 for quadratic and power costs and in 1-d.
-    Every step attempted factors or reuses, and each level ends on at most
-    one step that made no progress (or a singular Hessian), so a Newton
-    solve has ``0 <= factorisations + chord_steps - iterations
-    - (mu_levels == 0) <= max(mu_levels, 1)``.
+    after a full step whose decrement was rounding level).  A power law's
+    start solves with the unit-weight stiffness by sine transforms and
+    factors nothing.  ``chord_steps`` counts the Newton steps attempted
+    with the newest factor reused: none in 1-d.  ``mu_levels`` counts the
+    smoothing levels a Newton solve entered: 0 for quadratic and power
+    costs and in 1-d.  Every step attempted factors or reuses, and each
+    level ends on at most one step that made no progress (or a singular
+    Hessian), so a Newton solve has ``0 <= factorisations + chord_steps
+    - iterations <= max(mu_levels, 1)``.
     ``density`` holds the conductivity per cell that the solve's flux
     carries along the gradient of ``u``
     (:func:`massopt.recovery.recover_measure` wraps it in the measure): the

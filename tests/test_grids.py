@@ -776,6 +776,31 @@ def test_repeated_stiffness_is_identical():
     assert g.stiffness_layout is layout
 
 
+@pytest.mark.parametrize("nx, ny", [(34, 56), (56, 45), (64, 64), (1, 9), (9, 1), (2, 7),
+                                    (7, 2), (2, 2)])
+def test_unit_stiffness_sine_solve_matches_band(nx, ny):
+    # the sine transforms solve G^T G x = b as the banded Cholesky factor
+    # does, on either band numbering (56x45 runs it column by column), on an
+    # empty interior and on a one-node-wide one
+    g = mo.rectangle_grid(-0.5, 1.0, 0.0, 2.5, nx, ny)
+    idx = g.interior_idx
+    b = np.random.default_rng(nx * ny).standard_normal(idx.size)
+    x = g.unit_stiffness.solve(b)
+    ref = mo.grids.stiffness_factor(g, np.ones(g.n_cells)).solve(b)
+    assert x.shape == ref.shape == (idx.size,)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    u = np.zeros(g.n_nodes)
+    u[idx] = x
+    residual = g.gradient_adjoint(g.gradient_apply(u))[idx] - b
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
+    assert g.unit_stiffness is g.unit_stiffness
+
+
+def test_unit_stiffness_is_rectangle_only():
+    with pytest.raises(mo.UnsupportedGrid, match="rectangles only"):
+        mo.interval_grid(-1.0, 2.0, 23).unit_stiffness
+
+
 def test_grid_with_layout_is_freed_without_the_collector():
     # the cached layout holds no reference back to its grid, so dropping the
     # grid frees it at once, not at the next cyclic collection

@@ -491,10 +491,10 @@ def _rectangle_problem(cost, weighted=False, nx=14, ny=11):
 
 
 def _assert_count_rule(sol):
-    # every step attempted factors a Hessian or reuses the held factor, a
-    # power law's start adds its unit factor, and each level ends on at most
-    # one step that made no progress (or a singular Hessian)
-    extra = sol.factorisations + sol.chord_steps - sol.iterations - (sol.mu_levels == 0)
+    # every step attempted factors a Hessian or reuses the held factor (a
+    # power law's start factors nothing), and each level ends on at most one
+    # step that made no progress (or a singular Hessian)
+    extra = sol.factorisations + sol.chord_steps - sol.iterations
     assert 0 <= extra <= max(sol.mu_levels, 1)
 
 
@@ -597,14 +597,14 @@ def test_rectangle_power_law_costs_solve_by_newton(make_cost, weighted):
 ], ids=["quadratic", "power-1.5", "weighted-power-3", "expression"])
 def test_flux_inverse_start_needs_few_newton_steps(make_cost, weighted):
     # the Poisson flux pushed through the cost's flux inverse starts Newton
-    # near the optimum: the start's unit factor and at most four Hessian
-    # factors, the held one taking chord steps in between
+    # near the optimum: at most four Hessian factors, the held one taking
+    # chord steps in between
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 32, 32)
     weights = 1.0 + 0.5 * g.cell_centers[:, 0] if weighted else None
     prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0), cell_weights=weights)
     sol = mo.solve_auxiliary(prob)
     assert sol.converged and sol.method == "newton" and sol.mu_levels == 0
-    assert sol.factorisations <= 5
+    assert sol.factorisations <= 4
 
 
 def test_newton_stops_after_a_rounding_level_step(monkeypatch):
@@ -617,9 +617,9 @@ def test_newton_stops_after_a_rounding_level_step(monkeypatch):
                             mo.SourceTerm(g, density=0.6416 + 0.4089 * x * y))
     sol = mo.solve_auxiliary(prob)
     assert sol.converged and sol.method == "newton" and sol.chord_steps > 0
-    # the unit factor, and one factor or one chord solve per step: no step
-    # was attempted and refused
-    assert sol.factorisations + sol.chord_steps == sol.iterations + 1
+    # one factor or one chord solve per step: no step was attempted and
+    # refused
+    assert sol.factorisations + sol.chord_steps == sol.iterations
     assert [row[0] for row in sol.log] == list(range(sol.iterations + 1))
     grad_norm = np.linalg.norm(mo.objective_gradient(prob, sol.u))
     assert grad_norm <= 1e-9 * np.linalg.norm(prob.load)
@@ -627,7 +627,7 @@ def test_newton_stops_after_a_rounding_level_step(monkeypatch):
     # and the solve stops at a larger gradient
     monkeypatch.setattr(solver, "NEWTON_FLAT", 0.0)
     blind = mo.solve_auxiliary(prob)
-    assert blind.factorisations + blind.chord_steps == blind.iterations + 2
+    assert blind.factorisations + blind.chord_steps == blind.iterations + 1
     assert np.linalg.norm(mo.objective_gradient(prob, blind.u)) > grad_norm
 
 
@@ -661,14 +661,15 @@ def test_smoothed_solve_returns_its_last_iterate(tmp_path, make_cost):
 def test_solution_counts_levels_and_factorisations():
     # a power law takes no smoothing level; the linear cost's barrier
     # shrinks mu until the certified gap meets the tolerance.  The power law
-    # factors its start's unit stiffness and three Hessians, and takes four
-    # chord steps; the barrier takes chord steps by the same rule
+    # factors three Hessians (its start's unit stiffness is solved by sine
+    # transforms) and takes four chord steps; the barrier takes chord steps
+    # by the same rule
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 16, 16)
     source = mo.SourceTerm.constant(g, 1.0)
     power = mo.solve_auxiliary(mo.build_problem(g, mo.power_cost(1.5), source))
     assert power.converged
     assert (power.iterations, power.mu_levels, power.factorisations,
-            power.chord_steps) == (7, 0, 4, 4)
+            power.chord_steps) == (7, 0, 3, 4)
     barrier = mo.solve_auxiliary(mo.build_problem(g, mo.linear_cost(0.5), source))
     assert barrier.converged and barrier.max_gradient < 1.0
     assert barrier.mu_levels > 0 and barrier.chord_steps > 0
@@ -688,10 +689,10 @@ def test_solution_counts_levels_and_factorisations():
 ], ids=["quadratic", "power-1.5", "weighted-power-3"])
 def test_power_law_takes_one_banded_solve_per_iterate(monkeypatch, make_cost, weighted):
     # the step's solve is the certificate's: one solve per step attempted,
-    # with a new factor or the held one (a chord step), the start's two
-    # with the unit factor (the Poisson solve and the projection of the
-    # flux-inverse gradient), and at most one for a last iterate that takes
-    # no step
+    # with a new factor or the held one (a chord step), and at most one for
+    # a last iterate that takes no step; the start's two unit-weight solves
+    # (the Poisson solve and the projection of the flux-inverse gradient)
+    # take sine transforms, not the band
     solve = mo.grids.BandCholesky.solve
     calls = []
 
@@ -702,8 +703,8 @@ def test_power_law_takes_one_banded_solve_per_iterate(monkeypatch, make_cost, we
     monkeypatch.setattr(mo.grids.BandCholesky, "solve", counted)
     sol = mo.solve_auxiliary(_rectangle_problem(make_cost(), weighted))
     assert sol.converged and sol.chord_steps > 0
-    attempted = sol.factorisations - 1 + sol.chord_steps  # less the start's unit factor
-    assert len(calls) - attempted - 2 in (0, 1)
+    attempted = sol.factorisations + sol.chord_steps
+    assert len(calls) - attempted in (0, 1)
 
 
 def test_chord_steps_keep_every_certificate():
@@ -768,6 +769,34 @@ def test_smoothed_solve_factors_no_unit_stiffness(monkeypatch, make_cost):
     monkeypatch.setattr(solver, "stiffness_factor", recorded)
     sol = mo.solve_auxiliary(_rectangle_problem(make_cost()))
     assert sol.converged and len(weights) == sol.factorisations
+    assert all(isinstance(w, tuple) for w in weights)
+
+
+@pytest.mark.parametrize("make_cost, weighted", [
+    (mo.quadratic_cost, False),
+    (lambda: mo.power_cost(1.5), False),
+    (lambda: mo.power_cost(3.0), True),
+    (lambda: mo.linear_cost(0.5), False),
+], ids=["quadratic", "power-1.5", "weighted-power-3", "barrier"])
+def test_solve_factors_only_hessians(monkeypatch, make_cost, weighted):
+    # a power law's start solves its unit-weight stiffness by sine transforms,
+    # so every stiffness factored is a Hessian's, and the solution counts
+    # every banded factorisation the solve made
+    factor, band_factor = solver.stiffness_factor, mo.grids.StiffnessLayout.factor
+    weights, bands = [], []
+
+    def recorded(grid, w):
+        weights.append(w)
+        return factor(grid, w)
+
+    def counted(layout, band, pinned=()):
+        bands.append(band.shape)
+        return band_factor(layout, band, pinned)
+
+    monkeypatch.setattr(solver, "stiffness_factor", recorded)
+    monkeypatch.setattr(mo.grids.StiffnessLayout, "factor", counted)
+    sol = mo.solve_auxiliary(_rectangle_problem(make_cost(), weighted))
+    assert sol.converged and len(bands) == len(weights) == sol.factorisations > 0
     assert all(isinstance(w, tuple) for w in weights)
 
 
