@@ -161,9 +161,12 @@ def _parse_cost(cfg, grid):
         elif form == "expression":
             cost = costs_mod.expression_cost(sec["expression"], t0=sec.get("t0", 1.0))
         else:
-            data = np.loadtxt(sec["table"], delimiter=",", comments="#")
+            data = np.loadtxt(sec["table"], delimiter=",", comments="#", ndmin=2)
+            if data.shape[0] < 2 or data.shape[1] != 2:
+                raise ValueError("needs two columns (t, c(t)) of at least two rows, not shape %s"
+                                 % (data.shape,))
             cost = costs_mod.tabulated_cost(data[:, 0], data[:, 1])
-    except (OSError, MassOptError, IndexError, ValueError) as exc:
+    except (OSError, MassOptError, ValueError) as exc:
         raise ConfigError("cost.%s: %s" % (form, exc)) from None
 
     cell_weights = None

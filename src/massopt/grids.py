@@ -80,6 +80,34 @@ def _flat_product(per_axis, sizes):
     return out
 
 
+class CellCorners:
+    """A grid's cell corners, the one definition of its Q1 cell gradient (:attr:`Grid.corners`).
+
+    Corner ``c``, numbered x fastest, sits at ``offsets[c]``, ``o_k = (c >>
+    k) & 1`` along axis ``k``; ``nodes[c]`` slices it on every cell from
+    the nodal array shaped ``node_shape``.  Its hat gradient along axis
+    ``k`` is ``(2 o_k - 1) / scale[k]`` per cell, ``scale[k] = 2^(dim-1)
+    h_k``.  ``edges[k]`` pairs each corner with ``o_k = 1`` with the one
+    below it along axis ``k``, ``opposite`` each with ``o_0 = 1``, the last
+    first, with the one opposite it: on one or two axes a zero cell
+    gradient is a cell whose opposite corners agree.
+    """
+
+    def __init__(self, grid):
+        n, dim = 1 << grid.dim, grid.dim
+        self.node_shape = tuple(x.size for x in grid.axes[::-1])
+        self.cell_shape = tuple(h.size for h in grid.widths[::-1])
+        self.offsets = [o[::-1] for o in itertools.product((0, 1), repeat=dim)]
+        self.nodes = [tuple(slice(o, o + m) for o, m in zip(o[::-1], self.cell_shape))
+                      for o in self.offsets]
+        self.scale = [(2.0 ** (dim - 1) * h).reshape((-1,) + (1,) * k)
+                      for k, h in enumerate(grid.widths)]
+        self.edges = [[(self.nodes[c], self.nodes[c - (1 << k)]) for c in range(n) if c >> k & 1]
+                      for k in range(dim)]
+        self.opposite = [(self.offsets[c], self.nodes[c], self.nodes[n - 1 - c])
+                         for c in range(n - 1, 0, -2)]
+
+
 class Grid:
     """Structured grid, the product of its axes; immutable.
 
@@ -115,16 +143,15 @@ class Grid:
         with np.errstate(over="ignore", invalid="ignore"):
             if kind == "rectangle":
                 self.ball_dim, self.ends = 2, ((True, True), (True, True))
-                self.hx, self.hy = (p["bx"] - p["ax"]) / p["nx"], (p["by"] - p["ay"]) / p["ny"]
                 self.axes = (np.linspace(p["ax"], p["bx"], p["nx"] + 1),
                              np.linspace(p["ay"], p["by"], p["ny"] + 1))
-                self.widths = (np.full(p["nx"], self.hx), np.full(p["ny"], self.hy))
+                self.widths = (np.full(p["nx"], (p["bx"] - p["ax"]) / p["nx"]),
+                               np.full(p["ny"], (p["by"] - p["ay"]) / p["ny"]))
             else:
                 a, b, self.ball_dim = ((p["a"], p["b"], 1) if kind == "interval"
                                        else (0.0, p["radius"], p["dimension"]))
                 self.axes = (np.linspace(a, b, p["n"] + 1),)
-                self.cell_h = np.diff(self.axes[0])
-                self.widths = (self.cell_h,)
+                self.widths = (np.diff(self.axes[0]),)
                 # both ends of an interval; r = 0 is an interior point of the ball
                 self.ends = ((kind == "interval", True),)
             if kind == "radial":
@@ -163,11 +190,17 @@ class Grid:
     @cached_property
     def node_weights(self):
         """Nodal weights, half of each cell next to a node along every axis; built on first read."""
-        share = 0.5 ** self.dim * self.cell_volumes.reshape([h.size for h in self.widths[::-1]])
-        weights = np.zeros([x.size for x in self.axes[::-1]])
-        for corner in itertools.product((slice(None, -1), slice(1, None)), repeat=self.dim):
-            weights[corner] += share
+        t = self.corners
+        share = 0.5 ** self.dim * self.cell_volumes.reshape(t.cell_shape)
+        weights = np.zeros(t.node_shape)
+        for nodes in t.nodes:
+            weights[nodes] += share
         return weights.ravel()
+
+    @cached_property
+    def corners(self):
+        """The :class:`CellCorners` every cell stencil of this grid reads; built on first read."""
+        return CellCorners(self)
 
     def header(self):
         items = " ".join("%s=%s" % (k, FMT % v if isinstance(v, float) else v)
@@ -180,36 +213,39 @@ class Grid:
     # -- gradient / adjoint ----------------------------------------------------
 
     def gradient_apply(self, u):
-        """Per-cell gradient of nodal values; shape (n_cells, dim)."""
-        u = np.asarray(u, dtype=float)
-        if self.dim == 1:
-            return ((u[1:] - u[:-1]) / self.cell_h)[:, None]
-        nx, ny = self.params["nx"], self.params["ny"]
-        u2 = u.reshape(ny + 1, nx + 1)
-        gx = (u2[:-1, 1:] - u2[:-1, :-1] + u2[1:, 1:] - u2[1:, :-1]) / (2.0 * self.hx)
-        gy = (u2[1:, :-1] - u2[:-1, :-1] + u2[1:, 1:] - u2[:-1, 1:]) / (2.0 * self.hy)
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        """Per-cell gradient of nodal values; shape (n_cells, dim).
+
+        Along axis ``k`` a cell sums the differences of its edges
+        (:attr:`CellCorners.edges`) in corner order and divides by ``scale[k]``.
+        """
+        t = self.corners
+        u = np.asarray(u, dtype=float).reshape(t.node_shape)
+        g = np.empty((self.n_cells, self.dim))
+        for k, (((upper, lower), *rest), scale) in enumerate(zip(t.edges, t.scale)):
+            d = u[upper] - u[lower]
+            for upper, lower in rest:
+                d += u[upper]
+                d -= u[lower]
+            g[:, k] = (d / scale).ravel()
+        return g
 
     def gradient_adjoint(self, y):
-        """Exact transpose of :meth:`gradient_apply`; maps cells to nodes."""
+        """Exact transpose of :meth:`gradient_apply`; maps cells to nodes.
+
+        Each pair of opposite corners (:attr:`CellCorners.opposite`) takes
+        one value per cell, with opposite signs.
+        """
+        t = self.corners
         y = np.asarray(y, dtype=float)
-        out = np.zeros(self.n_nodes)
-        if self.dim == 1:
-            q = y[:, 0] / self.cell_h
-            out[1:] += q
-            out[:-1] -= q
-            return out
-        nx, ny = self.params["nx"], self.params["ny"]
-        qx = (y[:, 0] / (2.0 * self.hx)).reshape(ny, nx)
-        qy = (y[:, 1] / (2.0 * self.hy)).reshape(ny, nx)
-        # each corner of a cell takes qx and qy with its own pair of signs
-        p, m = qx + qy, qx - qy
-        o2 = np.zeros((ny + 1, nx + 1))
-        o2[1:, 1:] += p
-        o2[:-1, :-1] -= p
-        o2[:-1, 1:] += m
-        o2[1:, :-1] -= m
-        return o2.ravel()
+        q = [y[:, k].reshape(t.cell_shape) / scale for k, scale in enumerate(t.scale)]
+        out = np.zeros(t.node_shape)
+        for offsets, upper, lower in t.opposite:
+            v = q[0]
+            for o, qk in zip(offsets[1:], q[1:]):
+                v = v + qk if o else v - qk
+            out[upper] += v
+            out[lower] -= v
+        return out.ravel()
 
     @cached_property
     def stiffness_layout(self):
@@ -418,25 +454,14 @@ def divergence_weighted(mu, sigma):
     return -grid.gradient_adjoint(sigma.values * mu.cell_mass[:, None])
 
 
-# A cell's local nodes as (x, y) offsets from its first node, and the local
-# pairs (a, b) in the order they are added to the band.  A band entry that
-# several cells share gets their pairs in ascending cell order: a node's
-# diagonal from the cells below left, below right, above left and above
-# right of it, (3, 3) to (0, 0); the edge along x from the cell below it,
-# then above, (2, 3) then (0, 1); the edge along y from the cell left of
-# it, then right, (1, 3) then (0, 2).  The diagonals (0, 3) and (1, 2) each
-# come from one cell.
-_LOCAL = ((0, 0), (1, 0), (0, 1), (1, 1))
+# The local pairs (a, b) of a cell's corners (CellCorners) in the order they
+# are added to the band.  A band entry that several cells share gets their
+# pairs in ascending cell order: a node's diagonal from the cells below
+# left, below right, above left and above right of it, (3, 3) to (0, 0); the
+# edge along x from the cell below it, then above, (2, 3) then (0, 1); the
+# edge along y from the cell left of it, then right, (1, 3) then (0, 2).  The
+# diagonals (0, 3) and (1, 2) each come from one cell.
 _PAIRS = ((3, 3), (2, 2), (1, 1), (0, 0), (2, 3), (0, 1), (1, 3), (0, 2), (0, 3), (1, 2))
-
-
-def _shared(items, item):
-    """The index in ``items`` of a tuple of arrays with the bits of ``item``, appended if none."""
-    for k, other in enumerate(items):
-        if all(x.tobytes() == y.tobytes() for x, y in zip(other, item)):
-            return k
-    items.append(item)
-    return len(items) - 1
 
 
 class StiffnessLayout:
@@ -446,23 +471,22 @@ class StiffnessLayout:
     layout is computed once per grid (:attr:`Grid.stiffness_layout`); a 1-d
     grid has none and raises :class:`UnsupportedGrid`.  The interior nodes
     are numbered along the shorter side (row by row when ``nx <= ny``,
-    column by column otherwise), so the band is ``min(nx, ny)`` wide.  ``pos[k]`` is the band position
-    of interior node ``k``, ``order`` its inverse (``None`` when the two
-    numberings agree), and ``band_rows`` is the half-bandwidth plus one.
-    The band is LAPACK's lower band storage, ``band[i - j, j] = K[i, j]``.
+    column by column otherwise), so the band is ``min(nx, ny)`` wide.
+    ``pos[k]`` is the band position of interior node ``k``, ``order`` its
+    inverse (``None`` when the two numberings agree), and ``band_rows`` is
+    the half-bandwidth plus one.  The band is LAPACK's lower band storage,
+    ``band[i - j, j] = K[i, j]``.
 
-    A cell's local block couples its 4 nodes through the hat gradients
-    ``C`` on it (``2 x 4``): the block is ``C^T B C`` for the cell's weight
-    ``B``.  A local pair ``(a, b)`` of nodes is the same number of band
-    positions apart in every cell, so all its entries fall on one band
-    diagonal.  Read as a grid of interior nodes, the diagonal takes them in
-    a block, from a block of the grid of cells: those whose pair is
-    interior.  The slice plan holds the diagonal and the two blocks of each
-    of the 10 pairs, so :meth:`band` adds each pair's values to its
-    diagonal in one 2-d slice-add, and a band entry that several cells
-    share sums them in ascending cell order.  The band is the only form a
-    stiffness takes; products with the gradient and its transpose are the
-    stencils :meth:`Grid.gradient_apply` and :meth:`Grid.gradient_adjoint`.
+    A cell's local block couples its 4 corners through their hat gradients
+    ``C`` on it (``2 x 4``, :class:`CellCorners`): the block is ``C^T B C``
+    for the cell's weight ``B``.  A local pair ``(a, b)`` of corners is the
+    same number of band positions apart in every cell, so all its entries
+    fall on one band diagonal.  Read as a grid of interior nodes, the
+    diagonal takes them in a block, from a block of the grid of cells:
+    those whose pair is interior.  The slice plan holds the diagonal and the
+    two blocks of each of the 10 pairs, so :meth:`band` adds each pair's
+    values to its diagonal in one 2-d slice-add, and a band entry that
+    several cells share sums them in ascending cell order.
     """
 
     def __init__(self, grid):
@@ -471,8 +495,6 @@ class StiffnessLayout:
                                   "not on a %s grid" % grid.kind)
         nx, ny = grid.params["nx"], grid.params["ny"]
         n = grid.interior_idx.size
-        grads = np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]]).T / [
-            2.0 * grid.hx, 2.0 * grid.hy]
         transposed = nx > ny
         pos = np.arange(n)
         if transposed:
@@ -485,14 +507,17 @@ class StiffnessLayout:
         self._cells = (nx, ny) if transposed else (ny, nx)
         self._nodes = tuple(m - 1 for m in self._cells)
         self._transposed = transposed
+        corners = grid.corners
+        # each corner's hat gradients, one value per axis: the axes are uniform
+        hats = [[(2 * o - 1) / h.flat[0] for o, h in zip(offsets, corners.scale)]
+                for offsets in corners.offsets]
         # per pair: its band diagonal, the block of that diagonal and the
         # block of cells that adds to it, and the products of the hat
         # gradients on a cell, shared by pairs with equal products: the
-        # block of a unit scalar weight, and the three parts of a symmetric
-        # 2x2 tensor weight
-        self._plan, self._units, self._tensors = [], [], []
+        # three parts of a symmetric 2x2 tensor weight
+        self._plan, tensors = [], {}
         for a, b in _PAIRS:
-            offs = list(zip(_LOCAL[a], _LOCAL[b]))
+            offs = list(zip(corners.offsets[a], corners.offsets[b]))
             offs = offs if transposed else offs[::-1]
             # the cells along each axis whose nodes at offsets da and db are interior
             cells = [(1 - min(da, db), m - max(da, db)) for m, (da, db) in zip(self._cells, offs)]
@@ -503,12 +528,13 @@ class StiffnessLayout:
             low = [da if step >= 0 else db for da, db in offs]
             dst = tuple(slice(start + d - 1, stop + d - 1) for (start, stop), d in zip(cells, low))
             src = tuple(slice(start, stop) for start, stop in cells)
-            ca, cb = grads[a], grads[b]
-            unit = _shared(self._units, (np.sum(ca * cb, axis=0),))
-            tensor = _shared(self._tensors, (ca[0] * cb[0], ca[0] * cb[1] + ca[1] * cb[0],
-                                             ca[1] * cb[1]))
-            self._plan.append((abs(step), dst, src, unit, tensor))
-        self.band_rows = max((r for r, _, _, _, _ in self._plan), default=0) + 1
+            (ax, ay), (bx, by) = hats[a], hats[b]
+            parts = (ax * bx, ax * by + ay * bx, ay * by)
+            self._plan.append((abs(step), dst, src, tensors.setdefault(parts, len(tensors))))
+        self._tensors = list(tensors)
+        # the block of a unit scalar weight: the trace of the tensor parts
+        self._units = [xx + yy for xx, _xy, yy in self._tensors]
+        self.band_rows = max((r for r, *_ in self._plan), default=0) + 1
 
     def _on_cells(self, w):
         """Per-cell values ``w`` on the plan's grid of cells, C-contiguous."""
@@ -526,8 +552,7 @@ class StiffnessLayout:
         and y gradients of the cell, as in a Hessian).  The band is
         Fortran-ordered, so :meth:`factor` factors it in place.
         """
-        tensor = isinstance(w, tuple)
-        if tensor:
+        if isinstance(w, tuple):
             bxx, bxy, byy = (self._on_cells(np.asarray(p, dtype=float)) for p in w)
             vals = []
             for xx, xy, yy in self._tensors:
@@ -537,11 +562,11 @@ class StiffnessLayout:
                 vals.append(v)
         else:
             w = self._on_cells(np.asarray(w, dtype=float))
-            vals = [w * unit for unit, in self._units]
+            vals = [w * unit for unit in self._units]
         band = np.zeros((self.band_rows, self.n), order="F")
-        for r, dst, src, unit, parts in self._plan:
+        for r, dst, src, parts in self._plan:
             # band diagonal r, viewed on the plan's grid of interior nodes
-            band[r].reshape(self._nodes)[dst] += vals[parts if tensor else unit][src]
+            band[r].reshape(self._nodes)[dst] += vals[parts][src]
         return band
 
     def factor(self, band, pinned=()):
@@ -589,16 +614,17 @@ def with_atoms(grid, w, atoms):
     return w + extra
 
 
-def stiffness_factor(grid, w):
+def stiffness_factor(grid, w, pinned=()):
     """Factor of the stiffness ``G^T B G``; ``.solve(b)`` solves with it.
 
     The stiffness of the cell weights ``w`` is assembled straight into its
     band (:meth:`StiffnessLayout.band`) and factored by banded Cholesky
-    (:meth:`StiffnessLayout.factor`, which raises :class:`Unbounded` for a
-    stiffness singular to working precision).
+    (:meth:`StiffnessLayout.factor`, which makes the ``pinned`` interior
+    nodes unit rows and raises :class:`Unbounded` for a stiffness singular
+    to working precision).
     """
     layout = grid.stiffness_layout
-    return layout.factor(layout.band(w))
+    return layout.factor(layout.band(w), pinned)
 
 
 class BandCholesky:
@@ -651,8 +677,8 @@ class UnitStiffness:
             sines = np.sqrt(2.0 / m) * np.sin(np.pi / m * np.arange(2 * m))
             axes.append((sines[np.outer(k, k) % (2 * m)], 2.0 - 2.0 * np.cos(np.pi / m * k)))
         (self._sy, ly), (self._sx, lx) = axes
-        self._eig = 0.25 * (np.outer(4.0 - ly, lx) / grid.hx ** 2
-                            + np.outer(ly, 4.0 - lx) / grid.hy ** 2)
+        hx, hy = (h[0] for h in grid.widths)  # the sines are those of a uniform axis
+        self._eig = 0.25 * (np.outer(4.0 - ly, lx) / hx ** 2 + np.outer(ly, 4.0 - lx) / hy ** 2)
 
     def solve(self, b):
         """The solution ``x`` of ``K0 x = b``."""

@@ -337,7 +337,7 @@ def brute_force_min(problem):
         raise TooLarge("brute force minimizer allows at most 8 interior nodes")
 
     vol = grid.cell_volumes
-    h = grid.cell_h
+    h = grid.widths[0]
     F = problem.load
     caps = problem.cell_caps
     u = np.zeros(grid.n_nodes)

@@ -32,7 +32,8 @@ import numpy as np
 
 from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded
-from .grids import DiscreteMeasure, ScalarField, VectorField, divergence_weighted
+from .grids import (DiscreteMeasure, ScalarField, VectorField, divergence_weighted,
+                    stiffness_factor)
 from .solver import (SolverParams, _primal_from_gradient, build_problem,
                      resolve_cell_weights, solve_auxiliary, telescoped_load)
 
@@ -143,9 +144,9 @@ def _floating_pins(grid, w, F):
     """One interior node of each floating component of a rectangle's cell weights ``w``.
 
     A cell's averaged gradient vanishes exactly when the nodes on each of
-    its diagonals agree, so the fields of zero energy are constant on each
-    component of the graph whose edges are the diagonals of the cells with
-    ``w > 0``.  A component without a boundary node floats.  Raises
+    its diagonals (:attr:`massopt.grids.CellCorners.opposite`) agree, so the
+    fields of zero energy are constant on each component of the graph whose
+    edges are the diagonals of the cells with ``w > 0``.  A component without a boundary node floats.  Raises
     :class:`Unbounded` when the interior load ``F`` puts net load on one,
     which includes a loaded node with no stiffness.
     """
@@ -153,10 +154,11 @@ def _floating_pins(grid, w, F):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    nx, ny = grid.params["nx"], grid.params["ny"]
-    low = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # lower left
-    ends = (np.concatenate([low, low + 1]), np.concatenate([low + nx + 2, low + nx + 1]))
-    tied = np.tile(w > 0.0, 2)  # two diagonals per cell
+    corners = grid.corners
+    index = np.arange(grid.n_nodes).reshape(corners.node_shape)
+    ends = [np.concatenate([index[pair[i]].ravel() for _o, *pair in corners.opposite])
+            for i in (0, 1)]
+    tied = np.tile(w > 0.0, len(corners.opposite))  # the diagonals of each cell
     graph = coo_matrix((np.ones(np.count_nonzero(tied)), (ends[0][tied], ends[1][tied])),
                        shape=(grid.n_nodes, grid.n_nodes))
     n_comp, labels = connected_components(graph, directed=False)
@@ -189,7 +191,7 @@ def _telescoped_field(grid, w, F):
     run from the centre to the first cut, float, and must carry no net load
     (:func:`_refuse_loaded`).
     """
-    h = grid.cell_h
+    h = grid.widths[0]
     cum, free = telescoped_load(grid, F)
     cut = w == 0.0
     cuts = np.flatnonzero(cut)
@@ -242,12 +244,11 @@ def energy_eval(mu, source):
     if grid.dim == 1:
         uf = _telescoped_field(grid, w, F)
     else:
-        layout = grid.stiffness_layout
         pins = _floating_pins(grid, w, Fin) if np.any(w == 0.0) else []  # else none floats
         rhs = Fin.copy()
         rhs[pins] = 0.0
         uf = np.zeros(grid.n_nodes)
-        uf[idx] = layout.factor(layout.band(w), pins).solve(rhs)
+        uf[idx] = stiffness_factor(grid, w, pins).solve(rhs)
     g = grid.gradient_apply(uf)
     energy = 0.5 * float(np.sum(w * np.sum(g * g, axis=1))) - float(Fin @ uf[idx])
     if energy < -1e13 * (1.0 + fnorm) ** 2:

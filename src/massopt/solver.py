@@ -254,7 +254,7 @@ def feasible_flux_1d(problem):
     grid = problem.grid
     if grid.dim != 1:
         raise RegimeMismatch("1-d flux construction needs an interval or radial grid")
-    h, vol = grid.cell_h, grid.cell_volumes
+    h, vol = grid.widths[0], grid.cell_volumes
     cum, free = telescoped_load(grid, problem.load)
     if not free:
         sigma = -cum * h / vol
@@ -353,11 +353,11 @@ def _zero_mean_selection(h, g, slack):
 
 def _primal_from_gradient(grid, g):
     """Integrate a per-cell gradient into a zero-boundary nodal field."""
-    u = np.zeros(grid.n_nodes)
+    u, h = np.zeros(grid.n_nodes), grid.widths[0]
     if grid.kind == "radial":
-        u[:-1] = -np.cumsum((grid.cell_h * g)[::-1])[::-1]
+        u[:-1] = -np.cumsum((h * g)[::-1])[::-1]
     else:
-        u[1:] = np.cumsum(grid.cell_h * g)
+        u[1:] = np.cumsum(h * g)
         # spread the rounding residue as a uniform ramp so both endpoints
         # vanish exactly without bumping a single cell's gradient
         x = grid.axes[0]
@@ -507,10 +507,12 @@ def _newton_2d(problem, params):
 
     An unsmoothed cost (``mu = None``) starts at :func:`_power_start`, a
     smoothed one from 0 at ``mu = 1``; every level then takes the same
-    step rule, on the objective and gradient of that level.  A step
-    factors the Hessian (:func:`_factor_step`), solves ``H z = -grad J``
-    with it and backtracks along ``z`` (:func:`_line_search`); the same
-    solve certifies the iterate (:func:`_certify`).  A step instead reuses
+    step rule, on the objective and gradient of that level.  A zero load
+    is centred at ``u = 0`` at the exact level, so every cost takes the
+    power start there and enters no smoothing level.  A step factors the
+    Hessian (:func:`_factor_step`), solves ``H z = -grad J`` with it and
+    backtracks along ``z`` (:func:`_line_search`); the same solve
+    certifies the iterate (:func:`_certify`).  A step instead reuses
     the newest factor and its blocks, which keeps the certificate exact,
     after a full step that cut ``|grad J|`` to at most ``CHORD_RATIO`` of
     its size, at most ``CHORD_STEPS`` times in a row: the chord
@@ -522,8 +524,7 @@ def _newton_2d(problem, params):
     gradient, so it is taken in full exactly when it lowers ``|grad J|``
     (Boyd and Vandenberghe, *Convex Optimization*, section 9.5).  An
     iterate that takes no step is certified with the newest factor in
-    hand, or before any factor by its flux alone (a zero load's start);
-    one whose Hessian is singular goes uncertified and ends the solve.
+    hand; one whose Hessian is singular goes uncertified and ends the solve.
     Each iterate logs its exact objective and the best dual so far.  A
     level is centred when the gradient falls to ``1e-12 |F|``, when a step
     makes no progress, or after a full step whose decrement was at most
@@ -540,7 +541,8 @@ def _newton_2d(problem, params):
     """
     grid = problem.grid
     idx = grid.interior_idx
-    mu = 1.0 if problem.cost.smoothing else None
+    grad_floor = 1e-12 * float(np.linalg.norm(problem.load[idx]))
+    mu = 1.0 if problem.cost.smoothing and grad_floor > 0.0 else None
     u, factor = _power_start(problem) if mu is None else (np.zeros(grid.n_nodes), None)
     # the newest factor in hand has the blocks B, the unit ones at the start
     # (whose solve factors nothing); a smoothed start counts its first level
@@ -549,7 +551,6 @@ def _newton_2d(problem, params):
     s = _half_square(g)
     obj = _level_objective(problem, u, s, None)
     obj_mu = obj if mu is None else _level_objective(problem, u, s, mu)
-    grad_floor = 1e-12 * float(np.linalg.norm(problem.load[idx]))
 
     best_dual, best_sigma = -INF, np.zeros((grid.n_cells, 2))
     log, steps, chord_steps = [], 0, 0
@@ -577,7 +578,6 @@ def _newton_2d(problem, params):
         chord_steps += chord
         if factor is not None:
             z[idx] = -factor.solve(grad)
-        if factor is not None or not stepping:  # z = 0 before any factor
             dual, sigma = _certify(problem, flux, blocks, z)
             if dual > best_dual:
                 best_dual, best_sigma = dual, sigma

@@ -965,6 +965,12 @@ FILE_REFUSALS = [
      "cost.weight_table: "),
     (RUN, [("slope = 0.5", "slope = 0.5\nweight_table = {tmp}/three.csv")],
      "cost.weight_table needs 256 per-cell values"),
+    (RUN, [("builtin = linear\nslope = 0.5", "table = {tmp}/three-columns.csv")],
+     "cost.table: needs two columns (t, c(t)) of at least two rows, not shape (3, 3)"),
+    (RUN, [("builtin = linear\nslope = 0.5", "table = {tmp}/one-row.csv")],
+     "cost.table: needs two columns (t, c(t)) of at least two rows, not shape (1, 2)"),
+    (RUN, [("builtin = linear\nslope = 0.5", "table = {tmp}/three.csv")],
+     "cost.table: needs two columns (t, c(t)) of at least two rows, not shape (3, 1)"),
     (RUN, [("value = 1.0", "value = 1.0\nexpression = 1 + x")],
      "section [source] takes value or expression, not both"),
     (RUN, [("value = 1.0", "")], "section [source] needs value, expression or atoms"),
@@ -981,13 +987,16 @@ FILE_REFUSALS = [
     ids=["radial-n", "rectangle-nx", "rectangle-ny", "unknown-kind", "no-domain", "no-cost",
          "bad-value", "fractional-n", "fractional-max-iterations", "unknown-builtin-parameter",
          "unreadable-weight-table",
-         "weight-table-size", "value-and-expression", "empty-source", "malformed-atom",
+         "weight-table-size", "table-three-columns", "table-one-row", "table-one-column",
+         "value-and-expression", "empty-source", "malformed-atom",
          "unknown-verify-key", "non-positive-threshold", "conjugate-unreadable-config",
          "conjugate-no-cost", "conjugate-count-1"]
     + [prefix + case for case, _edits, _message in FILE_REFUSALS
        for prefix in ("", "conjugate-")])
 def test_config_refusal_exit_code(tmp_path, capsys, argv, edits, message):
     (tmp_path / "three.csv").write_text("1.0\n2.0\n3.0\n")
+    (tmp_path / "three-columns.csv").write_text("0,0,1\n1,0.5,2\n2,2,3\n")
+    (tmp_path / "one-row.csv").write_text("0,0\n")
     text = MK_CONFIG
     for old, new in edits:
         assert old in text
@@ -998,7 +1007,7 @@ def test_config_refusal_exit_code(tmp_path, capsys, argv, edits, message):
         "utf-8", "surrogateescape"))
     assert cli.main([arg.format(cfg=cfg, tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: ")
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert captured.out == ""
 

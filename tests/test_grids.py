@@ -86,6 +86,58 @@ def test_gradient_convergence_order(make):
     assert min(order1, order2) >= 1.9
 
 
+def _reference_gradient(g, u):
+    # the hand-written 1-d and 2-d stencils that the corner table replaced
+    if g.dim == 1:
+        return ((u[1:] - u[:-1]) / g.widths[0])[:, None]
+    nx, ny = g.params["nx"], g.params["ny"]
+    hx, hy = g.widths[0][0], g.widths[1][0]
+    u2 = u.reshape(ny + 1, nx + 1)
+    gx = (u2[:-1, 1:] - u2[:-1, :-1] + u2[1:, 1:] - u2[1:, :-1]) / (2.0 * hx)
+    gy = (u2[1:, :-1] - u2[:-1, :-1] + u2[1:, 1:] - u2[:-1, 1:]) / (2.0 * hy)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _reference_adjoint(g, y):
+    out = np.zeros(g.n_nodes)
+    if g.dim == 1:
+        q = y[:, 0] / g.widths[0]
+        out[1:] += q
+        out[:-1] -= q
+        return out
+    nx, ny = g.params["nx"], g.params["ny"]
+    qx = (y[:, 0] / (2.0 * g.widths[0][0])).reshape(ny, nx)
+    qy = (y[:, 1] / (2.0 * g.widths[1][0])).reshape(ny, nx)
+    p, m = qx + qy, qx - qy
+    o2 = np.zeros((ny + 1, nx + 1))
+    o2[1:, 1:] += p
+    o2[:-1, :-1] -= p
+    o2[:-1, 1:] += m
+    o2[1:, :-1] -= m
+    return o2.ravel()
+
+
+@pytest.mark.parametrize("grid", [
+    mo.interval_grid(-1.0, 2.0, 37),
+    mo.radial_grid(1.3, 41, 3),
+    mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 13),
+    mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 13, 9),
+    mo.rectangle_grid(0.1, 0.7, -0.3, 1.9, 11, 7),
+], ids=["interval", "radial", "nx<ny", "nx>ny", "hx!=hy"])
+def test_corner_stencils_keep_the_hand_written_bits(grid):
+    # the gradient pair read from the corner table gives the bits of the
+    # stencils it replaced, and stays an exact transpose pair
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(grid.n_nodes)
+    y = rng.standard_normal((grid.n_cells, grid.dim))
+    gu, gty = grid.gradient_apply(u), grid.gradient_adjoint(y)
+    ref_gu, ref_gty = _reference_gradient(grid, u), _reference_adjoint(grid, y)
+    assert gu.shape == ref_gu.shape and gu.tobytes() == ref_gu.tobytes()
+    assert gty.shape == ref_gty.shape and gty.tobytes() == ref_gty.tobytes()
+    terms = np.sum(np.abs(gu * y))
+    assert abs(np.sum(gu * y) - np.dot(u, gty)) <= 1e-13 * terms
+
+
 # -- adjointness ------------------------------------------------------------
 
 @pytest.mark.parametrize("grid", [
@@ -142,7 +194,7 @@ def test_divergence_single_atom():
     sigma = mo.VectorField(g, np.ones((g.n_cells, 1)))
     div = mo.divergence_weighted(mu, sigma)
     (i, _w), = g.cell_weights_at(p)
-    h = g.cell_h[i]
+    h = g.widths[0][i]
     assert div[i] == pytest.approx(1.0 / h)
     assert div[i + 1] == pytest.approx(-1.0 / h)
 
@@ -574,14 +626,14 @@ def _bincount_band(g, w):
     n = g.interior_idx.size
     if g.dim == 1:
         local = np.arange(g.n_cells)[:, None] + np.arange(2)
-        grads = (np.array([-1.0, 1.0]) / g.cell_h[:, None])[:, None, :]
+        grads = (np.array([-1.0, 1.0]) / g.widths[0][:, None])[:, None, :]
         pos = np.arange(n)
     else:
         nx, ny = g.params["nx"], g.params["ny"]
         jj, ii = np.divmod(np.arange(g.n_cells), nx)
         local = (jj * (nx + 1) + ii)[:, None] + np.array([0, 1, nx + 1, nx + 2])
         grads = (np.array([[-1.0, 1.0, -1.0, 1.0], [-1.0, -1.0, 1.0, 1.0]])
-                 / [[2.0 * g.hx], [2.0 * g.hy]])[None]
+                 / [[2.0 * h[0]] for h in g.widths])[None]
         pos = np.arange(n)
         if nx > ny:
             iy, ix = np.divmod(np.arange(n), nx - 1)

@@ -106,7 +106,7 @@ def test_brute_force_respects_gradient_box():
     g = mo.interval_grid(-1.0, 1.0, 8)
     prob = mo.build_problem(g, mo.linear_cost(0.5), mo.SourceTerm.constant(g, 1.0))
     _val, u = mo.brute_force_min(prob)
-    grads = np.abs(np.diff(u)) / g.cell_h
+    grads = np.abs(np.diff(u)) / g.widths[0]
     assert np.max(grads) <= 1.0 + 1e-12  # feasibility exact by construction
 
 

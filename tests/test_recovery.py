@@ -92,6 +92,34 @@ def test_rectangle_table_measure_verifies(make_cost, nx, ny, by):
     assert rep.passes(cli.DEFAULT_THRESHOLDS), rep
 
 
+_T4 = np.linspace(0.0, 3.0, 4)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("make_cost", [
+    mo.quadratic_cost,
+    lambda: mo.power_cost(3.0),
+    lambda: mo.linear_cost(0.5),
+    mo.reciprocal_cost,
+    lambda: mo.expression_cost("t + 1/t"),
+    lambda: mo.expression_cost("t + t^2/2"),
+    lambda: mo.tabulated_cost(_T4, 0.5 * _T4 ** 2),
+    lambda: mo.regularized_cost(mo.linear_cost(0.5), 1e-3),
+], ids=["quadratic", "power-3", "linear", "reciprocal", "t+1/t", "t+t^2/2", "table",
+        "regularized"])
+def test_zero_load_rectangle_verifies_at_the_exact_level(make_cost, weighted):
+    # u = 0 is centred before any smoothing, so the solve enters no level
+    # and hands over the exact conjugate's D+c*(0), not a smoothed multiplier
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 16, 16)
+    w = np.geomspace(0.2, 5.0, g.n_cells) if weighted else None
+    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 0.0), cell_weights=w)
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and sol.mu_levels == 0 and sol.iterations == 0
+    assert np.array_equal(sol.density, prob.level_derivatives(np.zeros(g.n_cells))[0])
+    rep = mo.verify_conditions(mo.recover_measure(sol, prob), sol.u, prob)
+    assert rep.passes(cli.DEFAULT_THRESHOLDS), rep
+
+
 # -- linear-regime recovery --------------------------------------------------
 
 def test_mk_flux_inversion():
@@ -156,7 +184,7 @@ def _sigma_over_g(problem, sol):
     a[carried] = vabs[carried] / t[carried]
     excess = vabs - t * a
     atoms = [(problem.grid.cell_centers[i],
-              float(excess[i] * problem.grid.cell_h[i] / max(problem.cell_caps[i], 1e-300)))
+              float(excess[i] * problem.grid.widths[0][i] / max(problem.cell_caps[i], 1e-300)))
              for i in np.nonzero(excess > 1e-8 * (1.0 + vabs))[0]]
     return a, atoms
 

@@ -233,7 +233,7 @@ def test_interval_selection_is_the_flux_inverse(cost, weighted):
     prob = mo.build_problem(grid, cost, mo.SourceTerm.constant(grid, 1.0), w)
     sigma, g, t = solver.feasible_flux_1d(prob)
     sigma = sigma[:, 0]
-    h = grid.cell_h
+    h = grid.widths[0]
     assert abs(np.dot(h, g)) <= 1e-12 * np.dot(h, np.abs(g))
     flux = sigma != 0.0
     assert np.array_equal(g[flux], (t * np.sign(sigma))[flux])
@@ -282,7 +282,7 @@ def test_zero_flux_edge_closed_forms(monkeypatch):
 def _reference_flux_level(prob):
     """``q0`` of the interval certificate by a 240-step bisection, and its flux."""
     grid = prob.grid
-    h, vol = grid.cell_h, grid.cell_volumes
+    h, vol = grid.widths[0], grid.cell_volumes
     cum = np.concatenate([[0.0], np.cumsum(prob.load[1:grid.n_cells])])
 
     def mean_grad(q0):
@@ -803,12 +803,13 @@ def test_solve_factors_only_hessians(monkeypatch, make_cost, weighted):
 @pytest.mark.parametrize("make_cost", [lambda: mo.linear_cost(0.5), _tabulated_quadratic],
                          ids=["barrier", "table"])
 def test_smoothed_zero_load_start_is_certified_without_a_factor(make_cost):
-    # a zero load centres the smoothed start u = 0, whose zero flux is
-    # feasible: the solve certifies it and factors nothing
+    # a zero load is centred at u = 0 at the exact level, whose zero flux is
+    # feasible: the solve certifies it with the start's sine solve, enters
+    # no smoothing level and factors nothing
     g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.5, 14, 11)
     sol = mo.solve_auxiliary(mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 0.0)))
     assert sol.converged and sol.iterations == 0 and sol.factorisations == 0
-    assert sol.gap == 0.0 and sol.dual_residual == 0.0
+    assert sol.mu_levels == 0 and sol.gap == 0.0 and sol.dual_residual == 0.0
 
 
 def test_singular_hessian_ends_the_solve(monkeypatch):
