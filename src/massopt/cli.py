@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import types
+import warnings
 
 import numpy as np
 
@@ -151,6 +152,12 @@ def _parse_domain(sec):
         raise ConfigError("domain: %s" % exc) from None
 
 
+def _read_csv(path, **kw):
+    with warnings.catch_warnings():  # numpy warns on an empty file; the shape checks refuse it
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, delimiter=",", comments="#", **kw)
+
+
 def _parse_cost(cfg, grid):
     sec = cfg["cost"]
     form = next(form for form in COST_FORMS if form in sec)
@@ -161,7 +168,7 @@ def _parse_cost(cfg, grid):
         elif form == "expression":
             cost = costs_mod.expression_cost(sec["expression"], t0=sec.get("t0", 1.0))
         else:
-            data = np.loadtxt(sec["table"], delimiter=",", comments="#", ndmin=2)
+            data = _read_csv(sec["table"], ndmin=2)
             if data.shape[0] < 2 or data.shape[1] != 2:
                 raise ValueError("needs two columns (t, c(t)) of at least two rows, not shape %s"
                                  % (data.shape,))
@@ -174,7 +181,7 @@ def _parse_cost(cfg, grid):
         if grid is None:
             raise ConfigError("cost.weight_table needs a [domain] section")
         try:
-            cell_weights = np.loadtxt(sec["weight_table"], delimiter=",", comments="#")
+            cell_weights = _read_csv(sec["weight_table"])
         except (OSError, ValueError) as exc:
             raise ConfigError("cost.weight_table: %s" % exc) from None
         if cell_weights.ndim != 1 or cell_weights.size != grid.n_cells:
@@ -205,12 +212,12 @@ def _parse_source(sec, grid):
     if "expression" in sec:
         if density is not None:
             raise ConfigError("section [source] takes value or expression, not both")
-        # one variable per grid axis
+        # one variable per grid axis; an expression with none is one value
         key, variables = "expression", ("r",) if grid.kind == "radial" else ("x", "y")[:grid.dim]
         try:
             expr = Expression(sec["expression"], variables=variables)
             kw = {v: grid.node_coords[:, i] for i, v in enumerate(variables)}
-            density = np.asarray(expr(**kw), dtype=float)
+            density = np.full(grid.n_nodes, expr(**kw), dtype=float)
         except MassOptError as exc:
             raise ConfigError("source.expression: %s" % exc) from None
     atoms = _parse_atoms(sec["atoms"], grid) if "atoms" in sec else []

@@ -499,6 +499,8 @@ class CostFunction:
 
     def __init__(self, profile, t0=None):
         self._profile = profile
+        # dom c0 as (lo, hi); a weight does not change it
+        self.domain = profile.domain
         self.t0 = float(t0) if t0 is not None else getattr(profile, "seed_t", 1.0)
         v0 = float(np.asarray(profile.value(self.t0)))
         if not math.isfinite(v0):

@@ -362,8 +362,8 @@ class SourceTerm:
     The pairing ``<f, u> = F . u`` with the load vector ``F``
     (:meth:`load_vector`) integrates the density with trapezoidal nodal
     weights and evaluates atoms through multilinear interpolation, so it is
-    exactly linear in ``u``.  A density value or atom mass that is not
-    finite raises :class:`InadmissibleSource`.
+    exactly linear in ``u``.  A density not of one value per node, and a
+    value or atom mass that is not finite, raise :class:`InadmissibleSource`.
     """
 
     def __init__(self, grid, density=None, atoms=()):
@@ -373,7 +373,7 @@ class SourceTerm:
         else:
             density = np.asarray(density, dtype=float)
             if density.shape != (grid.n_nodes,):
-                raise ValueError("source density needs %d nodal values" % grid.n_nodes)
+                raise InadmissibleSource("source density needs %d nodal values" % grid.n_nodes)
             if not np.all(np.isfinite(density)):
                 raise InadmissibleSource("source density is not finite everywhere")
             self.density = density

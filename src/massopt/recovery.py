@@ -1,12 +1,13 @@
 """Conductivity recovery from the auxiliary solution, and verification.
 
-One rule, :func:`recover_measure`, serves every grid and both regimes:
-the measure is the density the solver's flux carries,
-``AuxiliarySolution.density``, and nothing else.  In one dimension that is
-the exact certificate's ``|sigma| / t``, with ``D-c*`` where the flux or
-its gradient vanishes.  On rectangles it is Newton's conjugate derivative
-``c*'(s)`` at its last iterate, smoothed where the cost needs it: for the
-linear regime's log barrier the central-path multiplier.
+One rule, :func:`recover_measure`, serves every grid and both regimes: the
+conductivity is the density the solver's flux carries,
+``AuxiliarySolution.density``, projected onto ``dom c``.  In one dimension
+the field is integrated from the exact flux and the density is
+``|sigma| / t``, with ``D-c*`` where the flux or ``t`` vanishes.  On
+rectangles it is Newton's conjugate derivative ``c*'(s)`` at its last
+iterate, smoothed where the cost needs it: for the log barrier the
+central-path multiplier.
 :func:`recover_via_regularization` approximates a linear-regime measure
 through the continuation ``c + eps t^2`` instead.
 
@@ -52,12 +53,13 @@ CONCENTRATION_FRACTION = 0.05
 # ---------------------------------------------------------------------------
 
 def recover_measure(solution, problem):
-    """Optimal measure: the density the solver's flux carries, ``solution.density``.
+    """Optimal measure: ``solution.density`` projected onto the cost's domain.
 
-    The same on every grid and in both regimes, with no atoms: the 1-d
-    certificate's gradient carries every cell of flux up to rounding.
+    The one clip into ``dom c``, on every grid and in both regimes (no
+    atoms): a saturated table cell can end a rounding or a level's ``mu``
+    past the last sample.
     """
-    return DiscreteMeasure(problem.grid, solution.density)
+    return DiscreteMeasure(problem.grid, np.clip(solution.density, *problem.cost.domain))
 
 
 class RegularizationDiagnostics:

@@ -282,10 +282,12 @@ def feasible_flux_1d(problem):
     q0 = _first_nonnegative(mean_grad, float(knots[lo]), float(knots[hi]))
 
     sigma = (q0 - cum) * h / vol
-    # a root next to a breakpoint leaves the flux of the sign-change cell at
-    # rounding level; a nonzero sign there would pin that cell's gradient to
-    # the dead-zone edge and the zero-mean selection below could not close
-    sigma[np.abs(sigma) <= 1e-12 * np.max(np.abs(sigma))] = 0.0
+    # a root next to a breakpoint leaves the sign-change cell's flux within
+    # the rounding of q0 - cum, where its sign would pin the gradient to the
+    # dead-zone edge and the zero-mean selection could not close; a zero
+    # load leaves every flux subnormal, where |sigma| / t has lost its bits
+    vabs, scale = np.abs(sigma), (abs(q0) + np.abs(cum)) * h / vol
+    sigma[(vabs <= 4.0 * np.finfo(float).eps * scale) | (vabs < np.finfo(float).tiny)] = 0.0
     t = problem.invert_flux(np.abs(sigma))
     # a nonzero flux fixes its gradient; a zero flux admits any gradient up
     # to the dead-zone edge
@@ -303,7 +305,7 @@ def _first_nonnegative(f, a, b):
     end moves twice in a row, the value kept at the other end is halved)
     shrinks the bracket to adjacent floats; a step that rounds onto an end
     probes the float next to it instead.  After 100 steps it returns the
-    upper end.
+    end nearer zero: on a plateau where ``f`` rounds below 0, the lower.
     """
     inner_b = math.nextafter(b, a)
     if inner_b == a:
@@ -318,24 +320,24 @@ def _first_nonnegative(f, a, b):
     if fa >= 0.0:
         return a
     b = inner_b
-    side = 0
+    side, va, vb = 0, fa, fb  # f at a and b; the Illinois steps halve fa and fb
     for _ in range(100):
         below_b, above_a = math.nextafter(b, a), math.nextafter(a, b)
         if above_a >= b:
-            break
+            return b
         x = min(max(b - fb * ((b - a) / (fb - fa)), above_a), below_b)
         fx = f(x)
         if fx < 0.0:
-            a, fa = x, fx
+            a, fa, va = x, fx, fx
             if side < 0:
                 fb *= 0.5
             side = -1
         else:
-            b, fb = x, fx
+            b, fb, vb = x, fx, fx
             if side > 0:
                 fa *= 0.5
             side = 1
-    return b
+    return a if -va < vb else b
 
 
 def _zero_mean_selection(h, g, slack):
@@ -355,7 +357,7 @@ def _primal_from_gradient(grid, g):
     """Integrate a per-cell gradient into a zero-boundary nodal field."""
     u, h = np.zeros(grid.n_nodes), grid.widths[0]
     if grid.kind == "radial":
-        u[:-1] = -np.cumsum((h * g)[::-1])[::-1]
+        u[:-1] = 0.0 - np.cumsum((h * g)[::-1])[::-1]  # a zero field stays +0
     else:
         u[1:] = np.cumsum(h * g)
         # spread the rounding residue as a uniform ramp so both endpoints
@@ -646,7 +648,7 @@ class AuxiliarySolution:
     - iterations <= max(mu_levels, 1)``.
     ``density`` holds the conductivity per cell that the solve's flux
     carries along the gradient of ``u``
-    (:func:`massopt.recovery.recover_measure` wraps it in the measure): the
+    (:func:`massopt.recovery.recover_measure` projects it onto ``dom c``): the
     1-d certificate's ``|sigma| / t``, and Newton's (smoothed) conjugate
     derivative ``c*'(s)`` at its last iterate, for the log barrier the
     central-path multiplier ``c*'(s) + mu / (cinf - s)``.
@@ -678,11 +680,6 @@ class AuxiliarySolution:
         g = self.u.grid.gradient_apply(self.u.values)
         return float(np.max(np.sqrt(np.sum(g * g, axis=1)), initial=0.0))
 
-    def __repr__(self):
-        return ("AuxiliarySolution(objective=%.12g, gap=%.3g, iterations=%d, "
-                "converged=%s)" % (self.objective, self.gap, self.iterations,
-                                   self.converged))
-
 
 def _relative_gap(obj, dual):
     """``(gap, relative gap)``; an infinite gap is infinite relative to anything."""
@@ -713,29 +710,20 @@ def solve_auxiliary(problem, params=None):
 def _certificate_1d(problem, params):
     """Score the exact 1-d flux and the primal field integrated from it.
 
-    The flux fixes the dual value.  Its primal candidate competes with
-    ``u = 0``, and the better of the two is returned.  The density is
-    ``|sigma| / t`` where the candidate is returned and the flux and its
-    inverted magnitude ``t`` are nonzero (``t``, not the integrated
-    ``u``'s gradient, which carries rounding where the flux is small), and
-    ``D-c*(|g|^2/2)`` at the returned ``u``'s gradient elsewhere.
+    The flux fixes the dual value, and the field integrated from its
+    gradient selection ``g`` is returned.  The density reads the
+    certificate alone, not the field's gradient, which carries rounding:
+    ``|sigma| / t`` where the flux and its inverted magnitude ``t`` are
+    nonzero, and ``D-c*(g^2/2)`` elsewhere.
     """
-    grid = problem.grid
     sigma, g, t = feasible_flux_1d(problem)
-    u = np.zeros(grid.n_nodes)
+    u = _primal_from_gradient(problem.grid, g)
     obj = objective_eval(problem, u)
-    mag = np.zeros(grid.n_cells)
-    u_cand = _primal_from_gradient(grid, g)
-    obj_cand = objective_eval(problem, u_cand)
-    if obj_cand < obj:
-        u, obj, mag = u_cand, obj_cand, t
     dual = _dual_value(problem, sigma, t)
     gap, rel_gap = _relative_gap(obj, dual)
     vabs = np.abs(sigma[:, 0])
-    carried = (vabs > 0.0) & (mag > 0.0)
-    g_u = grid.gradient_apply(u)[:, 0]
-    density = np.where(carried, vabs / np.where(carried, mag, 1.0),
-                       problem.conj_dminus(0.5 * g_u * g_u))
+    carried = (vabs > 0.0) & (t > 0.0)
+    density = np.where(carried, vabs / np.where(carried, t, 1.0), problem.conj_dminus(0.5 * g * g))
     return AuxiliarySolution(problem=problem, u=u, flux=sigma, objective=obj, dual_value=dual,
                              converged=rel_gap <= params.gap_tolerance,
                              log=[(0, obj, dual, gap)], method="certificate", density=density)

@@ -440,6 +440,23 @@ def test_non_finite_source_is_config_error(tmp_path, capsys, domain, source, key
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("domain", [
+    _INTERVAL_64, "kind = radial\nradius = 1.0\nn = 64\ndimension = 2", _RECT_16,
+], ids=["interval", "radial", "rectangle"])
+def test_constant_source_expression_is_the_value(tmp_path, domain):
+    # an expression with no variable is one value for every node; its
+    # scalar used to escape the density's shape check as a ValueError
+    written = {}
+    for source in ("value = 1", "expression = 1"):
+        out = tmp_path / source.split()[0]
+        cfg = write(tmp_path / "run.cfg", "[domain]\n%s\n\n[cost]\nbuiltin = quadratic\n\n"
+                    "[source]\n%s\n\n[output]\ndir = %s\n" % (domain, source, out))
+        assert cli.main(["run", cfg]) == 0
+        written[source] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(written["value = 1"]) == 5
+    assert written["expression = 1"] == written["value = 1"]
+
+
 def test_output_dir_that_is_a_file_is_config_error(tmp_path, capsys):
     (tmp_path / "out").write_text("not a directory\n")
     cfg = write(tmp_path / "run.cfg", MK_CONFIG.format(out=tmp_path / "out"))
@@ -971,6 +988,10 @@ FILE_REFUSALS = [
      "cost.table: needs two columns (t, c(t)) of at least two rows, not shape (1, 2)"),
     (RUN, [("builtin = linear\nslope = 0.5", "table = {tmp}/three.csv")],
      "cost.table: needs two columns (t, c(t)) of at least two rows, not shape (3, 1)"),
+    (RUN, [("builtin = linear\nslope = 0.5", "table = {tmp}/empty.csv")],
+     "cost.table: needs two columns (t, c(t)) of at least two rows, not shape (0, 1)"),
+    (RUN, [("slope = 0.5", "slope = 0.5\nweight_table = {tmp}/empty.csv")],
+     "cost.weight_table needs 256 per-cell values"),
     (RUN, [("value = 1.0", "value = 1.0\nexpression = 1 + x")],
      "section [source] takes value or expression, not both"),
     (RUN, [("value = 1.0", "")], "section [source] needs value, expression or atoms"),
@@ -988,15 +1009,18 @@ FILE_REFUSALS = [
          "bad-value", "fractional-n", "fractional-max-iterations", "unknown-builtin-parameter",
          "unreadable-weight-table",
          "weight-table-size", "table-three-columns", "table-one-row", "table-one-column",
+         "table-empty", "weight-table-empty",
          "value-and-expression", "empty-source", "malformed-atom",
          "unknown-verify-key", "non-positive-threshold", "conjugate-unreadable-config",
          "conjugate-no-cost", "conjugate-count-1"]
     + [prefix + case for case, _edits, _message in FILE_REFUSALS
        for prefix in ("", "conjugate-")])
+@pytest.mark.filterwarnings("error")  # a warning would print before the one line
 def test_config_refusal_exit_code(tmp_path, capsys, argv, edits, message):
     (tmp_path / "three.csv").write_text("1.0\n2.0\n3.0\n")
     (tmp_path / "three-columns.csv").write_text("0,0,1\n1,0.5,2\n2,2,3\n")
     (tmp_path / "one-row.csv").write_text("0,0\n")
+    (tmp_path / "empty.csv").write_text("")  # numpy warns; the refusal stays one line
     text = MK_CONFIG
     for old, new in edits:
         assert old in text

@@ -92,6 +92,58 @@ def test_rectangle_table_measure_verifies(make_cost, nx, ny, by):
     assert rep.passes(cli.DEFAULT_THRESHOLDS), rep
 
 
+_T9 = np.linspace(0.0, 2.0, 9)
+_SATURATED_1D = np.array([[0.0, 0.0], [1.358854260513316, 0.4723334434586732],
+                          [2.656091662790223, 1.0975448270607104],
+                          [3.5569345815547435, 2.492235019723596],
+                          [4.719369758488948, 4.66653429260829],
+                          [4.907538559045945, 5.21406339751218]])
+
+
+def _unit_square(nx, ny):
+    return "kind = rectangle\nax = 0\nbx = 1\nay = 0\nby = 1\nnx = %d\nny = %d" % (nx, ny)
+
+
+@pytest.mark.parametrize("domain, table, value", [
+    ("kind = interval\na = 0\nb = 1\nn = 184", _SATURATED_1D, 808),
+    (_unit_square(19, 16), np.column_stack([_T9, 0.5 * _T9 ** 2]), 391),
+    (_unit_square(32, 32), np.column_stack([_T9, 0.5 * _T9 ** 2]), 200),
+    (_unit_square(16, 16), np.column_stack([_T9, _T9 + 0.5 * _T9 ** 2]), 300),
+    (_unit_square(16, 16), np.column_stack([_T17, 0.5 * _T17 ** 2]), 100),
+], ids=["interval", "rectangle-19x16", "rectangle-32", "rectangle-dead-zone", "rectangle-17-node"])
+def test_saturated_table_density_stays_in_domain(tmp_path, domain, table, value):
+    # a large load saturates the table at its last sample; the division
+    # |sigma| / t left a 1-d cell a rounding past it, and a rectangle's last
+    # level a mu past it, which the verifier scored as infinite cost
+    np.savetxt(tmp_path / "table.csv", table, delimiter=",", fmt="%.17g")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[domain]\n%s\n\n[cost]\ntable = %s\n\n[source]\nvalue = %r\n\n"
+                   "[output]\ndir = %s\n" % (domain, tmp_path / "table.csv", value,
+                                               tmp_path / "out"))
+    assert cli.main(["run", str(cfg)]) == 0
+    density = np.loadtxt(tmp_path / "out" / "measure.csv", delimiter=",", skiprows=2)[:, -1]
+    assert table[0, 0] <= np.min(density) and np.max(density) == table[-1, 0]
+
+
+def test_zero_flux_cell_at_a_table_kink_carries_no_density():
+    # a small load pins every carried gradient at the dead-zone edge, where
+    # c* has a kink; the zero-flux cell's D-c* used to be read at the
+    # integrated field's gradient, whose rounding put it past the kink at
+    # the next sample 0.2199, so that cell carried a flux of 0.26
+    ts = np.array([0.0, 0.21990672451805959, 0.76701971768930999, 1.5800783447394042,
+                   2.0066891017902293, 2.1444851267154901])
+    cs = np.array([0.036939694919254751, 0.19131393731055915, 1.0042560378063707,
+                   2.4488064224587598, 3.3965958138401331, 3.8235161834156211])
+    g = mo.interval_grid(-0.1050332870427726, 1.6945242000770302, 60)
+    prob = mo.build_problem(g, mo.tabulated_cost(ts, cs),
+                            mo.SourceTerm.constant(g, 0.0573022490044641))
+    sol = mo.solve_auxiliary(prob)
+    zero = sol.flux.values[:, 0] == 0.0
+    assert np.count_nonzero(zero) == 1 and np.all(sol.density[zero] == 0.0)
+    rep = mo.verify_conditions(mo.recover_measure(sol, prob), sol.u, prob)
+    assert rep.passes(cli.DEFAULT_THRESHOLDS), rep
+
+
 _T4 = np.linspace(0.0, 3.0, 4)
 
 

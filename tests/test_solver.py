@@ -16,6 +16,11 @@ def interval_problem(cost, n=256, value=1.0):
     return mo.build_problem(g, cost, mo.SourceTerm.constant(g, value))
 
 
+def _interval_source(cost, a, b, n, density):
+    g = mo.interval_grid(a, b, n)
+    return mo.build_problem(g, cost, mo.SourceTerm(g, density=density(g.node_coords[:, 0])))
+
+
 def _no_factor(*_args, **_kwargs):
     raise AssertionError("a stiffness was factored")
 
@@ -151,20 +156,29 @@ def _radial_quadratic(n=512):
 
 @pytest.mark.parametrize("make_problem", [
     lambda: interval_problem(mo.linear_cost(0.5), n=512),
+    lambda: interval_problem(mo.quadratic_cost(), value=0.0),
     _radial_quadratic,
     lambda: mo.fixture("reciprocal_interval").build(512),
-], ids=["interval-linear", "radial-quadratic", "reciprocal-interval"])
+], ids=["interval-linear", "interval-zero-load", "radial-quadratic", "reciprocal-interval"])
 def test_1d_certificate_closes_without_iterating(monkeypatch, make_problem):
     # the exact 1-d certificate closes the gap with no iteration and no
-    # stiffness factorisation
+    # stiffness factorisation; it hands over the field integrated from its
+    # own gradient, scored once: no u = 0 field competes with it
     monkeypatch.setattr(solver, "stiffness_factor", _no_factor)
     prob = make_problem()
+    scored = []
+    score = solver.objective_eval
+    monkeypatch.setattr(solver, "objective_eval",
+                        lambda problem, u: scored.append(u) or score(problem, u))
     sol = mo.solve_auxiliary(prob)
     assert sol.converged
     assert sol.iterations == 0
     assert len(sol.log) == 1 and sol.log[0][0] == 0
     assert sol.log[0][1:] == (sol.objective, sol.dual_value, sol.gap)
     assert sol.dual_residual <= 1e-12
+    _sigma, g, _t = solver.feasible_flux_1d(prob)
+    assert np.array_equal(sol.u.values, solver._primal_from_gradient(prob.grid, g))
+    assert len(scored) == 1 and sol.objective == score(prob, sol.u.values)
 
 
 @pytest.mark.parametrize("make_problem", [
@@ -191,6 +205,62 @@ def test_open_1d_certificate_ends_after_one_flux(monkeypatch, make_problem):
     assert len(sol.log) == 1 and sol.log[0][0] == 0
     assert sol.log[0][1:] == (sol.objective, sol.dual_value, sol.gap)
     assert 0.0 < sol.rel_gap <= 1e-15
+
+
+@pytest.mark.parametrize("grid", [
+    mo.interval_grid(-1.8219626490502898, -0.2760814667631626, 50), mo.radial_grid(1.5, 40, 2),
+], ids=["interval", "radial"])
+def test_zero_load_certificate_is_the_zero_field(grid):
+    # the zero-mean root of a zero load is a subnormal flux, whose |sigma| / t
+    # has lost its bits (a weighted reciprocal cost read 2.13 and 2.29 for
+    # D-c*(0) = 2.147); the certificate is the zero flux and the +0 field
+    w = np.geomspace(0.2, 5.0, grid.n_cells)
+    prob = mo.build_problem(grid, mo.reciprocal_cost(0.2784881513578731, 1.2833335288938632),
+                            mo.SourceTerm.constant(grid, 0.0), cell_weights=w)
+    sol = mo.solve_auxiliary(prob)
+    assert np.all(sol.flux.values == 0.0)
+    assert np.all(sol.u.values == 0.0) and not np.any(np.signbit(sol.u.values))
+    assert np.array_equal(sol.density, prob.conj_dminus(np.zeros(grid.n_cells)))
+    assert sol.converged and sol.gap == 0.0
+
+
+def test_certificate_closes_on_a_plateau_of_the_mean_gradient():
+    # every cell near the flux's sign change sits on the dead-zone kink of a
+    # table, so the mean gradient is zero, and rounds a hair below it, over
+    # a whole interval of q0; the root search used to return its far end,
+    # where the mean is 1.9e-6, and the certificate stayed open at 1.6e-7
+    ts = np.array([0.0, 0.75909115805366367, 1.2209849943295423, 2.051698064719746,
+                   2.8438662703978546, 3.7300379115524831, 4.2190357832607246,
+                   4.7686784296482152, 5.4601637219097245, 6.004879920640021])
+    cs = np.array([0.11870808933258037, 0.86878582754780376, 1.3906261175352808,
+                   2.4072612335336756, 3.8238579535326247, 5.9544576214595768,
+                   7.4835438983874942, 9.7320738800569107, 13.158214230856537,
+                   16.350343551974916])
+    g = mo.interval_grid(-1.8289521350357338, 1.1011552090855954, 48)
+    prob = mo.build_problem(g, mo.tabulated_cost(ts, cs),
+                            mo.SourceTerm.constant(g, 1.789518467644496))
+    _sigma, grad, _t = solver.feasible_flux_1d(prob)
+    assert abs(np.dot(g.widths[0], grad)) <= 1e-15
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and abs(sol.rel_gap) <= 1e-15
+
+
+@pytest.mark.parametrize("make_problem", [
+    lambda: _interval_source(mo.power_cost(1.1), -0.08571276085839075, 2.1676521533092634, 31,
+                             lambda x: 1.0 + x),
+    lambda: _interval_source(mo.expression_cost("t^1.5"), -1.4191707003825025,
+                             -0.5533239738148501, 11, lambda x: np.full(x.size, 951.24)),
+], ids=["power-1.1", "symmetric-t^1.5"])
+def test_certificate_zeroes_only_a_flux_within_rounding(make_problem):
+    # a flux counts as zero only within the rounding of q0 - cum: near
+    # p = 1 a flux of 1e-12 still has the gradient 0.17, and zeroing it
+    # left the mean gradient 0.013 off (relative gap 4.8e-4); the middle
+    # cell of a symmetric load is at rounding level, and zeroing it closes
+    prob = make_problem()
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and abs(sol.rel_gap) <= 1e-9
+    rep = mo.verify_conditions(mo.recover_measure(sol, prob), sol.u, prob)
+    assert rep.pde_residual <= 1e-5
 
 
 def test_dual_flux_is_divergence_feasible():
