@@ -290,6 +290,7 @@ def run(config_path, log_path=None, json_report_path=None):
             "converged": solution.converged,
             "duality_gap": solution.gap,
             "relative_gap": solution.rel_gap,
+            "dual_residual": solution.dual_residual,
             "iterations": solution.iterations,
             "checks": len(solution.log),
             "factorisations": solution.factorisations,

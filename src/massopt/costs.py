@@ -30,9 +30,9 @@ derivative ``D+c`` (an expression by forward-mode differentiation of its
 syntax tree), and every conjugate map is one vectorized bisection on
 ``D+c`` (:class:`_SubgradientProfile`).  A flux inverse returns the
 gradient magnitude alone.  A 2-d Newton solve reads the conjugate through
-one pair of evaluators, :meth:`CostFunction.level_value` and
-:meth:`CostFunction.level_derivatives` (``c*'`` and its radial curvature),
-at a smoothing level ``mu`` where the cost needs one and exactly at
+one evaluator, :meth:`CostFunction.level`: ``c*``, ``c*'`` and its radial
+curvature at a point, from one call of the profile's ``conj``, at a
+smoothing level ``mu`` where the cost needs one and exactly at
 ``mu = None``.
 
 All evaluators are numpy-vectorized.  ``+inf`` is IEEE infinity; arithmetic
@@ -126,18 +126,13 @@ class _PowerProfile:
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, INF, np.abs(t) ** self.p / self.p)
 
-    def conj_value(self, s):
-        s = np.asarray(s, dtype=float)
-        sp = np.maximum(s, 0.0)
-        return sp ** self.q / self.q
+    def conj(self, s):
+        sp = np.maximum(np.asarray(s, dtype=float), 0.0)
+        return sp ** self.q / self.q, sp ** (self.q - 1.0), np.full_like(sp, 2.0 * (self.q - 1.0))
 
     def conj_dminus(self, s):
         s = np.asarray(s, dtype=float)
         return np.maximum(s, 0.0) ** (self.q - 1.0)
-
-    def conj_dplus_rho(self, s):
-        d = self.conj_dminus(s)
-        return d, np.full_like(d, 2.0 * (self.q - 1.0))
 
     def recession(self):
         return INF
@@ -169,18 +164,16 @@ class _LinearProfile:
         t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, INF, self.slope * t)
 
-    def conj_value(self, s):
+    def conj(self, s):
+        # c0* is 0 up to the slope and +inf past it; its right derivative is
+        # +inf from the slope on
         s = np.asarray(s, dtype=float)
-        return np.where(s <= self.slope, 0.0, INF)
+        d = np.where(s < self.slope, 0.0, INF)
+        return np.where(s <= self.slope, 0.0, INF), d, d
 
     def conj_dminus(self, s):
         s = np.asarray(s, dtype=float)
         return np.where(s <= self.slope, 0.0, INF)
-
-    def conj_dplus_rho(self, s):
-        # c0* is flat below the slope and +inf from it on
-        d = np.where(np.asarray(s, dtype=float) < self.slope, 0.0, INF)
-        return d, d
 
     def recession(self):
         return self.slope
@@ -208,10 +201,15 @@ class _ReciprocalProfile:
             v = self.a * t + self.b / np.where(t > 0.0, t, 1.0)
         return np.where(t > 0.0, v, INF)
 
-    def conj_value(self, s):
+    def conj(self, s):
+        # c0* = -2 sqrt(b (a - s)), c0*' = sqrt(b / (a - s)) and
+        # 2s c0*'' = s sqrt(b) (a - s)^(-3/2)
         s = np.asarray(s, dtype=float)
-        gap = np.maximum(self.a - s, 0.0)
-        return np.where(s <= self.a, -2.0 * np.sqrt(self.b * gap), INF)
+        value = np.where(s <= self.a, -2.0 * np.sqrt(self.b * np.maximum(self.a - s, 0.0)), INF)
+        sp = np.maximum(s, 0.0)
+        gap = self.a - sp
+        rho = np.where(gap > 0.0, sp / np.where(gap > 0.0, gap, 1.0), INF)
+        return value, self.conj_dminus(s), rho
 
     def conj_dminus(self, s):
         s = np.asarray(s, dtype=float)
@@ -219,12 +217,6 @@ class _ReciprocalProfile:
         with np.errstate(divide="ignore"):
             d = np.sqrt(self.b / np.where(gap > 0.0, gap, 1.0))
         return np.where(s > self.a, INF, np.where(gap > 0.0, d, INF))
-
-    def conj_dplus_rho(self, s):
-        # c0*' = sqrt(b / (a - s)) and 2s c0*'' = s sqrt(b) (a - s)^(-3/2)
-        sp = np.maximum(np.asarray(s, dtype=float), 0.0)
-        gap = self.a - sp
-        return self.conj_dminus(s), np.where(gap > 0.0, sp / np.where(gap > 0.0, gap, 1.0), INF)
 
     def recession(self):
         return self.a
@@ -251,10 +243,15 @@ class _SubgradientProfile:
     * ``D-c*(s) = inf{t : D+c(t) >= s}``;
     * ``D+c*(s) = sup{t : D+c(t) <= s}``, ``+inf`` where ``D+c`` never
       exceeds ``s`` (at or past the recession slope);
-    * ``c*(s) = s t - c(t)`` at ``t = D-c*(s)``, the maximizer of
-      ``s t - c(t)``, and ``+inf`` past the recession slope;
-    * ``2s c*''(s) / c*'(s) = 2s / (t c''(t))`` at ``t = D+c*(s)``, with ``c''``
-      a central difference of ``D+c``, from the same search as ``D+c*``.
+    * ``c*(s) = s t - c(t)`` at ``t = D+c*(s)``, which like every point of
+      ``[D-c*(s), D+c*(s)]`` maximizes ``s t - c(t)``; at the recession
+      slope, where ``D+c*`` is ``+inf``, at ``t = D-c*(s)``, and past it
+      ``c*`` is ``+inf``;
+    * ``2s c*''(s) / c*'(s) = 2s / (t c''(t))`` at ``t = D+c*(s)``, with
+      ``c''`` a central difference of ``D+c``.
+
+    :meth:`conj` reads the last three from one search, and a second one
+    only at the recession slope.
     """
 
     def _first_false(self, below, shape):
@@ -270,21 +267,23 @@ class _SubgradientProfile:
         t = np.where(below(lo), bisect(below, lo, hi, 100), lo)
         return np.clip(t, *self.domain), below(hi)
 
-    def conj_value(self, s):
-        s = np.asarray(s, dtype=float)
-        t, _ = self._first_false(lambda t: self.subgrad_hi(t) < s, s.shape)
-        return np.where(s > self.recession(), INF, s * t - self.value(t))
-
     def conj_dminus(self, s):
         s = np.asarray(s, dtype=float)
         t, never = self._first_false(lambda t: self.subgrad_hi(t) < s, s.shape)
         return np.where(never, INF, t)
 
-    def conj_dplus_rho(self, s):
+    def conj(self, s):
         # the difference spans a jump of D+c where s sits inside one (a flat
         # stretch of D+c*, which has no curvature), and t = 0 in a dead zone
         s = np.asarray(s, dtype=float)
         t, never = self._first_false(lambda t: self.subgrad_hi(t) <= s, s.shape)
+        tv = t
+        if np.any(never):
+            # at the recession slope a linear tail from a finite t0 maximizes
+            # s t - c(t) on all of [t0, inf); the D-c* search finds t0, where
+            # the grown bracket's end would cancel s t - c(t) to rounding
+            tv = np.where(never, self._first_false(lambda t: self.subgrad_hi(t) < s, s.shape)[0], t)
+        value = np.where(s > self.recession(), INF, s * tv - self.value(tv))
         d = np.where(never, INF, t)
         finite = np.isfinite(d)
         t = np.where(finite, d, 0.0)
@@ -292,7 +291,7 @@ class _SubgradientProfile:
         with np.errstate(divide="ignore", invalid="ignore"):
             curv = (self.subgrad_hi(t + h) - self.subgrad_hi(t - h)) / (2.0 * h)
             rho = 2.0 * s / (t * curv)
-        return d, np.where(finite, np.where(t > 0.0, rho, 0.0), INF)
+        return value, d, np.where(finite, np.where(t > 0.0, rho, 0.0), INF)
 
     def invert_flux(self, vabs):
         """Gradient magnitude ``t`` of the flux ``v = t a`` with ``t^2/2`` in ``dc(a)``.
@@ -387,21 +386,16 @@ class _TabulatedProfile:
         return np.where((t < self.ts[0]) | (t > self.ts[-1]), INF, out)
 
     # the conjugate of a piecewise-linear function peaks at a sample node,
-    # found by binary search on the sorted slopes
-    def conj_value(self, s):
+    # found by binary search on the sorted slopes; c0* is piecewise linear
+    def conj(self, s):
         s = np.asarray(s, dtype=float)
         j = np.searchsorted(self.slopes, s, side="left")
-        return self.ts[j] * s - self.cs[j]
+        d = self.ts[np.searchsorted(self.slopes, s, side="right")] + np.zeros_like(s)
+        return self.ts[j] * s - self.cs[j], d, np.zeros_like(s)
 
     def conj_dminus(self, s):
         s = np.asarray(s, dtype=float)
         return self.ts[np.searchsorted(self.slopes, s, side="left")] + np.zeros_like(s)
-
-    def conj_dplus_rho(self, s):
-        # c0* is piecewise linear
-        s = np.asarray(s, dtype=float)
-        zero = np.zeros_like(s)
-        return self.ts[np.searchsorted(self.slopes, s, side="right")] + zero, zero
 
     def log_sum_exp(self, s, mu):
         """Log-sum-exp smoothing ``mu log sum_j exp((ts_j s - cs_j) / mu)`` of ``c0*``.
@@ -515,7 +509,7 @@ class CostFunction:
         while 0.5 * edge * edge > level:
             edge = math.nextafter(edge, 0.0)
         self._zero_flux_edge = edge
-        # the smoothing of a 2-d Newton solve (level_value): a table's
+        # the smoothing of a 2-d Newton solve (level): a table's
         # log-sum-exp conjugate, and the term a finite recession slope (a
         # barrier) or a superlinear dead zone (a density floor) adds
         self._smoothing = (getattr(profile, "log_sum_exp", None),
@@ -580,70 +574,61 @@ class CostFunction:
 
     def conjugate_value(self, s, weight=1.0):
         """Fenchel conjugate ``c*(x, s) = w * c0*(s / w)``."""
-        return self.level_value(s, None, weight)
+        return self.level(s, None, weight)[0]
 
     def conjugate_dminus(self, s, weight=1.0):
         return self._profile.conj_dminus(self._scaled(s, weight)[1])
 
     def conjugate_dplus(self, s, weight=1.0):
-        return self.level_derivatives(s, None, weight)[0]
+        return self.level(s, None, weight)[1]
 
-    def level_value(self, s, mu=None, weight=1.0):
-        """The conjugate ``c*(x, s)`` smoothed at level ``mu > 0``, ``w * phi(s / w)``.
+    def level(self, s, mu=None, weight=1.0):
+        """``(c*, c*', rho)``: the conjugate at smoothing level ``mu``, its slope and curvature.
 
-        ``mu = None`` is the exact conjugate.  ``phi`` is ``c0*`` changed
-        only where a 2-d Newton solve needs it (:attr:`smoothing`), each
-        change vanishing with ``mu``: a table's conjugate is its log-sum-exp
-        smoothing; a finite recession slope ``cinf`` adds the log barrier
-        ``-mu * log(cinf - sigma)`` (``+inf`` from ``cinf`` on), which also
-        keeps ``phi'`` positive in a dead zone; a superlinear dead zone,
-        where ``c0*'`` vanishes, adds the density floor ``mu * sigma``.
+        The value is ``w * phi(s / w)``, and ``mu = None`` is the exact
+        conjugate ``phi = c0*``.  At a level ``mu > 0``, ``phi`` is ``c0*``
+        changed only where a 2-d Newton solve needs it (:attr:`smoothing`),
+        each change vanishing with ``mu``: a table's conjugate is its
+        log-sum-exp smoothing; a finite recession slope ``cinf`` adds the
+        log barrier ``-mu * log(cinf - sigma)`` (``+inf`` from ``cinf`` on),
+        which also keeps ``phi'`` positive in a dead zone; a superlinear dead
+        zone, where ``c0*'`` vanishes, adds the density floor ``mu * sigma``.
+        Each term adds its value, slope and curvature here, and nowhere else.
+
+        The slope ``c*'(x, s) = phi'(s / w)`` is :meth:`conjugate_dplus` at
+        ``mu = None``.  The radial curvature is
+        ``rho = 2s * c*''(x, s) / c*'(x, s)``, 0 where ``c*'`` vanishes: the
+        Hessian of ``c*(|g|^2/2)`` in ``g`` is ``c*'(s) (I + rho e e^T)``,
+        ``e = g / |g|``.  ``rho`` is ``+inf`` where ``c*`` is, and a weight
+        leaves it unchanged, ``rho_w(s) = rho0(s / w)``.  At ``mu = None`` it
+        is ``2(q - 1)`` for a power law ``c0*(s) = s^q / q``, ``s / (a - s)``
+        for the reciprocal cost, and 0 for a table and below the linear
+        slope; an expression or regularized cost takes a difference of
+        ``D+c``, whose accuracy sets only the Newton steps, never the
+        certificate.  Its value, slope and curvature come from one search.
         """
         w, sig = self._scaled(s, weight)
         lse, term = self._smoothing if mu is not None else (None, None)
-        value = self._profile.conj_value(sig) if lse is None else lse(sig, mu)[0]
-        if term == "barrier":
-            room = self._recession - sig
-            with np.errstate(divide="ignore", invalid="ignore"):
-                value = np.where(room > 0.0, value - mu * np.log(room), INF)
-        elif term == "floor":
-            value = value + mu * sig
-        return w * value
-
-    def level_derivatives(self, s, mu=None, weight=1.0):
-        """``(c*', rho)`` of :meth:`level_value`: its derivative in ``s`` and radial curvature.
-
-        The radial curvature is ``rho = 2s * c*''(x, s) / c*'(x, s)``, 0
-        where ``c*'`` vanishes: the Hessian of ``c*(|g|^2/2)`` in ``g`` is
-        ``c*'(s) (I + rho e e^T)``, ``e = g / |g|``.  ``rho`` is ``+inf``
-        where ``c*`` is, and a weight leaves it unchanged,
-        ``rho_w(s) = rho0(s / w)``.  At ``mu = None`` it is ``2(q - 1)`` for
-        a power law ``c0*(s) = s^q / q``, ``s / (a - s)`` for the reciprocal
-        cost, and 0 for a table and below the linear slope; an expression or
-        regularized cost takes a difference of ``D+c``, whose accuracy sets
-        only the Newton steps, never the certificate.  There ``c*'`` is
-        :meth:`conjugate_dplus`, and both come from one search of an
-        expression or regularized cost.
-        """
-        _w, sig = self._scaled(s, weight)
-        if mu is None:
-            return self._profile.conj_dplus_rho(sig)
-        lse, term = self._smoothing
-        if lse is None:
-            d, rho = self._profile.conj_dplus_rho(sig)
-            r = d * rho
+        if lse is not None:
+            value, d, r = lse(sig, mu)
         else:
-            _value, d, r = lse(sig, mu)
+            value, d, rho = self._profile.conj(sig)
+            if mu is None:
+                return w * value, d, rho
+            r = d * rho
         if term == "barrier":
             room = self._recession - sig
             inside = room > 0.0
             room = np.where(inside, room, 1.0)
+            value = np.where(inside, value - mu * np.log(room), INF)
             d = np.where(inside, d + mu / room, INF)
             r = np.where(inside, r + 2.0 * mu * sig / (room * room), INF)
         elif term == "floor":
+            value = value + mu * sig
             d = d + mu
         live = np.isfinite(d) & (d > 0.0)
-        return d, np.where(live, r / np.where(live, d, 1.0), np.where(d > 0.0, INF, 0.0))
+        return w * value, d, np.where(live, r / np.where(live, d, 1.0),
+                                      np.where(d > 0.0, INF, 0.0))
 
     def invert_flux(self, vabs, weight=1.0):
         """Invert the gradient-to-flux map ``m(t) = t * dc*(t^2/2)``.

@@ -26,7 +26,6 @@ entering atom conditions is the interpolated grid gradient, a documented
 surrogate for the tangential gradient.
 """
 
-import json
 import math
 
 import numpy as np
@@ -272,15 +271,22 @@ def cost_eval(mu, cost, cell_weights=None):
     ``cell_weights`` are the per-cell weights of the problem, ``None`` for
     a homogeneous cost.  An atom is weighted by the cells around it.
     """
-    grid = mu.grid
-    weights = resolve_cell_weights(grid, cell_weights)
-    vals = np.asarray(cost.value(mu.ac_density, weight=1.0 if weights is None else weights),
-                      dtype=float)
+    weights = resolve_cell_weights(mu.grid, cell_weights)
+    return _total_cost(mu, cost, weights,
+                       cost.value(mu.ac_density, weight=1.0 if weights is None else weights))
+
+
+def _total_cost(mu, cost, weights, values):
+    """``C(mu)`` from the per-cell cost values ``values`` of its density.
+
+    ``weights`` is the checked weight table, ``None`` when homogeneous.
+    """
+    vals = np.asarray(values, dtype=float)
     if np.any(np.isinf(vals)):
         return INF
-    total = float(np.dot(grid.cell_volumes, vals))
+    total = float(np.dot(mu.grid.cell_volumes, vals))
     for loc, mass in mu.atoms:
-        rec = cost.recession_slope() * _atom_weight(grid, weights, loc)
+        rec = cost.recession_slope() * _atom_weight(mu.grid, weights, loc)
         if math.isinf(rec):
             return INF
         total += rec * mass
@@ -327,9 +333,6 @@ class OptimalityReport:
                   "assumptions": self.assumptions})
         return d
 
-    def to_json(self):
-        return json.dumps(json_safe(self.to_dict()), indent=2, sort_keys=True)
-
     def __repr__(self):
         body = ", ".join("%s=%.3g" % (k, v) for k, v in self.residuals().items())
         return "OptimalityReport(%s)" % body
@@ -352,7 +355,8 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
     ``u`` is the nodal field, an array or a :class:`ScalarField`; the
     verifier reads nothing else of a solve.  Its objective ``I_{f,c}(u)``
     (:func:`massopt.solver.objective_eval`) is taken from the conjugate
-    values of the inclusion check.
+    values of the inclusion check, and its total cost ``C(mu)``
+    (:func:`cost_eval`) from that check's cost values.
     ``cell_mask`` / ``node_mask`` restrict the metrics (used e.g. to excise
     a ball around a source singularity where exact fields are unbounded).
     The report carries numbers; it never raises.  An energy that is
@@ -366,7 +370,7 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
     grad = VectorField(grid, grid.gradient_apply(values))
     g = grad.values
     s = 0.5 * np.sum(g * g, axis=1)
-    conj_v = np.asarray(problem.level_value(s), dtype=float)
+    conj_v = np.asarray(problem.level(s)[0], dtype=float)
     objective = float(np.dot(grid.cell_volumes, conj_v) - np.dot(F, values))
     a = mu.ac_density
 
@@ -382,6 +386,7 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
     finite = bool(np.all(np.isfinite(a)))
     pde_residual = inclusion = INF
     if finite:
+        cost_v = np.asarray(problem.cost_value(a), dtype=float)
         resid = -divergence_weighted(mu, grad) - F
         denom = float(np.sum(np.abs(F[~grid.boundary_mask])))
         pde_residual = float(np.sum(np.abs(resid[interior]))) / max(denom, 1e-300)
@@ -389,7 +394,6 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
         active = cell_mask & (a > floor)
         inclusion = 0.0
         if np.any(active):
-            cost_v = np.asarray(problem.cost_value(a), dtype=float)
             inclusion = float(np.max(np.abs(a * s - conj_v - cost_v)[active]))
 
     # 3) gradient saturation at atoms (interpolated-gradient surrogate)
@@ -408,7 +412,7 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
             energy = energy_eval(mu, problem.source).energy
         except Unbounded:
             pass
-        total_cost = cost_eval(mu, problem.cost, cell_weights=problem.cell_weights)
+        total_cost = _total_cost(mu, problem.cost, problem.cell_weights, cost_v)
     if math.isfinite(energy) and math.isfinite(total_cost):
         duality_err = abs(energy - total_cost - objective)
     else:

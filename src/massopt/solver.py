@@ -27,13 +27,16 @@ names the method that closed it (``AuxiliarySolution.method``):
   the step, :func:`_certify` turns its solve into a feasible flux, and
   :func:`_newton_2d` runs the levels of ``mu``, one step rule at every
   level and the stop rule.  Every level, the exact one
-  (``mu = None``) included, reads the cost through
-  :meth:`AuxiliaryProblem.level_value` and
-  :meth:`AuxiliaryProblem.level_derivatives`; the certificate always
+  (``mu = None``) included, reads the cost through one evaluation per
+  point, :class:`_Point`: one call of :meth:`AuxiliaryProblem.level` gives
+  the level's objective, ``c*'`` and its radial curvature, and the start,
+  every line-search trial and every level change each make one; the
+  iterate steps on from its accepted trial's.  The certificate always
   scores the exact conjugate, so the smoothing sets only how fast the gap
   closes.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -100,19 +103,12 @@ class AuxiliaryProblem:
     def conj_dminus(self, s):
         return self.cost.conjugate_dminus(s, weight=self._w)
 
-    def level_value(self, s, mu=None):
-        """Per-cell conjugate at smoothing level ``mu``, exact when None.
+    def level(self, s, mu=None):
+        """Per-cell ``(c*, c*', rho)`` at smoothing level ``mu``, exact when None.
 
-        See :meth:`massopt.costs.CostFunction.level_value`.
+        See :meth:`massopt.costs.CostFunction.level`.
         """
-        return self.cost.level_value(s, mu, weight=self._w)
-
-    def level_derivatives(self, s, mu=None):
-        """Per-cell ``(c*', rho)`` of :meth:`level_value`.
-
-        See :meth:`massopt.costs.CostFunction.level_derivatives`.
-        """
-        return self.cost.level_derivatives(s, mu, weight=self._w)
+        return self.cost.level(s, mu, weight=self._w)
 
     def zero_flux_edge(self):
         """Per-cell zero-flux edge: the cost's edge scaled by ``sqrt(w)``."""
@@ -177,28 +173,60 @@ def build_problem(grid, cost, source, cell_weights=None):
 def objective_eval(problem, u):
     """Discrete objective; ``+inf`` when a cell violates the gradient bound."""
     values = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-    g = problem.grid.gradient_apply(values)
-    return _level_objective(problem, values, 0.5 * np.sum(g * g, axis=1), None)
+    return _Point(problem, values, None).obj
 
 
 def objective_gradient(problem, u):
     """First variation of the objective (superlinear, differentiable case), 0 on the boundary."""
     values = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-    g = problem.grid.gradient_apply(values)
-    d, _rho = problem.level_derivatives(0.5 * np.sum(g * g, axis=1))
-    _flux, out = _first_variation(problem, g, d)
-    out[problem.grid.boundary_mask] = 0.0
-    return out
+    return np.where(problem.grid.boundary_mask, 0.0, _Point(problem, values, None).variation[1])
 
 
-def _first_variation(problem, g, d):
-    """``(flux, G^T flux - F)`` of per-cell gradients ``g`` at conjugate derivatives ``d``.
+def _half_square(g):
+    """``|g|^2 / 2`` per cell of a gradient ``g``, shape ``(n_cells, dim)``."""
+    return 0.5 * sum(c * c for c in g.T)
 
-    The flux is ``vol * d * g`` per cell; ``G^T flux - F`` is the first
-    variation of the objective on every node, the map Newton steps on.
+
+class _Point:
+    """One evaluation of the objective at a nodal field ``u`` and smoothing level ``mu``.
+
+    It holds the per-cell gradient ``g``, ``s = |g|^2 / 2``, and from one
+    call of :meth:`massopt.costs.CostFunction.level` (exact when ``mu`` is
+    None) the level's objective ``obj = conj_sum - work``, with
+    ``conj_sum = sum vol * c*(s)`` and ``work = <F, u>``, and per cell
+    ``d = c*'(s)`` and the radial curvature ``rho``.  ``obj`` is ``+inf``
+    where a cell violates the gradient bound, or lies past a barrier, where
+    no step may go.  The first variation and its interior norm are formed
+    on demand, at most once.
     """
-    flux = g * (problem.grid.cell_volumes * d)[:, None]
-    return flux, problem.grid.gradient_adjoint(flux) - problem.load
+
+    def __init__(self, problem, u, mu, g=None):
+        self.problem, self.u, self.mu = problem, u, mu
+        self.g = problem.grid.gradient_apply(u) if g is None else g
+        self.s = _half_square(self.g)
+        value, self.d, self.rho = problem.level(self.s, mu)
+        self.conj_sum = float(np.dot(problem.grid.cell_volumes, value))
+        self.work = float(np.dot(problem.load, u))
+        self.obj = self.conj_sum - self.work
+
+    def at(self, mu):
+        """The same field evaluated at level ``mu``."""
+        return _Point(self.problem, self.u, mu, self.g)
+
+    @functools.cached_property
+    def variation(self):
+        """``(flux, G^T flux - F)``: the flux ``vol * d * g`` per cell, and the first variation.
+
+        ``G^T flux - F`` is the first variation of the objective on every
+        node, the map Newton steps on.
+        """
+        flux = self.g * (self.problem.grid.cell_volumes * self.d)[:, None]
+        return flux, self.problem.grid.gradient_adjoint(flux) - self.problem.load
+
+    @functools.cached_property
+    def norm(self):
+        """``|grad J|`` on the interior."""
+        return float(np.linalg.norm(self.variation[1][self.problem.grid.interior_idx]))
 
 
 def _dual_value(problem, sigma, t=None):
@@ -210,7 +238,7 @@ def _dual_value(problem, sigma, t=None):
     absw = np.sqrt(np.sum(np.asarray(sigma, dtype=float) ** 2, axis=1))
     if t is None:
         t = problem.invert_flux(absw)
-    psi = problem.level_value(0.5 * t * t)
+    psi = problem.level(0.5 * t * t)[0]
     phi_star = t * absw - psi
     return -float(np.dot(problem.grid.cell_volumes, phi_star))
 
@@ -372,19 +400,13 @@ def _primal_from_gradient(grid, g):
 # two-dimensional Newton
 # ---------------------------------------------------------------------------
 
-def _half_square(g):
-    """``|g|^2 / 2`` per cell of a rectangle's gradient ``g``, shape ``(n_cells, 2)``."""
-    gx, gy = g[:, 0], g[:, 1]
-    return 0.5 * (gx * gx + gy * gy)
-
-
 def _hessian_blocks(problem, g, d, rho):
     """Per-cell 2x2 Hessian blocks ``vol * d * (I + rho e e^T)``, ``e = g / |g|``.
 
     This is the Hessian ``vol * (c*'(s) I + c*''(s) g g^T)`` of
     ``vol * c*(|g|^2/2)`` in ``g``, with ``d = c*'(s)`` and the radial
     curvature ``rho = 2s c*''(s) / c*'(s)``
-    (:meth:`massopt.costs.CostFunction.level_derivatives`), finite at
+    (:meth:`massopt.costs.CostFunction.level`), finite at
     ``g = 0``.  Returns the three parts ``(H_xx, H_xy, H_yy)`` of the
     blocks, each one value per cell.
     """
@@ -395,17 +417,6 @@ def _hessian_blocks(problem, g, d, rho):
     vd = problem.grid.cell_volumes * d
     rx = rho * ex
     return (rx * ex + 1.0) * vd, rx * ey * vd, (rho * ey * ey + 1.0) * vd
-
-
-def _level_objective(problem, u, s, mu):
-    """The objective at ``u`` with the conjugate smoothed at level ``mu`` (exact when None).
-
-    ``s`` is ``|grad u|^2 / 2`` per cell.  The value is ``+inf`` where a
-    cell violates the gradient bound, or lies past a barrier, where the
-    line search must not step.
-    """
-    value = problem.level_value(s, mu)
-    return float(np.dot(problem.grid.cell_volumes, value) - np.dot(problem.load, u))
 
 
 def _power_start(problem):
@@ -433,10 +444,9 @@ def _power_start(problem):
     live = mag > 0.0
     scale = np.where(live, problem.invert_flux(mag) / np.where(live, mag, 1.0), 0.0)
     u[idx] = factor.solve(grid.gradient_adjoint(sigma * (vol * scale)[:, None])[idx])
-    s = _half_square(grid.gradient_apply(u))
-    A = float(np.dot(vol, problem.level_value(s)))
-    b = float(np.dot(F, u))
-    q = 1.0 + 0.5 * float(problem.level_derivatives(s)[1][np.argmax(s)])
+    point = _Point(problem, u, None)
+    A, b = point.conj_sum, point.work
+    q = 1.0 + 0.5 * float(point.rho[np.argmax(point.s)])
     u *= (b / (2.0 * q * A)) ** (1.0 / (2.0 * q - 1.0)) if A > 0.0 and b > 0.0 else 0.0
     return u, factor
 
@@ -472,36 +482,27 @@ def _factor_step(problem, g, d, rho):
         return blocks, None
 
 
-def _line_search(problem, u, z, obj, slope, mu, grad_norm=None):
-    """Armijo backtracking from ``u`` along the nodal step ``z`` on the level-``mu`` objective.
+def _line_search(problem, point, z, slope, rounding):
+    """Armijo backtracking from ``point`` along the nodal step ``z`` on its level's objective.
 
     The step length halves from 1 until the objective falls to
-    ``obj + 1e-4 * t * slope``, at most 40 times.  Given ``grad_norm``,
-    the norm of ``grad J`` at ``u``, only the full step is tried, and it
-    makes progress when it lowers that norm.  Returns whether the full step
-    was taken, whether the step made progress (without ``grad_norm``:
-    whether the objective fell), and the last trial point with its gradient
-    ``g``, ``s = |g|^2 / 2`` and objective, which carry over to the next
-    iterate.
+    ``obj + 1e-4 * t * slope``, at most 40 times.  When ``rounding``, the
+    objective cannot resolve the step: only the full step is tried, and it
+    makes progress when it lowers ``|grad J|``.  Returns whether the full
+    step was taken, whether the step made progress (otherwise: whether the
+    objective fell), and the last trial's :class:`_Point`, which carries
+    over to the next iterate.  A trial judged by its objective forms no
+    first variation.
     """
     t = 1.0
     for _ in range(40):
-        trial = u + t * z
-        g = problem.grid.gradient_apply(trial)
-        s = _half_square(g)
-        obj_trial = _level_objective(problem, trial, s, mu)
-        if grad_norm is not None:
-            return True, _gradient_norm(problem, g, s, mu) < grad_norm, trial, g, s, obj_trial
-        if obj_trial <= obj + 1e-4 * t * slope:
+        trial = _Point(problem, point.u + t * z, point.mu)
+        if rounding:
+            return True, trial.norm < point.norm, trial
+        if trial.obj <= point.obj + 1e-4 * t * slope:
             break
         t *= 0.5
-    return t == 1.0, obj_trial < obj, trial, g, s, obj_trial
-
-
-def _gradient_norm(problem, g, s, mu):
-    """``|grad J|`` on the interior at per-cell gradients ``g`` with ``s = |g|^2 / 2``."""
-    d, _rho = problem.level_derivatives(s, mu)
-    return float(np.linalg.norm(_first_variation(problem, g, d)[1][problem.grid.interior_idx]))
+    return t == 1.0, trial.obj < point.obj, trial
 
 
 def _newton_2d(problem, params):
@@ -549,10 +550,9 @@ def _newton_2d(problem, params):
     # the newest factor in hand has the blocks B, the unit ones at the start
     # (whose solve factors nothing); a smoothed start counts its first level
     blocks, factorisations, levels = (1.0, 0.0, 1.0), 0, int(mu is not None)
-    g = grid.gradient_apply(u)
-    s = _half_square(g)
-    obj = _level_objective(problem, u, s, None)
-    obj_mu = obj if mu is None else _level_objective(problem, u, s, mu)
+    # the iterate at the current level, and its exact objective
+    point = _Point(problem, u, mu)
+    obj = point.obj if mu is None else point.at(None).obj
 
     best_dual, best_sigma = -INF, np.zeros((grid.n_cells, 2))
     log, steps, chord_steps = [], 0, 0
@@ -564,17 +564,15 @@ def _newton_2d(problem, params):
     reuse, run, last_norm = False, 0, INF
     z = np.zeros(grid.n_nodes)
     while True:
-        d, rho = problem.level_derivatives(s, mu)
-        flux, grad = _first_variation(problem, g, d)
+        flux, grad = point.variation
         grad = grad[idx]
-        norm = float(np.linalg.norm(grad))
-        chord = reuse and norm <= CHORD_RATIO * last_norm
-        centred = norm <= grad_floor or flat and not chord
+        chord = reuse and point.norm <= CHORD_RATIO * last_norm
+        centred = point.norm <= grad_floor or flat and not chord
         stepping = steps < params.max_iterations and not centred
         chord = chord and stepping
         if stepping and not chord:
             factor = None  # one band alive at a time
-            blocks, factor = _factor_step(problem, g, d, rho)
+            blocks, factor = _factor_step(problem, point.g, point.d, point.rho)
             factorisations += 1
         run = run + 1 if chord else 0
         chord_steps += chord
@@ -589,30 +587,29 @@ def _newton_2d(problem, params):
             break
         if stepping:
             slope = float(np.dot(grad, z[idx]))
-            rounding = -0.5 * slope <= NEWTON_FLAT * abs(obj_mu)
+            rounding = -0.5 * slope <= NEWTON_FLAT * abs(point.obj)
             # the gradient judges a step the objective cannot resolve
-            full, progress, trial, g_trial, s_trial, obj_trial = _line_search(
-                problem, u, z, obj_mu, slope, mu, norm if rounding else None)
+            full, progress, trial = _line_search(problem, point, z, slope, rounding)
             # no progress left: the level is flat at rounding level
             centred = not progress
         if centred:
             if mu is None or rel_gap <= params.gap_tolerance or not gap < level_gap:
                 break
             level_gap, mu, levels, flat = gap, 0.1 * mu, levels + 1, False
-            obj_mu = _level_objective(problem, u, s, mu)
+            point = point.at(mu)
             continue
         # a full step that predicted a rounding-level decrease has left
         # nothing for a further factorisation to find; only a due chord
         # step goes on
         flat = full and rounding
-        reuse, last_norm = full and run < CHORD_STEPS, norm
-        u, g, s, obj_mu = trial, g_trial, s_trial, obj_trial
-        obj = obj_mu if mu is None else _level_objective(problem, u, s, None)
+        reuse, last_norm = full and run < CHORD_STEPS, point.norm
+        point = trial
+        obj = point.obj if mu is None else point.at(None).obj
         steps += 1
 
-    return AuxiliarySolution(problem=problem, u=u, flux=best_sigma, objective=obj,
+    return AuxiliarySolution(problem=problem, u=point.u, flux=best_sigma, objective=obj,
                              dual_value=best_dual, converged=rel_gap <= params.gap_tolerance,
-                             log=log, method="newton", density=d, iterations=steps,
+                             log=log, method="newton", density=point.d, iterations=steps,
                              factorisations=factorisations, chord_steps=chord_steps,
                              mu_levels=levels)
 

@@ -129,6 +129,17 @@ def test_numeric_conjugate_at_the_recession_slope():
     assert np.all(np.abs(got - exact) <= 1e-8), got - exact
 
 
+@pytest.mark.parametrize("text, value", [("t - 0.5 if t >= 1 else t^2/2", 0.5), ("t + 1", -1.0)],
+                         ids=["huber", "shifted-linear"])
+def test_numeric_conjugate_of_a_linear_tail_at_the_recession_slope(text, value):
+    # s t - c(t) is maximal on the whole linear tail [t0, inf) at s = c_inf;
+    # read far out on the tail it would cancel to 0
+    cost = mo.expression_cost(text)
+    assert cost.recession_slope() == 1.0
+    got = np.asarray(cost.conjugate_value(np.array([1.0, 1.0])), dtype=float)
+    assert float(cost.conjugate_value(1.0)) == value and np.all(got == value)
+
+
 def test_nonconvex_cost_recession_raises():
     # the recession slope is taken where the cost is built
     with pytest.raises(mo.NonMonotoneQuotient):
@@ -162,7 +173,7 @@ def test_quadratic_is_power_two_bit_for_bit():
         assert np.array_equal(cost.conjugate_value(s), np.where(s > 0.0, 0.5 * s * s, 0.0))
         assert np.array_equal(cost.conjugate_dminus(s), np.maximum(s, 0.0))
         assert np.array_equal(cost.conjugate_dplus(s), np.maximum(s, 0.0))
-        assert np.array_equal(cost.level_derivatives(s)[1], np.full_like(s, 2.0))
+        assert np.array_equal(cost.level(s)[2], np.full_like(s, 2.0))
         v = np.abs(s)
         np.testing.assert_allclose(cost.invert_flux(v), np.cbrt(2.0 * v), rtol=4e-16, atol=0.0)
 
@@ -565,14 +576,14 @@ def test_conjugate_curvature_matches_derivative_differences(make_cost, s, weight
     h = 1e-6 * s
     fd = 2.0 * s * (cost.conjugate_dplus(s + h, weight=weight)
                     - cost.conjugate_dplus(s - h, weight=weight)) / (2.0 * h)
-    d, rho = cost.level_derivatives(s, weight=weight)
+    _value, d, rho = cost.level(s, weight=weight)
     np.testing.assert_allclose(rho * d, fd, rtol=1e-7, atol=0.0)
     # a dead zone has no curvature
     if cost.zero_flux_edge() > 0.0:
-        assert np.all(cost.level_derivatives(s[s < 0.5], weight=weight)[1] == 0.0)
+        assert np.all(cost.level(s[s < 0.5], weight=weight)[2] == 0.0)
 
 
-# the smoothings a 2-d Newton solve minimises (CostFunction.level_value), as
+# the smoothings a 2-d Newton solve minimises (CostFunction.level), as
 # (log-sum-exp, added term): a table's log-sum-exp, with the density floor of
 # its dead zone, the log barrier of a finite recession slope, and the floor
 # of a superlinear dead zone
@@ -601,11 +612,11 @@ def test_level_derivatives_match_value_differences(make_cost, smoothing, s, weig
     weight = np.linspace(0.7, 1.6, s.size) if weighted else 1.0
     s = s * weight
     h = 1e-6 * s
-    d, rho = cost.level_derivatives(s, mu, weight)
-    fd = (cost.level_value(s + h, mu, weight) - cost.level_value(s - h, mu, weight)) / (2.0 * h)
-    np.testing.assert_allclose(d, fd, rtol=1e-8, atol=0.0)
-    fd2 = 2.0 * s * (cost.level_derivatives(s + h, mu, weight)[0]
-                     - cost.level_derivatives(s - h, mu, weight)[0]) / (2.0 * h)
+    _value, d, rho = cost.level(s, mu, weight)
+    (above, d_above, _), (below, d_below, _) = (cost.level(s + h, mu, weight),
+                                                cost.level(s - h, mu, weight))
+    np.testing.assert_allclose(d, (above - below) / (2.0 * h), rtol=1e-8, atol=0.0)
+    fd2 = 2.0 * s * (d_above - d_below) / (2.0 * h)
     # a log-sum-exp far from a kink has curvature below rounding
     np.testing.assert_allclose(rho * d, fd2, rtol=1e-7, atol=1e-8 * np.max(d))
 

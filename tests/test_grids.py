@@ -571,7 +571,7 @@ def _hessian_weights():
     u = np.random.default_rng(1).standard_normal(g.n_nodes)
     u[g.boundary_mask] = 0.0
     grad = g.gradient_apply(u)
-    d, rho = prob.level_derivatives(0.5 * np.sum(grad * grad, axis=1))
+    _value, d, rho = prob.level(0.5 * np.sum(grad * grad, axis=1))
     return g, mo.solver._hessian_blocks(prob, grad, d, rho), ()
 
 

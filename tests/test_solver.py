@@ -149,6 +149,17 @@ def test_merit_monotone_over_accepted_iterates():
         assert g2 <= g1 + 1e-12
 
 
+def test_saturated_huber_interval_certifies():
+    # a load of 4 saturates the Huber cost's linear tail near the ends, where
+    # the certificate scores c* at its recession slope
+    prob = interval_problem(mo.expression_cost("t - 0.5 if t >= 1 else t^2/2"), value=4.0)
+    sol = mo.solve_auxiliary(prob)
+    assert sol.max_gradient > 1.0
+    assert sol.gap <= 1e-12 * abs(sol.objective)
+    report = mo.verify_conditions(mo.recover_measure(sol, prob), sol.u, prob)
+    assert report.inclusion_violation <= 1e-12 and report.duality_identity_error <= 1e-12
+
+
 def _radial_quadratic(n=512):
     g = mo.radial_grid(1.0, n, 2)
     return mo.build_problem(g, mo.quadratic_cost(), mo.SourceTerm.constant(g, 1.0))
@@ -570,9 +581,7 @@ def _assert_count_rule(sol):
 
 def _first_variation(prob, u, mu):
     """First variation of the objective at smoothing level ``mu`` (exact when None)."""
-    grad = prob.grid.gradient_apply(u)
-    d, _rho = prob.level_derivatives(0.5 * np.sum(grad * grad, axis=1), mu)
-    return solver._first_variation(prob, grad, d)[1]
+    return solver._Point(prob, u, mu).variation[1]
 
 
 @pytest.mark.parametrize("make_cost, weighted, mu", [
@@ -609,7 +618,7 @@ def test_newton_hessian_matches_gradient_differences(make_cost, weighted, mu):
         # inside the gradient bound, where the barrier is finite
         u *= 0.8 * np.min(prob.cell_caps / np.linalg.norm(g.gradient_apply(u), axis=1))
     grad = g.gradient_apply(u)
-    d, rho = prob.level_derivatives(0.5 * np.sum(grad * grad, axis=1), mu)
+    _value, d, rho = prob.level(0.5 * np.sum(grad * grad, axis=1), mu)
     hxx, hxy, hyy = solver._hessian_blocks(prob, grad, d, rho)
     gv = g.gradient_apply(v)
     Hv = g.gradient_adjoint(np.column_stack([hxx * gv[:, 0] + hxy * gv[:, 1],
@@ -625,8 +634,8 @@ def test_newton_hessian_matches_gradient_differences(make_cost, weighted, mu):
     (lambda: mo.regularized_cost(mo.linear_cost(0.5), 1e-2), 1e-2),
 ], ids=["expression-exact", "regularized-smoothed"])
 def test_newton_integrand_takes_one_search(monkeypatch, make_cost, mu):
-    # c*' and its radial curvature come from one bisection on D+c, exact or
-    # smoothed
+    # c*, c*' and its radial curvature come from one bisection on D+c, exact
+    # or smoothed
     prob = _rectangle_problem(make_cost(), nx=9, ny=11)
     assert prob.cost.smoothing == (mu is not None)
     searches = []
@@ -637,9 +646,33 @@ def test_newton_integrand_takes_one_search(monkeypatch, make_cost, mu):
         return first_false(profile, below, shape)
 
     monkeypatch.setattr(mo.costs._SubgradientProfile, "_first_false", counted)
-    d, rho = prob.level_derivatives(np.linspace(0.0, 2.0, prob.grid.n_cells), mu)
+    value, d, rho = prob.level(np.linspace(0.0, 2.0, prob.grid.n_cells), mu)
     assert len(searches) == 1
-    assert np.all(np.isfinite(d) & (d >= 0.0)) and np.all(np.isfinite(rho))
+    assert np.all(np.isfinite(value) & np.isfinite(d) & (d >= 0.0)) and np.all(np.isfinite(rho))
+
+
+@pytest.mark.parametrize("make_cost", [_tabulated_quadratic, lambda: mo.expression_cost("t + 1/t")],
+                         ids=["table", "expression"])
+def test_newton_evaluates_each_point_once(monkeypatch, make_cost):
+    # the start, every line-search trial and every level change evaluate the
+    # cost once, and an iterate steps on from its accepted trial's
+    # evaluation, so no (mu, s) is evaluated twice.  A linear cost would not
+    # show it: each of its certificates scores s = slope in every carrying
+    # cell, so its dual values repeat s by coincidence
+    g = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 16, 16)
+    prob = mo.build_problem(g, make_cost(), mo.SourceTerm.constant(g, 1.0))
+    points = []
+    level = mo.CostFunction.level
+
+    def recorded(cost, s, mu=None, weight=1.0):
+        points.append((mu, np.asarray(s, dtype=float).tobytes()))
+        return level(cost, s, mu, weight)
+
+    monkeypatch.setattr(mo.CostFunction, "level", recorded)
+    sol = mo.solve_auxiliary(prob)
+    assert sol.converged and sol.mu_levels > 0
+    assert len(points) > sol.iterations
+    assert len(set(points)) == len(points)
 
 
 @pytest.mark.parametrize("make_cost, weighted", [
