@@ -319,13 +319,13 @@ def run(config_path, log_path=None, json_report_path=None):
 
 
 def cmd_conjugate_table(cost, s_lo, s_hi, count, stream):
-    """Deterministic (s, c*(s), subdiff lo, hi) table for plotting."""
+    """Deterministic (s, c*(s), subdiff lo, hi) table; ``c*`` and ``D+c*`` from one ``level``."""
     s = np.linspace(s_lo, s_hi, count)
-    value = np.asarray(cost.conjugate_value(s), dtype=float)
+    value, dplus, _ = cost.level(s)
     inside = s <= cost.recession_slope() + cost.threshold_pad()
     lo = np.full(count, math.nan)
     hi = np.full(count, math.nan)
-    lo[inside], hi[inside] = costs_mod.subdiff_interval(cost, s[inside])
+    lo[inside], hi[inside] = costs_mod.subdiff_interval(cost, s[inside], dplus[inside])
     stream.write("s,value,subdiff_lo,subdiff_hi\n")
     write_rows(stream, np.column_stack((s, value, lo, hi)))
 

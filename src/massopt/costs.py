@@ -33,7 +33,7 @@ gradient magnitude alone.  A 2-d Newton solve reads the conjugate through
 one evaluator, :meth:`CostFunction.level`: ``c*``, ``c*'`` and its radial
 curvature at a point, from one call of the profile's ``conj``, at a
 smoothing level ``mu`` where the cost needs one and exactly at
-``mu = None``.
+``mu = None``, which also gives ``massopt conjugate`` its ``c*`` and ``D+c*``.
 
 All evaluators are numpy-vectorized.  ``+inf`` is IEEE infinity; arithmetic
 with it saturates.  Objects are immutable after construction and safe to
@@ -212,11 +212,8 @@ class _ReciprocalProfile:
         return value, self.conj_dminus(s), rho
 
     def conj_dminus(self, s):
-        s = np.asarray(s, dtype=float)
-        gap = self.a - s
-        with np.errstate(divide="ignore"):
-            d = np.sqrt(self.b / np.where(gap > 0.0, gap, 1.0))
-        return np.where(s > self.a, INF, np.where(gap > 0.0, d, INF))
+        gap = self.a - np.asarray(s, dtype=float)  # negative exactly where s > a
+        return np.where(gap > 0.0, np.sqrt(self.b / np.where(gap > 0.0, gap, 1.0)), INF)
 
     def recession(self):
         return self.a
@@ -663,12 +660,13 @@ class CostFunction:
 # spec-level operations
 # ---------------------------------------------------------------------------
 
-def subdiff_interval(cost, s):
+def subdiff_interval(cost, s, dplus=None):
     """Subdifferential interval ``[D- c0*(s), D+ c0*(s)]``, elementwise in ``s``.
 
     At the finiteness threshold, the recession slope, the upper end is
     ``+inf`` (the conjugate is ``+inf`` beyond, so the normal cone opens
     up).  Raises :class:`OutsideDomain` for ``s`` past the threshold.
+    ``dplus`` is the slope ``c0*'(s)`` when the caller already has it.
     """
     s = np.asarray(s, dtype=float)
     thr = cost.recession_slope()
@@ -676,7 +674,7 @@ def subdiff_interval(cost, s):
     if np.any(s > thr + pad):
         raise OutsideDomain("s=%g exceeds the conjugate threshold %g" % (np.max(s), thr))
     lo = np.asarray(cost.conjugate_dminus(s), dtype=float)
-    hi = np.where(s >= thr - pad, INF, np.asarray(cost.conjugate_dplus(s), dtype=float))
+    hi = np.where(s >= thr - pad, INF, cost.conjugate_dplus(s) if dplus is None else dplus)
     return lo[()], hi[()]
 
 

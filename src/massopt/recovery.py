@@ -34,7 +34,7 @@ from .costs import regularized_cost
 from .errors import RegimeMismatch, ScheduleTooShort, Unbounded
 from .grids import (DiscreteMeasure, ScalarField, VectorField, divergence_weighted,
                     stiffness_factor)
-from .solver import (SolverParams, _primal_from_gradient, build_problem,
+from .solver import (SolverParams, _half_square, _primal_from_gradient, build_problem,
                      resolve_cell_weights, solve_auxiliary, telescoped_load)
 
 INF = math.inf
@@ -251,7 +251,7 @@ def energy_eval(mu, source):
         uf = np.zeros(grid.n_nodes)
         uf[idx] = stiffness_factor(grid, w, pins).solve(rhs)
     g = grid.gradient_apply(uf)
-    energy = 0.5 * float(np.sum(w * np.sum(g * g, axis=1))) - float(Fin @ uf[idx])
+    energy = float(np.sum(w * _half_square(g))) - float(Fin @ uf[idx])
     if energy < -1e13 * (1.0 + fnorm) ** 2:
         raise Unbounded("weighted energy diverges below the admissibility floor")
     resid = float(np.linalg.norm(Fin - grid.gradient_adjoint(g * w[:, None])[idx]))
@@ -355,7 +355,8 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
     ``u`` is the nodal field, an array or a :class:`ScalarField`; the
     verifier reads nothing else of a solve.  Its objective ``I_{f,c}(u)``
     (:func:`massopt.solver.objective_eval`) is taken from the conjugate
-    values of the inclusion check, and its total cost ``C(mu)``
+    values of the inclusion check (at ``s`` from ``solver._half_square``),
+    and its total cost ``C(mu)``
     (:func:`cost_eval`) from that check's cost values.
     ``cell_mask`` / ``node_mask`` restrict the metrics (used e.g. to excise
     a ball around a source singularity where exact fields are unbounded).
@@ -368,8 +369,7 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
     F = problem.load
     values = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
     grad = VectorField(grid, grid.gradient_apply(values))
-    g = grad.values
-    s = 0.5 * np.sum(g * g, axis=1)
+    s = _half_square(grad.values)
     conj_v = np.asarray(problem.level(s)[0], dtype=float)
     objective = float(np.dot(grid.cell_volumes, conj_v) - np.dot(F, values))
     a = mu.ac_density

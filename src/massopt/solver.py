@@ -183,7 +183,7 @@ def objective_gradient(problem, u):
 
 
 def _half_square(g):
-    """``|g|^2 / 2`` per cell of a gradient ``g``, shape ``(n_cells, dim)``."""
+    """``|g|^2 / 2`` per cell of ``g``, shape ``(n_cells, dim)``: the package's one per-cell square."""
     return 0.5 * sum(c * c for c in g.T)
 
 
@@ -235,7 +235,7 @@ def _dual_value(problem, sigma, t=None):
     ``t`` is the inverted gradient magnitude of ``|sigma|`` when the caller
     already has it.
     """
-    absw = np.sqrt(np.sum(np.asarray(sigma, dtype=float) ** 2, axis=1))
+    absw = np.sqrt(2.0 * _half_square(sigma))
     if t is None:
         t = problem.invert_flux(absw)
     psi = problem.level(0.5 * t * t)[0]
@@ -410,10 +410,8 @@ def _hessian_blocks(problem, g, d, rho):
     ``g = 0``.  Returns the three parts ``(H_xx, H_xy, H_yy)`` of the
     blocks, each one value per cell.
     """
-    gx, gy = g[:, 0], g[:, 1]
-    mag = np.sqrt(gx * gx + gy * gy)
-    mag = np.where(mag > 0.0, mag, 1.0)
-    ex, ey = gx / mag, gy / mag
+    mag = np.sqrt(2.0 * _half_square(g))
+    ex, ey = g.T / np.where(mag > 0.0, mag, 1.0)
     vd = problem.grid.cell_volumes * d
     rx = rho * ex
     return (rx * ex + 1.0) * vd, rx * ey * vd, (rho * ey * ey + 1.0) * vd
@@ -458,12 +456,15 @@ def _certify(problem, flux, blocks, z):
     blocks ``B`` (as from :func:`_hessian_blocks`), and ``z``, 0 on the
     boundary, solves ``G^T B G z = F - G^T flux`` on the interior.  Then
     ``G^T (vol sigma) = F`` there: ``sigma`` is feasible, and ``z = 0``
-    certifies a flux that already meets ``F`` as it is.
+    certifies a flux that already meets ``F`` as it is.  Each column of
+    ``sigma`` is built in place as ``flux + (B G z)``, that grouping kept.
     """
     gx, gy = problem.grid.gradient_apply(z).T
     hxx, hxy, hyy = blocks
-    corr = np.column_stack([hxx * gx + hxy * gy, hxy * gx + hyy * gy])
-    sigma = (flux + corr) / problem.grid.cell_volumes[:, None]
+    sigma = flux.copy()
+    sigma[:, 0] += hxx * gx + hxy * gy
+    sigma[:, 1] += hxy * gx + hyy * gy
+    sigma /= problem.grid.cell_volumes[:, None]
     return _dual_value(problem, sigma), sigma
 
 
@@ -674,8 +675,8 @@ class AuxiliarySolution:
 
     @property
     def max_gradient(self):
-        g = self.u.grid.gradient_apply(self.u.values)
-        return float(np.max(np.sqrt(np.sum(g * g, axis=1)), initial=0.0))
+        s = _half_square(self.u.grid.gradient_apply(self.u.values))
+        return float(np.max(np.sqrt(2.0 * s), initial=0.0))
 
 
 def _relative_gap(obj, dual):

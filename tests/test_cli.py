@@ -1,5 +1,6 @@
 """Command-line interface: configs, artifacts, determinism, exit codes."""
 
+import io
 import json
 import math
 import os
@@ -302,6 +303,35 @@ def test_conjugate_table_row_within_threshold_slack(tmp_path, capsys):
     assert s_row > 0.5
     assert (value, lo) == (0.0, 0.0)
     assert math.isinf(hi)
+
+
+def test_conjugate_table_reads_the_conjugate_once(monkeypatch):
+    # c* and D+c* come from one level call, D-c* from one more search: an
+    # expression's table runs two bisections, not three
+    calls = {"level": 0, "search": 0}
+
+    def counted(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(mo.costs.CostFunction, "level", "level")
+    counted(mo.costs._SubgradientProfile, "_first_false", "search")
+    cost = mo.costs.expression_cost("t + 1/t")
+    stream = io.StringIO()
+    cli.cmd_conjugate_table(cost, -1.0, 0.99, 5, stream)
+    assert calls == {"level": 1, "search": 2}
+    rows = np.loadtxt(io.StringIO(stream.getvalue()), delimiter=",", skiprows=1)
+    assert rows.shape == (5, 4) and np.all(np.isfinite(rows))
+    # at s in (-inf, 1), the only maximizer of s t - t - 1/t is t = (1 - s)^(-1/2)
+    t = (1.0 - rows[:, 0]) ** -0.5
+    assert rows[:, 2] == pytest.approx(t, rel=1e-9)
+    assert rows[:, 3] == pytest.approx(t, rel=1e-9)
+    assert rows[:, 1] == pytest.approx(-2.0 * np.sqrt(1.0 - rows[:, 0]), rel=1e-9)
 
 
 @pytest.mark.parametrize("expression", ["1/(1+t)", "-t"])

@@ -10,7 +10,8 @@ slot of ``KNOWN`` with its reason; the draws are never narrowed to avoid
 one.  A slot closes when its defect is mended.
 
 ``python tests/test_fuzz.py SEED COUNT`` runs a larger tally from the
-command line and prints the failures and the verdicts by slot.
+command line, prints the failures and the verdicts by slot, and exits 1
+when a draw fails.
 """
 
 import contextlib
@@ -195,3 +196,4 @@ if __name__ == "__main__":
     for failure in bad:
         print("FAIL", failure)
     print(counts)
+    sys.exit(1 if bad else 0)
