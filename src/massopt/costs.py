@@ -28,16 +28,19 @@ tables evaluate their conjugates and flux inverses in closed form.
 Expression and regularized costs give their value and their upper
 derivative ``D+c`` (an expression by forward-mode differentiation of its
 syntax tree), and every conjugate map is one vectorized bisection on
-``D+c`` (:class:`_SubgradientProfile`).  A flux inverse returns the
-gradient magnitude alone.  A 2-d Newton solve reads the conjugate through
-one evaluator, :meth:`CostFunction.level`: ``c*``, ``c*'`` and its radial
-curvature at a point, from one call of the profile's ``conj``, at a
-smoothing level ``mu`` where the cost needs one and exactly at
-``mu = None``, which also gives ``massopt conjugate`` its ``c*`` and ``D+c*``.
+``D+c`` (:class:`_SubgradientProfile`) of at most 100 steps, 120 for a
+flux inverse, that stops once a step moves no end of any bracket
+(:func:`bisect`).  A flux inverse returns the gradient magnitude alone.  A
+2-d Newton solve reads the conjugate through one evaluator,
+:meth:`CostFunction.level`: ``c*``, ``c*'`` and its radial curvature at a
+point, from one call of the profile's ``conj``, at a smoothing level ``mu``
+where the cost needs one and exactly at ``mu = None``, which also gives
+``massopt conjugate`` its ``c*`` and ``D+c*``.
 
-All evaluators are numpy-vectorized.  ``+inf`` is IEEE infinity; arithmetic
-with it saturates.  Objects are immutable after construction and safe to
-share between threads.
+All evaluators are numpy-vectorized.  :class:`CostFunction` alone turns
+inputs into float arrays; a profile takes and returns them and converts
+nothing.  ``+inf`` is IEEE infinity; arithmetic with it saturates.
+Objects are immutable after construction and safe to share between threads.
 """
 
 import math
@@ -63,12 +66,17 @@ def bisect(below, lo, hi, iters):
     """Vectorized bisection of a monotone predicate; returns the midpoints.
 
     ``below(t)`` must hold up to a root and fail past it, elementwise.  Each
-    step halves ``[lo, hi]`` toward where it turns false, so after ``iters``
-    steps the midpoint sits within ``(hi - lo) / 2**(iters + 1)`` of it.
+    step halves ``[lo, hi]`` toward where it turns false, so after ``k``
+    steps the midpoint sits within ``(hi - lo) / 2**(k + 1)`` of it.  The
+    search stops after ``iters`` steps, or at the first step that moves no
+    end of any bracket: every later step would repeat it, so the midpoints
+    are those of all ``iters`` steps, bit for bit.
     """
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         right = below(mid)
+        if np.all(np.where(right, mid == lo, mid == hi)):
+            break
         lo = np.where(right, mid, lo)
         hi = np.where(right, hi, mid)
     return 0.5 * (lo + hi)
@@ -123,22 +131,19 @@ class _PowerProfile:
         self.name = "quadratic" if self.p == 2.0 else "power"
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, INF, np.abs(t) ** self.p / self.p)
 
     def conj(self, s):
-        sp = np.maximum(np.asarray(s, dtype=float), 0.0)
+        sp = np.maximum(s, 0.0)
         return sp ** self.q / self.q, sp ** (self.q - 1.0), np.full_like(sp, 2.0 * (self.q - 1.0))
 
     def conj_dminus(self, s):
-        s = np.asarray(s, dtype=float)
         return np.maximum(s, 0.0) ** (self.q - 1.0)
 
     def recession(self):
         return INF
 
     def subgrad_hi(self, t):
-        t = np.asarray(t, dtype=float)
         return np.where(t > 0.0, np.abs(t) ** (self.p - 1.0), 0.0)
 
     def invert_flux(self, vabs):
@@ -161,25 +166,22 @@ class _LinearProfile:
         self.slope = float(slope)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         return np.where(t < 0.0, INF, self.slope * t)
 
     def conj(self, s):
         # c0* is 0 up to the slope and +inf past it; its right derivative is
         # +inf from the slope on
-        s = np.asarray(s, dtype=float)
         d = np.where(s < self.slope, 0.0, INF)
         return np.where(s <= self.slope, 0.0, INF), d, d
 
     def conj_dminus(self, s):
-        s = np.asarray(s, dtype=float)
         return np.where(s <= self.slope, 0.0, INF)
 
     def recession(self):
         return self.slope
 
     def subgrad_hi(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.slope)
+        return np.full(np.shape(t), self.slope)
 
     def invert_flux(self, vabs):
         return np.where(vabs > 0.0, math.sqrt(2.0 * self.slope), 0.0)
@@ -196,7 +198,6 @@ class _ReciprocalProfile:
         self.b = float(b)
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             v = self.a * t + self.b / np.where(t > 0.0, t, 1.0)
         return np.where(t > 0.0, v, INF)
@@ -204,7 +205,6 @@ class _ReciprocalProfile:
     def conj(self, s):
         # c0* = -2 sqrt(b (a - s)), c0*' = sqrt(b / (a - s)) and
         # 2s c0*'' = s sqrt(b) (a - s)^(-3/2)
-        s = np.asarray(s, dtype=float)
         value = np.where(s <= self.a, -2.0 * np.sqrt(self.b * np.maximum(self.a - s, 0.0)), INF)
         sp = np.maximum(s, 0.0)
         gap = self.a - sp
@@ -212,14 +212,13 @@ class _ReciprocalProfile:
         return value, self.conj_dminus(s), rho
 
     def conj_dminus(self, s):
-        gap = self.a - np.asarray(s, dtype=float)  # negative exactly where s > a
+        gap = self.a - s  # negative exactly where s > a
         return np.where(gap > 0.0, np.sqrt(self.b / np.where(gap > 0.0, gap, 1.0)), INF)
 
     def recession(self):
         return self.a
 
     def subgrad_hi(self, t):
-        t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             d = self.a - self.b / np.where(t > 0.0, t * t, 1.0)
         return np.where(t > 0.0, d, -INF)
@@ -234,8 +233,8 @@ class _SubgradientProfile:
     A subclass gives ``value``, the upper derivative ``subgrad_hi`` (``D+c``,
     nondecreasing; ``-inf`` left of the domain and ``+inf`` right of it),
     ``domain`` and ``recession``.  Every evaluation is one vectorized
-    :func:`bisect` on a monotone predicate, with :func:`grow_bracket` for
-    its upper end:
+    :func:`bisect` of at most 100 steps on a monotone predicate, with
+    :func:`grow_bracket` for its upper end:
 
     * ``D-c*(s) = inf{t : D+c(t) >= s}``;
     * ``D+c*(s) = sup{t : D+c(t) <= s}``, ``+inf`` where ``D+c`` never
@@ -254,25 +253,22 @@ class _SubgradientProfile:
     def _first_false(self, below, shape):
         """Where ``below`` (true, then false, in ``t``) turns false on the domain.
 
-        Returns ``(t, never)``: ``t`` is the left end of the domain where
-        ``below`` fails there already and the midpoint of a 100-step
-        bisection otherwise; ``never`` holds where ``below`` still holds at
-        the end of the grown bracket.
+        Returns ``(t, never)``: ``t`` is the midpoint of a bisection of at
+        most 100 steps, on the one-point bracket at the domain's left end
+        where ``below`` fails there already; ``never`` holds where ``below``
+        still holds at the end of the grown bracket.
         """
         lo = np.full(shape, float(self.domain[0]))
-        hi = grow_bracket(below, lo + 1.0)
-        t = np.where(below(lo), bisect(below, lo, hi, 100), lo)
-        return np.clip(t, *self.domain), below(hi)
+        hi = grow_bracket(below, np.where(below(lo), lo + 1.0, lo))
+        return np.clip(bisect(below, lo, hi, 100), *self.domain), below(hi)
 
     def conj_dminus(self, s):
-        s = np.asarray(s, dtype=float)
         t, never = self._first_false(lambda t: self.subgrad_hi(t) < s, s.shape)
         return np.where(never, INF, t)
 
     def conj(self, s):
         # the difference spans a jump of D+c where s sits inside one (a flat
         # stretch of D+c*, which has no curvature), and t = 0 in a dead zone
-        s = np.asarray(s, dtype=float)
         t, never = self._first_false(lambda t: self.subgrad_hi(t) <= s, s.shape)
         tv = t
         if np.any(never):
@@ -294,8 +290,9 @@ class _SubgradientProfile:
         """Gradient magnitude ``t`` of the flux ``v = t a`` with ``t^2/2`` in ``dc(a)``.
 
         ``D+c(a) - v^2 / (2 a^2)`` is strictly increasing in the density
-        ``a``, so its sign change, found by bisection, is the density and
-        ``t = v / a``; ``t = 0`` where the flux vanishes.
+        ``a``, so its sign change, found by a bisection of at most 120
+        steps, is the density and ``t = v / a``; ``t = 0`` where the flux
+        vanishes.
         """
         pos = vabs > 0.0
         v = np.where(pos, vabs, 1.0)
@@ -318,13 +315,11 @@ class _ExpressionProfile(_SubgradientProfile):
         self._recession = None
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         # evaluate on the clamped domain; t < 0 is +inf by definition
-        out = np.asarray(self.expr(t=np.maximum(t, 0.0)), dtype=float)
+        out = self.expr(t=np.maximum(t, 0.0))
         return np.where(t < 0.0, INF, out)
 
     def subgrad_hi(self, t):
-        t = np.asarray(t, dtype=float)
         value, slope = self.expr.derivative("t", t=np.maximum(t, 0.0))
         # off the domain, which holds the witness seed_t, D+c is -inf to its
         # left and +inf to its right
@@ -378,20 +373,17 @@ class _TabulatedProfile:
         self._flux_edges[1:-1:2] = self._kinks[1:] * ts[:-1]
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         out = np.interp(t, self.ts, self.cs)
         return np.where((t < self.ts[0]) | (t > self.ts[-1]), INF, out)
 
     # the conjugate of a piecewise-linear function peaks at a sample node,
     # found by binary search on the sorted slopes; c0* is piecewise linear
     def conj(self, s):
-        s = np.asarray(s, dtype=float)
         j = np.searchsorted(self.slopes, s, side="left")
         d = self.ts[np.searchsorted(self.slopes, s, side="right")] + np.zeros_like(s)
         return self.ts[j] * s - self.cs[j], d, np.zeros_like(s)
 
     def conj_dminus(self, s):
-        s = np.asarray(s, dtype=float)
         return self.ts[np.searchsorted(self.slopes, s, side="left")] + np.zeros_like(s)
 
     def log_sum_exp(self, s, mu):
@@ -402,7 +394,6 @@ class _TabulatedProfile:
         its derivative is the mean of the samples ``ts`` under the softmax
         weights (Nesterov, Math. Prog. 103, 2005).
         """
-        s = np.asarray(s, dtype=float)
         z = s[..., None] * self.ts - self.cs
         top = np.max(z, axis=-1)
         p = np.exp((z - top[..., None]) / mu)
@@ -450,11 +441,9 @@ class _RegularizedProfile(_SubgradientProfile):
         self.domain = base_profile.domain
 
     def value(self, t):
-        t = np.asarray(t, dtype=float)
         return self.base.value(t) + np.where(t < 0.0, INF, self.eps * t * t)
 
     def subgrad_hi(self, t):
-        t = np.asarray(t, dtype=float)
         return self.base.subgrad_hi(t) + 2.0 * self.eps * t
 
     def recession(self):
@@ -470,7 +459,8 @@ class CostFunction:
 
     Every evaluator takes an optional weight ``w`` (a scalar or an array
     that broadcasts) and returns the map of the separable cost ``w * c0``:
-    the homogeneous map at ``s / w`` (:meth:`_scaled`), rescaled.
+    the homogeneous map at ``s / w`` (:meth:`_scaled`), rescaled.  Inputs
+    become float arrays here, and only here.
 
     A cost that exists is convex and grows at least linearly, which for a
     convex ``c0`` holds exactly when its recession slope is positive
@@ -493,7 +483,7 @@ class CostFunction:
         # dom c0 as (lo, hi); a weight does not change it
         self.domain = profile.domain
         self.t0 = float(t0) if t0 is not None else getattr(profile, "seed_t", 1.0)
-        v0 = float(np.asarray(profile.value(self.t0)))
+        v0 = float(self.base_value(self.t0))
         if not math.isfinite(v0):
             raise InvalidCost("cost is not finite at the witness t0=%g" % self.t0)
         self._recession = float(profile.recession())
@@ -673,7 +663,7 @@ def subdiff_interval(cost, s, dplus=None):
     pad = cost.threshold_pad()
     if np.any(s > thr + pad):
         raise OutsideDomain("s=%g exceeds the conjugate threshold %g" % (np.max(s), thr))
-    lo = np.asarray(cost.conjugate_dminus(s), dtype=float)
+    lo = cost.conjugate_dminus(s)
     hi = np.where(s >= thr - pad, INF, cost.conjugate_dplus(s) if dplus is None else dplus)
     return lo[()], hi[()]
 
@@ -691,7 +681,7 @@ def validate_cost(cost):
     scale = max(cost.t0, 1.0)
     grid = np.concatenate([[0.0], np.geomspace(1e-6 * scale, 1e6 * scale, _SECANT_SAMPLES)])
     with np.errstate(over="ignore"):
-        vals = np.asarray(cost.base_value(grid), dtype=float)
+        vals = cost.base_value(grid)
     f_idx = np.nonzero(np.isfinite(vals))[0]
     t1, t2, t3 = grid[f_idx[:-2]], grid[f_idx[1:-1]], grid[f_idx[2:]]
     v1, v2, v3 = vals[f_idx[:-2]], vals[f_idx[1:-1]], vals[f_idx[2:]]

@@ -281,10 +281,9 @@ def _total_cost(mu, cost, weights, values):
 
     ``weights`` is the checked weight table, ``None`` when homogeneous.
     """
-    vals = np.asarray(values, dtype=float)
-    if np.any(np.isinf(vals)):
+    if np.any(np.isinf(values)):
         return INF
-    total = float(np.dot(mu.grid.cell_volumes, vals))
+    total = float(np.dot(mu.grid.cell_volumes, values))
     for loc, mass in mu.atoms:
         rec = cost.recession_slope() * _atom_weight(mu.grid, weights, loc)
         if math.isinf(rec):
@@ -370,7 +369,7 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
     values = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
     grad = VectorField(grid, grid.gradient_apply(values))
     s = _half_square(grad.values)
-    conj_v = np.asarray(problem.level(s)[0], dtype=float)
+    conj_v = problem.level(s)[0]
     objective = float(np.dot(grid.cell_volumes, conj_v) - np.dot(F, values))
     a = mu.ac_density
 
@@ -386,7 +385,7 @@ def verify_conditions(mu, u, problem, cell_mask=None, node_mask=None):
     finite = bool(np.all(np.isfinite(a)))
     pde_residual = inclusion = INF
     if finite:
-        cost_v = np.asarray(problem.cost_value(a), dtype=float)
+        cost_v = problem.cost_value(a)
         resid = -divergence_weighted(mu, grad) - F
         denom = float(np.sum(np.abs(F[~grid.boundary_mask])))
         pde_residual = float(np.sum(np.abs(resid[interior]))) / max(denom, 1e-300)

@@ -147,8 +147,8 @@ def build_problem(grid, cost, source, cell_weights=None):
     (:func:`resolve_cell_weights`).  Dirac parts of the source are
     admitted in the linear regime always, and in the superlinear regime
     only for quadratic-type growth (the quadratic cost, which
-    ``power_cost(2)`` also is, and its regularized continuations) in
-    dimension <= 3.
+    ``power_cost(2)`` also is, and the continuation ``c + eps t^2`` of a
+    finite recession slope) in dimension <= 3.
     """
     cell_weights = resolve_cell_weights(grid, cell_weights)
     assumptions = [] if cell_weights is None else [
@@ -156,7 +156,8 @@ def build_problem(grid, cost, source, cell_weights=None):
         "per-cell weight table: upper semicontinuity of the conjugate in x is assumed"]
 
     if source.atoms and cost.regime == "SL":
-        quadratic_like = cost.name in ("quadratic", "regularized")
+        quadratic_like = cost.name == "quadratic" or (
+            cost.name == "regularized" and math.isfinite(cost._profile.base.recession()))
         if not (quadratic_like and grid.ball_dim <= 3):
             raise InadmissibleSource(
                 "Dirac source parts in the superlinear regime are supported "

@@ -140,6 +140,73 @@ def test_numeric_conjugate_of_a_linear_tail_at_the_recession_slope(text, value):
     assert float(cost.conjugate_value(1.0)) == value and np.all(got == value)
 
 
+def _fixed_count_bisect(below, lo, hi, iters):
+    """Bisection that always takes ``iters`` steps, the reference for :func:`costs.bisect`."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        right = below(mid)
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["lt", "le"])
+@pytest.mark.parametrize("root", [0.0, 3e-310, 1.0, 2.0 ** 80],
+                         ids=["zero", "subnormal", "one", "two-to-80"])
+def test_bisect_stops_early_with_the_bits_of_every_step(root, strict):
+    # a step that moves no end of any bracket repeats itself from then on,
+    # so stopping there keeps the midpoints of the full count bit for bit
+    rng = np.random.default_rng(7)
+    calls = []
+
+    def below(t):
+        calls.append(t.size)
+        return t < root if strict else t <= root
+
+    scale = max(root, 1e-300)
+    for iters in (100, 1200):
+        # widths from far below the root's spacing to far above its size;
+        # some brackets miss the root on either side
+        lo = root - scale * 10.0 ** rng.uniform(-20.0, 3.0, 500) * rng.uniform(-0.1, 1.0, 500)
+        hi = root + scale * 10.0 ** rng.uniform(-20.0, 3.0, 500) * rng.uniform(-0.1, 1.0, 500)
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        calls.clear()
+        got = mo.costs.bisect(below, lo, hi, iters)
+        # every bracket has closed within 1100 steps
+        assert len(calls) <= min(iters, 1100)
+        expect = _fixed_count_bisect(below, lo, hi, iters)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    # a bracket that is already two adjacent floats around the root
+    lo, hi = (np.nextafter(root, -INF), root) if strict else (root, np.nextafter(root, INF))
+    calls.clear()
+    got = mo.costs.bisect(below, np.full(3, lo), np.full(3, hi), 100)
+    assert len(calls) == 1
+    assert np.array_equal(got, _fixed_count_bisect(below, np.full(3, lo), np.full(3, hi), 100))
+
+
+@pytest.mark.parametrize("text, s", [("t + 1/t", np.linspace(-1.0, 0.99, 201)),
+                                     ("t + t^2/2", np.linspace(-1.0, 0.99, 201))],
+                         ids=["reciprocal", "dead-zone"])
+def test_numeric_conjugate_maps_stop_their_bisections_early(monkeypatch, text, s):
+    # every search stops once its brackets stop moving, and a point of the
+    # dead zone s < 1 of t + t^2/2 holds none open; 100 or 120 fixed steps
+    # took 103-123 evaluations of D+c per map at these 201 points
+    cost = mo.expression_cost(text)
+    calls = []
+    subgrad_hi = mo.costs._ExpressionProfile.subgrad_hi
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return subgrad_hi(self, t)
+
+    monkeypatch.setattr(mo.costs._ExpressionProfile, "subgrad_hi", counted)
+    for evaluate, x in [(cost.conjugate_value, s), (cost.conjugate_dminus, s),
+                        (cost.invert_flux, np.linspace(0.0, 4.0, 201))]:
+        calls.clear()
+        evaluate(x)
+        assert len(calls) <= 70, (evaluate.__name__, len(calls))
+
+
 def test_nonconvex_cost_recession_raises():
     # the recession slope is taken where the cost is built
     with pytest.raises(mo.NonMonotoneQuotient):

@@ -645,6 +645,15 @@ def test_cost_eval_values():
     atom = mo.DiscreteMeasure(g, np.zeros(g.n_cells), atoms=[(np.array([0.0]), 1.0)])
     assert mo.cost_eval(atom, lin) == pytest.approx(0.5)
     assert mo.cost_eval(atom, mo.quadratic_cost()) == INF
+    # with a cell-weight table an atom costs slope * mass * w, w the mean of
+    # the weights of the cells that carry it: two on a face, four at a corner
+    g8 = mo.interval_grid(-1.0, 1.0, 8)
+    for x, cost in ((0.0, 4.5), (0.1, 5.0)):
+        atom = mo.DiscreteMeasure(g8, np.zeros(8), atoms=[(np.array([x]), 2.0)])
+        assert mo.cost_eval(atom, lin, np.arange(1.0, 9.0)) == pytest.approx(cost)
+    sq = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8)
+    atom = mo.DiscreteMeasure(sq, np.zeros(64), atoms=[(np.array([0.5, 0.5]), 2.0)])
+    assert mo.cost_eval(atom, lin, np.arange(1.0, 65.0)) == pytest.approx(32.5)
 
 
 def test_cost_additivity_disjoint_supports():

@@ -965,6 +965,13 @@ def test_dirac_admissibility_rules():
     mo.build_problem(g, mo.quadratic_cost(), atom_src)
     with pytest.raises(mo.InadmissibleSource):
         mo.build_problem(g, mo.power_cost(3.0), atom_src)
+    # a regularized cost is quadratic-type only as the continuation of a
+    # finite recession slope, not when its base is already superlinear
+    mo.build_problem(g, mo.regularized_cost(mo.linear_cost(0.5), 1e-3), atom_src)
+    t = np.linspace(0.0, 4.0, 17)
+    for base in (mo.power_cost(4.0), mo.tabulated_cost(t, 0.5 * t * t)):
+        with pytest.raises(mo.InadmissibleSource):
+            mo.build_problem(g, mo.regularized_cost(base, 1e-3), atom_src)
     g4 = mo.radial_grid(1.0, 32, 4)
     with pytest.raises(mo.InadmissibleSource):
         mo.build_problem(g4, mo.quadratic_cost(),
