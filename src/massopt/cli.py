@@ -66,6 +66,10 @@ SECTIONS = {
     "verify": dict.fromkeys(DEFAULT_THRESHOLDS, float),
     "output": {"dir": str},
 }
+
+# The fewest cells along any axis of a grid that a command builds
+MIN_CELLS = 8
+
 COST_FORMS = {"builtin": {"builtin": str}, "expression": {"expression": str, "t0": float},
               "table": {"table": str}}
 BUILTIN_PARAMS = {name: inspect.signature(factory).parameters
@@ -144,8 +148,9 @@ def read_config(path, needed):
 def _parse_domain(sec):
     params = dict(sec)
     kind = params.pop("kind")
-    if min(params.get(key, 8) for key in ("n", "nx", "ny")) < 8:
-        raise ConfigError("domain.%s must be >= 8" % ("nx/ny" if kind == "rectangle" else "n"))
+    if min(params.get(key, MIN_CELLS) for key in ("n", "nx", "ny")) < MIN_CELLS:
+        raise ConfigError("domain.%s must be >= %d"
+                          % ("nx/ny" if kind == "rectangle" else "n", MIN_CELLS))
     try:
         return Grid(kind, params)
     except UnsupportedGrid as exc:
@@ -339,6 +344,8 @@ def _post_build_error(exc):
 def cmd_fixtures(name, dimension, resolution, stream=None):
     stream = stream if stream is not None else sys.stdout
     try:
+        if resolution < MIN_CELLS:
+            raise ConfigError("--resolution must be >= %d" % MIN_CELLS)
         fix = fixture(name, dimension)
         problem = fix.build(resolution)
     except MassOptError as exc:
@@ -363,6 +370,22 @@ def cmd_fixtures(name, dimension, resolution, stream=None):
     return 0 if ok else 1
 
 
+class _Number:
+    """Which arguments argparse reads as numbers, not options: every literal ``float`` reads.
+
+    argparse's own pattern, ``^-\\d+$|^-\\d*\\.\\d+$`` on Python 3.10-3.12,
+    takes ``-1e-3``, ``-2e+1`` and ``-5.`` for option strings.
+    """
+
+    @staticmethod
+    def match(text):
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 @functools.lru_cache(maxsize=None)
 def _parser():
     """The command-line parser, built once per process."""
@@ -376,6 +399,8 @@ def _parser():
     p_run.add_argument("--json-report", default=None, help="report path")
 
     p_conj = sub.add_parser("conjugate", help="tabulate a cost conjugate")
+    # the matcher argparse asks whether an argument is a negative number
+    p_conj._negative_number_matcher = _Number
     p_conj.add_argument("config")
     p_conj.add_argument("--range", nargs=2, type=float, required=True,
                         metavar=("A", "B"))

@@ -479,14 +479,13 @@ class StiffnessLayout:
 
     A cell's local block couples its 4 corners through their hat gradients
     ``C`` on it (``2 x 4``, :class:`CellCorners`): the block is ``C^T B C``
-    for the cell's weight ``B``.  A local pair ``(a, b)`` of corners is the
-    same number of band positions apart in every cell, so all its entries
-    fall on one band diagonal.  Read as a grid of interior nodes, the
-    diagonal takes them in a block, from a block of the grid of cells:
-    those whose pair is interior.  The slice plan holds the diagonal and the
-    two blocks of each of the 10 pairs, so :meth:`band` adds each pair's
-    values to its diagonal in one 2-d slice-add, and a band entry that
-    several cells share sums them in ascending cell order.
+    for the cell's weight ``B``.  The slot table holds, for each local pair
+    ``(a, b)`` of corners in ``_PAIRS`` order and each cell, the index of
+    that entry in the Fortran-flattened band, read off the corners' band
+    positions, or one past the end where a corner is on the boundary.
+    :meth:`band` adds every entry to its slot in one ``np.bincount``, which
+    adds in array order, so a band entry that several cells share sums them
+    in ascending cell order.
     """
 
     def __init__(self, grid):
@@ -495,51 +494,36 @@ class StiffnessLayout:
                                   "not on a %s grid" % grid.kind)
         nx, ny = grid.params["nx"], grid.params["ny"]
         n = grid.interior_idx.size
-        transposed = nx > ny
         pos = np.arange(n)
-        if transposed:
-            # number along y: the plan works on (x, y) grids
+        if nx > ny:
+            # number along y
             pos = pos.reshape(nx - 1, ny - 1).T.ravel()
         self.n = n
         self.pos = pos
         self.order = None if np.array_equal(pos, np.arange(n)) else np.argsort(pos)
-        # cells along the plan's two axes; along m cells nodes 1..m-1 are interior
-        self._cells = (nx, ny) if transposed else (ny, nx)
-        self._nodes = tuple(m - 1 for m in self._cells)
-        self._transposed = transposed
         corners = grid.corners
+        # each node's band position, -1 on the boundary, then each corner's on every cell
+        at = np.full(grid.n_nodes, -1)
+        at[grid.interior_idx] = pos
+        at = np.stack([at.reshape(corners.node_shape)[nodes].ravel() for nodes in corners.nodes])
+        # each pair's entry sits at its lower-numbered node, ``rows`` rows below it
+        first, second = at[np.transpose(_PAIRS)]
+        low, rows = np.minimum(first, second), np.abs(first - second)
+        self.band_rows = int(np.max(rows, where=low >= 0, initial=0)) + 1
+        self._slots = np.where(low >= 0, rows + self.band_rows * low, self.band_rows * n).ravel()
         # each corner's hat gradients, one value per axis: the axes are uniform
         hats = [[(2 * o - 1) / h.flat[0] for o, h in zip(offsets, corners.scale)]
                 for offsets in corners.offsets]
-        # per pair: its band diagonal, the block of that diagonal and the
-        # block of cells that adds to it, and the products of the hat
-        # gradients on a cell, shared by pairs with equal products: the
-        # three parts of a symmetric 2x2 tensor weight
-        self._plan, tensors = [], {}
+        # per pair, the products of the hat gradients on a cell, shared by
+        # pairs with equal products: the three parts of a symmetric 2x2 tensor weight
+        self._parts, tensors = [], {}
         for a, b in _PAIRS:
-            offs = list(zip(corners.offsets[a], corners.offsets[b]))
-            offs = offs if transposed else offs[::-1]
-            # the cells along each axis whose nodes at offsets da and db are interior
-            cells = [(1 - min(da, db), m - max(da, db)) for m, (da, db) in zip(self._cells, offs)]
-            if any(start >= stop for start, stop in cells):
-                continue  # no cell has both nodes inside
-            step = (offs[0][1] - offs[0][0]) * self._nodes[1] + offs[1][1] - offs[1][0]
-            # the pair's entry sits at its lower-numbered node
-            low = [da if step >= 0 else db for da, db in offs]
-            dst = tuple(slice(start + d - 1, stop + d - 1) for (start, stop), d in zip(cells, low))
-            src = tuple(slice(start, stop) for start, stop in cells)
             (ax, ay), (bx, by) = hats[a], hats[b]
             parts = (ax * bx, ax * by + ay * bx, ay * by)
-            self._plan.append((abs(step), dst, src, tensors.setdefault(parts, len(tensors))))
+            self._parts.append(tensors.setdefault(parts, len(tensors)))
         self._tensors = list(tensors)
         # the block of a unit scalar weight: the trace of the tensor parts
         self._units = [xx + yy for xx, _xy, yy in self._tensors]
-        self.band_rows = max((r for r, *_ in self._plan), default=0) + 1
-
-    def _on_cells(self, w):
-        """Per-cell values ``w`` on the plan's grid of cells, C-contiguous."""
-        w = w.reshape(self._cells[::-1] if self._transposed else self._cells)
-        return np.ascontiguousarray(w.T) if self._transposed else w
 
     def band(self, w):
         """Lower band of the stiffness ``G^T B G`` on the interior nodes.
@@ -553,7 +537,7 @@ class StiffnessLayout:
         Fortran-ordered, so :meth:`factor` factors it in place.
         """
         if isinstance(w, tuple):
-            bxx, bxy, byy = (self._on_cells(np.asarray(p, dtype=float)) for p in w)
+            bxx, bxy, byy = (np.asarray(p, dtype=float) for p in w)
             vals = []
             for xx, xy, yy in self._tensors:
                 v = bxx * xx
@@ -561,13 +545,12 @@ class StiffnessLayout:
                 v += byy * yy
                 vals.append(v)
         else:
-            w = self._on_cells(np.asarray(w, dtype=float))
+            w = np.asarray(w, dtype=float)
             vals = [w * unit for unit in self._units]
-        band = np.zeros((self.band_rows, self.n), order="F")
-        for r, dst, src, parts in self._plan:
-            # band diagonal r, viewed on the plan's grid of interior nodes
-            band[r].reshape(self._nodes)[dst] += vals[parts][src]
-        return band
+        size = self.band_rows * self.n
+        band = np.bincount(self._slots, weights=np.concatenate([vals[p] for p in self._parts]),
+                           minlength=size + 1)
+        return band[:size].reshape((self.band_rows, self.n), order="F")
 
     def factor(self, band, pinned=()):
         """Banded Cholesky factor of a band from :meth:`band`, which it overwrites.

@@ -620,9 +620,10 @@ def test_spd_factor_band_of_wide_rectangle():
 
 
 def _bincount_band(g, w):
-    # the np.bincount assembly the slice plan replaced: every (cell, local
-    # pair) entry goes to its slot in the band, or past its end when a node
-    # of the pair is on the boundary; returns the band and the positions
+    # an np.bincount assembly written out from node indices, cell by cell:
+    # every (cell, local pair) entry goes to its slot in the band, or past
+    # its end when a node of the pair is on the boundary; returns the band
+    # and the positions
     n = g.interior_idx.size
     if g.dim == 1:
         local = np.arange(g.n_cells)[:, None] + np.arange(2)
@@ -685,6 +686,8 @@ _PLAN_GRIDS = {
     "2x9": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 2, 9),
     "3x8": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 3, 8),
     "8x3": lambda: mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 3),
+    # a benchmark-sized rectangle, numbered column by column
+    "56x45": lambda: mo.rectangle_grid(0.0, 1.2, 0.0, 1.0, 56, 45),
     "interval": lambda: mo.interval_grid(-1.0, 2.0, 23),
     "radial": lambda: mo.radial_grid(1.3, 19, 3),
 }
