@@ -27,14 +27,13 @@ import math
 import os
 import sys
 import types
-import warnings
 
 import numpy as np
 
 from . import costs as costs_mod
 from .errors import ConfigError, MassOptError, UnsupportedGrid
 from .exprlang import Expression
-from .formatting import FMT, write_rows
+from .formatting import FMT, read_rows, write_rows
 from .grids import (GRID_KEYS, Grid, SourceTerm, write_field_csv, write_iteration_log,
                     write_measure)
 from .oracle import fixture, fixture_errors, fixture_names
@@ -157,12 +156,6 @@ def _parse_domain(sec):
         raise ConfigError("domain: %s" % exc) from None
 
 
-def _read_csv(path, **kw):
-    with warnings.catch_warnings():  # numpy warns on an empty file; the shape checks refuse it
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(path, delimiter=",", comments="#", **kw)
-
-
 def _parse_cost(cfg, grid):
     sec = cfg["cost"]
     form = next(form for form in COST_FORMS if form in sec)
@@ -173,7 +166,8 @@ def _parse_cost(cfg, grid):
         elif form == "expression":
             cost = costs_mod.expression_cost(sec["expression"], t0=sec.get("t0", 1.0))
         else:
-            data = _read_csv(sec["table"], ndmin=2)
+            with open(sec["table"]) as fh:
+                data = read_rows(fh, ndmin=2)
             if data.shape[0] < 2 or data.shape[1] != 2:
                 raise ValueError("needs two columns (t, c(t)) of at least two rows, not shape %s"
                                  % (data.shape,))
@@ -186,7 +180,8 @@ def _parse_cost(cfg, grid):
         if grid is None:
             raise ConfigError("cost.weight_table needs a [domain] section")
         try:
-            cell_weights = _read_csv(sec["weight_table"])
+            with open(sec["weight_table"]) as fh:
+                cell_weights = read_rows(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError("cost.weight_table: %s" % exc) from None
         if cell_weights.ndim != 1 or cell_weights.size != grid.n_cells:

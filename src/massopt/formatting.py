@@ -1,9 +1,11 @@
-"""Tables of floats as CSV text, byte for byte what ``%.17g`` prints.
+"""The one CSV layer: tables of floats written as ``%.17g`` prints them, and read back.
 
-:func:`write_rows` formats with numpy, a block of rows at a time, instead
-of formatting each number in Python.  Each number gets its 17 significant
-digits and its decimal exponent ``X``, laid out in one fixed 48-byte slot
-of six little-endian words
+Every table body the program writes goes through :func:`write_rows`, and
+every one it reads through :func:`read_rows`.  :func:`write_rows` formats
+with numpy, a block of values at a time, instead of formatting each number
+in Python.  Each number gets its 17 significant digits and its decimal
+exponent ``X``, laid out in one fixed 48-byte slot of six little-endian
+words
 
     '-' '0' '.' '0' '0' '0' d0 '.' | d1 '.' .. d4 '.' | .. | d13 '.' .. d16 '.' | 'e' s x x x sep
 
@@ -15,12 +17,12 @@ exponent form with 2 or 3 exponent digits, trailing zeros dropped.  No
 """
 
 import functools
-import math
+import warnings
 
 import numpy as np
 
 FMT = "%.17g"  # reads back to the same double; write_rows writes the same bytes
-_BLOCK_ROWS = 512  # rows formatted per numpy pass; bounds the temporaries
+_BLOCK_VALUES = 2048  # values formatted per numpy pass; bounds the temporaries
 _POW10 = np.array([float(10 ** j) for j in range(23)])  # exact for j <= 22
 _EXP_OFF = 400  # decimal exponents of doubles lie in [-324, 308]
 _NEG = 23 * 17  # mask rows of a negative number follow those of a positive one
@@ -135,12 +137,11 @@ def _format(x, seps):
     # a power of ten, so the rounding never carries into an 18th digit
     D = p.astype(np.int64)
     D += np.rint(e).astype(np.int64)  # ties to even, as p is even
-    for i in inexact:
-        v = abs(float(x[i]))
-        if 0.0 < v < math.inf:
-            text = "%.16e" % v
-            D[i] = int(text[0] + text[2:18])
-            k[i] = int(text[19:])
+    # zeros print from D = 0, and nan and inf from the special words below
+    for i in inexact[np.isfinite(x[inexact]) & (x[inexact] != 0.0)]:
+        text = "%.16e" % abs(float(x[i]))
+        D[i] = int(text[0] + text[2:18])
+        k[i] = int(text[19:])
     hi = D // 10 ** 8
     lo = D - hi * 10 ** 8
     head = hi // 10 ** 8
@@ -177,11 +178,27 @@ def write_rows(fh, table):
     """One line per row of the 2-d float array ``table``, each number as ``%.17g``.
 
     The bytes are those of ``",".join(["%.17g"] * ncols) + "\\n"`` applied to
-    every row, formatted by numpy :data:`_BLOCK_ROWS` rows at a time.
+    every row (an integer prints as ``%d``), formatted by numpy in blocks of
+    whole rows, about :data:`_BLOCK_VALUES` values each.
     """
     table = np.asarray(table, dtype=float)
     seps = np.full(table.shape[1], ord(","), dtype="<u8")
     seps[-1] = ord("\n")
     seps <<= np.uint64(40)
-    for start in range(0, table.shape[0], _BLOCK_ROWS):
-        fh.write(_format(table[start:start + _BLOCK_ROWS].ravel(), seps))
+    step = _BLOCK_VALUES // table.shape[1]
+    for start in range(0, table.shape[0], step):
+        fh.write(_format(table[start:start + step].ravel(), seps))
+
+
+def read_rows(fh, **kw):
+    """``np.loadtxt(..., **kw)`` of the CSV lines of the text file ``fh``.
+
+    Each line is stripped of surrounding whitespace and skipped when empty,
+    and ``#`` starts a comment.  Every number :func:`write_rows` writes reads
+    back to the same float; an empty table reads as an empty array, without
+    numpy's warning.
+    """
+    lines = list(filter(None, map(str.strip, fh.read().split("\n"))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", **kw)

@@ -22,7 +22,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import AtomOutsideGrid, InadmissibleSource, Unbounded, UnsupportedGrid
-from .formatting import FMT, write_rows
+from .formatting import FMT, read_rows, write_rows
 
 
 def sphere_surface(d):
@@ -673,41 +673,22 @@ class UnitStiffness:
 # CSV / JSON export
 # ---------------------------------------------------------------------------
 
-def _write_grid_rows(fh, xs, ys, values):
-    """What :func:`write_rows` writes for the points ``(x, y)`` of ``xs x ys``, x fastest.
-
-    Each distinct coordinate is formatted once, and the ``x,y,`` prefixes
-    are joined from them into the template, so the one format operation
-    formats only the values; on rectangles of rect-2d's sizes that
-    is faster than :func:`write_rows` on the three columns.
-    """
-    xcol = [FMT % x + "," for x in xs.tolist()]
-    rows = []
-    for y in ys.tolist():
-        tail = FMT % y + "," + FMT + "\n"
-        rows.append(tail.join(xcol) + tail)
-    fh.write("".join(rows) % tuple(np.asarray(values, dtype=float).tolist()))
-
-
 def write_iteration_log(path, log):
-    """The log's ``(iteration, primal, dual, gap)`` rows as CSV, in one format operation."""
-    row = "%d" + ("," + FMT) * 3 + "\n"
+    """The log's ``(iteration, primal, dual, gap)`` rows as CSV."""
     with open(path, "w") as fh:
-        fh.write("iteration,primal,dual,gap\n" + row * len(log) % tuple(v for r in log for v in r))
+        fh.write("iteration,primal,dual,gap\n")
+        write_rows(fh, np.reshape(np.array(log, dtype=float), (-1, 4)))
 
 
 def _write_table(path, grid, column, points, values):
-    """Header, then a row per point of the per-axis ``points`` (nodes or midpoints), x fastest."""
+    """Header, then a row per point (node or cell centre), x fastest."""
     with open(path, "w") as fh:
         fh.write("%s\n%s\n" % (grid.header(), ",".join(["x", "y"][: grid.dim] + [column])))
-        if grid.dim == 1:
-            write_rows(fh, np.column_stack((points[0], values)))
-        else:
-            _write_grid_rows(fh, *points, values)
+        write_rows(fh, np.column_stack((points, values)))
 
 
 def write_field_csv(path, field):
-    _write_table(path, field.grid, "value", field.grid.axes, field.values)
+    _write_table(path, field.grid, "value", field.grid.node_coords, field.values)
 
 
 def read_field_csv(path):
@@ -716,7 +697,7 @@ def read_field_csv(path):
 
 def write_measure(path_csv, path_json, measure):
     grid = measure.grid
-    _write_table(path_csv, grid, "density", _midpoints(grid.axes), measure.ac_density)
+    _write_table(path_csv, grid, "density", grid.cell_centers, measure.ac_density)
     sidecar = {
         "atoms": [{"location": [float(c) for c in loc], "mass": mass}
                   for loc, mass in measure.atoms],
@@ -729,18 +710,19 @@ def write_measure(path_csv, path_json, measure):
 
 
 def read_measure(path_csv, path_json):
+    """The density of ``path_csv`` and the atoms of its sidecar, which must name the same grid."""
     grid, density = _read_grid_csv(path_csv)
     with open(path_json) as fh:
         sidecar = json.load(fh)
+    if sidecar.get("grid") != {"kind": grid.kind, "params": grid.params}:
+        raise UnsupportedGrid("%s is not of the grid of %s" % (path_json, path_csv))
     atoms = [(np.asarray(a["location"]), a["mass"]) for a in sidecar.get("atoms", [])]
     return DiscreteMeasure(grid, density, atoms=atoms)
 
 
 def _read_grid_csv(path):
-    """The grid of a CSV file's header and its last column, blank lines skipped.
+    """The grid of a CSV file's header and its last column, read by :func:`read_rows`.
 
-    The body is parsed in one ``np.loadtxt`` call, which reads every number
-    ``%.17g`` writes (``nan``, ``inf``, ``-0``) back to the same float.
     The header's ``key=value`` items are converted by :class:`Grid`.
     """
     with open(path) as fh:
@@ -748,7 +730,6 @@ def _read_grid_csv(path):
         if not header.startswith("# grid: "):
             raise UnsupportedGrid("missing grid header in %s" % path)
         fh.readline()  # column names
-        lines = [line for line in fh if line.strip()]
-    values = np.loadtxt(lines, delimiter=",", usecols=-1, ndmin=1)
+        values = read_rows(fh, usecols=-1, ndmin=1)
     kind, *items = header[len("# grid: "):].split()
     return Grid(kind, dict(item.partition("=")[::2] for item in items)), values

@@ -779,6 +779,41 @@ def test_non_finite_weight_table_is_config_error(tmp_path, capsys):
     assert "config error: cell weights must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dirty", ["table", "weight_table"])
+def test_input_tables_skip_blank_and_comment_lines(tmp_path, dirty):
+    # a blank line, a whitespace-only line and comments read like the clean file
+    t = np.linspace(0.0, 4.0, 17)
+    np.savetxt(tmp_path / "table.csv", np.column_stack([t, t * t / 2]), delimiter=",")
+    np.savetxt(tmp_path / "weight_table.csv", 1.0 + t[:16] / 16, delimiter=",")
+    reports = []
+    for name in ("clean", "dirty"):
+        if name == "dirty":
+            path = tmp_path / (dirty + ".csv")
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(["# t, c(t)\n"] + lines[:8] + ["  \n", "\n", "\t# mid\n"]
+                                    + lines[8:] + [" \n"]))
+        cfg = write(tmp_path / (name + ".cfg"), """
+[domain]
+kind = interval
+a = -1.0
+b = 1.0
+n = 16
+
+[cost]
+table = {d}/table.csv
+weight_table = {d}/weight_table.csv
+
+[source]
+value = 1.0
+
+[output]
+dir = {d}/{name}
+""".format(d=tmp_path, name=name))
+        assert cli.main(["run", cfg]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("domain", [
     "kind = interval\na = 1.0\nb = 1.0\nn = 256\n",
     "kind = radial\nradius = -1\ndimension = 2\nn = 256\n",

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import massopt as mo
-from massopt.formatting import write_rows
+from massopt.formatting import _BLOCK_VALUES, write_rows
 
 
 # -- grid structure ---------------------------------------------------------
@@ -364,15 +364,34 @@ def test_read_measure_computes_its_boundary_mass(tmp_path):
     assert mo.read_measure(tmp_path / "m.csv", tmp_path / "m.json").boundary_mass == 0.5
 
 
+@pytest.mark.parametrize("sidecar", ["other-grid", "no-grid", "no-params"])
+def test_read_measure_refuses_a_sidecar_of_another_grid(tmp_path, sidecar):
+    square = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8)
+    wide = mo.rectangle_grid(0.0, 2.0, 0.0, 1.0, 8, 8)
+    mo.write_measure(tmp_path / "m.csv", tmp_path / "m.json",
+                     mo.DiscreteMeasure(square, np.ones(square.n_cells)))
+    mo.write_measure(tmp_path / "w.csv", tmp_path / "w.json",
+                     mo.DiscreteMeasure(wide, np.ones(wide.n_cells)))
+    side = json.loads((tmp_path / ("w.json" if sidecar == "other-grid" else "m.json")).read_text())
+    if sidecar == "no-grid":
+        del side["grid"]
+    elif sidecar == "no-params":
+        del side["grid"]["params"]
+    (tmp_path / "m.json").write_text(json.dumps(side))
+    with pytest.raises(mo.UnsupportedGrid, match="not of the grid"):
+        mo.read_measure(tmp_path / "m.csv", tmp_path / "m.json")
+
+
 @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_measure_refuses_an_atom_mass_that_is_not_finite_and_positive(tmp_path, mass):
     g = mo.interval_grid(-1.0, 1.0, 20)
     with pytest.raises(ValueError, match="finite and positive"):
         mo.DiscreteMeasure(g, np.ones(g.n_cells), atoms=[(np.array([0.25]), mass)])
-    # a hand-written sidecar: json reads NaN and Infinity as floats
+    # a hand-edited sidecar of the same grid: json reads NaN and Infinity as floats
     mo.write_measure(tmp_path / "m.csv", tmp_path / "m.json", mo.DiscreteMeasure(g, np.ones(g.n_cells)))
-    (tmp_path / "m.json").write_text(
-        '{"atoms": [{"location": [0.25], "mass": %s}]}' % json.dumps(mass))
+    side = json.loads((tmp_path / "m.json").read_text())
+    side["atoms"] = [{"location": [0.25], "mass": mass}]
+    (tmp_path / "m.json").write_text(json.dumps(side))
     with pytest.raises(ValueError, match="finite and positive"):
         mo.read_measure(tmp_path / "m.csv", tmp_path / "m.json")
 
@@ -473,8 +492,12 @@ def _old_rows(fh, points, values):
                                   mo.radial_grid(1.7, 23, 3),
                                   # wider than tall, bounds and steps not representable
                                   mo.rectangle_grid(-0.3, 1.1, 0.1, 7.0 / 3.0, 11, 4),
-                                  mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 1, 1)],
-                         ids=["rectangle", "radial", "wide-inexact", "1x1"])
+                                  mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 1, 1),
+                                  # bodies of several write blocks, in 2-d and in 1-d
+                                  mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 56, 45),
+                                  mo.radial_grid(1.0, 4096, 2)],
+                         ids=["rectangle", "radial", "wide-inexact", "1x1", "56x45",
+                              "radial-4096"])
 def test_csv_writers_match_per_cell_writer(tmp_path, grid):
     rng = np.random.default_rng(8)
     values = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.uniform(-30, 30, grid.n_nodes)
@@ -542,8 +565,9 @@ def test_write_rows_is_printf_on_edge_values():
     _assert_written_as_printf(_g17_edge_values()[:, None])
 
 
-@pytest.mark.parametrize("rows", [1, 511, 512, 513])
-@pytest.mark.parametrize("ncols", [1, 2, 3])
+@pytest.mark.parametrize("ncols, rows", [
+    pytest.param(ncols, rows, id="%d-%d" % (ncols, rows)) for ncols in (1, 2, 3, 4)
+    for rows in (1,) + tuple(_BLOCK_VALUES // ncols + d for d in (-1, 0, 1))])
 def test_write_rows_is_printf_at_block_edges(ncols, rows):
     rng = np.random.default_rng(ncols * 1000 + rows)
     table = rng.choice(_g17_edge_values(), (rows, ncols))
