@@ -7,19 +7,24 @@ iteration log to the output directory.  ``massopt conjugate`` tabulates a
 cost's conjugate and subdifferential.  ``massopt fixtures`` runs the
 closed-form comparison for one catalog fixture.
 
+Each command is a read step, which parses its input and builds what it
+runs, and the job that read step returns, which solves, verifies and
+writes.  :func:`main` alone turns their failures into exit codes.
+
 Exit codes: 0 all verification thresholds met; 1 thresholds failed;
-2 configuration error (including an output directory that cannot be
-made); 3 solver did not converge (on an interval or radial grid: the
-exact certificate's gap stayed above the tolerance); 4 ``run`` or
-``fixtures`` failed after the problem was built (a
-:class:`~massopt.errors.MassOptError` from solve, recover or verify, or
-an ``OSError`` writing ``iterations.csv``, ``u.csv``, the measure or
-``report.json``), or ``conjugate`` could not write its ``--output``
-file; both are reported as ``error: <Class>: <message>`` on stderr.
+2 the read step refused its input with a
+:class:`~massopt.errors.MassOptError` (a configuration error, an output
+directory that cannot be made, a size numpy cannot hold), reported as
+one ``config error: <message>`` line; 3 solver did not converge (on an
+interval or radial grid: the exact certificate's gap stayed above the
+tolerance); 4 the job failed (a ``MassOptError`` from solve, recover or
+verify, or an ``OSError`` writing an output file or stdout), reported as
+``error: <Class>: <message>``.
 """
 
 import argparse
 import configparser
+import contextlib
 import functools
 import inspect
 import json
@@ -252,34 +257,23 @@ def parse_config(path):
 
 
 # ---------------------------------------------------------------------------
-# pipeline
+# commands: a read step that parses and builds, then a job that runs
 # ---------------------------------------------------------------------------
 
-def run(config_path, log_path=None, json_report_path=None):
-    """Execute a configured pipeline; returns the process exit code."""
-    try:
-        config = parse_config(config_path)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-
+def read_run(args):
+    """Read a run config, make its output directory and build its problem; returns the job."""
+    config = parse_config(args.config)
     out = config.output_dir
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        print("config error: output.dir: %s" % exc, file=sys.stderr)
-        return 2
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError("output.dir: %s" % exc) from None
+    problem = build_problem(config.grid, config.cost, config.source,
+                            cell_weights=config.cell_weights)
 
-    try:
-        problem = build_problem(config.grid, config.cost, config.source,
-                                cell_weights=config.cell_weights)
-    except MassOptError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-
-    try:
+    def job():
         solution = solve_auxiliary(problem, config.solver_params)
-        write_iteration_log(log_path or os.path.join(out, "iterations.csv"), solution.log)
+        write_iteration_log(args.log or os.path.join(out, "iterations.csv"), solution.log)
         measure = recover_measure(solution, problem)
         report = verify_conditions(measure, solution.u, problem)
         write_field_csv(os.path.join(out, "u.csv"), solution.u)
@@ -301,21 +295,18 @@ def run(config_path, log_path=None, json_report_path=None):
             "thresholds": config.thresholds,
             "passed": report.passes(config.thresholds),
         })
-        report_path = json_report_path or os.path.join(out, "report.json")
-        with open(report_path, "w") as fh:
+        with open(args.json_report or os.path.join(out, "report.json"), "w") as fh:
             json.dump(json_safe(payload), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except (MassOptError, OSError) as exc:
-        return _post_build_error(exc)
-
-    for name, value in sorted(report.residuals().items()):
-        ok = value <= config.thresholds[name]
-        print("%-28s %12.5g  [%s]" % (name, value, "ok" if ok else "FAIL"))
-    if not solution.converged:
-        print("solver did not converge: relative gap %.3g" % solution.rel_gap,
-              file=sys.stderr)
-        return 3
-    return 0 if payload["passed"] else 1
+        for name, value in sorted(report.residuals().items()):
+            ok = value <= config.thresholds[name]
+            print("%-28s %12.5g  [%s]" % (name, value, "ok" if ok else "FAIL"))
+        if not solution.converged:
+            print("solver did not converge: relative gap %.3g" % solution.rel_gap,
+                  file=sys.stderr)
+            return 3
+        return 0 if payload["passed"] else 1
+    return job
 
 
 def cmd_conjugate_table(cost, s_lo, s_hi, count, stream):
@@ -330,39 +321,50 @@ def cmd_conjugate_table(cost, s_lo, s_hi, count, stream):
     write_rows(stream, np.column_stack((s, value, lo, hi)))
 
 
-def _post_build_error(exc):
-    """Report a failure after the configuration was read; exit code 4."""
-    print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-    return 4
+def read_conjugate(args):
+    """Read a cost and the table's rows; returns the job that writes the table."""
+    cfg = read_config(args.config, ("cost",))
+    grid = _parse_domain(cfg["domain"]) if "domain" in cfg else None
+    cost, _w = _parse_cost(cfg, grid)
+    if args.count < 2:
+        raise ConfigError("--count must be >= 2")
+    try:
+        np.empty((args.count, 4))  # the table's shape, never written: can numpy hold it?
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError("--count: %s" % exc) from None
+    if not all(map(math.isfinite, args.range)):
+        raise ConfigError("--range needs two finite ends")
+
+    def job():
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+            cmd_conjugate_table(cost, *args.range, args.count, fh)
+        return 0
+    return job
 
 
-def cmd_fixtures(name, dimension, resolution, stream=None):
-    stream = stream if stream is not None else sys.stdout
-    try:
-        if resolution < MIN_CELLS:
-            raise ConfigError("--resolution must be >= %d" % MIN_CELLS)
-        fix = fixture(name, dimension)
-        problem = fix.build(resolution)
-    except MassOptError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
+def read_fixtures(args):
+    """Build a catalog fixture's problem; returns the job that compares its solve with it."""
+    if args.resolution < MIN_CELLS:
+        raise ConfigError("--resolution must be >= %d" % MIN_CELLS)
+    fix = fixture(args.name, args.dimension)
+    problem = fix.build(args.resolution)
+
+    def job():
         solution = solve_auxiliary(problem, SolverParams())
         measure = recover_measure(solution, problem)
         cell_mask, node_mask = fix.masks(problem.grid)
         report = verify_conditions(measure, solution.u, problem,
                                    cell_mask=cell_mask, node_mask=node_mask)
         u_err, a_err = fixture_errors(fix, problem.grid, solution.u.values, measure)
-    except MassOptError as exc:
-        return _post_build_error(exc)
-    stream.write("fixture %s (n=%d, resolution=%d)\n" % (fix.name, fix.ball_dim, resolution))
-    stream.write("u_rel_sup_error,%s\n" % (FMT % u_err))
-    stream.write("a_rel_l1_error,%s\n" % (FMT % a_err))
-    for key, value in sorted(report.residuals().items()):
-        stream.write("%s,%s\n" % (key, FMT % value))
-    ok = (u_err <= 0.05 and a_err <= 0.05
-          and report.passes(DEFAULT_THRESHOLDS) and solution.converged)
-    return 0 if ok else 1
+        print("fixture %s (n=%d, resolution=%d)" % (fix.name, fix.ball_dim, args.resolution))
+        print("u_rel_sup_error,%s" % (FMT % u_err))
+        print("a_rel_l1_error,%s" % (FMT % a_err))
+        for key, value in sorted(report.residuals().items()):
+            print("%s,%s" % (key, FMT % value))
+        ok = (u_err <= 0.05 and a_err <= 0.05
+              and report.passes(DEFAULT_THRESHOLDS) and solution.converged)
+        return 0 if ok else 1
+    return job
 
 
 class _Number:
@@ -392,6 +394,7 @@ def _parser():
     p_run.add_argument("config")
     p_run.add_argument("--log", default=None, help="iteration log path")
     p_run.add_argument("--json-report", default=None, help="report path")
+    p_run.set_defaults(read=read_run)
 
     p_conj = sub.add_parser("conjugate", help="tabulate a cost conjugate")
     # the matcher argparse asks whether an argument is a negative number
@@ -401,44 +404,29 @@ def _parser():
                         metavar=("A", "B"))
     p_conj.add_argument("--count", type=int, default=21)
     p_conj.add_argument("--output", default=None)
+    p_conj.set_defaults(read=read_conjugate)
 
     p_fix = sub.add_parser("fixtures", help="run a closed-form comparison")
     p_fix.add_argument("--name", required=True, choices=fixture_names())
     p_fix.add_argument("--dimension", type=int, default=None)
     p_fix.add_argument("--resolution", type=int, default=2048)
+    p_fix.set_defaults(read=read_fixtures)
     return parser
 
 
 def main(argv=None):
+    """Run one command: a refusal of its read step exits 2, a failure of its job exits 4."""
     args = _parser().parse_args(argv)
-
-    if args.command == "run":
-        return run(args.config, log_path=args.log, json_report_path=args.json_report)
-
-    if args.command == "conjugate":
-        try:
-            cfg = read_config(args.config, ("cost",))
-            grid = _parse_domain(cfg["domain"]) if "domain" in cfg else None
-            cost, _w = _parse_cost(cfg, grid)
-            if args.count < 2:
-                raise ConfigError("--count must be >= 2")
-            if not all(map(math.isfinite, args.range)):
-                raise ConfigError("--range needs two finite ends")
-        except ConfigError as exc:
-            print("config error: %s" % exc, file=sys.stderr)
-            return 2
-        if args.output:
-            try:
-                with open(args.output, "w") as fh:
-                    cmd_conjugate_table(cost, args.range[0], args.range[1], args.count, fh)
-            except OSError as exc:
-                return _post_build_error(exc)
-        else:
-            cmd_conjugate_table(cost, args.range[0], args.range[1], args.count,
-                                sys.stdout)
-        return 0
-
-    return cmd_fixtures(args.name, args.dimension, args.resolution)
+    try:
+        job = args.read(args)
+    except MassOptError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return 2
+    try:
+        return job()
+    except (MassOptError, OSError) as exc:
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -126,6 +126,8 @@ class _PowerProfile:
     def __init__(self, p):
         if not p > 1.0:
             raise InvalidCost("power cost needs exponent p > 1")
+        if p == INF:
+            raise InvalidCost("power cost needs a finite exponent p")
         self.p = float(p)
         self.q = self.p / (self.p - 1.0)
         self.name = "quadratic" if self.p == 2.0 else "power"

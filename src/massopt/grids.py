@@ -139,46 +139,51 @@ class Grid:
             if convert is integral and value < 1:
                 raise UnsupportedGrid("%s grid needs %s >= 1" % (kind, key))
         p = self.params
-        # an overflow or a nan here breaks a rule below; min and max keep a nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            if kind == "rectangle":
-                self.ball_dim, self.ends = 2, ((True, True), (True, True))
-                self.axes = (np.linspace(p["ax"], p["bx"], p["nx"] + 1),
-                             np.linspace(p["ay"], p["by"], p["ny"] + 1))
-                self.widths = (np.full(p["nx"], (p["bx"] - p["ax"]) / p["nx"]),
-                               np.full(p["ny"], (p["by"] - p["ay"]) / p["ny"]))
-            else:
-                a, b, self.ball_dim = ((p["a"], p["b"], 1) if kind == "interval"
-                                       else (0.0, p["radius"], p["dimension"]))
-                self.axes = (np.linspace(a, b, p["n"] + 1),)
-                self.widths = (np.diff(self.axes[0]),)
-                # both ends of an interval; r = 0 is an interior point of the ball
-                self.ends = ((kind == "interval", True),)
-            if kind == "radial":
-                r, d = self.axes[0], self.ball_dim
-                self.cell_volumes = sphere_surface(d) * (r[1:] ** d - r[:-1] ** d) / d
-            else:
-                self.cell_volumes = reduce(np.multiply.outer, self.widths[::-1]).ravel()
-            for x in self.axes:
-                # increasing between finite ends, so finite throughout
-                if not (math.isfinite(x[0]) and math.isfinite(x[-1])
-                        and np.count_nonzero(x[1:] > x[:-1]) == x.size - 1):
-                    raise UnsupportedGrid("%s grid needs finite, strictly increasing nodes "
-                                          "on every axis" % kind)
-            if not 0.0 < self.cell_volumes.min() <= self.cell_volumes.max() < math.inf:
-                raise UnsupportedGrid("%s grid cells need finite positive volumes" % kind)
+        # numpy refuses a size it cannot hold (ValueError, MemoryError), and an
+        # exponent past float range (OverflowError)
+        try:
+            # an overflow or a nan here breaks a rule below; min and max keep a nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                if kind == "rectangle":
+                    self.ball_dim, self.ends = 2, ((True, True), (True, True))
+                    self.axes = (np.linspace(p["ax"], p["bx"], p["nx"] + 1),
+                                 np.linspace(p["ay"], p["by"], p["ny"] + 1))
+                    self.widths = (np.full(p["nx"], (p["bx"] - p["ax"]) / p["nx"]),
+                                   np.full(p["ny"], (p["by"] - p["ay"]) / p["ny"]))
+                else:
+                    a, b, self.ball_dim = ((p["a"], p["b"], 1) if kind == "interval"
+                                           else (0.0, p["radius"], p["dimension"]))
+                    self.axes = (np.linspace(a, b, p["n"] + 1),)
+                    self.widths = (np.diff(self.axes[0]),)
+                    # both ends of an interval; r = 0 is an interior point of the ball
+                    self.ends = ((kind == "interval", True),)
+                if kind == "radial":
+                    r, d = self.axes[0], self.ball_dim
+                    self.cell_volumes = sphere_surface(d) * (r[1:] ** d - r[:-1] ** d) / d
+                else:
+                    self.cell_volumes = reduce(np.multiply.outer, self.widths[::-1]).ravel()
+                for x in self.axes:
+                    # increasing between finite ends, so finite throughout
+                    if not (math.isfinite(x[0]) and math.isfinite(x[-1])
+                            and np.count_nonzero(x[1:] > x[:-1]) == x.size - 1):
+                        raise UnsupportedGrid("%s grid needs finite, strictly increasing nodes "
+                                              "on every axis" % kind)
+                if not 0.0 < self.cell_volumes.min() <= self.cell_volumes.max() < math.inf:
+                    raise UnsupportedGrid("%s grid cells need finite positive volumes" % kind)
 
-        self.dim = len(self.axes)
-        self.node_coords = _product(self.axes)
-        self.n_nodes = self.node_coords.shape[0]
-        self.n_cells = self.cell_volumes.shape[0]
+            self.dim = len(self.axes)
+            self.node_coords = _product(self.axes)
+            self.n_nodes = self.node_coords.shape[0]
+            self.n_cells = self.cell_volumes.shape[0]
 
-        # a node is on the boundary when it sits at a boundary end of any axis
-        on_ends = [np.zeros(x.size, dtype=bool) for x in self.axes]
-        for on, (lo, hi) in zip(on_ends, self.ends):
-            on[0], on[-1] = lo, hi
-        self.boundary_mask = reduce(np.logical_or.outer, on_ends[::-1]).ravel()
-        self.interior_idx = np.nonzero(~self.boundary_mask)[0]
+            # a node is on the boundary when it sits at a boundary end of any axis
+            on_ends = [np.zeros(x.size, dtype=bool) for x in self.axes]
+            for on, (lo, hi) in zip(on_ends, self.ends):
+                on[0], on[-1] = lo, hi
+            self.boundary_mask = reduce(np.logical_or.outer, on_ends[::-1]).ravel()
+            self.interior_idx = np.nonzero(~self.boundary_mask)[0]
+        except (ValueError, OverflowError, MemoryError) as exc:
+            raise UnsupportedGrid("%s grid cannot be built: %s" % (kind, exc)) from None
 
     # -- basic structure -----------------------------------------------------
 
@@ -709,14 +714,29 @@ def write_measure(path_csv, path_json, measure):
         fh.write("\n")
 
 
+def _is_atom(entry):
+    """Whether a sidecar entry is ``{"location": [numbers], "mass": number}`` as json reads it."""
+    return (isinstance(entry, dict) and isinstance(entry.get("location"), list)
+            and all(type(x) in (int, float) for x in entry["location"])
+            and type(entry.get("mass")) in (int, float))
+
+
 def read_measure(path_csv, path_json):
-    """The density of ``path_csv`` and the atoms of its sidecar, which must name the same grid."""
+    """The density of ``path_csv`` and the atoms of its sidecar, which must name the same grid.
+
+    The sidecar must be an object with an ``atoms`` list of numeric
+    ``{location, mass}`` entries; another sidecar raises UnsupportedGrid.
+    """
     grid, density = _read_grid_csv(path_csv)
     with open(path_json) as fh:
         sidecar = json.load(fh)
+    atoms = sidecar.get("atoms") if isinstance(sidecar, dict) else None
+    if not (isinstance(atoms, list) and all(map(_is_atom, atoms))):
+        raise UnsupportedGrid("%s is not a measure sidecar: it needs an atoms list of "
+                              "numeric {location, mass} entries" % path_json)
     if sidecar.get("grid") != {"kind": grid.kind, "params": grid.params}:
         raise UnsupportedGrid("%s is not of the grid of %s" % (path_json, path_csv))
-    atoms = [(np.asarray(a["location"]), a["mass"]) for a in sidecar.get("atoms", [])]
+    atoms = [(np.asarray(a["location"]), a["mass"]) for a in atoms]
     return DiscreteMeasure(grid, density, atoms=atoms)
 
 

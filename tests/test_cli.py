@@ -392,6 +392,18 @@ def test_conjugate_output_that_cannot_be_opened_exit_code(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_conjugate_stdout_that_cannot_be_written_exit_code(tmp_path, capsys, monkeypatch):
+    # the table's job fails as --output's does: exit 4, one line, no traceback
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    cfg = write(tmp_path / "quad.cfg", "[cost]\nbuiltin = quadratic\n")
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert cli.main(["conjugate", cfg, "--range", "0", "1", "--count", "3"]) == 4
+    assert capsys.readouterr().err == "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("ends", [("nan", "1"), ("0", "inf")], ids=["nan", "inf"])
 def test_conjugate_non_finite_range_is_config_error(tmp_path, capsys, ends):
     cfg = write(tmp_path / "c.cfg", "[cost]\nbuiltin = quadratic\n")
@@ -1077,6 +1089,8 @@ def test_percent_in_a_value_is_literal(tmp_path):
 INTERVAL = "kind = interval\na = -1.0\nb = 1.0\nn = 256"
 RUN = ["run", "{cfg}"]
 CONJUGATE = ["conjugate", "{cfg}", "--range", "0", "1", "--count", "3"]
+HUGE = "100000000000000000000"  # 10**20: numpy refuses an array this size before allocating
+RECTANGLE = "kind = rectangle\nax = 0\nbx = 1\nay = 0\nby = 1\nnx = {nx}\nny = {ny}"
 
 
 # Files that every command refuses, since each reads the whole file
@@ -1152,6 +1166,23 @@ FILE_REFUSALS = [
     (["conjugate", "{tmp}/missing.cfg", "--range", "0", "1"], [], "cannot read config file"),
     (CONJUGATE, [("[cost]", "[costs]")], "missing section [cost]"),
     (CONJUGATE[:-1] + ["1"], [], "--count must be >= 2"),
+    # sizes numpy cannot hold, a NUL byte in a path, exponents past float range: refused
+    # before the job, which would fail with a traceback or a nan gap
+    (RUN, [("n = 256", "n = " + HUGE)], "domain: interval grid cannot be built: "),
+    (RUN, [(INTERVAL, RECTANGLE.format(nx=HUGE, ny=16))],
+     "domain: rectangle grid cannot be built: "),
+    (RUN, [(INTERVAL, RECTANGLE.format(nx=16, ny=HUGE))],
+     "domain: rectangle grid cannot be built: "),
+    (RUN, [(INTERVAL, "kind = radial\nradius = 1\nn = 16\ndimension = 1" + "0" * 400)],
+     "domain: radial grid cannot be built: int too large to convert to float"),
+    (["fixtures", "--name", "mk_interval_uniform", "--resolution", HUGE], [],
+     "config error: interval grid cannot be built: "),
+    (["fixtures", "--name", "quadratic_ball_uniform", "--dimension", "2", "--resolution", HUGE],
+     [], "config error: radial grid cannot be built: "),
+    (CONJUGATE[:-1] + [HUGE], [], "config error: --count: "),
+    (RUN, [("dir = {out}", "dir = {out}\0")], "config error: output.dir: embedded null byte\n"),
+    (RUN, [("builtin = linear\nslope = 0.5", "builtin = power\np = 1e400")],
+     "config error: cost.builtin: power cost needs a finite exponent p\n"),
 ] + [(argv, edits, message) for _id, edits, message in FILE_REFUSALS
      for argv in (RUN, CONJUGATE)],
     ids=["radial-n", "rectangle-nx", "rectangle-ny", "unknown-kind", "no-domain", "no-cost",
@@ -1161,7 +1192,9 @@ FILE_REFUSALS = [
          "table-empty", "weight-table-empty",
          "value-and-expression", "empty-source", "malformed-atom",
          "unknown-verify-key", "non-positive-threshold", "conjugate-unreadable-config",
-         "conjugate-no-cost", "conjugate-count-1"]
+         "conjugate-no-cost", "conjugate-count-1", "huge-n", "huge-nx", "huge-ny",
+         "huge-dimension", "fixture-huge-resolution", "radial-fixture-huge-resolution", "conjugate-huge-count",
+         "nul-in-output-dir", "infinite-power"]
     + [prefix + case for case, _edits, _message in FILE_REFUSALS
        for prefix in ("", "conjugate-")])
 @pytest.mark.filterwarnings("error")  # a warning would print before the one line

@@ -364,7 +364,12 @@ def test_read_measure_computes_its_boundary_mass(tmp_path):
     assert mo.read_measure(tmp_path / "m.csv", tmp_path / "m.json").boundary_mass == 0.5
 
 
-@pytest.mark.parametrize("sidecar", ["other-grid", "no-grid", "no-params"])
+# valid JSON that is no measure sidecar: not an object, or no list of numeric atoms
+NOT_A_SIDECAR = {"list": [], "string": "x", "null": None, "number": 3}
+OF_THE_GRID = ("other-grid", "no-grid", "no-params")
+
+
+@pytest.mark.parametrize("sidecar", [*OF_THE_GRID, *NOT_A_SIDECAR, "atoms-string", "mass-string"])
 def test_read_measure_refuses_a_sidecar_of_another_grid(tmp_path, sidecar):
     square = mo.rectangle_grid(0.0, 1.0, 0.0, 1.0, 8, 8)
     wide = mo.rectangle_grid(0.0, 2.0, 0.0, 1.0, 8, 8)
@@ -377,8 +382,13 @@ def test_read_measure_refuses_a_sidecar_of_another_grid(tmp_path, sidecar):
         del side["grid"]
     elif sidecar == "no-params":
         del side["grid"]["params"]
-    (tmp_path / "m.json").write_text(json.dumps(side))
-    with pytest.raises(mo.UnsupportedGrid, match="not of the grid"):
+    elif sidecar == "atoms-string":
+        side["atoms"] = "x"
+    elif sidecar == "mass-string":
+        side["atoms"] = [{"location": [0.5, 0.5], "mass": "1.0"}]
+    (tmp_path / "m.json").write_text(json.dumps(NOT_A_SIDECAR.get(sidecar, side)))
+    match = "not of the grid" if sidecar in OF_THE_GRID else "not a measure sidecar"
+    with pytest.raises(mo.UnsupportedGrid, match=match):
         mo.read_measure(tmp_path / "m.csv", tmp_path / "m.json")
 
 
